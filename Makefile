@@ -7,7 +7,7 @@ GO ?= go
 # detector.
 RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
-.PHONY: all fmt vet build test race bench ci load-smoke
+.PHONY: all fmt vet build check-paths test race bench benchmark ci load-smoke
 
 all: ci
 
@@ -20,6 +20,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The single-inference-path invariants, checked by grep: serving never turns
+# a decoded plan back into a *plan.Node tree, and core's inference side never
+# touches the autodiff tape (training reaches it through nn.GradPool).
+check-paths:
+	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core)"; \
+	if [ -n "$$bad" ]; then echo "single inference path violated:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -42,6 +50,13 @@ bench:
 bench-check:
 	$(GO) run ./cmd/bench -quick -out /tmp/dace-bench-check.json -baseline BENCH_2026-08-09.json -check -max-regress 35
 
+# The repository's performance instrument (BENCHMARK.json, benchmark/README.md):
+# each of the five workloads once, 15 s, untraced, one result JSON line per
+# workload. Add `--out f.jsonl` runs on two commits and `-compare a.jsonl
+# b.jsonl` to judge a change against the benchmark's bounds.
+benchmark:
+	bash benchmark/run.sh --workload all --seed 1 --seconds 15 --trace 0
+
 # Open-loop load smoke (also part of the default bench-check flow, since an
 # empty -only runs every group): closed-loop capacity probe, open-loop tail
 # at 3× saturation (the coordinated-omission check — fails unless open-loop
@@ -61,4 +76,4 @@ bench-score:
 bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkPredictBatch' -benchtime 3x .
 
-ci: fmt vet build test race
+ci: fmt vet build check-paths test race

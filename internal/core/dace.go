@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,10 +156,11 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// forward records the full DACE forward pass for one encoded plan and
-// returns (per-node predictions n×1, hidden states). hiddenLayer selects
-// which MLP hidden activation to also return (-1 for none) — the
-// pre-trained-encoder mode reads h₂ (Eq. 9).
+// forward records the full DACE forward pass for one encoded plan on the
+// autodiff tape and returns (per-node predictions n×1, hidden states);
+// hiddenLayer selects which MLP hidden activation to also return (-1 for
+// none). The tape is for training: loss is its only caller outside tests,
+// where it is the reference forwardRaw is compared against bitwise.
 func (m *Model) forward(t *nn.Tape, enc *featurize.Encoded, hiddenLayer int) (pred, hidden *nn.Node) {
 	// The Q/K/V projections go through the one-hot-aware kernel: each plan
 	// feature row selects its type row of W plus the two scaled cost/card
@@ -196,26 +198,6 @@ func (m *Model) head(t *nn.Tape, h *nn.Node, enc *featurize.Encoded, hiddenLayer
 	// Cost-correction residual: add γ·scaled_cost per node.
 	pred = t.Add(h, t.ScaleConst(t.Leaf(m.Gamma), enc.CostCol))
 	return pred, hidden
-}
-
-// attentionRaw computes the masked attention output (n×dv) with the same
-// span kernels the tape path uses, but no autodiff — it caches the frozen
-// encoder's features during LoRA fine-tuning. The result is heap-allocated
-// on purpose: it outlives every per-batch arena cycle of the fit loop.
-func (m *Model) attentionRaw(enc *featurize.Encoded) *nn.Matrix {
-	x := enc.X
-	q := nn.NewMatrix(x.Rows, m.Att.WQ.Value.Cols)
-	nn.ProjectOneHotInto(q, x, m.Att.WQ.Value, enc.Types, plan.NumNodeTypes)
-	k := nn.NewMatrix(x.Rows, m.Att.WK.Value.Cols)
-	nn.ProjectOneHotInto(k, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes)
-	v := nn.NewMatrix(x.Rows, m.Att.WV.Value.Cols)
-	nn.ProjectOneHotInto(v, x, m.Att.WV.Value, enc.Types, plan.NumNodeTypes)
-	spans := m.spansFor(enc)
-	probs := nn.NewMatrix(x.Rows, x.Rows)
-	nn.MaskedSoftmaxQKTInto(probs, q, k, 1/math.Sqrt(float64(m.Cfg.DK)), spans)
-	out := nn.NewMatrix(x.Rows, v.Cols)
-	nn.MatMulSpansInto(out, probs, v, spans)
-	return out
 }
 
 // loss records the Eq. (7) training loss for one plan: the per-node
@@ -281,15 +263,22 @@ func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
 	var cached []*nn.Matrix
 	if m.lora != nil {
 		cached = make([]*nn.Matrix, len(encoded))
+		// The cache outlives every per-batch arena cycle of the loop below,
+		// so each attention output is cloned out of the scratch arena.
+		attend := func(i int) {
+			s := scratchPool.Get().(*scratch)
+			s.arena.Reset()
+			_, h := m.forwardRaw(&s.arena, encoded[i], encoded[i].X.Rows, attentionOnly)
+			cached[i] = h.Clone()
+			scratchPool.Put(s)
+		}
 		if m.Throttle != nil {
 			for i := range encoded {
-				cached[i] = m.attentionRaw(encoded[i])
+				attend(i)
 				m.Throttle()
 			}
 		} else {
-			nn.ParallelFor(len(encoded), m.Cfg.Workers, func(i int) {
-				cached[i] = m.attentionRaw(encoded[i])
-			})
+			nn.ParallelFor(len(encoded), m.Cfg.Workers, attend)
 		}
 	}
 	params := m.Params()
@@ -358,7 +347,7 @@ func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
 }
 
 // scratch bundles the reusable per-goroutine inference state: an encoder
-// Scratch plus an arena for the raw-arithmetic root path. Pooled so
+// Scratch plus the arena forwardRaw draws its temporaries from. Pooled so
 // steady-state Predict/PredictSubPlans/Embed calls allocate (almost)
 // nothing regardless of which goroutine runs them.
 type scratch struct {
@@ -368,46 +357,57 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Predict returns the estimated execution time (ms) of the plan's root —
-// the quantity q-error is computed over. As in the paper, inference prices
-// only the root: the attention query is computed for the root row alone and
-// the MLP runs on a single vector, so prediction is much cheaper than a
-// training pass (use PredictSubPlans when every node's estimate is wanted).
-func (m *Model) Predict(p *plan.Plan) float64 {
-	s := scratchPool.Get().(*scratch)
-	enc := m.Enc.EncodeInto(&s.enc, p)
-	s.arena.Reset()
-	out := m.Enc.InverseLabel(m.predictRootRaw(&s.arena, enc))
-	scratchPool.Put(s)
-	return out
-}
+// attentionOnly, passed as forwardRaw's hiddenLayer, stops the pass after
+// the attention block.
+const attentionOnly = -2
 
-// predictRootRaw computes the root's scaled-log prediction with raw matrix
-// arithmetic (no autodiff tape), all temporaries drawn from a. The root's
-// attention mask row is all ones (the root dominates every node), so its
-// span is the full row.
-func (m *Model) predictRootRaw(a *nn.Arena, enc *featurize.Encoded) float64 {
-	x := enc.X
-	root := nn.Matrix{Rows: 1, Cols: x.Cols, Data: x.Data[:x.Cols]} // row 0 view
-	q := a.Matrix(1, m.Att.WQ.Value.Cols)                           // 1×dk
-	nn.ProjectOneHotInto(q, &root, m.Att.WQ.Value, enc.Types, plan.NumNodeTypes)
-	k := a.Matrix(x.Rows, m.Att.WK.Value.Cols) // n×dk
+// forwardRaw is the inference forward pass: masked attention, the MLP head
+// (+ LoRA adapters when attached) and the γ·cost residual in raw matrix
+// arithmetic — no autodiff tape, every temporary drawn from a. Keys and
+// values are projected for all n rows; queries, softmax, MLP and residual
+// run for the first queryRows rows only: 1 prices the root (whose span is
+// the whole plan), n prices every sub-plan at once (Eq. 6). It returns the
+// queryRows×1 scaled-log predictions and, for hiddenLayer ≥ 0, that MLP
+// layer's post-ReLU activation (Eq. 9 reads h₂); with attentionOnly it
+// returns (nil, attention output) without running the head. Row for row
+// the arithmetic is the tape forward's — same kernels, same order — so
+// every output is bitwise-identical to it, and row i is the same whatever
+// queryRows is. Only enc.X, Types, CostCol and (for queryRows ≠ 1) Spans
+// are read. Results are valid until a is reset.
+func (m *Model) forwardRaw(a *nn.Arena, enc *featurize.Encoded, queryRows, hiddenLayer int) (pred, hidden *nn.Matrix) {
+	x, n := enc.X, enc.X.Rows
+	xq := nn.Matrix{Rows: queryRows, Cols: x.Cols, Data: x.Data[:queryRows*x.Cols]} // leading-rows view
+	q := a.Matrix(queryRows, m.Att.WQ.Value.Cols)
+	nn.ProjectOneHotInto(q, &xq, m.Att.WQ.Value, enc.Types, plan.NumNodeTypes)
+	k := a.Matrix(n, m.Att.WK.Value.Cols)
 	nn.ProjectOneHotInto(k, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes)
-	v := a.Matrix(x.Rows, m.Att.WV.Value.Cols) // n×dv
+	v := a.Matrix(n, m.Att.WV.Value.Cols)
 	nn.ProjectOneHotInto(v, x, m.Att.WV.Value, enc.Types, plan.NumNodeTypes)
-	span := [1]nn.Span{{Lo: 0, Hi: int32(x.Rows)}}
-	probs := a.Matrix(1, x.Rows)
-	nn.MaskedSoftmaxQKTInto(probs, q, k, 1/math.Sqrt(float64(m.Cfg.DK)), span[:])
-	h := a.Matrix(1, v.Cols) // 1×dv
-	nn.MatMulSpansInto(h, probs, v, span[:])
+	rootSpan := [1]nn.Span{{Lo: 0, Hi: int32(n)}}
+	spans := rootSpan[:]
+	if queryRows != 1 {
+		spans = m.spansFor(enc)[:queryRows]
+	}
+	probs := a.Matrix(queryRows, n)
+	nn.MaskedSoftmaxQKTInto(probs, q, k, 1/math.Sqrt(float64(m.Cfg.DK)), spans)
+	h := a.Matrix(queryRows, v.Cols)
+	nn.MatMulSpansInto(h, probs, v, spans)
+	if hiddenLayer == attentionOnly {
+		return nil, h
+	}
 	for i, l := range m.MLP {
-		next := a.Matrix(1, l.W.Value.Cols)
+		next := a.Matrix(queryRows, l.Out())
 		nn.MatMulInto(next, h, l.W.Value)
-		nn.AddInPlace(next, l.B.Value)
+		for r := 0; r < queryRows; r++ {
+			row := next.Data[r*next.Cols : (r+1)*next.Cols]
+			for j, b := range l.B.Value.Data {
+				row[j] += b
+			}
+		}
 		if m.lora != nil {
-			down := a.Matrix(1, m.lora[i].Down.Value.Cols)
+			down := a.Matrix(queryRows, m.lora[i].Rank)
 			nn.MatMulInto(down, h, m.lora[i].Down.Value)
-			ad := a.Matrix(1, m.lora[i].Up.Value.Cols)
+			ad := a.Matrix(queryRows, l.Out())
 			nn.MatMulInto(ad, down, m.lora[i].Up.Value)
 			nn.ScaleInPlace(ad, m.lora[i].Scale)
 			nn.AddInPlace(next, ad)
@@ -419,9 +419,31 @@ func (m *Model) predictRootRaw(a *nn.Arena, enc *featurize.Encoded) float64 {
 					h.Data[j] = 0
 				}
 			}
+			if i == hiddenLayer {
+				hidden = h
+			}
 		}
 	}
-	return h.Data[0] + m.Gamma.Value.Data[0]*enc.CostCol.Data[0]
+	// Cost-correction residual: add γ·scaled_cost per row.
+	for r := range h.Data {
+		h.Data[r] += m.Gamma.Value.Data[0] * enc.CostCol.Data[r]
+	}
+	return h, hidden
+}
+
+// Predict returns the estimated execution time (ms) of the plan's root —
+// the quantity q-error is computed over. As in the paper, inference prices
+// only the root: the attention query is computed for the root row alone and
+// the MLP runs on a single vector, so prediction is much cheaper than a
+// training pass (use PredictSubPlans when every node's estimate is wanted).
+func (m *Model) Predict(p *plan.Plan) float64 {
+	s := scratchPool.Get().(*scratch)
+	enc := m.Enc.EncodeInto(&s.enc, p)
+	s.arena.Reset()
+	pred, _ := m.forwardRaw(&s.arena, enc, 1, -1)
+	out := m.Enc.InverseLabel(pred.Data[0])
+	scratchPool.Put(s)
+	return out
 }
 
 // PredictBatch predicts root latencies (ms) for many plans, fanning the
@@ -469,57 +491,43 @@ func (m *Model) AppendPredictSubPlansBatch(dst [][]float64, plans []*plan.Plan, 
 // PredictSubPlans returns estimated latencies (ms) for every node in DFS
 // order — the parallel sub-plan prediction of Eq. (6).
 func (m *Model) PredictSubPlans(p *plan.Plan) []float64 {
-	return m.AppendPredictSubPlans(make([]float64, 0, countNodes(p.Root)), p)
-}
-
-// countNodes sizes the PredictSubPlans result without the []*Node scratch
-// slice plan.NodeCount would allocate.
-func countNodes(n *plan.Node) int {
-	if n == nil {
-		return 0
-	}
-	total := 1
-	for _, c := range n.Children {
-		total += countNodes(c)
-	}
-	return total
+	return m.AppendPredictSubPlans(nil, p)
 }
 
 // AppendPredictSubPlans appends the plan's per-node latency predictions
 // (DFS order) to buf and returns the extended slice — the allocation-free
-// variant of PredictSubPlans for serving paths that recycle a result
-// buffer: with enough spare capacity in buf the call performs zero
-// allocations at steady state.
+// variant of PredictSubPlans for callers that recycle a result buffer: with
+// enough spare capacity in buf the call performs zero allocations at steady
+// state. It flattens the tree (featurize.EncodeInto) and runs the flat
+// path, so results are bitwise-identical to AppendPredictSubPlansFlat.
 func (m *Model) AppendPredictSubPlans(buf []float64, p *plan.Plan) []float64 {
 	s := scratchPool.Get().(*scratch)
-	enc := m.Enc.EncodeInto(&s.enc, p)
-	t := nn.GetTape()
-	pred, _ := m.forward(t, enc, -1)
-	for i := 0; i < pred.Value.Rows; i++ {
-		buf = append(buf, m.Enc.InverseLabel(pred.Value.At(i, 0)))
-	}
-	nn.PutTape(t)
+	buf = m.appendSubPlans(buf, s, m.Enc.EncodeInto(&s.enc, p))
 	scratchPool.Put(s)
 	return buf
 }
 
-// AppendPredictSubPlansFlat is AppendPredictSubPlans over a
-// streaming-decoded flat plan: featurization reads the decoder's DFS
-// arrays directly (featurize.EncodeFlatInto), so no *plan.Node tree is
-// ever materialized on the way to a prediction. The forward pass is the
-// same code on a bitwise-equal encoding, so results are bitwise-identical
-// to the tree path. The caller must have validated the plan
+// AppendPredictSubPlansFlat is the inference entry point of the serving
+// path: featurization reads the flat DFS arrays directly
+// (featurize.EncodeFlatInto), so no *plan.Node tree exists between the wire
+// and the model. The caller must have validated the plan
 // (plan.FlatPlan.Check): an out-of-range node type cannot be featurized.
 func (m *Model) AppendPredictSubPlansFlat(buf []float64, f *plan.FlatPlan) []float64 {
 	s := scratchPool.Get().(*scratch)
-	enc := m.Enc.EncodeFlatInto(&s.enc, f)
-	t := nn.GetTape()
-	pred, _ := m.forward(t, enc, -1)
-	for i := 0; i < pred.Value.Rows; i++ {
-		buf = append(buf, m.Enc.InverseLabel(pred.Value.At(i, 0)))
-	}
-	nn.PutTape(t)
+	buf = m.appendSubPlans(buf, s, m.Enc.EncodeFlatInto(&s.enc, f))
 	scratchPool.Put(s)
+	return buf
+}
+
+// appendSubPlans prices every row of enc (which lives in s) and appends the
+// latencies in milliseconds; a buf without room grows once, to fit.
+func (m *Model) appendSubPlans(buf []float64, s *scratch, enc *featurize.Encoded) []float64 {
+	s.arena.Reset()
+	pred, _ := m.forwardRaw(&s.arena, enc, enc.X.Rows, -1)
+	buf = slices.Grow(buf, len(pred.Data))
+	for _, v := range pred.Data {
+		buf = append(buf, m.Enc.InverseLabel(v))
+	}
 	return buf
 }
 
@@ -535,14 +543,11 @@ func (m *Model) EmbedDim() int { return m.Cfg.Hidden[len(m.Cfg.Hidden)-2] + 1 }
 func (m *Model) Embed(p *plan.Plan) []float64 {
 	s := scratchPool.Get().(*scratch)
 	enc := m.Enc.EncodeInto(&s.enc, p)
-	t := nn.GetTape()
-	pred, hidden := m.forward(t, enc, len(m.MLP)-2)
-	out := make([]float64, hidden.Value.Cols+1)
-	for j := 0; j < hidden.Value.Cols; j++ {
-		out[j] = hidden.Value.At(0, j)
-	}
-	out[hidden.Value.Cols] = pred.Value.At(0, 0)
-	nn.PutTape(t)
+	s.arena.Reset()
+	pred, hidden := m.forwardRaw(&s.arena, enc, 1, len(m.MLP)-2)
+	out := make([]float64, hidden.Cols+1)
+	copy(out, hidden.Data)
+	out[hidden.Cols] = pred.Data[0]
 	scratchPool.Put(s)
 	return out
 }

@@ -22,8 +22,8 @@ import (
 //     memoized feature blocks of its already-seen subtrees (descendants are
 //     contiguous in DFS pre-order, so a cached subtree is one memcpy) and
 //     featurizing only the genuinely new nodes; the prediction then runs
-//     the root-row fused kernels (predictRootRaw) — the same arithmetic as
-//     row 0 of the full forward pass.
+//     the one inference forward with a single query row (forwardRaw) — the
+//     same arithmetic as row 0 of the full pass.
 //
 // Correctness rests on two invariants, both enforced by tests: equal
 // subtree fingerprints imply bitwise-equal model inputs (plan.Fingerprint's
@@ -170,14 +170,15 @@ func (s *Scorer) score(c *plan.Node) float64 {
 	if end := s.assemble(c, 0, x, costCol, types); end != n {
 		panic("core: scorer assembly cursor mismatch")
 	}
-	// Root-row inference over the assembled encoding: predictRootRaw reads
-	// exactly the fields assembled here (X, Types, CostCol) and its
-	// arithmetic is bitwise-identical to row 0 of the full forward pass
-	// (the Predict ≡ PredictSubPlans[0] invariant).
+	// Root-row inference over the assembled encoding: with one query row
+	// forwardRaw reads exactly the fields assembled here (X, Types, CostCol)
+	// and its arithmetic is bitwise-identical to row 0 of the full pass (the
+	// Predict ≡ PredictSubPlans[0] invariant).
 	s.enc.X = x
 	s.enc.CostCol = costCol
 	s.enc.Types = types
-	ms := s.m.Enc.InverseLabel(s.m.predictRootRaw(&s.arena, &s.enc))
+	pred, _ := s.m.forwardRaw(&s.arena, &s.enc, 1, -1)
+	ms := s.m.Enc.InverseLabel(pred.Data[0])
 	ex := s.memoFloats.Floats(n * featurize.FeatureDim)
 	copy(ex, x.Data)
 	et := s.memoInts.take(n)

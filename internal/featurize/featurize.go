@@ -11,6 +11,7 @@ package featurize
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"dace/internal/nn"
 	"dace/internal/plan"
@@ -139,9 +140,10 @@ type Encoded struct {
 // operator type, scaled log estimated cost, scaled log cardinality — into
 // row, which must hold FeatureDim pre-zeroed entries, and returns the
 // scaled cost feature (the CostCol entry). It is the single source of the
-// per-node encoding arithmetic: fill uses it for whole plans and the
-// core scorer uses it to featurize individual memo-miss nodes, so the two
-// paths are bitwise-identical by construction.
+// per-node encoding arithmetic: fillFlat calls it for every row of a whole
+// plan and the core scorer for individual memo-miss nodes, so the two paths
+// are bitwise-identical by construction. Only Type, EstCost, EstRows and
+// ActualRows are read.
 func (e *Encoder) EncodeNodeRow(row []float64, n *plan.Node) float64 {
 	row[int(n.Type)] = 1
 	cost := e.Cost.Transform(logSafe(n.EstCost))
@@ -154,16 +156,19 @@ func (e *Encoder) EncodeNodeRow(row []float64, n *plan.Node) float64 {
 	return cost
 }
 
-// fill populates enc's pre-allocated, pre-zeroed X/Y/LossW/CostCol matrices
-// from the DFS node sequence; enc.Heights must already be set.
-func (e *Encoder) fill(enc *Encoded, nodes []*plan.Node) {
-	for i, node := range nodes {
-		enc.Types[i] = int(node.Type)
-		cost := e.EncodeNodeRow(enc.X.Data[i*enc.X.Cols:(i+1)*enc.X.Cols], node)
-		enc.CostCol.Data[i] = cost
+// fillFlat populates enc — whose matrices are pre-zeroed and whose slices
+// are already sized to f.Len() — from the flat plan: the only place whole
+// plans become encodings.
+func (e *Encoder) fillFlat(enc *Encoded, f *plan.FlatPlan) {
+	for i := 0; i < f.Len(); i++ {
+		enc.Types[i] = int(f.Types[i])
+		enc.Heights[i] = int(f.Heights[i])
+		enc.Spans[i] = nn.Span{Lo: int32(i), Hi: int32(i) + f.Subtree[i]}
+		node := plan.Node{Type: f.Types[i], EstRows: f.EstRows[i], EstCost: f.EstCost[i], ActualRows: f.ActualRows[i]}
+		enc.CostCol.Data[i] = e.EncodeNodeRow(enc.X.Data[i*FeatureDim:(i+1)*FeatureDim], &node)
 		w := math.Pow(e.Alpha, float64(enc.Heights[i]))
-		if node.ActualMS > 0 {
-			enc.Y.Set(i, 0, e.Label.Transform(logSafe(node.ActualMS)))
+		if f.ActualMS[i] > 0 {
+			enc.Y.Data[i] = e.Label.Transform(logSafe(f.ActualMS[i]))
 		} else {
 			// An unlabeled node carries no supervision: Y stays 0, and its
 			// loss weight must too, or training would pull the node's
@@ -173,165 +178,89 @@ func (e *Encoder) fill(enc *Encoded, nodes []*plan.Node) {
 			// latency).
 			w = 0
 		}
-		enc.LossW.Set(i, 0, w)
+		enc.LossW.Data[i] = w
 	}
 	if e.Alpha == 0 {
 		// α=0 would zero every non-root weight via Pow(0, h>0) but also set
 		// the root's 0^0 = 1; that is the intended "root only" mode (the
 		// root weight still requires a root label).
 		enc.LossW.Zero()
-		if len(nodes) > 0 && nodes[0].ActualMS > 0 {
-			enc.LossW.Set(0, 0, 1)
+		if f.Len() > 0 && f.ActualMS[0] > 0 {
+			enc.LossW.Data[0] = 1
 		}
 	}
-}
-
-// spansOf writes each DFS row's attention span [i, i+subtree(i)) into dst.
-func spansOf(dst []nn.Span, sizes []int) {
-	for i, sz := range sizes {
-		dst[i] = nn.Span{Lo: int32(i), Hi: int32(i + sz)}
-	}
-}
-
-// Encode featurizes one plan into freshly allocated (heap) storage. The
-// result owns its memory indefinitely — the training loop caches these.
-// Hot inference paths use EncodeInto instead.
-func (e *Encoder) Encode(p *plan.Plan) *Encoded {
-	nodes := p.DFS()
-	n := len(nodes)
-	enc := &Encoded{
-		X:       nn.NewMatrix(n, FeatureDim),
-		Y:       nn.NewMatrix(n, 1),
-		LossW:   nn.NewMatrix(n, 1),
-		CostCol: nn.NewMatrix(n, 1),
-		Heights: p.Heights(),
-		Spans:   make([]nn.Span, n),
-		Types:   make([]int, n),
-	}
-	spansOf(enc.Spans, p.AppendSubtreeSizes(nil))
-	e.fill(enc, nodes)
-	mask := nn.NewMatrix(n, n)
-	for i, sp := range enc.Spans {
-		for j := sp.Lo; j < sp.Hi; j++ {
-			mask.Set(i, int(j), 1)
-		}
-	}
-	enc.Mask = mask
-	return enc
 }
 
 // Scratch is reusable encoding storage for the hot inference path: all
 // buffers (including the matrix backing store, via an arena) are retained
-// across EncodeInto calls and grow to the largest plan seen, after which
-// encoding allocates nothing.
+// across encodes and grow to the largest plan seen, after which encoding
+// allocates nothing.
 type Scratch struct {
 	arena   nn.Arena
-	nodes   []*plan.Node
+	flat    plan.FlatPlan // EncodeInto's tree → flat conversion
 	heights []int
-	sizes   []int
 	spans   []nn.Span
 	types   []int
 	enc     Encoded
 }
 
-// EncodeInto featurizes one plan into s, returning an Encoded that aliases
-// s's buffers: it is valid only until the next EncodeInto on the same
-// Scratch. The dense Mask is left nil — consumers use Spans. Arithmetic is
-// identical to Encode, so the two paths produce bitwise-equal encodings.
-func (e *Encoder) EncodeInto(s *Scratch, p *plan.Plan) *Encoded {
-	s.arena.Reset()
-	s.nodes = p.AppendDFS(s.nodes[:0])
-	s.heights = p.AppendHeights(s.heights[:0])
-	s.sizes = p.AppendSubtreeSizes(s.sizes[:0])
-	n := len(s.nodes)
-	if cap(s.spans) < n {
-		s.spans = make([]nn.Span, n)
+// flatPool lends Encode the FlatPlan its tree is flattened into.
+var flatPool = sync.Pool{New: func() any { return new(plan.FlatPlan) }}
+
+// Encode featurizes one plan into freshly allocated (heap) storage,
+// including the dense Mask. The result owns its memory indefinitely — the
+// training loop caches these. Hot inference paths use EncodeFlatInto.
+func (e *Encoder) Encode(p *plan.Plan) *Encoded {
+	f := flatPool.Get().(*plan.FlatPlan).FromTree(p)
+	n := f.Len()
+	enc := &Encoded{
+		X:       nn.NewMatrix(n, FeatureDim),
+		Mask:    nn.NewMatrix(n, n),
+		Y:       nn.NewMatrix(n, 1),
+		LossW:   nn.NewMatrix(n, 1),
+		CostCol: nn.NewMatrix(n, 1),
+		Heights: make([]int, n),
+		Spans:   make([]nn.Span, n),
+		Types:   make([]int, n),
 	}
-	s.spans = s.spans[:n]
-	spansOf(s.spans, s.sizes)
-	if cap(s.types) < n {
-		s.types = make([]int, n)
+	e.fillFlat(enc, f)
+	flatPool.Put(f)
+	for i, sp := range enc.Spans {
+		for j := sp.Lo; j < sp.Hi; j++ {
+			enc.Mask.Set(i, int(j), 1)
+		}
 	}
-	s.types = s.types[:n]
-	enc := &s.enc
-	enc.X = s.arena.Matrix(n, FeatureDim)
-	enc.Y = s.arena.Matrix(n, 1)
-	enc.LossW = s.arena.Matrix(n, 1)
-	enc.CostCol = s.arena.Matrix(n, 1)
-	enc.Mask = nil
-	enc.Heights = s.heights
-	enc.Spans = s.spans
-	enc.Types = s.types
-	e.fill(enc, s.nodes)
 	return enc
 }
 
-// EncodeFlatInto featurizes a streaming-decoded flat plan into s, skipping
-// every tree traversal: the FlatPlan already carries the DFS order, heights,
-// and subtree spans the information catcher would otherwise recompute.
-// Arithmetic is identical to fill — same operations on the same float64s —
-// so the encoding is bitwise-equal to EncodeInto on the equivalent tree.
-// The same aliasing rule applies: the result is valid until the next
-// encode into the same Scratch.
+// EncodeInto featurizes a plan tree into s: it flattens the tree into s's
+// own FlatPlan (one DFS) and takes the flat path, so the encoding is the
+// one EncodeFlatInto produces for the equivalent decoded plan. The same
+// aliasing rule applies.
+func (e *Encoder) EncodeInto(s *Scratch, p *plan.Plan) *Encoded {
+	return e.EncodeFlatInto(s, s.flat.FromTree(p))
+}
+
+// EncodeFlatInto featurizes a flat plan — streaming-decoded or flattened by
+// FromTree, which already carries the DFS order, heights and subtree spans
+// of the paper's information catcher — into s, returning an Encoded that
+// aliases s's buffers: it is valid only until the next encode into the same
+// Scratch. The dense Mask is left nil — consumers use Spans. Arithmetic is
+// Encode's (both end in fillFlat), so the encodings are bitwise-equal.
 func (e *Encoder) EncodeFlatInto(s *Scratch, f *plan.FlatPlan) *Encoded {
 	s.arena.Reset()
 	n := f.Len()
-	s.heights = s.heights[:0]
-	for _, h := range f.Heights {
-		s.heights = append(s.heights, int(h))
-	}
-	if cap(s.spans) < n {
-		s.spans = make([]nn.Span, n)
-	}
-	s.spans = s.spans[:n]
-	for i, sz := range f.Subtree {
-		s.spans[i] = nn.Span{Lo: int32(i), Hi: int32(i) + sz}
-	}
 	if cap(s.types) < n {
-		s.types = make([]int, n)
+		s.heights, s.spans, s.types = make([]int, n), make([]nn.Span, n), make([]int, n)
 	}
-	s.types = s.types[:n]
 	enc := &s.enc
 	enc.X = s.arena.Matrix(n, FeatureDim)
 	enc.Y = s.arena.Matrix(n, 1)
 	enc.LossW = s.arena.Matrix(n, 1)
 	enc.CostCol = s.arena.Matrix(n, 1)
-	enc.Mask = nil
-	enc.Heights = s.heights
-	enc.Spans = s.spans
-	enc.Types = s.types
+	enc.Heights, enc.Spans, enc.Types = s.heights[:n], s.spans[:n], s.types[:n]
 	e.fillFlat(enc, f)
 	return enc
-}
-
-// fillFlat is fill over flat arrays: the same per-node arithmetic, indexed
-// instead of walked.
-func (e *Encoder) fillFlat(enc *Encoded, f *plan.FlatPlan) {
-	for i := 0; i < f.Len(); i++ {
-		enc.X.Set(i, int(f.Types[i]), 1)
-		enc.Types[i] = int(f.Types[i])
-		cost := e.Cost.Transform(logSafe(f.EstCost[i]))
-		enc.X.Set(i, plan.NumNodeTypes, cost)
-		enc.CostCol.Data[i] = cost
-		card := f.EstRows[i]
-		if e.ActualCard {
-			card = f.ActualRows[i]
-		}
-		enc.X.Set(i, plan.NumNodeTypes+1, e.Card.Transform(logSafe(card)))
-		w := math.Pow(e.Alpha, float64(enc.Heights[i]))
-		if f.ActualMS[i] > 0 {
-			enc.Y.Set(i, 0, e.Label.Transform(logSafe(f.ActualMS[i])))
-		} else {
-			w = 0
-		}
-		enc.LossW.Set(i, 0, w)
-	}
-	if e.Alpha == 0 {
-		enc.LossW.Zero()
-		if f.Len() > 0 && f.ActualMS[0] > 0 {
-			enc.LossW.Set(0, 0, 1)
-		}
-	}
 }
 
 // InverseLabel maps a model output (scaled log ms) back to milliseconds.

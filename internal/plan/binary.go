@@ -174,8 +174,8 @@ func (b *BinaryBatch) Len() int { return b.n }
 
 // Next decodes the next plan of the batch into d. The result aliases d's
 // arenas: it is valid until d's next decode, so callers that keep plans
-// across iterations must Tree() them first. After the last plan, Next
-// verifies the frame was consumed exactly.
+// across iterations must copy them out (FlatBatch.Append) first. After the
+// last plan, Next verifies the frame was consumed exactly.
 func (b *BinaryBatch) Next(d *Decoder) (*FlatPlan, error) {
 	if b.n <= 0 {
 		return nil, fmt.Errorf("plan: batch exhausted")

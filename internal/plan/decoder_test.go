@@ -55,6 +55,32 @@ func checkFlatMatchesPlan(t *testing.T, f *FlatPlan, p *Plan) {
 	}
 }
 
+// checkFlatsEqual asserts two flat plans agree in every array (bitwise for
+// the features) and in the fingerprint.
+func checkFlatsEqual(t *testing.T, got, want *FlatPlan) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Fingerprint != want.Fingerprint {
+		t.Fatalf("flat plans differ: %d nodes/%s vs %d nodes/%s", got.Len(), got.Fingerprint, want.Len(), want.Fingerprint)
+	}
+	for i := range want.Types {
+		if got.Types[i] != want.Types[i] || got.ChildCount[i] != want.ChildCount[i] ||
+			got.Heights[i] != want.Heights[i] || got.Subtree[i] != want.Subtree[i] {
+			t.Fatalf("node %d: shape (%d,%d,%d,%d) vs (%d,%d,%d,%d)", i,
+				got.Types[i], got.ChildCount[i], got.Heights[i], got.Subtree[i],
+				want.Types[i], want.ChildCount[i], want.Heights[i], want.Subtree[i])
+		}
+		pairs := [...][2]float64{
+			{got.EstRows[i], want.EstRows[i]}, {got.EstCost[i], want.EstCost[i]},
+			{got.ActualRows[i], want.ActualRows[i]}, {got.ActualMS[i], want.ActualMS[i]},
+		}
+		for _, pr := range pairs {
+			if math.Float64bits(pr[0]) != math.Float64bits(pr[1]) {
+				t.Fatalf("node %d: feature %x vs %x", i, math.Float64bits(pr[0]), math.Float64bits(pr[1]))
+			}
+		}
+	}
+}
+
 // corpusDocs loads every committed FuzzFingerprint seed (go-fuzz corpus
 // format: one quoted string per file) so the differential tests cover the
 // same documents the fingerprint fuzzer was seeded with.
@@ -188,6 +214,11 @@ func FuzzStreamDecode(f *testing.F) {
 			t.Fatalf("stream accepted but ReadJSON rejected %q: %v", doc, jerr)
 		}
 		checkFlatMatchesPlan(t, flat, p)
+		// The tree → flat conversion is a third route to the same arrays and
+		// fingerprint, and inverts Tree().
+		var conv FlatPlan
+		checkFlatMatchesPlan(t, conv.FromTree(p), p)
+		checkFlatsEqual(t, new(FlatPlan).FromTree(flat.Tree()), flat)
 		// Determinism: a second decode of the same bytes is identical.
 		fp := flat.Fingerprint
 		flat2, err := dec.Decode([]byte(doc))
@@ -269,16 +300,23 @@ func TestDecoderConcurrentReuse(t *testing.T) {
 }
 
 // TestFlatTreeRoundTrip materializes trees from flat decodes and checks
-// they fingerprint identically — Tree() is the miss-path escape hatch and
-// must preserve every model-visible feature.
+// they fingerprint identically and flatten back (FromTree) to the same
+// arrays — and that a FlatBatch hands every appended plan back unchanged
+// after the decoder that produced it has moved on.
 func TestFlatTreeRoundTrip(t *testing.T) {
 	var dec Decoder
+	var batch FlatBatch
+	var copies []*FlatPlan
 	for _, doc := range decoderDocs(t) {
 		f, err := dec.Decode([]byte(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := f.Tree()
+		back := new(FlatPlan).FromTree(p)
+		checkFlatsEqual(t, back, f)
+		batch.Append(f)
+		copies = append(copies, back)
 		if (p.Root == nil) != (f.Len() == 0) {
 			t.Fatalf("Tree root nil-ness mismatch for %q", doc)
 		}
@@ -288,5 +326,15 @@ func TestFlatTreeRoundTrip(t *testing.T) {
 		if p.Database != f.Database() {
 			t.Fatalf("Tree database %q, want %q", p.Database, f.Database())
 		}
+	}
+	if batch.Len() != len(copies) {
+		t.Fatalf("batch holds %d plans, want %d", batch.Len(), len(copies))
+	}
+	for i, want := range copies {
+		got := batch.At(i)
+		checkFlatsEqual(t, &got, want)
+	}
+	if batch.Reset(); batch.Len() != 0 {
+		t.Fatal("Reset left plans in the batch")
 	}
 }

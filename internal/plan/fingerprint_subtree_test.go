@@ -88,6 +88,9 @@ func TestSubtreeFingerprintsNil(t *testing.T) {
 }
 
 func TestSubtreeFingerprintsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the walk scratch is pooled; the race detector drops pooled items")
+	}
 	p := samplePlan()
 	buf := make([]Fingerprint, 0, 64)
 	buf = p.AppendSubtreeFingerprints(buf[:0])

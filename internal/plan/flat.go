@@ -16,7 +16,8 @@ import (
 // A FlatPlan produced by a Decoder aliases the decoder's arenas (and, for
 // the database name, possibly the input buffer): it is valid only until the
 // decoder's next Decode/DecodeBinary call, and only while the input bytes
-// stay live. Escape with Tree() when the plan must outlive the request.
+// stay live. Copy it into a FlatBatch when it must outlive the decoder's next
+// call; Tree() is the escape hatch for consumers that need nodes.
 type FlatPlan struct {
 	Types      []NodeType
 	ChildCount []int32
@@ -68,6 +69,90 @@ func (f *FlatPlan) appendNode() int {
 	f.Heights = append(f.Heights, 0)
 	f.Subtree = append(f.Subtree, 0)
 	return i
+}
+
+// FromTree refills f with the flat form of p in one DFS, reusing f's arrays,
+// and returns f: the arrays, database and Fingerprint are exactly what a
+// Decoder produces for p's JSON encoding, so Fingerprint equals
+// p.Fingerprint(). It is the tree-side edge of the flat inference path
+// (library callers holding a *Plan, pg EXPLAIN conversion, feedback). A nil
+// child node panics, as it does in every tree traversal; CheckFeatures
+// rejects such trees first on the ingest paths.
+func (f *FlatPlan) FromTree(p *Plan) *FlatPlan {
+	f.reset()
+	f.database = append(f.database, p.Database...)
+	if p.Root != nil {
+		f.appendTree(p.Root, 0)
+	}
+	f.rehash()
+	return f
+}
+
+// appendTree appends the subtree rooted at n (at the given height) in DFS
+// pre-order and returns its size.
+func (f *FlatPlan) appendTree(n *Node, height int32) int32 {
+	i := f.appendNode()
+	f.Types[i], f.ChildCount[i], f.Heights[i] = n.Type, int32(len(n.Children)), height
+	f.EstRows[i], f.EstCost[i], f.ActualRows[i], f.ActualMS[i] = n.EstRows, n.EstCost, n.ActualRows, n.ActualMS
+	size := int32(1)
+	for _, c := range n.Children {
+		size += f.appendTree(c, height+1)
+	}
+	f.Subtree[i] = size
+	return size
+}
+
+// FlatBatch owns a sequence of flat plans: Append copies a plan's node
+// arrays onto one concatenated set of arrays and records where it ends, so
+// a batch decoded through a single reused Decoder costs memory proportional
+// to the nodes actually decoded — never to a count the frame merely claims —
+// and a Reset batch refills without allocating.
+type FlatBatch struct {
+	nodes FlatPlan      // every plan's node arrays, concatenated
+	ends  []int         // plan i is nodes[ends[i-1]:ends[i]]
+	fps   []Fingerprint // per-plan fingerprints
+}
+
+// Reset empties the batch, keeping capacity.
+func (b *FlatBatch) Reset() {
+	b.nodes.reset()
+	b.ends, b.fps = b.ends[:0], b.fps[:0]
+}
+
+// Len returns the number of plans appended since the last Reset.
+func (b *FlatBatch) Len() int { return len(b.ends) }
+
+// Append copies f (node arrays and fingerprint; the database name is not
+// kept) to the end of the batch.
+func (b *FlatBatch) Append(f *FlatPlan) {
+	n := &b.nodes
+	n.Types = append(n.Types, f.Types...)
+	n.ChildCount = append(n.ChildCount, f.ChildCount...)
+	n.EstRows = append(n.EstRows, f.EstRows...)
+	n.EstCost = append(n.EstCost, f.EstCost...)
+	n.ActualRows = append(n.ActualRows, f.ActualRows...)
+	n.ActualMS = append(n.ActualMS, f.ActualMS...)
+	n.Heights = append(n.Heights, f.Heights...)
+	n.Subtree = append(n.Subtree, f.Subtree...)
+	b.ends = append(b.ends, len(n.Types))
+	b.fps = append(b.fps, f.Fingerprint)
+}
+
+// At returns plan i as a view into the batch's arrays, valid until the next
+// Reset (appending may move the arrays but never rewrites a finished plan).
+func (b *FlatBatch) At(i int) FlatPlan {
+	lo, hi := 0, b.ends[i]
+	if i > 0 {
+		lo = b.ends[i-1]
+	}
+	n := &b.nodes
+	return FlatPlan{
+		Types: n.Types[lo:hi:hi], ChildCount: n.ChildCount[lo:hi:hi],
+		EstRows: n.EstRows[lo:hi:hi], EstCost: n.EstCost[lo:hi:hi],
+		ActualRows: n.ActualRows[lo:hi:hi], ActualMS: n.ActualMS[lo:hi:hi],
+		Heights: n.Heights[lo:hi:hi], Subtree: n.Subtree[lo:hi:hi],
+		Fingerprint: b.fps[i],
+	}
 }
 
 // rehash computes the canonical fingerprint from the flat arrays. The loop
@@ -160,9 +245,10 @@ func (f *FlatPlan) Check() error {
 }
 
 // Tree materializes the equivalent *Plan. All nodes come from one backing
-// array (a single allocation besides the child slices), so this is cheap
-// enough for miss paths that must hand a tree to the micro-batcher or the
-// feedback store. Meta and SQL do not exist in flat form and are left zero.
+// array (a single allocation besides the child slices). No inference path
+// needs it — the model consumes flat plans — it serves tools that print or
+// re-encode plans as trees. Meta and SQL do not exist in flat form and are
+// left zero.
 func (f *FlatPlan) Tree() *Plan {
 	p := &Plan{Database: f.Database()}
 	n := f.Len()

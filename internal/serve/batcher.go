@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dace/internal/core"
+	"dace/internal/nn"
 	"dace/internal/plan"
 	"dace/internal/telemetry"
 )
@@ -14,12 +15,12 @@ import (
 // batcher is the dynamic micro-batching stage: /predict cache misses
 // enqueue onto a bounded channel, and a single collector goroutine drains
 // up to maxBatch requests — waiting at most maxWait for stragglers after
-// the first arrival — then fans the batch through Model.PredictSubPlansBatch.
-// Under light load a request waits at most maxWait; under heavy load
-// batches fill instantly and the wait never triggers, so throughput
-// approaches the data-parallel batch rate. A full queue rejects instead of
-// blocking (backpressure: the handler turns errQueueFull into 503 +
-// Retry-After).
+// the first arrival — then fans the batch out across the server's worker
+// pool, one tape-free flat forward per request. Under light load a request
+// waits at most maxWait; under heavy load batches fill instantly and the
+// wait never triggers, so throughput approaches the data-parallel batch
+// rate. A full queue rejects instead of blocking (backpressure: the handler
+// turns errQueueFull into 503 + Retry-After).
 type batcher struct {
 	srv      *Server
 	maxBatch int
@@ -45,21 +46,16 @@ type batcher struct {
 	// telemetry is off; run/submit then skip the timestamps entirely.
 	sizeHist *telemetry.Histogram
 	waitHist *telemetry.Histogram
-
-	// Per-batch scratch, owned by the collector goroutine. The top-level
-	// slice headers are recycled across batches via the append-style batch
-	// API; the inner prediction slices are not — each batch hands them to
-	// its waiters (and the caches) and drops its references.
-	plans []*plan.Plan
-	outs  [][]float64
 }
 
 // batchReq is one queued request; done is closed once preds/err are set.
-// model is the tenant's adapter view, or nil for the server model — one
-// queue serves every tenant, and run partitions by model at drain time.
-// enq is the submit timestamp, set only when queue-wait telemetry is on.
+// f is the submitter's decoded plan, not a copy: submit blocks until done,
+// so the decoder arenas f aliases stay untouched for as long as the
+// collector reads them. model is the tenant's adapter view, or nil for the
+// server model — one queue serves every tenant. enq is the submit
+// timestamp, set only when queue-wait telemetry is on.
 type batchReq struct {
-	p     *plan.Plan
+	f     *plan.FlatPlan
 	model *core.Model
 	preds []float64
 	err   error
@@ -88,8 +84,8 @@ func (b *batcher) start() { go b.loop() }
 // model (nil = the server's current model; a tenant's adapter view
 // otherwise). It never blocks on a full queue — that is the backpressure
 // signal.
-func (b *batcher) submit(p *plan.Plan, m *core.Model) ([]float64, error) {
-	r := &batchReq{p: p, model: m, done: make(chan struct{})}
+func (b *batcher) submit(f *plan.FlatPlan, m *core.Model) ([]float64, error) {
+	r := &batchReq{f: f, model: m, done: make(chan struct{})}
 	if b.waitHist != nil {
 		r.enq = time.Now()
 	}
@@ -194,14 +190,13 @@ func (b *batcher) gather(reqs []*batchReq, wait bool) []*batchReq {
 func (b *batcher) run(reqs []*batchReq) {
 	defer func() {
 		// A panicking forward pass must not strand waiters: fail the whole
-		// batch instead of hanging every coalesced caller forever.
+		// batch instead of hanging every coalesced caller forever. Nothing
+		// below can panic once the first done is closed, so none is closed yet.
 		if p := recover(); p != nil {
 			err := fmt.Errorf("serve: batch inference panicked: %v", p)
 			for _, r := range reqs {
-				if r.preds == nil && r.err == nil {
-					r.err = err
-					close(r.done)
-				}
+				r.preds, r.err = nil, err
+				close(r.done)
 			}
 		}
 	}()
@@ -211,65 +206,24 @@ func (b *batcher) run(reqs []*batchReq) {
 			b.waitHist.Observe(now.Sub(r.enq).Seconds())
 		}
 	}
-	// One queue serves every tenant, so a drain window can mix models.
-	// Resolve the server model once (nil entries all ride the same one, so
-	// a batch straddling SetModel is still served consistently), then check
-	// whether the batch is homogeneous — the overwhelmingly common case.
+	// One queue serves every tenant, so a drain window can mix models; each
+	// request runs on its own. The server model is resolved once — nil
+	// entries all ride the same one, so a batch straddling SetModel is still
+	// served consistently. Prediction slices are allocated per request:
+	// they escape to the waiters and the caches.
 	serverM := b.srv.Model()
-	mixed := false
-	first := reqs[0].model
-	for _, r := range reqs[1:] {
-		if r.model != first {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		m := first
-		if m == nil {
-			m = serverM
-		}
-		b.plans = b.plans[:0]
-		for _, r := range reqs {
-			b.plans = append(b.plans, r.p)
-		}
-		// Append-style batch: the outs header is recycled run-to-run; the
-		// inner slices were nil'd below after the previous batch (their
-		// predictions escaped with the waiters), so each is grown fresh here.
-		b.outs = m.AppendPredictSubPlansBatch(b.outs, b.plans, b.srv.Workers)
-		b.observeBatch(len(reqs))
-		for i, r := range reqs {
-			r.preds = b.outs[i]
-			b.outs[i] = nil // ownership moves to the waiter; never refill in place
-			close(r.done)
-		}
-		return
-	}
-	// Heterogeneous batch: group by model and fan each group through its
-	// own data-parallel pass. Rare enough (tenant mixes within one ~200µs
-	// window) that the per-group allocations don't matter. Each request's
-	// done closes as soon as its group finishes — the panic guard above
-	// still sees preds==nil for anything not yet answered.
-	groups := make(map[*core.Model][]*batchReq)
-	for _, r := range reqs {
+	nn.ParallelFor(len(reqs), b.srv.Workers, func(i int) {
+		r := reqs[i]
 		m := r.model
 		if m == nil {
 			m = serverM
 		}
-		groups[m] = append(groups[m], r)
-	}
-	for m, grp := range groups {
-		sub := make([]*plan.Plan, len(grp))
-		for i, r := range grp {
-			sub[i] = r.p
-		}
-		outs := m.AppendPredictSubPlansBatch(nil, sub, b.srv.Workers)
-		for i, r := range grp {
-			r.preds = outs[i]
-			close(r.done)
-		}
-	}
+		r.preds = m.AppendPredictSubPlansFlat(nil, r.f)
+	})
 	b.observeBatch(len(reqs))
+	for _, r := range reqs {
+		close(r.done)
+	}
 }
 
 // observeBatch records one executed batch in the counters and, when

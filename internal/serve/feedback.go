@@ -99,11 +99,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// Fill in the serving model's answer when the client didn't record one —
 	// through the tenant's own adapter view, so drift is measured against
 	// what that tenant is actually served. The pipeline makes this nearly
-	// free for plans seen before.
+	// free for plans seen before (the flattened tree shares its fingerprint
+	// cache entry with /predict traffic for the same plan).
 	if req.PredictedMS == 0 {
-		if preds, err := s.predsFor(p, tc); err == nil && len(preds) > 0 {
+		ws := wirePool.Get().(*wireScratch)
+		if preds, err := s.predsForFlat(ws.flat.FromTree(p), tc); err == nil && len(preds) > 0 {
 			req.PredictedMS = preds[0]
 		}
+		wirePool.Put(ws)
 	}
 	// A resolved tenant owns its feedback stream; everything else goes to
 	// the global sink (when configured).

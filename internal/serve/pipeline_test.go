@@ -218,7 +218,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	s.bat = b
 
-	p := samples[0].Plan
+	p := new(plan.FlatPlan).FromTree(samples[0].Plan)
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {

@@ -23,7 +23,12 @@
 //	                (exact wire     (canonical 128-bit        (bounded queue,
 //	                 bytes hit:      hash: hit skips the       drains ≤MaxBatch
 //	                 skips JSON      forward pass; misses      or MaxWait, fans
-//	                 entirely)       coalesce in flight)       through PredictSubPlansBatch)
+//	                 entirely)       coalesce in flight)       out over the workers)
+//
+// Between decode and model there is one representation, plan.FlatPlan: the
+// streaming decoders produce it, pg EXPLAIN and feedback trees are
+// flattened once at the edge (wireScratch.decode), and the model featurizes
+// its arrays in place.
 //
 // Cost-estimation traffic is highly repetitive — an optimizer re-costs the
 // same sub-plans across candidate joins — so most requests resolve in the
@@ -301,8 +306,10 @@ var (
 	errClosed    = errors.New("serve: server shutting down")
 )
 
-// decodePlan parses one request document in the given format and validates
-// that it has a root.
+// decodePlan parses one request document into a validated tree: the pg
+// EXPLAIN and /feedback ingest, the two inputs with no streaming decoder
+// (feedback also hands the tree to its sink). Prediction never consumes the
+// tree — callers flatten it (FlatPlan.FromTree) first.
 func decodePlan(body *bytes.Reader, format, database string) (*plan.Plan, error) {
 	var p *plan.Plan
 	var err error
@@ -321,31 +328,6 @@ func decodePlan(body *bytes.Reader, format, database string) (*plan.Plan, error)
 		return nil, err
 	}
 	return p, nil
-}
-
-// predsFor resolves a plan's DFS predictions through the pipeline:
-// fingerprint cache first (coalescing concurrent misses into one compute),
-// then the micro-batcher or a direct forward pass. The cache key carries
-// the tenant context's salt, so tenants never share entries with each
-// other or with the global domain. The returned slice may be shared with
-// other requests — callers must treat it as read-only.
-func (s *Server) predsFor(p *plan.Plan, tc tenantCtx) ([]float64, error) {
-	if s.preds != nil {
-		if fp := p.Fingerprint(); !fp.IsZero() {
-			return s.preds.GetOrCompute(tc.key(servecache.Key(fp)), func() ([]float64, error) {
-				return s.infer(p, tc)
-			})
-		}
-	}
-	return s.infer(p, tc)
-}
-
-// infer runs one uncached forward pass, through the batcher when enabled.
-func (s *Server) infer(p *plan.Plan, tc tenantCtx) ([]float64, error) {
-	if s.bat != nil {
-		return s.bat.submit(p, tc.model)
-	}
-	return tc.modelOr(s).PredictSubPlans(p), nil
 }
 
 // trackInflight bumps the in-flight gauge (and its high-watermark) and
@@ -367,14 +349,6 @@ func (s *Server) trackInflight() func() {
 func (s *Server) Inflight() (now, hwm int64) {
 	return s.inflight.Load(), s.inflightHWM.Load()
 }
-
-// docScratch holds the reusable per-request response-assembly buffers.
-type docScratch struct {
-	nodes   []*plan.Node
-	heights []int
-}
-
-var docPool = sync.Pool{New: func() any { return new(docScratch) }}
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !allowOnly(w, r, http.MethodPost) {
@@ -478,50 +452,20 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode every entry up front: trees for the model fan-out, fingerprint
-	// keys straight from the streaming decoder (no second hash pass).
-	var plans []*plan.Plan
-	var keys []servecache.Key
+	// Decode every entry up front into ws.batch, which owns a copy of each
+	// plan's flat arrays and its fingerprint (the decoder is reused entry to
+	// entry). The copy grows as entries validate, so memory tracks the bytes
+	// actually decoded, never the count a frame claims.
+	batch := &ws.batch
+	batch.Reset()
 	if binary {
 		bb, err := plan.NewBinaryBatch(body)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		plans = make([]*plan.Plan, 0, bb.Len())
-		keys = make([]servecache.Key, 0, bb.Len())
 		for i := 0; bb.Len() > 0; i++ {
 			f, err := bb.Next(&ws.dec)
-			if err != nil {
-				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
-				return
-			}
-			if err := f.Check(); err != nil {
-				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
-				return
-			}
-			plans = append(plans, f.Tree())
-			keys = append(keys, tc.key(servecache.Key(f.Fingerprint)))
-		}
-	} else {
-		var raw []json.RawMessage
-		if err := json.Unmarshal(body, &raw); err != nil {
-			writeError(w, err)
-			return
-		}
-		plans = make([]*plan.Plan, len(raw))
-		keys = make([]servecache.Key, len(raw))
-		for i, msg := range raw {
-			if format == "pg" {
-				p, err := decodePlan(bytes.NewReader(msg), format, database)
-				if err != nil {
-					writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
-					return
-				}
-				plans[i], keys[i] = p, tc.key(servecache.Key(p.Fingerprint()))
-				continue
-			}
-			f, err := ws.dec.Decode(msg)
 			if err == nil {
 				err = f.Check()
 			}
@@ -529,17 +473,32 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
 				return
 			}
-			plans[i], keys[i] = f.Tree(), tc.key(servecache.Key(f.Fingerprint))
+			batch.Append(f)
+		}
+	} else {
+		var raw []json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			writeError(w, err)
+			return
+		}
+		for i, msg := range raw {
+			f, err := ws.decode(msg, format, database, false)
+			if err != nil {
+				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
+				return
+			}
+			batch.Append(f)
 		}
 	}
 
-	preds := s.batchPreds(plans, keys, tc.modelOr(s))
+	preds := s.batchPreds(batch, tc)
 	out := append(ws.resp[:0], '[')
-	for i := range plans {
+	for i := range preds {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		if out, err = appendPredictionTree(out, plans[i], preds[i]); err != nil {
+		f := batch.At(i)
+		if out, err = appendPrediction(out, &f, preds[i]); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -548,21 +507,29 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	writeResponseBytes(w, ws.resp)
 }
 
-// batchPreds resolves predictions for a whole batch: cache hits and
-// intra-batch duplicates are served from one compute, and the remaining
-// misses run as a single data-parallel batch (the request is already a
-// batch, so it bypasses the micro-batcher). keys[i] must be plans[i]'s
-// salted fingerprint key — the decode paths already hold it, so nothing is
-// hashed twice — and m the request's resolved (tenant or global) model.
-func (s *Server) batchPreds(plans []*plan.Plan, keys []servecache.Key, m *core.Model) [][]float64 {
-	if s.preds == nil {
-		return m.PredictSubPlansBatch(plans, s.Workers)
+// batchPreds resolves predictions for a whole batch within the request's
+// tenant domain: cache hits and intra-batch duplicates are served from one
+// compute, and the remaining misses fan out across the worker pool, one
+// flat forward each (the request is already a batch, so it bypasses the
+// micro-batcher). Cache keys come from the fingerprints the decoders
+// already computed — nothing is hashed twice.
+func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
+	m := tc.modelOr(s)
+	out := make([][]float64, batch.Len())
+	predict := func(i int) {
+		f := batch.At(i)
+		out[i] = m.AppendPredictSubPlansFlat(nil, &f)
 	}
-	out := make([][]float64, len(plans))
-	firstOf := make(map[servecache.Key]int, len(plans))
+	if s.preds == nil {
+		nn.ParallelFor(len(out), s.Workers, predict)
+		return out
+	}
+	keys := make([]servecache.Key, len(out))
+	firstOf := make(map[servecache.Key]int, len(out))
 	gen := s.preds.Generation()
 	var missIdx []int
-	for i := range plans {
+	for i := range out {
+		keys[i] = tc.key(servecache.Key(batch.At(i).Fingerprint))
 		if v, ok := s.preds.Get(keys[i]); ok {
 			out[i] = v
 			continue
@@ -573,14 +540,9 @@ func (s *Server) batchPreds(plans []*plan.Plan, keys []servecache.Key, m *core.M
 		firstOf[keys[i]] = i
 		missIdx = append(missIdx, i)
 	}
-	missPlans := make([]*plan.Plan, len(missIdx))
-	for mi, i := range missIdx {
-		missPlans[mi] = plans[i]
-	}
-	got := m.PredictSubPlansBatch(missPlans, s.Workers)
-	for mi, i := range missIdx {
-		out[i] = got[mi]
-		s.preds.PutAt(keys[i], got[mi], gen)
+	nn.ParallelFor(len(missIdx), s.Workers, func(mi int) { predict(missIdx[mi]) })
+	for _, i := range missIdx {
+		s.preds.PutAt(keys[i], out[i], gen)
 	}
 	for i := range out {
 		if out[i] == nil {

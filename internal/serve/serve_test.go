@@ -2,15 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/executor"
+	"dace/internal/plan"
 	"dace/internal/schema"
 )
 
@@ -248,32 +252,147 @@ func TestHealthRejectsNonGET(t *testing.T) {
 	}
 }
 
-// TestPredictHandlerAllocs bounds per-request allocations on /predict. The
-// JSON decode/encode and net/http plumbing dominate — the model itself
-// predicts allocation-free — so the budget is generous but still catches a
-// hot-path regression (pre-pooling this sat several hundred higher for
-// large plans).
+// missDriver replays one reusable request through a handler with a body
+// whose plans never repeat: the root est_cost of every plan in the body is
+// rewritten in place before each call, so every operation misses both
+// caches without the test harness allocating anything.
+type missDriver struct {
+	body  *replayBody
+	req   *http.Request
+	w     *nullResponseWriter
+	patch func(op int) // rewrites body.data in place
+	op    int
+}
+
+func (d *missDriver) do(h func(http.ResponseWriter, *http.Request)) {
+	d.op++
+	d.patch(d.op)
+	d.body.off = 0
+	h(d.w, d.req)
+}
+
+func newMissDriver(target, contentType string, data []byte, patch func(data []byte, op int)) *missDriver {
+	d := &missDriver{body: &replayBody{data: data}, w: &nullResponseWriter{h: make(http.Header)}}
+	d.req = httptest.NewRequest(http.MethodPost, target, nil)
+	d.req.Header.Set("Content-Type", contentType)
+	d.req.Body = d.body
+	d.patch = func(op int) { patch(data, op) }
+	return d
+}
+
+// withRootCost returns a shallow copy of p whose root carries the given
+// estimated cost.
+func withRootCost(p *plan.Plan, cost float64) *plan.Plan {
+	root := *p.Root
+	root.EstCost = cost
+	return &plan.Plan{Database: p.Database, Root: &root}
+}
+
+// jsonMissDriver posts one plan as JSON; the root cost is a nine-digit
+// integer the patch overwrites digit by digit.
+func jsonMissDriver(t *testing.T, p *plan.Plan) *missDriver {
+	const sentinel = "123456789"
+	data := planBody(t, withRootCost(p, 123456789))
+	at := bytes.Index(data, []byte(sentinel))
+	if at < 0 || bytes.Count(data, []byte(sentinel)) != 1 {
+		t.Fatal("root cost sentinel not found exactly once in the JSON body")
+	}
+	return newMissDriver("/predict", "application/json", data, func(data []byte, op int) {
+		for i, v := len(sentinel)-1, 100000000+op; i >= 0; i, v = i-1, v/10 {
+			data[at+i] = byte('0' + v%10)
+		}
+	})
+}
+
+// binaryMissDriver posts plans as one binary frame (a single-plan frame for
+// /predict, a batch frame for /predict/batch); every root cost is a float64
+// the patch overwrites with a value no earlier operation used.
+func binaryMissDriver(t *testing.T, target string, plans []*plan.Plan) *missDriver {
+	marked := make([]*plan.Plan, len(plans))
+	for i, p := range plans {
+		marked[i] = withRootCost(p, 1e6+float64(i))
+	}
+	var data []byte
+	var err error
+	if target == "/predict" {
+		data, err = plan.AppendBinary(nil, marked[0])
+	} else {
+		data, err = plan.AppendBinaryBatch(nil, marked)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := make([]int, len(marked))
+	from := 0
+	for i, p := range marked {
+		want := binary.LittleEndian.AppendUint64(nil, math.Float64bits(p.Root.EstCost))
+		at := bytes.Index(data[from:], want)
+		if at < 0 {
+			t.Fatalf("plan %d: root cost not found in the binary frame", i)
+		}
+		offs[i] = from + at
+		from = offs[i] + 8
+	}
+	return newMissDriver(target, plan.BinaryContentType, data, func(data []byte, op int) {
+		for i, at := range offs {
+			binary.LittleEndian.PutUint64(data[at:], math.Float64bits(1e6+float64(op*len(offs)+i)))
+		}
+	})
+}
+
+// TestPredictHandlerAllocs guards per-request allocations of uncached
+// predictions with reusable requests (nothing the harness does is counted).
+// A pipeline-less server decodes, featurizes, runs the forward pass and
+// renders without allocating at all. With daced's pipeline on, a miss pays
+// for what outlives the request — the cached prediction and response, two
+// cache entries, the coalescing calls, the queued request and its timer —
+// and a 32-plan batch for its per-plan predictions and cache entries plus
+// the dedup map; those two are gated at the counts measured when the
+// serving path went flat (CHANGES.md, PR 13, has the before/after).
 func TestPredictHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
-	s, samples := trainedServer(t)
-	h := s.Handler()
-	var body bytes.Buffer
-	if err := samples[0].Plan.WriteJSON(&body); err != nil {
-		t.Fatal(err)
-	}
-	raw := body.Bytes()
-	do := func() {
-		req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(raw))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d", rec.Code)
-		}
-	}
-	do() // warm pools
-	if avg := testing.AllocsPerRun(100, do); avg > 400 {
-		t.Fatalf("/predict allocates %.0f/op, want <= 400", avg)
+	m, samples := trainedModel(t)
+	plans := dataset.Plans(samples)
+	daced := Config{CacheSize: 64, MaxBatch: 64, MaxWait: 200 * time.Microsecond, QueueDepth: 4096}
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		driver func() *missDriver
+		batch  bool
+		max    float64
+	}{
+		{"plain/json", Config{}, func() *missDriver { return jsonMissDriver(t, plans[0]) }, false, 0},
+		{"plain/binary", Config{}, func() *missDriver { return binaryMissDriver(t, "/predict", plans[:1]) }, false, 0},
+		{"daced/json-miss", daced, func() *missDriver { return jsonMissDriver(t, plans[0]) }, false, dacedMissAllocs},
+		{"daced/binary-batch-32", daced, func() *missDriver { return binaryMissDriver(t, "/predict/batch", plans[:32]) }, true, dacedBatchAllocs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewWithConfig(m, tc.cfg)
+			defer s.Close()
+			s.Workers = 2 // the fan-out's goroutines allocate; pin their number
+			h := s.handlePredict
+			if tc.batch {
+				h = s.handlePredictBatch
+			}
+			d := tc.driver()
+			for i := 0; i < 100; i++ { // warm the pools and fill both caches: from here every insert evicts
+				d.do(h)
+			}
+			avg := testing.AllocsPerRun(200, func() { d.do(h) })
+			t.Logf("%.0f allocs/op", avg)
+			if avg > tc.max {
+				t.Fatalf("uncached request allocates %.0f/op, want <= %.0f", avg, tc.max)
+			}
+		})
 	}
 }
+
+// Allocations per uncached request with daced's pipeline on (see
+// TestPredictHandlerAllocs).
+const (
+	dacedMissAllocs  = 21
+	dacedBatchAllocs = 82
+)

@@ -28,12 +28,16 @@ import (
 )
 
 // wireScratch holds every reusable buffer one request needs: the body
-// reader+buffer, the streaming decoder with its flat arenas, and the
-// response-assembly buffers for renders that bypass the body cache.
+// reader+buffer, the streaming decoder with its flat arenas, the flat plan
+// a pg-explain or feedback tree is converted into, the owned copies of a
+// /predict/batch request's plans, and the response-assembly buffers for
+// renders that bypass the body cache.
 type wireScratch struct {
 	lr    io.LimitedReader
 	buf   bytes.Buffer
 	dec   plan.Decoder
+	flat  plan.FlatPlan
+	batch plan.FlatBatch
 	resp  []byte
 	preds []float64
 }
@@ -103,14 +107,22 @@ var jsonContentType = []string{"application/json"}
 // allocation. An explicit Content-Length keeps net/http from switching to
 // chunked transfer encoding on responses larger than its 2 KiB sniff
 // buffer — less framing on the wire and less parsing for clients. Sizes
-// repeat heavily (cached responses are byte-identical), so the map stays
-// small: one tiny entry per distinct response length ever served.
+// repeat heavily (cached responses are byte-identical), and only lengths
+// below maxMemoContentLength are kept, so the map is bounded by that many
+// tiny entries; a larger response (a ~150-node plan and up, or a batch)
+// formats its length afresh — two small allocations against a render of
+// tens of kilobytes.
+const maxMemoContentLength = 16 << 10
+
 var (
 	contentLengthMu    sync.RWMutex
 	contentLengthCache = map[int][]string{}
 )
 
 func contentLengthValue(n int) []string {
+	if n >= maxMemoContentLength {
+		return []string{strconv.Itoa(n)}
+	}
 	contentLengthMu.RLock()
 	v, ok := contentLengthCache[n]
 	contentLengthMu.RUnlock()
@@ -243,8 +255,8 @@ func appendSubPlan(b []byte, i int, op string, height int, estRows, estCost, pre
 }
 
 // appendPrediction renders a Prediction document for a flat plan — the same
-// bytes json.Marshal produces for buildDoc's output, without the tree, the
-// []SubPlan, or the encoder. No trailing newline; callers frame it.
+// bytes json.Marshal produces for the Prediction struct, without the
+// []SubPlan or the encoder. No trailing newline; callers frame it.
 func appendPrediction(b []byte, f *plan.FlatPlan, preds []float64) ([]byte, error) {
 	if err := checkPreds(preds); err != nil {
 		return b, err
@@ -265,33 +277,6 @@ func appendPrediction(b []byte, f *plan.FlatPlan, preds []float64) ([]byte, erro
 	return append(b, ']', '}'), nil
 }
 
-// appendPredictionTree is appendPrediction for a *plan.Plan (the pg-explain
-// and batch paths), reusing the pooled DFS traversal buffers.
-func appendPredictionTree(b []byte, p *plan.Plan, preds []float64) ([]byte, error) {
-	if err := checkPreds(preds); err != nil {
-		return b, err
-	}
-	ds := docPool.Get().(*docScratch)
-	ds.nodes = p.AppendDFS(ds.nodes[:0])
-	ds.heights = p.AppendHeights(ds.heights[:0])
-	b = append(b, `{"root_ms":`...)
-	root := 0.0
-	if len(ds.nodes) > 0 {
-		root = preds[0]
-	}
-	b = appendJSONFloat(b, root)
-	b = append(b, `,"sub_plans":[`...)
-	for i, n := range ds.nodes {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendSubPlan(b, i, n.Type.String(), ds.heights[i], n.EstRows, n.EstCost, preds[i])
-	}
-	b = append(b, ']', '}')
-	docPool.Put(ds)
-	return b, nil
-}
-
 // predsForFlat resolves a flat plan's predictions through the fingerprint
 // cache, within the request's tenant cache domain. The probe goes through
 // Lookup first so a steady-state hit builds no compute closure; only an
@@ -309,46 +294,28 @@ func (s *Server) predsForFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error)
 	return s.inferFlat(f, tc)
 }
 
-// inferFlat runs one uncached forward pass for a flat plan. Only the
-// micro-batcher still needs a tree (its queue outlives the decoder arenas);
-// the direct path featurizes the flat arrays in place.
+// inferFlat runs one uncached forward pass for a flat plan, through the
+// micro-batcher when enabled. f stays the caller's: both branches are done
+// with it when they return.
 func (s *Server) inferFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
 	if s.bat != nil {
-		return s.bat.submit(f.Tree(), tc.model)
+		return s.bat.submit(f, tc.model)
 	}
 	return tc.modelOr(s).AppendPredictSubPlansFlat(nil, f), nil
 }
 
-// renderPredict produces the /predict response bytes for one body-cache
-// miss: decode (stream JSON or binary) → validate → predict → encode. The
-// output may be inserted into the body cache, so it is appended to dst —
-// pass nil for a fresh cacheable slice, or a pooled buffer when the
-// response will not be retained.
-func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, format, database string, binary bool, tc tenantCtx) ([]byte, error) {
+// decode parses and validates one request document — binary frame, plan
+// JSON, or pg EXPLAIN JSON — into a flat plan that aliases ws and is valid
+// until ws's next decode. pg output has no streaming decoder: its tree is
+// validated by decodePlan and flattened here, the edge of the flat path.
+func (ws *wireScratch) decode(body []byte, format, database string, binary bool) (*plan.FlatPlan, error) {
 	if format == "pg" {
 		p, err := decodePlan(bytes.NewReader(body), format, database)
 		if err != nil {
 			return nil, err
 		}
-		if s.preds == nil && s.bat == nil {
-			ws.preds = tc.modelOr(s).AppendPredictSubPlans(ws.preds[:0], p)
-			out, err := appendPredictionTree(dst, p, ws.preds)
-			if err != nil {
-				return nil, err
-			}
-			return append(out, '\n'), nil
-		}
-		preds, err := s.predsFor(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		out, err := appendPredictionTree(dst, p, preds)
-		if err != nil {
-			return nil, err
-		}
-		return append(out, '\n'), nil
+		return ws.flat.FromTree(p), nil
 	}
-
 	var f *plan.FlatPlan
 	var err error
 	if binary {
@@ -356,10 +323,22 @@ func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, format, databa
 	} else {
 		f, err = ws.dec.Decode(body)
 	}
+	if err == nil {
+		err = f.Check()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Check(); err != nil {
+	return f, nil
+}
+
+// renderPredict produces the /predict response bytes for one body-cache
+// miss: decode → predict → encode. The output may be inserted into the body
+// cache, so it is appended to dst — pass nil for a fresh cacheable slice,
+// or a pooled buffer when the response will not be retained.
+func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, format, database string, binary bool, tc tenantCtx) ([]byte, error) {
+	f, err := ws.decode(body, format, database, binary)
+	if err != nil {
 		return nil, err
 	}
 	var preds []float64

@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,14 +104,6 @@ func TestAppendPredictionMatchesEncodingJSON(t *testing.T) {
 		got = append(got, '\n')
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("renderer diverged:\n got %s\nwant %s", got, want.Bytes())
-		}
-		// The tree renderer must agree with the flat one.
-		gotTree, err := appendPredictionTree(nil, f.Tree(), preds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(append(gotTree, '\n'), want.Bytes()) {
-			t.Fatal("tree renderer diverged from flat renderer")
 		}
 	}
 	// Non-finite predictions must be refused, as encoding/json would.
@@ -254,6 +249,110 @@ func TestBatchErrorsCarryIndex(t *testing.T) {
 	}
 	if !strings.Contains(string(resp), "plan[2]:") {
 		t.Fatalf("binary error %q does not name the bad entry", resp)
+	}
+}
+
+// TestBatchHostileCountAllocatesNothingUpFront: a binary batch frame may
+// claim as many plans as it has byte pairs, so storage sized from the claimed
+// count would let a 2 MB frame of empty plans demand tens of megabytes before
+// its first entry is even looked at. The handler must reject entry 0 having
+// allocated next to nothing.
+func TestBatchHostileCountAllocatesNothingUpFront(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is distorted under the race detector")
+	}
+	m, _ := trainedModel(t)
+	s := NewWithConfig(m, Config{CacheSize: 64})
+	defer s.Close()
+
+	const claimed = 1_000_000
+	frame := plan.AppendBinaryBatchCount(plan.AppendBinaryFrameHeader(nil), claimed)
+	frame = append(frame, make([]byte, 2*claimed)...) // empty plans: no database, no nodes
+	body := &replayBody{data: frame}
+	req := httptest.NewRequest(http.MethodPost, "/predict/batch", nil)
+	req.Header.Set("Content-Type", plan.BinaryContentType)
+	req.Body = body
+	rec := httptest.NewRecorder()
+
+	// With the collector off the pooled request scratch cannot be dropped
+	// between the two calls, so the second reads the frame into the buffer
+	// the first one grew and the delta is the handler's own doing.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s.handlePredictBatch(httptest.NewRecorder(), req)
+	body.off = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.handlePredictBatch(rec, req)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), "plan[0]: ") {
+		t.Fatalf("status %d body %q, want 400 naming plan[0]", rec.Code, rec.Body.String())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting a frame claiming %d plans allocated %d bytes, want < 1 MiB", claimed, got)
+	}
+}
+
+// TestContentLengthMemoIsBounded: response lengths are memoized as header
+// values only below maxMemoContentLength, so a server that renders ever-new
+// large sizes (batches, big plans) cannot grow the table without bound.
+func TestContentLengthMemoIsBounded(t *testing.T) {
+	w := &nullResponseWriter{h: make(http.Header)}
+	resp := make([]byte, maxMemoContentLength+10_000)
+	for n := maxMemoContentLength; n < len(resp); n++ {
+		delete(w.h, "Content-Length")
+		writeResponseBytes(w, resp[:n])
+		if got := w.h["Content-Length"][0]; got != strconv.Itoa(n) {
+			t.Fatalf("Content-Length %q for a %d-byte response", got, n)
+		}
+	}
+	for n := 0; n < maxMemoContentLength; n += 7 {
+		delete(w.h, "Content-Length")
+		writeResponseBytes(w, resp[:n])
+	}
+	contentLengthMu.RLock()
+	defer contentLengthMu.RUnlock()
+	if len(contentLengthCache) > maxMemoContentLength {
+		t.Fatalf("memo holds %d lengths, bound is %d", len(contentLengthCache), maxMemoContentLength)
+	}
+	for n := range contentLengthCache {
+		if n >= maxMemoContentLength {
+			t.Fatalf("memo kept length %d, at or above the bound %d", n, maxMemoContentLength)
+		}
+	}
+}
+
+// TestPGAndPlanFormatShareCacheEntry: a pg EXPLAIN document and a plan-format
+// document describing the same plan flatten to the same fingerprint, so the
+// second request — whichever format comes second — is a prediction-cache hit
+// and the two responses are byte-identical.
+func TestPGAndPlanFormatShareCacheEntry(t *testing.T) {
+	m, _ := trainedModel(t)
+	s := NewWithConfig(m, Config{CacheSize: 64})
+	defer s.Close()
+	h := s.Handler()
+
+	pg := `[{"Plan": {"Node Type": "Hash Join", "Total Cost": 5120.25, "Plan Rows": 300, "Plans": [
+		{"Node Type": "Seq Scan", "Relation Name": "a", "Total Cost": 1234.5, "Plan Rows": 10000},
+		{"Node Type": "Hash", "Total Cost": 77, "Plan Rows": 40, "Plans": [
+			{"Node Type": "Index Scan", "Relation Name": "b", "Total Cost": 55.5, "Plan Rows": 40}]}]}}]`
+	native := `{"database":"prod","root":{"type":6,"est_rows":300,"est_cost":5120.25,"children":[
+		{"type":0,"est_rows":10000,"est_cost":1234.5},
+		{"type":8,"est_rows":40,"est_cost":77,"children":[{"type":1,"est_rows":40,"est_cost":55.5}]}]}}`
+
+	code, pgResp := postWire(t, h, "/predict?format=pg&database=prod", "application/json", []byte(pg))
+	if code != http.StatusOK {
+		t.Fatalf("pg status %d: %s", code, pgResp)
+	}
+	code, nativeResp := postWire(t, h, "/predict", "application/json", []byte(native))
+	if code != http.StatusOK {
+		t.Fatalf("plan status %d: %s", code, nativeResp)
+	}
+	if !bytes.Equal(pgResp, nativeResp) {
+		t.Fatalf("formats disagree:\n  pg %s\nplan %s", pgResp, nativeResp)
+	}
+	if st := s.preds.Stats(); st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("prediction cache after pg then plan: %+v, want one entry, one miss, one hit", st)
 	}
 }
 
