@@ -22,11 +22,14 @@ build:
 	$(GO) build ./...
 
 # The single-inference-path invariants, checked by grep: serving never turns
-# a decoded plan back into a *plan.Node tree, and core's inference side never
-# touches the autodiff tape (training reaches it through nn.GradPool).
+# a decoded plan back into a *plan.Node tree, core's inference side never
+# touches the autodiff tape (training reaches it through nn.GradPool), and the
+# admission stage stays work-conserving — no timer to linger on and no
+# goroutine to hand a request to, so a miss runs on its handler's goroutine.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
-		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core)"; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
+		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go)"; \
 	if [ -n "$$bad" ]; then echo "single inference path violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -57,9 +57,9 @@ func benchLoad(rep *Report, m *core.Model, plans []*plan.Plan, quick bool) loadO
 		return &loadgen.Request{Body: bodies[int(i)%len(bodies)], ContentType: "application/json"}
 	}
 
-	// Uncached server: every request crosses the batcher and pays real
+	// Uncached server: every request crosses the admission stage and pays real
 	// inference, so saturation is reachable and capacity is model-bound.
-	s := serve.NewWithConfig(m, serve.Config{MaxBatch: 32, MaxWait: 200 * time.Microsecond, QueueDepth: 8192})
+	s := serve.NewWithConfig(m, serve.Config{MaxBatch: 32, QueueDepth: 8192})
 	target := &loadgen.HandlerTarget{Handler: s.Handler()}
 
 	// Closed-loop capacity probe.
@@ -156,7 +156,7 @@ func benchLoad(rep *Report, m *core.Model, plans []*plan.Plan, quick bool) loadO
 // cold-cache → drift → fine-tune → promotion → hot-swap sequence.
 func runDriftSoak(m *core.Model, newReq func(int64) *loadgen.Request, qps float64, quick bool, driftSamples []dataset.Sample) (loadgen.SoakResult, bool, error) {
 	soakM := m.Clone()
-	soakSrv := serve.NewWithConfig(soakM, serve.Config{MaxBatch: 32, MaxWait: 200 * time.Microsecond, QueueDepth: 8192})
+	soakSrv := serve.NewWithConfig(soakM, serve.Config{MaxBatch: 32, QueueDepth: 8192})
 	defer soakSrv.Close()
 	store := feedback.NewStore(1024, 1)
 	ctl := adapt.New(soakSrv, store, nil, adapt.Config{

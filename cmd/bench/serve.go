@@ -38,7 +38,6 @@ func cachedConfig() serve.Config {
 	return serve.Config{
 		CacheSize:  8192,
 		MaxBatch:   64,
-		MaxWait:    200 * time.Microsecond,
 		QueueDepth: 8192,
 	}
 }

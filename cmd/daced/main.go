@@ -1,7 +1,7 @@
 // Command daced serves a trained DACE model over HTTP for query
 // performance prediction, with the full serving pipeline on by default:
-// plan-fingerprint caching, request coalescing, dynamic micro-batching, and
-// Prometheus metrics on GET /metrics.
+// plan-fingerprint caching, request coalescing, bounded forward concurrency
+// with backpressure, and Prometheus metrics on GET /metrics.
 //
 //	daced -model dace.json -addr :8080
 //	daced -model dace.json -cache-size 0 -max-batch 1   # raw per-request inference
@@ -78,12 +78,11 @@ func main() {
 	modelPath := flag.String("model", "dace.json", "trained model (dace train / dace finetune output)")
 	addr := flag.String("addr", ":8080", "listen address")
 	lora := flag.Bool("lora", false, "model file contains LoRA adapters")
-	workers := flag.Int("workers", 0, "batch-inference worker goroutines (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "inference workers: forward passes /predict runs at once, and the /predict/batch fan-out (0 = all CPUs)")
 	cacheSize := flag.Int("cache-size", 8192, "prediction cache entries (0 disables caching)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "prediction cache entry TTL (0 = no expiry)")
-	maxBatch := flag.Int("max-batch", 64, "max plans per micro-batch (<= 1 disables micro-batching)")
-	maxWait := flag.Duration("max-wait", 200*time.Microsecond, "max time a queued request waits for its batch to fill")
-	queueDepth := flag.Int("queue-depth", 4096, "bounded request queue feeding the batcher (0 = 8*max-batch); full queue answers 503")
+	maxBatch := flag.Int("max-batch", 64, "> 1 bounds concurrent /predict forward passes to -workers, extra misses wait FIFO; <= 1 leaves them unbounded (legacy name: nothing is batched, only on/off is read)")
+	queueDepth := flag.Int("queue-depth", 4096, "most /predict misses that may wait for a forward slot (0 = 8*max-batch); one more answers 503")
 	pprofAddr := flag.String("pprof", "", "if set (e.g. localhost:6060), serve net/http/pprof on this address")
 	metricsOn := flag.Bool("metrics", true, "instrument the pipeline and serve Prometheus metrics on GET /metrics")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -177,7 +176,6 @@ func main() {
 		CacheSize:  *cacheSize,
 		CacheTTL:   *cacheTTL,
 		MaxBatch:   *maxBatch,
-		MaxWait:    *maxWait,
 		QueueDepth: *queueDepth,
 		Metrics:    reg,
 	})
@@ -274,11 +272,11 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("serving",
 		"model", *modelPath, "addr", *addr, "version", version.Get().Version,
-		"cache", *cacheSize, "batch", *maxBatch, "wait", *maxWait,
+		"cache", *cacheSize, "batch", *maxBatch,
 		"queue", *queueDepth, "adapt", adaptOn, "metrics", *metricsOn)
 
 	// Graceful shutdown: stop accepting, let in-flight requests finish,
-	// then drain the micro-batcher so every queued prediction is answered.
+	// then drain the admission stage so every waiting prediction is answered.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {

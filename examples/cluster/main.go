@@ -37,14 +37,14 @@ func main() {
 	model := core.Train(dataset.Plans(samples), cfg)
 
 	// 2. Three replicas on real loopback listeners, each running the full
-	//    serving pipeline (cache + coalescing + micro-batching), plus a
+	//    serving pipeline (cache + coalescing + admission), plus a
 	//    Loader so the rollout below can swap model versions remotely.
 	const replicas = 3
 	addrs := make([]string, replicas)
 	servers := make([]*serve.Server, replicas)
 	httpSrvs := make([]*http.Server, replicas)
 	for i := range addrs {
-		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096, MaxBatch: 64, MaxWait: 200 * time.Microsecond})
+		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096, MaxBatch: 64})
 		s.SetVersion(1)
 		s.Loader = func(v int) (*core.Model, error) { return model, nil } // v2 == v1 here; a real Loader reads v<N>.dace
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -116,7 +116,7 @@ func (t *HTTPTarget) Do(req *Request) (Response, error) {
 }
 
 // HandlerTarget drives an http.Handler in-process: the full serving
-// pipeline (decode, caches, batcher, model) without kernel sockets. This
+// pipeline (decode, caches, admission, model) without kernel sockets. This
 // is what the coordinated-omission tests and the bench load scenarios use
 // — the measured path is the server's, not the loopback stack's. The
 // response body is discarded as it is written.

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dace/internal/core"
@@ -12,238 +11,175 @@ import (
 	"dace/internal/telemetry"
 )
 
-// batcher is the dynamic micro-batching stage: /predict cache misses
-// enqueue onto a bounded channel, and a single collector goroutine drains
-// up to maxBatch requests — waiting at most maxWait for stragglers after
-// the first arrival — then fans the batch out across the server's worker
-// pool, one tape-free flat forward per request. Under light load a request
-// waits at most maxWait; under heavy load batches fill instantly and the
-// wait never triggers, so throughput approaches the data-parallel batch
-// rate. A full queue rejects instead of blocking (backpressure: the handler
-// turns errQueueFull into 503 + Retry-After).
+// batcher is the admission stage in front of the model: a /predict cache
+// miss takes one of nn.Workers(srv.Workers) slots and runs its forward pass
+// on its own goroutine — no queue hop, no timer, no hand-off while a slot is
+// free. When every slot is busy the request waits in FIFO order (a finishing
+// request hands its slot to the oldest waiter), and when depth requests are
+// already waiting it fails fast instead of blocking (backpressure: the
+// handler turns errQueueFull into 503 + Retry-After). The stage is
+// work-conserving: a request waits only while Workers forwards are running,
+// so under load throughput is the Workers-wide rate a fan-out would give and
+// an idle server answers in decode + forward + encode.
+//
+// The name (and the dace_batch_* metric names) are the micro-batcher's this
+// stage replaced; a "batch" was only ever independent per-plan forwards, so
+// collecting one could add delay but never save work.
 type batcher struct {
 	srv      *Server
-	maxBatch int
-	maxWait  time.Duration
-	queue    chan *batchReq
+	maxBatch int // Config.MaxBatch, echoed in stats
+	depth    int // most requests allowed to wait for a slot
 
-	// mu guards closed. submit holds it (shared) across the enqueue attempt
-	// and close holds it (exclusive) before signalling stop, so every
-	// request enqueued before shutdown is visible to the drain loop and
-	// none can slip in after it.
-	mu     sync.RWMutex
-	closed bool
-	stop   chan struct{}
-	done   chan struct{}
+	// predict runs one forward pass. A field so tests can count, block or
+	// panic in it; production never reassigns it.
+	predict func(m *core.Model, f *plan.FlatPlan) []float64
 
-	batches  atomic.Uint64
-	requests atomic.Uint64
-	rejected atomic.Uint64
-	depthHWM atomic.Int64 // deepest the queue has ever been
+	mu         sync.Mutex
+	idle       *sync.Cond // signalled when a closed stage releases its last slot
+	closed     bool
+	busy       int     // slots held
+	head, tail *waiter // FIFO of requests waiting for a slot
+	waiting    int
+	depthHWM   int64
+	requests   uint64 // forwards finished
+	rejected   uint64
 
-	// Telemetry histograms, wired by newServerMetrics between newBatcher and
-	// start — never written once the loop goroutine is running. Nil when
-	// telemetry is off; run/submit then skip the timestamps entirely.
-	sizeHist *telemetry.Histogram
+	// waitHist is wired by newServerMetrics before the Server is handed out;
+	// nil when telemetry is off. Only requests that wait for a slot observe
+	// it — the uncontended path takes no timestamp.
 	waitHist *telemetry.Histogram
 }
 
-// batchReq is one queued request; done is closed once preds/err are set.
-// f is the submitter's decoded plan, not a copy: submit blocks until done,
-// so the decoder arenas f aliases stay untouched for as long as the
-// collector reads them. model is the tenant's adapter view, or nil for the
-// server model — one queue serves every tenant. enq is the submit
-// timestamp, set only when queue-wait telemetry is on.
-type batchReq struct {
-	f     *plan.FlatPlan
-	model *core.Model
-	preds []float64
-	err   error
-	done  chan struct{}
-	enq   time.Time
+// waiter is one request parked for a slot. ready has capacity one and takes
+// exactly one send per park, so a pooled waiter is clean when it is reused.
+type waiter struct {
+	ready chan struct{}
+	next  *waiter
 }
 
-// newBatcher builds the stage but does not start it — the caller wires any
-// telemetry first, then calls start. Nothing can enqueue before start
-// because the Server isn't handed out until NewWithConfig returns.
-func newBatcher(srv *Server, maxBatch int, maxWait time.Duration, depth int) *batcher {
-	return &batcher{
-		srv:      srv,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		queue:    make(chan *batchReq, depth),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan struct{}, 1)} }}
+
+func newBatcher(srv *Server, maxBatch, depth int) *batcher {
+	b := &batcher{srv: srv, maxBatch: maxBatch, depth: depth, predict: predictFlat}
+	b.idle = sync.NewCond(&b.mu)
+	return b
 }
 
-// start launches the collector goroutine.
-func (b *batcher) start() { go b.loop() }
+func predictFlat(m *core.Model, f *plan.FlatPlan) []float64 {
+	return m.AppendPredictSubPlansFlat(nil, f)
+}
 
-// submit enqueues a plan and blocks until its batch has run. m selects the
-// model (nil = the server's current model; a tenant's adapter view
-// otherwise). It never blocks on a full queue — that is the backpressure
-// signal.
+// submit runs f's forward pass once a slot is free and returns its
+// predictions. m selects the model (nil = the server's current model,
+// resolved when the forward starts; a tenant's adapter view otherwise). The
+// slot count is read per call because Server.Workers is assigned after
+// construction. f stays the caller's; submit is done with it on return.
 func (b *batcher) submit(f *plan.FlatPlan, m *core.Model) ([]float64, error) {
-	r := &batchReq{f: f, model: m, done: make(chan struct{})}
-	if b.waitHist != nil {
-		r.enq = time.Now()
-	}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		b.rejected.Add(1)
+	slots := nn.Workers(b.srv.Workers)
+	b.mu.Lock()
+	switch {
+	case b.closed:
+		b.rejected++
+		b.mu.Unlock()
 		return nil, errClosed
-	}
-	select {
-	case b.queue <- r:
-		b.mu.RUnlock()
-		// High-watermark of queue depth: how close serving has come to
-		// spilling 503s, visible on /healthz even if the spill never happens.
-		if d := int64(len(b.queue)); d > b.depthHWM.Load() {
-			for {
-				old := b.depthHWM.Load()
-				if d <= old || b.depthHWM.CompareAndSwap(old, d) {
-					break
-				}
-			}
-		}
-	default:
-		b.mu.RUnlock()
-		b.rejected.Add(1)
+	case b.head == nil && b.busy < slots:
+		b.busy++
+		b.mu.Unlock()
+	case b.waiting >= b.depth:
+		b.rejected++
+		b.mu.Unlock()
 		return nil, errQueueFull
+	default:
+		b.park()
 	}
-	<-r.done
-	return r.preds, r.err
+	return b.forward(f, m)
 }
 
-// close stops the collector after a graceful drain: requests already
-// enqueued are still batched and answered; subsequent submits fail with
-// errClosed. Idempotent.
+// park queues the caller behind the busy slots and returns, with mu released,
+// once a finishing request has handed it one (busy already counts it). A
+// parked request is always answered: close waits for it.
+func (b *batcher) park() {
+	w := waiterPool.Get().(*waiter)
+	if b.tail == nil {
+		b.head = w
+	} else {
+		b.tail.next = w
+	}
+	b.tail = w
+	b.waiting++
+	// High-watermark of waiters: how close serving has come to spilling
+	// 503s, visible on /healthz even if the spill never happens.
+	if d := int64(b.waiting); d > b.depthHWM {
+		b.depthHWM = d
+	}
+	hist := b.waitHist
+	b.mu.Unlock()
+	if hist == nil {
+		<-w.ready
+	} else {
+		start := time.Now()
+		<-w.ready
+		hist.Observe(time.Since(start).Seconds())
+	}
+	waiterPool.Put(w)
+}
+
+// forward runs one forward pass on a held slot and gives the slot up. A
+// panicking forward fails its own request and still releases the slot, so
+// one bad plan cannot wedge the stage or strand the waiters behind it.
+func (b *batcher) forward(f *plan.FlatPlan, m *core.Model) (preds []float64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			preds, err = nil, fmt.Errorf("serve: inference panicked: %v", p)
+		}
+		b.release()
+	}()
+	if m == nil {
+		m = b.srv.Model()
+	}
+	return b.predict(m, f), nil
+}
+
+// release counts the finished forward and hands the caller's slot to the
+// oldest waiter, or frees it.
+func (b *batcher) release() {
+	b.mu.Lock()
+	b.requests++
+	if w := b.head; w != nil {
+		if b.head = w.next; b.head == nil {
+			b.tail = nil
+		}
+		w.next = nil
+		b.waiting--
+		w.ready <- struct{}{} // capacity one, one send per park: never blocks
+	} else if b.busy--; b.busy == 0 && b.closed {
+		b.idle.Broadcast()
+	}
+	b.mu.Unlock()
+}
+
+// close drains the stage: requests holding or waiting for a slot are still
+// answered, later submits fail with errClosed, and close returns once the
+// last slot is free. Idempotent.
 func (b *batcher) close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
 	b.closed = true
+	for b.busy > 0 { // waiters imply a busy slot, so this covers them too
+		b.idle.Wait()
+	}
 	b.mu.Unlock()
-	close(b.stop)
-	<-b.done
-}
-
-func (b *batcher) loop() {
-	defer close(b.done)
-	reqs := make([]*batchReq, 0, b.maxBatch)
-	for {
-		select {
-		case r := <-b.queue:
-			b.run(b.gather(append(reqs[:0], r), true))
-		case <-b.stop:
-			// Drain: no submit can enqueue after closed was set, so the
-			// queue only shrinks from here.
-			for {
-				select {
-				case r := <-b.queue:
-					b.run(b.gather(append(reqs[:0], r), false))
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// gather fills the batch up to maxBatch. With wait set it lingers up to
-// maxWait after the first request; during drain it only takes what is
-// already queued.
-func (b *batcher) gather(reqs []*batchReq, wait bool) []*batchReq {
-	if !wait {
-		for len(reqs) < b.maxBatch {
-			select {
-			case r := <-b.queue:
-				reqs = append(reqs, r)
-			default:
-				return reqs
-			}
-		}
-		return reqs
-	}
-	timer := time.NewTimer(b.maxWait)
-	defer timer.Stop()
-	for len(reqs) < b.maxBatch {
-		select {
-		case r := <-b.queue:
-			reqs = append(reqs, r)
-		case <-timer.C:
-			return reqs
-		}
-	}
-	return reqs
-}
-
-// run executes one model batch and completes every request in it. The
-// model is resolved at execution time, so a batch that straddles SetModel
-// is served consistently by one model (and the caches' generation guard
-// keeps any stale result out of them).
-func (b *batcher) run(reqs []*batchReq) {
-	defer func() {
-		// A panicking forward pass must not strand waiters: fail the whole
-		// batch instead of hanging every coalesced caller forever. Nothing
-		// below can panic once the first done is closed, so none is closed yet.
-		if p := recover(); p != nil {
-			err := fmt.Errorf("serve: batch inference panicked: %v", p)
-			for _, r := range reqs {
-				r.preds, r.err = nil, err
-				close(r.done)
-			}
-		}
-	}()
-	if b.waitHist != nil {
-		now := time.Now()
-		for _, r := range reqs {
-			b.waitHist.Observe(now.Sub(r.enq).Seconds())
-		}
-	}
-	// One queue serves every tenant, so a drain window can mix models; each
-	// request runs on its own. The server model is resolved once — nil
-	// entries all ride the same one, so a batch straddling SetModel is still
-	// served consistently. Prediction slices are allocated per request:
-	// they escape to the waiters and the caches.
-	serverM := b.srv.Model()
-	nn.ParallelFor(len(reqs), b.srv.Workers, func(i int) {
-		r := reqs[i]
-		m := r.model
-		if m == nil {
-			m = serverM
-		}
-		r.preds = m.AppendPredictSubPlansFlat(nil, r.f)
-	})
-	b.observeBatch(len(reqs))
-	for _, r := range reqs {
-		close(r.done)
-	}
-}
-
-// observeBatch records one executed batch in the counters and, when
-// telemetry is on, the size histogram.
-func (b *batcher) observeBatch(n int) {
-	b.batches.Add(1)
-	b.requests.Add(uint64(n))
-	if b.sizeHist != nil {
-		b.sizeHist.Observe(float64(n))
-	}
 }
 
 func (b *batcher) stats() QueueStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return QueueStats{
-		Depth:    len(b.queue),
-		DepthHWM: b.depthHWM.Load(),
-		Capacity: cap(b.queue),
+		Depth:    b.waiting,
+		DepthHWM: b.depthHWM,
+		Capacity: b.depth,
 		MaxBatch: b.maxBatch,
-		Batches:  b.batches.Load(),
-		Requests: b.requests.Load(),
-		Rejected: b.rejected.Load(),
+		Batches:  b.requests,
+		Requests: b.requests,
+		Rejected: b.rejected,
 	}
 }

@@ -22,17 +22,18 @@ import (
 //     /predict is still answering — ejection leads the drain.
 //
 // Run under -race this doubles as the concurrency audit of the
-// draining/ready/batcher-close interplay.
+// draining/ready/stage-close interplay.
 func TestBeginDrainUnderLoad(t *testing.T) {
 	base, samples := trainedServer(t)
-	// Batcher on, caches off: every request must cross the batcher, so the
-	// post-close 503 path is actually exercised (a body-cache hit would
-	// answer 200 without touching the queue).
+	// Admission stage on, caches off: every request must cross the stage, so
+	// the post-close 503 path is actually exercised (a body-cache hit would
+	// answer 200 without touching it). Two slots for eight clients, so Close
+	// lands with requests both holding and waiting for one.
 	s := NewWithConfig(base.Model(), Config{
 		MaxBatch:   8,
-		MaxWait:    100 * time.Microsecond,
 		QueueDepth: 256,
 	})
+	s.Workers = 2
 	h := s.Handler()
 
 	var body bytes.Buffer
@@ -131,8 +132,8 @@ func TestBeginDrainUnderLoad(t *testing.T) {
 		t.Error("no requests completed between BeginDrain and Close — drain must not stop serving")
 	}
 
-	// Close races too: the batcher's drain answers everything already
-	// queued, then rejects.
+	// Close races too: the stage's drain answers everything already
+	// admitted or waiting, then rejects.
 	var closers sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		closers.Add(1)
@@ -168,4 +169,56 @@ func TestBeginDrainUnderLoad(t *testing.T) {
 		t.Error("server still ready after Close")
 	}
 	t.Logf("drain test: %d ok, %d backpressured, %d bad", ok200.Load(), ok503.Load(), bad.Load())
+}
+
+// TestCloseDrainsAdmittedAndWaiting pins close()'s contract without timing:
+// with one forward holding the only slot and two requests waiting behind it,
+// close must not return until all three are answered successfully, while a
+// submit arriving after close began is refused with errClosed at once.
+func TestCloseDrainsAdmittedAndWaiting(t *testing.T) {
+	m, samples := trainedModel(t)
+	s, probe := probeStage(m, 1, 16)
+	b := s.bat
+	plans := flatPlans(samples, 4)
+
+	var done []<-chan error
+	for i := 0; i < 3; i++ {
+		done = append(done, submitAsync(b, plans[i]))
+		waitFor(t, func() bool { return probe.running() == 1 && b.stats().Depth == i })
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.closed
+	})
+	if _, err := b.submit(plans[3], nil); err != errClosed {
+		t.Fatalf("submit after Close began: err = %v, want errClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a forward running and two requests waiting")
+	default:
+	}
+	if qs := b.stats(); qs.Depth != 2 {
+		t.Fatalf("close dropped waiters: depth %d, want 2", qs.Depth)
+	}
+
+	close(probe.gate)
+	for i, d := range done {
+		if err := <-d; err != nil {
+			t.Fatalf("request %d admitted before Close failed: %v", i, err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the stage drained")
+	}
+	s.Close() // idempotent on a drained stage
 }

@@ -13,7 +13,7 @@ import (
 // registry leaves every hot path exactly as it was — the instrument
 // pointers below are captured at construction, so instrumented handlers do
 // no lookups, and subsystems that already keep atomic counters (the
-// prediction caches, the micro-batcher) are exported through scrape-time
+// prediction caches, the admission stage) are exported through scrape-time
 // CounterFunc/GaugeFunc collectors that cost serving nothing.
 
 // endpointMetrics is the per-endpoint instrument set: request counts by
@@ -54,8 +54,8 @@ type serverMetrics struct {
 var statusClasses = [...]string{"", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // newServerMetrics registers the serve-layer metric families on reg and
-// wires scrape-time collectors for the caches and the micro-batcher.
-// Called from NewWithConfig before the batcher loop starts, so no field it
+// wires scrape-time collectors for the caches and the admission stage.
+// Called from NewWithConfig before the Server is handed out, so no field it
 // sets is ever written concurrently with serving.
 func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	sm := &serverMetrics{reg: reg, endpoints: make(map[string]*endpointMetrics)}
@@ -88,7 +88,7 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	sm.feedback = reg.Counter("dace_feedback_observations_total",
 		"Feedback observations accepted by POST /feedback.")
 
-	// Cache and batcher counters already exist as atomics inside their
+	// Cache and admission counters already exist inside their
 	// subsystems; export them by sampling at scrape time.
 	if s.preds != nil {
 		for _, cc := range []struct {
@@ -124,23 +124,24 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 	reg.GaugeFunc("dace_inflight_requests_hwm", "Highest prediction-request concurrency absorbed.",
 		func() float64 { return float64(s.inflightHWM.Load()) })
 	if s.bat != nil {
+		// The dace_batch_* names are the micro-batcher's, kept for dashboards;
+		// what they count now is the admission stage (batcher.go).
 		b := s.bat
-		reg.GaugeFunc("dace_batch_queue_depth", "Requests queued for the micro-batcher right now.",
-			func() float64 { return float64(len(b.queue)) })
-		reg.GaugeFunc("dace_batch_queue_depth_hwm", "Deepest the micro-batcher queue has ever been.",
-			func() float64 { return float64(b.depthHWM.Load()) })
-		reg.GaugeFunc("dace_batch_queue_capacity", "Micro-batcher queue bound (QueueDepth).",
-			func() float64 { return float64(cap(b.queue)) })
-		reg.CounterFunc("dace_batches_total", "Model batch calls executed by the micro-batcher.",
-			b.batches.Load)
-		reg.CounterFunc("dace_batched_requests_total", "Requests served through micro-batches.",
-			b.requests.Load)
-		reg.CounterFunc("dace_batch_rejected_total", "Submissions rejected by a full queue or shutdown.",
-			b.rejected.Load)
-		b.sizeHist = reg.Histogram("dace_batch_size",
-			"Plans per executed micro-batch.", telemetry.SizeBounds())
+		reg.GaugeFunc("dace_batch_queue_depth", "Requests waiting for a forward slot right now.",
+			func() float64 { return float64(b.stats().Depth) })
+		reg.GaugeFunc("dace_batch_queue_depth_hwm", "Most requests that have ever waited for a forward slot at once.",
+			func() float64 { return float64(b.stats().DepthHWM) })
+		reg.GaugeFunc("dace_batch_queue_capacity", "Bound on requests waiting for a forward slot (QueueDepth).",
+			func() float64 { return float64(b.depth) })
+		reg.CounterFunc("dace_batches_total", "Forward passes run behind the admission stage; equals dace_batched_requests_total.",
+			func() uint64 { return b.stats().Batches })
+		reg.CounterFunc("dace_batched_requests_total", "Requests served through the admission stage.",
+			func() uint64 { return b.stats().Requests })
+		reg.CounterFunc("dace_batch_rejected_total", "Submissions rejected by a full wait queue or shutdown.",
+			func() uint64 { return b.stats().Rejected })
 		b.waitHist = reg.Histogram("dace_batch_wait_seconds",
-			"Queue wait from submit to batch execution.", telemetry.LatencyBounds())
+			"Time spent waiting for a forward slot; requests admitted at once are not observed.",
+			telemetry.LatencyBounds())
 	}
 	return sm
 }

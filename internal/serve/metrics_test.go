@@ -23,7 +23,7 @@ type nopAdapter struct{}
 func (nopAdapter) Status() any           { return map[string]bool{"ok": true} }
 func (nopAdapter) Trigger() (any, error) { return map[string]bool{"ok": true}, nil }
 
-// metricsServer is a fully-wired server: caching, batching, telemetry, and
+// metricsServer is a fully-wired server: caching, admission, telemetry, and
 // the feedback/adapt endpoints, so every route is registered.
 func metricsServer(t *testing.T) (*httptest.Server, []dataset.Sample) {
 	t.Helper()
@@ -130,11 +130,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		`# TYPE dace_http_request_seconds histogram`,
 		`# TYPE dace_batch_queue_depth gauge`,
 		`dace_batch_queue_capacity 32`,
+		`dace_batches_total 1`,
+		`dace_batched_requests_total 1`,
+		`dace_batch_rejected_total 0`,
+		// The lone miss found a free slot: it never waited, so it is not in
+		// the wait histogram.
+		`dace_batch_wait_seconds_count 0`,
 		`dace_feedback_observations_total 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(text, "dace_batch_size") {
+		t.Error("exposition still carries dace_batch_size: every batch is one request now")
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", text)

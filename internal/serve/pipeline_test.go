@@ -17,6 +17,7 @@ import (
 	"dace/internal/executor"
 	"dace/internal/plan"
 	"dace/internal/schema"
+	"dace/internal/telemetry"
 )
 
 // pipelineConfig enables every stage at test-friendly sizes.
@@ -24,14 +25,13 @@ func pipelineConfig() Config {
 	return Config{
 		CacheSize:  1024,
 		MaxBatch:   8,
-		MaxWait:    200 * time.Microsecond,
 		QueueDepth: 256,
 	}
 }
 
 // trainedModel is trainedServer's model half, for tests that need several
 // servers around one model.
-func trainedModel(t *testing.T) (*core.Model, []dataset.Sample) {
+func trainedModel(t testing.TB) (*core.Model, []dataset.Sample) {
 	t.Helper()
 	samples, err := dataset.ComplexWorkload(schema.BenchmarkDB("airline"), 80, executor.M1())
 	if err != nil {
@@ -45,7 +45,7 @@ func trainedModel(t *testing.T) (*core.Model, []dataset.Sample) {
 	return core.Train(dataset.Plans(samples), cfg), samples
 }
 
-func planBody(t *testing.T, p *plan.Plan) []byte {
+func planBody(t testing.TB, p *plan.Plan) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
@@ -63,7 +63,7 @@ func postPredict(t *testing.T, h http.Handler, body []byte) (int, []byte) {
 }
 
 // TestPipelineBitwiseEqualUnderConcurrency is the determinism contract:
-// with caching, coalescing, and micro-batching all enabled, 64 concurrent
+// with caching, coalescing, and the admission stage all enabled, 64 concurrent
 // clients posting a mix of repeated and distinct plans must receive
 // byte-for-byte the responses an uncached, unbatched server produces.
 func TestPipelineBitwiseEqualUnderConcurrency(t *testing.T) {
@@ -94,7 +94,7 @@ func TestPipelineBitwiseEqualUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < reqsPerClient; r++ {
 				// 2/3 of traffic hammers a hot plan, the rest walks the set —
-				// exercising hits, coalesced misses, and batching at once.
+				// exercising hits, coalesced misses, and slot waits at once.
 				i := (c + r) % nPlans
 				if r%3 != 0 {
 					i = c % 4
@@ -160,17 +160,78 @@ func TestCoalescingSingleCompute(t *testing.T) {
 	}
 }
 
-// TestMicroBatcherAmortizes drives concurrent distinct plans through a
-// cache-less batching server: every response must match the plain server,
-// and the batcher must have combined requests into fewer model calls.
-func TestMicroBatcherAmortizes(t *testing.T) {
+// stageProbe replaces the admission stage's predict hook: every forward
+// records itself, then parks until the test lets it through, so a test can
+// hold the slots busy and watch what the stage does behind them.
+type stageProbe struct {
+	gate chan struct{} // one receive per forward; close it to open the floodgate
+
+	mu       sync.Mutex
+	cur, max int              // forwards inside the hook now / at most
+	order    []*plan.FlatPlan // plans in the order their forwards started
+}
+
+// probeStage builds a cache-less server with the stage on, sets Workers after
+// construction (as daced does) and installs a probe.
+func probeStage(m *core.Model, workers, depth int) (*Server, *stageProbe) {
+	s := NewWithConfig(m, Config{MaxBatch: 8, QueueDepth: depth})
+	s.Workers = workers
+	p := &stageProbe{gate: make(chan struct{})}
+	s.bat.predict = func(m *core.Model, f *plan.FlatPlan) []float64 {
+		p.mu.Lock()
+		p.cur++
+		if p.cur > p.max {
+			p.max = p.cur
+		}
+		p.order = append(p.order, f)
+		p.mu.Unlock()
+		<-p.gate
+		p.mu.Lock()
+		p.cur--
+		p.mu.Unlock()
+		return predictFlat(m, f)
+	}
+	return s, p
+}
+
+func (p *stageProbe) running() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cur
+}
+
+// submitAsync submits f from its own goroutine and returns where the error
+// will arrive.
+func submitAsync(b *batcher, f *plan.FlatPlan) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.submit(f, nil)
+		done <- err
+	}()
+	return done
+}
+
+// flatPlans flattens the first n sample plans, each into its own FlatPlan.
+func flatPlans(samples []dataset.Sample, n int) []*plan.FlatPlan {
+	out := make([]*plan.FlatPlan, n)
+	for i := range out {
+		out[i] = new(plan.FlatPlan).FromTree(samples[i].Plan)
+	}
+	return out
+}
+
+// TestAdmissionBoundsForwardsToWorkers drives concurrent distinct plans
+// through a cache-less server with the stage on: never more than Workers
+// forwards may run at once, the rest wait, and every response must match the
+// plain server byte for byte.
+func TestAdmissionBoundsForwardsToWorkers(t *testing.T) {
 	m, samples := trainedModel(t)
 	plain := New(m)
-	s := NewWithConfig(m, Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueDepth: 256})
+	const workers, n = 3, 48
+	s, probe := probeStage(m, workers, 256)
 	defer s.Close()
 	h := s.Handler()
 
-	const n = 48
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -184,68 +245,178 @@ func TestMicroBatcherAmortizes(t *testing.T) {
 			}
 			_, want := postPredict(t, plain.Handler(), body)
 			if !bytes.Equal(resp, want) {
-				t.Errorf("req %d: batched response diverged from direct inference", i)
+				t.Errorf("req %d: admitted response diverged from direct inference", i)
 			}
 		}(i)
 	}
+	// Every request has arrived: the slots are full and the rest are parked.
+	waitFor(t, func() bool { return probe.running() == workers && s.bat.stats().Depth == n-workers })
+	close(probe.gate)
 	wg.Wait()
 
+	if probe.max != workers {
+		t.Fatalf("at most %d forwards ran at once, want exactly Workers = %d", probe.max, workers)
+	}
 	qs := s.bat.stats()
-	if qs.Requests != n {
-		t.Fatalf("batcher served %d requests, want %d", qs.Requests, n)
+	if qs.Requests != n || qs.Batches != n {
+		t.Fatalf("stage admitted %d requests in %d batches, want %d each", qs.Requests, qs.Batches, n)
 	}
-	if qs.Batches == 0 || qs.Batches > qs.Requests {
-		t.Fatalf("implausible batch count %d for %d requests", qs.Batches, qs.Requests)
+	if qs.Depth != 0 || qs.DepthHWM != n-workers || qs.Rejected != 0 {
+		t.Fatalf("after the run: %+v, want depth 0, hwm %d, rejected 0", qs, n-workers)
 	}
-	if qs.Depth != 0 {
-		t.Fatalf("queue depth %d after drain, want 0", qs.Depth)
+}
+
+// TestAdmissionFIFOHandoff pins the wait order: with one slot held, waiters
+// are admitted strictly in arrival order, one per finishing forward.
+func TestAdmissionFIFOHandoff(t *testing.T) {
+	m, samples := trainedModel(t)
+	s, probe := probeStage(m, 1, 16)
+	defer s.Close()
+	b := s.bat
+	b.waitHist = telemetry.NewRegistry().Histogram("wait_seconds", "", telemetry.LatencyBounds())
+
+	plans := flatPlans(samples, 5)
+	done := make([]<-chan error, len(plans))
+	for i, f := range plans {
+		done[i] = submitAsync(b, f)
+		// Arrival order is only defined once the previous submit is in: the
+		// first holds the slot, each later one is the newest waiter.
+		waitFor(t, func() bool { return probe.running() == 1 && b.stats().Depth == i })
+	}
+	for i := range plans {
+		probe.gate <- struct{}{}
+		if err := <-done[i]; err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		// Handing the slot over never lets a second forward in.
+		if i < len(plans)-1 {
+			waitFor(t, func() bool { return probe.running() == 1 })
+		}
+	}
+	if probe.max != 1 {
+		t.Fatalf("%d forwards overlapped on one slot", probe.max)
+	}
+	for i, f := range probe.order {
+		if f != plans[i] {
+			t.Fatalf("forward %d ran plan %p, want arrival order (%p)", i, f, plans[i])
+		}
+	}
+	// The first request found the slot free; only the four behind it waited.
+	if n := b.waitHist.Snapshot().Count; n != uint64(len(plans)-1) {
+		t.Fatalf("wait histogram observed %d requests, want the %d that waited", n, len(plans)-1)
 	}
 }
 
 // TestQueueFullBackpressure exercises the 503 path without relying on
-// timing: the batcher's collector is not started, so the queue genuinely
-// fills, and the overflow submit must be rejected immediately.
+// timing: one forward holds the only slot, QueueDepth requests wait, and the
+// next submit must be rejected immediately rather than queued.
 func TestQueueFullBackpressure(t *testing.T) {
 	m, samples := trainedModel(t)
-	s := New(m)
-	b := &batcher{
-		srv:      s,
-		maxBatch: 4,
-		maxWait:  time.Millisecond,
-		queue:    make(chan *batchReq, 2),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	s.bat = b
+	const depth = 2
+	s, probe := probeStage(m, 1, depth)
+	b := s.bat
 
-	p := new(plan.FlatPlan).FromTree(samples[0].Plan)
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := b.submit(p, nil)
-			results <- err
-		}()
+	plans := flatPlans(samples, depth+2)
+	var done []<-chan error
+	for i := 0; i <= depth; i++ {
+		done = append(done, submitAsync(b, plans[i]))
+		waitFor(t, func() bool { return probe.running() == 1 && b.stats().Depth == i })
 	}
-	waitFor(t, func() bool { return len(b.queue) == 2 })
 
-	if _, err := b.submit(p, nil); err != errQueueFull {
+	if _, err := b.submit(plans[depth+1], nil); err != errQueueFull {
 		t.Fatalf("overflow submit: err = %v, want errQueueFull", err)
 	}
-	if got := b.stats().Rejected; got != 1 {
-		t.Fatalf("rejected = %d, want 1", got)
+	if qs := b.stats(); qs.Rejected != 1 || qs.Depth != depth || qs.Capacity != depth {
+		t.Fatalf("after overflow: %+v, want rejected 1, depth = capacity = %d", qs, depth)
 	}
 
-	// Start the collector; the queued submits must complete, and a
-	// post-close submit must fail closed, not hang.
-	go b.loop()
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("queued submit failed: %v", err)
+	// The holder and both waiters must complete, and a post-close submit
+	// must fail closed, not hang.
+	close(probe.gate)
+	for i, d := range done {
+		if err := <-d; err != nil {
+			t.Fatalf("admitted submit %d failed: %v", i, err)
 		}
 	}
 	b.close()
-	if _, err := b.submit(p, nil); err != errClosed {
+	if _, err := b.submit(plans[0], nil); err != errClosed {
 		t.Fatalf("post-close submit: err = %v, want errClosed", err)
+	}
+	if got := b.stats().Rejected; got != 2 {
+		t.Fatalf("rejected = %d, want 2 (one overflow, one post-close)", got)
+	}
+}
+
+// TestAdmissionPanicFailsOneRequest: a panicking forward fails its own
+// request only, gives its slot to the waiter behind it, and leaves the stage
+// serving.
+func TestAdmissionPanicFailsOneRequest(t *testing.T) {
+	m, samples := trainedModel(t)
+	s, probe := probeStage(m, 1, 16)
+	defer s.Close()
+	b := s.bat
+	plans := flatPlans(samples, 3)
+	gated := b.predict
+	b.predict = func(m *core.Model, f *plan.FlatPlan) []float64 {
+		preds := gated(m, f)
+		if f == plans[0] {
+			panic("bad forward")
+		}
+		return preds
+	}
+
+	bad := submitAsync(b, plans[0])
+	waitFor(t, func() bool { return probe.running() == 1 })
+	behind := submitAsync(b, plans[1])
+	waitFor(t, func() bool { return b.stats().Depth == 1 })
+	close(probe.gate)
+
+	if err := <-bad; err == nil || !strings.Contains(err.Error(), "panicked: bad forward") {
+		t.Fatalf("panicking forward: err = %v, want the panic reported", err)
+	}
+	if err := <-behind; err != nil {
+		t.Fatalf("waiter behind the panic: %v", err)
+	}
+	// The slot came back: with one slot and nobody waiting, this would park
+	// forever had the panic leaked it.
+	got, err := b.submit(plans[2], nil)
+	if err != nil {
+		t.Fatalf("submit after the panic: %v", err)
+	}
+	if want := predictFlat(m, plans[2]); len(got) != len(want) || got[0] != want[0] {
+		t.Fatal("prediction after the panic diverged from direct inference")
+	}
+	b.mu.Lock()
+	busy := b.busy
+	b.mu.Unlock()
+	if busy != 0 {
+		t.Fatalf("%d slots still held on an idle stage", busy)
+	}
+}
+
+// TestSubmitIdleAllocs is the no-contention guard: on an idle stage submit
+// takes a slot, runs the forward on the caller's goroutine and returns —
+// the only allocation is the prediction slice it hands back. Telemetry is on
+// so a timestamp or a waiter sneaking onto the uncontended path would show.
+func TestSubmitIdleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	m, samples := trainedModel(t)
+	s := NewWithConfig(m, Config{MaxBatch: 64, Metrics: telemetry.NewRegistry()})
+	defer s.Close()
+	f := new(plan.FlatPlan).FromTree(samples[0].Plan)
+	submit := func() {
+		if _, err := s.bat.submit(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit() // warm the model's scratch pools
+	if avg := testing.AllocsPerRun(200, submit); avg != 1 {
+		t.Fatalf("idle submit allocates %.0f/op, want 1 (the returned predictions)", avg)
+	}
+	if n := s.bat.waitHist.Snapshot().Count; n != 0 {
+		t.Fatalf("dace_batch_wait_seconds observed %d uncontended requests, want 0", n)
 	}
 }
 

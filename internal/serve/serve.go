@@ -15,15 +15,14 @@
 //	POST /model/load?version=N   swap to a versioned artifact (Loader set)
 //	GET  /model                  currently served model version
 //
-// The serving pipeline (all stages optional, enabled via Config) is the
-// standard inference-server shape — coalesce, then batch, then fused
-// kernels:
+// The serving pipeline (all stages optional, enabled via Config) answers from
+// the cheapest stage that can, and bounds what reaches the model:
 //
-//	request body ── body cache ── plan fingerprint cache ── micro-batcher ── model
-//	                (exact wire     (canonical 128-bit        (bounded queue,
-//	                 bytes hit:      hash: hit skips the       drains ≤MaxBatch
-//	                 skips JSON      forward pass; misses      or MaxWait, fans
-//	                 entirely)       coalesce in flight)       out over the workers)
+//	request body ── body cache ── plan fingerprint cache ── admission ── model
+//	                (exact wire     (canonical 128-bit        (Workers slots;
+//	                 bytes hit:      hash: hit skips the       FIFO wait when
+//	                 skips JSON      forward pass; misses      busy, 503 when
+//	                 entirely)       coalesce in flight)       the wait is full)
 //
 // Between decode and model there is one representation, plan.FlatPlan: the
 // streaming decoders produce it, pg EXPLAIN and feedback trees are
@@ -32,9 +31,12 @@
 //
 // Cost-estimation traffic is highly repetitive — an optimizer re-costs the
 // same sub-plans across candidate joins — so most requests resolve in the
-// first two stages; the batcher amortizes what remains across one
-// data-parallel forward pass. Cached predictions are bitwise-identical to
-// uncached ones: equal fingerprints imply equal model inputs.
+// first two stages. What remains runs its forward pass on the handler's own
+// goroutine: the admission stage (batcher.go) only caps how many run at once,
+// so an idle server adds nothing to decode + forward + encode, and an
+// overloaded one queues a bounded number of requests and sheds the rest.
+// Cached predictions are bitwise-identical to uncached ones: equal
+// fingerprints imply equal model inputs.
 package serve
 
 import (
@@ -81,19 +83,22 @@ type Config struct {
 	// CacheTTL expires cache entries this long after insertion; <= 0 means
 	// entries live until evicted or flushed by SetModel.
 	CacheTTL time.Duration
-	// MaxBatch is the largest plan batch the micro-batcher hands the model;
-	// <= 1 disables micro-batching (each miss runs its own forward pass).
+	// MaxBatch > 1 turns the admission stage on: at most Server.Workers
+	// /predict misses run their forward pass at once, the rest wait FIFO.
+	// <= 1 leaves misses unbounded. Only the on/off reading is used; the
+	// value is echoed on /healthz. A legacy name from the micro-batcher the
+	// stage replaced, kept because benchmark/ sets it.
 	MaxBatch int
-	// MaxWait bounds how long the first queued request waits for its batch
-	// to fill (0 = 200µs). Latency floor under light load, amortization
-	// ceiling under heavy load.
+	// MaxWait is accepted and ignored — nothing lingers any more. It remains
+	// a field only because benchmark/ compiles against it; the benchmark PR
+	// that stops setting it deletes it together with the MaxBatch name.
 	MaxWait time.Duration
-	// QueueDepth bounds the request queue feeding the batcher (0 = 8×
-	// MaxBatch). A full queue fails fast: 503 with Retry-After.
+	// QueueDepth bounds how many requests may wait for a forward slot (0 =
+	// 8× MaxBatch). One more fails fast: 503 with Retry-After.
 	QueueDepth int
 	// Metrics, when non-nil, instruments the pipeline into the registry
 	// (per-endpoint request counts and latency histograms, cache and
-	// batcher collectors) and enables GET /metrics with the Prometheus
+	// admission-stage collectors) and enables GET /metrics with the Prometheus
 	// text exposition. Nil leaves every hot path uninstrumented — not even
 	// a wrapper frame is added.
 	Metrics *telemetry.Registry
@@ -106,8 +111,9 @@ type Server struct {
 	mu    sync.RWMutex
 	model *core.Model
 
-	// Workers sizes the inference pool used for batch fan-out; <= 0 means
-	// one worker per CPU. Set before serving starts.
+	// Workers sizes the inference pool: the /predict/batch fan-out and the
+	// admission stage's forward slots. <= 0 means one worker per CPU. Set
+	// before serving starts.
 	Workers int
 
 	// Feedback, when set before Handler is called, enables POST /feedback:
@@ -153,11 +159,11 @@ type Server struct {
 }
 
 // New builds a server with the pipeline disabled — every request runs its
-// own forward pass. Use NewWithConfig to enable caching and batching.
+// own forward pass. Use NewWithConfig to enable caching and admission.
 func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
 
-// NewWithConfig builds a server with the given pipeline configuration and
-// starts the micro-batcher if enabled. Call Close to drain it on shutdown.
+// NewWithConfig builds a server with the given pipeline configuration. Call
+// Close to drain the admission stage on shutdown.
 func NewWithConfig(m *core.Model, cfg Config) *Server {
 	s := &Server{model: m, cfg: cfg}
 	s.ready.Store(m != nil)
@@ -166,29 +172,21 @@ func NewWithConfig(m *core.Model, cfg Config) *Server {
 		s.bodies = servecache.New[[]byte](cfg.CacheSize, cfg.CacheTTL)
 	}
 	if cfg.MaxBatch > 1 {
-		wait := cfg.MaxWait
-		if wait <= 0 {
-			wait = 200 * time.Microsecond
-		}
 		depth := cfg.QueueDepth
 		if depth <= 0 {
 			depth = 8 * cfg.MaxBatch
 		}
-		s.bat = newBatcher(s, cfg.MaxBatch, wait, depth)
+		s.bat = newBatcher(s, cfg.MaxBatch, depth)
 	}
-	// Wire telemetry before the batcher loop starts: its histogram fields
-	// must never be written concurrently with a running collector.
 	if cfg.Metrics != nil {
 		s.tel = newServerMetrics(s, cfg.Metrics)
-	}
-	if s.bat != nil {
-		s.bat.start()
 	}
 	return s
 }
 
-// Close drains the micro-batcher: queued requests complete, later ones are
-// rejected with 503. Safe to call on a batcher-less server and idempotent.
+// Close drains the admission stage: requests holding or waiting for a slot
+// complete, later ones are rejected with 503. Safe to call on a server
+// without the stage and idempotent.
 func (s *Server) Close() {
 	s.BeginDrain()
 	if s.bat != nil {
@@ -510,8 +508,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 // batchPreds resolves predictions for a whole batch within the request's
 // tenant domain: cache hits and intra-batch duplicates are served from one
 // compute, and the remaining misses fan out across the worker pool, one
-// flat forward each (the request is already a batch, so it bypasses the
-// micro-batcher). Cache keys come from the fingerprints the decoders
+// flat forward each (the request brings its own parallelism, so it bypasses
+// the admission stage). Cache keys come from the fingerprints the decoders
 // already computed — nothing is hashed twice.
 func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
 	m := tc.modelOr(s)
@@ -577,15 +575,17 @@ type Health struct {
 	TenantVersions map[string]int `json:"tenant_versions,omitempty"`
 }
 
-// QueueStats snapshots the micro-batcher.
+// QueueStats snapshots the admission stage. The JSON names date from the
+// micro-batcher it replaced; every request is its own forward pass now, so
+// Batches always equals Requests.
 type QueueStats struct {
-	Depth    int    `json:"depth"`     // requests queued right now
-	DepthHWM int64  `json:"depth_hwm"` // deepest the queue has ever been
-	Capacity int    `json:"capacity"`  // queue bound (QueueDepth)
-	MaxBatch int    `json:"max_batch"`
-	Batches  uint64 `json:"batches"`          // model batch calls executed
-	Requests uint64 `json:"batched_requests"` // requests served through them
-	Rejected uint64 `json:"rejected"`         // 503s from a full queue
+	Depth    int    `json:"depth"`            // requests waiting for a slot right now
+	DepthHWM int64  `json:"depth_hwm"`        // most that have ever waited at once
+	Capacity int    `json:"capacity"`         // wait bound (QueueDepth)
+	MaxBatch int    `json:"max_batch"`        // Config.MaxBatch as configured
+	Batches  uint64 `json:"batches"`          // forward passes run
+	Requests uint64 `json:"batched_requests"` // requests served through them (== Batches)
+	Rejected uint64 `json:"rejected"`         // 503s from a full wait queue or shutdown
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"dace/internal/core"
 	"dace/internal/dataset"
@@ -290,7 +289,7 @@ func withRootCost(p *plan.Plan, cost float64) *plan.Plan {
 
 // jsonMissDriver posts one plan as JSON; the root cost is a nine-digit
 // integer the patch overwrites digit by digit.
-func jsonMissDriver(t *testing.T, p *plan.Plan) *missDriver {
+func jsonMissDriver(t testing.TB, p *plan.Plan) *missDriver {
 	const sentinel = "123456789"
 	data := planBody(t, withRootCost(p, 123456789))
 	at := bytes.Index(data, []byte(sentinel))
@@ -345,17 +344,17 @@ func binaryMissDriver(t *testing.T, target string, plans []*plan.Plan) *missDriv
 // A pipeline-less server decodes, featurizes, runs the forward pass and
 // renders without allocating at all. With daced's pipeline on, a miss pays
 // for what outlives the request — the cached prediction and response, two
-// cache entries, the coalescing calls, the queued request and its timer —
-// and a 32-plan batch for its per-plan predictions and cache entries plus
-// the dedup map; those two are gated at the counts measured when the
-// serving path went flat (CHANGES.md, PR 13, has the before/after).
+// cache entries and the coalescing calls; the admission stage adds nothing
+// (TestSubmitIdleAllocs) — and a 32-plan batch for its per-plan predictions
+// and cache entries plus the dedup map. Those two are gated at their measured
+// counts (CHANGES.md: PR 13 for the batch, PR 14 for the miss, 21 → 15).
 func TestPredictHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	m, samples := trainedModel(t)
 	plans := dataset.Plans(samples)
-	daced := Config{CacheSize: 64, MaxBatch: 64, MaxWait: 200 * time.Microsecond, QueueDepth: 4096}
+	daced := Config{CacheSize: 64, MaxBatch: 64, QueueDepth: 4096}
 
 	for _, tc := range []struct {
 		name   string
@@ -372,7 +371,7 @@ func TestPredictHandlerAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewWithConfig(m, tc.cfg)
 			defer s.Close()
-			s.Workers = 2 // the fan-out's goroutines allocate; pin their number
+			s.Workers = 2 // the batch fan-out's goroutines allocate; pin their number
 			h := s.handlePredict
 			if tc.batch {
 				h = s.handlePredictBatch
@@ -393,6 +392,6 @@ func TestPredictHandlerAllocs(t *testing.T) {
 // Allocations per uncached request with daced's pipeline on (see
 // TestPredictHandlerAllocs).
 const (
-	dacedMissAllocs  = 21
+	dacedMissAllocs  = 15
 	dacedBatchAllocs = 82
 )

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -293,17 +294,20 @@ func TestHealthzReportsTenants(t *testing.T) {
 	}
 }
 
-// TestBatcherMixedTenants drives concurrent predictions across tenants so
-// heterogeneous micro-batches (several models in one drain window) occur,
-// and checks every response against its tenant's uncached baseline.
+// TestBatcherMixedTenants drives concurrent predictions across tenants
+// through one admission stage — two slots, so requests for different models
+// run side by side and wait behind each other — and checks every response
+// against its tenant's uncached baseline, values and bytes.
 func TestBatcherMixedTenants(t *testing.T) {
 	s, reg, samples := tenantServer(t)
+	s.Workers = 2
 	h := s.Handler()
 	base := reg.Base()
 
 	// Uncached baselines straight from each tenant's view.
 	ids := []string{"", "alpha", "beta"}
 	want := make(map[string][][]float64)
+	wantBytes := make(map[string][][]byte)
 	for _, id := range ids {
 		m := base
 		if id != "" {
@@ -314,8 +318,11 @@ func TestBatcherMixedTenants(t *testing.T) {
 			m = v
 		}
 		preds := make([][]float64, 6)
+		plain := New(m).Handler() // serve.New around the tenant's view: no stage, no cache
 		for i := range preds {
 			preds[i] = m.PredictSubPlans(samples[i].Plan)
+			_, resp := postPredict(t, plain, planBody(t, samples[i].Plan))
+			wantBytes[id] = append(wantBytes[id], resp)
 		}
 		want[id] = preds
 	}
@@ -339,6 +346,9 @@ func TestBatcherMixedTenants(t *testing.T) {
 		r := <-results
 		if r.code != http.StatusOK {
 			t.Fatalf("tenant %q plan %d: status %d", r.id, r.i, r.code)
+		}
+		if !bytes.Equal(r.resp, wantBytes[r.id][r.i]) {
+			t.Fatalf("tenant %q plan %d: response bytes diverged from serve.New on the tenant's view", r.id, r.i)
 		}
 		var got Prediction
 		if err := json.Unmarshal(r.resp, &got); err != nil {

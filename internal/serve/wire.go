@@ -294,8 +294,8 @@ func (s *Server) predsForFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error)
 	return s.inferFlat(f, tc)
 }
 
-// inferFlat runs one uncached forward pass for a flat plan, through the
-// micro-batcher when enabled. f stays the caller's: both branches are done
+// inferFlat runs one uncached forward pass for a flat plan, behind the
+// admission stage when enabled. f stays the caller's: both branches are done
 // with it when they return.
 func (s *Server) inferFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
 	if s.bat != nil {

@@ -80,8 +80,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // CounterFunc registers a counter series whose value is sampled from fn at
-// scrape time — the bridge to subsystems that already keep their own atomic
-// counters (servecache, the micro-batcher, the feedback store): exposing
+// scrape time — the bridge to subsystems that already keep their own
+// counters (servecache, the admission stage, the feedback store): exposing
 // them costs their hot paths nothing.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.add(name, help, kindCounter, &series{cf: fn}, labels)
@@ -128,18 +128,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 func LatencyBounds() []float64 {
 	out := make([]float64, 0, 14)
 	for e := -20; e <= 6; e += 2 {
-		out = append(out, math.Ldexp(1, e))
-	}
-	return out
-}
-
-// SizeBounds is the exposition ladder for small-count histograms (batch
-// sizes, queue depths): powers of two 1..1024. A count equal to a bound
-// lands in the next bucket (internal edges are exclusive above), so these
-// buckets read as "< bound" at the edges — fine for monitoring.
-func SizeBounds() []float64 {
-	out := make([]float64, 0, 11)
-	for e := 0; e <= 10; e++ {
 		out = append(out, math.Ldexp(1, e))
 	}
 	return out

@@ -19,8 +19,8 @@
 //   - Scrape-time work (merging shards, cumulative bucket sums, text
 //     encoding) happens only when /metrics is read.
 //
-// Existing subsystems that already keep their own atomic counters
-// (servecache, the micro-batcher, the feedback store) are exposed through
+// Existing subsystems that already keep their own counters
+// (servecache, the admission stage, the feedback store) are exposed through
 // CounterFunc/GaugeFunc collectors that sample those counters at scrape
 // time, so enabling telemetry adds zero work to their hot paths.
 package telemetry
