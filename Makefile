@@ -7,7 +7,7 @@ GO ?= go
 # detector.
 RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
-.PHONY: all fmt vet build check-paths test race bench benchmark ci load-smoke
+.PHONY: all fmt vet build build-arm64 check-paths test race bench bench-kernels benchmark ci load-smoke
 
 all: ci
 
@@ -21,16 +21,25 @@ vet:
 build:
 	$(GO) build ./...
 
+# The generic kernel bodies are the only path off amd64: prove they compile
+# there (the native vet's asmdecl pass covers the amd64 stubs).
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn/...
+
 # The single-inference-path invariants, checked by grep: serving never turns
 # a decoded plan back into a *plan.Node tree, core's inference side never
 # touches the autodiff tape (training reaches it through nn.GradPool), and the
 # admission stage stays work-conserving — no timer to linger on and no
 # goroutine to hand a request to, so a miss runs on its handler's goroutine.
+# And the kernel assembly never fuses a multiply into an add: FMA rounds once
+# where the Go loops round twice, which would break bitwise equality.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
-		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go)"; \
-	if [ -n "$$bad" ]; then echo "single inference path violated:"; echo "$$bad"; exit 1; fi
+		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go; \
+		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s)"; \
+	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -74,9 +83,13 @@ load-smoke:
 bench-score:
 	$(GO) run ./cmd/bench -quick -only score
 
+# The SIMD primitives against their Go bodies on the shapes one forward runs.
+bench-kernels:
+	$(GO) test -run '^$$' -bench BenchmarkKernels ./internal/nn
+
 # The raw go-test benchmarks (heavier; regenerates paper artifacts too with
 # `-bench .`).
 bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkPredictBatch' -benchtime 3x .
 
-ci: fmt vet build check-paths test race
+ci: fmt vet build build-arm64 check-paths test race

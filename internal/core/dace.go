@@ -395,40 +395,58 @@ func (m *Model) forwardRaw(a *nn.Arena, enc *featurize.Encoded, queryRows, hidde
 	if hiddenLayer == attentionOnly {
 		return nil, h
 	}
+	last := len(m.MLP) - 1
 	for i, l := range m.MLP {
 		next := a.Matrix(queryRows, l.Out())
 		nn.MatMulInto(next, h, l.W.Value)
-		for r := 0; r < queryRows; r++ {
-			row := next.Data[r*next.Cols : (r+1)*next.Cols]
-			for j, b := range l.B.Value.Data {
-				row[j] += b
-			}
-		}
+		var ad []float64
 		if m.lora != nil {
 			down := a.Matrix(queryRows, m.lora[i].Rank)
 			nn.MatMulInto(down, h, m.lora[i].Down.Value)
-			ad := a.Matrix(queryRows, l.Out())
-			nn.MatMulInto(ad, down, m.lora[i].Up.Value)
-			nn.ScaleInPlace(ad, m.lora[i].Scale)
-			nn.AddInPlace(next, ad)
+			up := a.Matrix(queryRows, l.Out())
+			nn.MatMulInto(up, down, m.lora[i].Up.Value)
+			nn.ScaleInPlace(up, m.lora[i].Scale)
+			ad = up.Data
 		}
+		finishLayer(next.Data, l.B.Value.Data, ad, i != last)
 		h = next
-		if i != len(m.MLP)-1 {
-			for j, hv := range h.Data {
-				if hv < 0 {
-					h.Data[j] = 0
-				}
-			}
-			if i == hiddenLayer {
-				hidden = h
-			}
+		if i == hiddenLayer && i != last {
+			hidden = h
 		}
 	}
 	// Cost-correction residual: add γ·scaled_cost per row.
+	gamma := m.Gamma.Value.Data[0]
 	for r := range h.Data {
-		h.Data[r] += m.Gamma.Value.Data[0] * enc.CostCol.Data[r]
+		h.Data[r] += gamma * enc.CostCol.Data[r]
 	}
 	return h, hidden
+}
+
+// finishLayer completes one MLP layer in a single pass over its rows: per
+// element the bias add, then the scaled adapter term when ad is non-nil,
+// then ReLU when relu is set — the operations, and the order, of the tape's
+// Dense, LoRA and ReLU ops. The clamp is a select on the value's bits
+// rather than a branch on its sign, which is a coin flip per element;
+// v < -Inf is never true, so layers without ReLU run the same loop.
+func finishLayer(out, bias, ad []float64, relu bool) {
+	floor := math.Inf(-1)
+	if relu {
+		floor = 0
+	}
+	for r := 0; r < len(out); r += len(bias) {
+		row := out[r : r+len(bias)]
+		for j, b := range bias {
+			v := row[j] + b
+			if ad != nil {
+				v += ad[r+j]
+			}
+			bits := math.Float64bits(v)
+			if v < floor {
+				bits = 0
+			}
+			row[j] = math.Float64frombits(bits)
+		}
+	}
 }
 
 // Predict returns the estimated execution time (ms) of the plan's root —

@@ -123,33 +123,13 @@ func MatMulSpansInto(dst, a, b *Matrix, spans []Span) {
 	}
 	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
-		sp := spans[i]
+		lo, hi := int(spans[i].Lo), int(spans[i].Hi)
+		if lo >= hi {
+			continue
+		}
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		// Four span columns per pass with a temp chain: every orow[x]
-		// accumulates its terms in ascending j order, as in the simple loop.
-		j := sp.Lo
-		for ; j+4 <= sp.Hi; j += 4 {
-			a0, a1, a2, a3 := arow[j], arow[j+1], arow[j+2], arow[j+3]
-			b0 := b.Data[int(j)*bc : int(j)*bc+bc][:len(orow)]
-			b1 := b.Data[int(j+1)*bc : int(j+1)*bc+bc][:len(orow)]
-			b2 := b.Data[int(j+2)*bc : int(j+2)*bc+bc][:len(orow)]
-			b3 := b.Data[int(j+3)*bc : int(j+3)*bc+bc][:len(orow)]
-			for x := range orow {
-				s := orow[x] + a0*b0[x]
-				s += a1 * b1[x]
-				s += a2 * b2[x]
-				s += a3 * b3[x]
-				orow[x] = s
-			}
-		}
-		for ; j < sp.Hi; j++ {
-			av := arow[j]
-			brow := b.Data[int(j)*bc : int(j)*bc+bc][:len(orow)]
-			for x := range orow {
-				orow[x] += av * brow[x]
-			}
-		}
+		panel(orow, arow[lo:hi], 1, b.Data[lo*bc:], bc, hi-lo)
 	}
 }
 
@@ -310,19 +290,15 @@ func ProjectOneHotInto(dst, x, w *Matrix, types []int, hot int) {
 	}
 	wc := w.Cols
 	w0 := w.Data[hot*wc : hot*wc+wc]
-	w1 := w.Data[(hot+1)*wc : (hot+1)*wc+wc][:len(w0)]
+	w1 := w.Data[(hot+1)*wc : (hot+1)*wc+wc]
 	for i := 0; i < x.Rows; i++ {
 		ty := types[i]
-		wt := w.Data[ty*wc : ty*wc+wc][:len(w0)]
+		// Sliced here, in Go, so an out-of-range type panics before any
+		// kernel sees an address.
+		wt := w.Data[ty*wc : ty*wc+wc]
 		c0 := x.Data[i*x.Cols+hot]
 		c1 := x.Data[i*x.Cols+hot+1]
-		orow := dst.Data[i*wc : i*wc+wc][:len(w0)]
-		for j := range orow {
-			s := wt[j]
-			s += c0 * w0[j]
-			s += c1 * w1[j]
-			orow[j] = s
-		}
+		oneHotRow(dst.Data[i*wc:i*wc+wc], wt, w0, w1, c0, c1)
 	}
 }
 

@@ -85,7 +85,8 @@ func (m *Matrix) shape() string { return fmt.Sprintf("%d×%d", m.Rows, m.Cols) }
 // instead, which skip whole masked regions rather than testing elements.
 
 // MatMulInto accumulates a·b into dst (dst must be pre-zeroed for a plain
-// product). dst must not alias a or b.
+// product). dst must not alias a or b. Each dst row is one panel call, its
+// terms added in ascending k order.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %s · %s", a.shape(), b.shape()))
@@ -93,35 +94,10 @@ func MatMulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulInto dst %s for %s · %s", dst.shape(), a.shape(), b.shape()))
 	}
-	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		// Four b-rows per pass with a scalar temp chain: each orow[j] sees
-		// the same adds in the same k order as the simple loop, but is
-		// loaded and stored once per pass instead of once per k.
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Data[k*bc : k*bc+bc][:len(orow)]
-			b1 := b.Data[(k+1)*bc : (k+1)*bc+bc][:len(orow)]
-			b2 := b.Data[(k+2)*bc : (k+2)*bc+bc][:len(orow)]
-			b3 := b.Data[(k+3)*bc : (k+3)*bc+bc][:len(orow)]
-			for j := range orow {
-				s := orow[j] + a0*b0[j]
-				s += a1 * b1[j]
-				s += a2 * b2[j]
-				s += a3 * b3[j]
-				orow[j] = s
-			}
-		}
-		for ; k < len(arow); k++ {
-			av := arow[k]
-			brow := b.Data[k*bc : k*bc+bc][:len(orow)]
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
+		panel(orow, arow, 1, b.Data, b.Cols, len(arow))
 	}
 }
 
@@ -133,7 +109,9 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransAInto accumulates aᵀ·b into dst (pre-zero dst for a plain
-// product). dst must not alias a or b.
+// product). dst must not alias a or b. Row i of dst is one panel call that
+// walks column i of a, so every dst element accumulates its k-terms in
+// ascending k order.
 func MatMulTransAInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulTransA shape mismatch %sᵀ · %s", a.shape(), b.shape()))
@@ -141,41 +119,12 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulTransAInto dst %s for %sᵀ · %s", dst.shape(), a.shape(), b.shape()))
 	}
-	ac, bc, dc := a.Cols, b.Cols, dst.Cols
-	// Four a/b-row pairs per pass with a temp chain: every dst element
-	// accumulates its k-terms in ascending k order, exactly like the simple
-	// loop, with a quarter of the dst traffic.
-	k := 0
-	for ; k+4 <= a.Rows; k += 4 {
-		a0 := a.Data[k*ac : k*ac+ac]
-		a1 := a.Data[(k+1)*ac : (k+1)*ac+ac][:len(a0)]
-		a2 := a.Data[(k+2)*ac : (k+2)*ac+ac][:len(a0)]
-		a3 := a.Data[(k+3)*ac : (k+3)*ac+ac][:len(a0)]
-		b0 := b.Data[k*bc : k*bc+bc]
-		b1 := b.Data[(k+1)*bc : (k+1)*bc+bc][:len(b0)]
-		b2 := b.Data[(k+2)*bc : (k+2)*bc+bc][:len(b0)]
-		b3 := b.Data[(k+3)*bc : (k+3)*bc+bc][:len(b0)]
-		for i := range a0 {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			orow := dst.Data[i*dc : i*dc+dc][:len(b0)]
-			for j := range orow {
-				s := orow[j] + v0*b0[j]
-				s += v1 * b1[j]
-				s += v2 * b2[j]
-				s += v3 * b3[j]
-				orow[j] = s
-			}
-		}
+	if a.Rows == 0 {
+		return
 	}
-	for ; k < a.Rows; k++ {
-		arow := a.Data[k*ac : k*ac+ac]
-		brow := b.Data[k*bc : k*bc+bc]
-		for i, av := range arow {
-			orow := dst.Data[i*dc : i*dc+dc][:len(brow)]
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
+	for i := 0; i < a.Cols; i++ {
+		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		panel(orow, a.Data[i:], a.Cols, b.Data, b.Cols, a.Rows)
 	}
 }
 

@@ -1,0 +1,70 @@
+package nn
+
+// useAVX2 is the one dispatch point of the kernel layer: set once at package
+// init from the CPU and the OS, read by panel and oneHotRow, never written
+// again. There is deliberately no way to set it from outside — both paths
+// produce the same bits, so there is nothing to choose.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM halves across context switches (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits
+// 1–2, CPUID.7:EBX AVX2). The kernels' 256-bit multiply, add and broadcast
+// are AVX encodings; AVX2 is the gate because it is the generation they
+// were measured on, and a decade of hardware has both.
+func detectAVX2() bool {
+	const osxsave, avx, avx2, xmmYmm = 1 << 27, 1 << 28, 1 << 5, 0b110
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&xmmYmm != xmmYmm {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+// panelAVX2 runs panel over dst[0:n) for n a positive multiple of 4 and
+// k ≥ 1. It checks nothing: the caller has proven every address in range.
+//
+//go:noescape
+func panelAVX2(dst, a *float64, as int, b *float64, bc, k, n int)
+
+// oneHotRowAVX2 runs oneHotRow over [0:n) of each operand for n a positive
+// multiple of 4. It checks nothing.
+//
+//go:noescape
+func oneHotRowAVX2(dst, wt, w0, w1 *float64, c0, c1 float64, n int)
+
+// panel accumulates dst[j] += Σ_k a[k·as]·b[k·bc+j] for k = 0..k-1 in
+// ascending order. dst must not alias a or b. The assembly has no bounds
+// checks, so the furthest element it will read of a and of b is indexed
+// here first — a short operand panics in Go exactly as the generic loop
+// would — and only then are the base addresses taken.
+func panel(dst, a []float64, as int, b []float64, bc, k int) {
+	if n := len(dst) &^ 3; useAVX2 && n > 0 && k > 0 {
+		if as < 0 || bc < 0 {
+			panic("nn: negative kernel stride")
+		}
+		_, _ = a[(k-1)*as], b[(k-1)*bc+len(dst)-1]
+		panelAVX2(&dst[0], &a[0], as, &b[0], bc, k, n)
+		dst, b = dst[n:], b[n:]
+	}
+	panelGeneric(dst, a, as, b, bc, k)
+}
+
+// oneHotRow writes dst[j] = (wt[j] + c0·w0[j]) + c1·w1[j]; wt, w0 and w1
+// hold at least len(dst) elements and must not alias dst.
+func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
+	wt, w0, w1 = wt[:len(dst)], w0[:len(dst)], w1[:len(dst)]
+	if n := len(dst) &^ 3; useAVX2 && n > 0 {
+		oneHotRowAVX2(&dst[0], &wt[0], &w0[0], &w1[0], c0, c1, n)
+		dst, wt, w0, w1 = dst[n:], wt[n:], w0[n:], w1[n:]
+	}
+	oneHotRowGeneric(dst, wt, w0, w1, c0, c1)
+}

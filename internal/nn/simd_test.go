@@ -1,0 +1,363 @@
+package nn
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// kernelSizes straddles every block boundary of the assembly (4, 8, 16, 32
+// columns) and the model's own shapes.
+var kernelSizes = []int{0, 1, 3, 4, 5, 7, 8, 15, 16, 17, 64, 128, 129}
+
+// sentinel surrounds every destination; a kernel that writes outside its
+// row changes one.
+var sentinel = math.Float64frombits(0x7ff8dead0badf00d)
+
+var kernelSpecials = []float64{
+	0, math.Copysign(0, -1), 1, -1,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, // denormals
+	math.Inf(1), math.Inf(-1),
+	math.MaxFloat64, -math.MaxFloat64, 1e300, 1e-300, 0x1p-1022,
+}
+
+// fillMixed writes ordinary magnitudes interleaved with the IEEE-754 corner
+// values, so sums overflow, cancel to ±0 and turn into NaN along the way.
+func fillMixed(rng *rand.Rand, s []float64) {
+	for i := range s {
+		if rng.Intn(6) == 0 {
+			s[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+		} else {
+			s[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+	}
+}
+
+// unaligned returns n mixed values whose first element sits off bytes·8
+// past an allocation boundary, so 32-byte vector accesses are misaligned.
+func unaligned(rng *rand.Rand, n, off int) []float64 {
+	s := make([]float64, off+n)[off:]
+	fillMixed(rng, s)
+	return s
+}
+
+// poisoned returns a copy of init embedded in a sentinel-filled buffer, and
+// the buffer.
+func poisoned(init []float64, off int) (dst, buf []float64) {
+	buf = make([]float64, off+len(init)+9)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	dst = buf[off : off+len(init) : off+len(init)]
+	copy(dst, init)
+	return dst, buf
+}
+
+func checkGuards(t *testing.T, what string, buf []float64, off, n int) {
+	t.Helper()
+	for i, v := range buf {
+		if (i < off || i >= off+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
+			t.Fatalf("%s: wrote outside its destination at buffer index %d (dst is [%d,%d))", what, i, off, off+n)
+		}
+	}
+}
+
+// sameBits is math.Float64bits equality, except that any NaN matches any
+// NaN: which operand's payload survives NaN+NaN depends on the instruction's
+// operand order, which neither the compiler nor DESIGN §7 promises.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+func checkSame(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// comparePanel runs panel and panelGeneric on identical poisoned copies.
+func comparePanel(t *testing.T, init, a []float64, as int, b []float64, bc, k, off int) {
+	t.Helper()
+	what := fmt.Sprintf("panel k=%d cols=%d as=%d bc=%d off=%d", k, len(init), as, bc, off)
+	want, _ := poisoned(init, off)
+	panelGeneric(want, a, as, b, bc, k)
+	got, buf := poisoned(init, off)
+	panel(got, a, as, b, bc, k)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, len(init))
+}
+
+func compareOneHotRow(t *testing.T, wt, w0, w1 []float64, c0, c1 float64, off int) {
+	t.Helper()
+	what := fmt.Sprintf("oneHotRow cols=%d off=%d", len(wt), off)
+	init := make([]float64, len(wt))
+	want, _ := poisoned(init, off)
+	oneHotRowGeneric(want, wt, w0, w1, c0, c1)
+	got, buf := poisoned(init, off)
+	oneHotRow(got, wt, w0, w1, c0, c1)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, len(init))
+}
+
+// TestKernelsSIMDMatchGeneric pins the assembly to the Go bodies bit for
+// bit, and the exported kernels built on them to the textbook loops, over
+// every block-boundary shape, misaligned operands and IEEE corner values.
+func TestKernelsSIMDMatchGeneric(t *testing.T) {
+	t.Run("simd", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2: the generic bodies are the only kernels on this host")
+		}
+		rng := rand.New(rand.NewSource(15))
+		for _, k := range kernelSizes {
+			for _, cols := range kernelSizes {
+				for _, as := range []int{1, 3} {
+					for _, pad := range []int{0, 5} {
+						bc, off := cols+pad, 1+2*rng.Intn(2)
+						a := unaligned(rng, max(k-1, 0)*as+min(k, 1), off)
+						b := unaligned(rng, max(k-1, 0)*bc+min(k, 1)*cols, 4-off)
+						comparePanel(t, unaligned(rng, cols, 0), a, as, b, bc, k, off)
+					}
+				}
+			}
+		}
+		for _, cols := range kernelSizes {
+			for off := 0; off < 4; off++ {
+				wt, w0, w1 := unaligned(rng, cols, off), unaligned(rng, cols+2, 1), unaligned(rng, cols, 3)
+				c := unaligned(rng, 2, 0)
+				compareOneHotRow(t, wt, w0, w1, c[0], c[1], off)
+			}
+		}
+	})
+
+	// The exported kernels against the simple loops DESIGN §7 defines them
+	// by; runs on every host, through whichever path the host dispatches to.
+	mat := func(rng *rand.Rand, rows, cols int) (*Matrix, []float64) {
+		off := 1 + 2*rng.Intn(2)
+		data, buf := poisoned(unaligned(rng, rows*cols, 0), off)
+		return &Matrix{Rows: rows, Cols: cols, Data: data}, buf
+	}
+	guards := func(t *testing.T, what string, m *Matrix, buf []float64) {
+		t.Helper()
+		checkGuards(t, what, buf, len(buf)-len(m.Data)-9, len(m.Data))
+	}
+	t.Run("exported", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for _, rows := range kernelSizes {
+			for _, k := range kernelSizes {
+				for _, cols := range kernelSizes {
+					what := fmt.Sprintf("%d×%d×%d", rows, k, cols)
+					a, _ := mat(rng, rows, k)
+					at, _ := mat(rng, k, rows)
+					b, _ := mat(rng, k, cols)
+					dst, buf := mat(rng, rows, cols)
+					init := append([]float64(nil), dst.Data...)
+
+					want := append([]float64(nil), init...)
+					for i := 0; i < rows; i++ {
+						for x := 0; x < k; x++ {
+							for j := 0; j < cols; j++ {
+								want[i*cols+j] += a.Data[i*k+x] * b.Data[x*cols+j]
+							}
+						}
+					}
+					MatMulInto(dst, a, b)
+					checkSame(t, "MatMulInto "+what, dst.Data, want)
+					guards(t, "MatMulInto "+what, dst, buf)
+
+					copy(want, init)
+					for i := 0; i < rows; i++ {
+						for x := 0; x < k; x++ {
+							for j := 0; j < cols; j++ {
+								want[i*cols+j] += at.Data[x*rows+i] * b.Data[x*cols+j]
+							}
+						}
+					}
+					copy(dst.Data, init)
+					MatMulTransAInto(dst, at, b)
+					checkSame(t, "MatMulTransAInto "+what, dst.Data, want)
+					guards(t, "MatMulTransAInto "+what, dst, buf)
+
+					if k == 0 {
+						continue // a span needs at least one column
+					}
+					// Spans touching the first column, the last, both, and
+					// random interiors.
+					spans := make([]Span, rows)
+					for i := range spans {
+						switch lo, hi := rng.Intn(k), 1+rng.Intn(k); i % 4 {
+						case 0:
+							spans[i] = Span{0, int32(k)}
+						case 1:
+							spans[i] = Span{0, int32(hi)}
+						case 2:
+							spans[i] = Span{int32(lo), int32(k)}
+						default:
+							spans[i] = Span{int32(min(lo, hi-1)), int32(hi)}
+						}
+					}
+					copy(want, init)
+					for i := 0; i < rows; i++ {
+						for x := int(spans[i].Lo); x < int(spans[i].Hi); x++ {
+							for j := 0; j < cols; j++ {
+								want[i*cols+j] += a.Data[i*k+x] * b.Data[x*cols+j]
+							}
+						}
+					}
+					copy(dst.Data, init)
+					MatMulSpansInto(dst, a, b, spans)
+					checkSame(t, "MatMulSpansInto "+what, dst.Data, want)
+					guards(t, "MatMulSpansInto "+what, dst, buf)
+				}
+			}
+		}
+		for _, rows := range kernelSizes {
+			for _, cols := range kernelSizes {
+				const hot = 5
+				what := fmt.Sprintf("ProjectOneHotInto %d×%d", rows, cols)
+				x, _ := mat(rng, rows, hot+2)
+				w, _ := mat(rng, hot+2, cols)
+				dst, buf := mat(rng, rows, cols)
+				types := make([]int, rows)
+				want := make([]float64, rows*cols)
+				for i := range types {
+					types[i] = rng.Intn(hot)
+					for j := 0; j < cols; j++ {
+						s := w.Data[types[i]*cols+j]
+						s += x.Data[i*x.Cols+hot] * w.Data[hot*cols+j]
+						s += x.Data[i*x.Cols+hot+1] * w.Data[(hot+1)*cols+j]
+						want[i*cols+j] = s
+					}
+				}
+				ProjectOneHotInto(dst, x, w, types, hot)
+				checkSame(t, what, dst.Data, want)
+				guards(t, what, dst, buf)
+			}
+		}
+	})
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected a panic", what)
+		}
+	}()
+	f()
+}
+
+// TestKernelBoundsPanicInGo: the assembly checks nothing, so a bad node
+// type or an operand too short for the shape must die on a Go slice bound
+// in the wrapper, never reach a kernel as an address.
+func TestKernelBoundsPanicInGo(t *testing.T) {
+	for _, ty := range []int{-1, 7, 1 << 40} {
+		mustPanic(t, fmt.Sprintf("ProjectOneHotInto type %d", ty), func() {
+			ProjectOneHotInto(NewMatrix(1, 8), NewMatrix(1, 7), NewMatrix(7, 8), []int{ty}, 5)
+		})
+	}
+	dst := make([]float64, 8)
+	mustPanic(t, "panel short a", func() { panel(dst, make([]float64, 3), 1, make([]float64, 32), 8, 4) })
+	mustPanic(t, "panel short b", func() { panel(dst, make([]float64, 4), 1, make([]float64, 31), 8, 4) })
+	mustPanic(t, "panel short strided a", func() { panel(dst, make([]float64, 9), 3, make([]float64, 32), 8, 4) })
+}
+
+// FuzzKernelsMatchGeneric feeds the primitives arbitrary bit patterns —
+// signalling NaNs and denormals included — at fuzzer-chosen shapes, strides
+// and misalignments.
+func FuzzKernelsMatchGeneric(f *testing.F) {
+	if !useAVX2 {
+		f.Skip("no AVX2: the generic bodies are the only kernels on this host")
+	}
+	f.Add([]byte("lanes run across the output column"), uint8(128), uint8(128), uint8(1), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80}, uint8(5), uint8(39), uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, k8, cols8, as8, off8 uint8) {
+		k, cols, as, off := int(k8)%130, int(cols8)%130, 1+int(as8)%4, int(off8)%4
+		pos := 0
+		next := func(n int) []float64 {
+			s := make([]float64, off+n)[off:]
+			for i := range s {
+				var w [8]byte
+				for j := range w {
+					if len(data) > 0 {
+						w[j] = data[pos%len(data)]
+						pos++
+					}
+				}
+				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+			}
+			return s
+		}
+		bc := cols + int(as8)%3
+		a := next(max(k-1, 0)*as + min(k, 1))
+		b := next(max(k-1, 0)*bc + min(k, 1)*cols)
+		comparePanel(t, next(cols), a, as, b, bc, k, off)
+		c := next(2)
+		compareOneHotRow(t, next(cols), next(cols), next(cols), c[0], c[1], off)
+	})
+}
+
+// BenchmarkKernels times the primitives, Go body against assembly, on the
+// shapes one forward pass runs: the MLP layers for one root row and for a
+// ten-node plan, the LoRA down/up projections at the default ranks, the
+// Q/K/V one-hot projection and the tree-span probabilities·V product.
+func BenchmarkKernels(b *testing.B) {
+	type impl struct {
+		name      string
+		panel     func(dst, a []float64, as int, b []float64, bc, k int)
+		oneHotRow func(dst, wt, w0, w1 []float64, c0, c1 float64)
+	}
+	impls := []impl{{"generic", panelGeneric, oneHotRowGeneric}}
+	if useAVX2 {
+		impls = append(impls, impl{"avx2", panel, oneHotRow})
+	}
+	rng := rand.New(rand.NewSource(1))
+	dense := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+		return s
+	}
+	run := func(name string, flops int, body func(im impl)) {
+		for _, im := range impls {
+			b.Run(name+"/"+im.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					body(im)
+				}
+				b.ReportMetric(float64(flops)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+			})
+		}
+	}
+	for _, s := range []struct{ rows, k, cols int }{
+		{1, 128, 128}, {10, 128, 128}, {10, 128, 64},
+		{10, 128, 32}, {10, 32, 128}, {10, 128, 16}, {10, 16, 64}, {10, 64, 8}, {10, 8, 1},
+	} {
+		a, w, dst := dense(s.rows*s.k), dense(s.k*s.cols), make([]float64, s.rows*s.cols)
+		run(fmt.Sprintf("MatMulInto/%dx%dx%d", s.rows, s.k, s.cols), 2*s.rows*s.k*s.cols, func(im impl) {
+			for i := 0; i < s.rows; i++ {
+				im.panel(dst[i*s.cols:(i+1)*s.cols], a[i*s.k:(i+1)*s.k], 1, w, s.cols, s.k)
+			}
+		})
+	}
+	const rows, cols, hot = 10, 128, 5
+	x, w, dst := dense(rows*(hot+2)), dense((hot+2)*cols), make([]float64, rows*cols)
+	run("ProjectOneHotInto/10x128", 4*rows*cols, func(im impl) {
+		for i := 0; i < rows; i++ {
+			ty := i % hot
+			im.oneHotRow(dst[i*cols:(i+1)*cols], w[ty*cols:(ty+1)*cols], w[hot*cols:(hot+1)*cols], w[(hot+1)*cols:], x[i*(hot+2)+hot], x[i*(hot+2)+hot+1])
+		}
+	})
+	// Pre-order spans of a left-deep ten-node tree: row i attends to [i, 10).
+	probs, v := dense(rows*rows), dense(rows*cols)
+	run("MatMulSpansInto/10-row-tree", 2*cols*rows*(rows+1)/2, func(im impl) {
+		for i := 0; i < rows; i++ {
+			im.panel(dst[i*cols:(i+1)*cols], probs[i*rows+i:(i+1)*rows], 1, v[i*cols:], cols, rows-i)
+		}
+	})
+}
