@@ -7,7 +7,7 @@ GO ?= go
 # detector.
 RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
-.PHONY: all fmt vet build build-arm64 check-paths test race bench bench-kernels benchmark ci load-smoke
+.PHONY: all fmt vet build build-arm64 check-paths test race bench-kernels bench-test benchmark bench-gate ci
 
 all: ci
 
@@ -47,21 +47,6 @@ test:
 race:
 	$(GO) test -race -timeout 45m $(RACE_PKGS)
 
-# The alloc/GC-aware harness: fixed seed, warmup, and ReadMemStats capture.
-# Writes BENCH_<date>.json and prints a Markdown report with deltas against
-# the PR 1 baseline (or -baseline <file>).
-bench:
-	$(GO) run ./cmd/bench -quick
-
-# The CI smoke gate: quick benchmark (serve + tenant + adapt + gateway +
-# score scenarios included) that fails on a >35% throughput regression against
-# the committed baseline JSON, or on memoized candidate scoring dropping
-# below its absolute 5× bar. The baseline records per-scenario floors (min
-# over several runs) — single-core runners jitter ~±30%, and the gate is
-# for catching real regressions, not scheduler noise.
-bench-check:
-	$(GO) run ./cmd/bench -quick -out /tmp/dace-bench-check.json -baseline BENCH_2026-08-09.json -check -max-regress 35
-
 # The repository's performance instrument (BENCHMARK.json, benchmark/README.md):
 # each of the five workloads once, 15 s, untraced, one result JSON line per
 # workload. Add `--out f.jsonl` runs on two commits and `-compare a.jsonl
@@ -69,19 +54,29 @@ bench-check:
 benchmark:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
-# Open-loop load smoke (also part of the default bench-check flow, since an
-# empty -only runs every group): closed-loop capacity probe, open-loop tail
-# at 3× saturation (the coordinated-omission check — fails unless open-loop
-# P99 >= 5× closed-loop P99), and the drift-soak with one mid-flight adapt
-# promotion gated on windowed P99 ratio, post-GC heap slope, and errors.
-# Writes SOAK_<date>.csv / SOAK_<date>.md next to the bench JSON.
-load-smoke:
-	$(GO) run ./cmd/bench -quick -only load -check
-
-# Optimizer-in-the-loop scoring scenarios only: memoized vs unmemoized
-# candidate throughput and DP join-search wall-clock (classic vs DACE).
-bench-score:
-	$(GO) run ./cmd/bench -quick -only score
+# The perf gate: benchmark/ on BASE and on this tree, five alternating runs
+# of all five workloads each, then -compare against BENCHMARK.json's bounds —
+# a regressed, unresolved or missing row exits 1. BASE is measured by its own
+# benchmark/ from a detached worktree, removed on exit (and, if a killed run
+# left one behind, before the next); the two result files stay in
+# .bench_build/ (CI uploads them). Advisory in CI, not blocking: on a shared
+# runner an A/A (BASE=HEAD) exits 1 on `unresolved` rows — EXPERIMENTS.md,
+# "retiring the old bench command"; ROADMAP P0 step 3.
+bench-gate:
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<rev>" >&2; exit 2; }
+	@set -eu; root="$$PWD"; base="$$root/.bench_build/base"; \
+	git worktree remove --force "$$base" 2>/dev/null || true; git worktree prune; \
+	trap 'git -C "$$root" worktree remove --force "$$base" 2>/dev/null || true' EXIT; \
+	git worktree add --detach "$$base" $(BASE); \
+	rm -f .bench_build/base.jsonl .bench_build/head.jsonl; \
+	for i in 1 2 3 4 5; do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			tree="$$root"; if [ $$side = base ]; then tree="$$base"; fi; \
+			bash "$$tree/benchmark/run.sh" --workload all --seed 1 --seconds 15 --trace 0 --out "$$root/.bench_build/$$side.jsonl"; \
+		done; \
+	done; \
+	bash benchmark/run.sh -compare .bench_build/base.jsonl .bench_build/head.jsonl
 
 # The SIMD primitives against their Go bodies on the shapes one forward runs.
 bench-kernels:
@@ -92,4 +87,7 @@ bench-kernels:
 bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkPredictBatch' -benchtime 3x .
 
+# Everything CI's `test` job runs bar the fuzz smokes. The perf gate is not
+# here: it needs a BASE to measure against (`make bench-gate BASE=<rev>`),
+# which CI supplies from the pull request in an advisory job of its own.
 ci: fmt vet build build-arm64 check-paths test race

@@ -81,7 +81,8 @@ func cmdLoadtest(args []string) {
 		})
 		// Note: against a remote target the heap-creep gate watches this
 		// client process, not the server — flat unless the generator itself
-		// leaks. Server-side creep is cmd/bench's in-process soak's job.
+		// leaks. Server-side creep is TestDriftSoakPromotion's job
+		// (internal/serve), which soaks the handler in process.
 		if err := loadgen.WriteSoakMarkdown(&md, *spec, res); err != nil {
 			fatal(err)
 		}

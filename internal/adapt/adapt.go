@@ -55,13 +55,6 @@ type Config struct {
 	// LR and Epochs drive FineTuneLoRA (defaults 2e-3, 12).
 	LR     float64
 	Epochs int
-	// Pace throttles the candidate fine-tune to a bounded CPU duty cycle:
-	// after every optimizer step the trainer sleeps Pace times the step's
-	// compute time (Pace 3 ≈ 25% duty). On hosts where the controller
-	// shares CPUs with the serving path this is what keeps a promotion
-	// from carving a latency cliff into live traffic; the fine-tune just
-	// takes proportionally longer. Zero disables pacing.
-	Pace float64
 	// ModelDir, when set, persists every promotion as a versioned artifact.
 	ModelDir string
 	// Seed drives the train/holdout shuffle (default 1).
@@ -302,12 +295,6 @@ func (c *Controller) recordError(err error) {
 // reached Config.MinSamples.
 var ErrTooFewSamples = errors.New("adapt: not enough feedback samples")
 
-// TriggerNow runs one adaptation attempt synchronously, returning ErrBusy
-// if one is already in flight (POST /adapt/trigger maps that to 409).
-func (c *Controller) TriggerNow() (*Outcome, error) {
-	return c.RunOnce()
-}
-
 // Trigger satisfies serve.Adapter.
 func (c *Controller) Trigger() (any, error) {
 	out, err := c.RunOnce()
@@ -388,30 +375,12 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 		candidate.EnableLoRA()
 	}
 	candidate.Hooks = c.hooks // nil unless EnableMetrics wired instruments
-	if c.cfg.Pace > 0 {
-		candidate.Throttle = pacer(c.cfg.Pace)
-		// The pacer sleeps *between* optimizer steps, so the longest serving
-		// stall a paced fine-tune can cause is one step's unbroken compute —
-		// a full minibatch of forward+backward. Quarter the batch so each
-		// burst shrinks proportionally; total compute is unchanged, the
-		// pacer keeps the same duty cycle over 4× as many steps.
-		if candidate.Cfg.BatchSize <= 0 {
-			candidate.Cfg.BatchSize = 16
-		}
-		if candidate.Cfg.BatchSize > 4 {
-			candidate.Cfg.BatchSize /= 4
-		}
-	}
 	t0 := time.Now()
 	candidate.FineTuneLoRA(trainPlans, c.cfg.LR, c.cfg.Epochs)
 	trainMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
-	var throttle func()
-	if c.cfg.Pace > 0 {
-		throttle = pacer(c.cfg.Pace)
-	}
-	before := holdoutSummary(incumbent, hold, throttle)
-	after := holdoutSummary(candidate, hold, throttle)
+	before := holdoutSummary(incumbent, hold)
+	after := holdoutSummary(candidate, hold)
 
 	out := &Outcome{
 		When:         time.Now().UTC().Format(time.RFC3339),
@@ -479,20 +448,6 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	return out, nil
 }
 
-// pacer returns a Throttle that sleeps factor× the compute time elapsed
-// since the previous step, bounding the fine-tune to a 1/(1+factor) duty
-// cycle without needing to know what a step costs on this machine.
-func pacer(factor float64) func() {
-	last := time.Now()
-	return func() {
-		busy := time.Since(last)
-		if busy > 0 {
-			time.Sleep(time.Duration(float64(busy) * factor))
-		}
-		last = time.Now()
-	}
-}
-
 func (c *Controller) runsSoFar() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -540,17 +495,13 @@ func labeledPlan(s feedback.Sample) *plan.Plan {
 }
 
 // holdoutSummary evaluates m on the holdout split, returning the summary
-// of root q-errors. A non-nil throttle is called between predictions, so a
-// paced controller's gating pass yields the CPU like its fine-tune does.
-func holdoutSummary(m *core.Model, hold []feedback.Sample, throttle func()) metrics.Summary {
+// of root q-errors.
+func holdoutSummary(m *core.Model, hold []feedback.Sample) metrics.Summary {
 	qs := make([]float64, 0, len(hold))
 	for _, s := range hold {
 		est := m.Predict(s.Plan)
 		if est > 0 && s.ActualMS > 0 {
 			qs = append(qs, metrics.QError(est, s.ActualMS))
-		}
-		if throttle != nil {
-			throttle()
 		}
 	}
 	return metrics.Summarize(qs)

@@ -85,17 +85,9 @@ type Model struct {
 
 	// Hooks, when non-nil, observes the training loop (per-epoch loss,
 	// throughput, worker utilization). Nil — the default, and what Clone
-	// resets to — keeps fit exactly as cheap as before: no timestamps, no
-	// loss aggregation, no allocations. Set it before Train/FineTuneLoRA.
+	// resets to — keeps fit exactly as cheap as before: no timestamps and
+	// no allocations. Set it before Train/FineTuneLoRA.
 	Hooks nn.TrainHooks
-
-	// Throttle, when non-nil, is called after every optimizer step. A
-	// background fine-tune sharing CPUs with a serving path installs a
-	// pacer here so training yields between steps instead of monopolizing
-	// the scheduler until the next preemption point — the difference
-	// between a promotion costing a bounded latency bump and a cliff.
-	// Nil (the default) leaves fit untouched.
-	Throttle func()
 }
 
 // NewModel builds an untrained DACE with freshly initialized weights; the
@@ -244,19 +236,9 @@ func Train(plans []*plan.Plan, cfg Config) *Model {
 // are bitwise identical for any worker count and any goroutine schedule.
 func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
 	encoded := make([]*featurize.Encoded, len(plans))
-	if m.Throttle != nil {
-		// A throttled fit is sharing CPUs with a serving path: the encode
-		// prologue must yield just like the step loop does, or it is a
-		// solid multi-hundred-millisecond burst before pacing even starts.
-		for i := range plans {
-			encoded[i] = m.Enc.Encode(plans[i])
-			m.Throttle()
-		}
-	} else {
-		nn.ParallelFor(len(plans), m.Cfg.Workers, func(i int) {
-			encoded[i] = m.Enc.Encode(plans[i])
-		})
-	}
+	nn.ParallelFor(len(plans), m.Cfg.Workers, func(i int) {
+		encoded[i] = m.Enc.Encode(plans[i])
+	})
 	// LoRA fine-tuning: the attention block is frozen, so its per-plan
 	// output is a fixed feature matrix — compute it once and train only the
 	// (adapter-augmented) head over it.
@@ -265,27 +247,20 @@ func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
 		cached = make([]*nn.Matrix, len(encoded))
 		// The cache outlives every per-batch arena cycle of the loop below,
 		// so each attention output is cloned out of the scratch arena.
-		attend := func(i int) {
+		nn.ParallelFor(len(encoded), m.Cfg.Workers, func(i int) {
 			s := scratchPool.Get().(*scratch)
 			s.arena.Reset()
 			_, h := m.forwardRaw(&s.arena, encoded[i], encoded[i].X.Rows, attentionOnly)
 			cached[i] = h.Clone()
 			scratchPool.Put(s)
-		}
-		if m.Throttle != nil {
-			for i := range encoded {
-				attend(i)
-				m.Throttle()
-			}
-		} else {
-			nn.ParallelFor(len(encoded), m.Cfg.Workers, attend)
-		}
+		})
 	}
 	params := m.Params()
 	opt := nn.NewAdam(params, lr)
 	pool := nn.NewGradPool(params, m.Cfg.Workers)
 	// Instrumentation is armed only when hooks are installed; the nil-hook
-	// path skips every timestamp and accumulation below.
+	// path skips every timestamp below (the epoch loss is summed either way:
+	// one add per minibatch).
 	hooks := m.Hooks
 	pool.Timing = hooks != nil
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 7))
@@ -314,14 +289,9 @@ func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
 				}
 				return m.loss(t, encoded[idxs[i]], h)
 			})
-			if hooks != nil {
-				epochLoss += loss
-			}
+			epochLoss += loss
 			nn.ClipGradNorm(params, 5)
 			opt.Step()
-			if m.Throttle != nil {
-				m.Throttle()
-			}
 		}
 		if hooks != nil {
 			dur := time.Since(epochStart)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,10 +45,17 @@ type fleet struct {
 
 func newFleet(t *testing.T, m *core.Model, n int, mut ...func(int, *serve.Server)) *fleet {
 	t.Helper()
+	return newFleetConfig(t, m, n, serve.Config{}, mut...)
+}
+
+// newFleetConfig is newFleet with the replicas' pipeline configured, for
+// tests that read the replicas' cache counters.
+func newFleetConfig(t *testing.T, m *core.Model, n int, cfg serve.Config, mut ...func(int, *serve.Server)) *fleet {
+	t.Helper()
 	f := &fleet{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		s := serve.New(m)
+		s := serve.NewWithConfig(m, cfg)
 		for _, fn := range mut {
 			fn(i, s)
 		}
@@ -199,33 +208,86 @@ func TestGatewayBatchMatchesDirect(t *testing.T) {
 
 // TestGatewayKillReplicaZeroFailures: killing a replica mid-stream must
 // not fail a single request — the transport error ejects it and the
-// request retries on the remapped ring.
+// request retries on the remapped ring. The kill lands while 16 clients
+// are mid-stream, so requests in flight on the dying replica see their
+// connection reset and later ones a dead listener; every response must
+// still be 200 and byte-equal to what a replica answers directly.
 func TestGatewayKillReplicaZeroFailures(t *testing.T) {
 	m, samples := trainedModel(t)
 	f := newFleet(t, m, 3)
 
 	bodies := make([][]byte, 8)
+	want := make([][]byte, len(bodies))
 	for i := range bodies {
 		var err error
 		if bodies[i], err = plan.AppendBinary(nil, samples[i].Plan); err != nil {
 			t.Fatal(err)
 		}
+		st, _, resp := post(t, f.backends[0].URL+"/predict", plan.BinaryContentType, bodies[i])
+		if st != http.StatusOK {
+			t.Fatalf("direct plan %d: status %d: %s", i, st, resp)
+		}
+		want[i] = resp
 	}
 	send := func() {
 		t.Helper()
 		for i, b := range bodies {
 			st, _, resp := post(t, f.front.URL+"/predict", plan.BinaryContentType, b)
-			if st != http.StatusOK {
-				t.Fatalf("plan %d: status %d: %s", i, st, resp)
+			if st != http.StatusOK || !bytes.Equal(resp, want[i]) {
+				t.Fatalf("plan %d: status %d, direct-equal %v: %s", i, st, bytes.Equal(resp, want[i]), resp)
 			}
 		}
 	}
 	send() // warm: all replicas healthy
 
-	// Kill one replica abruptly (no graceful drain).
-	f.backends[1].CloseClientConnections()
-	f.backends[1].Close()
-	send() // every request must still succeed via eject + retry
+	// Kill one replica abruptly (no graceful drain) once a third of the
+	// concurrent phase's requests are in.
+	const clients, total = 16, 16 * 40
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	var next atomic.Int64
+	var kill sync.Once
+	var wg, killed sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= total {
+					return
+				}
+				if n >= total/3 {
+					kill.Do(func() {
+						killed.Add(1)
+						go func() {
+							defer killed.Done()
+							f.backends[1].CloseClientConnections()
+							f.backends[1].Close()
+						}()
+					})
+				}
+				i := n % len(bodies)
+				resp, err := client.Post(f.front.URL+"/predict", plan.BinaryContentType, bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Errorf("request %d: %v", n, err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want[i]) {
+					t.Errorf("request %d (plan %d): status %d, read error %v, direct-equal %v",
+						n, i, resp.StatusCode, err, bytes.Equal(got, want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	killed.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -401,20 +463,55 @@ func TestGatewayEmptyBatch(t *testing.T) {
 
 // TestGatewayShardDistribution: with enough distinct plans and several
 // replicas, every replica serves some traffic (the consistent-hash split
-// is balanced enough that none sits idle).
+// is balanced enough that none sits idle), and routing has affinity: every
+// repeat of a plan lands on the replica that saw it first, so each
+// replica's body cache hits on exactly the repeats of the plans it missed
+// on once.
 func TestGatewayShardDistribution(t *testing.T) {
 	m, samples := trainedModel(t)
-	f := newFleet(t, m, 4)
+	f := newFleetConfig(t, m, 4, serve.Config{CacheSize: 256})
+	const repeats = 3
+	distinct := map[string]bool{}
+	var bodies [][]byte
 	for i := 0; i < 60 && i < len(samples); i++ {
-		b := planJSON(t, samples[i].Plan)
-		if st, _, resp := post(t, f.front.URL+"/predict", "application/json", b); st != http.StatusOK {
-			t.Fatalf("plan %d: %d %s", i, st, resp)
+		if b := planJSON(t, samples[i].Plan); !distinct[string(b)] {
+			distinct[string(b)] = true
+			bodies = append(bodies, b)
+		}
+	}
+	for r := 0; r < repeats; r++ {
+		for i, b := range bodies {
+			if st, _, resp := post(t, f.front.URL+"/predict", "application/json", b); st != http.StatusOK {
+				t.Fatalf("plan %d: %d %s", i, st, resp)
+			}
 		}
 	}
 	for _, rh := range f.gw.Replicas() {
 		if rh.Requests == 0 {
-			t.Errorf("replica %s served no traffic across 60 distinct plans", rh.Name)
+			t.Errorf("replica %s served no traffic across %d distinct plans", rh.Name, len(bodies))
 		}
+	}
+	var hits, misses uint64
+	for i, b := range f.backends {
+		resp, err := http.Get(b.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h serve.Health
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil || h.BodyCache == nil {
+			t.Fatalf("replica %d health: %v (body cache %v)", i, err, h.BodyCache)
+		}
+		if h.BodyCache.Hits != (repeats-1)*h.BodyCache.Misses {
+			t.Errorf("replica %d: %d body-cache hits for %d first sights, want %d — a plan's repeats reached two replicas",
+				i, h.BodyCache.Hits, h.BodyCache.Misses, (repeats-1)*h.BodyCache.Misses)
+		}
+		hits, misses = hits+h.BodyCache.Hits, misses+h.BodyCache.Misses
+	}
+	if n := uint64(len(bodies)); misses != n || hits != n*(repeats-1) {
+		t.Errorf("fleet body caches: %d misses / %d hits for %d plans × %d sends, want %d / %d",
+			misses, hits, n, repeats, n, n*(repeats-1))
 	}
 }
 

@@ -173,7 +173,7 @@ func (r *Runner) Run() Result {
 // Run is the one-shot convenience wrapper around NewRunner(...).Run().
 func Run(opt Options) Result { return NewRunner(opt).Run() }
 
-// ClosedLoop measures the same target the way cmd/bench's serve scenarios
+// ClosedLoop measures the same target the way benchmark/'s serve workloads
 // do: `clients` goroutines in a tight request/response loop, `total`
 // requests, latency measured from each request's *send* (not from a
 // schedule). It exists as the comparison arm for coordinated-omission

@@ -6,7 +6,7 @@
 // The generator is open-loop: request arrival times are drawn from a target
 // schedule (constant, ramp, sine, or replay) fixed before the run, never
 // from response completions. A closed-loop harness — N clients in a
-// request/response loop, like cmd/bench's serve scenarios — silently stops
+// request/response loop, like benchmark/'s serve workloads — silently stops
 // *sending* while the server is slow, so every stall removes exactly the
 // samples that would have shown it: the coordinated-omission trap. Here the
 // clock keeps ticking; each request's latency is measured from its
@@ -117,7 +117,7 @@ func (t *HTTPTarget) Do(req *Request) (Response, error) {
 
 // HandlerTarget drives an http.Handler in-process: the full serving
 // pipeline (decode, caches, admission, model) without kernel sockets. This
-// is what the coordinated-omission tests and the bench load scenarios use
+// is what the loadgen tests and internal/serve's drift-soak test use
 // — the measured path is the server's, not the loopback stack's. The
 // response body is discarded as it is written.
 type HandlerTarget struct {

@@ -137,7 +137,7 @@ func Soak(cfg SoakConfig) SoakResult {
 	for _, ev := range cfg.Events {
 		ev := ev
 		timers = append(timers, time.AfterFunc(ev.After, func() {
-			// Record at fire time, not completion: a slow Do (a paced
+			// Record at fire time, not completion: a slow Do (a
 			// fine-tune, a staged restart) must annotate the window its
 			// effects started in, not whichever one it happened to end in.
 			at := time.Since(start)

@@ -193,16 +193,42 @@ func daceScorer(t *testing.T, db *schema.Database) *core.Scorer {
 	return core.NewScorer(core.Train(dataset.Plans(samples), cfg))
 }
 
+// checkedScorer is a core.Scorer as the planner sees it, with every score
+// the DP asks for — candidates it goes on to reject included — compared
+// bitwise against the unmemoized root prediction for that candidate.
+type checkedScorer struct {
+	t       *testing.T
+	sc      *core.Scorer
+	ref     []float64
+	checked int
+}
+
+func (c *checkedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node) []float64 {
+	base := len(buf)
+	buf = c.sc.AppendScoreCandidates(buf, cands)
+	for i, cand := range cands {
+		c.ref = c.sc.Model().AppendPredictSubPlans(c.ref[:0], &plan.Plan{Root: cand})
+		if got := buf[base+i]; math.Float64bits(got) != math.Float64bits(c.ref[0]) {
+			c.t.Fatalf("DP candidate %d: memoized score %v != unmemoized root prediction %v",
+				c.checked+i, got, c.ref[0])
+		}
+	}
+	c.checked += len(cands)
+	return buf
+}
+
 // TestDACEGuidedPlanningDeterministic is the end-to-end loop: a real
 // core.Scorer as the planner's cost model. Plans must validate and be
 // reproducible run-to-run — including across scorer Reset (memoized scores
-// are bitwise-identical to unmemoized, so cache state cannot steer the DP).
+// are bitwise-identical to unmemoized on the candidate stream the DP
+// actually prices, so cache state cannot steer the DP).
 func TestDACEGuidedPlanningDeterministic(t *testing.T) {
 	db := schema.IMDB()
 	sc := daceScorer(t, db)
 	qs := workload.Complex(db, 25, 19)
 	pl := optimizer.New(db)
-	pl.CostModel = sc
+	checked := &checkedScorer{t: t, sc: sc}
+	pl.CostModel = checked
 	first := fingerprints(t, pl, qs)
 	sc.Reset()
 	second := fingerprints(t, pl, qs)
@@ -212,8 +238,8 @@ func TestDACEGuidedPlanningDeterministic(t *testing.T) {
 				i, first[i], second[i])
 		}
 	}
-	if st := sc.Stats(); st.Hits == 0 {
-		t.Fatalf("DP candidate traffic produced no memo hits: %+v", st)
+	if st := sc.Stats(); st.Hits == 0 || checked.checked == 0 {
+		t.Fatalf("DP candidate traffic produced no memo hits (%d candidates checked): %+v", checked.checked, st)
 	}
 }
 

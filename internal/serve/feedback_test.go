@@ -9,15 +9,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dace/internal/adapt"
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/executor"
 	"dace/internal/feedback"
+	"dace/internal/loadgen"
 	"dace/internal/metrics"
 	"dace/internal/plan"
 	"dace/internal/schema"
@@ -253,21 +257,7 @@ func TestAdaptEndpoints(t *testing.T) {
 // (caches flushed by the swap). A second, unpassable-gated controller then
 // shows a rejected candidate leaving the serving model and caches alone.
 func TestAdaptationEndToEnd(t *testing.T) {
-	db := schema.BenchmarkDB("airline")
-	m1Samples, err := dataset.ComplexWorkload(db, 150, executor.M1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2Samples, err := dataset.ComplexWorkload(db, 220, executor.M2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.DK, cfg.DV = 32, 32
-	cfg.Hidden = []int{32, 16, 1}
-	cfg.LoRARanks = []int{8, 4, 2}
-	cfg.Epochs = 12
-	seed := core.Train(dataset.Plans(m1Samples[:120]), cfg)
+	seed, m2Samples := driftFixture(t)
 
 	s := NewWithConfig(seed, Config{CacheSize: 256})
 	dir := t.TempDir()
@@ -402,6 +392,208 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	}
 	if post := cacheBytes(t, srv.URL, pb.Bytes()); !bytes.Equal(preFlush, post) {
 		t.Fatal("rejected candidate disturbed the response cache")
+	}
+}
+
+// driftFixture is the drift scenario the adaptation tests share: a seed
+// model trained on machine M1's latencies and 220 samples of the same
+// airline workload executed on M2 — the first 180 arrive as feedback, the
+// rest are the holdout the promoted model is judged and probed on.
+func driftFixture(t *testing.T) (*core.Model, []dataset.Sample) {
+	t.Helper()
+	db := schema.BenchmarkDB("airline")
+	m1Samples, err := dataset.ComplexWorkload(db, 150, executor.M1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2Samples, err := dataset.ComplexWorkload(db, 220, executor.M2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.DK, cfg.DV = 32, 32
+	cfg.Hidden = []int{32, 16, 1}
+	cfg.LoRARanks = []int{8, 4, 2}
+	cfg.Epochs = 12
+	return core.Train(dataset.Plans(m1Samples[:120]), cfg), m2Samples
+}
+
+// swapProbe sits between the load generator and the server and records
+// every distinct /predict answer: which plan, which bytes, and whether the
+// request started after the promotion was known to be complete.
+type swapProbe struct {
+	inner    http.Handler
+	planOf   map[string]int // request body → plan index
+	promoted atomic.Bool    // set once the controller's attempt has returned
+
+	mu     sync.Mutex
+	non200 int
+	seen   map[answer]bool
+}
+
+type answer struct {
+	afterSwap bool
+	plan      int
+	body      string
+}
+
+func (p *swapProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	afterSwap := p.promoted.Load()
+	req, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(req))
+	rec := httptest.NewRecorder()
+	p.inner.ServeHTTP(rec, r)
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if rec.Code != http.StatusOK {
+		p.non200++
+		return
+	}
+	p.seen[answer{afterSwap, p.planOf[string(req)], rec.Body.String()}] = true
+}
+
+// liveHeap is the live heap after a forced collection — two, because what a
+// sync.Pool held survives the first in the pool's victim cache.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDriftSoakPromotion is the drift-soak with its non-timing gates:
+// open-loop traffic over the cached pipeline while M2 feedback arrives and
+// one adaptation attempt fine-tunes, gates and hot-swaps a candidate, all
+// unpaced and at the default GOGC. The swap must cost no failed request and
+// must be atomic as clients see it — a response is the incumbent's bytes or
+// the promoted model's, and only the latter once the attempt has returned.
+// And the heap must come out flat: the live heap after the run may exceed
+// the live heap before it (caches already full) by the one-time step a
+// promotion costs — the feedback store and a second model, ≈ 160 KB here —
+// and no more, whenever the fine-tune happened to finish. The windowed gates
+// that do depend on when (the P99 ratio, the heap slope over nine windows)
+// are logged, not asserted.
+func TestDriftSoakPromotion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak runs for seconds of wall clock")
+	}
+	seed, m2Samples := driftFixture(t)
+	s := NewWithConfig(seed, Config{CacheSize: 256})
+	defer s.Close()
+	ctl := adapt.New(s, feedback.NewStore(512, 1), nil, adapt.Config{
+		MinSamples: 50,
+		Gate:       0.02,
+		LR:         2e-3,
+		Epochs:     4,
+		Seed:       7,
+	})
+
+	holdout := dataset.Plans(m2Samples[180:])
+	probe := &swapProbe{inner: s.Handler(), planOf: map[string]int{}, seen: map[answer]bool{}}
+	bodies := make([][]byte, len(holdout))
+	for i, p := range holdout {
+		bodies[i] = planBody(t, p)
+		probe.planOf[string(bodies[i])] = i
+	}
+	// What a server with no cache and no swap answers for each plan.
+	answers := func(m *core.Model) []string {
+		h := New(m).Handler()
+		out := make([]string, len(bodies))
+		for i, b := range bodies {
+			code, resp := postPredict(t, h, b)
+			if code != http.StatusOK {
+				t.Fatalf("plan %d: status %d", i, code)
+			}
+			out[i] = string(resp)
+		}
+		return out
+	}
+	incumbent := answers(seed)
+	// Caches filled, so that what the heap gains from here on is the soak's.
+	for _, b := range bodies {
+		postPredict(t, s.Handler(), b)
+	}
+	heapBefore := liveHeap()
+
+	var out *adapt.Outcome
+	var runErr error
+	attempted := make(chan struct{})
+	const duration = 3 * time.Second
+	res := loadgen.Soak(loadgen.SoakConfig{
+		Target:   &loadgen.HandlerTarget{Handler: probe},
+		Schedule: loadgen.Constant{QPS: 400},
+		Duration: duration,
+		Window:   250 * time.Millisecond,
+		NewRequest: func(i int64) *loadgen.Request {
+			return &loadgen.Request{Body: bodies[int(i)%len(bodies)], ContentType: "application/json"}
+		},
+		Events: []loadgen.SoakEvent{{
+			After: duration / 2,
+			Name:  "drift+promote",
+			Do: func() error {
+				defer close(attempted)
+				for _, smp := range m2Samples[:180] {
+					ctl.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+				}
+				out, runErr = ctl.RunOnce()
+				probe.promoted.Store(runErr == nil && out.Promoted)
+				return runErr
+			},
+		}},
+	})
+	<-attempted
+	if runErr != nil || !out.Promoted {
+		t.Fatalf("no promotion under traffic: %+v, %v", out, runErr)
+	}
+	// The soak may have ended before the attempt did on a slow run; one more
+	// pass guarantees every plan is requested after the swap.
+	for _, b := range bodies {
+		postPredict(t, probe, b)
+	}
+
+	for _, g := range res.Gates {
+		t.Logf("gate %s: %.3g (limit %.3g): %s", g.Name, g.Value, g.Limit, g.Detail)
+		if !g.Passed && g.Name == "errors" {
+			t.Errorf("soak gate %s failed: %s", g.Name, g.Detail)
+		}
+	}
+	const stepBudget = 512 << 10
+	step := int64(liveHeap()) - int64(heapBefore)
+	t.Logf("live heap: %d B before the soak, %+d B after the promotion and %d requests", heapBefore, step, res.Run.Sent)
+	if step > stepBudget {
+		t.Errorf("live heap grew %d B across the soak, budget %d B", step, stepBudget)
+	}
+	// Both were live at the first reading and would be garbage at the second.
+	runtime.KeepAlive(ctl)
+	runtime.KeepAlive(m2Samples)
+	r := res.Run
+	if probe.non200 != 0 || r.OK != r.Sent || r.Sent == 0 {
+		t.Errorf("%d non-200 responses; run %+v", probe.non200, r.Counts)
+	}
+	promotedAnswers := answers(s.Model())
+	sawIncumbent := false
+	for a := range probe.seen {
+		switch {
+		case a.body == promotedAnswers[a.plan]:
+		case a.afterSwap:
+			t.Errorf("plan %d: a request started after the promotion returned got other bytes (incumbent's: %v): %s",
+				a.plan, a.body == incumbent[a.plan], a.body)
+		case a.body == incumbent[a.plan]:
+			sawIncumbent = true
+		default:
+			t.Errorf("plan %d: a response is neither the incumbent's nor the promoted model's bytes: %s", a.plan, a.body)
+		}
+	}
+	for i := range bodies {
+		if !probe.seen[answer{true, i, promotedAnswers[i]}] {
+			t.Errorf("plan %d: never answered by the promoted model after the promotion returned", i)
+		}
+	}
+	if !sawIncumbent {
+		t.Error("no request was answered before the promotion; the swap was not under traffic")
 	}
 }
 

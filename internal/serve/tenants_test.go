@@ -10,6 +10,7 @@ import (
 
 	"dace/internal/core"
 	"dace/internal/dataset"
+	"dace/internal/plan"
 	"dace/internal/tenant"
 )
 
@@ -333,13 +334,29 @@ func TestBatcherMixedTenants(t *testing.T) {
 		resp []byte
 		code int
 	}
+	// Every plan goes to every tenant, five times each — cold once, cached
+	// after — three times as JSON and twice as a binary frame.
 	results := make(chan result, 90)
 	for c := 0; c < 90; c++ {
 		go func(c int) {
-			id := ids[c%len(ids)]
 			i := c % 6
-			code, resp := postPredictTenant(t, h, planBody(t, samples[i].Plan), "/predict", id)
-			results <- result{id: id, i: i, resp: resp, code: code}
+			id := ids[c/6%len(ids)]
+			body, ct := planBody(t, samples[i].Plan), "application/json"
+			if c/18%2 == 1 {
+				var err error
+				if body, err = plan.AppendBinary(nil, samples[i].Plan); err != nil {
+					t.Error(err)
+				}
+				ct = plan.BinaryContentType
+			}
+			req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			if id != "" {
+				req.Header.Set("X-DACE-Tenant", id)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			results <- result{id: id, i: i, resp: rec.Body.Bytes(), code: rec.Code}
 		}(c)
 	}
 	for c := 0; c < 90; c++ {

@@ -16,8 +16,8 @@ import (
 //
 // A fixed layout is what makes snapshots mergeable: any two histograms
 // (or two snapshots of one histogram taken on different days) add
-// bucket-by-bucket, which the bench harness and the Prometheus encoder
-// both rely on.
+// bucket-by-bucket, which the load generator's windowed statistics and the
+// Prometheus encoder both rely on.
 const (
 	histSubBits = 2
 	histSub     = 1 << histSubBits // sub-buckets per octave
