@@ -1,11 +1,11 @@
 GO ?= go
 
 # Packages that gained concurrency (worker-pool training / batch inference,
-# pooled tapes and scratch encoders, pooled wire decoders, the shared
-# scorer memo behind the optimizer's cost-model hook, the lock-free
-# multi-tenant adapter registry) and must stay clean under the race
-# detector.
-RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
+# pooled tapes and scratch encoders, pooled wire decoders, the request edge's
+# pooled status recorder and Content-Length memo, the shared scorer memo
+# behind the optimizer's cost-model hook, the lock-free multi-tenant adapter
+# registry) and must stay clean under the race detector.
+RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/wire ./internal/pgexplain ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
 .PHONY: all fmt vet build build-arm64 check-paths test race bench-kernels bench-test benchmark bench-gate ci
 
@@ -34,11 +34,17 @@ build-arm64:
 # goroutine to hand a request to, so a miss runs on its handler's goroutine.
 # And the kernel assembly never fuses a multiply into an add: FMA rounds once
 # where the Go loops round twice, which would break bitwise equality.
+# And the one-request-edge invariants: the gateway never touches a plan tree
+# (every encoding, pg included, routes from the FlatPlan internal/wire hands
+# it), and the request-edge helpers are defined in internal/wire and nowhere
+# else under internal/ — a second definition is a copy that will drift.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
 		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go; \
-		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s)"; \
+		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s; \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'pgexplain\.|plan\.AppendBinary\(|CheckFeatures\(|\.Fingerprint\(\)' internal/gateway; \
+		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue)\(' internal)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

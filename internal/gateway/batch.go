@@ -1,14 +1,12 @@
 package gateway
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 
-	"dace/internal/pgexplain"
 	"dace/internal/plan"
+	"dace/internal/wire"
 )
 
 // The batch path splits one client batch into per-replica shard batches,
@@ -42,32 +40,41 @@ type shardCall struct {
 
 // handleBatch routes one batch request across the fleet.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	query := r.URL.RawQuery
-	format := queryParam(query, "format")
-	if format != "" && format != "plan" && format != "pg" {
-		http.Error(w, "unknown format (want plan or pg)", http.StatusBadRequest)
+	p, err := wire.ParseParams(r)
+	if err != nil {
+		wire.WriteError(w, err)
 		return
 	}
-	database := queryParam(query, "database")
-	binary := isBinaryContentType(r.Header.Get("Content-Type"))
-	if binary && format == "pg" {
-		http.Error(w, "binary plan encoding cannot carry pg explain output", http.StatusBadRequest)
-		return
-	}
-	tenant := tenantOf(r, database)
-
+	tenant := tenantOf(p)
 	ws := gwPool.Get().(*gwScratch)
 	defer gwPool.Put(ws)
-	body, err := ws.readBody(r.Body, MaxBatchBody)
+	body, err := ws.ReadBody(r.Body, wire.MaxBatchBody)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	if err := g.decodeBatch(ws, body, format, database, binary); err != nil {
-		writeError(w, err)
+
+	// Re-encode the client batch into per-entry binary bodies (concatenated
+	// in ws.entryBuf with ws.entryOff offsets) and fingerprints (ws.entryFP).
+	// Validation happens here, before any bytes go upstream, so one bad entry
+	// fails the request with its index and no replica does work.
+	ws.entryBuf = ws.entryBuf[:0]
+	ws.entryOff = append(ws.entryOff[:0], 0)
+	ws.entryFP = ws.entryFP[:0]
+	err = ws.DecodeBatch(body, p, func(f *plan.FlatPlan) error {
+		var err error
+		if ws.entryBuf, err = f.AppendBinaryBody(ws.entryBuf); err != nil {
+			return err
+		}
+		ws.entryOff = append(ws.entryOff, len(ws.entryBuf))
+		ws.entryFP = append(ws.entryFP, f.Fingerprint.Hi)
+		return nil
+	})
+	if err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	n := len(ws.entryOff) - 1
@@ -154,81 +161,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.merged = append(merged, ']', '\n')
 	writeProxied(w, http.StatusOK, nil, ws.merged)
-}
-
-// decodeBatch parses the client batch into per-entry binary bodies
-// (concatenated in ws.entryBuf with ws.entryOff offsets) and fingerprints
-// (ws.entryFP). Validation happens here, before any bytes go upstream, so
-// one bad entry fails the request with its index and no replica does work.
-func (g *Gateway) decodeBatch(ws *gwScratch, body []byte, format, database string, binary bool) error {
-	ws.entryBuf = ws.entryBuf[:0]
-	ws.entryOff = append(ws.entryOff[:0], 0)
-	ws.entryFP = ws.entryFP[:0]
-	appendEntry := func(f *plan.FlatPlan) error {
-		var err error
-		if ws.entryBuf, err = f.AppendBinaryBody(ws.entryBuf); err != nil {
-			return err
-		}
-		ws.entryOff = append(ws.entryOff, len(ws.entryBuf))
-		ws.entryFP = append(ws.entryFP, f.Fingerprint.Hi)
-		return nil
-	}
-	if binary {
-		bb, err := plan.NewBinaryBatch(body)
-		if err != nil {
-			return err
-		}
-		for i := 0; bb.Len() > 0; i++ {
-			f, err := bb.Next(&ws.dec)
-			if err == nil {
-				err = f.Check()
-			}
-			if err == nil {
-				err = appendEntry(f)
-			}
-			if err != nil {
-				return fmt.Errorf("plan[%d]: %w", i, err)
-			}
-		}
-		return nil
-	}
-	var raw []json.RawMessage
-	if err := json.Unmarshal(body, &raw); err != nil {
-		return err
-	}
-	for i, msg := range raw {
-		if format == "pg" {
-			p, err := pgexplain.Parse(bytes.NewReader(msg), database)
-			if err == nil {
-				err = plan.CheckFeatures(p)
-			}
-			if err != nil {
-				return fmt.Errorf("plan[%d]: %w", i, err)
-			}
-			// AppendBinary emits header+body; the batch frame needs the
-			// body alone, so shift out the fixed 3-byte header.
-			mark := len(ws.entryBuf)
-			if ws.entryBuf, err = plan.AppendBinary(ws.entryBuf, p); err != nil {
-				return fmt.Errorf("plan[%d]: %w", i, err)
-			}
-			copy(ws.entryBuf[mark:], ws.entryBuf[mark+3:])
-			ws.entryBuf = ws.entryBuf[:len(ws.entryBuf)-3]
-			ws.entryOff = append(ws.entryOff, len(ws.entryBuf))
-			ws.entryFP = append(ws.entryFP, p.Fingerprint().Hi)
-			continue
-		}
-		f, err := ws.dec.Decode(msg)
-		if err == nil {
-			err = f.Check()
-		}
-		if err == nil {
-			err = appendEntry(f)
-		}
-		if err != nil {
-			return fmt.Errorf("plan[%d]: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // forwardShards groups the pending entries by owning replica and performs

@@ -1,16 +1,14 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"dace/internal/pgexplain"
 	"dace/internal/plan"
 	"dace/internal/telemetry"
+	"dace/internal/wire"
 )
 
 // Config parameterizes a gateway. Replicas is the only required field.
@@ -117,82 +115,40 @@ var (
 // flat arenas, fingerprint from the parse, forward over a pooled
 // connection, pass the response through.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	query := r.URL.RawQuery
-	format := queryParam(query, "format")
-	if format != "" && format != "plan" && format != "pg" {
-		http.Error(w, "unknown format (want plan or pg)", http.StatusBadRequest)
+	p, err := wire.ParseParams(r)
+	if err != nil {
+		wire.WriteError(w, err)
 		return
 	}
-	database := queryParam(query, "database")
-	binary := isBinaryContentType(r.Header.Get("Content-Type"))
-	if binary && format == "pg" {
-		http.Error(w, "binary plan encoding cannot carry pg explain output", http.StatusBadRequest)
-		return
-	}
-	tenant := tenantOf(r, database)
-
 	ws := gwPool.Get().(*gwScratch)
 	defer gwPool.Put(ws)
-	body, err := ws.readBody(r.Body, MaxPredictBody)
+	body, err := ws.ReadBody(r.Body, wire.MaxPredictBody)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
+		return
+	}
+	f, err := ws.Decode(body, p)
+	if err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 
-	// Decode just enough to validate and fingerprint, then pick the wire
-	// body for the upstream hop. A binary request body is already the wire
-	// encoding — validated, it forwards verbatim, zero re-encode cost.
-	var upBody []byte
-	var fp uint64
-	switch {
-	case format == "pg":
-		p, err := pgexplain.Parse(bytes.NewReader(body), database)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if err := plan.CheckFeatures(p); err != nil {
-			writeError(w, err)
-			return
-		}
-		fp = p.Fingerprint().Hi
-		if ws.out, err = plan.AppendBinary(ws.out[:0], p); err != nil {
-			writeError(w, err)
-			return
-		}
-		upBody = ws.out
-	case binary:
-		f, err := ws.dec.DecodeBinary(body)
-		if err == nil {
-			err = f.Check()
-		}
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		fp = f.Fingerprint.Hi
-		upBody = body
-	default:
-		f, err := ws.dec.Decode(body)
-		if err == nil {
-			err = f.Check()
-		}
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		fp = f.Fingerprint.Hi
+	// A binary request body is already the wire encoding — validated, it
+	// forwards verbatim, zero re-encode cost; every other encoding is
+	// re-encoded from the flat plan.
+	upBody := body
+	if !p.Binary {
 		if ws.out, err = f.AppendBinaryFrame(ws.out[:0]); err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 		upBody = ws.out
 	}
 
-	status, resp, err := g.forward(ws, "/predict", upBody, fp, tenant)
+	status, resp, err := g.forward(ws, "/predict", upBody, f.Fingerprint.Hi, tenantOf(p))
 	if err != nil {
 		writeRouteError(w, err)
 		return
@@ -228,16 +184,6 @@ func (g *Gateway) forward(ws *gwScratch, path string, body []byte, h uint64, ten
 	return 0, nil, errNoReplicas
 }
 
-// writeError maps request decoding failures to 400/413, mirroring serve.
-func writeError(w http.ResponseWriter, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
 // writeRouteError answers routing failures: always 503 with Retry-After —
 // the condition (fleet-wide ejection, a saturated shard) is transient.
 func writeRouteError(w http.ResponseWriter, err error) {
@@ -255,7 +201,7 @@ type GatewayHealth struct {
 
 // handleHealth reports gateway and per-replica state (cold path).
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	h := GatewayHealth{Status: "ok", Ready: g.pool.healthyCount() > 0, Replicas: g.pool.health()}
@@ -296,7 +242,7 @@ var (
 
 // handleMetrics renders the Prometheus exposition (cold path).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"dace/internal/plan"
 	"dace/internal/schema"
 	"dace/internal/serve"
+	"dace/internal/wire"
 )
 
 // trainedModel trains one small model shared by every replica in a test
@@ -139,6 +142,109 @@ func TestGatewayPredictMatchesDirect(t *testing.T) {
 			t.Fatalf("routed binary plan %d: status %d body mismatch", i, st)
 		}
 	}
+
+	// Rejections are part of the oracle: same status, same body, on every
+	// encoding — against replicas with the caches on, where a request that
+	// fails inside a coalesced compute could leave the flight behind.
+	f = newFleetConfig(t, m, 3, serve.Config{CacheSize: 256})
+	const js, bin = "application/json", plan.BinaryContentType
+	jsonBody, binBody := planJSON(t, samples[0].Plan), mustBinary(t, samples[0].Plan)
+	nan, wideType := hostilePlans()
+	bad, big := http.StatusBadRequest, http.StatusRequestEntityTooLarge
+	checkRejectedAlike(t, f, "/predict", []rejected{
+		{"unknown format", "?format=xml", js, jsonBody, bad},
+		{"binary content type with format=pg", "?format=pg", bin, binBody, bad},
+		{"truncated JSON", "", js, jsonBody[:len(jsonBody)/2], bad},
+		{"truncated binary frame", "", bin, binBody[:len(binBody)-5], bad},
+		{"truncated pg", "?format=pg", js, []byte(pgGoodDoc[:len(pgGoodDoc)/2]), bad},
+		{"binary NaN feature", "", bin, mustBinary(t, nan), bad},
+		{"binary out-of-range type", "", bin, mustBinary(t, wideType), bad},
+		{"JSON out-of-range type", "", js, planJSON(t, wideType), bad},
+		{"pg null child", "?format=pg&database=prod", js, []byte(pgNullChildDoc), bad},
+		{"pg null child, again", "?format=pg&database=prod", js, []byte(pgNullChildDoc), bad},
+		{"pg null plan", "?format=pg", js, []byte(`[{"Plan": null}]`), bad},
+	})
+	defer func(old int64) { wire.MaxPredictBody = old }(wire.MaxPredictBody)
+	wire.MaxPredictBody = int64(len(binBody)) - 1 // the JSON and pg bodies are longer still
+	checkRejectedAlike(t, f, "/predict", []rejected{
+		{"oversized JSON", "", js, jsonBody, big},
+		{"oversized binary", "", bin, binBody, big},
+		{"oversized pg", "?format=pg", js, []byte(pgGoodDoc + strings.Repeat(" ", len(binBody))), big},
+	})
+}
+
+// rejected is one request the request edge must answer identically — status
+// and body — whether it reaches a replica directly or through the gateway.
+type rejected struct {
+	name, query, ctype string
+	body               []byte
+	want               int
+}
+
+// checkRejectedAlike posts every row to a replica and to the gateway, each
+// answer due within a second, and then requires every replica's body cache
+// to have nothing in flight: a rejected request must not strand a compute
+// that later identical requests would wait on.
+func checkRejectedAlike(t *testing.T, f *fleet, path string, rows []rejected) {
+	t.Helper()
+	client := &http.Client{Timeout: time.Second}
+	do := func(url string, c rejected) (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(url+path+c.query, c.ctype, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s %s: %v", path, c.name, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s %s: %v", path, c.name, err)
+		}
+		return resp.StatusCode, b
+	}
+	for _, c := range rows {
+		dst, dbody := do(f.backends[0].URL, c)
+		rst, rbody := do(f.front.URL, c)
+		if dst != c.want {
+			t.Errorf("%s %s: direct status %d (%q), want %d", path, c.name, dst, dbody, c.want)
+		}
+		if rst != dst || !bytes.Equal(rbody, dbody) {
+			t.Errorf("%s %s: routed %d %q, direct %d %q", path, c.name, rst, rbody, dst, dbody)
+		}
+	}
+	for i, b := range f.backends {
+		resp, err := client.Get(b.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h serve.Health
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil || h.BodyCache == nil || h.BodyCache.Inflight != 0 {
+			t.Fatalf("replica %d after the rejected rows: health error %v, body cache %+v, want 0 in flight", i, err, h.BodyCache)
+		}
+	}
+}
+
+const (
+	pgGoodDoc      = `[{"Plan": {"Node Type": "Seq Scan", "Total Cost": 1234.5, "Plan Rows": 10000}}]`
+	pgNullChildDoc = `[{"Plan": {"Node Type": "Hash Join", "Plans": [null]}}]`
+)
+
+// hostilePlans are two trees no decoder may let through: a NaN feature
+// (binary only — JSON cannot spell it) and an operator type past the one-hot.
+func hostilePlans() (nan, wideType *plan.Plan) {
+	nan = &plan.Plan{Database: "d", Root: &plan.Node{Type: plan.SeqScan, EstRows: math.NaN(), EstCost: 1}}
+	wideType = &plan.Plan{Database: "d", Root: &plan.Node{Type: 99, EstRows: 1, EstCost: 1}}
+	return nan, wideType
+}
+
+func mustBinary(t *testing.T, p *plan.Plan) []byte {
+	t.Helper()
+	b, err := plan.AppendBinary(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestGatewayPredictPG: the pg explain format routes through re-encoding.
@@ -204,6 +310,70 @@ func TestGatewayBatchMatchesDirect(t *testing.T) {
 			t.Fatalf("n=%d binary batch: status %d, match=%v", n, st, bytes.Equal(got, want))
 		}
 	}
+
+	// Rejected batches, and the empty one, answer alike direct and routed.
+	// Each 20-entry batch below is valid except for entry 17.
+	const js, bin = "application/json", plan.BinaryContentType
+	nan, wideType := hostilePlans()
+	with17 := func(entry17 *plan.Plan) []*plan.Plan {
+		ps := make([]*plan.Plan, 20)
+		for i := range ps {
+			ps[i] = plans[i%len(plans)]
+		}
+		ps[17] = entry17
+		return ps
+	}
+	binBatch := func(ps []*plan.Plan) []byte {
+		b, err := plan.AppendBinaryBatch(nil, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var docs [][]byte
+	for _, p := range with17(wideType) {
+		docs = append(docs, planJSON(t, p))
+	}
+	wideJSON := append(append([]byte{'['}, bytes.Join(docs, []byte{','})...), ']')
+	wideBin, nanBin := binBatch(with17(wideType)), binBatch(with17(nan))
+	pgDocs := make([]string, 20)
+	for i := range pgDocs {
+		pgDocs[i] = pgGoodDoc
+	}
+	pgDocs[17] = pgNullChildDoc
+	pgBatch := []byte("[" + strings.Join(pgDocs, ",") + "]")
+	emptyBin := plan.AppendBinaryBatchCount(plan.AppendBinaryFrameHeader(nil), 0)
+	f := newFleetConfig(t, m, 3, serve.Config{CacheSize: 256})
+	bad, big := http.StatusBadRequest, http.StatusRequestEntityTooLarge
+	rows := []rejected{
+		{"unknown format", "?format=xml", js, jsonBody.Bytes(), bad},
+		{"binary content type with format=pg", "?format=pg", bin, binBody, bad},
+		{"truncated JSON", "", js, jsonBody.Bytes()[:jsonBody.Len()/2], bad},
+		{"truncated binary frame", "", bin, binBody[:len(binBody)-5], bad},
+		{"not an array", "", js, []byte("{}"), bad},
+		{"JSON bad entry 17", "", js, wideJSON, bad},
+		{"binary bad entry 17", "", bin, wideBin, bad},
+		{"binary NaN entry 17", "", bin, nanBin, bad},
+		{"pg null child at entry 17", "?format=pg", js, pgBatch, bad},
+		{"empty JSON batch", "", js, []byte("[]"), http.StatusOK},
+		{"empty binary batch", "", bin, emptyBin, http.StatusOK},
+	}
+	checkRejectedAlike(t, f, "/predict/batch", rows)
+	for _, c := range rows {
+		if !strings.Contains(c.name, "entry 17") {
+			continue
+		}
+		if _, _, body := post(t, f.front.URL+"/predict/batch"+c.query, c.ctype, c.body); !bytes.HasPrefix(body, []byte("plan[17]: ")) {
+			t.Errorf("%s: body %q does not name plan[17]", c.name, body)
+		}
+	}
+	defer func(old int64) { wire.MaxBatchBody = old }(wire.MaxBatchBody)
+	wire.MaxBatchBody = int64(len(binBody)) - 1 // the JSON batch is longer still
+	checkRejectedAlike(t, f, "/predict/batch", []rejected{
+		{"oversized JSON", "", js, jsonBody.Bytes(), big},
+		{"oversized binary", "", bin, binBody, big},
+		{"oversized pg", "?format=pg", js, append(bytes.Repeat([]byte{' '}, len(binBody)), pgBatch...), big},
+	})
 }
 
 // TestGatewayKillReplicaZeroFailures: killing a replica mid-stream must

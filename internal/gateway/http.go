@@ -1,35 +1,18 @@
 package gateway
 
 import (
-	"bytes"
-	"io"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 
-	"dace/internal/plan"
+	"dace/internal/wire"
 )
 
-// Request-body ceilings, mirroring the serve layer's: the gateway buffers a
-// body once to decode and re-encode it, and a hostile client must not make
-// that buffer unbounded.
-var (
-	// MaxPredictBody caps one plan document.
-	MaxPredictBody int64 = 4 << 20
-	// MaxBatchBody caps a /predict/batch array.
-	MaxBatchBody int64 = 64 << 20
-)
-
-// gwScratch holds every reusable buffer one gateway request needs: body
-// reader+buffer, the streaming decoder with its flat arenas, the binary
-// re-encode buffer, and the upstream round-trip buffers. Pooled so the
-// steady-state routing path allocates nothing.
+// gwScratch holds every reusable buffer one gateway request needs: the
+// request edge's read and decode state, the binary re-encode buffer, and the
+// upstream round-trip buffers. Pooled so the steady-state routing path
+// allocates nothing.
 type gwScratch struct {
-	lr   io.LimitedReader
-	buf  bytes.Buffer
-	dec  plan.Decoder
+	wire.Scratch
 	out  []byte // binary re-encode of the routed plan (upstream body)
 	wire wireBuf
 
@@ -44,96 +27,14 @@ type gwScratch struct {
 
 var gwPool = sync.Pool{New: func() any { return new(gwScratch) }}
 
-// readBody drains the request body into the scratch buffer, enforcing the
-// size cap without per-request allocation.
-func (ws *gwScratch) readBody(rc io.ReadCloser, limit int64) ([]byte, error) {
-	ws.lr.R = rc
-	ws.lr.N = limit + 1
-	ws.buf.Reset()
-	if _, err := ws.buf.ReadFrom(&ws.lr); err != nil {
-		return nil, err
-	}
-	if int64(ws.buf.Len()) > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
-	}
-	return ws.buf.Bytes(), nil
-}
-
-// queryParam returns the first value of name in a raw query string without
-// materializing the url.Values map (identical to the serve layer's helper).
-func queryParam(query, name string) string {
-	for len(query) > 0 {
-		var part string
-		if i := strings.IndexByte(query, '&'); i >= 0 {
-			part, query = query[:i], query[i+1:]
-		} else {
-			part, query = query, ""
-		}
-		if len(part) <= len(name) || part[len(name)] != '=' || part[:len(name)] != name {
-			continue
-		}
-		v := part[len(name)+1:]
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u
-			}
-		}
-		return v
-	}
-	return ""
-}
-
-// isBinaryContentType reports whether a Content-Type header selects the
-// compact binary plan encoding (exact match or with parameters).
-func isBinaryContentType(ct string) bool {
-	const want = plan.BinaryContentType
-	if ct == want {
-		return true
-	}
-	return len(ct) > len(want) && ct[:len(want)] == want &&
-		(ct[len(want)] == ';' || ct[len(want)] == ' ')
-}
-
-// allowOnly enforces a single-method endpoint (405 + Allow otherwise).
-func allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method == method {
-		return true
-	}
-	w.Header().Set("Allow", method)
-	http.Error(w, method+" required", http.StatusMethodNotAllowed)
-	return false
-}
-
 var (
 	jsonContentType = []string{"application/json"}
 	retryAfter1     = []string{"1"}
 )
 
-// contentLengths memoizes Content-Length header values per response size
-// (the serve layer's trick): cached responses repeat sizes heavily, and the
-// probe avoids a per-response string allocation while keeping net/http off
-// chunked encoding.
-var (
-	contentLengthMu    sync.RWMutex
-	contentLengthCache = map[int][]string{}
-)
-
-func contentLengthValue(n int) []string {
-	contentLengthMu.RLock()
-	v, ok := contentLengthCache[n]
-	contentLengthMu.RUnlock()
-	if ok {
-		return v
-	}
-	v = []string{strconv.Itoa(n)}
-	contentLengthMu.Lock()
-	contentLengthCache[n] = v
-	contentLengthMu.Unlock()
-	return v
-}
-
-// contentTypeValue memoizes upstream Content-Type values the same way; the
-// domain is tiny (application/json and text/plain variants).
+// contentTypeValue memoizes upstream Content-Type header values, so passing
+// one through costs a read-locked map probe instead of a string allocation;
+// the domain is tiny (application/json and text/plain variants).
 var (
 	contentTypeMu    sync.RWMutex
 	contentTypeCache = map[string][]string{}
@@ -163,7 +64,7 @@ func contentTypeValue(ct []byte) []string {
 func writeProxied(w http.ResponseWriter, status int, ctype, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = contentTypeValue(ctype)
-	h["Content-Length"] = contentLengthValue(len(body))
+	h["Content-Length"] = wire.ContentLengthValue(len(body))
 	if status == http.StatusServiceUnavailable {
 		h["Retry-After"] = retryAfter1
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dace/internal/telemetry"
+	"dace/internal/wire"
 )
 
 // Telemetry for the gateway, modeled on the serve layer's: per-endpoint
@@ -94,28 +95,11 @@ func newGatewayMetrics(g *Gateway, reg *telemetry.Registry) *gatewayMetrics {
 	return gm
 }
 
-// statusRecorder captures the response status for instrumentation.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
 // instrument wraps a handler with its endpoint's instruments. With metrics
 // off it returns the handler untouched — zero overhead.
 func (g *Gateway) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	if g.tel == nil {
 		return h
 	}
-	em := g.tel.endpoints[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		sr := statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		h(&sr, r)
-		em.observe(sr.code, time.Since(start))
-	}
+	return wire.Instrument(h, g.tel.endpoints[endpoint].observe)
 }

@@ -7,9 +7,10 @@
 // unhealthy replica, re-admission after recovery) remap only the keys the
 // departed replica owned.
 //
-// The routing hot path reuses the streaming plan.Decoder: a request is
-// parsed straight into flat arenas (never a *plan.Node tree), the
-// fingerprint falls out of the parse, and the plan is re-encoded to the
+// The routing hot path reads, decodes and validates a request exactly as a
+// replica does — through the request edge, internal/wire — so what comes
+// back is a checked plan.FlatPlan (the gateway never holds a *plan.Node
+// tree) with its fingerprint, and the plan is re-encoded to the
 // compact binary wire format for the gateway→replica hop — the cheap
 // encoding regardless of what the client spoke. The whole
 // decode→route→re-encode path is allocation-free at steady state (guarded

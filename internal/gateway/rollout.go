@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"dace/internal/plan"
+	"dace/internal/wire"
 )
 
 // Model rollout: promote a new model version onto one replica (the canary),
@@ -254,11 +255,11 @@ func (rs *rolloutState) stopMirror() {
 // handleRolloutStart promotes a version onto the canary and starts
 // mirroring.
 func (g *Gateway) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	query := r.URL.RawQuery
-	version, err := strconv.Atoi(queryParam(query, "version"))
+	version, err := strconv.Atoi(wire.QueryParam(query, "version"))
 	if err != nil || version < 0 {
 		http.Error(w, "version query parameter required (non-negative integer)", http.StatusBadRequest)
 		return
@@ -273,7 +274,7 @@ func (g *Gateway) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
 	rs.mu.Unlock()
 
 	var canary *Replica
-	if name := queryParam(query, "replica"); name != "" {
+	if name := wire.QueryParam(query, "replica"); name != "" {
 		for _, rep := range g.pool.replicas {
 			if rep.Name == name {
 				canary = rep
@@ -325,7 +326,7 @@ func (g *Gateway) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
 
 // handleRolloutStatus reports shadow-score stats.
 func (g *Gateway) handleRolloutStatus(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	writeRolloutStatus(w, g.rollout.status())
@@ -340,7 +341,7 @@ func (g *Gateway) handleRolloutStatus(w http.ResponseWriter, r *http.Request) {
 // reconcile it on restart (it loads the current artifact) or by
 // re-running a rollout once it is healthy.
 func (g *Gateway) handleRolloutCommit(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	rs := &g.rollout
@@ -370,7 +371,7 @@ func (g *Gateway) handleRolloutCommit(w http.ResponseWriter, r *http.Request) {
 // handleRolloutAbort restores the canary's previous version and ends the
 // rollout.
 func (g *Gateway) handleRolloutAbort(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	rs := &g.rollout

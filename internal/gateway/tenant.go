@@ -1,6 +1,6 @@
 package gateway
 
-import "net/http"
+import "dace/internal/wire"
 
 // Tenant pass-through. The gateway does not resolve tenants — that is the
 // replica's job — but it must carry the client's tenant identity across
@@ -11,11 +11,6 @@ import "net/http"
 // query param, since the assembled upstream request otherwise carries no
 // query string.
 
-// tenantHeader is the canonical (net/textproto) key for X-DACE-Tenant;
-// reading the header map directly under it avoids Header.Get's
-// re-canonicalization on the hot path.
-const tenantHeader = "X-Dace-Tenant"
-
 // tenantID is one request's tenant identity for the upstream hop. The zero
 // value forwards nothing.
 type tenantID struct {
@@ -23,21 +18,17 @@ type tenantID struct {
 	explicit bool // header (forward as header) vs database param (forward as query)
 }
 
-// tenantOf extracts the request's tenant identity. database is the already-
-// parsed database query param (the handlers need it anyway for pg parsing).
-// An implicit identity that is not a plausible tenant ID is dropped rather
-// than forwarded: it cannot name a registered tenant (the registry rejects
-// those shapes), the replica would fall back to the base model anyway, and
-// raw bytes like spaces or '&' must not be spliced into the upstream
-// request line.
-func tenantOf(r *http.Request, database string) tenantID {
-	if vs := r.Header[tenantHeader]; len(vs) > 0 && vs[0] != "" {
-		return tenantID{id: vs[0], explicit: true}
-	}
-	if !plausibleTenantID(database) {
+// tenantOf picks the identity to forward from the request's negotiated
+// params. An implicit identity that is not a plausible tenant ID is dropped
+// rather than forwarded: it cannot name a registered tenant (the registry
+// rejects those shapes), the replica would fall back to the base model
+// anyway, and raw bytes like spaces or '&' must not be spliced into the
+// upstream request line.
+func tenantOf(p wire.Params) tenantID {
+	if !p.TenantExplicit && !plausibleTenantID(p.Tenant) {
 		return tenantID{}
 	}
-	return tenantID{id: database}
+	return tenantID{id: p.Tenant, explicit: p.TenantExplicit}
 }
 
 // plausibleTenantID mirrors the registry's tenant-ID rules ([A-Za-z0-9._-],

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dace/internal/plan"
+	"dace/internal/telemetry"
 )
 
 // loopServer answers every request on every connection with the same raw
@@ -99,12 +100,6 @@ func TestRoutedPredictZeroAlloc(t *testing.T) {
 	addr, stop := loopServer(t, response)
 	defer stop()
 
-	gw, err := New(Config{Replicas: []string{addr}, HealthInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-
 	p := &plan.Plan{Database: "db", Root: &plan.Node{
 		Type: 3, EstRows: 100, EstCost: 42.5, ActualRows: 90, ActualMS: 7,
 		Children: []*plan.Node{{Type: 1, EstRows: 10, EstCost: 2, ActualRows: 9, ActualMS: 1}},
@@ -119,31 +114,46 @@ func TestRoutedPredictZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name, ct string
-		body     []byte
-	}{
-		{"binary", plan.BinaryContentType, binBody},
-		{"json", "application/json", jsonBuf},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			body := &replayBody{data: tc.body}
-			req := httptest.NewRequest(http.MethodPost, "/predict", nil)
-			req.Header.Set("Content-Type", tc.ct)
-			req.Body = body
-			w := &nullResponseWriter{h: make(http.Header)}
-			do := func() {
-				body.off = 0
-				gw.handlePredict(w, req)
-				if w.code != 0 && w.code != http.StatusOK {
-					t.Fatalf("status %d", w.code)
+	// Metrics off is the bare handler; on, the handler runs inside the
+	// instrument wrapper exactly as the mux mounts it — the status recorder
+	// is pooled and the instruments are atomics, so the budget is the same.
+	for _, mc := range []struct {
+		prefix string
+		reg    *telemetry.Registry
+	}{{"", nil}, {"instrumented-", telemetry.NewRegistry()}} {
+		gw, err := New(Config{Replicas: []string{addr}, HealthInterval: time.Hour, Metrics: mc.reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		handle := gw.instrument("/predict", gw.handlePredict)
+
+		for _, tc := range []struct {
+			name, ct string
+			body     []byte
+		}{
+			{"binary", plan.BinaryContentType, binBody},
+			{"json", "application/json", jsonBuf},
+		} {
+			t.Run(mc.prefix+tc.name, func(t *testing.T) {
+				body := &replayBody{data: tc.body}
+				req := httptest.NewRequest(http.MethodPost, "/predict", nil)
+				req.Header.Set("Content-Type", tc.ct)
+				req.Body = body
+				w := &nullResponseWriter{h: make(http.Header)}
+				do := func() {
+					body.off = 0
+					handle(w, req)
+					if w.code != 0 && w.code != http.StatusOK {
+						t.Fatalf("status %d", w.code)
+					}
 				}
-			}
-			do() // warm: dials the upstream conn, grows every scratch buffer
-			if avg := testing.AllocsPerRun(200, do); avg != 0 {
-				t.Errorf("routed /predict (%s) allocates %.1f/op at steady state, want 0", tc.name, avg)
-			}
-		})
+				do() // warm: dials the upstream conn, grows every scratch buffer
+				if avg := testing.AllocsPerRun(200, do); avg != 0 {
+					t.Errorf("routed /predict (%s) allocates %.1f/op at steady state, want 0", mc.prefix+tc.name, avg)
+				}
+			})
+		}
 	}
 }
 

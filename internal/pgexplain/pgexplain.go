@@ -127,6 +127,9 @@ func Parse(r io.Reader, database string) (*plan.Plan, error) {
 
 // convert maps one EXPLAIN node (and its subtree) to a plan.Node.
 func convert(e *explainNode) (*plan.Node, error) {
+	if e == nil {
+		return nil, fmt.Errorf("pgexplain: null plan node")
+	}
 	if e.NodeType == "" {
 		return nil, fmt.Errorf("pgexplain: node without a Node Type")
 	}

@@ -1,6 +1,7 @@
 package pgexplain
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -136,6 +137,34 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(strings.NewReader(`[{"Plan": {"Plans": []}}]`), "db"); err == nil {
 		t.Fatal("expected missing node type error")
 	}
+	// A null node is an error, never a nil dereference.
+	for _, doc := range []string{
+		`[{"Plan": {"Node Type": "Hash Join", "Plans": [null]}}]`,
+		`[{"Plan": null}]`,
+	} {
+		if _, err := Parse(strings.NewReader(doc), "db"); err == nil {
+			t.Fatalf("%s: accepted", doc)
+		}
+	}
+}
+
+// FuzzParse: whatever bytes arrive as an EXPLAIN document, Parse returns a
+// plan or an error — it never panics — and a plan it returns has a root that
+// flattens without panicking: Check then passes or names what is wrong
+// (Actual Time × Loops can overflow to +Inf, which only Check sees).
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(fixture))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		p, err := Parse(bytes.NewReader(doc), "db")
+		if err != nil {
+			return
+		}
+		if p == nil || p.Root == nil {
+			t.Fatal("nil error with no root")
+		}
+		var flat plan.FlatPlan
+		_ = flat.FromTree(p).Check() // either verdict is fine; a panic is not
+	})
 }
 
 func TestMapNodeTypeFallbacks(t *testing.T) {

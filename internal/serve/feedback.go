@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"dace/internal/plan"
+	"dace/internal/wire"
 )
 
 // The online-adaptation surface. serve deliberately does not import the
@@ -53,15 +54,15 @@ type feedbackResponse struct {
 
 // handleFeedback ingests one (plan, actual latency) observation.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format != "" && format != "plan" && format != "pg" {
-		http.Error(w, "unknown format (want plan or pg)", http.StatusBadRequest)
+	p, err := wire.ParseParams(r)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	tc, tenantID, handled := s.resolveTenant(w, r, r.URL.RawQuery)
+	tc, tenantID, handled := s.resolveTenant(w, p)
 	if handled {
 		return
 	}
@@ -71,10 +72,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "feedback requires a registered tenant (X-DACE-Tenant or database param)", http.StatusUnprocessableEntity)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxFeedbackBody)
+	ws := wirePool.Get().(*wireScratch)
+	defer wirePool.Put(ws)
+	body, err := ws.ReadBody(r.Body, MaxFeedbackBody)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -90,7 +97,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "predicted_ms must be a finite non-negative number", http.StatusBadRequest)
 		return
 	}
-	p, err := decodePlan(bytes.NewReader(req.Plan), format, r.URL.Query().Get("database"))
+	t, f, err := ws.DecodeTree(req.Plan, p)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -102,18 +109,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// free for plans seen before (the flattened tree shares its fingerprint
 	// cache entry with /predict traffic for the same plan).
 	if req.PredictedMS == 0 {
-		ws := wirePool.Get().(*wireScratch)
-		if preds, err := s.predsForFlat(ws.flat.FromTree(p), tc); err == nil && len(preds) > 0 {
+		if preds, err := s.predsForFlat(f, tc); err == nil && len(preds) > 0 {
 			req.PredictedMS = preds[0]
 		}
-		wirePool.Put(ws)
 	}
 	// A resolved tenant owns its feedback stream; everything else goes to
 	// the global sink (when configured).
 	if tenantID != "" {
-		s.Tenants.Observe(tenantID, p, req.ActualMS, req.PredictedMS)
+		s.Tenants.Observe(tenantID, t, req.ActualMS, req.PredictedMS)
 	} else {
-		s.Feedback.Observe(p, req.ActualMS, req.PredictedMS)
+		s.Feedback.Observe(t, req.ActualMS, req.PredictedMS)
 	}
 	if s.tel != nil {
 		s.tel.feedback.Inc()
@@ -133,7 +138,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 // handleAdaptStatus serves the controller's introspection document.
 func (s *Server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, s.Adapt.Status())
@@ -143,7 +148,7 @@ func (s *Server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
 // controller (one already in flight) is 409; any other refusal is 409 with
 // the reason in the body; success returns the gate's outcome document.
 func (s *Server) handleAdaptTrigger(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	out, err := s.Adapt.Trigger()
@@ -158,13 +163,4 @@ func (s *Server) handleAdaptTrigger(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, out)
-}
-
-// checkFinite rejects plans carrying NaN or infinite numeric features (they
-// would poison both the prediction and any stored feedback sample) or
-// out-of-range operator types. It delegates to the canonical validator
-// shared with the flat wire path, so every ingest surface rejects exactly
-// the same plans.
-func checkFinite(p *plan.Plan) error {
-	return plan.CheckFeatures(p)
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"net/http"
 	"strconv"
+
+	"dace/internal/wire"
 )
 
 // Liveness vs readiness. /healthz/live answers 200 for as long as the
@@ -28,14 +30,14 @@ var (
 )
 
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	writeResponseBytes(w, liveBody)
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	if s.Ready() {
@@ -49,7 +51,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h["Retry-After"] = retryAfter1
 	h["Content-Type"] = jsonContentType
-	h["Content-Length"] = contentLengthValue(len(body))
+	h["Content-Length"] = wire.ContentLengthValue(len(body))
 	w.WriteHeader(http.StatusServiceUnavailable)
 	w.Write(body)
 }
@@ -62,7 +64,7 @@ type ModelStatus struct {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, ModelStatus{Version: s.ModelVersion(), Ready: s.Ready()})
@@ -73,10 +75,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // rollout. The swap reuses SetModel, so the caches flush and the generation
 // guard blocks any straddling compute from re-inserting stale predictions.
 func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	vs := queryParam(r.URL.RawQuery, "version")
+	vs := wire.QueryParam(r.URL.RawQuery, "version")
 	v, err := strconv.Atoi(vs)
 	if err != nil || v < 0 {
 		http.Error(w, "version query parameter must be a non-negative integer", http.StatusBadRequest)

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"dace/internal/servecache"
 	"dace/internal/telemetry"
+	"dace/internal/wire"
 )
 
 // Telemetry for the serving pipeline. Config.Metrics switches it on; a nil
@@ -153,35 +153,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	if s.tel == nil {
 		return h
 	}
-	em := s.tel.endpoints[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		sr := recPool.Get().(*statusRecorder)
-		sr.ResponseWriter, sr.code = w, http.StatusOK
-		start := time.Now()
-		h(sr, r)
-		em.observe(sr.code, time.Since(start))
-		sr.ResponseWriter = nil
-		recPool.Put(sr)
-	}
+	return wire.Instrument(h, s.tel.endpoints[endpoint].observe)
 }
-
-// statusRecorder captures the response status for the instrument wrapper;
-// pooled so steady-state instrumented serving allocates nothing extra.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-var recPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

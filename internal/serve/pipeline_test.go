@@ -18,6 +18,7 @@ import (
 	"dace/internal/plan"
 	"dace/internal/schema"
 	"dace/internal/telemetry"
+	"dace/internal/wire"
 )
 
 // pipelineConfig enables every stage at test-friendly sizes.
@@ -510,7 +511,7 @@ func TestBodyCaps(t *testing.T) {
 	defer srv.Close()
 
 	// /predict: pad a valid document past MaxPredictBody via the sql field.
-	pad := strings.Repeat("x", int(MaxPredictBody)+1024)
+	pad := strings.Repeat("x", int(wire.MaxPredictBody)+1024)
 	big := []byte(`{"sql":"` + pad + `","root":{"type":0,"est_rows":1,"est_cost":1}}`)
 	resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(big))
 	if err != nil {
@@ -523,8 +524,8 @@ func TestBodyCaps(t *testing.T) {
 	}
 
 	// /predict/batch: shrink the cap rather than allocating 64MB in a test.
-	defer func(old int64) { MaxBatchBody = old }(MaxBatchBody)
-	MaxBatchBody = 4096
+	defer func(old int64) { wire.MaxBatchBody = old }(wire.MaxBatchBody)
+	wire.MaxBatchBody = 4096
 	var batch bytes.Buffer
 	batch.WriteString("[")
 	for i := 0; i < 64; i++ {
@@ -534,7 +535,7 @@ func TestBodyCaps(t *testing.T) {
 		batch.Write(planBody(t, samples[i%8].Plan))
 	}
 	batch.WriteString("]")
-	if int64(batch.Len()) <= MaxBatchBody {
+	if int64(batch.Len()) <= wire.MaxBatchBody {
 		t.Fatal("test batch not oversized")
 	}
 	resp2, err := http.Post(srv.URL+"/predict/batch", "application/json", &batch)

@@ -3,7 +3,8 @@
 // or workload manager POSTs a plan and gets back predicted latencies for
 // the plan and every sub-plan, in well under a millisecond of model time.
 //
-// Endpoints:
+// Endpoints (the bracketed ones exist only when the named Server field or
+// Config.Metrics is set before Handler is called):
 //
 //	POST /predict                body: plan JSON (plan.WriteJSON format)
 //	POST /predict?format=pg      body: PostgreSQL EXPLAIN (FORMAT JSON) output
@@ -12,8 +13,19 @@
 //	GET  /healthz/live           liveness: 200 while the process can answer
 //	GET  /healthz/ready          readiness: 503+Retry-After while draining
 //	                             or before the first model load
-//	POST /model/load?version=N   swap to a versioned artifact (Loader set)
-//	GET  /model                  currently served model version
+//	POST /model/load?version=N   swap to a versioned artifact     [Loader]
+//	GET  /model                  currently served model version   [Loader]
+//	POST /feedback               one observed execution  [Feedback or Tenants]
+//	GET  /adapt/status           adaptation controller state       [Adapt]
+//	POST /adapt/trigger          one synchronous adaptation attempt [Adapt]
+//	     /tenants, /tenants/...  the per-tenant tree (tenants.go) [Tenants]
+//	GET  /metrics                Prometheus text exposition [Config.Metrics]
+//
+// How the bytes of a /predict, /predict/batch or /feedback request become a
+// validated plan — format and Content-Type negotiation, the body cap, the
+// three decoders, the finite/type check, and the 400/413 that answer a
+// failure — is not decided here: it is internal/wire, shared with the
+// gateway so a request is rejected identically direct and routed.
 //
 // The serving pipeline (all stages optional, enabled via Config) answers from
 // the cheapest stage that can, and bounds what reaches the model:
@@ -26,8 +38,8 @@
 //
 // Between decode and model there is one representation, plan.FlatPlan: the
 // streaming decoders produce it, pg EXPLAIN and feedback trees are
-// flattened once at the edge (wireScratch.decode), and the model featurizes
-// its arrays in place.
+// flattened once at the edge (wire.Scratch.DecodeTree), and the model
+// featurizes its arrays in place.
 //
 // Cost-estimation traffic is highly repetitive — an optimizer re-costs the
 // same sub-plans across candidate joins — so most requests resolve in the
@@ -43,7 +55,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -51,21 +62,11 @@ import (
 
 	"dace/internal/core"
 	"dace/internal/nn"
-	"dace/internal/pgexplain"
 	"dace/internal/plan"
 	"dace/internal/servecache"
 	"dace/internal/telemetry"
 	"dace/internal/version"
-)
-
-// Request-body ceilings: a malformed or hostile client must not make the
-// server buffer an unbounded JSON document. Overflow returns 413. Vars, not
-// consts, so deployments (and tests) can tighten them before serving starts.
-var (
-	// MaxPredictBody caps one plan document (a deep plan is a few KB).
-	MaxPredictBody int64 = 4 << 20
-	// MaxBatchBody caps a /predict/batch array.
-	MaxBatchBody int64 = 64 << 20
+	"dace/internal/wire"
 )
 
 // maxCachedBody bounds entries admitted to the body cache so a burst of
@@ -270,18 +271,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// allowOnly enforces a single-method endpoint: a mismatched request gets 405
-// with an Allow header naming the one accepted method (RFC 9110 §15.5.6
-// requires Allow on 405). Returns true when the request may proceed.
-func allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method == method {
-		return true
-	}
-	w.Header().Set("Allow", method)
-	http.Error(w, method+" required", http.StatusMethodNotAllowed)
-	return false
-}
-
 // Prediction is the /predict response.
 type Prediction struct {
 	RootMS   float64   `json:"root_ms"`
@@ -304,30 +293,6 @@ var (
 	errClosed    = errors.New("serve: server shutting down")
 )
 
-// decodePlan parses one request document into a validated tree: the pg
-// EXPLAIN and /feedback ingest, the two inputs with no streaming decoder
-// (feedback also hands the tree to its sink). Prediction never consumes the
-// tree — callers flatten it (FlatPlan.FromTree) first.
-func decodePlan(body *bytes.Reader, format, database string) (*plan.Plan, error) {
-	var p *plan.Plan
-	var err error
-	if format == "pg" {
-		p, err = pgexplain.Parse(body, database)
-	} else {
-		p, err = plan.ReadJSON(body)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.Root == nil {
-		return nil, errors.New("plan has no root")
-	}
-	if err := checkFinite(p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // trackInflight bumps the in-flight gauge (and its high-watermark) and
 // returns the matching decrement for the caller to defer.
 func (s *Server) trackInflight() func() {
@@ -349,30 +314,23 @@ func (s *Server) Inflight() (now, hwm int64) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	defer s.trackInflight()()
-	query := r.URL.RawQuery
-	format := queryParam(query, "format")
-	if format != "" && format != "plan" && format != "pg" {
-		http.Error(w, "unknown format (want plan or pg)", http.StatusBadRequest)
+	p, err := wire.ParseParams(r)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	database := queryParam(query, "database")
-	binary := isBinaryContentType(r.Header.Get("Content-Type"))
-	if binary && format == "pg" {
-		http.Error(w, "binary plan encoding cannot carry pg explain output", http.StatusBadRequest)
-		return
-	}
-	tc, _, handled := s.resolveTenant(w, r, query)
+	tc, _, handled := s.resolveTenant(w, p)
 	if handled {
 		return
 	}
 
 	ws := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(ws)
-	body, err := ws.readBody(r.Body, MaxPredictBody)
+	body, err := ws.ReadBody(r.Body, wire.MaxPredictBody)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -384,10 +342,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// salt domain-separates the key: a hot-swap (generation bump) orphans
 		// that tenant's entries without touching anyone else's.
 		var key servecache.Key
-		if binary {
-			key = tc.key(servecache.KeyOf(body, binaryBodyTag, []byte(database)))
+		if p.Binary {
+			key = tc.key(servecache.KeyOf(body, binaryBodyTag, []byte(p.Database)))
 		} else {
-			key = tc.key(servecache.KeyOf(body, []byte(format), []byte(database)))
+			key = tc.key(servecache.KeyOf(body, []byte(p.Format), []byte(p.Database)))
 		}
 		if resp, ok := s.bodies.Lookup(key); ok {
 			writeResponseBytes(w, resp)
@@ -396,7 +354,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// Miss: render into a fresh cacheable buffer; identical in-flight
 		// bodies coalesce here too.
 		resp, err := s.bodies.GetOrCompute(key, func() ([]byte, error) {
-			return s.renderPredict(ws, nil, body, format, database, binary, tc)
+			return s.renderPredict(ws, nil, body, p, tc)
 		})
 		if err != nil {
 			writeError(w, err)
@@ -405,7 +363,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeResponseBytes(w, resp)
 		return
 	}
-	ws.resp, err = s.renderPredict(ws, ws.resp[:0], body, format, database, binary, tc)
+	ws.resp, err = s.renderPredict(ws, ws.resp[:0], body, p, tc)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -421,72 +379,39 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // Prediction documents in input order; a bad entry fails the request with
 // its index ("plan[17]: ...").
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodPost) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
 	defer s.trackInflight()()
-	query := r.URL.RawQuery
-	format := queryParam(query, "format")
-	if format != "" && format != "plan" && format != "pg" {
-		http.Error(w, "unknown format (want plan or pg)", http.StatusBadRequest)
+	p, err := wire.ParseParams(r)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	database := queryParam(query, "database")
-	binary := isBinaryContentType(r.Header.Get("Content-Type"))
-	if binary && format == "pg" {
-		http.Error(w, "binary plan encoding cannot carry pg explain output", http.StatusBadRequest)
-		return
-	}
-	tc, _, handled := s.resolveTenant(w, r, query)
+	tc, _, handled := s.resolveTenant(w, p)
 	if handled {
 		return
 	}
 
 	ws := wirePool.Get().(*wireScratch)
 	defer wirePool.Put(ws)
-	body, err := ws.readBody(r.Body, MaxBatchBody)
+	body, err := ws.ReadBody(r.Body, wire.MaxBatchBody)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
 	// Decode every entry up front into ws.batch, which owns a copy of each
-	// plan's flat arrays and its fingerprint (the decoder is reused entry to
-	// entry). The copy grows as entries validate, so memory tracks the bytes
-	// actually decoded, never the count a frame claims.
+	// plan's flat arrays and its fingerprint.
 	batch := &ws.batch
 	batch.Reset()
-	if binary {
-		bb, err := plan.NewBinaryBatch(body)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		for i := 0; bb.Len() > 0; i++ {
-			f, err := bb.Next(&ws.dec)
-			if err == nil {
-				err = f.Check()
-			}
-			if err != nil {
-				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
-				return
-			}
-			batch.Append(f)
-		}
-	} else {
-		var raw []json.RawMessage
-		if err := json.Unmarshal(body, &raw); err != nil {
-			writeError(w, err)
-			return
-		}
-		for i, msg := range raw {
-			f, err := ws.decode(msg, format, database, false)
-			if err != nil {
-				writeError(w, fmt.Errorf("plan[%d]: %w", i, err))
-				return
-			}
-			batch.Append(f)
-		}
+	err = ws.DecodeBatch(body, p, func(f *plan.FlatPlan) error {
+		batch.Append(f)
+		return nil
+	})
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 
 	preds := s.batchPreds(batch, tc)
@@ -589,7 +514,7 @@ type QueueStats struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
+	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
 	m := s.Model()
@@ -640,17 +565,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // writeError maps pipeline errors to HTTP statuses: overload and shutdown
-// are retryable 503s (with Retry-After, so well-behaved clients back off),
-// an oversized body is 413, and everything else is the client's fault.
+// are retryable 503s (with Retry-After, so well-behaved clients back off); the
+// request edge owns the rest (413 for an oversized body, else 400).
 func writeError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
+	if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.As(err, &tooBig):
-		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	wire.WriteError(w, err)
 }

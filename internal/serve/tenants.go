@@ -10,6 +10,7 @@ import (
 	"dace/internal/core"
 	"dace/internal/plan"
 	"dace/internal/servecache"
+	"dace/internal/wire"
 )
 
 // The multi-tenant surface. serve deliberately does not import the tenant
@@ -40,12 +41,6 @@ type TenantRegistry interface {
 	Versions() map[string]int
 }
 
-// TenantHeader is the canonical (net/textproto) form of the X-DACE-Tenant
-// request header. Incoming header keys are canonicalized by net/http, so
-// the hot path reads the header map directly under this key — Header.Get
-// on the display form "X-DACE-Tenant" would re-canonicalize per call.
-const TenantHeader = "X-Dace-Tenant"
-
 // tenantCtx is one request's serving context: which model answers and
 // which cache domain the answer lives in. The zero value is the global
 // domain (server model, identity salt).
@@ -70,39 +65,24 @@ func (tc tenantCtx) modelOr(s *Server) *core.Model {
 	return s.Model()
 }
 
-// tenantParam extracts the request's tenant identity — the shared helper
-// for every endpoint that is tenant-aware. The X-DACE-Tenant header wins
-// over the database query param; explicit reports which one named it. An
-// explicitly named tenant must exist (the caller 404s), while a database
-// value that matches no tenant falls back to the base model, keeping
-// pre-tenant clients working unchanged.
-func tenantParam(r *http.Request, query string) (id string, explicit bool) {
-	if vs := r.Header[TenantHeader]; len(vs) > 0 && vs[0] != "" {
-		return vs[0], true
-	}
-	return queryParam(query, "database"), false
-}
-
-// resolveTenant maps the request to its serving context. handled=true
-// means the response was already written (404 for an explicitly named
-// unknown tenant); id is non-empty only when a registered tenant resolved.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, query string) (tc tenantCtx, id string, handled bool) {
-	if s.Tenants == nil {
+// resolveTenant maps the request's tenant identity (wire.Params: the
+// X-DACE-Tenant header wins over the database query param) to its serving
+// context. handled=true means the response was already written (404 for an
+// explicitly named unknown tenant; an implicit one falls back to the base
+// model); id is non-empty only when a registered tenant resolved.
+func (s *Server) resolveTenant(w http.ResponseWriter, p wire.Params) (tc tenantCtx, id string, handled bool) {
+	if s.Tenants == nil || p.Tenant == "" {
 		return tenantCtx{}, "", false
 	}
-	id, explicit := tenantParam(r, query)
-	if id == "" {
-		return tenantCtx{}, "", false
-	}
-	m, salt, ok := s.Tenants.Resolve(id)
+	m, salt, ok := s.Tenants.Resolve(p.Tenant)
 	if !ok {
-		if explicit {
-			http.Error(w, "unknown tenant: "+id, http.StatusNotFound)
+		if p.TenantExplicit {
+			http.Error(w, "unknown tenant: "+p.Tenant, http.StatusNotFound)
 			return tenantCtx{}, "", true
 		}
 		return tenantCtx{}, "", false
 	}
-	return tenantCtx{model: m, salt: salt}, id, false
+	return tenantCtx{model: m, salt: salt}, p.Tenant, false
 }
 
 // handleTenants routes the /tenants tree:
@@ -118,7 +98,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/tenants")
 	path = strings.TrimPrefix(path, "/")
 	if path == "" {
-		if !allowOnly(w, r, http.MethodGet) {
+		if !wire.AllowOnly(w, r, http.MethodGet) {
 			return
 		}
 		writeJSON(w, s.Tenants.List())
@@ -156,7 +136,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		}
 
 	case "adapt/status":
-		if !allowOnly(w, r, http.MethodGet) {
+		if !wire.AllowOnly(w, r, http.MethodGet) {
 			return
 		}
 		st, ok := s.Tenants.Status(id)
@@ -167,7 +147,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, st)
 
 	case "adapt/trigger":
-		if !allowOnly(w, r, http.MethodPost) {
+		if !wire.AllowOnly(w, r, http.MethodPost) {
 			return
 		}
 		if _, ok := s.Tenants.Describe(id); !ok {
@@ -182,10 +162,10 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 
 	case "adapter/load":
-		if !allowOnly(w, r, http.MethodPost) {
+		if !wire.AllowOnly(w, r, http.MethodPost) {
 			return
 		}
-		v, err := strconv.Atoi(queryParam(r.URL.RawQuery, "version"))
+		v, err := strconv.Atoi(wire.QueryParam(r.URL.RawQuery, "version"))
 		if err != nil || v < 1 {
 			http.Error(w, "version query parameter required (a positive integer)", http.StatusBadRequest)
 			return
@@ -198,7 +178,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, info)
 
 	case "adapter/rollback":
-		if !allowOnly(w, r, http.MethodPost) {
+		if !wire.AllowOnly(w, r, http.MethodPost) {
 			return
 		}
 		if _, ok := s.Tenants.Describe(id); !ok {

@@ -1,42 +1,31 @@
-// Zero-copy wire path: the /predict and /predict/batch hot loops, rebuilt
-// around the streaming plan decoder. A request body is read once into a
-// pooled buffer and decoded straight into flat arenas (plan.Decoder) — no
-// *plan.Node tree, no encoding/json — with the cache fingerprint computed
+// The response half of the wire path. Requests reach this package already
+// read, decoded and validated by the request edge (internal/wire): one pooled
+// buffer, flat arenas, no *plan.Node tree, the cache fingerprint computed
 // during the parse. Responses are rendered by a handwritten JSON encoder
 // that reproduces encoding/json's output byte for byte, so enabling the
-// fast path can never change what clients see.
-//
-// Wire negotiation: a request whose Content-Type is plan.BinaryContentType
-// carries the compact binary plan encoding (one frame on /predict, a batch
-// frame on /predict/batch) instead of JSON. Responses are JSON either way.
+// fast path can never change what clients see; they are JSON whichever
+// encoding the request used.
 package serve
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
 	"dace/internal/plan"
 	"dace/internal/servecache"
+	"dace/internal/wire"
 )
 
-// wireScratch holds every reusable buffer one request needs: the body
-// reader+buffer, the streaming decoder with its flat arenas, the flat plan
-// a pg-explain or feedback tree is converted into, the owned copies of a
-// /predict/batch request's plans, and the response-assembly buffers for
-// renders that bypass the body cache.
+// wireScratch holds every reusable buffer one request needs: the request
+// edge's read and decode state, the owned copies of a /predict/batch
+// request's plans, and the response-assembly buffers for renders that bypass
+// the body cache.
 type wireScratch struct {
-	lr    io.LimitedReader
-	buf   bytes.Buffer
-	dec   plan.Decoder
-	flat  plan.FlatPlan
+	wire.Scratch
 	batch plan.FlatBatch
 	resp  []byte
 	preds []float64
@@ -44,97 +33,12 @@ type wireScratch struct {
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
 
-// readBody drains the request body into the scratch buffer, enforcing the
-// size cap without the per-request allocation http.MaxBytesReader costs.
-func (ws *wireScratch) readBody(rc io.ReadCloser, limit int64) ([]byte, error) {
-	ws.lr.R = rc
-	ws.lr.N = limit + 1
-	ws.buf.Reset()
-	if _, err := ws.buf.ReadFrom(&ws.lr); err != nil {
-		return nil, err
-	}
-	if int64(ws.buf.Len()) > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
-	}
-	return ws.buf.Bytes(), nil
-}
-
-// queryParam returns the first value of name in a raw query string without
-// materializing the url.Values map. Escaped values take the slow, allocating
-// path; plain ones (the common case: format=pg&database=prod) do not.
-func queryParam(query, name string) string {
-	for len(query) > 0 {
-		var part string
-		if i := strings.IndexByte(query, '&'); i >= 0 {
-			part, query = query[:i], query[i+1:]
-		} else {
-			part, query = query, ""
-		}
-		if len(part) <= len(name) || part[len(name)] != '=' || part[:len(name)] != name {
-			continue
-		}
-		v := part[len(name)+1:]
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u
-			}
-		}
-		return v
-	}
-	return ""
-}
-
-// isBinaryContentType reports whether a Content-Type header selects the
-// compact binary plan encoding (exact match or with parameters).
-func isBinaryContentType(ct string) bool {
-	const want = plan.BinaryContentType
-	if ct == want {
-		return true
-	}
-	return len(ct) > len(want) && ct[:len(want)] == want &&
-		(ct[len(want)] == ';' || ct[len(want)] == ' ')
-}
-
 // binaryBodyTag domain-separates binary bodies from JSON bodies in the body
 // cache key (the JSON domain uses the request's format string, which can
 // never contain a NUL byte from a query parameter).
 var binaryBodyTag = []byte("bin\x00")
 
 var jsonContentType = []string{"application/json"}
-
-// contentLengths memoizes the []string header value per response size, so
-// setting Content-Length costs a read-locked map probe instead of a string
-// allocation. An explicit Content-Length keeps net/http from switching to
-// chunked transfer encoding on responses larger than its 2 KiB sniff
-// buffer — less framing on the wire and less parsing for clients. Sizes
-// repeat heavily (cached responses are byte-identical), and only lengths
-// below maxMemoContentLength are kept, so the map is bounded by that many
-// tiny entries; a larger response (a ~150-node plan and up, or a batch)
-// formats its length afresh — two small allocations against a render of
-// tens of kilobytes.
-const maxMemoContentLength = 16 << 10
-
-var (
-	contentLengthMu    sync.RWMutex
-	contentLengthCache = map[int][]string{}
-)
-
-func contentLengthValue(n int) []string {
-	if n >= maxMemoContentLength {
-		return []string{strconv.Itoa(n)}
-	}
-	contentLengthMu.RLock()
-	v, ok := contentLengthCache[n]
-	contentLengthMu.RUnlock()
-	if ok {
-		return v
-	}
-	v = []string{strconv.Itoa(n)}
-	contentLengthMu.Lock()
-	contentLengthCache[n] = v
-	contentLengthMu.Unlock()
-	return v
-}
 
 // writeResponseBytes writes a prediction response. Headers are assigned via
 // the map directly — not Header().Set, which allocates a fresh []string per
@@ -145,7 +49,7 @@ func writeResponseBytes(w http.ResponseWriter, resp []byte) {
 		h["Content-Type"] = jsonContentType
 	}
 	if _, ok := h["Content-Length"]; !ok {
-		h["Content-Length"] = contentLengthValue(len(resp))
+		h["Content-Length"] = wire.ContentLengthValue(len(resp))
 	}
 	w.Write(resp)
 }
@@ -304,40 +208,12 @@ func (s *Server) inferFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
 	return tc.modelOr(s).AppendPredictSubPlansFlat(nil, f), nil
 }
 
-// decode parses and validates one request document — binary frame, plan
-// JSON, or pg EXPLAIN JSON — into a flat plan that aliases ws and is valid
-// until ws's next decode. pg output has no streaming decoder: its tree is
-// validated by decodePlan and flattened here, the edge of the flat path.
-func (ws *wireScratch) decode(body []byte, format, database string, binary bool) (*plan.FlatPlan, error) {
-	if format == "pg" {
-		p, err := decodePlan(bytes.NewReader(body), format, database)
-		if err != nil {
-			return nil, err
-		}
-		return ws.flat.FromTree(p), nil
-	}
-	var f *plan.FlatPlan
-	var err error
-	if binary {
-		f, err = ws.dec.DecodeBinary(body)
-	} else {
-		f, err = ws.dec.Decode(body)
-	}
-	if err == nil {
-		err = f.Check()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // renderPredict produces the /predict response bytes for one body-cache
 // miss: decode → predict → encode. The output may be inserted into the body
 // cache, so it is appended to dst — pass nil for a fresh cacheable slice,
 // or a pooled buffer when the response will not be retained.
-func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, format, database string, binary bool, tc tenantCtx) ([]byte, error) {
-	f, err := ws.decode(body, format, database, binary)
+func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, p wire.Params, tc tenantCtx) ([]byte, error) {
+	f, err := ws.Decode(body, p)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -113,24 +112,6 @@ func TestAppendPredictionMatchesEncodingJSON(t *testing.T) {
 	}
 	if _, err := appendPrediction(nil, f, []float64{math.NaN()}); err == nil {
 		t.Fatal("NaN prediction encoded")
-	}
-}
-
-func TestQueryParam(t *testing.T) {
-	for _, tc := range []struct{ query, name, want string }{
-		{"format=pg&database=prod", "format", "pg"},
-		{"format=pg&database=prod", "database", "prod"},
-		{"format=pg", "database", ""},
-		{"", "format", ""},
-		{"format", "format", ""},
-		{"xformat=pg", "format", ""},
-		{"database=a%20b", "database", "a b"},
-		{"database=a+b", "database", "a b"},
-		{"format=plan&format=pg", "format", "plan"},
-	} {
-		if got := queryParam(tc.query, tc.name); got != tc.want {
-			t.Errorf("queryParam(%q, %q) = %q, want %q", tc.query, tc.name, got, tc.want)
-		}
 	}
 }
 
@@ -290,35 +271,6 @@ func TestBatchHostileCountAllocatesNothingUpFront(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("rejecting a frame claiming %d plans allocated %d bytes, want < 1 MiB", claimed, got)
-	}
-}
-
-// TestContentLengthMemoIsBounded: response lengths are memoized as header
-// values only below maxMemoContentLength, so a server that renders ever-new
-// large sizes (batches, big plans) cannot grow the table without bound.
-func TestContentLengthMemoIsBounded(t *testing.T) {
-	w := &nullResponseWriter{h: make(http.Header)}
-	resp := make([]byte, maxMemoContentLength+10_000)
-	for n := maxMemoContentLength; n < len(resp); n++ {
-		delete(w.h, "Content-Length")
-		writeResponseBytes(w, resp[:n])
-		if got := w.h["Content-Length"][0]; got != strconv.Itoa(n) {
-			t.Fatalf("Content-Length %q for a %d-byte response", got, n)
-		}
-	}
-	for n := 0; n < maxMemoContentLength; n += 7 {
-		delete(w.h, "Content-Length")
-		writeResponseBytes(w, resp[:n])
-	}
-	contentLengthMu.RLock()
-	defer contentLengthMu.RUnlock()
-	if len(contentLengthCache) > maxMemoContentLength {
-		t.Fatalf("memo holds %d lengths, bound is %d", len(contentLengthCache), maxMemoContentLength)
-	}
-	for n := range contentLengthCache {
-		if n >= maxMemoContentLength {
-			t.Fatalf("memo kept length %d, at or above the bound %d", n, maxMemoContentLength)
-		}
 	}
 }
 

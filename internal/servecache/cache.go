@@ -20,6 +20,7 @@
 package servecache
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,6 +168,10 @@ func (c *Cache[V]) Put(k Key, v V) {
 	s.mu.Unlock()
 }
 
+// ErrComputePanicked is what callers coalesced onto a GetOrCompute whose fn
+// panicked receive; the panic itself propagates on the caller that ran fn.
+var ErrComputePanicked = errors.New("servecache: compute panicked")
+
 // GetOrCompute returns the cached value for k, or runs fn exactly once per
 // concurrent group of callers (singleflight) and caches its result. The
 // compute runs without any shard lock held. A fn error is returned to every
@@ -196,16 +201,22 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	s.mu.Unlock()
 
 	c.misses.Add(1)
+	// The flight is retired in a defer so a panicking fn cannot strand it:
+	// the entry goes, waiters wake to ErrComputePanicked (fl.err until fn
+	// returns), nothing is inserted, and the panic continues up the leader's
+	// stack to whoever recovers it (net/http, for a handler).
+	fl.err = ErrComputePanicked
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		if fl.err == nil && c.gen.Load() == gen {
+			c.insertLocked(s, k, fl.val)
+		}
+		s.mu.Unlock()
+		c.inflight.Add(^uint64(0))
+		close(fl.done)
+	}()
 	fl.val, fl.err = fn()
-
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if fl.err == nil && c.gen.Load() == gen {
-		c.insertLocked(s, k, fl.val)
-	}
-	s.mu.Unlock()
-	c.inflight.Add(^uint64(0))
-	close(fl.done)
 	return fl.val, fl.err
 }
 

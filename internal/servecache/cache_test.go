@@ -124,8 +124,10 @@ func TestGetOrComputeCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the one compute is in flight, then release it.
-	for c.Stats().Inflight == 0 {
+	// Wait until every other caller has coalesced onto the one compute in
+	// flight, then release it (a caller arriving after the release would be
+	// a plain hit).
+	for c.Stats().Coalesced < waiters-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -162,6 +164,60 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	v, err := c.GetOrCompute(key(1), func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("retry = (%d, %v), want (5, nil)", v, err)
+	}
+}
+
+// TestGetOrComputePanicReleasesWaiters: a compute that panics must not
+// strand its flight. The leader's panic propagates to the leader; the two
+// callers coalesced onto it wake to ErrComputePanicked instead of blocking
+// forever, nothing is cached, and the next caller recomputes.
+func TestGetOrComputePanicReleasesWaiters(t *testing.T) {
+	c := New[int](64, 0)
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.GetOrCompute(key(3), func() (int, error) {
+			<-release
+			panic("compute blew up")
+		})
+	}()
+	for c.Stats().Inflight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const waiters = 2
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := c.GetOrCompute(key(3), func() (int, error) { return 0, errors.New("waiter ran the compute") })
+			errs <- err
+		}()
+	}
+	for c.Stats().Coalesced < waiters {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	timeout := time.After(time.Second)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrComputePanicked) {
+				t.Fatalf("waiter got %v, want ErrComputePanicked", err)
+			}
+		case <-timeout:
+			t.Fatal("a coalesced waiter is still blocked 1 s after its leader panicked")
+		}
+	}
+	if got := <-leaderPanic; got != "compute blew up" {
+		t.Fatalf("leader recovered %v, want its own panic value", got)
+	}
+	if st := c.Stats(); st.Inflight != 0 || st.Entries != 0 {
+		t.Fatalf("after the panic: %d in flight, %d entries, want 0 and 0", st.Inflight, st.Entries)
+	}
+	v, err := c.GetOrCompute(key(3), func() (int, error) { return 5, nil })
+	if err != nil || v != 5 {
+		t.Fatalf("call after the panic = (%d, %v), want a recompute to (5, nil)", v, err)
 	}
 }
 
