@@ -38,13 +38,21 @@ build-arm64:
 # (every encoding, pg included, routes from the FlatPlan internal/wire hands
 # it), and the request-edge helpers are defined in internal/wire and nowhere
 # else under internal/ — a second definition is a copy that will drift.
+# And the one-served-snapshot invariants: the prediction cache has no
+# invalidation entry point (a model swap moves its domain to a new salt and
+# touches no cache), no non-test code sets a served version apart from its
+# model, and the (domain, generation) -> salt function is servecache.DomainSalt
+# and nothing else under internal/.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
 		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go; \
 		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s; \
 		grep -rnE --include='*.go' --exclude='*_test.go' 'pgexplain\.|plan\.AppendBinary\(|CheckFeatures\(|\.Fingerprint\(\)' internal/gateway; \
-		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue)\(' internal)"; \
+		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue|plausibleTenantID|ValidateID|ValidateTenantID)\(' internal; \
+		grep -rnE --include='*.go' '^func \(c \*Cache\[V\]\) (Flush|Generation|PutAt)\(' internal/servecache; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'SetVersion(' internal cmd examples; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Za-z]*[sS]alt[A-Za-z]*\(' internal | grep -v '^internal/servecache/cache.go:[0-9]*:func DomainSalt(')"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -172,7 +172,7 @@ func main() {
 		}()
 	}
 
-	s := serve.NewWithConfig(m, serve.Config{
+	s := serve.NewWithConfig(nil, serve.Config{
 		CacheSize:  *cacheSize,
 		CacheTTL:   *cacheTTL,
 		MaxBatch:   *maxBatch,
@@ -180,7 +180,7 @@ func main() {
 		Metrics:    reg,
 	})
 	s.Workers = *workers
-	s.SetVersion(servedVersion)
+	s.Publish(m, servedVersion) // model and artifact version land as one snapshot
 	if *modelDir != "" {
 		// POST /model/load resolves versions against the artifact directory;
 		// version 0 is the seed model the daemon started from.
@@ -258,7 +258,6 @@ func main() {
 			ModelDir:       *modelDir,
 			Logger:         logger.With("component", "adapt"),
 		})
-		ctl.SetVersion(servedVersion)
 		if reg != nil {
 			ctl.EnableMetrics(reg)
 		}
@@ -267,33 +266,15 @@ func main() {
 		ctl.Start()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("serving",
 		"model", *modelPath, "addr", *addr, "version", version.Get().Version,
 		"cache", *cacheSize, "batch", *maxBatch,
 		"queue", *queueDepth, "adapt", adaptOn, "metrics", *metricsOn)
-
-	// Graceful shutdown: stop accepting, let in-flight requests finish,
-	// then drain the admission stage so every waiting prediction is answered.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String())
-		// Flip readiness off first and give upstream gateways a grace
-		// period to observe it and eject this replica — new traffic stops
-		// arriving before the listener closes, so nothing gets refused.
-		s.BeginDrain()
-		if *drainGrace > 0 {
-			time.Sleep(*drainGrace)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		cancel()
+	// Flip readiness off first and give upstream gateways the grace period
+	// to observe it and eject this replica — new traffic stops arriving
+	// before the listener closes, so nothing gets refused. After Shutdown,
+	// drain the admission stage so every waiting prediction is answered.
+	serveUntilSignal(logger, *addr, s.Handler(), *drainGrace, s.BeginDrain, func() {
 		s.Close()
 		if ctl != nil {
 			// Wait out any in-flight fine-tune and flush the feedback log
@@ -305,10 +286,38 @@ func main() {
 			// persist their artifacts) before the process exits.
 			tenants.Stop()
 		}
+	})
+}
+
+// serveUntilSignal listens on addr until SIGINT/SIGTERM, then shuts down
+// gracefully: beginDrain, the drain-grace pause, http.Server.Shutdown (stop
+// accepting, let in-flight requests finish), closeAll. A listener that fails
+// on its own exits the process.
+func serveUntilSignal(logger *slog.Logger, addr string, h http.Handler, drainGrace time.Duration, beginDrain, closeAll func()) {
+	srv := &http.Server{Addr: addr, Handler: h}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	select {
+	case sig := <-sigCh:
+		logger.Info("draining", "signal", sig.String())
+		beginDrain()
+		if drainGrace > 0 {
+			time.Sleep(drainGrace)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			logger.Error("shutdown", "err", err)
+		}
+		cancel()
+		closeAll()
 		logger.Info("drained")
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fatal("listen", "err", err)
+			logger.Error("listen", "err", err)
+			os.Exit(1)
 		}
 	}
 }
@@ -342,33 +351,9 @@ func runGateway(logger *slog.Logger, reg *telemetry.Registry, cfg gatewayConfig)
 		logger.Error("gateway", "err", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Addr: cfg.addr, Handler: g.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("gateway serving",
 		"addr", cfg.addr, "replicas", len(cfg.replicas), "version", version.Get().Version)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String())
-		if cfg.drainGrace > 0 {
-			time.Sleep(cfg.drainGrace)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		cancel()
-		g.Close()
-		logger.Info("drained")
-	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("listen", "err", err)
-			os.Exit(1)
-		}
-	}
+	serveUntilSignal(logger, cfg.addr, g.Handler(), cfg.drainGrace, func() {}, g.Close)
 }
 
 // newLogger builds the process logger: human-oriented text (default) or

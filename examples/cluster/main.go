@@ -44,8 +44,8 @@ func main() {
 	servers := make([]*serve.Server, replicas)
 	httpSrvs := make([]*http.Server, replicas)
 	for i := range addrs {
-		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096, MaxBatch: 64})
-		s.SetVersion(1)
+		s := serve.NewWithConfig(nil, serve.Config{CacheSize: 4096, MaxBatch: 64})
+		s.Publish(model, 1)
 		s.Loader = func(v int) (*core.Model, error) { return model, nil } // v2 == v1 here; a real Loader reads v<N>.dace
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

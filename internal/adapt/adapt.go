@@ -22,11 +22,12 @@ import (
 	"dace/internal/plan"
 )
 
-// Host is the serving surface the controller adapts: read the current
-// model, atomically swap in a better one. *serve.Server satisfies it.
+// Host is the serving surface the controller adapts: read the served model
+// with its artifact version, atomically publish a better pair. The version
+// lives only there — Status reads it back. *serve.Server satisfies it.
 type Host interface {
-	Model() *core.Model
-	SetModel(*core.Model)
+	Served() (m *core.Model, version int)
+	Publish(m *core.Model, version int)
 }
 
 // Config tunes the controller. Zero values take the documented defaults.
@@ -43,8 +44,8 @@ type Config struct {
 	// never ousts the incumbent.
 	Gate float64
 	// DriftThreshold fires an adaptation attempt when the rolling median
-	// q-error of served predictions crosses it (default 2.0). Zero or
-	// negative disables drift detection.
+	// q-error of served predictions crosses it. Zero (the default) or
+	// negative disables drift detection; daced passes 2.0.
 	DriftThreshold float64
 	// DriftWindow is the number of recent observations the rolling median
 	// is computed over (default 128).
@@ -117,7 +118,7 @@ type Status struct {
 	Runs         int            `json:"runs"`
 	Promotions   int            `json:"promotions"`
 	Rejections   int            `json:"rejections"`
-	ModelVersion int            `json:"model_version"` // last promoted artifact, 0 = seed
+	ModelVersion int            `json:"model_version"` // the host's served artifact, 0 = seed
 	Last         *Outcome       `json:"last,omitempty"`
 }
 
@@ -135,7 +136,7 @@ var ErrBusy error = busyError{}
 // Controller owns the adaptation loop. Observe is called on the serving
 // hot path and only touches the replay store and the drift ring; the
 // fine-tune itself runs on a clone, so serving reads the incumbent model
-// undisturbed until the atomic SetModel swap.
+// undisturbed until the atomic Publish swap.
 type Controller struct {
 	host  Host
 	store *feedback.Store
@@ -152,7 +153,6 @@ type Controller struct {
 	runs    int
 	promos  int
 	rejects int
-	version int
 	last    *Outcome
 
 	kick chan struct{} // drift/manual wakeups for the background loop
@@ -175,14 +175,6 @@ func New(host Host, store *feedback.Store, log *feedback.Log, cfg Config) *Contr
 		cfg:   cfg.withDefaults(),
 		kick:  make(chan struct{}, 1),
 	}
-}
-
-// SetVersion records the artifact version currently being served (used by
-// daced after LoadCurrent at startup).
-func (c *Controller) SetVersion(v int) {
-	c.mu.Lock()
-	c.version = v
-	c.mu.Unlock()
 }
 
 // Observe ingests one feedback sample: it lands in the replay store (and
@@ -312,6 +304,7 @@ func (c *Controller) Status() any {
 
 // StatusNow snapshots the controller state.
 func (c *Controller) StatusNow() Status {
+	_, version := c.host.Served()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Status{
@@ -322,7 +315,7 @@ func (c *Controller) StatusNow() Status {
 		Runs:         c.runs,
 		Promotions:   c.promos,
 		Rejections:   c.rejects,
-		ModelVersion: c.version,
+		ModelVersion: version,
 		Last:         c.last,
 	}
 }
@@ -369,7 +362,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 
 	// Clone off the serving path: serving keeps reading the incumbent while
 	// the clone's adapters are fine-tuned.
-	incumbent := c.host.Model()
+	incumbent, version := c.host.Served()
 	candidate := incumbent.Clone()
 	if !candidate.LoRAEnabled() {
 		candidate.EnableLoRA()
@@ -422,16 +415,15 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 			// Persisting failed; still promote in memory but say so.
 			out.Reason += "; artifact save failed: " + err.Error()
 		} else {
-			out.Version = v
+			out.Version, version = v, v
 		}
 	}
-	c.host.SetModel(candidate)
+	// With no artifact written the host keeps reporting the version it
+	// served: the newest artifact there is to reload.
+	c.host.Publish(candidate, version)
 
 	c.mu.Lock()
 	c.promos++
-	if out.Version > 0 {
-		c.version = out.Version
-	}
 	c.last = out
 	// The drift window measured the old model; start fresh.
 	c.window = c.window[:0]
@@ -466,9 +458,8 @@ func (c *Controller) Rollback() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.host.SetModel(m)
+	c.host.Publish(m, v)
 	c.mu.Lock()
-	c.version = v
 	c.window = c.window[:0]
 	c.next = 0
 	c.filled = false

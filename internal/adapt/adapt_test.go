@@ -48,17 +48,23 @@ func medianQError(m *core.Model, plans []*plan.Plan) float64 {
 type fakeHost struct {
 	mu sync.Mutex
 	m  *core.Model
+	v  int
+}
+
+func (h *fakeHost) Served() (*core.Model, int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.m, h.v
 }
 
 func (h *fakeHost) Model() *core.Model {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.m
+	m, _ := h.Served()
+	return m
 }
 
-func (h *fakeHost) SetModel(m *core.Model) {
+func (h *fakeHost) Publish(m *core.Model, v int) {
 	h.mu.Lock()
-	h.m = m
+	h.m, h.v = m, v
 	h.mu.Unlock()
 }
 

@@ -55,7 +55,6 @@ func TestGatewayRollout(t *testing.T) {
 	}
 	f := newFleet(t, m, 2, func(i int, s *serve.Server) {
 		s.Loader = loader
-		s.SetVersion(0)
 	})
 
 	// Start: version 3 lands on exactly one replica.
@@ -153,7 +152,6 @@ func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 	loader := func(v int) (*core.Model, error) { return m, nil }
 	f := newFleet(t, m, 3, func(i int, s *serve.Server) {
 		s.Loader = loader
-		s.SetVersion(0)
 	})
 
 	if st, body := postJSON(t, f.front.URL+"/rollout/start?version=2"); st != http.StatusOK {

@@ -19,32 +19,14 @@ type tenantID struct {
 }
 
 // tenantOf picks the identity to forward from the request's negotiated
-// params. An implicit identity that is not a plausible tenant ID is dropped
+// params. An implicit identity that is not a valid tenant ID is dropped
 // rather than forwarded: it cannot name a registered tenant (the registry
-// rejects those shapes), the replica would fall back to the base model
-// anyway, and raw bytes like spaces or '&' must not be spliced into the
-// upstream request line.
+// stores only IDs the same rule accepts), the replica would fall back to the
+// base model anyway, and raw bytes like spaces or '&' must not be spliced
+// into the upstream request line.
 func tenantOf(p wire.Params) tenantID {
-	if !p.TenantExplicit && !plausibleTenantID(p.Tenant) {
+	if !p.TenantExplicit && wire.ValidateTenantID(p.Tenant) != nil {
 		return tenantID{}
 	}
 	return tenantID{id: p.Tenant, explicit: p.TenantExplicit}
-}
-
-// plausibleTenantID mirrors the registry's tenant-ID rules ([A-Za-z0-9._-],
-// ≤128 bytes, not a dot path) without importing it.
-func plausibleTenantID(id string) bool {
-	if id == "" || len(id) > 128 || id == "." || id == ".." {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,19 +14,6 @@ import (
 	"dace/internal/serve"
 	"dace/internal/tenant"
 )
-
-func TestPlausibleTenantID(t *testing.T) {
-	for _, ok := range []string{"airline", "tpch_sf10", "a.b-c_d", "A1"} {
-		if !plausibleTenantID(ok) {
-			t.Errorf("plausibleTenantID(%q) = false, want true", ok)
-		}
-	}
-	for _, bad := range []string{"", "a b", "a/b", "a&b=c", "..", "x\r\ny", strings.Repeat("z", 129)} {
-		if plausibleTenantID(bad) {
-			t.Errorf("plausibleTenantID(%q) = true, want false", bad)
-		}
-	}
-}
 
 // gwPerturbedAdapters mirrors the serve tests' helper: an adapter set whose
 // low-rank update is a deterministic non-zero function of seed, so every

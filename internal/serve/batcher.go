@@ -69,11 +69,10 @@ func predictFlat(m *core.Model, f *plan.FlatPlan) []float64 {
 	return m.AppendPredictSubPlansFlat(nil, f)
 }
 
-// submit runs f's forward pass once a slot is free and returns its
-// predictions. m selects the model (nil = the server's current model,
-// resolved when the forward starts; a tenant's adapter view otherwise). The
-// slot count is read per call because Server.Workers is assigned after
-// construction. f stays the caller's; submit is done with it on return.
+// submit runs f's forward pass on m once a slot is free and returns its
+// predictions. The slot count is read per call because Server.Workers is
+// assigned after construction. f stays the caller's; submit is done with it
+// on return.
 func (b *batcher) submit(f *plan.FlatPlan, m *core.Model) ([]float64, error) {
 	slots := nn.Workers(b.srv.Workers)
 	b.mu.Lock()
@@ -134,9 +133,6 @@ func (b *batcher) forward(f *plan.FlatPlan, m *core.Model) (preds []float64, err
 		}
 		b.release()
 	}()
-	if m == nil {
-		m = b.srv.Model()
-	}
 	return b.predict(m, f), nil
 }
 

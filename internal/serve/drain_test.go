@@ -197,7 +197,7 @@ func TestCloseDrainsAdmittedAndWaiting(t *testing.T) {
 		defer b.mu.Unlock()
 		return b.closed
 	})
-	if _, err := b.submit(plans[3], nil); err != errClosed {
+	if _, err := b.submit(plans[3], b.srv.Model()); err != errClosed {
 		t.Fatalf("submit after Close began: err = %v, want errClosed", err)
 	}
 	select {

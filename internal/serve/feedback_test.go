@@ -231,7 +231,7 @@ func TestAdaptEndpoints(t *testing.T) {
 // machine M1 serves an M2 workload, feedback flows through POST /feedback
 // into the replay store and durable log, POST /adapt/trigger fine-tunes and
 // the gate promotes, and /predict immediately serves the adapted model
-// (caches flushed by the swap). A second, unpassable-gated controller then
+// (the swap retired the old cache domain). A second, unpassable-gated controller then
 // shows a rejected candidate leaving the serving model and caches alone.
 func TestAdaptationEndToEnd(t *testing.T) {
 	seed, m2Samples := driftFixture(t)
@@ -254,6 +254,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	})
 	s.Feedback = ctl
 	s.Adapt = ctl
+	s.Loader = func(int) (*core.Model, error) { return seed, nil }
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -305,6 +306,26 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	if served == seed {
 		t.Fatal("serving model did not swap after promotion")
 	}
+	// One served version, wherever it is read: the promotion's artifact.
+	servedVersions := func() (model ModelStatus, health Health, status adapt.Status) {
+		t.Helper()
+		for path, doc := range map[string]any{"/model": &model, "/healthz": &health, "/adapt/status": &status} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(doc)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+		return
+	}
+	if ms, hs, as := servedVersions(); ms.Version != out.Version || hs.ModelVersion != out.Version || as.ModelVersion != out.Version {
+		t.Fatalf("after promoting v%d: /model says %d, /healthz %d, /adapt/status %d",
+			out.Version, ms.Version, hs.ModelVersion, as.ModelVersion)
+	}
 	if afterMed := e2eMedian(served, holdout); afterMed >= beforeMed {
 		t.Fatalf("promoted model no better on drifted holdout: %v → %v", beforeMed, afterMed)
 	}
@@ -351,7 +372,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		Seed:       11,
 	})
 	s.Adapt = ctl2
-	preFlush := cacheBytes(t, srv.URL, pb.Bytes())
+	preAttempt := cacheBytes(t, srv.URL, pb.Bytes())
 	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -367,8 +388,26 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	if s.Model() != served {
 		t.Fatal("rejected candidate replaced the serving model")
 	}
-	if post := cacheBytes(t, srv.URL, pb.Bytes()); !bytes.Equal(preFlush, post) {
+	if post := cacheBytes(t, srv.URL, pb.Bytes()); !bytes.Equal(preAttempt, post) {
 		t.Fatal("rejected candidate disturbed the response cache")
+	}
+
+	// A rollout abort reloads what /model reported: loading the seed back
+	// replaces the promoted version, not the start-up one, everywhere at once.
+	s.Adapt = ctl
+	resp, err = http.Post(srv.URL+"/model/load?version=0", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded ModelStatus
+	err = json.NewDecoder(resp.Body).Decode(&loaded)
+	resp.Body.Close()
+	if err != nil || loaded.Version != 0 || loaded.Previous == nil || *loaded.Previous != 1 {
+		t.Fatalf("/model/load?version=0 after promoting v1: %+v (%v)", loaded, err)
+	}
+	if ms, hs, as := servedVersions(); ms.Version != 0 || hs.ModelVersion != 0 || as.ModelVersion != 0 || s.Model() != seed {
+		t.Fatalf("after loading v0: /model says %d, /healthz %d, /adapt/status %d",
+			ms.Version, hs.ModelVersion, as.ModelVersion)
 	}
 }
 
@@ -449,8 +488,9 @@ func liveHeap() uint64 {
 // the promoted model's, and only the latter once the attempt has returned.
 // And the heap must come out flat: the live heap after the run may exceed
 // the live heap before it (caches already full) by the one-time step a
-// promotion costs — the feedback store and a second model, ≈ 160 KB here —
-// and no more, whenever the fine-tune happened to finish. The windowed gates
+// promotion costs — the feedback store, a second model and the retired
+// cache domain's entries until LRU turns them over, ≈ 230 KB here — and no
+// more, whenever the fine-tune happened to finish. The windowed gates
 // that do depend on when (the P99 ratio, the heap slope over nine windows)
 // are logged, not asserted.
 func TestDriftSoakPromotion(t *testing.T) {

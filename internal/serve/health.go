@@ -67,13 +67,14 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, ModelStatus{Version: s.ModelVersion(), Ready: s.Ready()})
+	_, v := s.Served()
+	writeJSON(w, ModelStatus{Version: v, Ready: s.Ready()})
 }
 
 // handleModelLoad swaps the served model to a versioned artifact resolved
 // through the Loader hook — the replica half of a gateway-coordinated
-// rollout. The swap reuses SetModel, so the caches flush and the generation
-// guard blocks any straddling compute from re-inserting stale predictions.
+// rollout. Model and version land in one publish, which also yields the
+// version it replaced.
 func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
@@ -89,8 +90,6 @@ func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "load model version "+vs+": "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	prev := s.ModelVersion()
-	s.SetModel(m)
-	s.SetVersion(v)
+	prev := s.publish(m, v).version
 	writeJSON(w, ModelStatus{Version: v, Previous: &prev, Ready: s.Ready()})
 }

@@ -23,7 +23,7 @@ func get(t *testing.T, url string) *http.Response {
 // TestReadinessLifecycle: /healthz/live always answers 200; /healthz/ready
 // is 503 before the first model load, 200 once one is served, and pinned
 // 503 (with Retry-After) from BeginDrain onward — including after a later
-// SetModel, because drain is terminal.
+// Publish, because drain is terminal.
 func TestReadinessLifecycle(t *testing.T) {
 	s := NewWithConfig(nil, Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -40,7 +40,7 @@ func TestReadinessLifecycle(t *testing.T) {
 		t.Fatal("not-ready response missing Retry-After")
 	}
 
-	s.SetModel(core.NewModel(core.DefaultConfig()))
+	s.Publish(core.NewModel(core.DefaultConfig()), 0)
 	if resp := get(t, srv.URL+"/healthz/ready"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ready after model load: %d", resp.StatusCode)
 	}
@@ -56,9 +56,9 @@ func TestReadinessLifecycle(t *testing.T) {
 	if resp := get(t, srv.URL+"/healthz/live"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("live during drain: %d", resp.StatusCode)
 	}
-	s.SetModel(core.NewModel(core.DefaultConfig()))
+	s.Publish(core.NewModel(core.DefaultConfig()), 0)
 	if s.Ready() {
-		t.Fatal("drain must pin readiness off even after SetModel")
+		t.Fatal("drain must pin readiness off even after Publish")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestReadinessLifecycle(t *testing.T) {
 // readiness bit and model version.
 func TestHealthReportsReadiness(t *testing.T) {
 	s, _ := trainedServer(t)
-	s.SetVersion(7)
+	s.Publish(s.Model(), 7)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -111,11 +111,8 @@ func TestModelLoadEndpoint(t *testing.T) {
 	if st.Version != 4 || st.Previous == nil || *st.Previous != 0 || !st.Ready {
 		t.Fatalf("model status %+v", st)
 	}
-	if s.Model() != loaded[4] {
-		t.Fatal("served model is not the loaded artifact")
-	}
-	if s.ModelVersion() != 4 {
-		t.Fatalf("version %d, want 4", s.ModelVersion())
+	if m, v := s.Served(); m != loaded[4] || v != 4 {
+		t.Fatalf("served (%p, v%d), want the loaded artifact at v4", m, v)
 	}
 
 	// Loader failure: 502, serving state untouched.
@@ -127,7 +124,7 @@ func TestModelLoadEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadGateway {
 		t.Fatalf("unloadable version: %d, want 502", resp2.StatusCode)
 	}
-	if s.Model() != loaded[4] || s.ModelVersion() != 4 {
+	if m, v := s.Served(); m != loaded[4] || v != 4 {
 		t.Fatal("failed load must not change the served model")
 	}
 

@@ -9,15 +9,16 @@ import (
 	"sync"
 	"testing"
 
+	"dace/internal/core"
 	"dace/internal/plan"
 )
 
 // TestConcurrentSetModelPredict races model swaps against the full cached
 // predict pipeline — the serving half of a gateway-driven rollout, where
-// POST /model/load (SetModel + cache flush) lands while /predict traffic
-// is in flight. Every request must answer 200 with a well-formed body, and
-// under -race this exercises the generation guard end to end: flush bumps
-// straddling in-flight body-cache computes.
+// POST /model/load (one Publish) lands while /predict traffic is in flight.
+// Every request must answer 200 with a well-formed body, and under -race
+// this exercises the snapshot swap end to end: publishes straddling
+// in-flight body-cache computes.
 func TestConcurrentSetModelPredict(t *testing.T) {
 	m, samples := trainedModel(t)
 	s := NewWithConfig(m, Config{CacheSize: 256})
@@ -30,9 +31,24 @@ func TestConcurrentSetModelPredict(t *testing.T) {
 		bodies[i] = planBody(t, samples[i].Plan)
 	}
 
+	// Two distinguishable models with the same weights, alternating as
+	// versions 1 and 2: every swap retires the cache domain, and no reader
+	// may ever see one publish's model with the other's version.
+	byVersion := map[int]*core.Model{1: m, 2: m.Clone()}
 	stop := make(chan struct{})
 	var swapper sync.WaitGroup
-	swapper.Add(1)
+	swapper.Add(2)
+	go func() {
+		defer swapper.Done()
+		for v := 1; ; v = 3 - v {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Publish(byVersion[v], v)
+		}
+	}()
 	go func() {
 		defer swapper.Done()
 		for {
@@ -41,7 +57,10 @@ func TestConcurrentSetModelPredict(t *testing.T) {
 				return
 			default:
 			}
-			s.SetModel(m) // same weights, but every swap flushes the caches
+			if got, v := s.Served(); v != 0 && got != byVersion[v] {
+				t.Errorf("snapshot pairs version %d with the other version's model", v)
+				return
+			}
 		}
 	}()
 

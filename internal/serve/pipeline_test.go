@@ -17,6 +17,7 @@ import (
 	"dace/internal/executor"
 	"dace/internal/plan"
 	"dace/internal/schema"
+	"dace/internal/servecache"
 	"dace/internal/telemetry"
 	"dace/internal/wire"
 )
@@ -206,7 +207,7 @@ func (p *stageProbe) running() int {
 func submitAsync(b *batcher, f *plan.FlatPlan) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.submit(f, nil)
+		_, err := b.submit(f, b.srv.Model())
 		done <- err
 	}()
 	return done
@@ -324,7 +325,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		waitFor(t, func() bool { return probe.running() == 1 && b.stats().Depth == i })
 	}
 
-	if _, err := b.submit(plans[depth+1], nil); err != errQueueFull {
+	if _, err := b.submit(plans[depth+1], b.srv.Model()); err != errQueueFull {
 		t.Fatalf("overflow submit: err = %v, want errQueueFull", err)
 	}
 	if qs := b.stats(); qs.Rejected != 1 || qs.Depth != depth || qs.Capacity != depth {
@@ -340,7 +341,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 	}
 	b.close()
-	if _, err := b.submit(plans[0], nil); err != errClosed {
+	if _, err := b.submit(plans[0], b.srv.Model()); err != errClosed {
 		t.Fatalf("post-close submit: err = %v, want errClosed", err)
 	}
 	if got := b.stats().Rejected; got != 2 {
@@ -380,7 +381,7 @@ func TestAdmissionPanicFailsOneRequest(t *testing.T) {
 	}
 	// The slot came back: with one slot and nobody waiting, this would park
 	// forever had the panic leaked it.
-	got, err := b.submit(plans[2], nil)
+	got, err := b.submit(plans[2], b.srv.Model())
 	if err != nil {
 		t.Fatalf("submit after the panic: %v", err)
 	}
@@ -408,7 +409,7 @@ func TestSubmitIdleAllocs(t *testing.T) {
 	defer s.Close()
 	f := new(plan.FlatPlan).FromTree(samples[0].Plan)
 	submit := func() {
-		if _, err := s.bat.submit(f, nil); err != nil {
+		if _, err := s.bat.submit(f, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,9 +446,9 @@ func TestQueueFullHTTP503(t *testing.T) {
 }
 
 // TestSetModelInvalidatesCaches checks cache coherence across a hot swap:
-// the swap must empty both caches and later responses must come from the
-// new model, even for a plan that was cached under the old one — including
-// swaps racing in-flight traffic.
+// the first request after the swap must miss both caches and later
+// responses must come from the new model, even for a plan that was cached
+// under the old one — including swaps racing in-flight traffic.
 func TestSetModelInvalidatesCaches(t *testing.T) {
 	m, samples := trainedModel(t)
 	s := NewWithConfig(m, pipelineConfig())
@@ -463,9 +464,9 @@ func TestSetModelInvalidatesCaches(t *testing.T) {
 		t.Fatal("cached response unstable before the swap")
 	}
 
-	// Flush mid-flight: SetModel (to the same weights — fine-tuning a live
-	// model in place would race inference) while traffic is in the air. The
-	// cache generation guard must keep every response valid.
+	// Swap mid-flight: Publish (the same weights — fine-tuning a live model
+	// in place would race inference) while traffic is in the air. Every
+	// response must stay valid.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -478,28 +479,32 @@ func TestSetModelInvalidatesCaches(t *testing.T) {
 			}
 		}(c)
 	}
-	s.SetModel(m)
+	s.Publish(m, 0)
 	wg.Wait()
 
 	// Now mutate the weights (fine-tune) with traffic quiesced and swap:
 	// the stale cache entries from before must not survive.
 	m.FineTuneLoRA(dataset.Plans(samples[:40]), 2e-3, 2)
-	s.SetModel(m)
+	s.Publish(m, 0)
 
-	if n := s.preds.Len() + s.bodies.Len(); n != 0 {
-		t.Fatalf("caches hold %d entries right after the swap, want 0", n)
-	}
 	want := New(m)
 	_, fresh := postPredict(t, want.Handler(), body)
+	pre := [2]servecache.Stats{s.preds.Stats(), s.bodies.Stats()}
 	code, got := postPredict(t, h, body)
 	if code != http.StatusOK {
 		t.Fatalf("post-swap status %d", code)
+	}
+	for i, post := range [2]servecache.Stats{s.preds.Stats(), s.bodies.Stats()} {
+		if post.Hits != pre[i].Hits || post.Misses != pre[i].Misses+1 {
+			t.Fatalf("first post-swap request: cache %d went hits %d→%d misses %d→%d, want one miss",
+				i, pre[i].Hits, post.Hits, pre[i].Misses, post.Misses)
+		}
 	}
 	if !bytes.Equal(got, fresh) {
 		t.Fatal("post-swap response does not match the new model")
 	}
 	if bytes.Equal(got, oldResp) {
-		t.Fatal("stale pre-swap prediction served after SetModel")
+		t.Fatal("stale pre-swap prediction served after the swap")
 	}
 }
 

@@ -49,6 +49,14 @@
 // overloaded one queues a bounded number of requests and sheds the rest.
 // Cached predictions are bitwise-identical to uncached ones: equal
 // fingerprints imply equal model inputs.
+//
+// What a request answers from — the model, the artifact version it was
+// loaded as, and the salt of the cache domain its predictions live in — is
+// one immutable snapshot behind one pointer. A request loads it once and
+// folds its salt into every cache key it forms; Publish installs a new
+// snapshot with a new salt and touches neither cache, so a prediction made
+// by one model is never served for another and the replaced model's entries
+// leave by LRU. Tenants (tenants.go) are further domains of the same kind.
 package serve
 
 import (
@@ -82,7 +90,7 @@ type Config struct {
 	// bytes); <= 0 disables both.
 	CacheSize int
 	// CacheTTL expires cache entries this long after insertion; <= 0 means
-	// entries live until evicted or flushed by SetModel.
+	// entries live until evicted.
 	CacheTTL time.Duration
 	// MaxBatch > 1 turns the admission stage on: at most Server.Workers
 	// /predict misses run their forward pass at once, the rest wait FIFO.
@@ -105,12 +113,21 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
+// served is one immutable serving snapshot: the request context of the base
+// domain (model and cache salt) plus the artifact version the model was
+// loaded as and the generation the salt was derived from.
+type served struct {
+	tenantCtx
+	version int // 0 = unversioned seed
+	gen     uint64
+}
+
 // Server wraps a model with HTTP handlers. The model can be swapped at
-// runtime (SetModel) for zero-downtime updates after fine-tuning; the swap
-// flushes both caches so stale predictions are never served.
+// runtime (Publish) for zero-downtime updates after fine-tuning; requests
+// that loaded the old snapshot finish against it, later ones never see its
+// cache entries.
 type Server struct {
-	mu    sync.RWMutex
-	model *core.Model
+	cur atomic.Pointer[served]
 
 	// Workers sizes the inference pool: the /predict/batch fan-out and the
 	// admission stage's forward slots. <= 0 means one worker per CPU. Set
@@ -138,13 +155,10 @@ type Server struct {
 	// (daced wires it to adapt.LoadVersion on -model-dir).
 	Loader func(version int) (*core.Model, error)
 
-	// ready gates /healthz/ready: true only once a model is loaded, and
-	// pinned false by draining from BeginDrain/Close onward. A gateway
-	// health-checks readiness, so flipping it is what removes a replica
-	// from rotation *before* SIGTERM starts tearing connections down.
-	ready    atomic.Bool
+	// draining pins /healthz/ready false from BeginDrain/Close onward. A
+	// gateway health-checks readiness, so flipping it is what removes a
+	// replica from rotation *before* SIGTERM starts tearing connections down.
 	draining atomic.Bool
-	version  atomic.Int64 // served model artifact version (0 = unversioned seed)
 
 	// In-flight prediction requests (both /predict endpoints), with a
 	// high-watermark: the concurrency the replica has actually absorbed,
@@ -166,8 +180,9 @@ func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
 // NewWithConfig builds a server with the given pipeline configuration. Call
 // Close to drain the admission stage on shutdown.
 func NewWithConfig(m *core.Model, cfg Config) *Server {
-	s := &Server{model: m, cfg: cfg}
-	s.ready.Store(m != nil)
+	s := &Server{cfg: cfg}
+	s.cur.Store(&served{})
+	s.Publish(m, 0)
 	if cfg.CacheSize > 0 {
 		s.preds = servecache.New[[]float64](cfg.CacheSize, cfg.CacheTTL)
 		s.bodies = servecache.New[[]byte](cfg.CacheSize, cfg.CacheTTL)
@@ -204,42 +219,35 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Ready reports whether the server would answer /healthz/ready with 200:
 // a model is loaded and draining has not begun.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
+func (s *Server) Ready() bool { return !s.draining.Load() && s.cur.Load().model != nil }
 
-// SetVersion records the served model's artifact version (what GET /model
-// and the health endpoints report). daced seeds it from the model-dir
-// manifest at startup.
-func (s *Server) SetVersion(v int) { s.version.Store(int64(v)) }
+// Publish atomically replaces the served model, its artifact version (what
+// GET /model and the health endpoints report) and the base cache domain.
+// Fine-tuning mutates a model in place, so publish again — even the same
+// pointer — after it. The first non-nil model turns readiness on.
+func (s *Server) Publish(m *core.Model, version int) { s.publish(m, version) }
 
-// ModelVersion returns the served model's artifact version.
-func (s *Server) ModelVersion() int { return int(s.version.Load()) }
+// publish is Publish returning the snapshot it replaced.
+func (s *Server) publish(m *core.Model, version int) *served {
+	for {
+		old := s.cur.Load()
+		gen := old.gen + 1
+		next := &served{tenantCtx{m, servecache.DomainSalt("", gen)}, version, gen}
+		if s.cur.CompareAndSwap(old, next) {
+			return old
+		}
+	}
+}
 
-// SetModel atomically replaces the served model and flushes the prediction
-// caches — predictions made by the old model must never be served for the
-// new one. In-flight computes complete against whichever model they
-// resolved, but the caches' generation guard keeps their results from being
-// re-inserted across the flush.
-func (s *Server) SetModel(m *core.Model) {
-	s.mu.Lock()
-	s.model = m
-	s.mu.Unlock()
-	if m != nil {
-		s.ready.Store(true) // first model load turns readiness on (drain still pins it off)
-	}
-	if s.preds != nil {
-		s.preds.Flush()
-	}
-	if s.bodies != nil {
-		s.bodies.Flush()
-	}
+// Served returns the served model and its artifact version, read from one
+// snapshot: never one publish's model with another's version.
+func (s *Server) Served() (m *core.Model, version int) {
+	cur := s.cur.Load()
+	return cur.model, cur.version
 }
 
 // Model returns the currently served model.
-func (s *Server) Model() *core.Model {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.model
-}
+func (s *Server) Model() *core.Model { return s.cur.Load().model }
 
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -338,9 +346,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	if s.bodies != nil && len(body) <= maxCachedBody {
 		// Exact wire-bytes hit: skip plan decode, fingerprinting, and encode
-		// entirely — the whole request is hash, lookup, write. The tenant
-		// salt domain-separates the key: a hot-swap (generation bump) orphans
-		// that tenant's entries without touching anyone else's.
+		// entirely — the whole request is hash, lookup, write. The domain
+		// salt separates the key: a hot-swap (generation bump) orphans that
+		// domain's entries without touching anyone else's.
 		var key servecache.Key
 		if p.Binary {
 			key = tc.key(servecache.KeyOf(body, binaryBodyTag, []byte(p.Database)))
@@ -437,11 +445,10 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 // the admission stage). Cache keys come from the fingerprints the decoders
 // already computed — nothing is hashed twice.
 func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
-	m := tc.modelOr(s)
 	out := make([][]float64, batch.Len())
 	predict := func(i int) {
 		f := batch.At(i)
-		out[i] = m.AppendPredictSubPlansFlat(nil, &f)
+		out[i] = tc.model.AppendPredictSubPlansFlat(nil, &f)
 	}
 	if s.preds == nil {
 		nn.ParallelFor(len(out), s.Workers, predict)
@@ -449,7 +456,6 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
 	}
 	keys := make([]servecache.Key, len(out))
 	firstOf := make(map[servecache.Key]int, len(out))
-	gen := s.preds.Generation()
 	var missIdx []int
 	for i := range out {
 		keys[i] = tc.key(servecache.Key(batch.At(i).Fingerprint))
@@ -465,7 +471,7 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
 	}
 	nn.ParallelFor(len(missIdx), s.Workers, func(mi int) { predict(missIdx[mi]) })
 	for _, i := range missIdx {
-		s.preds.PutAt(keys[i], out[i], gen)
+		s.preds.Put(keys[i], out[i])
 	}
 	for i := range out {
 		if out[i] == nil {
@@ -517,11 +523,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
-	m := s.Model()
+	m, v := s.Served()
 	h := Health{
 		Status:       "ok",
 		Ready:        s.Ready(),
-		ModelVersion: s.ModelVersion(),
+		ModelVersion: v,
 		Build:        version.Get(),
 	}
 	if m != nil {

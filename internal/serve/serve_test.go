@@ -139,7 +139,7 @@ func TestHealthAndHotSwap(t *testing.T) {
 	// Hot-swap in a fine-tuned model; /healthz must reflect it.
 	m := s.Model()
 	m.FineTuneLoRA(dataset.Plans(samples[:40]), 2e-3, 2)
-	s.SetModel(m)
+	s.Publish(m, 0)
 	resp2, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -16,18 +16,16 @@ import (
 // The multi-tenant surface. serve deliberately does not import the tenant
 // package (which would drag in adapt): the server talks to the adapter
 // registry through this interface, and the daemon wires the concrete type
-// in. A server with nil Tenants serves exactly as before — single model,
-// zero-salt cache domain.
+// in. A server with nil Tenants serves one domain: the base model's.
 
 // TenantRegistry selects a per-tenant adapter view (one shared frozen
 // encoder + that tenant's LoRA adapters) and its cache-domain salt per
 // request. *tenant.Registry satisfies it.
 //
 // Resolve sits on the predict hot path: implementations must be lock-free
-// and allocation-free. The salt must be unique per (tenant, adapter
+// and allocation-free. The salt must be servecache.DomainSalt(id, adapter
 // generation) so the serving caches never answer across tenants or across
-// an adapter hot-swap; the zero salt is reserved for the global (non-
-// tenant) domain.
+// an adapter hot-swap; the base domain's id is "", which no tenant can have.
 type TenantRegistry interface {
 	Resolve(id string) (m *core.Model, salt servecache.Key, ok bool)
 	Observe(id string, p *plan.Plan, actualMS, predictedMS float64) bool
@@ -41,28 +39,17 @@ type TenantRegistry interface {
 	Versions() map[string]int
 }
 
-// tenantCtx is one request's serving context: which model answers and
-// which cache domain the answer lives in. The zero value is the global
-// domain (server model, identity salt).
+// tenantCtx is one request's serving context, resolved once at the top of
+// the request: which model answers and which cache domain the answer lives
+// in — a tenant's adapter view, or the base model's snapshot.
 type tenantCtx struct {
 	model *core.Model
 	salt  servecache.Key
 }
 
-// key folds the tenant's cache salt into a content key. The global
-// domain's zero salt makes this the identity, so the non-tenant path pays
-// two XORs and no branch.
+// key folds the domain's cache salt into a content key.
 func (tc tenantCtx) key(k servecache.Key) servecache.Key {
 	return servecache.Key{Hi: k.Hi ^ tc.salt.Hi, Lo: k.Lo ^ tc.salt.Lo}
-}
-
-// modelOr returns the tenant's adapter view, or the server's model for the
-// global domain.
-func (tc tenantCtx) modelOr(s *Server) *core.Model {
-	if tc.model != nil {
-		return tc.model
-	}
-	return s.Model()
 }
 
 // resolveTenant maps the request's tenant identity (wire.Params: the
@@ -72,7 +59,7 @@ func (tc tenantCtx) modelOr(s *Server) *core.Model {
 // model); id is non-empty only when a registered tenant resolved.
 func (s *Server) resolveTenant(w http.ResponseWriter, p wire.Params) (tc tenantCtx, id string, handled bool) {
 	if s.Tenants == nil || p.Tenant == "" {
-		return tenantCtx{}, "", false
+		return s.cur.Load().tenantCtx, "", false
 	}
 	m, salt, ok := s.Tenants.Resolve(p.Tenant)
 	if !ok {
@@ -80,7 +67,7 @@ func (s *Server) resolveTenant(w http.ResponseWriter, p wire.Params) (tc tenantC
 			http.Error(w, "unknown tenant: "+p.Tenant, http.StatusNotFound)
 			return tenantCtx{}, "", true
 		}
-		return tenantCtx{}, "", false
+		return s.cur.Load().tenantCtx, "", false
 	}
 	return tenantCtx{model: m, salt: salt}, p.Tenant, false
 }

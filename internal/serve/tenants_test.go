@@ -102,10 +102,11 @@ func TestTenantResolution(t *testing.T) {
 	}
 }
 
-// TestTenantHotSwapIsolation is the serve-level generation guard: swapping
-// tenant alpha's adapters must change alpha's responses immediately (no
-// stale cache hit — the salt rotated) while leaving tenant beta's and the
-// base model's cached responses byte-for-byte untouched.
+// TestTenantHotSwapIsolation is the serve-level domain-isolation check:
+// swapping tenant alpha's adapters must change alpha's responses immediately
+// (no stale cache hit — the salt rotated) while leaving tenant beta's and
+// the base model's cached responses byte-for-byte untouched; swapping the
+// base model must do the same to the base domain and cost no tenant a hit.
 func TestTenantHotSwapIsolation(t *testing.T) {
 	s, reg, samples := tenantServer(t)
 	h := s.Handler()
@@ -138,6 +139,57 @@ func TestTenantHotSwapIsolation(t *testing.T) {
 	}
 	if base2 := get(""); string(base2) != string(base1) {
 		t.Fatal("alpha's hot-swap perturbed the global domain's predictions")
+	}
+
+	// A base-model swap is one more domain's hot-swap: beta's warm body- and
+	// plan-cache entries keep answering without a forward, while the base
+	// domain's next request misses and is answered by the new model.
+	health := func() Health {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var doc Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	newBase := m.WithAdapters(perturbedAdapters(m.Cfg, 7))
+	s.Publish(newBase, 2)
+	pre := health()
+	if beta3 := get("beta"); string(beta3) != string(beta1) {
+		t.Fatal("the base swap perturbed beta's predictions")
+	}
+	binBody, err := plan.AppendBinary(nil, samples[1].Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(binBody))
+	req.Header.Set("Content-Type", plan.BinaryContentType)
+	req.Header.Set("X-DACE-Tenant", "beta")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || rec.Body.String() != string(beta1) {
+		t.Fatalf("beta's plan re-sent as a binary frame: status %d, beta-equal %v", rec.Code, rec.Body.String() == string(beta1))
+	}
+	mid := health()
+	if mid.BodyCache.Hits != pre.BodyCache.Hits+1 || mid.PlanCache.Hits != pre.PlanCache.Hits+1 ||
+		mid.Queue.Batches != pre.Queue.Batches {
+		t.Fatalf("the base swap cost beta its cache entries: body hits %d→%d, plan hits %d→%d, forwards %d→%d; want +1, +1, +0",
+			pre.BodyCache.Hits, mid.BodyCache.Hits, pre.PlanCache.Hits, mid.PlanCache.Hits, pre.Queue.Batches, mid.Queue.Batches)
+	}
+	_, fresh := postPredict(t, New(newBase).Handler(), body)
+	base3 := get("")
+	post := health()
+	if post.BodyCache.Hits != mid.BodyCache.Hits || post.PlanCache.Hits != mid.PlanCache.Hits ||
+		post.Queue.Batches != mid.Queue.Batches+1 {
+		t.Fatal("the base domain's first request after its swap was not a miss on both caches")
+	}
+	if string(base3) != string(fresh) || string(base3) == string(base1) {
+		t.Fatal("the base domain's first request after its swap was not answered by the new model")
+	}
+	if post.ModelVersion != 2 {
+		t.Fatalf("/healthz model_version %d after Publish(_, 2)", post.ModelVersion)
 	}
 }
 

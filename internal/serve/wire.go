@@ -205,7 +205,7 @@ func (s *Server) inferFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
 	if s.bat != nil {
 		return s.bat.submit(f, tc.model)
 	}
-	return tc.modelOr(s).AppendPredictSubPlansFlat(nil, f), nil
+	return tc.model.AppendPredictSubPlansFlat(nil, f), nil
 }
 
 // renderPredict produces the /predict response bytes for one body-cache
@@ -219,7 +219,7 @@ func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, p wire.Params,
 	}
 	var preds []float64
 	if s.preds == nil && s.bat == nil {
-		ws.preds = tc.modelOr(s).AppendPredictSubPlansFlat(ws.preds[:0], f)
+		ws.preds = tc.model.AppendPredictSubPlansFlat(ws.preds[:0], f)
 		preds = ws.preds
 	} else if preds, err = s.predsForFlat(f, tc); err != nil {
 		return nil, err

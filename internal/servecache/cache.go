@@ -12,14 +12,16 @@
 //   - GetOrCompute coalesces concurrent misses on one key into a single
 //     compute call (singleflight): N concurrent requests for the same plan
 //     trigger one forward pass, and the waiters share its result.
-//   - Flush (the SetModel hook) bumps a generation counter before clearing,
-//     so a compute that straddles the flush cannot re-insert a stale value:
-//     its recorded generation no longer matches at insert time.
+//   - There is no invalidation: a caller whose values go stale together (one
+//     served model) folds a DomainSalt into every key and moves to a new
+//     salt when they do. The old domain's entries are never asked for again
+//     and leave by LRU.
 //   - Counters (hits/misses/evictions/expirations/coalesced waits) are
 //     atomics, readable at any time via Stats.
 package servecache
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -81,7 +83,6 @@ type Stats struct {
 type Cache[V any] struct {
 	shards [numShards]shard[V]
 	ttl    time.Duration
-	gen    atomic.Uint64
 
 	hits, misses, evictions, expired, coalesced, inflight atomic.Uint64
 
@@ -175,9 +176,7 @@ var ErrComputePanicked = errors.New("servecache: compute panicked")
 // GetOrCompute returns the cached value for k, or runs fn exactly once per
 // concurrent group of callers (singleflight) and caches its result. The
 // compute runs without any shard lock held. A fn error is returned to every
-// coalesced caller and nothing is cached. If Flush runs while fn is in
-// flight, the callers still receive fn's value but it is not inserted — the
-// flush invalidated the state it was computed from.
+// coalesced caller and nothing is cached.
 func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	s := c.shardOf(k)
 	s.mu.Lock()
@@ -196,7 +195,6 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	s.inflight[k] = fl
-	gen := c.gen.Load()
 	c.inflight.Add(1)
 	s.mu.Unlock()
 
@@ -209,7 +207,7 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, k)
-		if fl.err == nil && c.gen.Load() == gen {
+		if fl.err == nil {
 			c.insertLocked(s, k, fl.val)
 		}
 		s.mu.Unlock()
@@ -218,37 +216,6 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	}()
 	fl.val, fl.err = fn()
 	return fl.val, fl.err
-}
-
-// Generation returns the current flush generation. Snapshot it before a
-// batch of computations and insert the results with PutAt: a Flush between
-// the snapshot and the insert silently discards them, the same staleness
-// rule GetOrCompute applies to in-flight computes.
-func (c *Cache[V]) Generation() uint64 { return c.gen.Load() }
-
-// PutAt inserts k → v only while the cache is still at generation gen; a
-// value computed before a Flush is dropped rather than resurrected.
-func (c *Cache[V]) PutAt(k Key, v V, gen uint64) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	if c.gen.Load() == gen {
-		c.insertLocked(s, k, v)
-	}
-	s.mu.Unlock()
-}
-
-// Flush drops every cached entry (in-flight computes complete but do not
-// re-insert). The serving layer calls it from SetModel: predictions made by
-// the old model must never be served for the new one.
-func (c *Cache[V]) Flush() {
-	c.gen.Add(1)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.items)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the live entry count (expired-but-unswept entries included).
@@ -373,6 +340,17 @@ func KeyOf(parts ...[]byte) Key {
 		}
 	}
 	return Key{Hi: fmix64(hi ^ ((lo >> 32) | (lo << 32))), Lo: fmix64(lo ^ hi)}
+}
+
+// DomainSalt derives the key salt of generation gen of cache domain id, to
+// be XORed into every key of the domain. One domain is one stream of
+// values that go stale together — the serving layer's base model (id "") and
+// each tenant's adapter view — and a new generation is how they go stale:
+// nothing is scanned or cleared.
+func DomainSalt(id string, gen uint64) Key {
+	var g [8]byte
+	binary.LittleEndian.PutUint64(g[:], gen)
+	return KeyOf([]byte(id), g[:])
 }
 
 // fmix64 is the murmur3 64-bit finalizer.

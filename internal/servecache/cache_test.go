@@ -221,49 +221,6 @@ func TestGetOrComputePanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestFlushMidFlight checks the generation guard: a compute that starts
-// before Flush must still hand its value to callers but must NOT re-insert
-// it — the flush invalidated the state it was computed from.
-func TestFlushMidFlight(t *testing.T) {
-	c := New[int](64, 0)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan int)
-	go func() {
-		v, _ := c.GetOrCompute(key(9), func() (int, error) {
-			close(started)
-			<-release
-			return 99, nil
-		})
-		done <- v
-	}()
-	<-started
-	c.Flush()
-	close(release)
-	if v := <-done; v != 99 {
-		t.Fatalf("in-flight caller got %d, want 99", v)
-	}
-	if _, ok := c.Get(key(9)); ok {
-		t.Fatal("stale value was inserted after Flush")
-	}
-}
-
-func TestFlushDropsEverything(t *testing.T) {
-	c := New[int](256, 0)
-	for i := 0; i < 200; i++ {
-		c.Put(key(i), i)
-	}
-	c.Flush()
-	if n := c.Len(); n != 0 {
-		t.Fatalf("%d entries survive Flush", n)
-	}
-	// The cache stays usable after a flush.
-	c.Put(key(1), 1)
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("cache unusable after Flush")
-	}
-}
-
 func TestKeyOfBoundaries(t *testing.T) {
 	if KeyOf([]byte("ab"), []byte("c")) == KeyOf([]byte("a"), []byte("bc")) {
 		t.Fatal(`KeyOf("ab","c") must differ from KeyOf("a","bc")`)
@@ -280,6 +237,34 @@ func TestKeyOfBoundaries(t *testing.T) {
 	// Tail bytes beyond the last full word must matter.
 	if KeyOf([]byte("12345678AB")) == KeyOf([]byte("12345678AC")) {
 		t.Fatal("tail byte change did not move the key")
+	}
+}
+
+// TestKeyOfDomainSeparation: the body cache keys identical bytes under
+// different wire encodings into different domains — a tag part (or a
+// different trailing part) must change the key even when the raw body
+// bytes are equal.
+func TestKeyOfDomainSeparation(t *testing.T) {
+	body := []byte(`{"database":"d","root":{"type":1}}`)
+	binTag := []byte("bin\x00")
+	jsonKey := KeyOf(body, []byte(""), []byte("d"))
+	binKey := KeyOf(body, binTag, []byte("d"))
+	if jsonKey == binKey {
+		t.Fatal("binary and JSON domains collide for identical body bytes")
+	}
+	// The tag must separate even against a format string that happens to
+	// share a prefix with it.
+	if KeyOf(body, []byte("bin"), []byte("d")) == binKey {
+		t.Fatal("tag with NUL collides with plain 'bin' format string")
+	}
+	// Database remains part of the domain in both encodings.
+	if KeyOf(body, binTag, []byte("d")) == KeyOf(body, binTag, []byte("e")) {
+		t.Fatal("database ignored in binary domain")
+	}
+	// Domain salts: a new generation and a different domain id each move
+	// the salt; the base domain's empty id is a domain like any other.
+	if DomainSalt("", 1) == DomainSalt("", 2) || DomainSalt("", 1) == DomainSalt("a", 1) {
+		t.Fatal("domain salt ignores the generation or the domain id")
 	}
 }
 
@@ -304,11 +289,7 @@ func TestConcurrentMixed(t *testing.T) {
 				case 3:
 					c.Len()
 				case 4:
-					if i%100 == 0 {
-						c.Flush()
-					} else {
-						c.Stats()
-					}
+					c.Stats()
 				}
 			}
 		}(g)
@@ -363,24 +344,4 @@ func ExampleKeyOf() {
 	k := KeyOf([]byte(`{"root":null}`), []byte("plan"), nil)
 	fmt.Println(k == KeyOf([]byte(`{"root":null}`), []byte("plan"), nil))
 	// Output: true
-}
-
-// TestPutAtGenerationGuard covers the batch-insert path: a PutAt carrying a
-// pre-Flush generation must be dropped, a current one must land.
-func TestPutAtGenerationGuard(t *testing.T) {
-	c := New[int](64, 0)
-	gen := c.Generation()
-	c.PutAt(key(1), 1, gen)
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("PutAt at the current generation must insert")
-	}
-	c.Flush()
-	c.PutAt(key(2), 2, gen) // stale generation
-	if _, ok := c.Get(key(2)); ok {
-		t.Fatal("PutAt with a pre-Flush generation must be dropped")
-	}
-	c.PutAt(key(2), 2, c.Generation())
-	if _, ok := c.Get(key(2)); !ok {
-		t.Fatal("PutAt at the new generation must insert")
-	}
 }

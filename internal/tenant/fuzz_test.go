@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dace/internal/adapt"
+	"dace/internal/wire"
 )
 
 // FuzzValidateID drives the tenant-ID validator with arbitrary byte
@@ -17,16 +18,16 @@ func FuzzValidateID(f *testing.F) {
 	for _, seed := range []string{
 		"", "airline", "tpch_sf10", "a.b-c_d", ".", "..", "...",
 		"a/b", "a\\b", "a b", "x\r\ny", "..airline", "airline..",
-		strings.Repeat("z", MaxIDLen), strings.Repeat("z", MaxIDLen+1),
+		strings.Repeat("z", wire.MaxTenantIDLen), strings.Repeat("z", wire.MaxTenantIDLen+1),
 		"\x00", "é", "..\x2fescape",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, id string) {
-		if err := ValidateID(id); err != nil {
+		if err := wire.ValidateTenantID(id); err != nil {
 			return
 		}
-		if len(id) == 0 || len(id) > MaxIDLen {
+		if len(id) == 0 || len(id) > wire.MaxTenantIDLen {
 			t.Fatalf("accepted id with length %d", len(id))
 		}
 		for i := 0; i < len(id); i++ {

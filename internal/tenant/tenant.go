@@ -11,11 +11,13 @@
 // without ever stalling in-flight predictions.
 //
 // Domain separation: every State carries a cache salt derived from
-// (tenant ID, generation). The serving layer XORs the salt into its body-
-// and fingerprint-cache keys, so tenant A's entries can never answer
-// tenant B, and a hot-swap (generation bump) orphans exactly the swapped
-// tenant's stale entries — no global cache flush, no cross-tenant
-// disturbance.
+// (tenant ID, generation) by servecache.DomainSalt — the function the
+// serving layer uses for the base model's own domain, under the empty ID no
+// tenant can register. The serving layer XORs the salt into its body- and
+// fingerprint-cache keys, so tenant A's entries can never answer tenant B,
+// and a hot-swap (generation bump) — a tenant's or the base model's —
+// orphans exactly the swapped domain's stale entries: no cache is ever
+// flushed, no other tenant disturbed.
 //
 // Adaptation reuses internal/adapt per tenant: each tenant owns a replay
 // store and a Controller whose ModelDir is <dir>/<id>, but no tenant runs
@@ -28,7 +30,6 @@
 package tenant
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -45,6 +46,7 @@ import (
 	"dace/internal/plan"
 	"dace/internal/servecache"
 	"dace/internal/telemetry"
+	"dace/internal/wire"
 )
 
 // Config tunes the registry. Zero values get sensible defaults.
@@ -138,29 +140,7 @@ func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 	t.pubMu.Lock()
 	defer t.pubMu.Unlock()
 	gen := t.state.Load().Gen + 1
-	t.state.Store(&State{View: view, Adapters: as, Gen: gen, Version: version, Salt: saltFor(t.id, gen)})
-}
-
-// setVersion rewrites the snapshot's artifact version without bumping the
-// generation — the served adapters did not change, only bookkeeping.
-func (t *Tenant) setVersion(v int) {
-	t.pubMu.Lock()
-	defer t.pubMu.Unlock()
-	s := *t.state.Load()
-	if s.Version != v {
-		s.Version = v
-		t.state.Store(&s)
-	}
-}
-
-// saltFor derives the cache-domain salt for (tenant, generation). The
-// global non-tenant domain uses the zero salt (an identity XOR), and KeyOf
-// never returns zero-ish collisions with length-prefixed parts, so tenant
-// domains never alias the global one.
-func saltFor(id string, gen uint64) servecache.Key {
-	var g [8]byte
-	binary.LittleEndian.PutUint64(g[:], gen)
-	return servecache.KeyOf([]byte(id), g[:])
+	t.state.Store(&State{View: view, Adapters: as, Gen: gen, Version: version, Salt: servecache.DomainSalt(t.id, gen)})
 }
 
 // Info is one tenant's row in GET /tenants and `dace tenants`.
@@ -245,7 +225,7 @@ func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bo
 // Register creates a tenant (idempotently) serving the raw base model at
 // generation 1. Returns the tenant and whether it was newly created.
 func (r *Registry) Register(id string) (*Tenant, bool, error) {
-	if err := ValidateID(id); err != nil {
+	if err := wire.ValidateTenantID(id); err != nil {
 		return nil, false, err
 	}
 	r.mu.Lock()
@@ -258,7 +238,7 @@ func (r *Registry) Register(id string) (*Tenant, bool, error) {
 		id:    id,
 		store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Seed),
 	}
-	t.state.Store(&State{View: r.base, Gen: 1, Salt: saltFor(id, 1)})
+	t.state.Store(&State{View: r.base, Gen: 1, Salt: servecache.DomainSalt(id, 1)})
 	t.ctl = adapt.New(tenantHost{r: r, t: t}, t.store, nil, adapt.Config{
 		MinSamples: r.cfg.MinSamples,
 		Gate:       r.cfg.Gate,
@@ -296,8 +276,8 @@ func (r *Registry) Describe(id string) (any, bool) {
 }
 
 // tenantDir is the tenant's artifact directory ("" when persistence is
-// off). ValidateID has already rejected every path-traversal shape, so the
-// join cannot escape Dir.
+// off). wire.ValidateTenantID has already rejected every path-traversal
+// shape, so the join cannot escape Dir.
 func (r *Registry) tenantDir(id string) string {
 	if r.cfg.Dir == "" {
 		return ""
@@ -326,7 +306,7 @@ func (r *Registry) LoadDir() (int, error) {
 			continue
 		}
 		id := e.Name()
-		if err := ValidateID(id); err != nil {
+		if err := wire.ValidateTenantID(id); err != nil {
 			r.log.Warn("tenant dir skipped", "dir", id, "err", err)
 			continue
 		}
@@ -362,7 +342,6 @@ func (r *Registry) serveArtifact(t *Tenant, m *core.Model, v int) error {
 		return err
 	}
 	t.publish(r.base.WithAdapters(as), as, v)
-	t.ctl.SetVersion(v)
 	return nil
 }
 
@@ -456,7 +435,6 @@ func (r *Registry) runOnce(t *Tenant) (*adapt.Outcome, error) {
 	out, err := t.ctl.RunOnce()
 	switch {
 	case err == nil:
-		t.setVersion(t.ctl.StatusNow().ModelVersion)
 		r.log.Info("tenant adapt", "tenant", t.id, "promoted", out.Promoted,
 			"version", out.Version, "reason", out.Reason)
 	case errors.Is(err, adapt.ErrTooFewSamples) || errors.Is(err, adapt.ErrBusy):
@@ -497,12 +475,7 @@ func (r *Registry) Rollback(id string) (int, error) {
 	if !ok {
 		return 0, ErrUnknownTenant
 	}
-	v, err := t.ctl.Rollback()
-	if err != nil {
-		return 0, err
-	}
-	t.setVersion(v)
-	return v, nil
+	return t.ctl.Rollback()
 }
 
 // ErrUnknownTenant marks requests naming a tenant the registry has never
@@ -573,25 +546,28 @@ func (r *Registry) registerMetrics(t *Tenant) {
 		func() float64 { return float64(t.state.Load().Gen) }, l)
 }
 
-// tenantHost adapts one tenant to adapt.Host. Model() hands the controller
+// tenantHost adapts one tenant to adapt.Host. Served hands the controller
 // the tenant's current adapter view (its Clone trains adapters only, since
-// the base is frozen); SetModel detaches the promoted candidate's adapter
-// set and publishes it over the shared base — the candidate's own encoder
-// copy becomes garbage immediately.
+// the base is frozen) and artifact version; Publish detaches the promoted
+// candidate's adapter set and publishes it over the shared base — the
+// candidate's own encoder copy becomes garbage immediately.
 type tenantHost struct {
 	r *Registry
 	t *Tenant
 }
 
-func (h tenantHost) Model() *core.Model { return h.t.state.Load().View }
+func (h tenantHost) Served() (*core.Model, int) {
+	s := h.t.state.Load()
+	return s.View, s.Version
+}
 
-func (h tenantHost) SetModel(m *core.Model) {
+func (h tenantHost) Publish(m *core.Model, version int) {
 	as := m.Adapters()
 	if as == nil {
 		// A candidate without adapters cannot ride the shared base; serve
 		// it whole. Reachable only via hand-built artifacts.
-		h.t.publish(m, nil, h.t.state.Load().Version)
+		h.t.publish(m, nil, version)
 		return
 	}
-	h.t.publish(h.r.base.WithAdapters(as), as, h.t.state.Load().Version)
+	h.t.publish(h.r.base.WithAdapters(as), as, version)
 }

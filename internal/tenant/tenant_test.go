@@ -14,6 +14,7 @@ import (
 	"dace/internal/nn"
 	"dace/internal/plan"
 	"dace/internal/schema"
+	"dace/internal/wire"
 )
 
 func smallConfig() core.Config {
@@ -42,15 +43,15 @@ func trainedBase(t *testing.T, plans []*plan.Plan) *core.Model {
 func TestValidateID(t *testing.T) {
 	good := []string{"a", "airline", "tenant-1", "db_7", "A.B-c_9", strings.Repeat("x", 128)}
 	for _, id := range good {
-		if err := ValidateID(id); err != nil {
-			t.Errorf("ValidateID(%q) = %v, want nil", id, err)
+		if err := wire.ValidateTenantID(id); err != nil {
+			t.Errorf("ValidateTenantID(%q) = %v, want nil", id, err)
 		}
 	}
-	bad := []string{"", ".", "..", "a/b", "../etc", "a\\b", "a b", "héllo", "a\x00b",
+	bad := []string{"", ".", "..", "a/b", "../etc", "a\\b", "a b", "a&b=c", "x\r\ny", "héllo", "a\x00b",
 		strings.Repeat("x", 129), "tenant/../../escape"}
 	for _, id := range bad {
-		if err := ValidateID(id); err == nil {
-			t.Errorf("ValidateID(%q) = nil, want error", id)
+		if err := wire.ValidateTenantID(id); err == nil {
+			t.Errorf("ValidateTenantID(%q) = nil, want error", id)
 		}
 	}
 }
@@ -305,6 +306,10 @@ func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	}
 	if promos := tn.ctl.StatusNow().Promotions; promos > 0 && st.Adapters == nil {
 		t.Fatal("promotion happened but tenant still serves the raw base")
+	}
+	// The served version has one home: the controller reports the snapshot's.
+	if got, want := tn.ctl.StatusNow().ModelVersion, tn.State().Version; got != want {
+		t.Fatalf("adapt status says v%d, the served snapshot v%d", got, want)
 	}
 }
 

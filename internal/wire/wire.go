@@ -41,6 +41,43 @@ var (
 // on the display form "X-DACE-Tenant" would re-canonicalize per call.
 const TenantHeader = "X-Dace-Tenant"
 
+// MaxTenantIDLen bounds tenant identifiers; they appear in headers, metric
+// labels, and artifact paths.
+const MaxTenantIDLen = 128
+
+// errEmptyTenantID is pre-built: the gateway asks about every request's
+// implicit identity, and most requests have none.
+var errEmptyTenantID = errors.New("tenant: empty id")
+
+// ValidateTenantID accepts exactly the identifiers that are safe to use as
+// an artifact directory name, a metric label value, a header value and a
+// query value spliced into an upstream request line: 1–128 bytes of
+// [A-Za-z0-9._-], excluding the path specials "." and "..". Path separators
+// are outside the charset, so a valid ID can never traverse out of the
+// tenants root. The registry applies it to every ID it stores and the
+// gateway to every implicit ID it forwards.
+func ValidateTenantID(id string) error {
+	if id == "" {
+		return errEmptyTenantID
+	}
+	if len(id) > MaxTenantIDLen {
+		return fmt.Errorf("tenant: id exceeds %d bytes", MaxTenantIDLen)
+	}
+	if id == "." || id == ".." {
+		return fmt.Errorf("tenant: id %q is a reserved path name", id)
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '.', c == '_', c == '-':
+		default:
+			return fmt.Errorf("tenant: id contains invalid byte %q at %d", c, i)
+		}
+	}
+	return nil
+}
+
 // Params is what a request says about its body, outside the body.
 type Params struct {
 	// Format is the format query param: "" or "plan" (plan.WriteJSON
