@@ -43,6 +43,12 @@ build-arm64:
 # touches no cache), no non-test code sets a served version apart from its
 # model, and the (domain, generation) -> salt function is servecache.DomainSalt
 # and nothing else under internal/.
+# And the one-adaptation-domain invariants: internal/tenant schedules nothing
+# (no goroutine, no ticker, no job channel — background fine-tunes are
+# adapt.Pool's), no non-test code outside internal/adapt reads an artifact
+# version into service except through Controller.Load, serve tells a busy
+# domain by errors.Is(err, adapt.ErrBusy) and not by duck-typing, and
+# serve.Server has no Loader hook beside its Base domain.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
@@ -52,7 +58,11 @@ check-paths:
 		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue|plausibleTenantID|ValidateID|ValidateTenantID)\(' internal; \
 		grep -rnE --include='*.go' '^func \(c \*Cache\[V\]\) (Flush|Generation|PutAt)\(' internal/servecache; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'SetVersion(' internal cmd examples; \
-		grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Za-z]*[sS]alt[A-Za-z]*\(' internal | grep -v '^internal/servecache/cache.go:[0-9]*:func DomainSalt(')"; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[A-Za-z]*[sS]alt[A-Za-z]*\(' internal | grep -v '^internal/servecache/cache.go:[0-9]*:func DomainSalt('; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|time\.NewTicker|chan \*Tenant' internal/tenant; \
+		grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=adapt 'adapt\.(LoadVersion|LoadCurrent|Rollback)\(' internal cmd examples; \
+		grep -rnE --include='*.go' 'interface[[:space:]]*\{[[:space:]]*Busy\(\) bool[[:space:]]*\}' internal/serve; \
+		grep -nHE '^[[:space:]]*Loader[[:space:]]' internal/serve/serve.go)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -25,13 +25,16 @@
 // -feedback-log for crash recovery) and a background controller fine-tunes
 // a LoRA clone off the serving path, promoting it only when it beats the
 // incumbent on a held-out split; promotions are persisted as versioned
-// artifacts under -model-dir, which a restart resumes from.
+// artifacts under -model-dir, and a restart resumes the version that was
+// being served — the last promotion, or whatever /model/load put there since.
 //
 // Multi-tenant serving (-tenants-dir): one frozen encoder, N databases.
 // Each tenant is a LoRA adapter set over the shared base model, selected
 // per request by the X-DACE-Tenant header or the database query param;
 // feedback flows into per-tenant replay stores and gated fine-tunes that
-// persist versioned adapter artifacts under <tenants-dir>/<tenant>/:
+// persist versioned adapter artifacts under <tenants-dir>/<tenant>/. Every
+// background fine-tune, the base model's and each tenant's, runs on one pool
+// of -tenant-workers goroutines:
 //
 //	daced -model dace.json -tenants-dir tenants
 //	curl -XPOST localhost:8080/tenants/airline                # register
@@ -54,7 +57,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux (-pprof listener only)
@@ -93,7 +95,7 @@ func main() {
 	adaptGate := flag.Float64("adapt-gate", 0.02, "fractional holdout q-error improvement (median AND p90) required to promote")
 	modelDir := flag.String("model-dir", "", "directory for versioned promoted-model artifacts (empty keeps promotions in memory only)")
 	tenantsDir := flag.String("tenants-dir", "", "serve per-tenant LoRA adapters over one shared frozen encoder, persisting each tenant's artifacts under this directory")
-	tenantWorkers := flag.Int("tenant-workers", 1, "fine-tune worker goroutines shared across all tenants")
+	tenantWorkers := flag.Int("tenant-workers", 1, "background fine-tunes that may run at once, the base model's and every tenant's together")
 	drainGrace := flag.Duration("drain-grace", 0, "delay between flipping /healthz/ready unready and closing the listener, so upstream gateways eject this replica first")
 	gatewayReplicas := flag.String("gateway", "", "run as a cluster gateway over this comma-separated replica list (host:port,...) instead of serving a model")
 	gwVnodes := flag.Int("gw-vnodes", 0, "gateway: virtual nodes per replica on the routing ring (0 = 128)")
@@ -149,18 +151,6 @@ func main() {
 	}
 	f.Close()
 
-	// A model directory with promoted artifacts outranks the seed model:
-	// the daemon resumes from the last gated promotion.
-	servedVersion := 0
-	if *modelDir != "" {
-		if cur, v, err := adapt.LoadCurrent(*modelDir); err == nil {
-			logger.Info("resuming from promoted model", "version", v, "dir", *modelDir)
-			m, servedVersion = cur, v
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			fatal("model dir", "err", err)
-		}
-	}
-
 	if *pprofAddr != "" {
 		// The profiling endpoints stay off the service mux: they bind a
 		// separate (typically loopback) listener and are absent by default.
@@ -180,54 +170,13 @@ func main() {
 		Metrics:    reg,
 	})
 	s.Workers = *workers
-	s.Publish(m, servedVersion) // model and artifact version land as one snapshot
-	if *modelDir != "" {
-		// POST /model/load resolves versions against the artifact directory;
-		// version 0 is the seed model the daemon started from.
-		dir, seedPath, seedLoRA := *modelDir, *modelPath, *lora
-		s.Loader = func(v int) (*core.Model, error) {
-			if v == 0 {
-				nm := core.NewModel(core.DefaultConfig())
-				if seedLoRA {
-					nm.EnableLoRA()
-				}
-				f, err := os.Open(seedPath)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				if err := nm.Load(f); err != nil {
-					return nil, err
-				}
-				return nm, nil
-			}
-			return adapt.LoadVersion(dir, v)
-		}
-	}
+	s.Publish(m, 0)
 
-	// Multi-tenant serving: freeze the base model and load every tenant's
-	// current adapter artifact. The registry owns per-tenant feedback,
-	// fine-tuning, and hot-swaps from here on.
-	var tenants *tenant.Registry
-	if *tenantsDir != "" {
-		tenants = tenant.New(m, tenant.Config{
-			Dir:        *tenantsDir,
-			MinSamples: *adaptMinSamples,
-			Gate:       *adaptGate,
-			Workers:    *tenantWorkers,
-			Metrics:    reg,
-			Logger:     logger.With("component", "tenant"),
-		})
-		adapted, err := tenants.LoadDir()
-		if err != nil {
-			fatal("tenants dir", "err", err)
-		}
-		s.Tenants = tenants
-		logger.Info("tenants loaded", "dir", *tenantsDir, "tenants", tenants.Len(), "adapted", adapted)
-	}
+	// One pool runs every background fine-tune in the process.
+	pool := adapt.NewPool(*tenantWorkers)
 
-	// Online adaptation: any adaptation-related flag switches the loop on.
-	var ctl *adapt.Controller
+	// Online adaptation: any adaptation-related flag switches the base
+	// model's controller on.
 	adaptOn := *feedbackLog != "" || *modelDir != "" || *adaptInterval > 0
 	if adaptOn {
 		store := feedback.NewStore(8192, 1)
@@ -250,7 +199,7 @@ func main() {
 			}
 		}
 		feedback.RegisterMetrics(reg, store, flog)
-		ctl = adapt.New(s, store, flog, adapt.Config{
+		ctl := adapt.New(s, store, flog, adapt.Config{
 			Interval:       *adaptInterval,
 			MinSamples:     *adaptMinSamples,
 			Gate:           *adaptGate,
@@ -258,12 +207,36 @@ func main() {
 			ModelDir:       *modelDir,
 			Logger:         logger.With("component", "adapt"),
 		})
-		if reg != nil {
-			ctl.EnableMetrics(reg)
+		ctl.EnableMetrics(reg)
+		pool.Attach(ctl)
+		// A model directory's current version outranks the seed model just
+		// published (which stays loadable as version 0).
+		if v, err := ctl.Resume(); err != nil {
+			fatal("model dir", "err", err)
+		} else if v > 0 {
+			logger.Info("resuming from promoted model", "version", v, "dir", *modelDir)
 		}
-		s.Feedback = ctl
-		s.Adapt = ctl
-		ctl.Start()
+		s.Base = ctl
+	}
+
+	// Multi-tenant serving: freeze the served model as the shared base and
+	// load every tenant's current adapter artifact. Each tenant is an
+	// adaptation domain of its own from here on.
+	if *tenantsDir != "" {
+		tenants := tenant.New(s.Model(), tenant.Config{
+			Dir:        *tenantsDir,
+			MinSamples: *adaptMinSamples,
+			Gate:       *adaptGate,
+			Pool:       pool,
+			Metrics:    reg,
+			Logger:     logger.With("component", "tenant"),
+		})
+		adapted, err := tenants.LoadDir()
+		if err != nil {
+			fatal("tenants dir", "err", err)
+		}
+		s.Tenants = tenants
+		logger.Info("tenants loaded", "dir", *tenantsDir, "tenants", tenants.Len(), "adapted", adapted)
 	}
 
 	logger.Info("serving",
@@ -276,16 +249,10 @@ func main() {
 	// drain the admission stage so every waiting prediction is answered.
 	serveUntilSignal(logger, *addr, s.Handler(), *drainGrace, s.BeginDrain, func() {
 		s.Close()
-		if ctl != nil {
-			// Wait out any in-flight fine-tune and flush the feedback log
-			// before the deferred Close tears the file down.
-			ctl.Stop()
-		}
-		if tenants != nil {
-			// Same for the tenant fine-tune pool: in-flight runs finish (and
-			// persist their artifacts) before the process exits.
-			tenants.Stop()
-		}
+		// Wait out any in-flight fine-tune — it persists its artifact and
+		// its feedback is flushed — before the deferred Close tears the
+		// feedback log down.
+		pool.Stop()
 	})
 }
 

@@ -15,11 +15,15 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"time"
 
+	"dace/internal/adapt"
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/executor"
+	"dace/internal/feedback"
 	"dace/internal/gateway"
 	"dace/internal/schema"
 	"dace/internal/serve"
@@ -37,16 +41,32 @@ func main() {
 	model := core.Train(dataset.Plans(samples), cfg)
 
 	// 2. Three replicas on real loopback listeners, each running the full
-	//    serving pipeline (cache + coalescing + admission), plus a
-	//    Loader so the rollout below can swap model versions remotely.
+	//    serving pipeline (cache + coalescing + admission), plus what daced
+	//    -model-dir wires: an adaptation controller over the replica's own
+	//    artifact directory, so the rollout below can load v<N>.dace
+	//    remotely. Both versions hold the one model here.
 	const replicas = 3
+	modelDirs, err := os.MkdirTemp("", "dace-cluster-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(modelDirs)
 	addrs := make([]string, replicas)
 	servers := make([]*serve.Server, replicas)
 	httpSrvs := make([]*http.Server, replicas)
 	for i := range addrs {
-		s := serve.NewWithConfig(nil, serve.Config{CacheSize: 4096, MaxBatch: 64})
-		s.Publish(model, 1)
-		s.Loader = func(v int) (*core.Model, error) { return model, nil } // v2 == v1 here; a real Loader reads v<N>.dace
+		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096, MaxBatch: 64})
+		dir := filepath.Join(modelDirs, fmt.Sprint(i))
+		for _, note := range []string{"v1", "v2"} {
+			if _, err := adapt.SaveVersion(dir, model, note); err != nil {
+				log.Fatal(err)
+			}
+		}
+		ctl := adapt.New(s, feedback.NewStore(64, 1), nil, adapt.Config{ModelDir: dir})
+		if _, err := ctl.Load(1); err != nil {
+			log.Fatal(err)
+		}
+		s.Base = ctl
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

@@ -5,14 +5,23 @@
 // promotes the candidate only if it beats the incumbent on a held-out
 // split. Promotions are persisted as versioned, checksummed artifacts so
 // the daemon can restart into its adapted state and roll back a regression.
+//
+// A Controller is one adaptation domain — the base model's, or one tenant's
+// (internal/tenant builds a Controller per tenant over its adapter view).
+// Whatever changes what a domain serves goes through its controller and is
+// serialized there: a fine-tune attempt (RunOnce), an operator or gateway
+// loading a version (Load), a rollback, the start-up resume. Background
+// attempts from every domain in the process run on one bounded Pool.
 package adapt
 
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dace/internal/core"
@@ -23,17 +32,22 @@ import (
 )
 
 // Host is the serving surface the controller adapts: read the served model
-// with its artifact version, atomically publish a better pair. The version
-// lives only there — Status reads it back. *serve.Server satisfies it.
+// with its artifact version, atomically publish another pair. The version
+// lives only there — Status reads it back. Admit is asked before an artifact
+// read from disk is published and says why the host cannot serve it (a
+// tenant's adapters must fit the shared base); nil admits it.
+// *serve.Server satisfies Host.
 type Host interface {
 	Served() (m *core.Model, version int)
+	Admit(m *core.Model) error
 	Publish(m *core.Model, version int)
 }
 
 // Config tunes the controller. Zero values take the documented defaults.
 type Config struct {
-	// Interval between timer-driven adaptation attempts; 0 disables the
-	// timer (drift and manual triggers still work).
+	// Interval between timer-driven adaptation attempts on the Pool the
+	// controller is attached to; 0 disables the timer (drift and manual
+	// triggers still work).
 	Interval time.Duration
 	// MinSamples is the replay-buffer floor below which RunOnce refuses to
 	// fine-tune (default 256).
@@ -43,9 +57,9 @@ type Config struct {
 	// i.e. 2% better). The comparison is strict, so an identical candidate
 	// never ousts the incumbent.
 	Gate float64
-	// DriftThreshold fires an adaptation attempt when the rolling median
-	// q-error of served predictions crosses it. Zero (the default) or
-	// negative disables drift detection; daced passes 2.0.
+	// DriftThreshold enqueues an adaptation attempt on the Pool when the
+	// rolling median q-error of served predictions crosses it. Zero (the
+	// default) or negative disables drift detection; daced passes 2.0.
 	DriftThreshold float64
 	// DriftWindow is the number of recent observations the rolling median
 	// is computed over (default 128).
@@ -122,18 +136,11 @@ type Status struct {
 	Last         *Outcome       `json:"last,omitempty"`
 }
 
-// busyError marks contention: its Busy method lets the serving layer map
-// it to 409 Conflict without importing this package.
-type busyError struct{}
-
-func (busyError) Error() string { return "adapt: adaptation already in progress" }
-func (busyError) Busy() bool    { return true }
-
 // ErrBusy is returned by RunOnce when an adaptation attempt is already in
-// flight. It satisfies interface{ Busy() bool }.
-var ErrBusy error = busyError{}
+// flight; the serving layer answers it with 409 Conflict.
+var ErrBusy = errors.New("adapt: adaptation already in progress")
 
-// Controller owns the adaptation loop. Observe is called on the serving
+// Controller owns one domain's adaptation. Observe is called on the serving
 // hot path and only touches the replay store and the drift ring; the
 // fine-tune itself runs on a clone, so serving reads the incumbent model
 // undisturbed until the atomic Publish swap.
@@ -142,8 +149,20 @@ type Controller struct {
 	store *feedback.Store
 	log   *feedback.Log // optional durable log; may be nil
 	cfg   Config
+	seed  *core.Model // what the host served when the controller was built: version 0
 
-	runMu sync.Mutex // serializes adaptation attempts
+	// Hooks, when set before the controller is used, is installed on every
+	// fine-tune candidate so training epochs report loss/throughput/
+	// utilization (EnableMetrics sets it).
+	Hooks nn.TrainHooks
+
+	// runMu serializes everything that publishes to the host — attempts,
+	// loads, rollbacks — so a candidate is always gated against, and
+	// replaces, the model that is being served when it is published.
+	runMu sync.Mutex
+
+	pool   *Pool       // background attempts run here; nil = synchronous only
+	queued atomic.Bool // an attempt is waiting on the pool or running there
 
 	mu      sync.Mutex // guards everything below
 	window  []float64  // drift ring of recent served q-errors
@@ -154,33 +173,20 @@ type Controller struct {
 	promos  int
 	rejects int
 	last    *Outcome
-
-	kick chan struct{} // drift/manual wakeups for the background loop
-	stop chan struct{}
-	done chan struct{}
-
-	// hooks, when set by EnableMetrics before Start, is installed on every
-	// fine-tune candidate so training epochs report loss/throughput/
-	// utilization. Written only during wiring; read by RunOnce.
-	hooks nn.TrainHooks
 }
 
 // New builds a controller adapting host from store. log may be nil; when
-// set, Observe appends every accepted sample to it.
+// set, Observe appends every accepted sample to it. The model the host
+// serves now is the domain's version 0.
 func New(host Host, store *feedback.Store, log *feedback.Log, cfg Config) *Controller {
-	return &Controller{
-		host:  host,
-		store: store,
-		log:   log,
-		cfg:   cfg.withDefaults(),
-		kick:  make(chan struct{}, 1),
-	}
+	seed, _ := host.Served()
+	return &Controller{host: host, store: store, log: log, cfg: cfg.withDefaults(), seed: seed}
 }
 
 // Observe ingests one feedback sample: it lands in the replay store (and
 // the durable log when accepted), and its q-error advances the drift
-// window. When the rolling median crosses the threshold, the background
-// loop is kicked. Safe for concurrent use; never blocks on a fine-tune.
+// window. When the rolling median crosses the threshold, an attempt is
+// enqueued on the pool. Safe for concurrent use; never blocks on a fine-tune.
 func (c *Controller) Observe(p *plan.Plan, actualMS, predictedMS float64) {
 	accepted := c.store.Add(feedback.Sample{Plan: p, ActualMS: actualMS, PredictedMS: predictedMS})
 	if accepted && c.log != nil {
@@ -207,10 +213,7 @@ func (c *Controller) Observe(p *plan.Plan, actualMS, predictedMS float64) {
 	c.mu.Unlock()
 
 	if drifted {
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+		c.Enqueue()
 	}
 }
 
@@ -221,86 +224,9 @@ func medianOf(xs []float64) float64 {
 	return metrics.Summarize(append([]float64(nil), xs...)).Median
 }
 
-// Start launches the background loop (timer + drift kicks). Stop drains it.
-func (c *Controller) Start() {
-	c.mu.Lock()
-	if c.stop != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	stop, done := c.stop, c.done
-	c.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		var tick <-chan time.Time
-		if c.cfg.Interval > 0 {
-			t := time.NewTicker(c.cfg.Interval)
-			defer t.Stop()
-			tick = t.C
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick:
-			case <-c.kick:
-			}
-			if _, err := c.RunOnce(); err != nil && !errors.Is(err, ErrBusy) && !errors.Is(err, ErrTooFewSamples) {
-				// Skipped rounds are routine; real failures surface in Status.
-				c.recordError(err)
-			}
-		}
-	}()
-}
-
-// Stop shuts the background loop down, waiting for any in-flight
-// adaptation attempt to finish (the daemon calls this on SIGTERM).
-func (c *Controller) Stop() {
-	c.mu.Lock()
-	stop, done := c.stop, c.done
-	c.stop, c.done = nil, nil
-	c.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-	// The loop may have exited between RunOnce attempts; make sure no
-	// straggler holds the run lock before declaring the drain complete.
-	c.runMu.Lock()
-	c.runMu.Unlock() //nolint:staticcheck // lock/unlock pair is an intentional barrier
-}
-
-func (c *Controller) recordError(err error) {
-	c.mu.Lock()
-	c.last = &Outcome{Reason: "error: " + err.Error(), When: time.Now().UTC().Format(time.RFC3339)}
-	c.mu.Unlock()
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Error("adapt attempt failed", "err", err)
-	}
-}
-
 // ErrTooFewSamples is returned by RunOnce when the replay buffer has not
 // reached Config.MinSamples.
 var ErrTooFewSamples = errors.New("adapt: not enough feedback samples")
-
-// Trigger satisfies serve.Adapter.
-func (c *Controller) Trigger() (any, error) {
-	out, err := c.RunOnce()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Status satisfies serve.Adapter.
-func (c *Controller) Status() any {
-	st := c.StatusNow()
-	return &st
-}
 
 // StatusNow snapshots the controller state.
 func (c *Controller) StatusNow() Status {
@@ -367,7 +293,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	if !candidate.LoRAEnabled() {
 		candidate.EnableLoRA()
 	}
-	candidate.Hooks = c.hooks // nil unless EnableMetrics wired instruments
+	candidate.Hooks = c.Hooks
 	t0 := time.Now()
 	candidate.FineTuneLoRA(trainPlans, c.cfg.LR, c.cfg.Epochs)
 	trainMS := float64(time.Since(t0)) / float64(time.Millisecond)
@@ -425,11 +351,8 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	c.mu.Lock()
 	c.promos++
 	c.last = out
-	// The drift window measured the old model; start fresh.
-	c.window = c.window[:0]
-	c.next = 0
-	c.filled = false
 	c.mu.Unlock()
+	c.resetDrift()
 	if c.cfg.Logger != nil {
 		c.cfg.Logger.Info("adapt promoted candidate",
 			"version", out.Version, "samples", out.Samples, "holdout", out.Holdout,
@@ -446,28 +369,96 @@ func (c *Controller) runsSoFar() int {
 	return c.runs
 }
 
-// Rollback reverts the artifact store to the previous version and swaps
-// that model into serving.
-func (c *Controller) Rollback() (int, error) {
-	if c.cfg.ModelDir == "" {
-		return 0, errors.New("adapt: no model directory configured")
-	}
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
-	m, v, err := Rollback(c.cfg.ModelDir)
-	if err != nil {
-		return 0, err
-	}
-	c.host.Publish(m, v)
+// resetDrift empties the drift window: it measured the model just replaced.
+func (c *Controller) resetDrift() {
 	c.mu.Lock()
 	c.window = c.window[:0]
 	c.next = 0
 	c.filled = false
 	c.mu.Unlock()
-	if c.cfg.Logger != nil {
-		c.cfg.Logger.Info("adapt rolled back", "version", v)
+}
+
+var errNoModelDir = errors.New("adapt: no model directory configured")
+
+// Load puts artifact version v into service and returns the version it
+// replaced. It is the one way a stored version is installed — start-up
+// resume, an operator's or a gateway rollout's load, Rollback — and it waits
+// out an attempt in flight, so the attempt's candidate cannot be published
+// over the load. Version 0 is the model the host served when the controller
+// was built. In order: the artifact is read and its checksum verified, the
+// host may refuse it, the manifest's current pointer moves to v (a restart
+// resumes what was being served), the host publishes, and the drift window
+// starts over. A failure at any step leaves host and manifest as they were.
+func (c *Controller) Load(v int) (previous int, err error) {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	return c.load(v)
+}
+
+func (c *Controller) load(v int) (previous int, err error) {
+	dir, m := c.cfg.ModelDir, c.seed
+	if v != 0 {
+		if dir == "" {
+			return 0, errNoModelDir
+		}
+		if m, err = loadVersion(dir, v); err != nil {
+			return 0, err
+		}
 	}
-	return v, nil
+	if err := c.host.Admit(m); err != nil {
+		return 0, err
+	}
+	if dir != "" {
+		if err := setCurrent(dir, v); err != nil {
+			return 0, err
+		}
+	}
+	_, previous = c.host.Served()
+	c.host.Publish(m, v)
+	c.resetDrift()
+	if c.cfg.Logger != nil {
+		c.cfg.Logger.Info("adapt loaded version", "version", v, "previous", previous)
+	}
+	return previous, nil
+}
+
+// Resume loads the version the manifest names as current — what a restarted
+// daemon should serve — and returns it. With no model directory, no
+// manifest in it yet, or a pointer that was loaded back to 0, the host keeps
+// what it serves and Resume returns 0.
+func (c *Controller) Resume() (int, error) {
+	if c.cfg.ModelDir == "" {
+		return 0, nil
+	}
+	man, err := ReadManifest(c.cfg.ModelDir)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	if man.Current == 0 {
+		return 0, nil
+	}
+	_, err = c.Load(man.Current)
+	return man.Current, err
+}
+
+// Rollback loads the version preceding the current one and returns it.
+func (c *Controller) Rollback() (int, error) {
+	if c.cfg.ModelDir == "" {
+		return 0, errNoModelDir
+	}
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	prev, err := previousVersion(c.cfg.ModelDir)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.load(prev); err != nil {
+		return 0, err
+	}
+	return prev, nil
 }
 
 // labeledPlan returns the sample's plan with the root's ActualMS set to

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +63,8 @@ func (h *fakeHost) Model() *core.Model {
 	return m
 }
 
+func (h *fakeHost) Admit(*core.Model) error { return nil }
+
 func (h *fakeHost) Publish(m *core.Model, v int) {
 	h.mu.Lock()
 	h.m, h.v = m, v
@@ -89,12 +92,16 @@ func TestArtifactSaveLoadRoundTrip(t *testing.T) {
 	if v != 1 {
 		t.Fatalf("first version = %d, want 1", v)
 	}
-	got, cur, err := LoadCurrent(dir)
+	man, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur != 1 {
-		t.Fatalf("current = %d, want 1", cur)
+	if man.Current != 1 {
+		t.Fatalf("current = %d, want 1", man.Current)
+	}
+	got, err := loadVersion(dir, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !got.LoRAEnabled() {
 		t.Fatal("LoRA state lost through the artifact store")
@@ -123,11 +130,35 @@ func TestArtifactChecksumCatchesCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadVersion(dir, 1); err == nil {
-		t.Fatal("LoadVersion accepted a corrupted artifact")
+	if _, err := loadVersion(dir, 1); err == nil {
+		t.Fatal("loadVersion accepted a corrupted artifact")
+	}
+	// The one install path refuses it too, and leaves the host alone.
+	seed := core.NewModel(smallConfig())
+	host := &fakeHost{m: seed}
+	c := New(host, feedback.NewStore(16, 1), nil, Config{ModelDir: dir})
+	if _, err := c.Load(1); err == nil {
+		t.Fatal("Load installed a corrupted artifact")
+	}
+	if m, v := host.Served(); m != seed || v != 0 {
+		t.Fatalf("failed load changed the host: v%d", v)
 	}
 }
 
+// currentVersion reads the on-disk pointer a restart resumes.
+func currentVersion(t *testing.T, dir string) int {
+	t.Helper()
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return man.Current
+}
+
+// TestRollbackRestoresPreviousVersion: Rollback is Load(previous), and the
+// on-disk pointer follows whatever Load put into service — so a restart
+// resumes the version that was being served and the next Rollback steps from
+// it, not from the last promotion.
 func TestRollbackRestoresPreviousVersion(t *testing.T) {
 	dir := t.TempDir()
 	db := schema.BenchmarkDB("airline")
@@ -136,6 +167,7 @@ func TestRollbackRestoresPreviousVersion(t *testing.T) {
 	m2 := m1.Clone()
 	m2.EnableLoRA()
 	m2.FineTuneLoRA(plans[:40], 2e-3, 2)
+	seed := core.NewModel(smallConfig())
 
 	if _, err := SaveVersion(dir, m1, "v1"); err != nil {
 		t.Fatal(err)
@@ -143,24 +175,63 @@ func TestRollbackRestoresPreviousVersion(t *testing.T) {
 	if _, err := SaveVersion(dir, m2, "v2"); err != nil {
 		t.Fatal(err)
 	}
-	back, v, err := Rollback(dir)
+	probe := plans[40]
+	host := &fakeHost{m: seed}
+	c := New(host, feedback.NewStore(16, 1), nil, Config{ModelDir: dir, DriftThreshold: 2, DriftWindow: 8})
+	if v, err := c.Resume(); err != nil || v != 2 || host.v != 2 || host.m.Predict(probe) != m2.Predict(probe) {
+		t.Fatalf("Resume = v%d, %v; host at v%d", v, err, host.v)
+	}
+	for i := 0; i < 4; i++ {
+		c.Observe(probe, 10, 1)
+	}
+
+	v, err := c.Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 {
-		t.Fatalf("rolled back to %d, want 1", v)
+	if v != 1 || host.v != 1 || currentVersion(t, dir) != 1 {
+		t.Fatalf("rolled back to %d (host v%d, manifest v%d), want 1", v, host.v, currentVersion(t, dir))
 	}
-	probe := plans[40]
-	if back.Predict(probe) != m1.Predict(probe) {
+	if host.m.Predict(probe) != m1.Predict(probe) {
 		t.Fatal("rollback did not restore v1's predictions")
 	}
+	if st := c.StatusNow(); st.DriftN != 0 || st.ModelVersion != 1 {
+		t.Fatalf("after a rollback: drift_n %d (want 0: the window measured v2), model_version %d", st.DriftN, st.ModelVersion)
+	}
 	// Refuses to roll back past the oldest version.
-	if _, _, err := Rollback(dir); err == nil {
+	if _, err := c.Rollback(); err == nil {
 		t.Fatal("rollback past the first version succeeded")
 	}
-	// The manifest still knows v2; re-loading it works.
-	if _, err := LoadVersion(dir, 2); err != nil {
-		t.Fatalf("v2 unavailable after rollback: %v", err)
+	// The manifest still knows v2; re-loading it works, and the pointer
+	// follows it there and back.
+	if prev, err := c.Load(2); err != nil || prev != 1 || host.v != 2 || currentVersion(t, dir) != 2 {
+		t.Fatalf("Load(2) = previous v%d, %v; host v%d, manifest v%d", prev, err, host.v, currentVersion(t, dir))
+	}
+	if _, err := c.Load(1); err != nil {
+		t.Fatal(err)
+	}
+	// A restart over the same directory resumes v1 — what was being served,
+	// not the newest artifact — and from v1 there is nothing to roll back to.
+	host2 := &fakeHost{m: seed}
+	c2 := New(host2, feedback.NewStore(16, 1), nil, Config{ModelDir: dir})
+	if v, err := c2.Resume(); err != nil || v != 1 || host2.v != 1 || host2.m.Predict(probe) != m1.Predict(probe) {
+		t.Fatalf("restart after Load(1) resumed v%d (host v%d), %v; want v1", v, host2.v, err)
+	}
+	if v, err := c2.Rollback(); err == nil || !strings.Contains(err.Error(), "already at the oldest version") || host2.v != 1 {
+		t.Fatalf("Rollback at v1 = v%d, %v (host v%d); want the oldest-version refusal", v, err, host2.v)
+	}
+	// Version 0 is the model the host served when the controller was built;
+	// loading it moves the pointer too, so a restart serves the seed.
+	if prev, err := c2.Load(0); err != nil || prev != 1 || host2.m != seed || host2.v != 0 || currentVersion(t, dir) != 0 {
+		t.Fatalf("Load(0) = previous v%d, %v; host v%d, manifest v%d", prev, err, host2.v, currentVersion(t, dir))
+	}
+	host3 := &fakeHost{m: seed}
+	if v, err := New(host3, feedback.NewStore(16, 1), nil, Config{ModelDir: dir}).Resume(); err != nil || v != 0 || host3.m != seed {
+		t.Fatalf("restart after Load(0) resumed v%d, %v; want the seed left in place", v, err)
+	}
+	// A version that was never saved is refused with everything left alone.
+	if _, err := c2.Load(9); err == nil || host2.v != 0 || currentVersion(t, dir) != 0 {
+		t.Fatalf("Load(9) = %v; host v%d, manifest v%d", err, host2.v, currentVersion(t, dir))
 	}
 }
 
@@ -260,13 +331,15 @@ func TestControllerAdaptsAcrossMore(t *testing.T) {
 	}
 
 	// A restart serves the promoted model, bit for bit.
-	reloaded, v, err := LoadCurrent(dir)
+	restarted := &fakeHost{m: seed}
+	v, err := New(restarted, store, nil, Config{ModelDir: dir}).Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 {
-		t.Fatalf("LoadCurrent version %d, want 1", v)
+	if v != 1 || restarted.v != 1 {
+		t.Fatalf("resumed version %d (host v%d), want 1", v, restarted.v)
 	}
+	reloaded := restarted.Model()
 	for _, p := range m2Plans[180:190] {
 		if a, b := served.Predict(p), reloaded.Predict(p); a != b {
 			t.Fatalf("reloaded artifact diverges from promoted model: %v vs %v", a, b)
@@ -278,47 +351,82 @@ func TestControllerAdaptsAcrossMore(t *testing.T) {
 	}
 }
 
+// TestObserveTracksDriftAndKicks: the drift trigger's policy is decided in
+// Observe and its only effect is one dedup'd job on the pool.
 func TestObserveTracksDriftAndKicks(t *testing.T) {
-	host := &fakeHost{m: core.NewModel(smallConfig())}
-	store := feedback.NewStore(64, 1)
-	c := New(host, store, nil, Config{
-		DriftThreshold: 2.0,
-		DriftWindow:    8,
-		MinSamples:     1 << 30, // never actually fine-tune
-	})
+	newController := func() *Controller {
+		return New(&fakeHost{m: core.NewModel(smallConfig())}, feedback.NewStore(64, 1), nil, Config{
+			DriftThreshold: 2.0,
+			DriftWindow:    8,
+			MinSamples:     1 << 30, // never actually fine-tune
+		})
+	}
 	p := &plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}}
+	// A pool nobody drains: what is enqueued stays countable.
+	pool := &Pool{jobs: make(chan *Controller, 8)}
+	c := newController()
+	pool.Attach(c)
 	// Served prediction 1ms, actual 10ms → q-error 10, way past threshold.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 3; i++ {
 		c.Observe(p, 10, 1)
 	}
-	st := c.StatusNow()
-	if st.DriftMedian < 9.9 {
+	if len(pool.jobs) != 0 {
+		t.Fatal("enqueued before half a window of observations")
+	}
+	for i := 0; i < 5; i++ {
+		c.Observe(p, 10, 1) // every one of these crosses again
+	}
+	if st := c.StatusNow(); st.DriftMedian < 9.9 {
 		t.Fatalf("drift median %v, want ~10", st.DriftMedian)
 	}
-	select {
-	case <-c.kick:
-	default:
-		t.Fatal("drift past threshold did not kick the controller")
+	if len(pool.jobs) != 1 {
+		t.Fatalf("drift past threshold enqueued %d jobs, want exactly 1", len(pool.jobs))
+	}
+	if c.Enqueue() {
+		t.Fatal("a second enqueue while queued was accepted")
+	}
+	// Once a worker has run the job the next crossing enqueues again.
+	(<-pool.jobs).queued.Store(false)
+	c.Observe(p, 10, 1)
+	if len(pool.jobs) != 1 {
+		t.Fatalf("crossing after the job ran enqueued %d jobs, want 1", len(pool.jobs))
+	}
+
+	// No pool: drift is still tracked, nothing is scheduled anywhere.
+	solo := newController()
+	for i := 0; i < 8; i++ {
+		solo.Observe(p, 10, 1)
+	}
+	if solo.Enqueue() || solo.queued.Load() || solo.StatusNow().DriftMedian < 9.9 {
+		t.Fatal("a controller with no pool scheduled a job (or lost its drift window)")
 	}
 }
 
+// TestStartStopDrainsCleanly is the pool's: a 1 ms timer and a stream of
+// drift crossings drive skip-only attempts through it; Stop waits for its
+// goroutines and is idempotent.
 func TestStartStopDrainsCleanly(t *testing.T) {
 	host := &fakeHost{m: core.NewModel(smallConfig())}
 	store := feedback.NewStore(16, 1)
 	c := New(host, store, nil, Config{
-		Interval:   time.Millisecond,
-		MinSamples: 1 << 30, // every attempt skips
+		Interval:       time.Millisecond,
+		DriftThreshold: 2.0,
+		DriftWindow:    8,
+		MinSamples:     1 << 30, // every attempt skips
 	})
-	c.Start()
-	c.Start() // idempotent
+	pool := NewPool(2)
+	pool.Attach(c)
 	p := &plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}}
 	for i := 0; i < 50; i++ {
 		c.Observe(p, 5, 1)
 	}
 	time.Sleep(10 * time.Millisecond)
-	c.Stop()
-	c.Stop() // idempotent
-	if st := c.StatusNow(); st.Promotions != 0 {
-		t.Fatalf("skip-only loop promoted something: %+v", st)
+	pool.Stop()
+	pool.Stop() // idempotent
+	if st := c.StatusNow(); st.Promotions != 0 || st.Running {
+		t.Fatalf("skip-only pool promoted or is still running something: %+v", st)
 	}
+	// A stopped pool runs nothing more; triggers on it stay harmless.
+	c.Observe(p, 5, 1)
+	c.Enqueue()
 }

@@ -3,6 +3,7 @@ package adapt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -15,8 +16,9 @@ import (
 
 // The artifact store persists every promoted model as a versioned,
 // checksummed file plus a manifest, so a bad promotion is one Rollback away
-// and a restarted daemon resumes from the last promoted model instead of
-// the original seed.
+// and a restarted daemon resumes the version it was serving instead of the
+// original seed. Controller.Load is the one reader that puts a version into
+// service; nothing outside this package deserializes an artifact.
 //
 // Layout under the model directory:
 //
@@ -122,9 +124,9 @@ func SaveVersion(dir string, m *core.Model, note string) (int, error) {
 	return next, nil
 }
 
-// LoadVersion reconstructs the model stored as version v in dir, verifying
+// loadVersion reconstructs the model stored as version v in dir, verifying
 // the artifact's checksum before deserializing.
-func LoadVersion(dir string, v int) (*core.Model, error) {
+func loadVersion(dir string, v int) (*core.Model, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -156,51 +158,39 @@ func LoadVersion(dir string, v int) (*core.Model, error) {
 	return m, nil
 }
 
-// LoadCurrent loads the manifest's current version — what a restarted
-// daemon should serve. Returns fs.ErrNotExist when the directory has no
-// manifest yet.
-func LoadCurrent(dir string) (*core.Model, int, error) {
+// setCurrent points the manifest at version v — the version a restart
+// resumes. Version 0 is the seed: a directory that has never held a
+// promotion has no pointer to move for it.
+func setCurrent(dir string, v int) error {
 	man, err := ReadManifest(dir)
 	if err != nil {
-		return nil, 0, err
+		if v == 0 && errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return err
 	}
-	if man.Current == 0 {
-		return nil, 0, fmt.Errorf("adapt: manifest has no current version: %w", fs.ErrNotExist)
+	if man.Current == v {
+		return nil
 	}
-	m, err := LoadVersion(dir, man.Current)
-	return m, man.Current, err
+	man.Current = v
+	return writeManifest(dir, man)
 }
 
-// Rollback moves the manifest's current pointer to the version preceding
-// it and returns that model, checksum-verified. It refuses to roll back
-// past the first version. The caller swaps the returned model into serving
-// (Controller.Rollback does both).
-func Rollback(dir string) (*core.Model, int, error) {
+// previousVersion names the version preceding the manifest's current one,
+// and refuses to step back past the first.
+func previousVersion(dir string) (int, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	idx := -1
 	for i := range man.Versions {
-		if man.Versions[i].Version == man.Current {
-			idx = i
-			break
+		if man.Versions[i].Version != man.Current {
+			continue
 		}
+		if i == 0 {
+			return 0, fmt.Errorf("adapt: already at the oldest version (v%d)", man.Current)
+		}
+		return man.Versions[i-1].Version, nil
 	}
-	if idx < 0 {
-		return nil, 0, fmt.Errorf("adapt: current version %d not in manifest", man.Current)
-	}
-	if idx == 0 {
-		return nil, 0, fmt.Errorf("adapt: already at the oldest version (v%d)", man.Current)
-	}
-	prev := man.Versions[idx-1].Version
-	m, err := LoadVersion(dir, prev)
-	if err != nil {
-		return nil, 0, err
-	}
-	man.Current = prev
-	if err := writeManifest(dir, man); err != nil {
-		return nil, 0, err
-	}
-	return m, prev, nil
+	return 0, fmt.Errorf("adapt: current version %d not in manifest", man.Current)
 }

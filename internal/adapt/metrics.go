@@ -9,7 +9,8 @@ import (
 // counters and drift state are sampled from StatusNow at scrape time (they
 // already live behind the controller mutex), and fine-tune runs get
 // per-epoch training instruments via nn.TrainHooks on the candidate model.
-// Call before Start; safe to call with a nil registry (no-op).
+// Call before the controller is used; safe to call with a nil registry
+// (no-op).
 func (c *Controller) EnableMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -33,7 +34,7 @@ func (c *Controller) EnableMetrics(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	c.hooks = newTrainMetrics(reg)
+	c.Hooks = newTrainMetrics(reg)
 }
 
 // trainMetrics implements nn.TrainHooks over lock-free instruments, so the

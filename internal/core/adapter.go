@@ -94,10 +94,10 @@ func (as *AdapterSet) CompatibleWith(m *Model) error {
 		return fmt.Errorf("core: adapter set has %d layers, model has %d", len(as.Layers), len(m.MLP))
 	}
 	for i, l := range as.Layers {
-		in, out := m.MLP[i].In(), m.MLP[i].Out()
 		if l.Down == nil || l.Up == nil {
 			return fmt.Errorf("core: adapter layer %d is missing a factor", i)
 		}
+		in, out := m.MLP[i].In(), m.MLP[i].Out()
 		if l.Down.Value.Rows != in || l.Down.Value.Cols != l.Rank ||
 			l.Up.Value.Rows != l.Rank || l.Up.Value.Cols != out {
 			return fmt.Errorf("core: adapter layer %d is %dx%d·%dx%d, model layer wants %dx%d·%dx%d",

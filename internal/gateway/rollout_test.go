@@ -13,6 +13,24 @@ import (
 	"dace/internal/serve"
 )
 
+// anyVersion is a replica's base domain in the rollout tests: every version
+// up to max loads, as the one model.
+type anyVersion struct {
+	serve.Domain
+	s   *serve.Server
+	m   *core.Model
+	max int
+}
+
+func (d anyVersion) Load(v int) (int, error) {
+	if v > d.max {
+		return 0, fmt.Errorf("no artifact v%d", v)
+	}
+	_, prev := d.s.Served()
+	d.s.Publish(d.m, v)
+	return prev, nil
+}
+
 func postJSON(t *testing.T, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "", nil)
@@ -47,14 +65,8 @@ func replicaVersion(t *testing.T, url string) int {
 // back to the committed version.
 func TestGatewayRollout(t *testing.T) {
 	m, samples := trainedModel(t)
-	loader := func(v int) (*core.Model, error) {
-		if v > 10 {
-			return nil, fmt.Errorf("no artifact v%d", v)
-		}
-		return m, nil
-	}
 	f := newFleet(t, m, 2, func(i int, s *serve.Server) {
-		s.Loader = loader
+		s.Base = anyVersion{s: s, m: m, max: 10}
 	})
 
 	// Start: version 3 lands on exactly one replica.
@@ -138,7 +150,7 @@ func TestGatewayRollout(t *testing.T) {
 		}
 	}
 
-	// A version the loader cannot produce fails the start cleanly.
+	// A version the replicas cannot load fails the start cleanly.
 	if st, _ := postJSON(t, f.front.URL+"/rollout/start?version=99"); st != http.StatusBadGateway {
 		t.Fatalf("unloadable version: %d, want 502", st)
 	}
@@ -149,9 +161,8 @@ func TestGatewayRollout(t *testing.T) {
 // succeeds, leaving the ejected one to reconcile when it returns.
 func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 	m, _ := trainedModel(t)
-	loader := func(v int) (*core.Model, error) { return m, nil }
 	f := newFleet(t, m, 3, func(i int, s *serve.Server) {
-		s.Loader = loader
+		s.Base = anyVersion{s: s, m: m, max: 10}
 	})
 
 	if st, body := postJSON(t, f.front.URL+"/rollout/start?version=2"); st != http.StatusOK {

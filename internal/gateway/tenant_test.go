@@ -60,7 +60,6 @@ func TestGatewayTenantForwarding(t *testing.T) {
 	m, samples := trainedModel(t)
 	f := newFleet(t, m, 3, func(i int, s *serve.Server) {
 		reg := tenant.New(m, tenant.Config{})
-		t.Cleanup(reg.Stop)
 		if err := reg.ServeAdapters("alpha", gwPerturbedAdapters(m.Cfg, 1)); err != nil {
 			t.Fatal(err)
 		}

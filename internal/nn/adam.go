@@ -19,19 +19,18 @@ type Adam struct {
 // NewAdam builds an optimizer over params with the given learning rate and
 // default betas (0.9, 0.999).
 func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
-	for _, p := range params {
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params,
+		m: make([]*Matrix, len(params)), v: make([]*Matrix, len(params))}
+	for i, p := range params {
 		// Frozen params never reach the moment update (Step skips them
 		// before touching m/v), so a LoRA fine-tune — where the frozen
 		// base dwarfs the adapters — shouldn't pay two full-model moment
 		// buffers for weights that will never move.
 		if p.Frozen {
-			a.m = append(a.m, nil)
-			a.v = append(a.v, nil)
 			continue
 		}
-		a.m = append(a.m, NewMatrix(p.Value.Rows, p.Value.Cols))
-		a.v = append(a.v, NewMatrix(p.Value.Rows, p.Value.Cols))
+		a.m[i] = NewMatrix(p.Value.Rows, p.Value.Cols)
+		a.v[i] = NewMatrix(p.Value.Rows, p.Value.Cols)
 	}
 	return a
 }

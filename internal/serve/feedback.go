@@ -4,33 +4,29 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"math"
 	"net/http"
 
+	"dace/internal/adapt"
 	"dace/internal/plan"
 	"dace/internal/wire"
 )
 
-// The online-adaptation surface. serve deliberately does not import the
-// adapt package: the server talks to the feedback store and the adaptation
-// controller through these two interfaces, and the daemon wires the
-// concrete types in. A server with nil Feedback/Adapt simply doesn't
-// register the corresponding endpoints.
-
-// FeedbackSink receives one observed execution per call. Implementations
-// must be safe for concurrent use and must not block on model training —
-// Observe sits on the serving path. *adapt.Controller satisfies it.
-type FeedbackSink interface {
+// Domain is one adaptation domain as the HTTP surface drives it: the base
+// model's (Server.Base; *adapt.Controller) or a tenant's (*tenant.Tenant,
+// which embeds its controller). /feedback, /adapt/*, /model/load and the
+// /tenants/{id}/... arms each resolve the request's Domain once and run the
+// same bodies on it. It is an interface only so tests can substitute a fake.
+//
+// Observe sits on the serving path: it must be safe for concurrent use and
+// must not block on model training.
+type Domain interface {
 	Observe(p *plan.Plan, actualMS, predictedMS float64)
-}
-
-// Adapter exposes the adaptation controller to HTTP: Status powers
-// GET /adapt/status, Trigger powers POST /adapt/trigger. An error whose
-// Busy() method reports true maps to 409 Conflict. *adapt.Controller
-// satisfies it.
-type Adapter interface {
-	Status() any
-	Trigger() (any, error)
+	StatusNow() adapt.Status
+	RunOnce() (*adapt.Outcome, error)
+	Load(version int) (previous int, err error)
+	Rollback() (version int, err error)
 }
 
 // MaxFeedbackBody caps one POST /feedback document; overflow returns 413.
@@ -62,13 +58,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	tc, tenantID, handled := s.resolveTenant(w, p)
+	tc, d, handled := s.resolveTenant(w, p)
 	if handled {
 		return
 	}
-	if tenantID == "" && s.Feedback == nil {
+	if d == nil {
 		// Registered because Tenants is set; without a resolved tenant there
-		// is no global sink to deliver to.
+		// is no base domain to deliver to.
 		http.Error(w, "feedback requires a registered tenant (X-DACE-Tenant or database param)", http.StatusUnprocessableEntity)
 		return
 	}
@@ -113,13 +109,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			req.PredictedMS = preds[0]
 		}
 	}
-	// A resolved tenant owns its feedback stream; everything else goes to
-	// the global sink (when configured).
-	if tenantID != "" {
-		s.Tenants.Observe(tenantID, t, req.ActualMS, req.PredictedMS)
-	} else {
-		s.Feedback.Observe(t, req.ActualMS, req.PredictedMS)
-	}
+	// A resolved tenant owns its feedback stream; everything else is the
+	// base domain's.
+	d.Observe(t, req.ActualMS, req.PredictedMS)
 	if s.tel != nil {
 		s.tel.feedback.Inc()
 	}
@@ -136,31 +128,48 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleAdaptStatus serves the controller's introspection document.
 func (s *Server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
+	serveAdaptStatus(w, r, s.Base)
+}
+
+func (s *Server) handleAdaptTrigger(w http.ResponseWriter, r *http.Request) {
+	serveAdaptTrigger(w, r, s.Base)
+}
+
+// serveAdaptStatus answers GET .../adapt/status: d's introspection document.
+func serveAdaptStatus(w http.ResponseWriter, r *http.Request, d Domain) {
 	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, s.Adapt.Status())
+	st := d.StatusNow()
+	writeJSON(w, &st)
 }
 
-// handleAdaptTrigger runs one synchronous adaptation attempt. A busy
-// controller (one already in flight) is 409; any other refusal is 409 with
-// the reason in the body; success returns the gate's outcome document.
-func (s *Server) handleAdaptTrigger(w http.ResponseWriter, r *http.Request) {
+// serveAdaptTrigger answers POST .../adapt/trigger: one synchronous
+// adaptation attempt on d, success returning the gate's outcome document.
+func serveAdaptTrigger(w http.ResponseWriter, r *http.Request, d Domain) {
 	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	out, err := s.Adapt.Trigger()
+	out, err := d.RunOnce()
 	if err != nil {
-		var busy interface{ Busy() bool }
-		if errors.As(err, &busy) && busy.Busy() {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		// Refused for a non-concurrency reason (e.g. too few samples).
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		writeDomainError(w, err)
 		return
 	}
 	writeJSON(w, out)
+}
+
+// writeDomainError maps a domain's refusal: an attempt already in flight is
+// 409, a missing artifact 404, anything else — too few samples, an artifact
+// the domain cannot serve, nothing older to roll back to — is the request's
+// fault but well-formed: 422.
+func writeDomainError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, adapt.ErrBusy):
+		http.Error(w, err.Error(), http.StatusConflict)
+	case errors.Is(err, fs.ErrNotExist):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	default:
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	}
 }

@@ -26,8 +26,10 @@ import (
 	"dace/internal/schema"
 )
 
-// recordingSink captures Observe calls.
+// recordingSink is a Domain that captures Observe calls; the embedded nil
+// interface supplies the methods /feedback never reaches.
 type recordingSink struct {
+	Domain
 	mu   sync.Mutex
 	obs  []feedback.Sample
 	last *plan.Plan
@@ -90,7 +92,7 @@ func TestFeedbackEndpointAbsentWithoutSink(t *testing.T) {
 func TestFeedbackEndpointValidation(t *testing.T) {
 	s, samples := trainedServer(t)
 	sink := &recordingSink{}
-	s.Feedback = sink
+	s.Base = sink
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	p := samples[0].Plan
@@ -151,7 +153,7 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 
 func TestFeedbackBodyCap(t *testing.T) {
 	s, samples := trainedServer(t)
-	s.Feedback = &recordingSink{}
+	s.Base = &recordingSink{}
 	old := MaxFeedbackBody
 	MaxFeedbackBody = 64
 	defer func() { MaxFeedbackBody = old }()
@@ -169,20 +171,21 @@ func TestFeedbackBodyCap(t *testing.T) {
 	}
 }
 
-// stubAdapter scripts Status/Trigger responses.
+// stubAdapter is a Domain with scripted StatusNow/RunOnce responses.
 type stubAdapter struct {
-	status any
-	out    any
+	Domain
+	status adapt.Status
+	out    *adapt.Outcome
 	err    error
 }
 
-func (a *stubAdapter) Status() any           { return a.status }
-func (a *stubAdapter) Trigger() (any, error) { return a.out, a.err }
+func (a *stubAdapter) StatusNow() adapt.Status          { return a.status }
+func (a *stubAdapter) RunOnce() (*adapt.Outcome, error) { return a.out, a.err }
 
 func TestAdaptEndpoints(t *testing.T) {
 	s, _ := trainedServer(t)
-	ad := &stubAdapter{status: map[string]int{"runs": 3}, out: map[string]bool{"promoted": true}}
-	s.Adapt = ad
+	ad := &stubAdapter{status: adapt.Status{Runs: 3}, out: &adapt.Outcome{Promoted: true}}
+	s.Base = ad
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -252,9 +255,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		ModelDir:   filepath.Join(dir, "models"),
 		Seed:       7,
 	})
-	s.Feedback = ctl
-	s.Adapt = ctl
-	s.Loader = func(int) (*core.Model, error) { return seed, nil }
+	s.Base = ctl
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -371,7 +372,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		Epochs:     2,
 		Seed:       11,
 	})
-	s.Adapt = ctl2
+	s.Base = ctl2
 	preAttempt := cacheBytes(t, srv.URL, pb.Bytes())
 	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
 	if err != nil {
@@ -394,7 +395,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 
 	// A rollout abort reloads what /model reported: loading the seed back
 	// replaces the promoted version, not the start-up one, everywhere at once.
-	s.Adapt = ctl
+	s.Base = ctl
 	resp, err = http.Post(srv.URL+"/model/load?version=0", "", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -71,10 +71,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ModelStatus{Version: v, Ready: s.Ready()})
 }
 
-// handleModelLoad swaps the served model to a versioned artifact resolved
-// through the Loader hook — the replica half of a gateway-coordinated
-// rollout. Model and version land in one publish, which also yields the
-// version it replaced.
+// handleModelLoad swaps the served model to a versioned artifact through the
+// base domain's Load — the replica half of a gateway-coordinated rollout —
+// which also yields the version it replaced.
 func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
@@ -85,11 +84,10 @@ func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "version query parameter must be a non-negative integer", http.StatusBadRequest)
 		return
 	}
-	m, err := s.Loader(v)
+	prev, err := s.Base.Load(v)
 	if err != nil {
 		http.Error(w, "load model version "+vs+": "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	prev := s.publish(m, v).version
 	writeJSON(w, ModelStatus{Version: v, Previous: &prev, Ready: s.Ready()})
 }

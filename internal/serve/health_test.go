@@ -80,19 +80,31 @@ func TestHealthReportsReadiness(t *testing.T) {
 	}
 }
 
+// freshLoader is a base Domain whose Load publishes a new model for any
+// version below 100 and remembers it.
+type freshLoader struct {
+	Domain
+	s      *Server
+	loaded map[int]*core.Model
+}
+
+func (f freshLoader) Load(v int) (int, error) {
+	if v >= 100 {
+		return 0, fmt.Errorf("no artifact v%d", v)
+	}
+	f.loaded[v] = core.NewModel(core.DefaultConfig())
+	_, prev := f.s.Served()
+	f.s.Publish(f.loaded[v], v)
+	return prev, nil
+}
+
 // TestModelLoadEndpoint: POST /model/load swaps the served model through
-// the Loader hook and reports old and new versions; GET /model reads them.
+// the base domain's Load and reports old and new versions; GET /model reads
+// them.
 func TestModelLoadEndpoint(t *testing.T) {
 	s, _ := trainedServer(t)
 	loaded := map[int]*core.Model{}
-	s.Loader = func(v int) (*core.Model, error) {
-		if v >= 100 {
-			return nil, fmt.Errorf("no artifact v%d", v)
-		}
-		m := core.NewModel(core.DefaultConfig())
-		loaded[v] = m
-		return m, nil
-	}
+	s.Base = freshLoader{s: s, loaded: loaded}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -115,7 +127,7 @@ func TestModelLoadEndpoint(t *testing.T) {
 		t.Fatalf("served (%p, v%d), want the loaded artifact at v4", m, v)
 	}
 
-	// Loader failure: 502, serving state untouched.
+	// Load failure: 502, serving state untouched.
 	resp2, err := http.Post(srv.URL+"/model/load?version=100", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +161,8 @@ func TestModelLoadEndpoint(t *testing.T) {
 	}
 }
 
-// TestModelEndpointsAbsentWithoutLoader: a server with no Loader does not
-// expose remote model management at all.
+// TestModelEndpointsAbsentWithoutLoader: a server with no base domain does
+// not expose remote model management at all.
 func TestModelEndpointsAbsentWithoutLoader(t *testing.T) {
 	s, _ := trainedServer(t)
 	srv := httptest.NewServer(s.Handler())
@@ -161,6 +173,6 @@ func TestModelEndpointsAbsentWithoutLoader(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("model load without Loader: %d, want 404", resp.StatusCode)
+		t.Fatalf("model load without a base domain: %d, want 404", resp.StatusCode)
 	}
 }

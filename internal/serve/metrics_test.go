@@ -8,20 +8,21 @@ import (
 	"strings"
 	"testing"
 
+	"dace/internal/adapt"
 	"dace/internal/dataset"
 	"dace/internal/plan"
 	"dace/internal/telemetry"
 )
 
-// stub sink/adapter so the feedback and adapt endpoints register.
-type nopSink struct{}
+// nopDomain is a stub base domain, so the feedback, adapt and model
+// endpoints register.
+type nopDomain struct{}
 
-func (nopSink) Observe(*plan.Plan, float64, float64) {}
-
-type nopAdapter struct{}
-
-func (nopAdapter) Status() any           { return map[string]bool{"ok": true} }
-func (nopAdapter) Trigger() (any, error) { return map[string]bool{"ok": true}, nil }
+func (nopDomain) Observe(*plan.Plan, float64, float64) {}
+func (nopDomain) StatusNow() adapt.Status              { return adapt.Status{} }
+func (nopDomain) RunOnce() (*adapt.Outcome, error)     { return &adapt.Outcome{}, nil }
+func (nopDomain) Load(int) (int, error)                { return 0, nil }
+func (nopDomain) Rollback() (int, error)               { return 0, nil }
 
 // metricsServer is a fully-wired server: caching, admission, telemetry, and
 // the feedback/adapt endpoints, so every route is registered.
@@ -33,8 +34,7 @@ func metricsServer(t *testing.T) (*httptest.Server, []dataset.Sample) {
 		MaxBatch:  4,
 		Metrics:   telemetry.NewRegistry(),
 	})
-	s2.Feedback = nopSink{}
-	s2.Adapt = nopAdapter{}
+	s2.Base = nopDomain{}
 	t.Cleanup(s2.Close)
 	srv := httptest.NewServer(s2.Handler())
 	t.Cleanup(srv.Close)

@@ -4,7 +4,8 @@
 // the plan and every sub-plan, in well under a millisecond of model time.
 //
 // Endpoints (the bracketed ones exist only when the named Server field or
-// Config.Metrics is set before Handler is called):
+// Config.Metrics is set before Handler is called; Base is the base model's
+// adaptation domain, Tenants the per-tenant registry):
 //
 //	POST /predict                body: plan JSON (plan.WriteJSON format)
 //	POST /predict?format=pg      body: PostgreSQL EXPLAIN (FORMAT JSON) output
@@ -13,11 +14,11 @@
 //	GET  /healthz/live           liveness: 200 while the process can answer
 //	GET  /healthz/ready          readiness: 503+Retry-After while draining
 //	                             or before the first model load
-//	POST /model/load?version=N   swap to a versioned artifact     [Loader]
-//	GET  /model                  currently served model version   [Loader]
-//	POST /feedback               one observed execution  [Feedback or Tenants]
-//	GET  /adapt/status           adaptation controller state       [Adapt]
-//	POST /adapt/trigger          one synchronous adaptation attempt [Adapt]
+//	POST /model/load?version=N   swap to a versioned artifact       [Base]
+//	GET  /model                  currently served model version     [Base]
+//	POST /feedback               one observed execution  [Base or Tenants]
+//	GET  /adapt/status           adaptation controller state        [Base]
+//	POST /adapt/trigger          one synchronous adaptation attempt [Base]
 //	     /tenants, /tenants/...  the per-tenant tree (tenants.go) [Tenants]
 //	GET  /metrics                Prometheus text exposition [Config.Metrics]
 //
@@ -73,6 +74,7 @@ import (
 	"dace/internal/plan"
 	"dace/internal/servecache"
 	"dace/internal/telemetry"
+	"dace/internal/tenant"
 	"dace/internal/version"
 	"dace/internal/wire"
 )
@@ -134,26 +136,21 @@ type Server struct {
 	// before serving starts.
 	Workers int
 
-	// Feedback, when set before Handler is called, enables POST /feedback:
-	// every accepted observation is handed to the sink. Adapt likewise
-	// enables GET /adapt/status and POST /adapt/trigger. Both are nil by
-	// default — the endpoints 404 and serving behaves exactly as before.
-	Feedback FeedbackSink
-	Adapt    Adapter
+	// Base, when set before Handler is called, is the base model's
+	// adaptation domain (daced wires an *adapt.Controller over this server):
+	// it enables POST /feedback, GET /adapt/status, POST /adapt/trigger, GET
+	// /model and POST /model/load — the last is what a gateway rollout asks a
+	// replica for. Nil by default: the endpoints 404 and serving behaves
+	// exactly as without it.
+	Base Domain
 
 	// Tenants, when set before Handler is called, enables multi-tenant
 	// serving: /predict and /predict/batch resolve the tenant from the
 	// X-DACE-Tenant header or the database query param and answer through
 	// that tenant's adapter view, with both caches domain-separated by
 	// (tenant, adapter generation); /feedback routes to the tenant's own
-	// adaptation stream; the /tenants endpoint tree is registered.
-	Tenants TenantRegistry
-
-	// Loader, when set before Handler is called, enables POST /model/load:
-	// the gateway's rollout path asks a replica to swap to a versioned
-	// artifact, and the replica resolves the version through this hook
-	// (daced wires it to adapt.LoadVersion on -model-dir).
-	Loader func(version int) (*core.Model, error)
+	// adaptation domain; the /tenants endpoint tree is registered.
+	Tenants *tenant.Registry
 
 	// draining pins /healthz/ready false from BeginDrain/Close onward. A
 	// gateway health-checks readiness, so flipping it is what removes a
@@ -225,19 +222,19 @@ func (s *Server) Ready() bool { return !s.draining.Load() && s.cur.Load().model 
 // GET /model and the health endpoints report) and the base cache domain.
 // Fine-tuning mutates a model in place, so publish again — even the same
 // pointer — after it. The first non-nil model turns readiness on.
-func (s *Server) Publish(m *core.Model, version int) { s.publish(m, version) }
-
-// publish is Publish returning the snapshot it replaced.
-func (s *Server) publish(m *core.Model, version int) *served {
+func (s *Server) Publish(m *core.Model, version int) {
 	for {
 		old := s.cur.Load()
 		gen := old.gen + 1
 		next := &served{tenantCtx{m, servecache.DomainSalt("", gen)}, version, gen}
 		if s.cur.CompareAndSwap(old, next) {
-			return old
+			return
 		}
 	}
 }
+
+// Admit satisfies adapt.Host: the base domain serves any model it is handed.
+func (s *Server) Admit(*core.Model) error { return nil }
 
 // Served returns the served model and its artifact version, read from one
 // snapshot: never one publish's model with another's version.
@@ -257,21 +254,19 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("/healthz/live", s.handleLive)
 	mux.HandleFunc("/healthz/ready", s.handleReady)
-	if s.Loader != nil {
+	if s.Base != nil {
 		mux.HandleFunc("/model/load", s.instrument("/model/load", s.handleModelLoad))
 		mux.HandleFunc("/model", s.instrument("/model", s.handleModel))
+		mux.HandleFunc("/adapt/status", s.instrument("/adapt/status", s.handleAdaptStatus))
+		mux.HandleFunc("/adapt/trigger", s.instrument("/adapt/trigger", s.handleAdaptTrigger))
 	}
-	if s.Feedback != nil || s.Tenants != nil {
+	if s.Base != nil || s.Tenants != nil {
 		mux.HandleFunc("/feedback", s.instrument("/feedback", s.handleFeedback))
 	}
 	if s.Tenants != nil {
 		h := s.instrument("/tenants", s.handleTenants)
 		mux.HandleFunc("/tenants", h)
 		mux.HandleFunc("/tenants/", h)
-	}
-	if s.Adapt != nil {
-		mux.HandleFunc("/adapt/status", s.instrument("/adapt/status", s.handleAdaptStatus))
-		mux.HandleFunc("/adapt/trigger", s.instrument("/adapt/trigger", s.handleAdaptTrigger))
 	}
 	if s.tel != nil {
 		mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))

@@ -34,7 +34,6 @@ func tenantServer(t *testing.T) (*Server, *tenant.Registry, []dataset.Sample) {
 	t.Helper()
 	m, samples := trainedModel(t)
 	reg := tenant.New(m, tenant.Config{})
-	t.Cleanup(reg.Stop)
 	for i, id := range []string{"alpha", "beta"} {
 		if err := reg.ServeAdapters(id, perturbedAdapters(m.Cfg, int64(i+1))); err != nil {
 			t.Fatal(err)
@@ -48,13 +47,7 @@ func tenantServer(t *testing.T) (*Server, *tenant.Registry, []dataset.Sample) {
 
 func postPredictTenant(t *testing.T, h http.Handler, body []byte, target, tenantID string) (int, []byte) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(string(body)))
-	if tenantID != "" {
-		req.Header.Set("X-DACE-Tenant", tenantID)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec.Code, rec.Body.Bytes()
+	return doReq(h, http.MethodPost, target, tenantID, body)
 }
 
 // TestTenantResolution pins the request→tenant mapping: the X-DACE-Tenant
@@ -235,15 +228,14 @@ func TestTenantFeedbackRouting(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("tenant feedback status %d: %s", rec.Code, rec.Body.String())
 	}
-	info, ok := reg.Describe("beta")
+	beta, ok := reg.Get("beta")
 	if !ok {
 		t.Fatal("beta vanished")
 	}
-	ti := info.(tenant.Info)
-	if ti.Feedback != 1 || ti.Backlog != 1 {
+	if ti := beta.Info(); ti.Feedback != 1 || ti.Backlog != 1 {
 		t.Fatalf("beta feedback=%d backlog=%d, want 1/1", ti.Feedback, ti.Backlog)
 	}
-	if ai, _ := reg.Describe("alpha"); ai.(tenant.Info).Feedback != 0 {
+	if alpha, _ := reg.Get("alpha"); alpha.Info().Feedback != 0 {
 		t.Fatal("beta's feedback leaked into alpha's stream")
 	}
 

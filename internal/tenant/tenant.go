@@ -19,14 +19,17 @@
 // orphans exactly the swapped domain's stale entries: no cache is ever
 // flushed, no other tenant disturbed.
 //
-// Adaptation reuses internal/adapt per tenant: each tenant owns a replay
-// store and a Controller whose ModelDir is <dir>/<id>, but no tenant runs
-// its own background loop. Instead the registry runs one bounded worker
-// pool; feedback enqueues a dedup'd fine-tune job once a tenant has enough
-// fresh samples. Promotion stays q-error-gated and writes the tenant's own
-// versioned artifact dir (rollback included). Candidates are clones of the
-// tenant's view, so they train only their adapter copies (the base is
-// frozen) — yet artifacts remain full models, loadable stand-alone.
+// Adaptation is internal/adapt's, per tenant: a Tenant embeds an
+// adapt.Controller over its own replay store and artifact dir <dir>/<id>, so
+// a tenant is observed, fine-tuned, loaded and rolled back by the code that
+// does those things for the base model, and this package schedules nothing —
+// background attempts run on the process's one adapt.Pool (Config.Pool),
+// enqueued once a tenant has enough fresh samples. What is a tenant's own is
+// the host the controller publishes to: it admits only artifacts whose
+// adapters fit the shared base and serves their adapter set over it.
+// Candidates are clones of the tenant's view, so they train only their
+// adapter copies (the base is frozen) — yet artifacts remain full models,
+// loadable stand-alone.
 package tenant
 
 import (
@@ -63,10 +66,11 @@ type Config struct {
 	Epochs     int     // fine-tune epochs (default 12)
 	StoreCap   int     // per-tenant replay store capacity (default 4096)
 
-	// Workers bounds fine-tune concurrency across ALL tenants (default 1):
-	// one pool, so a thousand drifting tenants queue instead of forking a
-	// thousand simultaneous training runs.
-	Workers int
+	// Pool runs the tenants' background fine-tunes — the process's one pool,
+	// shared with the base model's controller, so a thousand drifting
+	// tenants queue instead of forking a thousand simultaneous training
+	// runs. Nil leaves tenants adapting only on an explicit RunOnce.
+	Pool *adapt.Pool
 
 	Seed    int64
 	Metrics *telemetry.Registry // optional; per-tenant label sets
@@ -89,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.StoreCap <= 0 {
 		c.StoreCap = 4096
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -112,18 +113,19 @@ type State struct {
 	Salt     servecache.Key   // cache-domain salt for (tenant, Gen)
 }
 
-// Tenant is one database's serving and adaptation state.
+// Tenant is one database's serving and adaptation state. The embedded
+// controller is its adaptation domain — StatusNow, RunOnce, Load, Rollback
+// are the controller's — publishing to this tenant's snapshot.
 type Tenant struct {
+	*adapt.Controller
 	id    string
+	r     *Registry
 	state atomic.Pointer[State]
-
 	store *feedback.Store
-	ctl   *adapt.Controller
 
 	pubMu sync.Mutex // serializes publishes; readers never take it
 
-	queued   atomic.Bool   // a fine-tune job is enqueued or running
-	fresh    atomic.Int64  // accepted samples since the last fine-tune attempt
+	fresh    atomic.Int64  // samples since a background fine-tune was last enqueued
 	requests atomic.Uint64 // hot-path resolves, sampled by telemetry
 	feedback atomic.Uint64
 }
@@ -134,6 +136,14 @@ func (t *Tenant) ID() string { return t.id }
 // State returns the current immutable serving snapshot.
 func (t *Tenant) State() *State { return t.state.Load() }
 
+// Resolve is the hot-path read: the tenant's current adapter view and cache
+// salt. Lock-free, 0 allocs.
+func (t *Tenant) Resolve() (*core.Model, servecache.Key) {
+	t.requests.Add(1)
+	s := t.state.Load()
+	return s.View, s.Salt
+}
+
 // publish installs a new snapshot with a bumped generation (and therefore
 // a fresh cache salt).
 func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
@@ -141,6 +151,27 @@ func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 	defer t.pubMu.Unlock()
 	gen := t.state.Load().Gen + 1
 	t.state.Store(&State{View: view, Adapters: as, Gen: gen, Version: version, Salt: servecache.DomainSalt(t.id, gen)})
+}
+
+// Observe is the controller's — the sample lands in the tenant's replay
+// store and drift window — plus the tenant's counters and its trigger
+// policy: a background fine-tune is enqueued once the tenant has both enough
+// resident samples and enough fresh ones since the last was, so a rejected
+// candidate doesn't retrain on an almost identical snapshot every request.
+func (t *Tenant) Observe(p *plan.Plan, actualMS, predictedMS float64) {
+	t.feedback.Add(1)
+	t.Controller.Observe(p, actualMS, predictedMS)
+	need := t.r.cfg.MinSamples
+	if t.fresh.Add(1) >= int64(max(need/4, 1)) && t.store.Len() >= need && t.Enqueue() {
+		t.fresh.Store(0)
+	}
+}
+
+// RunOnce is the controller's synchronous attempt; it counts as the
+// tenant's latest, so the fresh-sample floor starts over.
+func (t *Tenant) RunOnce() (*adapt.Outcome, error) {
+	t.fresh.Store(0)
+	return t.Controller.RunOnce()
 }
 
 // Info is one tenant's row in GET /tenants and `dace tenants`.
@@ -165,10 +196,6 @@ type Registry struct {
 
 	mu      sync.Mutex // guards map writes (copy-on-write)
 	tenants atomic.Pointer[map[string]*Tenant]
-
-	jobs chan *Tenant
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // New builds a registry over base. The base is frozen in place — from here
@@ -176,30 +203,15 @@ type Registry struct {
 // of it and train only adapters.
 func New(base *core.Model, cfg Config) *Registry {
 	base.Freeze()
-	r := &Registry{
-		base: base,
-		cfg:  cfg.withDefaults(),
-		jobs: make(chan *Tenant, 1024),
-		stop: make(chan struct{}),
-	}
+	r := &Registry{base: base, cfg: cfg.withDefaults()}
 	r.log = r.cfg.Logger
 	empty := make(map[string]*Tenant)
 	r.tenants.Store(&empty)
-	for i := 0; i < r.cfg.Workers; i++ {
-		r.wg.Add(1)
-		go r.worker()
-	}
 	return r
 }
 
 // Base returns the shared frozen model.
 func (r *Registry) Base() *core.Model { return r.base }
-
-// Stop shuts the fine-tune worker pool down and waits for in-flight runs.
-func (r *Registry) Stop() {
-	close(r.stop)
-	r.wg.Wait()
-}
 
 // Len returns the number of registered tenants.
 func (r *Registry) Len() int { return len(*r.tenants.Load()) }
@@ -210,21 +222,27 @@ func (r *Registry) Get(id string) (*Tenant, bool) {
 	return t, ok
 }
 
-// Resolve is the hot-path lookup: the tenant's current adapter view and
-// cache salt. Lock-free, 0 allocs. ok is false for unknown tenants.
+// Resolve is Get plus the tenant's hot-path read. ok is false for unknown
+// tenants.
 func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bool) {
-	t, ok := (*r.tenants.Load())[id]
+	t, ok := r.Get(id)
 	if !ok {
 		return nil, servecache.Key{}, false
 	}
-	t.requests.Add(1)
-	s := t.state.Load()
-	return s.View, s.Salt, true
+	m, salt = t.Resolve()
+	return m, salt, true
 }
 
 // Register creates a tenant (idempotently) serving the raw base model at
 // generation 1. Returns the tenant and whether it was newly created.
 func (r *Registry) Register(id string) (*Tenant, bool, error) {
+	return r.register(id, nil)
+}
+
+// register is Register with a start step: a new tenant joins the registry
+// only if start, run on it first, succeeds. An existing tenant is returned
+// as it is.
+func (r *Registry) register(id string, start func(*Tenant) error) (*Tenant, bool, error) {
 	if err := wire.ValidateTenantID(id); err != nil {
 		return nil, false, err
 	}
@@ -234,12 +252,9 @@ func (r *Registry) Register(id string) (*Tenant, bool, error) {
 	if t, ok := old[id]; ok {
 		return t, false, nil
 	}
-	t := &Tenant{
-		id:    id,
-		store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Seed),
-	}
+	t := &Tenant{id: id, r: r, store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Seed)}
 	t.state.Store(&State{View: r.base, Gen: 1, Salt: servecache.DomainSalt(id, 1)})
-	t.ctl = adapt.New(tenantHost{r: r, t: t}, t.store, nil, adapt.Config{
+	t.Controller = adapt.New(tenantHost{t}, t.store, nil, adapt.Config{
 		MinSamples: r.cfg.MinSamples,
 		Gate:       r.cfg.Gate,
 		LR:         r.cfg.LR,
@@ -248,6 +263,14 @@ func (r *Registry) Register(id string) (*Tenant, bool, error) {
 		Seed:       r.cfg.Seed,
 		Logger:     r.log.With("tenant", id),
 	})
+	if r.cfg.Pool != nil {
+		r.cfg.Pool.Attach(t.Controller)
+	}
+	if start != nil {
+		if err := start(t); err != nil {
+			return nil, false, err
+		}
+	}
 	r.registerMetrics(t)
 
 	next := make(map[string]*Tenant, len(old)+1)
@@ -257,22 +280,6 @@ func (r *Registry) Register(id string) (*Tenant, bool, error) {
 	next[id] = t
 	r.tenants.Store(&next)
 	return t, true, nil
-}
-
-// Create registers the tenant (idempotently) and reports whether it was
-// newly created — the POST /tenants/{id} surface.
-func (r *Registry) Create(id string) (bool, error) {
-	_, created, err := r.Register(id)
-	return created, err
-}
-
-// Describe returns one tenant's Info (GET /tenants/{id}).
-func (r *Registry) Describe(id string) (any, bool) {
-	t, ok := r.Get(id)
-	if !ok {
-		return nil, false
-	}
-	return r.info(t), true
 }
 
 // tenantDir is the tenant's artifact directory ("" when persistence is
@@ -285,10 +292,16 @@ func (r *Registry) tenantDir(id string) string {
 	return filepath.Join(r.cfg.Dir, id)
 }
 
+// errNoArtifacts marks a directory under the tenants root that holds no
+// artifact to resume: not a tenant's.
+var errNoArtifacts = errors.New("tenant: no artifact version to resume")
+
 // LoadDir scans the tenants root and registers every subdirectory holding
 // an artifact manifest, serving each tenant's current version. Dirs that
-// fail tenant-ID validation or whose artifacts lack adapters are skipped
-// with a log line, not fatal: one corrupt tenant must not stop the fleet.
+// fail tenant-ID validation or whose artifact cannot be loaded — unreadable,
+// or refused because its adapters do not fit the base — are skipped with a
+// log line, not registered and not fatal: one corrupt tenant must not stop
+// the fleet.
 func (r *Registry) LoadDir() (int, error) {
 	if r.cfg.Dir == "" {
 		return 0, nil
@@ -305,70 +318,42 @@ func (r *Registry) LoadDir() (int, error) {
 		if !e.IsDir() {
 			continue
 		}
-		id := e.Name()
-		if err := wire.ValidateTenantID(id); err != nil {
-			r.log.Warn("tenant dir skipped", "dir", id, "err", err)
-			continue
-		}
-		m, v, err := adapt.LoadCurrent(r.tenantDir(id))
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // no manifest yet: not a tenant dir
+		_, created, err := r.register(e.Name(), func(t *Tenant) error {
+			v, err := t.Resume()
+			if err == nil && v == 0 {
+				err = errNoArtifacts
 			}
-			r.log.Warn("tenant artifact unreadable", "tenant", id, "err", err)
-			continue
+			return err
+		})
+		switch {
+		case errors.Is(err, errNoArtifacts):
+		case err != nil:
+			r.log.Warn("tenant dir skipped", "dir", e.Name(), "err", err)
+		case created:
+			loaded++
 		}
-		t, _, err := r.Register(id)
-		if err != nil {
-			return loaded, err
-		}
-		if err := r.serveArtifact(t, m, v); err != nil {
-			r.log.Warn("tenant artifact rejected", "tenant", id, "version", v, "err", err)
-			continue
-		}
-		loaded++
 	}
 	return loaded, nil
 }
 
-// serveArtifact publishes artifact model m (version v) as t's adapter set
-// over the shared base.
-func (r *Registry) serveArtifact(t *Tenant, m *core.Model, v int) error {
-	as := m.Adapters()
-	if as == nil {
-		return fmt.Errorf("tenant %s: artifact v%d carries no adapters", t.id, v)
-	}
-	if err := as.CompatibleWith(r.base); err != nil {
+// Load serves artifact version v for tenant id and returns the tenant: its
+// own Load, which a new id must pass to be registered at all — a failed
+// load leaves no tenant behind.
+func (r *Registry) Load(id string, v int) (*Tenant, error) {
+	load := func(t *Tenant) error {
+		_, err := t.Load(v)
 		return err
 	}
-	t.publish(r.base.WithAdapters(as), as, v)
-	return nil
-}
-
-// LoadAdapter loads artifact version v from the tenant's dir and serves
-// it, registering the tenant first if needed. Returns the served version.
-func (r *Registry) LoadAdapter(id string, v int) (int, error) {
-	t, _, err := r.Register(id)
-	if err != nil {
-		return 0, err
+	t, created, err := r.register(id, load)
+	if err == nil && !created {
+		err = load(t)
 	}
-	dir := r.tenantDir(id)
-	if dir == "" {
-		return 0, errors.New("tenant: no tenants dir configured")
-	}
-	m, err := adapt.LoadVersion(dir, v)
-	if err != nil {
-		return 0, err
-	}
-	if err := r.serveArtifact(t, m, v); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return t, err
 }
 
 // ServeAdapters publishes as over the shared base for tenant id,
-// registering the tenant first if needed — the in-memory counterpart of
-// LoadAdapter, for callers that already hold an adapter set.
+// registering the tenant first if needed — for callers that hold an adapter
+// set in memory rather than an artifact version to Load.
 func (r *Registry) ServeAdapters(id string, as *core.AdapterSet) error {
 	t, _, err := r.Register(id)
 	if err != nil {
@@ -380,107 +365,6 @@ func (r *Registry) ServeAdapters(id string, as *core.AdapterSet) error {
 	t.publish(r.base.WithAdapters(as), as, t.state.Load().Version)
 	return nil
 }
-
-// Observe routes one feedback sample to its tenant's replay store and
-// drift window, and enqueues a fine-tune once the tenant has both enough
-// resident samples and enough fresh ones since its last attempt. Returns
-// false for unknown tenants.
-func (r *Registry) Observe(id string, p *plan.Plan, actualMS, predictedMS float64) bool {
-	t, ok := (*r.tenants.Load())[id]
-	if !ok {
-		return false
-	}
-	t.feedback.Add(1)
-	t.ctl.Observe(p, actualMS, predictedMS)
-	t.fresh.Add(1)
-	if t.store.Len() >= r.cfg.MinSamples && t.fresh.Load() >= r.freshFloor() &&
-		t.queued.CompareAndSwap(false, true) {
-		select {
-		case r.jobs <- t:
-		default:
-			t.queued.Store(false) // queue full; a later sample retries
-		}
-	}
-	return true
-}
-
-// freshFloor is how many new samples a tenant must accumulate between
-// fine-tune attempts, so a rejected candidate doesn't retrain on an almost
-// identical snapshot every request.
-func (r *Registry) freshFloor() int64 {
-	f := int64(r.cfg.MinSamples / 4)
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
-// worker drains the shared fine-tune queue.
-func (r *Registry) worker() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case t := <-r.jobs:
-			r.runOnce(t)
-		}
-	}
-}
-
-// runOnce executes one gated fine-tune attempt for t.
-func (r *Registry) runOnce(t *Tenant) (*adapt.Outcome, error) {
-	t.fresh.Store(0)
-	defer t.queued.Store(false)
-	out, err := t.ctl.RunOnce()
-	switch {
-	case err == nil:
-		r.log.Info("tenant adapt", "tenant", t.id, "promoted", out.Promoted,
-			"version", out.Version, "reason", out.Reason)
-	case errors.Is(err, adapt.ErrTooFewSamples) || errors.Is(err, adapt.ErrBusy):
-		// Expected churn; the next feedback batch re-enqueues.
-	default:
-		r.log.Warn("tenant adapt failed", "tenant", t.id, "err", err)
-	}
-	return out, err
-}
-
-// Trigger runs a synchronous fine-tune attempt for the tenant (the
-// per-tenant POST /tenants/{id}/adapt/trigger handler).
-func (r *Registry) Trigger(id string) (any, error) {
-	t, ok := r.Get(id)
-	if !ok {
-		return nil, ErrUnknownTenant
-	}
-	if !t.queued.CompareAndSwap(false, true) {
-		return nil, adapt.ErrBusy
-	}
-	return r.runOnce(t)
-}
-
-// Status returns the tenant's adapt.Status (per-tenant GET
-// /tenants/{id}/adapt/status).
-func (r *Registry) Status(id string) (any, bool) {
-	t, ok := r.Get(id)
-	if !ok {
-		return nil, false
-	}
-	return t.ctl.Status(), true
-}
-
-// Rollback reverts the tenant to its previous artifact version and serves
-// it. Returns the version now serving.
-func (r *Registry) Rollback(id string) (int, error) {
-	t, ok := r.Get(id)
-	if !ok {
-		return 0, ErrUnknownTenant
-	}
-	return t.ctl.Rollback()
-}
-
-// ErrUnknownTenant marks requests naming a tenant the registry has never
-// seen. The serving layer maps it to 404.
-var ErrUnknownTenant = errors.New("tenant: unknown tenant")
 
 // Versions reports each tenant's serving artifact version — the /healthz
 // per-tenant map.
@@ -494,19 +378,20 @@ func (r *Registry) Versions() map[string]int {
 }
 
 // List returns every tenant's Info, sorted by ID (GET /tenants).
-func (r *Registry) List() any {
+func (r *Registry) List() []Info {
 	ts := *r.tenants.Load()
 	out := make([]Info, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, r.info(t))
+		out = append(out, t.Info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-func (r *Registry) info(t *Tenant) Info {
+// Info snapshots the tenant's row (GET /tenants/{id}).
+func (t *Tenant) Info() Info {
 	s := t.state.Load()
-	st := t.ctl.StatusNow()
+	st := t.StatusNow()
 	return Info{
 		ID:         t.id,
 		Version:    s.Version,
@@ -548,26 +433,27 @@ func (r *Registry) registerMetrics(t *Tenant) {
 
 // tenantHost adapts one tenant to adapt.Host. Served hands the controller
 // the tenant's current adapter view (its Clone trains adapters only, since
-// the base is frozen) and artifact version; Publish detaches the promoted
-// candidate's adapter set and publishes it over the shared base — the
-// candidate's own encoder copy becomes garbage immediately.
-type tenantHost struct {
-	r *Registry
-	t *Tenant
-}
+// the base is frozen) and artifact version. Admit is the one artifact rule:
+// a tenant serves adapters that fit the shared base, never a model of its
+// own. Publish detaches the model's adapter set and publishes it over the
+// shared base — a promoted candidate's own encoder copy becomes garbage
+// immediately.
+type tenantHost struct{ t *Tenant }
 
 func (h tenantHost) Served() (*core.Model, int) {
 	s := h.t.state.Load()
 	return s.View, s.Version
 }
 
-func (h tenantHost) Publish(m *core.Model, version int) {
+func (h tenantHost) Admit(m *core.Model) error {
 	as := m.Adapters()
 	if as == nil {
-		// A candidate without adapters cannot ride the shared base; serve
-		// it whole. Reachable only via hand-built artifacts.
-		h.t.publish(m, nil, version)
-		return
+		return fmt.Errorf("tenant %s: artifact carries no adapters", h.t.id)
 	}
-	h.t.publish(h.r.base.WithAdapters(as), as, version)
+	return as.CompatibleWith(h.t.r.base)
+}
+
+func (h tenantHost) Publish(m *core.Model, version int) {
+	as := m.Adapters()
+	h.t.publish(h.t.r.base.WithAdapters(as), as, version)
 }

@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -64,7 +63,6 @@ func TestResolveServesAdapterViewBitwise(t *testing.T) {
 	m2Plans := workloadPlans(t, db, 120, executor.M2())
 	base := trainedBase(t, m1Plans[:100])
 	r := New(base, Config{})
-	defer r.Stop()
 
 	// Dedicated model: a full clone fine-tuned on this tenant's workload.
 	dedicated := base.Clone()
@@ -106,7 +104,6 @@ func TestHotSwapGenerationGuard(t *testing.T) {
 	cfg := smallConfig()
 	base := trainedBase(t, plans[:60])
 	r := New(base, Config{})
-	defer r.Stop()
 
 	ta, _, _ := r.Register("a")
 	tb, _, _ := r.Register("b")
@@ -154,7 +151,6 @@ func TestConcurrentResolveDuringHotSwap(t *testing.T) {
 	cfg := smallConfig()
 	base := trainedBase(t, plans[:60])
 	r := New(base, Config{})
-	defer r.Stop()
 
 	tn, _, _ := r.Register("hot")
 	probe := plans[60]
@@ -213,7 +209,6 @@ func TestSixtyFourTenantsShareOneEncoder(t *testing.T) {
 	cfg := core.DefaultConfig()
 	base := core.NewModel(cfg)
 	r := New(base, Config{StoreCap: 64})
-	defer r.Stop()
 
 	// Resident bytes per parameter = value + eagerly allocated gradient.
 	adapterBytes := float64(core.NewAdapterSet(cfg, 0).NumParams()) * 16
@@ -252,16 +247,18 @@ func TestSixtyFourTenantsShareOneEncoder(t *testing.T) {
 		t.Fatalf("registry has %d tenants, want %d", r.Len(), nTenants)
 	}
 	// Every tenant resolves and predicts.
-	for _, info := range r.List().([]Info) {
+	for _, info := range r.List() {
 		if _, _, ok := r.Resolve(info.ID); !ok {
 			t.Fatalf("tenant %s did not resolve", info.ID)
 		}
 	}
 }
 
-// TestFeedbackDrivesGatedPromotion: feeding one tenant's stream through
-// Observe runs a pooled fine-tune whose promotion (or rejection) is
-// q-error-gated, versioned into the tenant's dir, and rollback-able.
+// TestFeedbackDrivesGatedPromotion: one tenant's stream goes in through its
+// Observe, and its RunOnce — the controller's, no pool attached, so nothing
+// else can be running — fine-tunes a candidate whose promotion (or
+// rejection) is q-error-gated, versioned into the tenant's dir, and
+// loadable again.
 func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	db := schema.BenchmarkDB("airline")
 	m1Plans := workloadPlans(t, db, 120, executor.M1())
@@ -269,71 +266,48 @@ func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	base := trainedBase(t, m1Plans[:100])
 	dir := t.TempDir()
 	r := New(base, Config{Dir: dir, MinSamples: 64, Gate: 0.01, Epochs: 6})
-	defer r.Stop()
 
-	if _, _, err := r.Register("m2"); err != nil {
+	tn, _, err := r.Register("m2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	view, _, _ := r.Resolve("m2")
+	view, _ := tn.Resolve()
 	for _, p := range m2Plans[:120] {
-		if !r.Observe("m2", p, p.Root.ActualMS, view.Predict(p)) {
-			t.Fatal("observe rejected a registered tenant")
-		}
+		tn.Observe(p, p.Root.ActualMS, view.Predict(p))
 	}
-	if r.Observe("ghost", m2Plans[0], 1, 1) {
-		t.Fatal("observe accepted an unknown tenant")
+	if info := tn.Info(); info.Feedback != 120 || info.Backlog == 0 {
+		t.Fatalf("after 120 observations: %+v", info)
 	}
 
-	// Run synchronously for determinism (a pooled job may also have run;
-	// Trigger tolerates that by reporting busy).
-	out, err := r.Trigger("m2")
-	if err != nil && !isBusy(err) {
-		t.Fatalf("trigger: %v", err)
+	out, err := tn.RunOnce()
+	if err != nil {
+		t.Fatalf("RunOnce: %v", err)
 	}
-	// Wait for any queued run to settle.
-	waitIdle(t, r, "m2")
-
-	tn, _ := r.Get("m2")
 	st := tn.State()
-	if oc, ok := out.(*adapt.Outcome); ok && oc != nil && oc.Promoted {
-		if st.Version != oc.Version || st.Adapters == nil {
+	if out.Promoted {
+		if st.Version != out.Version || st.Adapters == nil {
 			t.Fatalf("promotion not published: state v%d gen %d", st.Version, st.Gen)
 		}
-		// Artifact round-trips through LoadAdapter.
-		if _, err := r.LoadAdapter("m2", oc.Version); err != nil {
-			t.Fatalf("LoadAdapter of promoted version: %v", err)
+		// The artifact round-trips through the one load path.
+		if _, err := r.Load("m2", out.Version); err != nil {
+			t.Fatalf("Load of promoted version: %v", err)
 		}
+	} else if st.Adapters != nil || st.Version != 0 {
+		t.Fatalf("rejected candidate reached the snapshot: v%d", st.Version)
 	}
-	if promos := tn.ctl.StatusNow().Promotions; promos > 0 && st.Adapters == nil {
-		t.Fatal("promotion happened but tenant still serves the raw base")
+	if status := tn.StatusNow(); status.Runs != 1 || status.Promotions+status.Rejections != 1 {
+		t.Fatalf("one attempt, one verdict: %+v", status)
 	}
 	// The served version has one home: the controller reports the snapshot's.
-	if got, want := tn.ctl.StatusNow().ModelVersion, tn.State().Version; got != want {
+	if got, want := tn.StatusNow().ModelVersion, tn.State().Version; got != want {
 		t.Fatalf("adapt status says v%d, the served snapshot v%d", got, want)
 	}
 }
 
-func isBusy(err error) bool {
-	var b interface{ Busy() bool }
-	return errors.As(err, &b) && b.Busy()
-}
-
-func waitIdle(t *testing.T, r *Registry, id string) {
-	t.Helper()
-	tn, ok := r.Get(id)
-	if !ok {
-		t.Fatal("unknown tenant in waitIdle")
-	}
-	for i := 0; i < 2000; i++ {
-		if !tn.queued.Load() && !tn.ctl.StatusNow().Running {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// TestLoadDirRoundTrip: artifacts written by a promotion are rediscovered
-// by a fresh registry over the same dir, serving the same version.
+// TestLoadDirRoundTrip: artifacts are rediscovered by a fresh registry over
+// the same dir, serving the version that was being served — the on-disk
+// pointer follows Load, not just promotion — and a directory whose artifact
+// the shared base cannot carry is skipped whole: no tenant, no panic.
 func TestLoadDirRoundTrip(t *testing.T) {
 	db := schema.BenchmarkDB("airline")
 	m1Plans := workloadPlans(t, db, 100, executor.M1())
@@ -341,49 +315,86 @@ func TestLoadDirRoundTrip(t *testing.T) {
 	base := trainedBase(t, m1Plans[:80])
 	dir := t.TempDir()
 
-	// Save a fine-tuned candidate as tenant "m2" version 1 by hand.
+	// Two fine-tuned candidates saved by hand as tenant "m2" v1 and v2 (the
+	// pointer ends at v2, as after two promotions), then v1 loaded back.
 	cand := base.Clone()
 	cand.FineTuneLoRA(m2Plans[:80], 2e-3, 4)
+	cand2 := cand.Clone()
+	cand2.FineTuneLoRA(m2Plans[:80], 2e-3, 2)
+	for _, m := range []*core.Model{cand, cand2} {
+		if _, err := adapt.SaveVersion(dir+"/m2", m, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Artifacts no tenant of this base can serve: a model saved without
+	// LoRA, and adapters shaped for another MLP head.
+	otherHead := smallConfig()
+	otherHead.Hidden = []int{16, 16, 1}
+	misfit := core.NewModel(otherHead)
+	misfit.Enc = base.Enc
+	misfit.EnableLoRA()
+	for id, m := range map[string]*core.Model{"plain": base.Clone(), "misfit": misfit} {
+		if _, err := adapt.SaveVersion(dir+"/"+id, m, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	r1 := New(base, Config{Dir: dir})
-	tn, _, err := r1.Register("m2")
+	if _, err := r1.Load("m2", 2); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := r1.Load("m2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := adapt.SaveVersion(dir+"/m2", cand, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r1.LoadAdapter("m2", v); err != nil {
-		t.Fatal(err)
+	if st := tn.StatusNow(); st.ModelVersion != 1 || st.DriftN != 0 {
+		t.Fatalf("after Load(1): %+v", st)
 	}
 	want := make([]float64, 0, 20)
 	for _, p := range m2Plans[80:] {
 		view, _, _ := r1.Resolve("m2")
 		want = append(want, view.Predict(p))
 	}
-	_ = tn
-	r1.Stop()
+	var refusals []string
+	for _, id := range []string{"plain", "misfit"} {
+		_, err := r1.Load(id, 1)
+		if err == nil {
+			t.Fatalf("Load served tenant %s an artifact the base cannot carry", id)
+		}
+		if _, ok := r1.Get(id); ok {
+			t.Fatalf("the failed load left tenant %s registered", id)
+		}
+		refusals = append(refusals, err.Error())
+	}
 
 	// A fresh registry over the same base + dir serves the same bits.
 	r2 := New(base, Config{Dir: dir})
-	defer r2.Stop()
 	n, err := r2.LoadDir()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("LoadDir loaded %d tenants, want 1", n)
+	if n != 1 || r2.Len() != 1 {
+		t.Fatalf("LoadDir loaded %d tenants (%d registered), want only m2: %v", n, r2.Len(), refusals)
 	}
 	view, _, ok := r2.Resolve("m2")
 	if !ok {
 		t.Fatal("reloaded tenant did not resolve")
 	}
-	if got := r2.Versions()["m2"]; got != v {
-		t.Fatalf("reloaded version %d, want %d", got, v)
+	if got := r2.Versions()["m2"]; got != 1 {
+		t.Fatalf("reloaded version %d, want 1: the version that was being served", got)
 	}
 	for i, p := range m2Plans[80:] {
 		if got := view.Predict(p); got != want[i] {
 			t.Fatalf("reloaded tenant diverges on plan %d", i)
 		}
+	}
+	// From v1 there is nothing older: the rollback refuses and changes nothing.
+	tn2, _ := r2.Get("m2")
+	before := tn2.State()
+	if v, err := tn2.Rollback(); err == nil || !strings.Contains(err.Error(), "already at the oldest version") {
+		t.Fatalf("Rollback at v1 = v%d, %v; want the oldest-version refusal", v, err)
+	}
+	if tn2.State() != before {
+		t.Fatal("a refused rollback republished the tenant's snapshot")
 	}
 }
