@@ -49,12 +49,18 @@ build-arm64:
 # version into service except through Controller.Load, serve tells a busy
 # domain by errors.Is(err, adapt.ErrBusy) and not by duck-typing, and
 # serve.Server has no Loader hook beside its Base domain.
+# And the one-plan-representation invariants: between the socket and the
+# model, on the write path as on the read path, a plan is a plan.FlatPlan —
+# non-test serve, feedback, adapt and tenant never name the pointer tree or
+# its parser, the feedback log has no JSON writer (encoding/json is there to
+# read the legacy payload only), and the tree-returning request-edge decoder
+# is gone for good.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
 		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go; \
 		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s; \
-		grep -rnE --include='*.go' --exclude='*_test.go' 'pgexplain\.|plan\.AppendBinary\(|CheckFeatures\(|\.Fingerprint\(\)' internal/gateway; \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'pgexplain\.|plan\.AppendBinary\(|\.Fingerprint\(\)' internal/gateway; \
 		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue|plausibleTenantID|ValidateID|ValidateTenantID)\(' internal; \
 		grep -rnE --include='*.go' '^func \(c \*Cache\[V\]\) (Flush|Generation|PutAt)\(' internal/servecache; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'SetVersion(' internal cmd examples; \
@@ -62,7 +68,10 @@ check-paths:
 		grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|time\.NewTicker|chan \*Tenant' internal/tenant; \
 		grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=adapt 'adapt\.(LoadVersion|LoadCurrent|Rollback)\(' internal cmd examples; \
 		grep -rnE --include='*.go' 'interface[[:space:]]*\{[[:space:]]*Busy\(\) bool[[:space:]]*\}' internal/serve; \
-		grep -nHE '^[[:space:]]*Loader[[:space:]]' internal/serve/serve.go)"; \
+		grep -nHE '^[[:space:]]*Loader[[:space:]]' internal/serve/serve.go; \
+		grep -rnE --include='*.go' --exclude='*_test.go' 'plan\.(Plan|Node)\b|FromTree\(|ReadJSON\(' internal/serve internal/feedback internal/adapt internal/tenant; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'json\.Marshal' internal/feedback; \
+		grep -rnE --include='*.go' 'func (\([^)]*\) )?DecodeTree\(' internal cmd examples benchmark)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -186,13 +186,14 @@ func New(host Host, store *feedback.Store, log *feedback.Log, cfg Config) *Contr
 // Observe ingests one feedback sample: it lands in the replay store (and
 // the durable log when accepted), and its q-error advances the drift
 // window. When the rolling median crosses the threshold, an attempt is
-// enqueued on the pool. Safe for concurrent use; never blocks on a fine-tune.
-func (c *Controller) Observe(p *plan.Plan, actualMS, predictedMS float64) {
-	accepted := c.store.Add(feedback.Sample{Plan: p, ActualMS: actualMS, PredictedMS: predictedMS})
-	if accepted && c.log != nil {
+// enqueued on the pool. f is read only during the call. Safe for concurrent
+// use; never blocks on a fine-tune.
+func (c *Controller) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
+	smp := feedback.Sample{Plan: f, ActualMS: actualMS, PredictedMS: predictedMS}
+	if c.store.Add(smp) && c.log != nil {
 		// Log failures must not fail serving; the sample is still resident
 		// in memory, only durability degrades.
-		_ = c.log.Append(feedback.Sample{Plan: p, ActualMS: actualMS, PredictedMS: predictedMS})
+		_ = c.log.Append(smp)
 	}
 	if predictedMS <= 0 || actualMS <= 0 {
 		return
@@ -281,9 +282,11 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	}
 	train, hold := snap[:len(snap)-nHold], snap[len(snap)-nHold:]
 
-	trainPlans := make([]*plan.Plan, len(train))
+	// The store labelled each root with its observed latency (featurize masks
+	// unlabeled interior nodes, so a root-only label is valid supervision).
+	trainPlans := make([]*plan.FlatPlan, len(train))
 	for i, s := range train {
-		trainPlans[i] = labeledPlan(s)
+		trainPlans[i] = s.Plan
 	}
 
 	// Clone off the serving path: serving keeps reading the incumbent while
@@ -295,7 +298,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	}
 	candidate.Hooks = c.Hooks
 	t0 := time.Now()
-	candidate.FineTuneLoRA(trainPlans, c.cfg.LR, c.cfg.Epochs)
+	candidate.FineTuneLoRAFlat(trainPlans, c.cfg.LR, c.cfg.Epochs)
 	trainMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
 	before := holdoutSummary(incumbent, hold)
@@ -461,28 +464,15 @@ func (c *Controller) Rollback() (int, error) {
 	return prev, nil
 }
 
-// labeledPlan returns the sample's plan with the root's ActualMS set to
-// the observed latency, cloning the root node when the stored plan lacks
-// the label (featurize masks unlabeled interior nodes, so a root-only
-// label is valid supervision).
-func labeledPlan(s feedback.Sample) *plan.Plan {
-	if s.Plan.Root != nil && s.Plan.Root.ActualMS == s.ActualMS {
-		return s.Plan
-	}
-	root := *s.Plan.Root
-	root.ActualMS = s.ActualMS
-	p := *s.Plan
-	p.Root = &root
-	return &p
-}
-
 // holdoutSummary evaluates m on the holdout split, returning the summary
 // of root q-errors.
 func holdoutSummary(m *core.Model, hold []feedback.Sample) metrics.Summary {
 	qs := make([]float64, 0, len(hold))
+	var preds []float64
 	for _, s := range hold {
-		est := m.Predict(s.Plan)
-		if est > 0 && s.ActualMS > 0 {
+		// Row 0 of the sub-plan forward is the root prediction, bit for bit.
+		preds = m.AppendPredictSubPlansFlat(preds[:0], s.Plan)
+		if est := preds[0]; est > 0 && s.ActualMS > 0 {
 			qs = append(qs, metrics.QError(est, s.ActualMS))
 		}
 	}

@@ -71,10 +71,13 @@ func (h *fakeHost) Publish(m *core.Model, v int) {
 	h.mu.Unlock()
 }
 
+// flat is p as the request edge hands it to Observe.
+func flat(p *plan.Plan) *plan.FlatPlan { return new(plan.FlatPlan).FromTree(p) }
+
 // fillStore feeds plans (with their executor labels) through the store.
 func fillStore(s *feedback.Store, m *core.Model, plans []*plan.Plan) {
 	for _, p := range plans {
-		s.Add(feedback.Sample{Plan: p, ActualMS: p.Root.ActualMS, PredictedMS: m.Predict(p)})
+		s.Add(feedback.Sample{Plan: flat(p), ActualMS: p.Root.ActualMS, PredictedMS: m.Predict(p)})
 	}
 }
 
@@ -182,7 +185,7 @@ func TestRollbackRestoresPreviousVersion(t *testing.T) {
 		t.Fatalf("Resume = v%d, %v; host at v%d", v, err, host.v)
 	}
 	for i := 0; i < 4; i++ {
-		c.Observe(probe, 10, 1)
+		c.Observe(flat(probe), 10, 1)
 	}
 
 	v, err := c.Rollback()
@@ -361,7 +364,7 @@ func TestObserveTracksDriftAndKicks(t *testing.T) {
 			MinSamples:     1 << 30, // never actually fine-tune
 		})
 	}
-	p := &plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}}
+	p := flat(&plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}})
 	// A pool nobody drains: what is enqueued stays countable.
 	pool := &Pool{jobs: make(chan *Controller, 8)}
 	c := newController()
@@ -416,7 +419,7 @@ func TestStartStopDrainsCleanly(t *testing.T) {
 	})
 	pool := NewPool(2)
 	pool.Attach(c)
-	p := &plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}}
+	p := flat(&plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: 10, EstCost: 100}})
 	for i := 0; i < 50; i++ {
 		c.Observe(p, 5, 1)
 	}

@@ -225,8 +225,17 @@ func Train(plans []*plan.Plan, cfg Config) *Model {
 	} else {
 		m.Enc = featurize.FitEncoder(plans, cfg.Alpha)
 	}
-	m.fit(plans, cfg.LR, cfg.Epochs)
+	m.fit(encodeAll(m, plans, (*featurize.Encoder).Encode), cfg.LR, cfg.Epochs)
 	return m
+}
+
+// encodeAll featurizes fit's corpus, trees or flat plans, on m's workers.
+func encodeAll[P any](m *Model, plans []P, encode func(*featurize.Encoder, P) *featurize.Encoded) []*featurize.Encoded {
+	encoded := make([]*featurize.Encoded, len(plans))
+	nn.ParallelFor(len(plans), m.Cfg.Workers, func(i int) {
+		encoded[i] = encode(m.Enc, plans[i])
+	})
+	return encoded
 }
 
 // fit runs the mini-batch Adam loop over plans. Each minibatch fans out to
@@ -234,11 +243,7 @@ func Train(plans []*plan.Plan, cfg Config) *Model {
 // tapes against the frozen parameter values, accumulating into per-plan
 // gradient shards that reduce in fixed plan order — so the trained weights
 // are bitwise identical for any worker count and any goroutine schedule.
-func (m *Model) fit(plans []*plan.Plan, lr float64, epochs int) {
-	encoded := make([]*featurize.Encoded, len(plans))
-	nn.ParallelFor(len(plans), m.Cfg.Workers, func(i int) {
-		encoded[i] = m.Enc.Encode(plans[i])
-	})
+func (m *Model) fit(encoded []*featurize.Encoded, lr float64, epochs int) {
 	// LoRA fine-tuning: the attention block is frozen, so its per-plan
 	// output is a fixed feature matrix — compute it once and train only the
 	// (adapter-augmented) head over it.
@@ -570,11 +575,22 @@ func (m *Model) LoRAEnabled() bool { return m.lora != nil }
 // labeled plans. The encoder's scalers stay frozen — the pre-trained
 // knowledge is reused, only the low-rank correction is learned.
 func (m *Model) FineTuneLoRA(plans []*plan.Plan, lr float64, epochs int) {
+	fineTune(m, plans, (*featurize.Encoder).Encode, lr, epochs)
+}
+
+// FineTuneLoRAFlat is FineTuneLoRA for the replay buffer's flat plans (each
+// must have passed Check): the adapters come out bit for bit as FineTuneLoRA
+// leaves them on the equivalent trees.
+func (m *Model) FineTuneLoRAFlat(plans []*plan.FlatPlan, lr float64, epochs int) {
+	fineTune(m, plans, (*featurize.Encoder).EncodeFlat, lr, epochs)
+}
+
+func fineTune[P any](m *Model, plans []P, encode func(*featurize.Encoder, P) *featurize.Encoded, lr float64, epochs int) {
 	if m.Enc == nil {
 		panic("core: fine-tuning an untrained model")
 	}
 	m.EnableLoRA()
-	m.fit(plans, lr, epochs)
+	m.fit(encodeAll(m, plans, encode), lr, epochs)
 }
 
 // MergeLoRA folds the trained adapters into the base MLP weights

@@ -75,3 +75,36 @@ func TestAppendPredictSubPlansFlatZeroAllocs(t *testing.T) {
 		t.Fatalf("AppendPredictSubPlansFlat allocates %.2f/op at steady state, want 0", avg)
 	}
 }
+
+// TestFineTuneLoRAFlatMatchesTree is the write path's bitwise contract: a
+// fine-tune fed the replay buffer's flat plans leaves exactly the adapters a
+// fine-tune fed the equivalent trees leaves, and row 0 of the flat sub-plan
+// forward — what the promotion gate prices a hold-out plan with — is Predict.
+func TestFineTuneLoRAFlatMatchesTree(t *testing.T) {
+	plans := workloadPlans(t, schema.IMDB(), 40, executor.M1())
+	cfg := smallConfig()
+	cfg.Epochs = 2
+	base := Train(plans[:20], cfg)
+	tune := plans[20:]
+	flats := make([]*plan.FlatPlan, len(tune))
+	for i, p := range tune {
+		var dec plan.Decoder
+		flats[i] = flatOf(t, &dec, p).Clone()
+	}
+	tree, flat := base.Clone(), base.Clone()
+	tree.FineTuneLoRA(tune, 2e-3, 3)
+	flat.FineTuneLoRAFlat(flats, 2e-3, 3)
+	a, b := tree.Adapters().Params(), flat.Adapters().Params()
+	for i := range a {
+		for j, v := range a[i].Value.Data {
+			if math.Float64bits(v) != math.Float64bits(b[i].Value.Data[j]) {
+				t.Fatalf("adapter %s[%d]: tree %v vs flat %v", a[i].Name, j, v, b[i].Value.Data[j])
+			}
+		}
+	}
+	for i, p := range tune {
+		if got, want := flat.AppendPredictSubPlansFlat(nil, flats[i])[0], tree.Predict(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("plan %d: row 0 of the flat forward %v vs Predict %v", i, got, want)
+		}
+	}
+}

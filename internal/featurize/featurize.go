@@ -207,11 +207,19 @@ type Scratch struct {
 // flatPool lends Encode the FlatPlan its tree is flattened into.
 var flatPool = sync.Pool{New: func() any { return new(plan.FlatPlan) }}
 
-// Encode featurizes one plan into freshly allocated (heap) storage,
-// including the dense Mask. The result owns its memory indefinitely — the
-// training loop caches these. Hot inference paths use EncodeFlatInto.
+// Encode is EncodeFlat for a plan tree: one DFS flattens it (FromTree) into
+// a pooled FlatPlan the encoding does not keep.
 func (e *Encoder) Encode(p *plan.Plan) *Encoded {
 	f := flatPool.Get().(*plan.FlatPlan).FromTree(p)
+	enc := e.EncodeFlat(f)
+	flatPool.Put(f)
+	return enc
+}
+
+// EncodeFlat featurizes one plan into freshly allocated (heap) storage,
+// including the dense Mask. The result owns its memory indefinitely — the
+// training loop caches these. Hot inference paths use EncodeFlatInto.
+func (e *Encoder) EncodeFlat(f *plan.FlatPlan) *Encoded {
 	n := f.Len()
 	enc := &Encoded{
 		X:       nn.NewMatrix(n, FeatureDim),
@@ -224,7 +232,6 @@ func (e *Encoder) Encode(p *plan.Plan) *Encoded {
 		Types:   make([]int, n),
 	}
 	e.fillFlat(enc, f)
-	flatPool.Put(f)
 	for i, sp := range enc.Spans {
 		for j := sp.Lo; j < sp.Hi; j++ {
 			enc.Mask.Set(i, int(j), 1)

@@ -1,7 +1,9 @@
 // Package feedback is the ingestion side of DACE's online-adaptation loop:
 // a bounded, concurrency-safe replay buffer of observed
 // (plan, actual latency) samples, plus an append-only CRC32-framed on-disk
-// log so feedback survives process restarts.
+// log so feedback survives process restarts. A plan is a plan.FlatPlan
+// throughout: the arrays the request edge decoded are what the buffer copies,
+// the log frames and a fine-tune featurizes — no tree is built on the way.
 //
 // The store deduplicates by plan fingerprint — an optimizer re-costs the
 // same plans over and over, and a thousand copies of one plan teach the
@@ -12,6 +14,7 @@
 package feedback
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 
@@ -21,24 +24,24 @@ import (
 // Sample is one observed execution: the plan as served (nodes may carry
 // per-node actual_ms labels for deeper supervision) and the measured root
 // latency. PredictedMS records what the serving model answered at ingest
-// time, for drift bookkeeping; 0 means unknown.
+// time, for drift bookkeeping; 0 means unknown. A Plan handed in (Store.Add,
+// Log.Append, the Log.Replay callback) may alias a decoder and is read only
+// during the call; one handed out by Store.Snapshot is the store's own copy,
+// immutable, its root labelled with ActualMS.
 type Sample struct {
-	Plan        *plan.Plan
+	Plan        *plan.FlatPlan
 	ActualMS    float64
 	PredictedMS float64
 }
 
-// Store is the bounded replay buffer. All methods are safe for concurrent
-// use. Plans handed to Add are retained by reference and must not be
-// mutated afterwards.
+// Store is the bounded replay buffer, safe for concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
 	rng      *rand.Rand
 	index    map[plan.Fingerprint]int // fingerprint → slot
-	samples  []Sample
-	fps      []plan.Fingerprint // slot → fingerprint (for eviction)
-	offered  int64              // distinct fingerprints ever offered (reservoir clock)
+	samples  []Sample                 // a slot's fingerprint is its plan's
+	offered  int64                    // distinct fingerprints ever offered (reservoir clock)
 	updated  uint64
 	dropped  uint64
 }
@@ -67,42 +70,43 @@ func NewStore(capacity int, seed int64) *Store {
 
 // Add offers a sample to the store and reports whether it is resident
 // afterwards. A sample whose fingerprint is already present refreshes that
-// slot in place (latest observation wins) without consuming a reservoir
-// draw. Once the store is full, a new fingerprint replaces a uniformly
-// random resident with probability capacity/offered — classic reservoir
-// sampling over the distinct-plan stream. Samples without a root or with a
-// non-positive latency are rejected.
+// slot (latest observation wins) without consuming a reservoir draw. Once
+// the store is full, a new fingerprint replaces a uniformly random resident
+// with probability capacity/offered — classic reservoir sampling over the
+// distinct-plan stream. Samples without a root or a finite positive latency
+// are rejected. Only a sample that stays is copied (a rejection allocates
+// nothing), and a refreshed slot gets a new copy: a Snapshot reader's is
+// never written.
 func (s *Store) Add(smp Sample) bool {
-	if smp.Plan == nil || !(smp.ActualMS > 0) {
+	if smp.Plan == nil || smp.Plan.Len() == 0 || smp.Plan.Fingerprint.IsZero() ||
+		!(smp.ActualMS > 0) || math.IsInf(smp.ActualMS, 1) {
 		return false
 	}
-	fp := smp.Plan.Fingerprint()
-	if fp.IsZero() {
-		return false
-	}
+	fp := smp.Plan.Fingerprint
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.index[fp]; ok {
-		s.samples[i] = smp
+	i, resident := s.index[fp]
+	switch {
+	case resident:
 		s.updated++
-		return true
+	case len(s.samples) < s.capacity:
+		s.offered++
+		i = len(s.samples)
+		s.samples = append(s.samples, Sample{})
+	default:
+		s.offered++
+		j := s.rng.Int63n(s.offered)
+		if j >= int64(s.capacity) {
+			s.dropped++
+			return false
+		}
+		i = int(j)
+		delete(s.index, s.samples[i].Plan.Fingerprint)
 	}
-	s.offered++
-	if len(s.samples) < s.capacity {
-		s.index[fp] = len(s.samples)
-		s.samples = append(s.samples, smp)
-		s.fps = append(s.fps, fp)
-		return true
-	}
-	j := s.rng.Int63n(s.offered)
-	if j >= int64(s.capacity) {
-		s.dropped++
-		return false
-	}
-	delete(s.index, s.fps[j])
-	s.samples[j] = smp
-	s.fps[j] = fp
-	s.index[fp] = int(j)
+	s.index[fp] = i
+	smp.Plan = smp.Plan.Clone()
+	smp.Plan.ActualMS[0] = smp.ActualMS // the supervision a fine-tune reads
+	s.samples[i] = smp
 	return true
 }
 
@@ -115,7 +119,7 @@ func (s *Store) Len() int {
 
 // Snapshot returns a copy of the resident samples, safe to read while the
 // store keeps ingesting. The Sample structs are copied; the plans they
-// point at are shared and treated as immutable.
+// point at are shared and immutable.
 func (s *Store) Snapshot() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,13 +7,16 @@ import (
 	"dace/internal/plan"
 )
 
-// testPlan builds a minimal one-node plan whose fingerprint is unique per id.
-func testPlan(id int) *plan.Plan {
+// testTree builds a minimal one-node plan whose fingerprint is unique per id.
+func testTree(id int) *plan.Plan {
 	return &plan.Plan{
 		Database: "t",
 		Root:     &plan.Node{Type: plan.SeqScan, EstRows: float64(10 + id), EstCost: float64(100 + id)},
 	}
 }
+
+// testPlan is testTree as the store and the log take it.
+func testPlan(id int) *plan.FlatPlan { return new(plan.FlatPlan).FromTree(testTree(id)) }
 
 func TestStoreDedupsByFingerprint(t *testing.T) {
 	s := NewStore(16, 1)
@@ -42,7 +45,7 @@ func TestStoreRejectsInvalidSamples(t *testing.T) {
 		{Plan: nil, ActualMS: 5},
 		{Plan: testPlan(1), ActualMS: 0},
 		{Plan: testPlan(2), ActualMS: -1},
-		{Plan: &plan.Plan{Database: "t"}, ActualMS: 5}, // no root
+		{Plan: new(plan.FlatPlan).FromTree(&plan.Plan{Database: "t"}), ActualMS: 5}, // no root
 	} {
 		if s.Add(smp) {
 			t.Fatalf("invalid sample accepted: %+v", smp)
@@ -72,7 +75,7 @@ func TestStoreReservoirBoundsCapacity(t *testing.T) {
 	// Residents are distinct plans.
 	seen := map[plan.Fingerprint]bool{}
 	for _, smp := range s.Snapshot() {
-		fp := smp.Plan.Fingerprint()
+		fp := smp.Plan.Fingerprint
 		if seen[fp] {
 			t.Fatal("duplicate fingerprint resident after reservoir eviction")
 		}
@@ -126,5 +129,83 @@ func TestStoreConcurrentAddSnapshot(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 64 {
 		t.Fatalf("len %d, want 64", s.Len())
+	}
+}
+
+// TestStoreOwnsItsPlans: Add reads its plan during the call and keeps a copy
+// of its own. The decoder that produced the plan is reused (its arenas
+// rewritten) right after every Add, a refresh of a resident plan happens
+// while a reader walks an earlier Snapshot, and neither shows in a resident
+// sample. Run under -race.
+func TestStoreOwnsItsPlans(t *testing.T) {
+	encode := func(id int) []byte {
+		b, err := plan.AppendBinary(nil, testTree(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var dec plan.Decoder
+	s := NewStore(4, 1)
+	for id := 0; id < 4; id++ {
+		f, err := dec.DecodeBinary(encode(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Add(Sample{Plan: f, ActualMS: float64(id + 1)}) {
+			t.Fatal("add rejected")
+		}
+		f.EstRows[0], f.ActualMS[0] = -1, -1 // the caller's arrays are its own again
+	}
+	check := func(snap []Sample) {
+		for i, smp := range snap {
+			want := testPlan(i)
+			if smp.Plan.Fingerprint != want.Fingerprint || smp.Plan.EstRows[0] != want.EstRows[0] ||
+				smp.Plan.ActualMS[0] != smp.ActualMS || smp.Plan.Database() != "t" {
+				t.Errorf("slot %d changed under its reader: %+v", i, smp.Plan)
+			}
+		}
+	}
+	snap := s.Snapshot()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			check(snap)
+		}
+	}()
+	for i := 0; i < 200; i++ { // refresh every slot while the reader runs
+		f, err := dec.DecodeBinary(encode(i % 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Add(Sample{Plan: f, ActualMS: 1000 + float64(i)})
+	}
+	<-done
+	for i, smp := range snap {
+		if smp.ActualMS != float64(i+1) {
+			t.Fatalf("slot %d of an old snapshot was overwritten in place", i)
+		}
+	}
+	if got := s.Snapshot()[3]; got.ActualMS != 1199 || got.Plan.ActualMS[0] != 1199 || got.Plan == snap[3].Plan {
+		t.Fatalf("refresh did not install a new labelled copy: %+v", got)
+	}
+
+	// A reservoir rejection is decided before anything is copied.
+	full := NewStore(1, 1)
+	const offers = 2000
+	plans := make([]*plan.FlatPlan, offers)
+	for i := range plans {
+		plans[i] = testPlan(i)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(offers-1, func() {
+		full.Add(Sample{Plan: plans[next], ActualMS: 1})
+		next++
+	}); allocs != 0 {
+		t.Fatalf("a rejected Add allocates %v times", allocs)
+	}
+	if st := full.Stats(); st.Dropped < offers-50 {
+		t.Fatalf("stats %+v: the stream was meant to be rejected", st)
 	}
 }

@@ -16,7 +16,7 @@ func RegisterMetrics(reg *telemetry.Registry, store *Store, log *Log) {
 		func() float64 { return float64(store.Stats().Capacity) })
 	reg.CounterFunc("dace_feedback_offered_total", "Distinct plans ever offered to the replay buffer.",
 		func() uint64 { return uint64(store.Stats().Offered) })
-	reg.CounterFunc("dace_feedback_updated_total", "In-place refreshes of an already-resident plan.",
+	reg.CounterFunc("dace_feedback_updated_total", "Refreshes of an already-resident plan (latest observation wins).",
 		func() uint64 { return store.Stats().Updated })
 	reg.CounterFunc("dace_feedback_dropped_total", "Reservoir rejections after the buffer filled.",
 		func() uint64 { return store.Stats().Dropped })

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -95,5 +96,37 @@ func TestAppendBinaryFlatZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendBinaryFrame allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestCloneOwnsItsMemory: a clone is equal to its source, survives the
+// decoder's next call, and shares no array with it.
+func TestCloneOwnsItsMemory(t *testing.T) {
+	var dec Decoder
+	frame := func(p *Plan) []byte {
+		b, err := AppendBinary(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	src := samplePlan()
+	f, err := dec.DecodeBinary(frame(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := f.Clone()
+	if _, err := dec.DecodeBinary(frame(&Plan{Database: "other", Root: &Node{Type: Sort, EstRows: 7, EstCost: 7}})); err != nil {
+		t.Fatal(err)
+	}
+	want := new(FlatPlan).FromTree(src)
+	if c.Fingerprint != want.Fingerprint || c.Database() != src.Database || c.Check() != nil ||
+		fmt.Sprint(c.Types, c.ChildCount, c.EstRows, c.EstCost, c.ActualRows, c.ActualMS, c.Heights, c.Subtree) !=
+			fmt.Sprint(want.Types, want.ChildCount, want.EstRows, want.EstCost, want.ActualRows, want.ActualMS, want.Heights, want.Subtree) {
+		t.Fatalf("clone changed when its decoder was reused: %+v", c)
+	}
+	got, err := c.AppendBinaryFrame(nil)
+	if err != nil || !bytes.Equal(got, frame(src)) {
+		t.Fatalf("clone re-encodes differently from its source (%v)", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FlatPlan is a plan decoded straight into flat DFS pre-order arrays — the
@@ -16,8 +17,8 @@ import (
 // A FlatPlan produced by a Decoder aliases the decoder's arenas (and, for
 // the database name, possibly the input buffer): it is valid only until the
 // decoder's next Decode/DecodeBinary call, and only while the input bytes
-// stay live. Copy it into a FlatBatch when it must outlive the decoder's next
-// call; Tree() is the escape hatch for consumers that need nodes.
+// stay live. Clone it, or copy it into a FlatBatch, when it must outlive the
+// decoder's next call; Tree() is the escape hatch for consumers that need nodes.
 type FlatPlan struct {
 	Types      []NodeType
 	ChildCount []int32
@@ -74,10 +75,10 @@ func (f *FlatPlan) appendNode() int {
 // FromTree refills f with the flat form of p in one DFS, reusing f's arrays,
 // and returns f: the arrays, database and Fingerprint are exactly what a
 // Decoder produces for p's JSON encoding, so Fingerprint equals
-// p.Fingerprint(). It is the tree-side edge of the flat inference path
-// (library callers holding a *Plan, pg EXPLAIN conversion, feedback). A nil
-// child node panics, as it does in every tree traversal; CheckFeatures
-// rejects such trees first on the ingest paths.
+// p.Fingerprint(). It is the tree-side edge of the flat path (library
+// callers holding a *Plan, pg EXPLAIN conversion). A nil child node panics,
+// as it does in every tree traversal; no ingest path can hand it one (the
+// JSON decoders never build a tree, pgexplain.Parse refuses a null node).
 func (f *FlatPlan) FromTree(p *Plan) *FlatPlan {
 	f.reset()
 	f.database = append(f.database, p.Database...)
@@ -100,6 +101,18 @@ func (f *FlatPlan) appendTree(n *Node, height int32) int32 {
 	}
 	f.Subtree[i] = size
 	return size
+}
+
+// Clone returns a copy of f that owns its memory, for a consumer that keeps
+// a decoded plan past the decoder's next call (the feedback replay buffer).
+func (f *FlatPlan) Clone() *FlatPlan {
+	c := *f
+	c.Types, c.ChildCount = slices.Clone(f.Types), slices.Clone(f.ChildCount)
+	c.EstRows, c.EstCost = slices.Clone(f.EstRows), slices.Clone(f.EstCost)
+	c.ActualRows, c.ActualMS = slices.Clone(f.ActualRows), slices.Clone(f.ActualMS)
+	c.Heights, c.Subtree = slices.Clone(f.Heights), slices.Clone(f.Subtree)
+	c.database, c.shape = slices.Clone(f.database), nil
+	return &c
 }
 
 // FlatBatch owns a sequence of flat plans: Append copies a plan's node
@@ -284,36 +297,4 @@ func (f *FlatPlan) Tree() *Plan {
 	}
 	p.Root = &nodes[0]
 	return p
-}
-
-// CheckFeatures is the tree-shaped twin of FlatPlan.Check, shared by every
-// ingest path that still works on *Plan (pg EXPLAIN conversion, feedback
-// observations): node types must be within the one-hot range and numeric
-// features finite — a NaN would poison the forward pass, an out-of-range
-// type would corrupt the feature matrix.
-func CheckFeatures(p *Plan) error {
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		if n == nil {
-			return errors.New("plan: null node")
-		}
-		if n.Type < 0 || int(n.Type) >= NumNodeTypes {
-			return fmt.Errorf("plan node has unknown operator type %d", int(n.Type))
-		}
-		for _, v := range [...]float64{n.EstRows, n.EstCost, n.ActualRows, n.ActualMS} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("plan node %s has a non-finite feature", n.Type)
-			}
-		}
-		for _, c := range n.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if p.Root == nil {
-		return nil
-	}
-	return walk(p.Root)
 }

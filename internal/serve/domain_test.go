@@ -133,7 +133,7 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 		s.Base = ctl
 		h := s.Handler()
 		for _, smp := range m2Samples[:180] {
-			ctl.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+			ctl.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 		}
 		race(t, h, gate, "/adapt/trigger", "/model/load?version=1")
 
@@ -174,7 +174,7 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 		gate := newGateHooks()
 		tn.Hooks = gate
 		for _, smp := range m2Samples[:180] {
-			tn.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+			tn.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 		}
 		race(t, h, gate, "/tenants/m2/adapt/trigger", "/tenants/m2/adapter/load?version=1")
 
@@ -299,7 +299,7 @@ func TestOnePoolBoundsEveryDomain(t *testing.T) {
 	reg := tenant.New(seed, tenant.Config{Pool: pool, MinSamples: 50, Epochs: 3, Seed: 7})
 	domains := map[string]interface{ StatusNow() adapt.Status }{"base": base}
 	observe := []func(smp dataset.Sample){func(smp dataset.Sample) {
-		base.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+		base.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 	}}
 	for i := 0; i < 3; i++ {
 		tn, _, err := reg.Register(fmt.Sprintf("t%d", i))
@@ -308,7 +308,7 @@ func TestOnePoolBoundsEveryDomain(t *testing.T) {
 		}
 		domains[tn.ID()] = tn
 		observe = append(observe, func(smp dataset.Sample) {
-			tn.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+			tn.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 		})
 	}
 

@@ -22,7 +22,9 @@ import (
 // Observe sits on the serving path: it must be safe for concurrent use and
 // must not block on model training.
 type Domain interface {
-	Observe(p *plan.Plan, actualMS, predictedMS float64)
+	// Observe's plan aliases the request's decode scratch: valid only during
+	// the call.
+	Observe(f *plan.FlatPlan, actualMS, predictedMS float64)
 	StatusNow() adapt.Status
 	RunOnce() (*adapt.Outcome, error)
 	Load(version int) (previous int, err error)
@@ -93,7 +95,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "predicted_ms must be a finite non-negative number", http.StatusBadRequest)
 		return
 	}
-	t, f, err := ws.DecodeTree(req.Plan, p)
+	p.Binary = false // the envelope is JSON whatever the Content-Type says
+	f, err := ws.Decode(req.Plan, p)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -102,8 +105,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// Fill in the serving model's answer when the client didn't record one —
 	// through the tenant's own adapter view, so drift is measured against
 	// what that tenant is actually served. The pipeline makes this nearly
-	// free for plans seen before (the flattened tree shares its fingerprint
-	// cache entry with /predict traffic for the same plan).
+	// free for plans seen before (the plan shares its fingerprint cache entry
+	// with /predict traffic for the same plan).
 	if req.PredictedMS == 0 {
 		if preds, err := s.predsForFlat(f, tc); err == nil && len(preds) > 0 {
 			req.PredictedMS = preds[0]
@@ -111,7 +114,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	// A resolved tenant owns its feedback stream; everything else is the
 	// base domain's.
-	d.Observe(t, req.ActualMS, req.PredictedMS)
+	d.Observe(f, req.ActualMS, req.PredictedMS)
 	if s.tel != nil {
 		s.tel.feedback.Inc()
 	}

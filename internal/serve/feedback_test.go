@@ -30,17 +30,20 @@ import (
 // interface supplies the methods /feedback never reaches.
 type recordingSink struct {
 	Domain
-	mu   sync.Mutex
-	obs  []feedback.Sample
-	last *plan.Plan
+	mu  sync.Mutex
+	obs []feedback.Sample
 }
 
-func (r *recordingSink) Observe(p *plan.Plan, actualMS, predictedMS float64) {
+// Observe copies the plan, as every Domain must: it aliases the request's
+// decode scratch.
+func (r *recordingSink) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.obs = append(r.obs, feedback.Sample{Plan: p, ActualMS: actualMS, PredictedMS: predictedMS})
-	r.last = p
+	r.obs = append(r.obs, feedback.Sample{Plan: f.Clone(), ActualMS: actualMS, PredictedMS: predictedMS})
 }
+
+// flat is p as the request edge hands it to a Domain.
+func flat(p *plan.Plan) *plan.FlatPlan { return new(plan.FlatPlan).FromTree(p) }
 
 func (r *recordingSink) count() int {
 	r.mu.Lock()
@@ -106,9 +109,7 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 		"zero actual":        {string(feedbackBody(t, p, 0)), http.StatusBadRequest},
 		"negative actual":    {string(feedbackBody(t, p, -3)), http.StatusBadRequest},
 		"overflowing actual": {`{"plan": {"root": {"type": 0}}, "actual_ms": 1e999}`, http.StatusBadRequest},
-		"nan-ish feature":    {`{"plan": {"root": {"type": 0, "est_rows": 1e999}}, "actual_ms": 5}`, http.StatusBadRequest},
 		"negative predicted": {`{"plan": {"root": {"type": 0}}, "actual_ms": 5, "predicted_ms": -1}`, http.StatusBadRequest},
-		"rootless plan":      {`{"plan": {"database": "x"}, "actual_ms": 5}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/feedback", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -119,9 +120,55 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d", name, resp.StatusCode, tc.status)
 		}
 	}
+	// The embedded plan goes through the decoder /predict uses, so a bad one
+	// is refused with /predict's status and /predict's bytes.
+	post := func(url, ctype, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, ctype, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for name, tc := range map[string]struct{ query, plan string }{
+		"nan-ish feature":   {"", `{"root": {"type": 0, "est_rows": 1e999}}`},
+		"rootless plan":     {"", `{"database": "x"}`},
+		"unknown operator":  {"", `{"root": {"type": 99, "est_rows": 1, "est_cost": 1}}`},
+		"null child":        {"", `{"root": {"type": 0, "children": [null]}}`},
+		"duplicate root":    {"", `{"root": {"type": 0}, "root": {"type": 1}}`},
+		"pg null child":     {"?format=pg", `[{"Plan": {"Node Type": "Hash Join", "Plans": [null]}}]`},
+		"pg not an explain": {"?format=pg", `{"root": {"type": 0}}`},
+	} {
+		wantStatus, wantBody := post(srv.URL+"/predict"+tc.query, "application/json", tc.plan)
+		status, body := post(srv.URL+"/feedback"+tc.query, "application/json", `{"plan": `+tc.plan+`, "actual_ms": 5}`)
+		if status != wantStatus || body != wantBody || status != http.StatusBadRequest {
+			t.Errorf("%s: /feedback answered %d %q, /predict %d %q", name, status, body, wantStatus, wantBody)
+		}
+	}
 	if sink.count() != 0 {
 		t.Fatalf("invalid feedback reached the sink %d times", sink.count())
 	}
+
+	// Today's accepted requests stay accepted: the envelope is JSON even
+	// under the binary Content-Type, and format=pg carries EXPLAIN output.
+	const pgPlan = `[{"Plan": {"Node Type": "Seq Scan", "Total Cost": 1234.5, "Plan Rows": 10000}}]`
+	const samePlan = `{"database": "d", "root": {"type": 0, "est_rows": 10000, "est_cost": 1234.5}}`
+	for name, tc := range map[string]struct{ query, ctype, plan string }{
+		"binary content type": {"", plan.BinaryContentType, samePlan},
+		"pg explain":          {"?format=pg&database=d", "application/json", pgPlan},
+	} {
+		if status, body := post(srv.URL+"/feedback"+tc.query, tc.ctype, `{"plan": `+tc.plan+`, "actual_ms": 5}`); status != http.StatusAccepted {
+			t.Fatalf("%s: %d %s, want 202", name, status, body)
+		}
+	}
+	sink.mu.Lock()
+	if len(sink.obs) != 2 || sink.obs[0].Plan.Fingerprint != sink.obs[1].Plan.Fingerprint || sink.obs[1].Plan.Database() != "d" {
+		t.Fatalf("plan JSON and pg EXPLAIN of one plan reached the sink as %+v", sink.obs)
+	}
+	sink.obs = nil
+	sink.mu.Unlock()
 
 	// A valid observation is accepted, and the server fills predicted_ms
 	// from the serving model when the client omits it.
@@ -146,7 +193,7 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 	if got.ActualMS != 7.5 || got.PredictedMS != ack.PredictedMS {
 		t.Fatalf("sink observation %+v vs ack %+v", got, ack)
 	}
-	if got.Plan.Fingerprint() != p.Fingerprint() {
+	if got.Plan.Fingerprint != p.Fingerprint() {
 		t.Fatal("plan identity lost on the way to the sink")
 	}
 }
@@ -554,7 +601,7 @@ func TestDriftSoakPromotion(t *testing.T) {
 			Do: func() error {
 				defer close(attempted)
 				for _, smp := range m2Samples[:180] {
-					ctl.Observe(smp.Plan, smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+					ctl.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 				}
 				out, runErr = ctl.RunOnce()
 				probe.promoted.Store(runErr == nil && out.Promoted)

@@ -18,11 +18,11 @@ import (
 // endpoints register.
 type nopDomain struct{}
 
-func (nopDomain) Observe(*plan.Plan, float64, float64) {}
-func (nopDomain) StatusNow() adapt.Status              { return adapt.Status{} }
-func (nopDomain) RunOnce() (*adapt.Outcome, error)     { return &adapt.Outcome{}, nil }
-func (nopDomain) Load(int) (int, error)                { return 0, nil }
-func (nopDomain) Rollback() (int, error)               { return 0, nil }
+func (nopDomain) Observe(*plan.FlatPlan, float64, float64) {}
+func (nopDomain) StatusNow() adapt.Status                  { return adapt.Status{} }
+func (nopDomain) RunOnce() (*adapt.Outcome, error)         { return &adapt.Outcome{}, nil }
+func (nopDomain) Load(int) (int, error)                    { return 0, nil }
+func (nopDomain) Rollback() (int, error)                   { return 0, nil }
 
 // metricsServer is a fully-wired server: caching, admission, telemetry, and
 // the feedback/adapt endpoints, so every route is registered.

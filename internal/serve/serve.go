@@ -38,9 +38,9 @@
 //	                 entirely)       coalesce in flight)       the wait is full)
 //
 // Between decode and model there is one representation, plan.FlatPlan: the
-// streaming decoders produce it, pg EXPLAIN and feedback trees are
-// flattened once at the edge (wire.Scratch.DecodeTree), and the model
-// featurizes its arrays in place.
+// streaming decoders produce it (for /feedback's embedded plan as for
+// /predict), a pg EXPLAIN tree is flattened once at the edge
+// (wire.Scratch.Decode), and the model featurizes its arrays in place.
 //
 // Cost-estimation traffic is highly repetitive — an optimizer re-costs the
 // same sub-plans across candidate joins — so most requests resolve in the

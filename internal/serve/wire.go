@@ -1,6 +1,6 @@
 // The response half of the wire path. Requests reach this package already
 // read, decoded and validated by the request edge (internal/wire): one pooled
-// buffer, flat arenas, no *plan.Node tree, the cache fingerprint computed
+// buffer, flat arenas, no pointer tree, the cache fingerprint computed
 // during the parse. Responses are rendered by a handwritten JSON encoder
 // that reproduces encoding/json's output byte for byte, so enabling the
 // fast path can never change what clients see; they are JSON whichever

@@ -158,9 +158,9 @@ func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 // policy: a background fine-tune is enqueued once the tenant has both enough
 // resident samples and enough fresh ones since the last was, so a rejected
 // candidate doesn't retrain on an almost identical snapshot every request.
-func (t *Tenant) Observe(p *plan.Plan, actualMS, predictedMS float64) {
+func (t *Tenant) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
 	t.feedback.Add(1)
-	t.Controller.Observe(p, actualMS, predictedMS)
+	t.Controller.Observe(f, actualMS, predictedMS)
 	need := t.r.cfg.MinSamples
 	if t.fresh.Add(1) >= int64(max(need/4, 1)) && t.store.Len() >= need && t.Enqueue() {
 		t.fresh.Store(0)

@@ -273,7 +273,7 @@ func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	}
 	view, _ := tn.Resolve()
 	for _, p := range m2Plans[:120] {
-		tn.Observe(p, p.Root.ActualMS, view.Predict(p))
+		tn.Observe(new(plan.FlatPlan).FromTree(p), p.Root.ActualMS, view.Predict(p))
 	}
 	if info := tn.Info(); info.Feedback != 120 || info.Backlog == 0 {
 		t.Fatalf("after 120 observations: %+v", info)

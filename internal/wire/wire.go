@@ -126,8 +126,8 @@ func ParseParams(r *http.Request) (Params, error) {
 
 // Scratch holds the reusable state one request's read and decode need: the
 // body reader+buffer, the streaming decoder with its flat arenas, and the
-// flat plan a pg-explain or feedback tree is flattened into. The zero value
-// is ready; callers embed it in whatever they pool per request.
+// flat plan a pg-explain tree is flattened into. The zero value is ready;
+// callers embed it in whatever they pool per request.
 type Scratch struct {
 	lr   io.LimitedReader
 	buf  bytes.Buffer
@@ -156,15 +156,20 @@ func (s *Scratch) ReadBody(body io.Reader, limit int64) ([]byte, error) {
 // Check. The result aliases the scratch (and body) and is valid until the
 // scratch's next decode.
 func (s *Scratch) Decode(body []byte, p Params) (*plan.FlatPlan, error) {
-	if p.Format == "pg" {
-		_, f, err := s.DecodeTree(body, p)
-		return f, err
-	}
 	var f *plan.FlatPlan
 	var err error
-	if p.Binary {
+	switch {
+	case p.Format == "pg":
+		// The one input that arrives as a tree: pg EXPLAIN output has no
+		// streaming decoder. A null node is a parse error, so the tree is
+		// safe to flatten.
+		var t *plan.Plan
+		if t, err = pgexplain.Parse(bytes.NewReader(body), p.Database); err == nil {
+			f = s.flat.FromTree(t)
+		}
+	case p.Binary:
 		f, err = s.dec.DecodeBinary(body)
-	} else {
+	default:
 		f, err = s.dec.Decode(body)
 	}
 	if err == nil {
@@ -174,33 +179,6 @@ func (s *Scratch) Decode(body []byte, p Params) (*plan.FlatPlan, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// DecodeTree is Decode for the inputs that arrive as trees — pg EXPLAIN
-// output, which has no streaming decoder, and the plan JSON of a /feedback
-// observation, whose sink keeps the tree: parse, validate (CheckFeatures
-// makes a null child an error before FromTree would walk into it), flatten
-// once, Check (which is also what refuses a missing root). It ignores
-// p.Binary.
-func (s *Scratch) DecodeTree(body []byte, p Params) (*plan.Plan, *plan.FlatPlan, error) {
-	var t *plan.Plan
-	var err error
-	if p.Format == "pg" {
-		t, err = pgexplain.Parse(bytes.NewReader(body), p.Database)
-	} else {
-		t, err = plan.ReadJSON(bytes.NewReader(body))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := plan.CheckFeatures(t); err != nil {
-		return nil, nil, err
-	}
-	f := s.flat.FromTree(t)
-	if err := f.Check(); err != nil {
-		return nil, nil, err
-	}
-	return t, f, nil
 }
 
 // DecodeBatch decodes a /predict/batch body — a binary batch frame or a JSON

@@ -87,9 +87,24 @@ func TestDecodersAgree(t *testing.T) {
 	if f, err = s.Decode(frame, Params{Binary: true}); err != nil || f.Fingerprint != want {
 		t.Fatalf("binary frame: fingerprint %v, err %v; want %v", f, err, want)
 	}
-	tree, f, err := s.DecodeTree([]byte(pgJSON), Params{Format: "pg", Database: "d"})
-	if err != nil || f.Fingerprint != want || tree.Fingerprint() != want {
+	if f, err = s.Decode([]byte(pgJSON), Params{Format: "pg", Database: "d"}); err != nil || f.Fingerprint != want || f.Database() != "d" {
 		t.Fatalf("pg explain: flat %v, err %v; want fingerprint %v", f, err, want)
+	}
+}
+
+// TestPGFeaturesAreChecked: pg EXPLAIN is the one input that arrives as a
+// tree, and nothing validates the tree — the flattened plan's Check is what
+// refuses a feature the conversion overflowed (rows × loops), and the parser
+// what refuses a null node.
+func TestPGFeaturesAreChecked(t *testing.T) {
+	var s Scratch
+	for doc, want := range map[string]string{
+		`[{"Plan": {"Node Type": "Seq Scan", "Total Cost": 1, "Plan Rows": 1, "Actual Rows": 1e308, "Actual Loops": 100}}]`: "plan node Seq Scan has a non-finite feature",
+		`[{"Plan": {"Node Type": "Hash Join", "Plans": [null]}}]`:                                                           "pgexplain: null plan node",
+	} {
+		if f, err := s.Decode([]byte(doc), Params{Format: "pg"}); err == nil || err.Error() != want {
+			t.Errorf("%s: decoded to %v, err %v; want %q", doc, f, err, want)
+		}
 	}
 }
 
