@@ -33,7 +33,9 @@ build-arm64:
 # admission stage stays work-conserving — no timer to linger on and no
 # goroutine to hand a request to, so a miss runs on its handler's goroutine.
 # And the kernel assembly never fuses a multiply into an add: FMA rounds once
-# where the Go loops round twice, which would break bitwise equality.
+# where the Go loops round twice, which would break bitwise equality. (The
+# mnemonics are the same for XMM, YMM and ZMM operands, so the one pattern
+# covers the AVX-512 body too.)
 # And the one-request-edge invariants: the gateway never touches a plan tree
 # (every encoding, pg included, routes from the FlatPlan internal/wire hands
 # it), and the request-edge helpers are defined in internal/wire and nowhere

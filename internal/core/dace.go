@@ -350,13 +350,25 @@ const attentionOnly = -2
 // queryRows is. Only enc.X, Types, CostCol and (for queryRows ≠ 1) Spans
 // are read. Results are valid until a is reset.
 func (m *Model) forwardRaw(a *nn.Arena, enc *featurize.Encoded, queryRows, hiddenLayer int) (pred, hidden *nn.Matrix) {
+	h := m.attendRaw(a, enc, queryRows)
+	if hiddenLayer == attentionOnly {
+		return nil, h
+	}
+	return m.headRaw(a, h, enc.CostCol.Data[:queryRows], hiddenLayer)
+}
+
+// attendRaw is forwardRaw's attention half: the queryRows×DV attention
+// output of enc's leading rows, every temporary drawn from a.
+func (m *Model) attendRaw(a *nn.Arena, enc *featurize.Encoded, queryRows int) *nn.Matrix {
 	x, n := enc.X, enc.X.Rows
 	xq := nn.Matrix{Rows: queryRows, Cols: x.Cols, Data: x.Data[:queryRows*x.Cols]} // leading-rows view
-	q := a.Matrix(queryRows, m.Att.WQ.Value.Cols)
+	// ProjectOneHotInto assigns every element of its destination, so the
+	// three projections skip the arena's clear.
+	q := a.UninitMatrix(queryRows, m.Att.WQ.Value.Cols)
 	nn.ProjectOneHotInto(q, &xq, m.Att.WQ.Value, enc.Types, plan.NumNodeTypes)
-	k := a.Matrix(n, m.Att.WK.Value.Cols)
+	k := a.UninitMatrix(n, m.Att.WK.Value.Cols)
 	nn.ProjectOneHotInto(k, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes)
-	v := a.Matrix(n, m.Att.WV.Value.Cols)
+	v := a.UninitMatrix(n, m.Att.WV.Value.Cols)
 	nn.ProjectOneHotInto(v, x, m.Att.WV.Value, enc.Types, plan.NumNodeTypes)
 	rootSpan := [1]nn.Span{{Lo: 0, Hi: int32(n)}}
 	spans := rootSpan[:]
@@ -367,18 +379,25 @@ func (m *Model) forwardRaw(a *nn.Arena, enc *featurize.Encoded, queryRows, hidde
 	nn.MaskedSoftmaxQKTInto(probs, q, k, 1/math.Sqrt(float64(m.Cfg.DK)), spans)
 	h := a.Matrix(queryRows, v.Cols)
 	nn.MatMulSpansInto(h, probs, v, spans)
-	if hiddenLayer == attentionOnly {
-		return nil, h
-	}
-	last := len(m.MLP) - 1
+	return h
+}
+
+// headRaw is forwardRaw's other half, and row-local: the MLP (+ LoRA
+// adapters when attached) over the rows of h, then the γ·cost residual with
+// costs[r] the scaled cost of row r. The rows need not come from one plan —
+// the Scorer stacks the attention outputs of a whole DP cell's candidates
+// and runs the head once — and a row's outputs do not depend on which rows
+// accompany it. Returns are forwardRaw's.
+func (m *Model) headRaw(a *nn.Arena, h *nn.Matrix, costs []float64, hiddenLayer int) (pred, hidden *nn.Matrix) {
+	rows, last := h.Rows, len(m.MLP)-1
 	for i, l := range m.MLP {
-		next := a.Matrix(queryRows, l.Out())
+		next := a.Matrix(rows, l.Out())
 		nn.MatMulInto(next, h, l.W.Value)
 		var ad []float64
 		if m.lora != nil {
-			down := a.Matrix(queryRows, m.lora[i].Rank)
+			down := a.Matrix(rows, m.lora[i].Rank)
 			nn.MatMulInto(down, h, m.lora[i].Down.Value)
-			up := a.Matrix(queryRows, l.Out())
+			up := a.Matrix(rows, l.Out())
 			nn.MatMulInto(up, down, m.lora[i].Up.Value)
 			nn.ScaleInPlace(up, m.lora[i].Scale)
 			ad = up.Data
@@ -392,7 +411,7 @@ func (m *Model) forwardRaw(a *nn.Arena, enc *featurize.Encoded, queryRows, hidde
 	// Cost-correction residual: add γ·scaled_cost per row.
 	gamma := m.Gamma.Value.Data[0]
 	for r := range h.Data {
-		h.Data[r] += gamma * enc.CostCol.Data[r]
+		h.Data[r] += gamma * costs[r]
 	}
 	return h, hidden
 }

@@ -82,3 +82,61 @@ func TestForwardRawMatchesTape(t *testing.T) {
 		})
 	}
 }
+
+// poison overwrites every chunk a holds with a NaN and rewinds it, so the
+// next cycle's allocations are handed that NaN wherever the arena does not
+// clear. Blocks of the arena's smallest chunk size tile every chunk; 4 MB of
+// them is far more than one forward's working set.
+func poison(t *testing.T, a *nn.Arena) {
+	t.Helper()
+	nan := math.Float64frombits(0x7ff8dead0badf00d)
+	a.Reset()
+	for i := 0; i < 512; i++ {
+		for j, m := 0, a.UninitMatrix(1, 1<<10); j < len(m.Data); j++ {
+			m.Data[j] = nan
+		}
+	}
+	a.Reset()
+	if probe := a.UninitMatrix(1, 1); !math.IsNaN(probe.Data[0]) {
+		t.Fatal("the arena's recycled memory is not the poison just written to it")
+	}
+	a.Reset()
+}
+
+// TestForwardOnPoisonedArena guards the destinations forwardRaw takes
+// without a clear (the Q/K/V projections): with every recycled float a NaN,
+// the full pass, the root-row pass and the Scorer still reproduce the tape
+// forward bit for bit — nothing reads an element before assigning it.
+func TestForwardOnPoisonedArena(t *testing.T) {
+	plans := workloadPlans(t, schema.IMDB(), 60, executor.M1())
+	cfg := smallConfig()
+	cfg.Epochs = 2
+	base := Train(plans[:40], cfg)
+	tuned := base.Clone()
+	tuned.FineTuneLoRA(plans[40:50], 2e-3, 1)
+	for name, m := range map[string]*Model{"base": base, "lora": tuned} {
+		t.Run(name, func(t *testing.T) {
+			var a nn.Arena
+			sc := NewScorer(m)
+			for _, p := range plans[30:] {
+				enc := m.Enc.Encode(p)
+				want, _ := m.forward(nn.NewTape(), enc, -1)
+
+				poison(t, &a)
+				pred, _ := m.forwardRaw(&a, enc, enc.X.Rows, -1)
+				sameBits(t, "pred", pred.Data, want.Value.Data)
+
+				poison(t, &a)
+				root, _ := m.forwardRaw(&a, enc, 1, -1)
+				sameBits(t, "root pred", root.Data, want.Value.Data[:1])
+
+				poison(t, &sc.arena)
+				wantMS := make([]float64, len(want.Value.Data))
+				for i, v := range want.Value.Data {
+					wantMS[i] = m.Enc.InverseLabel(v)
+				}
+				sameBits(t, "scorer", sc.ScoreCandidates(p.DFS()), wantMS)
+			}
+		})
+	}
+}

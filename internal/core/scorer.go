@@ -21,9 +21,12 @@ import (
 //   - On a miss, the candidate's encoding is assembled by splicing the
 //     memoized feature blocks of its already-seen subtrees (descendants are
 //     contiguous in DFS pre-order, so a cached subtree is one memcpy) and
-//     featurizing only the genuinely new nodes; the prediction then runs
-//     the one inference forward with a single query row (forwardRaw) — the
-//     same arithmetic as row 0 of the full pass.
+//     featurizing only the genuinely new nodes; the prediction is the one
+//     inference forward with a single query row (forwardRaw's two halves) —
+//     the same arithmetic as row 0 of the full pass. Attention runs per
+//     miss; the MLP head, which is row-local, runs once per call over the
+//     attention outputs of all of the call's misses, so a DP cell's
+//     candidates reach the row-blocked matrix kernels together.
 //
 // Correctness rests on two invariants, both enforced by tests: equal
 // subtree fingerprints imply bitwise-equal model inputs (plan.Fingerprint's
@@ -56,16 +59,34 @@ type Scorer struct {
 	types []int
 	enc   featurize.Encoded
 
+	// Per-call state: the misses whose head has not run yet — one attention
+	// output row and one scaled root cost each — and the score slots that
+	// wait on them.
+	pending []pendingScore
+	heads   []float64
+	costs   []float64
+
 	stats ScorerStats
 }
 
 // scoreEntry is one memoized subtree: its root prediction and the encoded
 // feature block parents splice instead of re-featurizing the subtree.
 type scoreEntry struct {
-	ms    float64   // root prediction, milliseconds
+	ms    float64   // root prediction, milliseconds; unset while row > 0
 	n     int32     // subtree node count (rows in x)
+	row   int32     // 1 + the entry's row in the current call's head batch; 0 once scored
 	x     []float64 // n×FeatureDim feature rows, DFS order
 	types []int     // per-row node type (one-hot index)
+}
+
+// pendingScore is one score of the current call that waits for the head:
+// buf[slot] takes the prediction of head row row. A miss has fp set, and the
+// prediction completes its memo entry; a repeat of a candidate first seen
+// earlier in the same call does not.
+type pendingScore struct {
+	slot, row int
+	fp        plan.Fingerprint
+	miss      bool
 }
 
 // ScorerStats counts the scorer's work since construction (cumulative
@@ -110,21 +131,52 @@ func (s *Scorer) ScoreCandidates(cands []*plan.Node) []float64 {
 
 // AppendScoreCandidates appends one score per candidate to buf and returns
 // the extended slice — the allocation-free variant for planners that
-// recycle a score buffer.
+// recycle a score buffer. Candidates are looked up and assembled in order,
+// exactly as if scored one call each (a candidate may splice, or repeat, an
+// earlier one of the same call); only the head is deferred to the end.
 func (s *Scorer) AppendScoreCandidates(buf []float64, cands []*plan.Node) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A candidate that cannot be featurized panics mid-call: the entries
+	// still waiting for the head then leave the memo rather than answer a
+	// later call with a score they never got.
+	defer s.dropPending()
+	s.heads, s.costs = s.heads[:0], s.costs[:0]
 	for _, c := range cands {
-		buf = append(buf, s.score(c))
+		buf = append(buf, s.lookup(c, len(buf)))
 	}
+	if len(s.costs) == 0 {
+		return buf
+	}
+	s.arena.Reset()
+	h := nn.Matrix{Rows: len(s.costs), Cols: len(s.heads) / len(s.costs), Data: s.heads}
+	pred, _ := s.m.headRaw(&s.arena, &h, s.costs, -1)
+	for _, p := range s.pending {
+		ms := s.m.Enc.InverseLabel(pred.Data[p.row])
+		buf[p.slot] = ms
+		if p.miss {
+			e := s.memo[p.fp]
+			e.ms, e.row = ms, 0
+			s.memo[p.fp] = e
+		}
+	}
+	s.pending = s.pending[:0]
 	return buf
+}
+
+func (s *Scorer) dropPending() {
+	for _, p := range s.pending {
+		if p.miss {
+			delete(s.memo, p.fp)
+		}
+	}
+	s.pending = s.pending[:0]
 }
 
 // Score prices a single candidate sub-plan.
 func (s *Scorer) Score(c *plan.Node) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.score(c)
+	var score [1]float64
+	return s.AppendScoreCandidates(score[:0], []*plan.Node{c})[0]
 }
 
 // Stats returns a snapshot of the scorer's cumulative counters.
@@ -148,14 +200,21 @@ func (s *Scorer) Reset() {
 	s.memoInts.reset()
 }
 
-// score prices one candidate under s.mu.
-func (s *Scorer) score(c *plan.Node) float64 {
+// lookup answers one candidate of a call under s.mu: its score when the
+// memo has it, NaN for a nil candidate, and otherwise a placeholder for
+// buf[slot] that AppendScoreCandidates fills once the head has run — after
+// assembling the candidate, running its attention and entering its feature
+// block into the memo, so that later candidates of the same call splice it.
+func (s *Scorer) lookup(c *plan.Node, slot int) float64 {
 	if c == nil {
 		return math.NaN()
 	}
 	s.fps = c.AppendSubtreeFingerprints(s.fps[:0])
 	if e, ok := s.memo[s.fps[0]]; ok {
 		s.stats.Hits++
+		if e.row > 0 {
+			s.pending = append(s.pending, pendingScore{slot: slot, row: int(e.row) - 1})
+		}
 		return e.ms
 	}
 	s.stats.Misses++
@@ -170,21 +229,23 @@ func (s *Scorer) score(c *plan.Node) float64 {
 	if end := s.assemble(c, 0, x, costCol, types); end != n {
 		panic("core: scorer assembly cursor mismatch")
 	}
-	// Root-row inference over the assembled encoding: with one query row
-	// forwardRaw reads exactly the fields assembled here (X, Types, CostCol)
-	// and its arithmetic is bitwise-identical to row 0 of the full pass (the
-	// Predict ≡ PredictSubPlans[0] invariant).
+	// Root-row attention over the assembled encoding: with one query row
+	// attendRaw reads exactly the fields assembled here (X, Types), and the
+	// head reads the root's scaled cost; the arithmetic is bitwise-identical
+	// to row 0 of the full pass (the Predict ≡ PredictSubPlans[0] invariant).
 	s.enc.X = x
 	s.enc.CostCol = costCol
 	s.enc.Types = types
-	pred, _ := s.m.forwardRaw(&s.arena, &s.enc, 1, -1)
-	ms := s.m.Enc.InverseLabel(pred.Data[0])
+	row := len(s.costs)
+	s.heads = append(s.heads, s.m.attendRaw(&s.arena, &s.enc, 1).Data...)
+	s.costs = append(s.costs, costCol.Data[0])
+	s.pending = append(s.pending, pendingScore{slot: slot, row: row, fp: s.fps[0], miss: true})
 	ex := s.memoFloats.Floats(n * featurize.FeatureDim)
 	copy(ex, x.Data)
 	et := s.memoInts.take(n)
 	copy(et, types)
-	s.memo[s.fps[0]] = scoreEntry{ms: ms, n: int32(n), x: ex, types: et}
-	return ms
+	s.memo[s.fps[0]] = scoreEntry{n: int32(n), row: int32(row) + 1, x: ex, types: et}
+	return 0
 }
 
 // assemble writes the subtree rooted at node into rows [i, …) of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,6 +96,106 @@ func TestScorerSplicedAssembly(t *testing.T) {
 	}
 	if st.NodesEncoded >= st.NodesCopied {
 		t.Fatalf("splicing should dominate fresh encoding bottom-up: %+v", st)
+	}
+}
+
+// TestScorerBatchedHead pins the once-per-call head: whatever a call holds
+// — a repeated candidate, a candidate and later its parent, nil candidates,
+// one miss or enough of them to fill two row blocks and a remainder — every
+// score is the flat path's root prediction bit for bit, and scores and
+// counters are those of a scorer handed the same candidates one call each.
+func TestScorerBatchedHead(t *testing.T) {
+	plans := workloadPlans(t, schema.IMDB(), 12, executor.M1())
+	m := scorerModel(t, plans)
+	var roots []*plan.Node
+	for _, p := range plans {
+		roots = append(roots, p.Root)
+	}
+	parent := roots[0]
+	if len(parent.Children) == 0 {
+		t.Fatal("first plan is a single node")
+	}
+	child := parent.Children[len(parent.Children)-1]
+
+	call := func(t *testing.T, cands []*plan.Node) ScorerStats {
+		t.Helper()
+		batched, single := NewScorer(m), NewScorer(m)
+		got := batched.ScoreCandidates(cands)
+		if len(got) != len(cands) {
+			t.Fatalf("%d scores for %d candidates", len(got), len(cands))
+		}
+		for i, c := range cands {
+			one := single.Score(c)
+			if c == nil {
+				if !math.IsNaN(got[i]) || !math.IsNaN(one) {
+					t.Fatalf("nil candidate %d scored %v in the call, %v alone; want NaN", i, got[i], one)
+				}
+				continue
+			}
+			want := m.AppendPredictSubPlansFlat(nil, new(plan.FlatPlan).FromTree(&plan.Plan{Root: c}))[0]
+			if math.Float64bits(got[i]) != math.Float64bits(want) || math.Float64bits(one) != math.Float64bits(want) {
+				t.Fatalf("candidate %d: %v in the call, %v alone, flat path %v", i, got[i], one, want)
+			}
+		}
+		if b, s := batched.Stats(), single.Stats(); b != s {
+			t.Fatalf("one call counted %+v, one call per candidate %+v", b, s)
+		}
+		// Nothing is left half-scored: a second call is all hits, same bits.
+		again := batched.ScoreCandidates(cands)
+		for i := range got {
+			if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("candidate %d: %v on the first call, %v on the second", i, got[i], again[i])
+			}
+		}
+		return single.Stats()
+	}
+
+	t.Run("same candidate twice", func(t *testing.T) {
+		if st := call(t, []*plan.Node{parent, child, parent, child}); st.Misses != 2 || st.Hits != 2 {
+			t.Fatalf("%+v, want 2 misses and 2 hits", st)
+		}
+	})
+	t.Run("parent after child", func(t *testing.T) {
+		st := call(t, []*plan.Node{child, parent})
+		if want := uint64(len((&plan.Plan{Root: child}).DFS())); st.NodesCopied != want {
+			t.Fatalf("parent spliced %d rows of a child scored earlier in the call, want %d", st.NodesCopied, want)
+		}
+	})
+	t.Run("nil candidates", func(t *testing.T) {
+		if st := call(t, []*plan.Node{nil, parent, nil}); st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("%+v, want 1 miss", st)
+		}
+		call(t, []*plan.Node{nil})
+		call(t, nil)
+	})
+	for _, n := range []int{1, 4, 5, 9} {
+		t.Run(fmt.Sprintf("%d misses", n), func(t *testing.T) {
+			if st := call(t, roots[:n]); st.Misses != uint64(n) {
+				t.Fatalf("%+v, want %d misses", st, n)
+			}
+		})
+	}
+}
+
+// TestScorerPanicLeavesNoHalfScoredEntry: a candidate that cannot be
+// featurized panics out of the call; the candidates assembled before it must
+// not stay in the memo without a score.
+func TestScorerPanicLeavesNoHalfScoredEntry(t *testing.T) {
+	plans := workloadPlans(t, schema.IMDB(), 4, executor.M1())
+	m := scorerModel(t, plans)
+	sc := NewScorer(m)
+	bad := &plan.Node{Type: plan.NodeType(plan.NumNodeTypes + 3), EstRows: 1, EstCost: 1}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an out-of-range node type was featurized")
+			}
+		}()
+		sc.ScoreCandidates([]*plan.Node{plans[0].Root, bad})
+	}()
+	want := m.AppendPredictSubPlansFlat(nil, new(plan.FlatPlan).FromTree(plans[0]))[0]
+	if got := sc.Score(plans[0].Root); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("after a panicked call the first candidate scores %v, want %v", got, want)
 	}
 }
 

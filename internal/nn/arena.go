@@ -17,9 +17,9 @@ import (
 //
 // Aliasing hazard: a *Matrix returned by an arena (and anything sharing its
 // Data) becomes invalid at Reset — the same memory is handed out again, and
-// Floats zeroes it on reuse. Copy anything that must outlive the arena's
-// cycle. An Arena is not safe for concurrent use; use one per goroutine
-// (GetArena/PutArena make that cheap).
+// Floats zeroes it on reuse (UninitMatrix does not). Copy anything that must
+// outlive the arena's cycle. An Arena is not safe for concurrent use; use one
+// per goroutine (GetArena/PutArena make that cheap).
 type Arena struct {
 	chunks [][]float64 // bump chunks, chunks[:ci] full, chunks[ci][off:] free
 	ci     int
@@ -81,6 +81,14 @@ func newChunk(n int) []float64 {
 
 // Floats allocates a zeroed slice of n float64s from the arena.
 func (a *Arena) Floats(n int) []float64 {
+	s := a.take(n)
+	clear(s)
+	return s
+}
+
+// take bumps n float64s off the arena without clearing them: a fresh chunk
+// reads as zeros, a recycled one as whatever the last cycle left there.
+func (a *Arena) take(n int) []float64 {
 	if n < 0 {
 		panic(fmt.Sprintf("nn: Arena.Floats(%d)", n))
 	}
@@ -92,7 +100,6 @@ func (a *Arena) Floats(n int) []float64 {
 			if c := a.chunks[a.ci]; a.off+n <= len(c) {
 				s := c[a.off : a.off+n : a.off+n]
 				a.off += n
-				clear(s)
 				return s
 			}
 			// Current chunk can't fit n: move on (its tail is wasted until
@@ -109,6 +116,24 @@ func (a *Arena) Floats(n int) []float64 {
 // Matrix allocates a zeroed rows×cols matrix whose header and backing store
 // both live in the arena.
 func (a *Arena) Matrix(rows, cols int) *Matrix {
+	m := a.header(rows, cols)
+	m.Data = a.Floats(rows * cols)
+	return m
+}
+
+// UninitMatrix is Matrix without the clear, for a destination whose every
+// element the caller assigns before reading any (ProjectOneHotInto's dst):
+// until then its contents are unspecified. Products that accumulate into
+// their destination (MatMulInto, MatMulSpansInto), span kernels that skip
+// masked positions and one-hot feature rows all need Matrix.
+func (a *Arena) UninitMatrix(rows, cols int) *Matrix {
+	m := a.header(rows, cols)
+	m.Data = a.take(rows * cols)
+	return m
+}
+
+// header allocates a rows×cols matrix header with no backing store.
+func (a *Arena) header(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("nn: invalid matrix shape %d×%d", rows, cols))
 	}
@@ -123,7 +148,6 @@ func (a *Arena) Matrix(rows, cols int) *Matrix {
 		a.hoff = 0
 	}
 	m.Rows, m.Cols = rows, cols
-	m.Data = a.Floats(rows * cols)
 	return m
 }
 

@@ -27,6 +27,38 @@ func TestArenaFloatsZeroedAndReused(t *testing.T) {
 	}
 }
 
+// TestArenaUninitMatrix: the non-clearing allocation bumps the same cursor
+// as Matrix — same shape rules, no overlap — and hands recycled memory back
+// as it was left, where Matrix hands it back zeroed.
+func TestArenaUninitMatrix(t *testing.T) {
+	var a Arena
+	dirty := a.UninitMatrix(3, 4)
+	clean := a.Matrix(3, 4)
+	if dirty.Rows != 3 || dirty.Cols != 4 || len(dirty.Data) != 12 || cap(dirty.Data) != 12 {
+		t.Fatalf("got %d×%d len %d cap %d", dirty.Rows, dirty.Cols, len(dirty.Data), cap(dirty.Data))
+	}
+	dirty.Fill(7)
+	clean.Fill(9)
+	for _, v := range dirty.Data {
+		if v != 7 {
+			t.Fatal("Matrix was carved out of the UninitMatrix before it")
+		}
+	}
+	a.Reset()
+	if again := a.UninitMatrix(3, 4); &again.Data[0] != &dirty.Data[0] || again.Data[5] != 7 {
+		t.Fatalf("recycled UninitMatrix reads %v, want the 7 left there", again.Data[5])
+	}
+	for _, v := range a.Matrix(3, 4).Data {
+		if v != 0 {
+			t.Fatalf("recycled Matrix reads %v, want 0", v)
+		}
+	}
+	if m := a.UninitMatrix(0, 5); m.Rows != 0 || m.Cols != 5 || len(m.Data) != 0 {
+		t.Fatalf("empty UninitMatrix is %d×%d len %d", m.Rows, m.Cols, len(m.Data))
+	}
+	mustPanic(t, "negative shape", func() { a.UninitMatrix(-1, 2) })
+}
+
 func TestArenaMatrixShapesAndOversize(t *testing.T) {
 	var a Arena
 	m := a.Matrix(3, 4)

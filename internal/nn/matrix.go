@@ -85,8 +85,10 @@ func (m *Matrix) shape() string { return fmt.Sprintf("%d×%d", m.Rows, m.Cols) }
 // instead, which skip whole masked regions rather than testing elements.
 
 // MatMulInto accumulates a·b into dst (dst must be pre-zeroed for a plain
-// product). dst must not alias a or b. Each dst row is one panel call, its
-// terms added in ascending k order.
+// product). dst must not alias a or b. Every dst element receives its terms
+// in ascending k order: full blocks of four rows go to panel4 where the CPU
+// has it (32 columns at a time, each row of b read once per block instead
+// of once per row), row remainders and column tails to panel.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %s · %s", a.shape(), b.shape()))
@@ -94,10 +96,18 @@ func MatMulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulInto dst %s for %s · %s", dst.shape(), a.shape(), b.shape()))
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		panel(orow, arow, 1, b.Data, b.Cols, len(arow))
+	k, cols := a.Cols, dst.Cols
+	i := 0
+	if wide := cols &^ 31; useAVX512 && wide > 0 && k > 0 {
+		for ; i+4 <= a.Rows; i += 4 {
+			panel4(dst.Data[i*cols:(i+4)*cols], cols, a.Data[i*k:(i+4)*k], k, b.Data, cols, k, wide)
+		}
+		for r := 0; wide < cols && r < i; r++ {
+			panel(dst.Data[r*cols+wide:(r+1)*cols], a.Data[r*k:(r+1)*k], 1, b.Data[wide:], cols, k)
+		}
+	}
+	for ; i < a.Rows; i++ {
+		panel(dst.Data[i*cols:(i+1)*cols], a.Data[i*k:(i+1)*k], 1, b.Data, cols, k)
 	}
 }
 

@@ -26,6 +26,22 @@ func detectAVX2() bool {
 	return b&avx2 != 0
 }
 
+// useAVX512 is the dispatch point of the one kernel with a 512-bit body,
+// panel4; like useAVX2 it is set once, here, from the CPU and the OS.
+var useAVX512 = useAVX2 && detectAVX512()
+
+// detectAVX512 reports, on a CPU that passed detectAVX2, whether it
+// implements AVX-512F (CPUID.7:EBX bit 16) and the OS saves the opmask
+// registers, the upper halves of ZMM0–15 and ZMM16–31 (XCR0 bits 5–7).
+func detectAVX512() bool {
+	const avx512f, zmmState = 1 << 16, 0b111 << 5
+	if lo, _ := xgetbv(); lo&zmmState != zmmState {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512f != 0
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -40,6 +56,29 @@ func panelAVX2(dst, a *float64, as int, b *float64, bc, k, n int)
 //
 //go:noescape
 func oneHotRowAVX2(dst, wt, w0, w1 *float64, c0, c1 float64, n int)
+
+// panel4AVX512 runs panel4 for n a positive multiple of 32 and k ≥ 1. It
+// checks nothing.
+//
+//go:noescape
+func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
+
+// panel4 is panel over four rows at once: dst[r·ds+j] += Σ_k a[r·as+k]·
+// b[k·bc+j] for r < 4 and j < n, k ascending, where n is a positive
+// multiple of 32 and k ≥ 1. Each vector of b is loaded once for the four
+// rows. It exists only where useAVX512 is set; the rows of dst must not
+// alias each other, a or b. As in panel, the furthest element the assembly
+// will touch of each operand is indexed in Go first.
+func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n int) {
+	if ds < 0 || as < 0 || bc < 0 {
+		panic("nn: negative kernel stride")
+	}
+	if k < 1 || n < 32 || n&31 != 0 {
+		panic("nn: panel4 needs k ≥ 1 and a positive multiple of 32 columns")
+	}
+	_, _, _ = dst[3*ds+n-1], a[3*as+k-1], b[(k-1)*bc+n-1]
+	panel4AVX512(&dst[0], ds, &a[0], as, &b[0], bc, k, n)
+}
 
 // panel accumulates dst[j] += Σ_k a[k·as]·b[k·bc+j] for k = 0..k-1 in
 // ascending order. dst must not alias a or b. The assembly has no bounds

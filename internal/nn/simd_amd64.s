@@ -30,11 +30,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD tmp, acc, acc
 
 // KLOOP walks a (AX, stride R8 bytes) and b (BX, stride R9 bytes) over all
-// k terms, running body once per term with a[k] broadcast in Y8.
+// k terms, running body once per term with a[k] broadcast in Y8. Every loop
+// head in this file is PCALIGNed to a cache line (which also aligns the
+// function), so a loop's speed does not depend on where the linker put it.
 #define KLOOP(label, body) \
 	MOVQ SI, AX; \
 	MOVQ DX, BX; \
 	MOVQ R10, R11; \
+	PCALIGN $64; \
 label: \
 	VBROADCASTSD (AX), Y8; \
 	body; \
@@ -135,6 +138,7 @@ TEXT ·oneHotRowAVX2(SB), NOSPLIT, $0-56
 	SHLQ $3, CX
 	XORQ AX, AX
 
+	PCALIGN $64
 row4:
 	VMULPD (DX)(AX*1), Y14, Y0
 	VADDPD (SI)(AX*1), Y0, Y0
@@ -144,5 +148,91 @@ row4:
 	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  row4
+	VZEROUPPER
+	RET
+
+// ROW4 adds the k-th term to one row's four accumulators: the row's a[k] is
+// broadcast in av, b[k, 0..32) sits in Z16–Z19.
+#define ROW4(av, c0, c1, c2, c3) \
+	VMULPD Z16, av, Z24; \
+	VMULPD Z17, av, Z25; \
+	VMULPD Z18, av, Z26; \
+	VMULPD Z19, av, Z27; \
+	VADDPD Z24, c0, c0; \
+	VADDPD Z25, c1, c1; \
+	VADDPD Z26, c2, c2; \
+	VADDPD Z27, c3, c3
+
+// LOAD4 and STORE4 move one row's 32 columns between memory and registers.
+#define LOAD4(ptr, c0, c1, c2, c3) \
+	VMOVUPD 0(ptr), c0; \
+	VMOVUPD 64(ptr), c1; \
+	VMOVUPD 128(ptr), c2; \
+	VMOVUPD 192(ptr), c3
+
+#define STORE4(ptr, c0, c1, c2, c3) \
+	VMOVUPD c0, 0(ptr); \
+	VMOVUPD c1, 64(ptr); \
+	VMOVUPD c2, 128(ptr); \
+	VMOVUPD c3, 192(ptr)
+
+// func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
+//
+// Four rows of dst (stride ds) against four rows of a (stride as, k
+// contiguous) in column blocks of 32: the block's 16 accumulators stay in
+// Z0–Z15 across all k terms (k ascending), and each vector of b is loaded
+// once for the four rows that use it — a quarter of panelAVX2's traffic on
+// b, which is what bounds it. Per element the arithmetic is panelAVX2's.
+TEXT ·panel4AVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ ds+8(FP), R12
+	MOVQ a+16(FP), SI
+	MOVQ as+24(FP), R8
+	MOVQ b+32(FP), DX
+	MOVQ bc+40(FP), R9
+	MOVQ k+48(FP), R10
+	MOVQ n+56(FP), CX
+	SHLQ $3, R12
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R13 // byte offset of a's fourth row
+
+cols32:
+	LEAQ (DI)(R12*1), AX
+	LEAQ (DI)(R12*2), BX
+	LEAQ (BX)(R12*1), R11
+	LOAD4(DI, Z0, Z1, Z2, Z3)
+	LOAD4(AX, Z4, Z5, Z6, Z7)
+	LOAD4(BX, Z8, Z9, Z10, Z11)
+	LOAD4(R11, Z12, Z13, Z14, Z15)
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, R11
+	PCALIGN $64
+loop4x32:
+	LOAD4(BX, Z16, Z17, Z18, Z19)
+	VBROADCASTSD (AX), Z20
+	VBROADCASTSD (AX)(R8*1), Z21
+	VBROADCASTSD (AX)(R8*2), Z22
+	VBROADCASTSD (AX)(R13*1), Z23
+	ROW4(Z20, Z0, Z1, Z2, Z3)
+	ROW4(Z21, Z4, Z5, Z6, Z7)
+	ROW4(Z22, Z8, Z9, Z10, Z11)
+	ROW4(Z23, Z12, Z13, Z14, Z15)
+	ADDQ $8, AX
+	ADDQ R9, BX
+	DECQ R11
+	JNZ  loop4x32
+	LEAQ (DI)(R12*1), AX
+	LEAQ (DI)(R12*2), BX
+	LEAQ (BX)(R12*1), R11
+	STORE4(DI, Z0, Z1, Z2, Z3)
+	STORE4(AX, Z4, Z5, Z6, Z7)
+	STORE4(BX, Z8, Z9, Z10, Z11)
+	STORE4(R11, Z12, Z13, Z14, Z15)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $32, CX
+	JNZ  cols32
 	VZEROUPPER
 	RET

@@ -3,7 +3,10 @@
 package nn
 
 // Without an assembly body the Go loops in simd.go are the whole kernel.
-const useAVX2 = false
+const (
+	useAVX2   = false
+	useAVX512 = false
+)
 
 func panel(dst, a []float64, as int, b []float64, bc, k int) {
 	panelGeneric(dst, a, as, b, bc, k)
@@ -11,4 +14,10 @@ func panel(dst, a []float64, as int, b []float64, bc, k int) {
 
 func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
 	oneHotRowGeneric(dst, wt, w0, w1, c0, c1)
+}
+
+// panel4 has only an assembly body; with useAVX512 constant false no caller
+// reaches it.
+func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n int) {
+	panic("nn: panel4 without an assembly body")
 }

@@ -243,6 +243,44 @@ func TestDACEGuidedPlanningDeterministic(t *testing.T) {
 	}
 }
 
+// pairedScorer hands each DP cell to one scorer in one call, as the planner
+// does, and the same candidates to a second scorer one call each.
+type pairedScorer struct {
+	t            *testing.T
+	cell, single *core.Scorer
+}
+
+func (p *pairedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node) []float64 {
+	base := len(buf)
+	buf = p.cell.AppendScoreCandidates(buf, cands)
+	for i, c := range cands {
+		if one := p.single.Score(c); math.Float64bits(one) != math.Float64bits(buf[base+i]) {
+			p.t.Fatalf("cell of %d, candidate %d: %v scored with its cell, %v alone", len(cands), i, buf[base+i], one)
+		}
+	}
+	return buf
+}
+
+// TestDPCellScoringCountsLikeOneAtATime: the Scorer runs the MLP head once
+// per call, over all of a DP cell's misses. On the candidate stream the DP
+// really emits that changes no score and no counter — hits, misses, spliced
+// and encoded rows are what one call per candidate produces.
+func TestDPCellScoringCountsLikeOneAtATime(t *testing.T) {
+	db := schema.IMDB()
+	cell := daceScorer(t, db)
+	single := core.NewScorer(cell.Model())
+	pl := optimizer.New(db)
+	pl.CostModel = &pairedScorer{t: t, cell: cell, single: single}
+	fingerprints(t, pl, workload.Complex(db, 25, 19))
+	c, s := cell.Stats(), single.Stats()
+	if c != s {
+		t.Fatalf("cell calls counted %+v, single calls %+v", c, s)
+	}
+	if c.Misses == 0 || c.Hits == 0 || c.NodesCopied == 0 {
+		t.Fatalf("degenerate DP traffic: %+v", c)
+	}
+}
+
 // TestDACEGuidedPlanningConcurrent shares one scorer across concurrent
 // planners — the race-job scenario: the memo is the only shared mutable
 // state and must serialize correctly without changing any plan.

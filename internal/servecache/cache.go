@@ -18,11 +18,16 @@
 //     and leave by LRU.
 //   - Counters (hits/misses/evictions/expirations/coalesced waits) are
 //     atomics, readable at any time via Stats.
+//   - KeyOf hashes raw bytes (a request body) to a Key. On a hit it is most
+//     of the request's cost, so long parts are hashed in 32-byte stripes
+//     over eight independent lanes; keys are process-local values, never
+//     stored or sent.
 package servecache
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,23 +318,51 @@ func (s *shard[V]) unlink(e *entry[V]) {
 	e.prev, e.next = nil, nil
 }
 
-// KeyOf hashes a sequence of byte strings into a Key with the same two-lane
-// murmur-style construction the plan fingerprint uses. Part boundaries are
+// KeyOf hashes a sequence of byte strings into a Key. Part boundaries are
 // hashed (each part's length prefixes its bytes), so ("ab","c") and
 // ("a","bc") produce different keys. The serving layer uses it to memoize
 // whole request bodies: identical wire bytes → identical response.
+//
+// The running state is two 64-bit lanes, the construction the plan
+// fingerprint uses: every word enters hi by xor and lo by add of its
+// half-swapped multiple, each followed by a full fmix64. That chain retires
+// one word per fmix64 latency, so a part of 64 bytes or more is consumed in
+// 32-byte stripes instead: four (hi, lo) lane pairs seeded from the running
+// state, word i of a stripe entering pair i the same two ways through one
+// rotate and one multiply — a bijection of the word for any lane state, and
+// eight independent chains for the CPU to overlap. The pairs fold back into
+// the running state through the full mix at the end of the part; the < 32
+// bytes left over, and every shorter part, take the word-at-a-time path.
+//
+// The function is unkeyed and its values are not stable across versions:
+// nothing persists or ships a Key.
 func KeyOf(parts ...[]byte) Key {
 	hi, lo := uint64(0x9ae16a3b2f90404f), uint64(0xc3a5c85c97cb3127)
 	mix := func(w uint64) {
 		hi = fmix64(hi ^ w)
-		lo = fmix64(lo + ((w>>32)|(w<<32))*0x9e3779b97f4a7c15)
+		lo = fmix64(lo + bits.RotateLeft64(w, 32)*0x9e3779b97f4a7c15)
 	}
 	for _, p := range parts {
 		mix(uint64(len(p)))
-		for len(p) >= 8 {
-			mix(uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
-				uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56)
-			p = p[8:]
+		if len(p) >= 2*stripeBytes {
+			h0, h1, h2, h3 := hi^laneSeed0, hi^laneSeed1, hi^laneSeed2, hi^laneSeed3
+			l0, l1, l2, l3 := lo+laneSeed0, lo+laneSeed1, lo+laneSeed2, lo+laneSeed3
+			for ; len(p) >= stripeBytes; p = p[stripeBytes:] {
+				w0 := binary.LittleEndian.Uint64(p)
+				w1 := binary.LittleEndian.Uint64(p[8:])
+				w2 := binary.LittleEndian.Uint64(p[16:])
+				w3 := binary.LittleEndian.Uint64(p[24:])
+				h0, l0 = stripeHi(h0, w0), stripeLo(l0, w0)
+				h1, l1 = stripeHi(h1, w1), stripeLo(l1, w1)
+				h2, l2 = stripeHi(h2, w2), stripeLo(l2, w2)
+				h3, l3 = stripeHi(h3, w3), stripeLo(l3, w3)
+			}
+			for _, w := range [...]uint64{h0, l0, h1, l1, h2, l2, h3, l3} {
+				mix(w)
+			}
+		}
+		for ; len(p) >= 8; p = p[8:] {
+			mix(binary.LittleEndian.Uint64(p))
 		}
 		if len(p) > 0 {
 			var w uint64
@@ -339,7 +372,29 @@ func KeyOf(parts ...[]byte) Key {
 			mix(w | uint64(len(p))<<56)
 		}
 	}
-	return Key{Hi: fmix64(hi ^ ((lo >> 32) | (lo << 32))), Lo: fmix64(lo ^ hi)}
+	return Key{Hi: fmix64(hi ^ bits.RotateLeft64(lo, 32)), Lo: fmix64(lo ^ hi)}
+}
+
+// stripeBytes is one stripe of KeyOf: four words, one per lane pair.
+const stripeBytes = 32
+
+// Lane seeds and lane multipliers of the striped loop: the odd 64-bit primes
+// of xxHash64.
+const (
+	laneSeed0   = 0x9e3779b185ebca87
+	laneSeed1   = 0xc2b2ae3d27d4eb4f
+	laneSeed2   = 0x165667b19e3779f9
+	laneSeed3   = 0x85ebca77c2b2ae63
+	stripeMulHi = laneSeed0
+	stripeMulLo = 0x27d4eb2f165667c5
+)
+
+// stripeHi and stripeLo absorb one word into a hi or a lo stripe lane: xor,
+// or add of the half-swapped multiple, like mix — with a rotate and an odd
+// multiply standing in for fmix64 until the lanes fold.
+func stripeHi(h, w uint64) uint64 { return bits.RotateLeft64(h^w, 29) * stripeMulHi }
+func stripeLo(l, w uint64) uint64 {
+	return (bits.RotateLeft64(l, 31) + bits.RotateLeft64(w, 32)) * stripeMulLo
 }
 
 // DomainSalt derives the key salt of generation gen of cache domain id, to

@@ -1,12 +1,22 @@
 package servecache
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dace/internal/dataset"
+	"dace/internal/executor"
+	"dace/internal/plan"
+	"dace/internal/schema"
+	"dace/internal/workload"
 )
 
 // key spreads i across shards the way a real fingerprint would: both words
@@ -268,6 +278,198 @@ func TestKeyOfDomainSeparation(t *testing.T) {
 	}
 }
 
+// keyOfRef is KeyOf with the stripes written as loops over lane arrays and
+// every word assembled a byte at a time: the same function, none of the
+// unrolling, no unaligned load.
+func keyOfRef(parts ...[]byte) Key {
+	hi, lo := uint64(0x9ae16a3b2f90404f), uint64(0xc3a5c85c97cb3127)
+	mix := func(w uint64) {
+		hi = fmix64(hi ^ w)
+		lo = fmix64(lo + (w>>32|w<<32)*0x9e3779b97f4a7c15)
+	}
+	word := func(p []byte) (w uint64) {
+		for i := len(p) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(p[i])
+		}
+		return w
+	}
+	for _, p := range parts {
+		mix(uint64(len(p)))
+		if len(p) >= 64 {
+			var h, l [4]uint64
+			for i, seed := range [4]uint64{laneSeed0, laneSeed1, laneSeed2, laneSeed3} {
+				h[i], l[i] = hi^seed, lo+seed
+			}
+			for ; len(p) >= 32; p = p[32:] {
+				for i := range h {
+					w := word(p[8*i : 8*i+8])
+					h[i] = bits.RotateLeft64(h[i]^w, 29) * stripeMulHi
+					l[i] = (bits.RotateLeft64(l[i], 31) + (w>>32 | w<<32)) * stripeMulLo
+				}
+			}
+			for i := range h {
+				mix(h[i])
+				mix(l[i])
+			}
+		}
+		for ; len(p) >= 8; p = p[8:] {
+			mix(word(p[:8]))
+		}
+		if len(p) > 0 {
+			mix(word(p) | uint64(len(p))<<56)
+		}
+	}
+	return Key{Hi: fmix64(hi ^ (lo>>32 | lo<<32)), Lo: fmix64(lo ^ hi)}
+}
+
+// TestKeyOfMatchesReference: every length on both sides of the stripe
+// threshold and of every stripe, word and tail boundary, at every start
+// offset inside a word (the striped loop loads unaligned).
+func TestKeyOfMatchesReference(t *testing.T) {
+	buf := make([]byte, 8+300)
+	rand.New(rand.NewSource(1)).Read(buf)
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 300; n++ {
+			p := buf[off : off+n]
+			if got, want := KeyOf(p), keyOfRef(p); got != want {
+				t.Fatalf("offset %d, %d bytes: KeyOf %x, reference %x", off, n, got, want)
+			}
+			cut := n / 3
+			if got, want := KeyOf(p[:cut], p[cut:], nil), keyOfRef(p[:cut], p[cut:], nil); got != want {
+				t.Fatalf("offset %d, %d bytes split at %d: KeyOf %x, reference %x", off, n, cut, got, want)
+			}
+		}
+	}
+}
+
+// FuzzKeyOf holds KeyOf to the reference on arbitrary bytes, cut into two
+// parts at an arbitrary place, and to the part-boundary rule.
+func FuzzKeyOf(f *testing.F) {
+	f.Add([]byte(nil), uint16(0))
+	f.Add([]byte("12345678AB"), uint16(3))
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 9), uint16(64))
+	f.Fuzz(func(t *testing.T, p []byte, cut uint16) {
+		c := 0
+		if len(p) > 0 {
+			c = int(cut) % len(p)
+		}
+		whole, split := KeyOf(p), KeyOf(p[:c], p[c:])
+		if whole != keyOfRef(p) || split != keyOfRef(p[:c], p[c:]) {
+			t.Fatalf("KeyOf differs from the reference on %d bytes cut at %d", len(p), c)
+		}
+		if whole == split {
+			t.Fatalf("one part and two parts of the same %d bytes share a key", len(p))
+		}
+	})
+}
+
+// TestKeyOfAvalanche: flipping one input bit flips every output bit about
+// half the time, wherever the bit sits — each lane of the first and of the
+// last stripe, low and high bit of a word, the word path after the stripes
+// and the sub-word tail.
+func TestKeyOfAvalanche(t *testing.T) {
+	const (
+		bodies = 4000
+		tail   = 13 // bytes past the last stripe: one word and a 5-byte remainder
+	)
+	const first, last, past = 0, 1, 2 // region a byte offset counts from
+	type where struct{ region, off, bit int }
+	var at []where
+	for lane := 0; lane < 4; lane++ {
+		for _, region := range []int{first, last} {
+			at = append(at, where{region, 8 * lane, 0}, where{region, 8*lane + 3, 7}, where{region, 8*lane + 7, 7})
+		}
+	}
+	at = append(at, where{past, 0, 0}, where{past, 7, 7}, where{past, 8, 3}, where{past, tail - 1, 7})
+	flips := make([][128]int, len(at))
+	rng := rand.New(rand.NewSource(2))
+	for b := 0; b < bodies; b++ {
+		stripes := 2 + rng.Intn(126) // 77–4,077 bytes
+		body := make([]byte, 32*stripes+tail)
+		rng.Read(body)
+		base := KeyOf(body)
+		for i, w := range at {
+			pos := [...]int{first: 0, last: 32 * (stripes - 1), past: 32 * stripes}[w.region] + w.off
+			body[pos] ^= 1 << w.bit
+			k := KeyOf(body)
+			body[pos] ^= 1 << w.bit
+			dh, dl := k.Hi^base.Hi, k.Lo^base.Lo
+			for o := 0; o < 64; o++ {
+				flips[i][o] += int(dh >> o & 1)
+				flips[i][64+o] += int(dl >> o & 1)
+			}
+		}
+	}
+	for i, w := range at {
+		for o, n := range flips[i] {
+			if f := float64(n) / bodies; f < 0.45 || f > 0.55 {
+				t.Errorf("input bit %+v flips output bit %d in %.3f of %d bodies, want 0.45–0.55", w, o, f, bodies)
+			}
+		}
+	}
+}
+
+// TestKeyOfStructuredCorpus: near-identical inputs — the kind a body cache
+// sees — get distinct keys. 512 IMDB plan bodies, each with every digit of
+// its root est_cost replaced by every other digit; and one byte string
+// under every two- and three-part split.
+func TestKeyOfStructuredCorpus(t *testing.T) {
+	imdb := schema.IMDB()
+	samples, err := dataset.Collect(imdb, workload.Complex(imdb, 512, 12), executor.M1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[Key]string)
+	add := func(what string, parts ...[]byte) {
+		k := KeyOf(parts...)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%s and %s share key %x", prev, what, k)
+		}
+		seen[k] = what
+	}
+	for i, p := range dataset.Plans(samples) {
+		body, err := json.Marshal(&plan.Plan{Database: p.Database, Root: p.Root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("body %d", i), body)
+		field := []byte(`"est_cost":`)
+		start := bytes.Index(body, field) + len(field)
+		for j := start; body[j] != ',' && body[j] != '}'; j++ {
+			orig := body[j]
+			if orig < '0' || orig > '9' {
+				continue
+			}
+			for d := byte('0'); d <= '9'; d++ {
+				if d != orig {
+					body[j] = d
+					add(fmt.Sprintf("body %d with byte %d = %c", i, j, d), body)
+				}
+			}
+			body[j] = orig
+		}
+	}
+	if len(seen) < 512*10 {
+		t.Fatalf("corpus has only %d bodies", len(seen))
+	}
+	s := bytes.Repeat([]byte("0123456789abcdef"), 9) // 144 bytes: stripes, words and splits on both sides of 64
+	add("one part", s)
+	for i := 0; i <= len(s); i++ {
+		add(fmt.Sprintf("split at %d", i), s[:i], s[i:])
+		for j := i; j <= len(s); j += 7 {
+			add(fmt.Sprintf("split at %d and %d", i, j), s[:i], s[i:j], s[j:])
+		}
+	}
+}
+
+func TestKeyOfAllocs(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 125)
+	tag, db := []byte("bin\x00"), []byte("imdb")
+	if n := testing.AllocsPerRun(100, func() { keySink = KeyOf(body, tag, db) }); n != 0 {
+		t.Fatalf("KeyOf allocates %v times per call, want 0", n)
+	}
+}
+
 // TestConcurrentMixed hammers every entry point from many goroutines; run
 // with -race this is the memory-safety check for the sharded lock scheme.
 func TestConcurrentMixed(t *testing.T) {
@@ -345,3 +547,22 @@ func ExampleKeyOf() {
 	fmt.Println(k == KeyOf([]byte(`{"root":null}`), []byte("plan"), nil))
 	// Output: true
 }
+
+// BenchmarkKeyOf hashes one body-sized part plus the two short parts the
+// serving layer appends (format tag, database).
+func BenchmarkKeyOf(b *testing.B) {
+	for _, n := range []int{300, 1000, 2000, 4000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			body := make([]byte, n)
+			rand.New(rand.NewSource(int64(n))).Read(body)
+			tag, db := []byte("bin\x00"), []byte("imdb")
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keySink = KeyOf(body, tag, db)
+			}
+		})
+	}
+}
+
+var keySink Key

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dace/internal/pgexplain"
@@ -284,21 +285,19 @@ func IsBinaryContentType(ct string) bool {
 }
 
 // contentLengths memoizes the []string header value per response size, so
-// setting Content-Length costs a read-locked map probe instead of a string
-// allocation. An explicit Content-Length keeps net/http from switching to
-// chunked transfer encoding on responses larger than its 2 KiB sniff
-// buffer — less framing on the wire and less parsing for clients. Sizes
-// repeat heavily (cached responses are byte-identical), and only lengths
-// below maxMemoContentLength are kept, so the map is bounded by that many
-// tiny entries; a larger response (a ~150-node plan and up, or a batch)
-// formats its length afresh — two small allocations against a render of
-// tens of kilobytes.
+// setting Content-Length costs one atomic load instead of a string
+// allocation — and no lock: every response passes through here, and a
+// shared lock's reader count is a cache line all handlers write. An explicit
+// Content-Length keeps net/http from switching to chunked transfer encoding
+// on responses larger than its 2 KiB sniff buffer — less framing on the wire
+// and less parsing for clients. Sizes repeat heavily (cached responses are
+// byte-identical). Slots fill lazily, and two handlers racing to fill one
+// store equal values; a response of maxMemoContentLength bytes or more (a
+// ~150-node plan and up, or a batch) formats its length afresh — two small
+// allocations against a render of tens of kilobytes.
 const maxMemoContentLength = 16 << 10
 
-var (
-	contentLengthMu    sync.RWMutex
-	contentLengthCache = map[int][]string{}
-)
+var contentLengths [maxMemoContentLength]atomic.Pointer[[1]string]
 
 // ContentLengthValue returns the Content-Length header value for an n-byte
 // response, to be assigned to the header map directly.
@@ -306,17 +305,12 @@ func ContentLengthValue(n int) []string {
 	if n >= maxMemoContentLength {
 		return []string{strconv.Itoa(n)}
 	}
-	contentLengthMu.RLock()
-	v, ok := contentLengthCache[n]
-	contentLengthMu.RUnlock()
-	if ok {
-		return v
+	v := contentLengths[n].Load()
+	if v == nil {
+		v = &[1]string{strconv.Itoa(n)}
+		contentLengths[n].Store(v)
 	}
-	v = []string{strconv.Itoa(n)}
-	contentLengthMu.Lock()
-	contentLengthCache[n] = v
-	contentLengthMu.Unlock()
-	return v
+	return v[:]
 }
 
 // statusRecorder captures the response status for Instrument; pooled so

@@ -145,32 +145,18 @@ func TestDecodeBatchNamesTheEntry(t *testing.T) {
 }
 
 // TestContentLengthMemoIsBounded: response lengths are memoized as header
-// values only below maxMemoContentLength, so a process that answers with
-// ever-new large sizes (batches, big plans) cannot grow the table without
-// bound: 1,000 distinct sizes at or above the bound leave it as it was.
+// values only below maxMemoContentLength — one slot each in a fixed table,
+// the same slice on every call — so a process that answers with ever-new
+// large sizes (batches, big plans) grows nothing: a size at or above the
+// bound is formatted afresh each time.
 func TestContentLengthMemoIsBounded(t *testing.T) {
-	memoLen := func() int {
-		contentLengthMu.RLock()
-		defer contentLengthMu.RUnlock()
-		return len(contentLengthCache)
-	}
-	for n := 0; n < maxMemoContentLength; n += 7 {
-		ContentLengthValue(n)
-	}
-	before := memoLen()
-	for n := maxMemoContentLength; n < maxMemoContentLength+1000; n++ {
-		if got := ContentLengthValue(n); len(got) != 1 || got[0] != strconv.Itoa(n) {
-			t.Fatalf("Content-Length %q for a %d-byte response", got, n)
+	for n := 0; n < maxMemoContentLength+1000; n += 7 {
+		first, second := ContentLengthValue(n), ContentLengthValue(n)
+		if len(first) != 1 || first[0] != strconv.Itoa(n) || len(second) != 1 || second[0] != first[0] {
+			t.Fatalf("Content-Length %q then %q for a %d-byte response", first, second, n)
 		}
-	}
-	if after := memoLen(); after != before {
-		t.Fatalf("memo grew from %d to %d entries on sizes at or above the bound", before, after)
-	}
-	contentLengthMu.RLock()
-	defer contentLengthMu.RUnlock()
-	for n := range contentLengthCache {
-		if n >= maxMemoContentLength {
-			t.Fatalf("memo kept length %d, at or above the bound %d", n, maxMemoContentLength)
+		if memoized := &first[0] == &second[0]; memoized != (n < maxMemoContentLength) {
+			t.Fatalf("length %d memoized: %v; the bound is %d", n, memoized, maxMemoContentLength)
 		}
 	}
 }
