@@ -35,7 +35,8 @@ build-arm64:
 # And the kernel assembly never fuses a multiply into an add: FMA rounds once
 # where the Go loops round twice, which would break bitwise equality. (The
 # mnemonics are the same for XMM, YMM and ZMM operands, so the one pattern
-# covers the AVX-512 body too.)
+# covers the AVX-512 body too; the search is every .s file under internal/nn,
+# whatever it is called and wherever a later kernel puts it.)
 # And the one-request-edge invariants: the gateway never touches a plan tree
 # (every encoding, pg included, routes from the FlatPlan internal/wire hands
 # it), and the request-edge helpers are defined in internal/wire and nowhere
@@ -61,7 +62,7 @@ check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
 		grep -nHE 'time\.(NewTimer|After|Sleep)|^[[:space:]]*go[[:space:]]' internal/serve/batcher.go; \
-		grep -nHiE 'VF(N?MADD|N?MSUB)' internal/nn/*.s; \
+		grep -rnHiE --include='*.s' 'VF(N?MADD|N?MSUB)' internal/nn; \
 		grep -rnE --include='*.go' --exclude='*_test.go' 'pgexplain\.|plan\.AppendBinary\(|\.Fingerprint\(\)' internal/gateway; \
 		grep -rnE --include='*.go' --exclude-dir=wire '^func (queryParam|QueryParam|isBinaryContentType|IsBinaryContentType|allowOnly|AllowOnly|contentLengthValue|ContentLengthValue|plausibleTenantID|ValidateID|ValidateTenantID)\(' internal; \
 		grep -rnE --include='*.go' '^func \(c \*Cache\[V\]\) (Flush|Generation|PutAt)\(' internal/servecache; \

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"dace/internal/executor"
+	"dace/internal/featurize"
 	"dace/internal/schema"
 )
 
@@ -78,5 +80,41 @@ func TestAppendPredictSubPlansZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("AppendPredictSubPlans allocates %.2f/op at steady state, want 0", avg)
+	}
+}
+
+// TestFitBytesIndependentOfBatchSize: what a fit allocates per minibatch
+// *item* is that item's gradient shard and nothing else — tapes (and their
+// arenas, the bulk of training's memory) are per worker. With one worker the
+// tape sees the same plans in the same order whatever the batch size, so a
+// fit at BatchSize 64 may allocate more than one at 16 by the 48 extra
+// shards and some slice growth, where a tape per item used to add 48 arenas.
+func TestFitBytesIndependentOfBatchSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	plans := workloadPlans(t, schema.BenchmarkDB("airline"), 64, executor.M1())
+	cfg := smallConfig()
+	cfg.Workers = 1
+	seed := Train(plans, cfg)
+	encoded := encodeAll(seed, plans, (*featurize.Encoder).Encode)
+	fitBytes := func(batch int) uint64 {
+		m := seed.Clone()
+		m.Cfg.BatchSize = batch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.fit(encoded, cfg.LR, 1)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	shard := uint64(0) // one item's gradient slab plus its matrix headers
+	for _, p := range seed.Params() {
+		shard += uint64(8*len(p.Value.Data)) + 64
+	}
+	shard += shard / 8 // the allocator's size-class rounding
+	small, large := fitBytes(16), fitBytes(64)
+	if extra, allowed := large-small, 48*shard+(16<<10); large < small || extra > allowed {
+		t.Fatalf("fit allocated %d bytes at BatchSize 16 and %d at 64: %d apart, want at most the 48 extra shards (%d)",
+			small, large, int64(large)-int64(small), allowed)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dace/internal/executor"
+	"dace/internal/featurize"
 	"dace/internal/nn"
 	"dace/internal/plan"
 	"dace/internal/schema"
@@ -104,9 +105,11 @@ func poison(t *testing.T, a *nn.Arena) {
 }
 
 // TestForwardOnPoisonedArena guards the destinations forwardRaw takes
-// without a clear (the Q/K/V projections): with every recycled float a NaN,
-// the full pass, the root-row pass and the Scorer still reproduce the tape
-// forward bit for bit — nothing reads an element before assigning it.
+// without a clear (the Q/K/V projections) and the node values the tape does
+// (nn.Tape's assigned ops): with every recycled float a NaN, the full pass,
+// the root-row pass and the Scorer still reproduce the tape forward bit for
+// bit, and a tape forward+backward reproduces a fresh tape's loss and
+// gradients — nothing reads an element before assigning it.
 func TestForwardOnPoisonedArena(t *testing.T) {
 	plans := workloadPlans(t, schema.IMDB(), 60, executor.M1())
 	cfg := smallConfig()
@@ -118,6 +121,7 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var a nn.Arena
 			sc := NewScorer(m)
+			recycled := nn.NewTape()
 			for _, p := range plans[30:] {
 				enc := m.Enc.Encode(p)
 				want, _ := m.forward(nn.NewTape(), enc, -1)
@@ -136,7 +140,39 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 					wantMS[i] = m.Enc.InverseLabel(v)
 				}
 				sameBits(t, "scorer", sc.ScoreCandidates(p.DFS()), wantMS)
+
+				// Training's side of the same hazard: the tape takes the
+				// values of copies, gathers and concatenations without a
+				// clear. One forward+backward on recycled NaNs must leave the
+				// loss and every gradient as a fresh tape does — an element
+				// read before it is assigned comes out as a NaN gradient. The
+				// adapter model runs fit's path: its cached attention output
+				// enters the head as a Const, which has no gradient matrix.
+				var cachedH *nn.Matrix
+				if name == "lora" {
+					_, h := m.forwardRaw(&a, enc, enc.X.Rows, attentionOnly)
+					cachedH = h.Clone()
+				}
+				wantGrads := lossGrads(m, nn.NewTape(), enc, cachedH)
+				poison(t, recycled.Arena())
+				sameBits(t, "loss and gradients", lossGrads(m, recycled, enc, cachedH), wantGrads)
 			}
 		})
 	}
+}
+
+// lossGrads runs one training forward+backward for enc on t and returns the
+// loss followed by every parameter's gradient.
+func lossGrads(m *Model, t *nn.Tape, enc *featurize.Encoded, cachedH *nn.Matrix) []float64 {
+	for _, p := range m.Params() {
+		p.ZeroGrad()
+	}
+	loss := m.loss(t, enc, cachedH)
+	t.Backward(loss)
+	out := []float64{loss.Value.Data[0]}
+	for _, p := range m.Params() {
+		out = append(out, p.Grad.Data...)
+	}
+	t.Reset()
+	return out
 }

@@ -25,11 +25,15 @@ func paramsEqualBitwise(t *testing.T, a, b *Model) {
 	}
 }
 
-// TestTrainDeterministicAcrossWorkerCounts is the tentpole's acceptance
-// test: for a fixed seed, training with 1 worker and with 4 workers must
-// produce bitwise-identical parameters and identical predictions, because
-// per-plan gradient shards reduce in fixed plan order regardless of
-// goroutine scheduling.
+// workerCounts is one worker, fewer than the default batch of 16 (dividing
+// it and not), and more than the batch.
+var workerCounts = []int{1, 2, 3, 8, 21}
+
+// TestTrainDeterministicAcrossWorkerCounts: for a fixed seed, training with
+// any worker count must produce bitwise-identical parameters and identical
+// predictions, because per-plan gradient shards reduce in fixed plan order
+// regardless of goroutine scheduling, and nothing a plan contributes depends
+// on which worker's tape it ran on.
 func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 	plans := workloadPlans(t, schema.BenchmarkDB("airline"), 80, executor.M1())
 	train := func(workers int) *Model {
@@ -38,12 +42,14 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfg.Workers = workers
 		return Train(plans, cfg)
 	}
-	m1 := train(1)
-	m4 := train(4)
-	paramsEqualBitwise(t, m1, m4)
-	for _, p := range plans[:10] {
-		if a, b := m1.Predict(p), m4.Predict(p); a != b {
-			t.Fatalf("Predict differs across worker counts: %v vs %v", a, b)
+	m1 := train(workerCounts[0])
+	for _, workers := range workerCounts[1:] {
+		mw := train(workers)
+		paramsEqualBitwise(t, m1, mw)
+		for _, p := range plans[:10] {
+			if a, b := m1.Predict(p), mw.Predict(p); a != b {
+				t.Fatalf("Predict differs between 1 and %d workers: %v vs %v", workers, a, b)
+			}
 		}
 	}
 }
@@ -53,15 +59,19 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestFineTuneLoRADeterministicAcrossWorkerCounts(t *testing.T) {
 	m1Plans := workloadPlans(t, schema.BenchmarkDB("walmart"), 80, executor.M1())
 	m2Plans := workloadPlans(t, schema.BenchmarkDB("walmart"), 60, executor.M2())
+	cfg := smallConfig()
+	cfg.Epochs = 3
+	base := Train(m1Plans, cfg)
 	tune := func(workers int) *Model {
-		cfg := smallConfig()
-		cfg.Epochs = 3
-		cfg.Workers = workers
-		m := Train(m1Plans, cfg)
+		m := base.Clone()
+		m.Cfg.Workers = workers
 		m.FineTuneLoRA(m2Plans, 2e-3, 3)
 		return m
 	}
-	paramsEqualBitwise(t, tune(1), tune(4))
+	m1 := tune(workerCounts[0])
+	for _, workers := range workerCounts[1:] {
+		paramsEqualBitwise(t, m1, tune(workers))
+	}
 }
 
 // TestPredictBatchMatchesSerial asserts parallel batch inference returns

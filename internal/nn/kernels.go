@@ -232,38 +232,13 @@ func backMatMulSpans(t *Tape, n *Node) {
 	// da = dc·bᵀ, needed only inside the spans (everything downstream of a
 	// masked position is an exact zero); db = aᵀ·dc, skipping a's zeros.
 	if a.NeedsGrad {
-		cols := a.Value.Cols
-		bc := b.Value.Cols
+		cols, bc, gc := a.Value.Cols, b.Value.Cols, n.Grad.Cols
 		for i := 0; i < a.Value.Rows; i++ {
-			sp := n.spans[i]
-			grow := n.Grad.Data[i*n.Grad.Cols : (i+1)*n.Grad.Cols]
-			arow := a.Grad.Data[i*cols : (i+1)*cols]
-			j := sp.Lo
-			for ; j+4 <= sp.Hi; j += 4 {
-				b0 := b.Value.Data[int(j)*bc : int(j)*bc+bc][:len(grow)]
-				b1 := b.Value.Data[int(j+1)*bc : int(j+1)*bc+bc][:len(grow)]
-				b2 := b.Value.Data[int(j+2)*bc : int(j+2)*bc+bc][:len(grow)]
-				b3 := b.Value.Data[int(j+3)*bc : int(j+3)*bc+bc][:len(grow)]
-				var s0, s1, s2, s3 float64
-				for x, gv := range grow {
-					s0 += gv * b0[x]
-					s1 += gv * b1[x]
-					s2 += gv * b2[x]
-					s3 += gv * b3[x]
-				}
-				arow[j] += s0
-				arow[j+1] += s1
-				arow[j+2] += s2
-				arow[j+3] += s3
+			lo, hi := int(n.spans[i].Lo), int(n.spans[i].Hi)
+			if lo >= hi {
+				continue
 			}
-			for ; j < sp.Hi; j++ {
-				brow := b.Value.Data[int(j)*bc : int(j)*bc+bc][:len(grow)]
-				var s float64
-				for x, gv := range grow {
-					s += gv * brow[x]
-				}
-				arow[j] += s
-			}
+			dotRows(a.Grad.Data[i*cols+lo:i*cols+hi], 0, n.Grad.Data[i*gc:(i+1)*gc], 0, b.Value.Data[lo*bc:], bc, 1, gc, hi-lo)
 		}
 	}
 	if b.NeedsGrad {

@@ -146,9 +146,10 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransBInto accumulates a·bᵀ into dst (pre-zero dst for a plain
-// product). Each dst element receives exactly one add of a fully formed dot
-// product, so accumulating into a live gradient matrix is bitwise identical
-// to materializing the product first and adding it once.
+// product). dst must not alias a or b. Each dst element receives exactly one
+// add of a fully formed dot product (dotRows: summed from +0, k ascending),
+// so accumulating into a live gradient matrix is bitwise identical to
+// materializing the product first and adding it once.
 func MatMulTransBInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulTransB shape mismatch %s · %sᵀ", a.shape(), b.shape()))
@@ -156,41 +157,7 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulTransBInto dst %s for %s · %sᵀ", dst.shape(), a.shape(), b.shape()))
 	}
-	bc := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		// Four independent dot products per pass: each accumulator still
-		// sums its terms in ascending k order (bitwise identical to the
-		// simple loop), but the four add chains pipeline instead of
-		// serializing on one accumulator's latency.
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Data[j*bc : j*bc+bc][:len(arow)]
-			b1 := b.Data[(j+1)*bc : (j+1)*bc+bc][:len(arow)]
-			b2 := b.Data[(j+2)*bc : (j+2)*bc+bc][:len(arow)]
-			b3 := b.Data[(j+3)*bc : (j+3)*bc+bc][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			orow[j] += s0
-			orow[j+1] += s1
-			orow[j+2] += s2
-			orow[j+3] += s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Data[j*bc : j*bc+bc][:len(arow)]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] += s
-		}
-	}
+	dotRows(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Rows)
 }
 
 // MatMulTransB computes a·bᵀ into a new matrix.
@@ -205,9 +172,7 @@ func AddInPlace(dst, src *Matrix) {
 	if !dst.SameShape(src) {
 		panic(fmt.Sprintf("nn: AddInPlace shape mismatch %s vs %s", dst.shape(), src.shape()))
 	}
-	for i, v := range src.Data {
-		dst.Data[i] += v
-	}
+	addTo(dst.Data, src.Data)
 }
 
 // ScaleInPlace multiplies every element of m by c.

@@ -374,7 +374,7 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		}
 		total += p.Value.Cols
 	}
-	n := t.node(rows, total, backConcatCols)
+	n := t.assigned(rows, total, backConcatCols)
 	n.parts = parts
 	v := n.Value
 	off := 0
@@ -415,7 +415,7 @@ func (t *Tape) ConcatRows(parts ...*Node) *Node {
 		}
 		total += p.Value.Rows
 	}
-	n := t.node(total, cols, backConcatRows)
+	n := t.assigned(total, cols, backConcatRows)
 	n.parts = parts
 	off := 0
 	for _, p := range parts {
@@ -441,7 +441,7 @@ func backConcatRows(t *Tape, n *Node) {
 // SelectRows records the sub-matrix consisting of the given row indices.
 func (t *Tape) SelectRows(a *Node, idx []int) *Node {
 	cols := a.Value.Cols
-	n := t.node(len(idx), cols, backSelectRows)
+	n := t.assigned(len(idx), cols, backSelectRows)
 	n.a = a
 	n.idx = idx
 	for i, r := range idx {
@@ -565,7 +565,7 @@ func (t *Tape) ScaleConst(s *Node, k *Matrix) *Node {
 	if s.Value.Rows != 1 || s.Value.Cols != 1 {
 		panic(fmt.Sprintf("nn: ScaleConst wants a 1×1 scalar, got %s", s.Value.shape()))
 	}
-	n := t.node(k.Rows, k.Cols, backScaleConst)
+	n := t.assigned(k.Rows, k.Cols, backScaleConst)
 	n.a = s
 	n.cm = k
 	copy(n.Value.Data, k.Data)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -218,5 +219,102 @@ func TestGradientsAccumulateAcrossBackward(t *testing.T) {
 	a.ZeroGrad()
 	if a.Grad.Data[0] != 0 {
 		t.Fatal("ZeroGrad did not clear")
+	}
+}
+
+// poisonArena overwrites every chunk a holds (and 4 MB more) with a NaN and
+// rewinds it, so the next cycle is handed that NaN wherever the arena does
+// not clear.
+func poisonArena(a *Arena) {
+	a.Reset()
+	for i := 0; i < 512; i++ {
+		a.UninitMatrix(1, 1<<arenaMinClass).Fill(sentinel)
+	}
+	a.Reset()
+}
+
+// TestEveryAdjointSkipsConstOperands drives every recorded op with Const
+// operands through Backward. A Const has no gradient matrix, so an adjoint
+// that forgets its NeedsGrad guard is a nil dereference here, not in a
+// fine-tune (whose cached attention output enters the head as a Const). Each
+// op also runs on a tape whose recycled arena memory is all NaN: a value
+// taken without a clear (Tape.assigned) that its op does not fully assign
+// shows up as a difference from the fresh tape's bits.
+func TestEveryAdjointSkipsConstOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	mat := func(rows, cols int) *Matrix { return randParam("", rows, cols, rng).Value }
+	a, b, bt, row, sq := mat(5, 4), mat(4, 3), mat(3, 4), mat(1, 4), mat(5, 5)
+	mask := NewMatrix(5, 5)
+	spans := make([]Span, 5)
+	for i := range spans {
+		spans[i] = Span{Lo: int32(i), Hi: 5}
+		for j := i; j < 5; j++ {
+			mask.Set(i, j, 1)
+		}
+	}
+	// One-hot features: 3 type columns then cost and card.
+	x, types := NewMatrix(5, 5), []int{0, 2, 1, 1, 0}
+	for i, ty := range types {
+		x.Set(i, ty, 1)
+		x.Set(i, 3, rng.NormFloat64())
+		x.Set(i, 4, rng.NormFloat64())
+	}
+	w := mat(5, 3)
+	scalar := mat(1, 1)
+
+	ops := []struct {
+		name string
+		op   func(tp *Tape) *Node
+	}{
+		{"MatMul", func(tp *Tape) *Node { return tp.MatMul(tp.Const(a), tp.Const(b)) }},
+		{"MatMulNodesTransB", func(tp *Tape) *Node { return tp.MatMulNodesTransB(tp.Const(a), tp.Const(bt)) }},
+		{"Add", func(tp *Tape) *Node { return tp.Add(tp.Const(a), tp.Const(a)) }},
+		{"Sub", func(tp *Tape) *Node { return tp.Sub(tp.Const(a), tp.Const(a)) }},
+		{"AddRow", func(tp *Tape) *Node { return tp.AddRow(tp.Const(a), tp.Const(row)) }},
+		{"Mul", func(tp *Tape) *Node { return tp.Mul(tp.Const(a), tp.Const(a)) }},
+		{"Scale", func(tp *Tape) *Node { return tp.Scale(tp.Const(a), 0.5) }},
+		{"ReLU", func(tp *Tape) *Node { return tp.ReLU(tp.Const(a)) }},
+		{"LeakyReLU", func(tp *Tape) *Node { return tp.LeakyReLU(tp.Const(a), 0.01) }},
+		{"Sigmoid", func(tp *Tape) *Node { return tp.Sigmoid(tp.Const(a)) }},
+		{"Tanh", func(tp *Tape) *Node { return tp.Tanh(tp.Const(a)) }},
+		{"Abs", func(tp *Tape) *Node { return tp.Abs(tp.Const(a)) }},
+		{"Square", func(tp *Tape) *Node { return tp.Square(tp.Const(a)) }},
+		{"Sum", func(tp *Tape) *Node { return tp.Sum(tp.Const(a)) }},
+		{"Mean", func(tp *Tape) *Node { return tp.Mean(tp.Const(a)) }},
+		{"MeanRows", func(tp *Tape) *Node { return tp.MeanRows(tp.Const(a)) }},
+		{"ConcatCols", func(tp *Tape) *Node { return tp.ConcatCols(tp.Const(a), tp.Const(sq), tp.Const(a)) }},
+		{"ConcatRows", func(tp *Tape) *Node { return tp.ConcatRows(tp.Const(a), tp.Const(row), tp.Const(a)) }},
+		{"SelectRows", func(tp *Tape) *Node { return tp.SelectRows(tp.Const(a), []int{4, 0, 0, 2}) }},
+		{"SoftmaxRowsMasked", func(tp *Tape) *Node { return tp.SoftmaxRowsMasked(tp.Const(sq), mask) }},
+		{"AddConst", func(tp *Tape) *Node { return tp.AddConst(tp.Const(a), a) }},
+		{"MulConst", func(tp *Tape) *Node { return tp.MulConst(tp.Const(a), a) }},
+		{"ScaleConst", func(tp *Tape) *Node { return tp.ScaleConst(tp.Const(scalar), a) }},
+		{"LayerNorm", func(tp *Tape) *Node { return tp.LayerNorm(tp.Const(a), tp.Const(row), tp.Const(row)) }},
+		{"MaskedSoftmaxQKT", func(tp *Tape) *Node { return tp.MaskedSoftmaxQKT(tp.Const(a), tp.Const(a), 0.5, spans) }},
+		{"MatMulSpans", func(tp *Tape) *Node { return tp.MatMulSpans(tp.Const(sq), tp.Const(a), spans) }},
+		{"ProjectOneHot", func(tp *Tape) *Node { return tp.ProjectOneHot(x, types, 3, tp.Const(w)) }},
+	}
+	for _, tc := range ops {
+		fresh := NewTape()
+		want := tc.op(fresh)
+		fresh.Backward(fresh.Sum(want))
+
+		recycled := NewTape()
+		poisonArena(recycled.arena)
+		got := tc.op(recycled)
+		if !got.Value.SameShape(want.Value) {
+			t.Fatalf("%s: shape %s on a recycled arena, %s on a fresh one", tc.name, got.Value.shape(), want.Value.shape())
+		}
+		for i, v := range want.Value.Data {
+			if math.Float64bits(got.Value.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: element %d = %v on a NaN-poisoned arena, %v on a fresh one", tc.name, i, got.Value.Data[i], v)
+			}
+		}
+		recycled.Backward(recycled.Sum(got))
+		for i, g := range got.Grad.Data {
+			if g != 1 {
+				t.Fatalf("%s: output gradient element %d = %v on a NaN-poisoned arena, want the 1 Sum sends back", tc.name, i, g)
+			}
+		}
 	}
 }

@@ -20,34 +20,68 @@ func Workers(w int) int {
 // goroutines (resolved via Workers). Work is handed out by an atomic
 // counter, so load balances regardless of per-item cost; fn must be safe to
 // call concurrently and should write only to item-i state. All calls have
-// completed when ParallelFor returns.
+// completed when ParallelFor returns. A panic in fn surfaces on the caller's
+// goroutine whatever the worker count (see dispatch).
+//
+// Not inlined: as a two-line wrapper it would be, and every caller in core,
+// serve and featurize would grow by a closure — moving the text linked after
+// them, which this repository's benchmark is sensitive to (EXPERIMENTS.md,
+// "The refused check").
+//
+//go:noinline
 func ParallelFor(n, workers int, fn func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	dispatch(n, workers, func(_, i int) { fn(i) })
+}
+
+// dispatch is the package's one work loop: fn(w, i) for every i in [0, n),
+// where w < min(workers, n) names the goroutine running the call — no two
+// concurrent calls share a w, so state indexed by it (GradPool's tapes) needs
+// no lock.
+//
+// A panic in fn must not die on a worker goroutine, where nothing can recover
+// it and the process exits: the first one is captured, the counter is pushed
+// past n so the other workers finish the item they hold and stop, and the
+// value is re-raised here, on the caller's goroutine — exactly where the
+// one-worker loop raises it. The stack of the panicking worker is gone by
+// then; rerun with one worker to see it.
+func dispatch(n, workers int, fn func(worker, i int)) {
+	w := min(Workers(workers), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
+	// One struct, so the goroutines' closures share one heap object.
+	var st struct {
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		once  sync.Once
+		value any // what the first panicking worker raised
+	}
+	st.wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
-			defer wg.Done()
+			defer st.wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					st.once.Do(func() { st.value = p })
+					st.next.Store(int64(n))
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(st.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(g, i)
 			}
 		}()
 	}
-	wg.Wait()
+	st.wg.Wait()
+	if st.value != nil {
+		panic(st.value)
+	}
 }
 
 // GradPool is the data-parallel minibatch gradient engine: it fans a
@@ -62,18 +96,19 @@ func ParallelFor(n, workers int, fn func(i int)) {
 // an Accumulate call (the optimizer steps only after reduction), so the
 // per-item computations are pure and race-free.
 //
-// Shard buffers and tapes are retained across calls and grow to the largest
-// batch seen, so steady-state training does no per-batch allocation of
-// gradient storage.
+// Shards are per item; tapes are per worker. An item's tape is scratch: by
+// the time Backward returns, everything the item contributes sits in its
+// shard and its loss scalar has been copied out, so which tape (and which
+// recycled arena memory) an item ran on cannot reach a result, and only
+// `workers` tapes are ever live at once. Both are retained across calls —
+// shards grow to the largest batch seen — so steady-state training does no
+// per-batch allocation of gradient or tape storage.
 type GradPool struct {
 	params  []*Param
 	index   map[*Param]int
 	workers int
-	shards  [][]*Matrix // shards[item][paramIdx]
-	tapes   []*Tape
-	// leafFns[item] is the SetLeafGrads redirect into that item's shard,
-	// built once in grow so steady-state Accumulate calls allocate nothing.
-	leafFns []func(p *Param) *Matrix
+	shards  []*shard // shards[item], nil until the item first runs
+	tapes   []*Tape  // tapes[worker], see dispatch
 	// losses[item] is that item's loss value from the last Accumulate,
 	// summed in fixed item order so the returned total is deterministic.
 	losses []float64
@@ -86,6 +121,17 @@ type GradPool struct {
 	busyNS atomic.Int64
 }
 
+// shard is one minibatch item's private gradient storage: a matrix per
+// trainable Param, all of them views into one slab, so building a shard is
+// one allocation and clearing it one memclr.
+type shard struct {
+	slab  []float64
+	grads []*Matrix // grads[paramIdx]; nil for a frozen Param
+	// leaf is the SetLeafGrads redirect into grads, built once so
+	// steady-state Accumulate calls allocate nothing.
+	leaf func(p *Param) *Matrix
+}
+
 // NewGradPool builds a pool over params. workers <= 0 selects
 // runtime.GOMAXPROCS(0).
 func NewGradPool(params []*Param, workers int) *GradPool {
@@ -96,31 +142,52 @@ func NewGradPool(params []*Param, workers int) *GradPool {
 	return g
 }
 
-// grow ensures at least n shard slots exist.
+// grow ensures at least n shard slots, and a tape for every worker a batch
+// of n can occupy, exist. The shards themselves are built by the worker
+// that first runs the item (newShard), so a fit's largest allocation — one
+// batch of gradient copies — is made in parallel, not ahead of the batch.
 func (g *GradPool) grow(n int) {
-	for len(g.shards) < n {
-		bufs := make([]*Matrix, len(g.params))
-		for i, p := range g.params {
-			// Frozen leaves get NeedsGrad=false on the tape, so backward
-			// never accumulates into them — a shard buffer per item for
-			// the frozen base of a LoRA fine-tune is the dominant memory
-			// cost of training for nothing. Leaf falls back to p.Grad on
-			// the nil, which stays untouched for the same reason.
-			if p.Frozen {
-				continue
-			}
-			bufs[i] = NewMatrix(p.Value.Rows, p.Value.Cols)
-		}
-		g.shards = append(g.shards, bufs)
+	for len(g.tapes) < min(g.workers, n) {
 		g.tapes = append(g.tapes, NewTape())
-		g.leafFns = append(g.leafFns, func(p *Param) *Matrix {
-			if j, ok := g.index[p]; ok {
-				return bufs[j]
-			}
-			return nil
-		})
+	}
+	for len(g.shards) < n {
+		g.shards = append(g.shards, nil)
 		g.losses = append(g.losses, 0)
 	}
+}
+
+// newShard builds a zeroed shard.
+func (g *GradPool) newShard() *shard {
+	total := 0
+	for _, p := range g.params {
+		// Frozen leaves get NeedsGrad=false on the tape, so backward never
+		// accumulates into them — a shard buffer per item for the frozen
+		// base of a LoRA fine-tune is the dominant memory cost of training
+		// for nothing. Leaf falls back to p.Grad on the nil, which stays
+		// untouched for the same reason.
+		if !p.Frozen {
+			total += len(p.Value.Data)
+		}
+	}
+	sh := &shard{slab: make([]float64, total), grads: make([]*Matrix, len(g.params))}
+	hdrs := make([]Matrix, len(g.params))
+	off := 0
+	for i, p := range g.params {
+		if p.Frozen {
+			continue
+		}
+		n := len(p.Value.Data)
+		hdrs[i] = Matrix{Rows: p.Value.Rows, Cols: p.Value.Cols, Data: sh.slab[off : off+n : off+n]}
+		sh.grads[i] = &hdrs[i]
+		off += n
+	}
+	sh.leaf = func(p *Param) *Matrix {
+		if j, ok := g.index[p]; ok {
+			return sh.grads[j]
+		}
+		return nil
+	}
+	return sh
 }
 
 // TakeBusy returns the busy time metered since the last call (zero unless
@@ -134,11 +201,11 @@ func (g *GradPool) TakeBusy() time.Duration {
 func (g *GradPool) WorkerCount() int { return g.workers }
 
 // Accumulate runs lossFn for every item in [0, n) — forward and backward on
-// a per-item tape whose parameter gradients land in that item's shard — and
-// reduces all shards into Param.Grad (adding to whatever is already there,
-// like serial Backward calls would). lossFn must build the graph on the
-// given tape and return its scalar loss node; it is called concurrently and
-// must not mutate shared state.
+// the running worker's tape, with parameter gradients landing in that item's
+// shard — and reduces all shards into Param.Grad (adding to whatever is
+// already there, like serial Backward calls would). lossFn must build the
+// graph on the given tape and return its scalar loss node; it is called
+// concurrently and must not mutate shared state.
 //
 // The returned value is the sum of the per-item losses, added in fixed item
 // order — deterministic for any worker count, like the gradients — so the
@@ -149,20 +216,21 @@ func (g *GradPool) Accumulate(n int, lossFn func(t *Tape, i int) *Node) float64 
 	}
 	g.grow(n)
 	timing := g.Timing
-	ParallelFor(n, g.workers, func(i int) {
+	dispatch(n, g.workers, func(w, i int) {
 		var t0 time.Time
 		if timing {
 			t0 = time.Now()
 		}
-		bufs := g.shards[i]
-		for _, b := range bufs {
-			if b != nil {
-				b.Zero()
-			}
+		sh := g.shards[i]
+		if sh == nil {
+			sh = g.newShard()
+			g.shards[i] = sh
+		} else {
+			clear(sh.slab)
 		}
-		t := g.tapes[i]
+		t := g.tapes[w]
 		t.Reset()
-		t.SetLeafGrads(g.leafFns[i])
+		t.SetLeafGrads(sh.leaf)
 		loss := lossFn(t, i)
 		t.Backward(loss)
 		g.losses[i] = loss.Value.Data[0]
@@ -173,8 +241,8 @@ func (g *GradPool) Accumulate(n int, lossFn func(t *Tape, i int) *Node) float64 
 	// Deterministic reduction: fixed param-then-item order, independent of
 	// which worker computed what when.
 	for pi, p := range g.params {
-		for s := 0; s < n; s++ {
-			if b := g.shards[s][pi]; b != nil {
+		for _, sh := range g.shards[:n] {
+			if b := sh.grads[pi]; b != nil {
 				AddInPlace(p.Grad, b)
 			}
 		}

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -29,6 +30,57 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, h)
 			}
 		}
+	}
+}
+
+// TestParallelForPanicSurfacesOnCaller: a panic in fn used to die on a worker
+// goroutine — unrecoverable, the process exits — whenever more than one
+// worker ran, and on the caller's goroutine only with one. It must reach the
+// caller, with the value it was raised with, for every worker count; the
+// other workers finish the item they hold and stop, so every index ran at
+// most once and the panicking one exactly once.
+func TestParallelForPanicSurfacesOnCaller(t *testing.T) {
+	const n, bad = 200, 17
+	for _, workers := range []int{1, 2, 3, n + 50} {
+		hits := make([]int64, n)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			ParallelFor(n, workers, func(i int) {
+				atomic.AddInt64(&hits[i], 1)
+				if i == bad {
+					panic("bad item")
+				}
+			})
+			return nil
+		}()
+		if got != "bad item" {
+			t.Fatalf("workers=%d: recovered %v on the caller, want the worker's panic value", workers, got)
+		}
+		for i, h := range hits {
+			if h > 1 || (i == bad && h != 1) {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+			}
+			// One worker runs in index order: everything before the panic
+			// ran, nothing after it did.
+			if workers == 1 && (h == 1) != (i <= bad) {
+				t.Fatalf("workers=1: index %d ran %d times around a panic at %d", i, h, bad)
+			}
+		}
+		// Several panics at once: one of them surfaces, the loop still ends.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("workers=%d: a loop whose every call panics returned normally", workers)
+				}
+			}()
+			ParallelFor(n, workers, func(i int) { panic(i) })
+		}()
+	}
+	// The loop is reusable afterwards.
+	var ran atomic.Int64
+	ParallelFor(n, 4, func(int) { ran.Add(1) })
+	if ran.Load() != n {
+		t.Fatalf("after a panic: %d of %d calls ran", ran.Load(), n)
 	}
 }
 
@@ -113,16 +165,18 @@ func TestGradPoolMatchesSerialGradient(t *testing.T) {
 	}
 }
 
-// TestGradPoolWorkerCountInvariance asserts the tentpole's determinism
-// guarantee at the nn layer: any worker count produces bitwise-identical
-// reduced gradients, because shards reduce in fixed param-then-item order.
+// TestGradPoolWorkerCountInvariance asserts the determinism guarantee at the
+// nn layer: any worker count — one, fewer than the batch, more than the batch
+// — produces bitwise-identical reduced gradients, because shards reduce in
+// fixed param-then-item order and nothing an item computes depends on which
+// worker's tape (and what recycled arena memory) it ran on.
 func TestGradPoolWorkerCountInvariance(t *testing.T) {
 	mlp, gamma, xs, ys := poolFixture(13)
 	params := append(mlp.Params(), gamma)
 	lossFn := func(tp *Tape, i int) *Node { return fixtureLoss(tp, mlp, gamma, xs, ys, i) }
 
 	var want [][]float64
-	for _, workers := range []int{1, 2, 4, 7} {
+	for _, workers := range []int{1, 2, 3, 8, len(xs) + 5} {
 		for _, p := range params {
 			p.ZeroGrad()
 		}
@@ -189,5 +243,58 @@ func TestGradPoolAgainstGradCheck(t *testing.T) {
 				t.Fatalf("param %s[%d]: summed-tape %v vs pool %v", p.Name, j, want[pi][j], p.Grad.Data[j])
 			}
 		}
+	}
+}
+
+// TestGradPoolHoldsOneTapePerWorker: tapes are per worker, not per item — a
+// 64-item batch on 2 workers builds 2 — and a warm pool's Accumulate builds
+// nothing: no tape, no arena chunk, no shard.
+func TestGradPoolHoldsOneTapePerWorker(t *testing.T) {
+	mlp, gamma, xs, ys := poolFixture(19)
+	params := append(mlp.Params(), gamma)
+	const n = 64
+	// Constants built once, so the loss itself allocates nothing on a warm
+	// tape.
+	x0 := make([]*Matrix, len(xs))
+	y := make([]*Matrix, len(xs))
+	for i := range xs {
+		x0[i] = FromSlice(1, 1, []float64{xs[i].Data[0]})
+		y[i] = FromSlice(1, 1, []float64{ys[i]})
+	}
+	lossFn := func(tp *Tape, i int) *Node {
+		i %= len(xs)
+		pred := mlp.Apply(tp, tp.Const(xs[i]))
+		pred = tp.Add(pred, tp.ScaleConst(tp.Leaf(gamma), x0[i]))
+		return tp.Sum(tp.Abs(tp.Sub(pred, tp.Const(y[i]))))
+	}
+	pool := NewGradPool(params, 2)
+	pool.Accumulate(n, lossFn)
+	if len(pool.tapes) != 2 || len(pool.shards) != n {
+		t.Fatalf("after Accumulate(%d) on 2 workers: %d tapes, %d shards; want 2 and %d", n, len(pool.tapes), len(pool.shards), n)
+	}
+	tapes := append([]*Tape(nil), pool.tapes...)
+	chunks := []int{len(tapes[0].arena.chunks), len(tapes[1].arena.chunks)}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// What is left is the fan-out itself — the closures, the WaitGroup and
+	// the goroutines' bookkeeping — a few hundred bytes whatever n is, where
+	// one tape's smallest arena chunk is 8 KiB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pool.Accumulate(n, lossFn)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2048 {
+		t.Fatalf("second Accumulate allocated %d bytes, want the fan-out's few hundred", got)
+	}
+	for w, tp := range pool.tapes {
+		if tp != tapes[w] || len(tp.arena.chunks) != chunks[w] {
+			t.Fatalf("worker %d's tape was rebuilt or grew on a warm pool", w)
+		}
+	}
+	pool1 := NewGradPool(params, 1)
+	pool1.Accumulate(n, lossFn)
+	if avg := testing.AllocsPerRun(10, func() { pool1.Accumulate(n, lossFn) }); avg > 1 {
+		t.Fatalf("one-worker Accumulate allocates %.1f objects/op on a warm pool, want at most the closure", avg)
 	}
 }

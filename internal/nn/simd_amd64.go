@@ -63,6 +63,18 @@ func oneHotRowAVX2(dst, wt, w0, w1 *float64, c0, c1 float64, n int)
 //go:noescape
 func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
 
+// dotRowsAVX2 runs dotRows for 1 ≤ rows ≤ 4, k ≥ 1 and n a positive
+// multiple of 4. It checks nothing.
+//
+//go:noescape
+func dotRowsAVX2(dst *float64, ds int, a *float64, as int, b *float64, bc, rows, k, n int)
+
+// addToAVX2 adds src[0:n) into dst[0:n) for n a positive multiple of 4. It
+// checks nothing.
+//
+//go:noescape
+func addToAVX2(dst, src *float64, n int)
+
 // panel4 is panel over four rows at once: dst[r·ds+j] += Σ_k a[r·as+k]·
 // b[k·bc+j] for r < 4 and j < n, k ascending, where n is a positive
 // multiple of 32 and k ≥ 1. Each vector of b is loaded once for the four
@@ -106,4 +118,39 @@ func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
 		dst, wt, w0, w1 = dst[n:], wt[n:], w0[n:], w1[n:]
 	}
 	oneHotRowGeneric(dst, wt, w0, w1, c0, c1)
+}
+
+// dotRows accumulates dst[r·ds+j] += Σ_k a[r·as+k]·b[j·bc+k] for r < rows
+// and j < n: each dot product is summed from +0 in ascending k order and
+// added to dst once. dst must not alias a or b. The assembly takes the
+// output columns in fours and the rows of a in blocks of up to four (a
+// block shares each transposed tile of b); the column tail goes to the Go
+// body. As in panel, the furthest element the assembly will touch of each
+// operand is indexed here first.
+func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
+	if n4 := n &^ 3; useAVX2 && n4 > 0 && k > 0 && rows > 0 {
+		if ds < 0 || as < 0 || bc < 0 {
+			panic("nn: negative kernel stride")
+		}
+		_, _, _ = dst[(rows-1)*ds+n-1], a[(rows-1)*as+k-1], b[(n-1)*bc+k-1]
+		for r := 0; r < rows; r += 4 {
+			dotRowsAVX2(&dst[r*ds], ds, &a[r*as], as, &b[0], bc, min(4, rows-r), k, n4)
+		}
+		if n4 == n {
+			return
+		}
+		dst, b, n = dst[n4:], b[n4*bc:], n-n4
+	}
+	dotRowsGeneric(dst, ds, a, as, b, bc, rows, k, n)
+}
+
+// addTo accumulates dst[i] += src[i] over len(src) elements; dst holds at
+// least that many and must not partially overlap src.
+func addTo(dst, src []float64) {
+	dst = dst[:len(src)]
+	if n := len(src) &^ 3; useAVX2 && n > 0 {
+		addToAVX2(&dst[0], &src[0], n)
+		dst, src = dst[n:], src[n:]
+	}
+	addToGeneric(dst, src)
 }

@@ -21,3 +21,9 @@ func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
 func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n int) {
 	panic("nn: panel4 without an assembly body")
 }
+
+func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
+	dotRowsGeneric(dst, ds, a, as, b, bc, rows, k, n)
+}
+
+func addTo(dst, src []float64) { addToGeneric(dst, src) }

@@ -135,13 +135,54 @@ func comparePanel4(t *testing.T, rng *rand.Rand, ds int, a []float64, as int, b 
 	checkGuards(t, what, buf, off, len(init))
 }
 
+// compareDotRows runs dotRows and dotRowsGeneric on identical poisoned
+// copies of a rows-row destination of stride ds whose inter-row gaps hold
+// sentinels too.
+func compareDotRows(t *testing.T, rng *rand.Rand, ds int, a []float64, as int, b []float64, bc, rows, k, n, off int) {
+	t.Helper()
+	what := fmt.Sprintf("dotRows rows=%d k=%d n=%d ds=%d as=%d bc=%d off=%d", rows, k, n, ds, as, bc, off)
+	init := make([]float64, (rows-1)*ds+n)
+	for i := range init {
+		init[i] = sentinel
+	}
+	for r := 0; r < rows; r++ {
+		fillMixed(rng, init[r*ds:r*ds+n])
+	}
+	want, _ := poisoned(init, off)
+	dotRowsGeneric(want, ds, a, as, b, bc, rows, k, n)
+	got, buf := poisoned(init, off)
+	dotRows(got, ds, a, as, b, bc, rows, k, n)
+	checkSame(t, what, got, want)
+	for r := 0; r < rows-1; r++ {
+		for i := r*ds + n; i < (r+1)*ds; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(sentinel) {
+				t.Fatalf("%s: wrote between rows %d and %d, at element %d", what, r, r+1, i)
+			}
+		}
+	}
+	checkGuards(t, what, buf, off, len(init))
+}
+
+func compareAddTo(t *testing.T, init, src []float64, off int) {
+	t.Helper()
+	what := fmt.Sprintf("addTo len=%d off=%d", len(src), off)
+	want, _ := poisoned(init, off)
+	addToGeneric(want, src)
+	got, buf := poisoned(init, off)
+	addTo(got, src)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, len(init))
+}
+
 // TestKernelDispatch logs which bodies this CPU runs, so that a reader of a
 // green run knows what it exercised.
 func TestKernelDispatch(t *testing.T) {
 	if useAVX2 {
 		t.Log("panel, oneHotRow: AVX2 assembly")
+		t.Log("dotRows (MatMulTransBInto, MatMulSpans' dA), output columns in fours: AVX2 assembly")
+		t.Log("addTo (AddInPlace): AVX2 assembly")
 	} else {
-		t.Log("panel, oneHotRow: generic Go")
+		t.Log("panel, oneHotRow, dotRows, addTo: generic Go")
 	}
 	if useAVX512 {
 		t.Log("MatMulInto, full blocks of 4 rows × 32 columns: panel4, AVX-512 assembly")
@@ -176,6 +217,49 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 				wt, w0, w1 := unaligned(rng, cols, off), unaligned(rng, cols+2, 1), unaligned(rng, cols, 3)
 				c := unaligned(rng, 2, 0)
 				compareOneHotRow(t, wt, w0, w1, c[0], c[1], off)
+			}
+		}
+	})
+
+	t.Run("dotRows", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2: the generic bodies are the only kernels on this host")
+		}
+		// Every row-block remainder (1–9 rows), every column count through
+		// two tiles past 128, and k on both sides of the four-term step.
+		rng := rand.New(rand.NewSource(23))
+		for rows := 1; rows <= 9; rows++ {
+			for n := 1; n <= 130; n++ {
+				for _, k := range []int{0, 1, 3, 4, 37, 64, 128} {
+					pad := rng.Intn(3)
+					ds, as, bc, off := n+pad, k+2*pad, k+3-pad, 1+2*rng.Intn(2)
+					a := unaligned(rng, (rows-1)*as+k, off)
+					b := unaligned(rng, (n-1)*bc+k, 4-off)
+					compareDotRows(t, rng, ds, a, as, b, bc, rows, k, n, off)
+				}
+			}
+		}
+		// A destination of exact zeros of either sign: a k = 0 product adds
+		// +0 and must turn -0 into +0 exactly as the Go loop does.
+		negZero := math.Copysign(0, -1)
+		for _, k := range []int{0, 1, 5} {
+			a, b := make([]float64, k), make([]float64, 8*k)
+			init := []float64{0, negZero, 0, negZero, 1, negZero, 0, math.Inf(-1)}
+			want, got := append([]float64(nil), init...), append([]float64(nil), init...)
+			dotRowsGeneric(want, 0, a, 0, b, k, 1, k, 8)
+			dotRows(got, 0, a, 0, b, k, 1, k, 8)
+			checkSame(t, fmt.Sprintf("dotRows signed zeros k=%d", k), got, want)
+		}
+	})
+
+	t.Run("addTo", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2: the generic bodies are the only kernels on this host")
+		}
+		rng := rand.New(rand.NewSource(24))
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				compareAddTo(t, unaligned(rng, n, 0), unaligned(rng, n, 3-off), off)
 			}
 		}
 	})
@@ -264,6 +348,31 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 					checkSame(t, "MatMulTransAInto "+what, dst.Data, want)
 					guards(t, "MatMulTransAInto "+what, dst, buf)
 
+					bt, _ := mat(rng, cols, k)
+					copy(want, init)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < cols; j++ {
+							var dot float64
+							for x := 0; x < k; x++ {
+								dot += a.Data[i*k+x] * bt.Data[j*k+x]
+							}
+							want[i*cols+j] += dot
+						}
+					}
+					copy(dst.Data, init)
+					MatMulTransBInto(dst, a, bt)
+					checkSame(t, "MatMulTransBInto "+what, dst.Data, want)
+					guards(t, "MatMulTransBInto "+what, dst, buf)
+
+					src, _ := mat(rng, rows, cols)
+					for i := range want {
+						want[i] = init[i] + src.Data[i]
+					}
+					copy(dst.Data, init)
+					AddInPlace(dst, src)
+					checkSame(t, "AddInPlace "+what, dst.Data, want)
+					guards(t, "AddInPlace "+what, dst, buf)
+
 					if k == 0 {
 						continue // a span needs at least one column
 					}
@@ -346,11 +455,22 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 	mustPanic(t, "panel short a", func() { panel(dst, make([]float64, 3), 1, make([]float64, 32), 8, 4) })
 	mustPanic(t, "panel short b", func() { panel(dst, make([]float64, 4), 1, make([]float64, 31), 8, 4) })
 	mustPanic(t, "panel short strided a", func() { panel(dst, make([]float64, 9), 3, make([]float64, 32), 8, 4) })
+	// dotRows, 5 rows × 8 columns, k = 4: dst needs 40 elements, a 20, b 32.
+	full := func(n int) []float64 { return make([]float64, n) }
+	mustPanic(t, "dotRows short dst", func() { dotRows(full(39), 8, full(20), 4, full(32), 4, 5, 4, 8) })
+	mustPanic(t, "dotRows short strided dst", func() { dotRows(full(40), 9, full(20), 4, full(32), 4, 5, 4, 8) })
+	mustPanic(t, "dotRows short a", func() { dotRows(full(40), 8, full(19), 4, full(32), 4, 5, 4, 8) })
+	mustPanic(t, "dotRows short b", func() { dotRows(full(40), 8, full(20), 4, full(31), 4, 5, 4, 8) })
+	mustPanic(t, "dotRows short strided b", func() { dotRows(full(40), 8, full(20), 4, full(32), 5, 5, 4, 8) })
+	mustPanic(t, "dotRows negative stride", func() { dotRows(full(40), 8, full(20), -4, full(32), 4, 5, 4, 8) })
+	mustPanic(t, "addTo short dst", func() { addTo(full(7), full(8)) })
+	mustPanic(t, "MatMulTransBInto short b", func() {
+		MatMulTransBInto(NewMatrix(5, 8), NewMatrix(5, 4), &Matrix{Rows: 8, Cols: 4, Data: full(31)})
+	})
 	if !useAVX512 {
 		return
 	}
 	// 4 rows × 32 columns, k = 4: dst and b need 128 elements, a needs 16.
-	full := func(n int) []float64 { return make([]float64, n) }
 	mustPanic(t, "panel4 short dst", func() { panel4(full(127), 32, full(16), 4, full(128), 32, 4, 32) })
 	mustPanic(t, "panel4 short strided dst", func() { panel4(full(128), 33, full(16), 4, full(128), 32, 4, 32) })
 	mustPanic(t, "panel4 short a", func() { panel4(full(128), 32, full(15), 4, full(128), 32, 4, 32) })
@@ -392,6 +512,13 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		comparePanel(t, next(cols), a, as, b, bc, k, off)
 		c := next(2)
 		compareOneHotRow(t, next(cols), next(cols), next(cols), c[0], c[1], off)
+		compareAddTo(t, next(cols), next(cols), off)
+		if cols > 0 {
+			// dotRows' destination comes from a seeded generator, like
+			// panel4's below: the fuzzer's bits go into a and b.
+			rows, ds, ars, brs := 1+int(off8)%9, cols+int(as8)%3, k+int(off8)%3, k+int(as8)%2
+			compareDotRows(t, rand.New(rand.NewSource(int64(k8)<<8|int64(cols8))), ds, next((rows-1)*ars+k), ars, next((cols-1)*brs+k), brs, rows, k, cols, off)
+		}
 		if useAVX512 && k > 0 {
 			n := 32 * (1 + cols%4)
 			ds, ars, bc := n+int(as8)%3, k+int(off8)%3, n+int(as8)%2
@@ -456,6 +583,38 @@ func BenchmarkKernels(b *testing.B) {
 				MatMulInto(dst, a, w)
 			}
 			b.ReportMetric(float64(2*s.rows*s.k*s.cols)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+		})
+	}
+	// The a·bᵀ product under MatMul's dA adjoint, and the accumulate under
+	// every adjoint and the shard reduction; SetBytes counts each operand
+	// and the destination once.
+	for _, rows := range []int{3, 10, 32} {
+		const k, n = 128, 128
+		a, w, dst := dense(rows*k), dense(n*k), make([]float64, rows*n)
+		for _, im := range []struct {
+			name string
+			body func(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int)
+		}{{"generic", dotRowsGeneric}, {"dispatched", dotRows}} {
+			b.Run(fmt.Sprintf("MatMulTransBInto/%dx%dx%d/%s", rows, k, n, im.name), func(b *testing.B) {
+				b.SetBytes(int64(8 * (rows*k + n*k + rows*n)))
+				for i := 0; i < b.N; i++ {
+					im.body(dst, n, a, k, w, k, rows, k, n)
+				}
+				b.ReportMetric(float64(2*rows*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+			})
+		}
+	}
+	for _, im := range []struct {
+		name string
+		body func(dst, src []float64)
+	}{{"generic", addToGeneric}, {"dispatched", addTo}} {
+		const n = 16384
+		dst, src := make([]float64, n), dense(n)
+		b.Run(fmt.Sprintf("AddInPlace/%d/%s", n, im.name), func(b *testing.B) {
+			b.SetBytes(3 * 8 * n) // two loads and a store per element
+			for i := 0; i < b.N; i++ {
+				im.body(dst, src)
+			}
 		})
 	}
 	const rows, cols, hot = 10, 128, 5

@@ -37,7 +37,7 @@ func (p *Param) Clone() *Param {
 }
 
 // Node is a value in the autodiff graph. Nodes are created through Tape
-// operations; Grad is populated during Tape.Backward.
+// operations; Grad is populated during Tape.Backward, and is nil on a Const.
 //
 // NeedsGrad marks whether gradient work for this node is useful: Const
 // nodes and frozen-parameter leaves don't need it, and matrix-product ops
@@ -137,8 +137,19 @@ func (t *Tape) alloc() *Node {
 // node records a fresh interior node with a zeroed rows×cols value and
 // gradient from the arena.
 func (t *Tape) node(rows, cols int, back func(*Tape, *Node)) *Node {
+	nd := t.assigned(rows, cols, back)
+	clear(nd.Value.Data)
+	return nd
+}
+
+// assigned is node for an op that assigns every element of the value before
+// anything reads one (a copy, a gather, a concatenation): the value skips
+// the arena's clear and holds whatever the last cycle left there until the
+// op has filled it. The gradient is accumulated into, so it is always
+// zeroed.
+func (t *Tape) assigned(rows, cols int, back func(*Tape, *Node)) *Node {
 	nd := t.alloc()
-	nd.Value = t.arena.Matrix(rows, cols)
+	nd.Value = t.arena.UninitMatrix(rows, cols)
 	nd.Grad = t.arena.Matrix(rows, cols)
 	nd.NeedsGrad = true
 	nd.back = back
@@ -148,18 +159,23 @@ func (t *Tape) node(rows, cols int, back func(*Tape, *Node)) *Node {
 // unary records an interior node whose value starts as a copy of a.Value —
 // the arena-backed replacement for the old Clone-then-mutate op pattern.
 func (t *Tape) unary(a *Node, back func(*Tape, *Node)) *Node {
-	nd := t.node(a.Value.Rows, a.Value.Cols, back)
+	nd := t.assigned(a.Value.Rows, a.Value.Cols, back)
 	nd.a = a
 	copy(nd.Value.Data, a.Value.Data)
 	return nd
 }
 
 // Const introduces a matrix the graph treats as a constant: no gradient
-// flows into it.
+// flows into it, so it has no gradient matrix — Grad is nil, and an adjoint
+// that forgot to consult NeedsGrad dereferences it.
+//
+// Not inlined, for the reason ParallelFor is not: without its gradient it is
+// small enough to be, and core's loss would grow by three copies of it.
+//
+//go:noinline
 func (t *Tape) Const(m *Matrix) *Node {
 	nd := t.alloc()
 	nd.Value = m
-	nd.Grad = t.arena.Matrix(m.Rows, m.Cols)
 	return nd
 }
 

@@ -129,7 +129,7 @@ func (b *batcher) park() {
 func (b *batcher) forward(f *plan.FlatPlan, m *core.Model) (preds []float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			preds, err = nil, fmt.Errorf("serve: inference panicked: %v", p)
+			preds, err = nil, fmt.Errorf("%w: %v", errPanicked, p)
 		}
 		b.release()
 	}()

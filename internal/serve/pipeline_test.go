@@ -396,6 +396,61 @@ func TestAdmissionPanicFailsOneRequest(t *testing.T) {
 	}
 }
 
+// TestBatchPanicFailsOneBatch: /predict/batch fans its forwards out through
+// nn.ParallelFor, so with Workers > 1 a panicking forward used to die on a
+// worker goroutine, where nothing can recover it, and take the process with
+// it. The batch must answer 500, cache nothing, and leave the server serving
+// — for one worker and for several, with every forward of the batch
+// panicking (several panics race to be the one reported) and, behind the
+// plan cache, with only the batch's three misses reaching a forward.
+func TestBatchPanicFailsOneBatch(t *testing.T) {
+	m, samples := trainedModel(t)
+	batchOf := func(n int) []byte {
+		var body bytes.Buffer
+		body.WriteString("[")
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				body.WriteString(",")
+			}
+			body.Write(planBody(t, samples[i].Plan))
+		}
+		body.WriteString("]")
+		return body.Bytes()
+	}
+	_, want := postWire(t, New(m).Handler(), "/predict/batch", "application/json", batchOf(8))
+
+	// A weight matrix too short for its shape: every forward dies on a slice
+	// bound inside the first MLP layer's product.
+	w := m.MLP[0].W.Value
+	intact := w.Data
+	for _, cfg := range []Config{{}, {CacheSize: 256}} {
+		for _, workers := range []int{1, 2, 4} {
+			s := NewWithConfig(m, cfg)
+			s.Workers = workers
+			h := s.Handler()
+			if code, _ := postWire(t, h, "/predict/batch", "application/json", batchOf(5)); code != http.StatusOK {
+				t.Fatalf("workers=%d: warm-up batch: status %d", workers, code)
+			}
+
+			w.Data = intact[:len(intact)/2]
+			code, body := postWire(t, h, "/predict/batch", "application/json", batchOf(8))
+			w.Data = intact
+			if code != http.StatusInternalServerError || !strings.Contains(string(body), "inference panicked") {
+				t.Fatalf("workers=%d: batch whose forwards panic: status %d, body %q; want 500 naming the panic", workers, code, body)
+			}
+			if s.preds != nil && s.preds.Stats().Entries != 5 {
+				t.Fatalf("workers=%d: plan cache holds %d entries after the failed batch, want the warm-up's 5", workers, s.preds.Stats().Entries)
+			}
+
+			code, got := postWire(t, h, "/predict/batch", "application/json", batchOf(8))
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("workers=%d: batch after the panic: status %d, diverged = %v", workers, code, !bytes.Equal(got, want))
+			}
+			s.Close()
+		}
+	}
+}
+
 // TestSubmitIdleAllocs is the no-contention guard: on an idle stage submit
 // takes a slot, runs the forward on the caller's goroutine and returns —
 // the only allocation is the prediction slice it hands back. Telemetry is on

@@ -64,6 +64,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -294,6 +295,9 @@ type SubPlan struct {
 var (
 	errQueueFull = errors.New("serve: request queue full")
 	errClosed    = errors.New("serve: server shutting down")
+	// errPanicked wraps what a forward pass panicked with: the request it
+	// was running for fails with 500, the server keeps serving.
+	errPanicked = errors.New("serve: inference panicked")
 )
 
 // trackInflight bumps the in-flight gauge (and its high-watermark) and
@@ -417,7 +421,11 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	preds := s.batchPreds(batch, tc)
+	preds, err := s.batchPreds(batch, tc)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	out := append(ws.resp[:0], '[')
 	for i := range preds {
 		if i > 0 {
@@ -438,8 +446,15 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 // compute, and the remaining misses fan out across the worker pool, one
 // flat forward each (the request brings its own parallelism, so it bypasses
 // the admission stage). Cache keys come from the fingerprints the decoders
-// already computed — nothing is hashed twice.
-func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
+// already computed — nothing is hashed twice. A forward that panics fails
+// the batch it belongs to (nn.ParallelFor re-raises a worker's panic here, on
+// the handler's goroutine) and caches nothing.
+func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) (_ [][]float64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPanicked, p)
+		}
+	}()
 	out := make([][]float64, batch.Len())
 	predict := func(i int) {
 		f := batch.At(i)
@@ -447,7 +462,7 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
 	}
 	if s.preds == nil {
 		nn.ParallelFor(len(out), s.Workers, predict)
-		return out
+		return out, nil
 	}
 	keys := make([]servecache.Key, len(out))
 	firstOf := make(map[servecache.Key]int, len(out))
@@ -473,7 +488,7 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) [][]float64 {
 			out[i] = out[firstOf[keys[i]]]
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Health is the /healthz response. PlanCache/BodyCache/Queue are present
@@ -566,9 +581,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // writeError maps pipeline errors to HTTP statuses: overload and shutdown
-// are retryable 503s (with Retry-After, so well-behaved clients back off); the
-// request edge owns the rest (413 for an oversized body, else 400).
+// are retryable 503s (with Retry-After, so well-behaved clients back off), a
+// forward pass that panicked is the server's fault (500); the request edge
+// owns the rest (413 for an oversized body, else 400).
 func writeError(w http.ResponseWriter, err error) {
+	if errors.Is(err, errPanicked) {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	if errors.Is(err, errQueueFull) || errors.Is(err, errClosed) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
