@@ -89,18 +89,26 @@ func TestAppendPredictSubPlansZeroAllocs(t *testing.T) {
 // tape sees the same plans in the same order whatever the batch size, so a
 // fit at BatchSize 64 may allocate more than one at 16 by the 48 extra
 // shards and some slice growth, where a tape per item used to add 48 arenas.
+// A shard's slab is a chunk borrowed from nn's size-class pools, rounded up
+// to a power of two: at the default config (31.7k floats in a 2^15 chunk,
+// 3 %) that stays inside the allocator-rounding term below, at smallConfig
+// it would not. Each fit starts on empty pools — two collections drain a
+// sync.Pool — so what is compared is what a fit needs, not what the fit
+// before it happened to leave behind (TestFitReturnsItsMemory covers that).
 func TestFitBytesIndependentOfBatchSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	plans := workloadPlans(t, schema.BenchmarkDB("airline"), 64, executor.M1())
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Workers = 1
 	seed := Train(plans, cfg)
 	encoded := encodeAll(seed, plans, (*featurize.Encoder).Encode)
 	fitBytes := func(batch int) uint64 {
 		m := seed.Clone()
 		m.Cfg.BatchSize = batch
+		runtime.GC()
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m.fit(encoded, cfg.LR, 1)
@@ -113,7 +121,7 @@ func TestFitBytesIndependentOfBatchSize(t *testing.T) {
 	}
 	shard += shard / 8 // the allocator's size-class rounding
 	small, large := fitBytes(16), fitBytes(64)
-	if extra, allowed := large-small, 48*shard+(16<<10); large < small || extra > allowed {
+	if extra, allowed := large-small, 48*shard+(4<<10); large < small || extra > allowed {
 		t.Fatalf("fit allocated %d bytes at BatchSize 16 and %d at 64: %d apart, want at most the 48 extra shards (%d)",
 			small, large, int64(large)-int64(small), allowed)
 	}

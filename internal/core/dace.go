@@ -263,6 +263,7 @@ func (m *Model) fit(encoded []*featurize.Encoded, lr float64, epochs int) {
 	params := m.Params()
 	opt := nn.NewAdam(params, lr)
 	pool := nn.NewGradPool(params, m.Cfg.Workers)
+	defer pool.Release()
 	// Instrumentation is armed only when hooks are installed; the nil-hook
 	// path skips every timestamp below (the epoch loss is summed either way:
 	// one add per minibatch).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Arena is a bump allocator for Matrix backing stores and headers. All
@@ -13,7 +14,11 @@ import (
 //
 // The float64 chunks backing an arena are drawn from a global sync.Pool per
 // power-of-two size class, so arenas of similar working-set size share
-// memory across goroutines and idle chunks are reclaimable by the GC.
+// memory across goroutines and idle chunks are reclaimable by the GC. The
+// same pools are where all of training's bulk memory comes from: a GradPool
+// borrows its gradient shards from them directly and its tapes from
+// tapePool, and when the fit ends hands the shards and the chunks its tapes'
+// arenas grew back here.
 //
 // Aliasing hazard: a *Matrix returned by an arena (and anything sharing its
 // Data) becomes invalid at Reset — the same memory is handed out again, and
@@ -36,7 +41,10 @@ const (
 )
 
 // chunkPools holds reusable float64 chunks keyed by size class c, each of
-// length exactly 1<<c.
+// length exactly 1<<c. What is pooled is the chunk's first element's address
+// — the class supplies the length — because a pointer goes into the pool's
+// interface as it is, where a slice header would be copied to the heap on
+// every Put.
 var chunkPools [arenaMaxClass + 1]sync.Pool
 
 // arenaPool recycles whole arenas (with their chunks and header slabs
@@ -67,16 +75,31 @@ func classFor(n int) int {
 	return c
 }
 
-// newChunk obtains a chunk with capacity for at least n floats.
+// newChunk obtains a chunk with capacity for at least n floats. An idle
+// chunk of the next class up is taken before a new one is made: a fine-tune's
+// shards (2^14 floats) then run on the slabs the pre-train before it returned
+// (2^15) instead of keeping a second set resident beside them.
 func newChunk(n int) []float64 {
 	c := classFor(n)
 	if c < 0 {
 		return make([]float64, n)
 	}
-	if v := chunkPools[c].Get(); v != nil {
-		return v.([]float64)
+	for up := c; up <= min(c+1, arenaMaxClass); up++ {
+		if v := chunkPools[up].Get(); v != nil {
+			return unsafe.Slice(v.(*float64), 1<<up)
+		}
 	}
 	return make([]float64, 1<<c)
+}
+
+// putChunk hands a chunk obtained from newChunk back to its size-class pool;
+// an exact-size oversize chunk is left to the GC. The caller must drop every
+// reference to c: the next newChunk of that class, on any goroutine, owns it.
+func putChunk(c []float64) {
+	c = c[:cap(c)]
+	if cl := classFor(len(c)); cl >= 0 && len(c) == 1<<cl {
+		chunkPools[cl].Put(unsafe.SliceData(c))
+	}
 }
 
 // Floats allocates a zeroed slice of n float64s from the arena.
@@ -163,10 +186,9 @@ func (a *Arena) Reset() {
 // size-class pools, dropping exact-size oversize chunks for the GC. Header
 // slabs stay attached (they are small). The arena remains usable.
 func (a *Arena) Release() {
-	for _, c := range a.chunks {
-		if cl := classFor(len(c)); cl >= 0 && len(c) == 1<<cl {
-			chunkPools[cl].Put(c) //nolint:staticcheck // slices are pointer-shaped enough here
-		}
+	for i, c := range a.chunks {
+		putChunk(c)
+		a.chunks[i] = nil
 	}
 	a.chunks = a.chunks[:0]
 	a.Reset()

@@ -90,6 +90,36 @@ func TestArenaSteadyStateAllocsZero(t *testing.T) {
 	}
 }
 
+// TestArenaReleaseDoesNotAllocate: Release is the exit of every fit, so what
+// it puts in the size-class pools must go in as it is. A slice header boxed
+// into the pool's interface cost one 24-byte allocation per returned chunk.
+func TestArenaReleaseDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var a Arena
+	cycle := func() {
+		// Three size classes, one chunk each.
+		a.Floats(1 << arenaMinClass)
+		a.Floats(1 << (arenaMinClass + 1))
+		a.Floats(1 << (arenaMinClass + 3))
+		a.Release()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("get → release → get allocates %.2f objects a cycle, want 0", avg)
+	}
+	// What comes back is a whole chunk of its class, whatever length the
+	// last borrower sliced it to.
+	putChunk(newChunk(1500)[:1500])
+	if c := newChunk(1500); len(c) != 1<<11 || cap(c) != 1<<11 {
+		t.Fatalf("recycled chunk has len %d cap %d, want %d", len(c), cap(c), 1<<11)
+	}
+	if len(a.chunks) != 0 {
+		t.Fatalf("a released arena still holds %d chunks", len(a.chunks))
+	}
+}
+
 // treeSpans is a 7-node DFS pre-order tree: 0{1{2,3},4{5,6}}.
 func treeSpans() []Span {
 	sizes := []int{7, 3, 1, 1, 3, 1, 1}

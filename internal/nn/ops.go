@@ -182,23 +182,15 @@ func backScale(t *Tape, n *Node) {
 
 // ReLU records the rectified linear unit max(0, x).
 func (t *Tape) ReLU(a *Node) *Node {
-	n := t.unary(a, backReLU)
-	for i, x := range n.Value.Data {
-		if x < 0 {
-			n.Value.Data[i] = 0
-		}
-	}
+	n := t.assigned(a.Value.Rows, a.Value.Cols, backReLU)
+	n.a = a
+	reluTo(n.Value.Data, a.Value.Data)
 	return n
 }
 
 func backReLU(t *Tape, n *Node) {
-	if !n.a.NeedsGrad {
-		return
-	}
-	for i, g := range n.Grad.Data {
-		if n.a.Value.Data[i] > 0 {
-			n.a.Grad.Data[i] += g
-		}
+	if n.a.NeedsGrad {
+		reluGrad(n.a.Grad.Data, n.Grad.Data, n.a.Value.Data)
 	}
 }
 

@@ -100,9 +100,16 @@ func dispatch(n, workers int, fn func(worker, i int)) {
 // the time Backward returns, everything the item contributes sits in its
 // shard and its loss scalar has been copied out, so which tape (and which
 // recycled arena memory) an item ran on cannot reach a result, and only
-// `workers` tapes are ever live at once. Both are retained across calls —
-// shards grow to the largest batch seen — so steady-state training does no
-// per-batch allocation of gradient or tape storage.
+// `workers` tapes are ever live at once. Both are retained across the
+// Accumulate calls of one fit — shards grow to the largest batch seen — so
+// steady-state training does no per-batch allocation of gradient or tape
+// storage.
+//
+// Neither is built for the fit: shard slabs are borrowed from the arena
+// chunk pools and tapes from the tape pool, and Release hands both back, so
+// the next fit — on this pool or any other in the process — runs on the same
+// memory instead of leaving 12 MB for the collector. The owner of a GradPool
+// defers Release where it builds it.
 type GradPool struct {
 	params  []*Param
 	index   map[*Param]int
@@ -144,11 +151,11 @@ func NewGradPool(params []*Param, workers int) *GradPool {
 
 // grow ensures at least n shard slots, and a tape for every worker a batch
 // of n can occupy, exist. The shards themselves are built by the worker
-// that first runs the item (newShard), so a fit's largest allocation — one
-// batch of gradient copies — is made in parallel, not ahead of the batch.
+// that first runs the item (newShard), so a fit's largest clear — one batch
+// of gradient copies — is made in parallel, not ahead of the batch.
 func (g *GradPool) grow(n int) {
 	for len(g.tapes) < min(g.workers, n) {
-		g.tapes = append(g.tapes, NewTape())
+		g.tapes = append(g.tapes, GetTape())
 	}
 	for len(g.shards) < n {
 		g.shards = append(g.shards, nil)
@@ -156,7 +163,7 @@ func (g *GradPool) grow(n int) {
 	}
 }
 
-// newShard builds a zeroed shard.
+// newShard builds a zeroed shard over a slab borrowed from the chunk pools.
 func (g *GradPool) newShard() *shard {
 	total := 0
 	for _, p := range g.params {
@@ -169,7 +176,9 @@ func (g *GradPool) newShard() *shard {
 			total += len(p.Value.Data)
 		}
 	}
-	sh := &shard{slab: make([]float64, total), grads: make([]*Matrix, len(g.params))}
+	// A recycled chunk holds whatever its last borrower left there.
+	sh := &shard{slab: newChunk(total)[:total], grads: make([]*Matrix, len(g.params))}
+	clear(sh.slab)
 	hdrs := make([]Matrix, len(g.params))
 	off := 0
 	for i, p := range g.params {
@@ -188,6 +197,28 @@ func (g *GradPool) newShard() *shard {
 		return nil
 	}
 	return sh
+}
+
+// Release returns the pool's shard slabs to the chunk pools and its tapes to
+// the tape pool, and forgets them: nothing the pool computed is lost (the
+// gradients are in Param.Grad), a second Release finds nothing to return,
+// and a later Accumulate borrows afresh. It must not run concurrently with
+// Accumulate — which, having returned or panicked, has no worker still
+// running.
+func (g *GradPool) Release() {
+	for _, sh := range g.shards {
+		if sh != nil {
+			putChunk(sh.slab)
+		}
+	}
+	for _, t := range g.tapes {
+		// A training tape's arena is megabytes and tapePool also serves
+		// single-plan passes, so the chunks go back to the class pools the
+		// slabs share and the tape goes back thin.
+		t.Arena().Release()
+		PutTape(t)
+	}
+	g.shards, g.tapes, g.losses = nil, nil, nil
 }
 
 // TakeBusy returns the busy time metered since the last call (zero unless

@@ -298,3 +298,118 @@ func TestGradPoolHoldsOneTapePerWorker(t *testing.T) {
 		t.Fatalf("one-worker Accumulate allocates %.1f objects/op on a warm pool, want at most the closure", avg)
 	}
 }
+
+// TestGradPoolReleaseExactlyOnce: a slab or tape that entered its pool twice
+// would be lent to two fits at once. Release forgets what it returns, so a
+// second Release returns nothing, an Accumulate after it borrows afresh and
+// computes the same gradients, and a fit whose loss panics — the deferred
+// Release then runs after dispatch has drained the other workers — leaves
+// the pool empty-handed too.
+func TestGradPoolReleaseExactlyOnce(t *testing.T) {
+	mlp, gamma, xs, ys := poolFixture(23)
+	params := append(mlp.Params(), gamma)
+	lossFn := func(tp *Tape, i int) *Node { return fixtureLoss(tp, mlp, gamma, xs, ys, i) }
+	zero := func() {
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+	}
+	held := func(g *GradPool) (slabs map[*float64]bool, tapes map[*Tape]bool) {
+		slabs, tapes = map[*float64]bool{}, map[*Tape]bool{}
+		for _, sh := range g.shards {
+			if sh != nil {
+				slabs[&sh.slab[0]] = true
+			}
+		}
+		for _, tp := range g.tapes {
+			tapes[tp] = true
+		}
+		return slabs, tapes
+	}
+	empty := func(what string, g *GradPool) {
+		t.Helper()
+		if len(g.shards) != 0 || len(g.tapes) != 0 {
+			t.Fatalf("%s: the pool still names %d shards and %d tapes", what, len(g.shards), len(g.tapes))
+		}
+		for _, sh := range g.shards[:cap(g.shards)] {
+			if sh != nil {
+				t.Fatalf("%s: a returned shard is still reachable from the pool", what)
+			}
+		}
+		for _, tp := range g.tapes[:cap(g.tapes)] {
+			if tp != nil {
+				t.Fatalf("%s: a returned tape is still reachable from the pool", what)
+			}
+		}
+	}
+
+	zero()
+	pool := NewGradPool(params, 3)
+	wantLoss := pool.Accumulate(len(xs), lossFn)
+	want := grads(params)
+	slabs, tapes := held(pool)
+	if len(slabs) != len(xs) || len(tapes) != 3 {
+		t.Fatalf("a %d-item batch on 3 workers holds %d slabs and %d tapes", len(xs), len(slabs), len(tapes))
+	}
+	pool.Release()
+	empty("Release", pool)
+	pool.Release()
+	empty("second Release", pool)
+
+	// Everything just returned may be lent out again — to this pool or to
+	// another one running beside it; neither may see the other's memory.
+	other := NewGradPool(params, 2)
+	other.Accumulate(len(xs), lossFn)
+	zero()
+	if got := pool.Accumulate(len(xs), lossFn); got != wantLoss {
+		t.Fatalf("loss after Release = %v, want %v", got, wantLoss)
+	}
+	for pi, g := range grads(params) {
+		checkSame(t, "gradient of "+params[pi].Name+" after Release", g, want[pi])
+	}
+	mine, myTapes := held(pool)
+	theirs, theirTapes := held(other)
+	for s := range mine {
+		if theirs[s] {
+			t.Fatal("one slab is held by two pools")
+		}
+	}
+	for tp := range myTapes {
+		if theirTapes[tp] {
+			t.Fatal("one tape is held by two pools")
+		}
+	}
+	other.Release()
+	pool.Release()
+
+	// The way fit uses it: Release deferred, a loss that panics mid-batch.
+	for _, workers := range []int{1, 3} {
+		pool := NewGradPool(params, workers)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			defer pool.Release()
+			pool.Accumulate(len(xs), lossFn)
+			pool.Accumulate(len(xs), func(tp *Tape, i int) *Node {
+				if i == 4 {
+					panic("bad plan")
+				}
+				return lossFn(tp, i)
+			})
+			return nil
+		}()
+		if got != "bad plan" {
+			t.Fatalf("workers=%d: recovered %v, want the loss's panic", workers, got)
+		}
+		empty("Release after a panic", pool)
+		pool.Release()
+		empty("Release after a panic, again", pool)
+	}
+	// And the memory that went back through a panic is as good as any.
+	zero()
+	pool = NewGradPool(params, 3)
+	defer pool.Release()
+	pool.Accumulate(len(xs), lossFn)
+	for pi, g := range grads(params) {
+		checkSame(t, "gradient of "+params[pi].Name+" after a panicked fit", g, want[pi])
+	}
+}

@@ -18,11 +18,20 @@ package nn
 //
 // dotRows sums along k, the contiguous axis of both operands, so its lanes
 // still run across j: four rows of b are transposed in registers, four k at
-// a time, and each lane keeps its own output's running sum. On amd64 with
-// AVX2 the dispatchers in simd_amd64.go hand the multiple-of-four body of a
-// row to assembly and the tail to the Go bodies below; everywhere else the
-// Go bodies are the only path. They are also the reference the differential
-// tests compare the assembly against.
+// a time, and each lane keeps its own output's running sum. Two more are
+// element-wise, the two halves of ReLU:
+//
+//	reluTo:   dst[i]  = src[i] < 0 ? +0 : src[i]
+//	reluGrad: dst[i]  = x[i] > 0 ? dst[i] + g[i] : dst[i]
+//
+// They select, they do not mask: a NaN or -0 input passes through the
+// forward untouched, and a gradient element whose input was not positive
+// keeps its bits (adding a masked +0 would turn a -0 into +0).
+//
+// On amd64 with AVX2 the dispatchers in simd_amd64.go hand the
+// multiple-of-four body of a row to assembly and the tail to the Go bodies
+// below; everywhere else the Go bodies are the only path. They are also the
+// reference the differential tests compare the assembly against.
 
 // panelGeneric is the portable body of panel. dst must not alias a or b.
 func panelGeneric(dst, a []float64, as int, b []float64, bc, k int) {
@@ -114,5 +123,28 @@ func addToGeneric(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] += v
+	}
+}
+
+// reluToGeneric is the portable body of reluTo; dst holds at least len(src)
+// elements.
+func reluToGeneric(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		if x < 0 {
+			x = 0
+		}
+		dst[i] = x
+	}
+}
+
+// reluGradGeneric is the portable body of reluGrad: g and x hold at least
+// len(dst) elements, and dst must not alias either.
+func reluGradGeneric(dst, g, x []float64) {
+	g, x = g[:len(dst)], x[:len(dst)]
+	for i := range dst {
+		if x[i] > 0 {
+			dst[i] += g[i]
+		}
 	}
 }

@@ -75,6 +75,15 @@ func dotRowsAVX2(dst *float64, ds int, a *float64, as int, b *float64, bc, rows,
 //go:noescape
 func addToAVX2(dst, src *float64, n int)
 
+// reluToAVX2 writes reluTo over [0:n) for n a positive multiple of 4;
+// reluGradAVX2 likewise. They check nothing.
+//
+//go:noescape
+func reluToAVX2(dst, src *float64, n int)
+
+//go:noescape
+func reluGradAVX2(dst, grad, x *float64, n int)
+
 // panel4 is panel over four rows at once: dst[r·ds+j] += Σ_k a[r·as+k]·
 // b[k·bc+j] for r < 4 and j < n, k ascending, where n is a positive
 // multiple of 32 and k ≥ 1. Each vector of b is loaded once for the four
@@ -153,4 +162,27 @@ func addTo(dst, src []float64) {
 		dst, src = dst[n:], src[n:]
 	}
 	addToGeneric(dst, src)
+}
+
+// reluTo writes dst[i] = src[i] < 0 ? +0 : src[i] over len(src) elements;
+// dst holds at least that many and must not partially overlap src.
+func reluTo(dst, src []float64) {
+	dst = dst[:len(src)]
+	if n := len(src) &^ 3; useAVX2 && n > 0 {
+		reluToAVX2(&dst[0], &src[0], n)
+		dst, src = dst[n:], src[n:]
+	}
+	reluToGeneric(dst, src)
+}
+
+// reluGrad accumulates g[i] into dst[i] wherever x[i] > 0 and leaves every
+// other element of dst as it is; g and x hold at least len(dst) elements and
+// must not alias dst.
+func reluGrad(dst, g, x []float64) {
+	g, x = g[:len(dst)], x[:len(dst)]
+	if n := len(dst) &^ 3; useAVX2 && n > 0 {
+		reluGradAVX2(&dst[0], &g[0], &x[0], n)
+		dst, g, x = dst[n:], g[n:], x[n:]
+	}
+	reluGradGeneric(dst, g, x)
 }

@@ -410,3 +410,55 @@ add4:
 added:
 	VZEROUPPER
 	RET
+
+// func reluToAVX2(dst, src *float64, n int)
+//
+// dst = src with every element below zero replaced by +0: the compare is
+// false for NaN and for -0, which pass through, and the result is the
+// source's own bits and-ed with the inverted mask.
+TEXT ·reluToAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+	VXORPD Y15, Y15, Y15
+
+	PCALIGN $64
+relu4:
+	VMOVUPD (SI)(AX*1), Y0
+	VCMPPD $0x11, Y15, Y0, Y1 // LT_OQ: src < 0
+	VANDNPD Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  relu4
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dst, grad, x *float64, n int)
+//
+// dst = x > 0 ? dst + g : dst, a blend of the sum and the untouched element
+// (not an add of a masked zero, which would rewrite a -0).
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+	VXORPD Y15, Y15, Y15
+
+	PCALIGN $64
+grad4:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD (DX)(AX*1), Y2
+	VADDPD (SI)(AX*1), Y0, Y1
+	VCMPPD $0x1E, Y15, Y2, Y3 // GT_OQ: x > 0
+	VBLENDVPD Y3, Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  grad4
+	VZEROUPPER
+	RET

@@ -27,3 +27,7 @@ func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, 
 }
 
 func addTo(dst, src []float64) { addToGeneric(dst, src) }
+
+func reluTo(dst, src []float64) { reluToGeneric(dst, src) }
+
+func reluGrad(dst, g, x []float64) { reluGradGeneric(dst, g, x) }

@@ -174,6 +174,25 @@ func compareAddTo(t *testing.T, init, src []float64, off int) {
 	checkGuards(t, what, buf, off, len(init))
 }
 
+func compareReLU(t *testing.T, src, g, dinit []float64, off int) {
+	t.Helper()
+	what := fmt.Sprintf("reluTo len=%d off=%d", len(src), off)
+	want, _ := poisoned(dinit, off)
+	reluToGeneric(want, src)
+	got, buf := poisoned(dinit, off)
+	reluTo(got, src)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, len(src))
+
+	what = fmt.Sprintf("reluGrad len=%d off=%d", len(src), off)
+	want, _ = poisoned(dinit, off)
+	reluGradGeneric(want, g, src)
+	got, buf = poisoned(dinit, off)
+	reluGrad(got, g, src)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, len(src))
+}
+
 // TestKernelDispatch logs which bodies this CPU runs, so that a reader of a
 // green run knows what it exercised.
 func TestKernelDispatch(t *testing.T) {
@@ -181,8 +200,9 @@ func TestKernelDispatch(t *testing.T) {
 		t.Log("panel, oneHotRow: AVX2 assembly")
 		t.Log("dotRows (MatMulTransBInto, MatMulSpans' dA), output columns in fours: AVX2 assembly")
 		t.Log("addTo (AddInPlace): AVX2 assembly")
+		t.Log("reluTo, reluGrad (Tape.ReLU and its adjoint): AVX2 assembly")
 	} else {
-		t.Log("panel, oneHotRow, dotRows, addTo: generic Go")
+		t.Log("panel, oneHotRow, dotRows, addTo, reluTo, reluGrad: generic Go")
 	}
 	if useAVX512 {
 		t.Log("MatMulInto, full blocks of 4 rows × 32 columns: panel4, AVX-512 assembly")
@@ -260,6 +280,42 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 4; off++ {
 				compareAddTo(t, unaligned(rng, n, 0), unaligned(rng, n, 3-off), off)
+			}
+		}
+	})
+
+	t.Run("relu", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2: the generic bodies are the only kernels on this host")
+		}
+		rng := rand.New(rand.NewSource(25))
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				compareReLU(t, unaligned(rng, n, 3-off), unaligned(rng, n, off), unaligned(rng, n, 0), off)
+			}
+		}
+		// The corner values by name: a NaN or a zero of either sign is not
+		// below zero and passes the forward as it is; it is not above zero
+		// either, so the gradient under it — a -0 here — keeps its sign bit,
+		// which adding a masked +0 would clear.
+		negZero, nan := math.Copysign(0, -1), math.NaN()
+		x := []float64{0, negZero, nan, -nan, math.Inf(-1), math.Inf(1), -1, 1, -math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, 0, negZero}
+		out := make([]float64, len(x))
+		reluTo(out, x)
+		for i, want := range []float64{0, negZero, nan, -nan, 0, math.Inf(1), 0, 1, 0, math.SmallestNonzeroFloat64, 0, negZero} {
+			if !sameBits(out[i], want) {
+				t.Fatalf("reluTo(%v) = %v (%#x), want %v", x[i], out[i], math.Float64bits(out[i]), want)
+			}
+		}
+		d := make([]float64, len(x))
+		for i := range d {
+			d[i] = negZero
+		}
+		g := []float64{1, 1, 1, 1, 1, 0, 1, negZero, 1, nan, nan, math.Inf(1)}
+		reluGrad(d, g, x)
+		for i, want := range []float64{negZero, negZero, negZero, negZero, negZero, 0, negZero, negZero, negZero, nan, negZero, negZero} {
+			if !sameBits(d[i], want) {
+				t.Fatalf("reluGrad under x=%v: -0 + %v = %v (%#x), want %v", x[i], g[i], d[i], math.Float64bits(d[i]), want)
 			}
 		}
 	})
@@ -464,6 +520,9 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 	mustPanic(t, "dotRows short strided b", func() { dotRows(full(40), 8, full(20), 4, full(32), 5, 5, 4, 8) })
 	mustPanic(t, "dotRows negative stride", func() { dotRows(full(40), 8, full(20), -4, full(32), 4, 5, 4, 8) })
 	mustPanic(t, "addTo short dst", func() { addTo(full(7), full(8)) })
+	mustPanic(t, "reluTo short dst", func() { reluTo(full(7), full(8)) })
+	mustPanic(t, "reluGrad short g", func() { reluGrad(full(8), full(7), full(8)) })
+	mustPanic(t, "reluGrad short x", func() { reluGrad(full(8), full(8), full(7)) })
 	mustPanic(t, "MatMulTransBInto short b", func() {
 		MatMulTransBInto(NewMatrix(5, 8), NewMatrix(5, 4), &Matrix{Rows: 8, Cols: 4, Data: full(31)})
 	})
@@ -513,6 +572,7 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		c := next(2)
 		compareOneHotRow(t, next(cols), next(cols), next(cols), c[0], c[1], off)
 		compareAddTo(t, next(cols), next(cols), off)
+		compareReLU(t, next(cols), next(cols), next(cols), off)
 		if cols > 0 {
 			// dotRows' destination comes from a seeded generator, like
 			// panel4's below: the fuzzer's bits go into a and b.
@@ -614,6 +674,61 @@ func BenchmarkKernels(b *testing.B) {
 			b.SetBytes(3 * 8 * n) // two loads and a store per element
 			for i := 0; i < b.N; i++ {
 				im.body(dst, src)
+			}
+		})
+	}
+	// The rest of a training step: aᵀ·b under MatMul's dW adjoint (a plan's
+	// rows are the summed axis; one strided panel call per output row), the
+	// two halves of ReLU, and Adam's update (a Go loop; its row is a baseline).
+	for _, rows := range []int{3, 10, 32} {
+		const in, out = 128, 128
+		a, dy, dst := NewMatrix(rows, in), NewMatrix(rows, out), NewMatrix(in, out)
+		copy(a.Data, dense(len(a.Data)))
+		copy(dy.Data, dense(len(dy.Data)))
+		for _, im := range []struct {
+			name string
+			body func()
+		}{
+			{"generic", func() {
+				for i := 0; i < in; i++ {
+					panelGeneric(dst.Data[i*out:(i+1)*out], a.Data[i:], in, dy.Data, out, rows)
+				}
+			}},
+			{"dispatched", func() { MatMulTransAInto(dst, a, dy) }},
+		} {
+			b.Run(fmt.Sprintf("MatMulTransAInto/%dx%dx%d/%s", rows, in, out, im.name), func(b *testing.B) {
+				b.SetBytes(int64(8 * (rows*in + rows*out + 2*in*out))) // dst is read and written
+				for i := 0; i < b.N; i++ {
+					im.body()
+				}
+				b.ReportMetric(float64(2*rows*in*out)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+			})
+		}
+	}
+	{
+		const n = 16384
+		x, g, d := dense(n), dense(n), make([]float64, n)
+		for _, im := range []struct {
+			name string
+			to   func(dst, src []float64)
+			grad func(dst, g, x []float64)
+		}{{"generic", reluToGeneric, reluGradGeneric}, {"dispatched", reluTo, reluGrad}} {
+			b.Run(fmt.Sprintf("ReLU/%d/%s", n, im.name), func(b *testing.B) {
+				b.SetBytes((2 + 4) * 8 * n) // forward: load, store; backward: three loads, a store
+				for i := 0; i < b.N; i++ {
+					im.to(d, x)
+					im.grad(d, g, x)
+				}
+			})
+		}
+		p := NewParam("p", 1, n)
+		copy(p.Value.Data, dense(n))
+		opt := NewAdam([]*Param{p}, 1.5e-3)
+		b.Run(fmt.Sprintf("AdamStep/%d", n), func(b *testing.B) {
+			b.SetBytes(7 * 8 * n) // the update's four loads and three stores
+			for i := 0; i < b.N; i++ {
+				copy(p.Grad.Data, g) // Step clears the gradient
+				opt.Step()
 			}
 		})
 	}

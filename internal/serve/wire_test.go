@@ -256,9 +256,13 @@ func TestBatchHostileCountAllocatesNothingUpFront(t *testing.T) {
 	rec := httptest.NewRecorder()
 
 	// With the collector off the pooled request scratch cannot be dropped
-	// between the two calls, so the second reads the frame into the buffer
-	// the first one grew and the delta is the handler's own doing.
+	// between the two calls, and on one P it cannot be out of reach either
+	// (ReadMemStats stops the world, and a goroutine that resumes on another
+	// P finds that P's pool slot empty: 1–3 % of runs re-grew the 4 MB
+	// buffer), so the second reads the frame into the buffer the first one
+	// grew and the delta is the handler's own doing.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s.handlePredictBatch(httptest.NewRecorder(), req)
 	body.off = 0
 	var before, after runtime.MemStats
