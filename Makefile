@@ -58,6 +58,9 @@ build-arm64:
 # its parser, the feedback log has no JSON writer (encoding/json is there to
 # read the legacy payload only), and the tree-returning request-edge decoder
 # is gone for good.
+# And the one-statistics-stack invariants: the load generator measures and
+# does not judge — no forced collection in the process doing the measuring,
+# and no second rank test, effect size or baseline store beside benchmark/'s.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
@@ -74,7 +77,9 @@ check-paths:
 		grep -nHE '^[[:space:]]*Loader[[:space:]]' internal/serve/serve.go; \
 		grep -rnE --include='*.go' --exclude='*_test.go' 'plan\.(Plan|Node)\b|FromTree\(|ReadJSON\(' internal/serve internal/feedback internal/adapt internal/tenant; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'json\.Marshal' internal/feedback; \
-		grep -rnE --include='*.go' 'func (\([^)]*\) )?DecodeTree\(' internal cmd examples benchmark)"; \
+		grep -rnE --include='*.go' 'func (\([^)]*\) )?DecodeTree\(' internal cmd examples benchmark; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GC(' internal/loadgen; \
+		grep -rnE --include='*.go' '^func (\([^)]*\) )?(MannWhitney|CohensD|SaveBaseline|LoadBaseline|soakGates)\(' internal cmd)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:
@@ -118,8 +123,8 @@ bench-gate:
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels ./internal/nn
 
-# The raw go-test benchmarks (heavier; regenerates paper artifacts too with
-# `-bench .`).
+# The raw go-test micro-benchmarks of data-parallel training and batch
+# inference.
 bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkPredictBatch' -benchtime 3x .
 

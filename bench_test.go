@@ -1,104 +1,22 @@
 package dace_test
 
-// One benchmark per evaluation artifact of the paper (Tables I-II, Figures
-// 4-12), each running the corresponding experiment driver end to end at
-// QuickConfig scale — training included — plus micro-benchmarks for the hot
-// paths (planning, execution labeling, DACE training and inference).
-//
-// The experiment benchmarks are deliberately heavyweight (several seconds
-// per iteration): they exist so `go test -bench .` regenerates every
-// artifact, not to measure nanoseconds. The micro-benchmarks cover that.
+// Micro-benchmarks for the hot paths (planning, execution labeling, DACE
+// training and inference). The paper's tables and figures are regenerated by
+// `go run ./cmd/experiments -run <artifact>`, and nowhere else.
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/executor"
-	"dace/internal/experiments"
 	"dace/internal/optimizer"
 	"dace/internal/plan"
 	"dace/internal/schema"
 	"dace/internal/workload"
 )
-
-// benchLab builds a quiet quick-scale lab.
-func benchLab() *experiments.Lab {
-	cfg := experiments.QuickConfig()
-	cfg.Out = io.Discard
-	return experiments.NewLab(cfg)
-}
-
-func BenchmarkFig4ZeroShotByNodes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig4()
-	}
-}
-
-func BenchmarkFig5AcrossDatabase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig5([]string{"imdb", "baseball"})
-	}
-}
-
-func BenchmarkTable1Workload3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Table1()
-	}
-}
-
-func BenchmarkFig6PretrainedEncoder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig6()
-	}
-}
-
-func BenchmarkTable2Efficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Table2()
-	}
-}
-
-func BenchmarkFig7DataDrift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig7()
-	}
-}
-
-func BenchmarkFig8TrainingDatabases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig8([]int{1, 3, 6})
-	}
-}
-
-func BenchmarkFig9ColdStart(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig9([]int{60, 150})
-	}
-}
-
-func BenchmarkFig10Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig10()
-	}
-}
-
-func BenchmarkFig11ByNodeCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig11()
-	}
-}
-
-func BenchmarkFig12ActualCardinality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchLab().Fig12([]int{1, 3})
-	}
-}
-
-// --- micro-benchmarks -----------------------------------------------------
 
 func BenchmarkPlannerIMDB(b *testing.B) {
 	db := schema.IMDB()

@@ -25,31 +25,27 @@ type Options struct {
 	// that finds the window full is dropped and counted — the arrival
 	// clock is never blocked.
 	MaxInflight int
-	// Hist, when non-nil, receives every successful request's
-	// intended-start→completion latency in seconds. Nil allocates one
-	// internally; pass an external histogram to aggregate across runs.
-	Hist *telemetry.Histogram
 }
 
 // Counts are the per-class outcome counters of a run, all cumulative.
 type Counts struct {
-	Offered       int64 `json:"offered"`       // arrivals the schedule generated
-	Sent          int64 `json:"sent"`          // arrivals that acquired an in-flight slot
-	OK            int64 `json:"ok"`            // 2xx responses
-	Backpressured int64 `json:"backpressured"` // 503/429 responses
-	Dropped       int64 `json:"dropped"`       // arrivals shed: in-flight window full
-	Timeouts      int64 `json:"timeouts"`      // transport timeouts
-	Errors        int64 `json:"errors"`        // other transport errors + unexpected statuses
-	InflightHWM   int64 `json:"inflight_hwm"`  // in-flight high-watermark
+	Offered       int64 // arrivals the schedule generated
+	Sent          int64 // arrivals that acquired an in-flight slot
+	OK            int64 // 2xx responses
+	Backpressured int64 // 503/429 responses
+	Dropped       int64 // arrivals shed: in-flight window full
+	Timeouts      int64 // transport timeouts
+	Errors        int64 // other transport errors (a truncated body included) + unexpected statuses
+	InflightHWM   int64 // in-flight high-watermark
 }
 
 // Result is one completed run.
 type Result struct {
 	Counts
-	Elapsed     time.Duration               `json:"elapsed_ns"`
-	OfferedQPS  float64                     `json:"offered_qps"`  // Offered / Elapsed
-	AchievedQPS float64                     `json:"achieved_qps"` // OK / Elapsed
-	Hist        telemetry.HistogramSnapshot `json:"-"`            // successful-request latency, seconds
+	Elapsed     time.Duration
+	OfferedQPS  float64                     // Offered / Elapsed
+	AchievedQPS float64                     // OK / Elapsed
+	Hist        telemetry.HistogramSnapshot // successful-request latency, seconds
 }
 
 // Runner executes one open-loop run. Create with NewRunner, start with
@@ -67,11 +63,7 @@ func NewRunner(opt Options) *Runner {
 	if opt.MaxInflight <= 0 {
 		opt.MaxInflight = 1024
 	}
-	h := opt.Hist
-	if h == nil {
-		h = &telemetry.Histogram{}
-	}
-	return &Runner{opt: opt, hist: h}
+	return &Runner{opt: opt, hist: &telemetry.Histogram{}}
 }
 
 // Snapshot returns the current counters and latency histogram, safe to
@@ -139,27 +131,35 @@ func (r *Runner) Run() Result {
 			}
 			r.sent.Add(1)
 			resp, err := r.opt.Target.Do(r.opt.NewRequest(i))
-			switch {
-			case err != nil && isTimeout(err):
-				r.timeouts.Add(1)
-			case err != nil:
-				r.errs.Add(1)
-			case resp.Status >= 200 && resp.Status < 300:
-				// Latency from the *intended* start: queueing delay anywhere
-				// — dispatch backlog, server queue, slow response — lands in
-				// the distribution.
-				r.hist.Observe(time.Since(intended).Seconds())
-				r.ok.Add(1)
-			case resp.Status == http.StatusServiceUnavailable || resp.Status == http.StatusTooManyRequests:
-				r.backp.Add(1)
-			default:
-				r.errs.Add(1)
-			}
+			// Latency from the *intended* start: queueing delay anywhere —
+			// dispatch backlog, server queue, slow response — lands in the
+			// distribution.
+			r.record(resp, err, intended)
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	return r.result(time.Since(start))
+}
 
+// record classifies one completed request; a 2xx adds its latency since
+// start to the histogram.
+func (r *Runner) record(resp Response, err error, start time.Time) {
+	switch {
+	case err != nil && isTimeout(err):
+		r.timeouts.Add(1)
+	case err != nil:
+		r.errs.Add(1)
+	case resp.Status >= 200 && resp.Status < 300:
+		r.hist.Observe(time.Since(start).Seconds())
+		r.ok.Add(1)
+	case resp.Status == http.StatusServiceUnavailable || resp.Status == http.StatusTooManyRequests:
+		r.backp.Add(1)
+	default:
+		r.errs.Add(1)
+	}
+}
+
+func (r *Runner) result(elapsed time.Duration) Result {
 	counts, snap := r.Snapshot()
 	return Result{
 		Counts:      counts,
@@ -181,53 +181,24 @@ func Run(opt Options) Result { return NewRunner(opt).Run() }
 // suppresses exactly the requests that would have recorded it — while the
 // open-loop runner's percentiles absorb the queueing delay.
 func ClosedLoop(target Target, newRequest func(i int64) *Request, clients int, total int64) Result {
-	hist := &telemetry.Histogram{}
-	var next, okN, backpN, errN, toN atomic.Int64
+	r := NewRunner(Options{})
+	r.offered.Store(total)
+	r.sent.Store(total)
+	r.hwm.Store(int64(clients))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= total {
-					return
-				}
+			for i := next.Add(1) - 1; i < total; i = next.Add(1) - 1 {
 				t0 := time.Now()
 				resp, err := target.Do(newRequest(i))
-				switch {
-				case err != nil && isTimeout(err):
-					toN.Add(1)
-				case err != nil:
-					errN.Add(1)
-				case resp.Status >= 200 && resp.Status < 300:
-					hist.Observe(time.Since(t0).Seconds())
-					okN.Add(1)
-				case resp.Status == http.StatusServiceUnavailable || resp.Status == http.StatusTooManyRequests:
-					backpN.Add(1)
-				default:
-					errN.Add(1)
-				}
+				r.record(resp, err, t0)
 			}
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	counts := Counts{
-		Offered:       total,
-		Sent:          total,
-		OK:            okN.Load(),
-		Backpressured: backpN.Load(),
-		Timeouts:      toN.Load(),
-		Errors:        errN.Load(),
-		InflightHWM:   int64(clients),
-	}
-	return Result{
-		Counts:      counts,
-		Elapsed:     elapsed,
-		OfferedQPS:  float64(total) / elapsed.Seconds(),
-		AchievedQPS: float64(counts.OK) / elapsed.Seconds(),
-		Hist:        hist.Snapshot(),
-	}
+	return r.result(time.Since(start))
 }

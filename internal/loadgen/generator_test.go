@@ -78,15 +78,13 @@ func TestCoordinatedOmission(t *testing.T) {
 	}
 }
 
-// fastTarget completes instantly with a fixed status and optional
-// Retry-After.
+// fastTarget completes instantly with a fixed status.
 type fastTarget struct {
-	status     int
-	retryAfter time.Duration
+	status int
 }
 
 func (f *fastTarget) Do(req *Request) (Response, error) {
-	return Response{Status: f.status, RetryAfter: f.retryAfter}, nil
+	return Response{Status: f.status}, nil
 }
 
 func TestOutcomeClassification(t *testing.T) {
@@ -127,7 +125,6 @@ func TestOfferedMatchesSchedule(t *testing.T) {
 func TestHandlerTarget(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("X-Dace-Tenant") == "tenant-7" && r.URL.Path == "/predict" {
-			w.Header().Set("Retry-After", "3")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
@@ -140,8 +137,8 @@ func TestHandlerTarget(t *testing.T) {
 		t.Fatalf("plain request: %v status=%d", err, resp.Status)
 	}
 	resp, err = ht.Do(&Request{Body: []byte(`{}`), ContentType: "application/json", Tenant: "tenant-7"})
-	if err != nil || resp.Status != http.StatusServiceUnavailable || resp.RetryAfter != 3*time.Second {
-		t.Fatalf("tenant request: %v status=%d retryAfter=%s", err, resp.Status, resp.RetryAfter)
+	if err != nil || resp.Status != http.StatusServiceUnavailable {
+		t.Fatalf("tenant request: %v status=%d", err, resp.Status)
 	}
 }
 
@@ -162,5 +159,30 @@ func TestHTTPTarget(t *testing.T) {
 	resp, err := ht.Do(&Request{Body: []byte(`{}`), ContentType: "application/json"})
 	if err != nil || resp.Status != http.StatusOK {
 		t.Fatalf("Do: %v status=%d", err, resp.Status)
+	}
+
+	// A server that promises 100 bytes, sends 11 and closes: the status line
+	// arrived, the response did not — a transport error, not an OK.
+	truncating := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"cost\": 1.")
+		buf.Flush()
+	}))
+	defer truncating.Close()
+	ht, err = NewHTTPTarget(truncating.URL+"/predict", 8, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ht.Do(&Request{Body: []byte(`{}`), ContentType: "application/json"}); err == nil || isTimeout(err) {
+		t.Errorf("truncated body: status=%d err=%v, want a non-timeout transport error", resp.Status, err)
+	}
+	r := Run(Options{Target: ht, Schedule: Constant{QPS: 50}, Duration: 100 * time.Millisecond, NewRequest: oneRequest})
+	if r.Sent == 0 || r.OK != 0 || r.Errors != r.Sent {
+		t.Errorf("truncated bodies must count as errors: %+v", r.Counts)
 	}
 }

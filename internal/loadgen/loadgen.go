@@ -1,10 +1,10 @@
-// Package loadgen is the statistically rigorous load-generation substrate
-// for the DACE serving stack: an open-loop request generator, a statistics
-// engine for multi-run comparisons, and a soak scenario runner with
-// latency-cliff and memory-creep gates.
+// Package loadgen is the load generator for the DACE serving stack: an
+// open-loop request runner, the schedules and targets it drives, and a soak
+// mode that slices one run into fixed windows. It renders what it measured
+// and judges nothing; comparing two builds is benchmark/'s job.
 //
 // The generator is open-loop: request arrival times are drawn from a target
-// schedule (constant, ramp, sine, or replay) fixed before the run, never
+// schedule (constant, ramp, or sine) fixed before the run, never
 // from response completions. A closed-loop harness — N clients in a
 // request/response loop, like benchmark/'s serve workloads — silently stops
 // *sending* while the server is slow, so every stall removes exactly the
@@ -34,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -48,11 +47,9 @@ type Request struct {
 }
 
 // Response is a target's report of one completed request. Status is the
-// HTTP status code (0 on transport error). RetryAfter carries a parsed
-// Retry-After header on backpressure responses.
+// HTTP status code (0 on transport error).
 type Response struct {
-	Status     int
-	RetryAfter time.Duration
+	Status int
 }
 
 // Target issues one request and reports its outcome. Implementations must
@@ -110,28 +107,29 @@ func (t *HTTPTarget) Do(req *Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return Response{Status: resp.StatusCode, RetryAfter: retryAfterOf(resp.Header, resp.StatusCode)}, nil
+	defer resp.Body.Close()
+	// A response is complete only once its body is: a server that promises
+	// more bytes than it sends and closes has failed the request.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return Response{}, err
+	}
+	return Response{Status: resp.StatusCode}, nil
 }
 
-// HandlerTarget drives an http.Handler in-process: the full serving
-// pipeline (decode, caches, admission, model) without kernel sockets. This
-// is what the loadgen tests and internal/serve's drift-soak test use
-// — the measured path is the server's, not the loopback stack's. The
-// response body is discarded as it is written.
+// HandlerTarget drives an http.Handler in-process with POST /predict: the
+// full serving pipeline (decode, caches, admission, model) without kernel
+// sockets. This is what the loadgen tests and internal/serve's drift-soak
+// test use — the measured path is the server's, not the loopback stack's.
+// The response body is discarded as it is written.
 type HandlerTarget struct {
 	Handler http.Handler
-	Path    string // request path, default /predict
-	Query   string // raw query string, optional
 }
 
-// discardResponse is a pooled, allocation-light ResponseWriter that counts
-// bytes and captures the status plus the Retry-After header.
+// discardResponse is a pooled, allocation-light ResponseWriter that
+// captures the status.
 type discardResponse struct {
 	header http.Header
 	status int
-	n      int
 }
 
 func (d *discardResponse) Header() http.Header { return d.header }
@@ -144,7 +142,6 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 	if d.status == 0 {
 		d.status = http.StatusOK
 	}
-	d.n += len(p)
 	return len(p), nil
 }
 
@@ -160,11 +157,7 @@ var handlerPool = sync.Pool{New: func() any { return new(handlerScratch) }}
 func (t *HandlerTarget) Do(req *Request) (Response, error) {
 	hs := handlerPool.Get().(*handlerScratch)
 	defer handlerPool.Put(hs)
-	path := t.Path
-	if path == "" {
-		path = "/predict"
-	}
-	hs.url = url.URL{Path: path, RawQuery: t.Query}
+	hs.url = url.URL{Path: "/predict"}
 	hs.body.Reset(req.Body)
 	hs.resp = discardResponse{header: make(http.Header, 4)}
 	hs.req = http.Request{
@@ -183,24 +176,7 @@ func (t *HandlerTarget) Do(req *Request) (Response, error) {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	return Response{Status: status, RetryAfter: retryAfterOf(hs.resp.header, status)}, nil
-}
-
-// retryAfterOf parses a delay-seconds Retry-After from a backpressure
-// response (503 or 429); anything else is 0.
-func retryAfterOf(h http.Header, status int) time.Duration {
-	if status != http.StatusServiceUnavailable && status != http.StatusTooManyRequests {
-		return 0
-	}
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return Response{Status: status}, nil
 }
 
 // isTimeout classifies a transport error as a timeout for the runner's

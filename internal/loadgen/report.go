@@ -1,216 +1,58 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
+	"strings"
 )
 
-// Report emission: CSV for machines (one row per run, or per soak
-// window), Markdown for humans (summary tables, comparison verdicts, gate
-// results). The same numbers flow to both — the Markdown is a rendering
-// of the CSV, never a different computation.
-
-// RunMetrics extracts the per-run metric series a comparison consumes:
-// one value per run, keyed by metric name. Latency quantiles come from
-// each run's histogram (milliseconds); throughput from the counters.
-func RunMetrics(runs []Result) map[string][]float64 {
-	m := map[string][]float64{}
-	add := func(k string, v float64) { m[k] = append(m[k], v) }
-	for _, r := range runs {
-		s := SummarizeSnapshot(r.Hist)
-		add("mean_ms", s.Mean)
-		add("p50_ms", s.P50)
-		add("p95_ms", s.P95)
-		add("p99_ms", s.P99)
-		add("p999_ms", s.P999)
-		add("achieved_qps", r.AchievedQPS)
-	}
-	return m
-}
-
-// Baseline is a committed reference point: the per-run metric series of a
-// past run set, stored as JSON so a later run can be tested against it
-// with Mann-Whitney + effect size rather than eyeballed.
-type Baseline struct {
-	Name     string               `json:"name"`
-	Schedule string               `json:"schedule"`
-	SavedAt  string               `json:"saved_at,omitempty"`
-	Metrics  map[string][]float64 `json:"metrics"`
-}
-
-// SaveBaseline writes the run set's metric series to path.
-func SaveBaseline(path, name, schedule string, runs []Result, savedAt string) error {
-	b := Baseline{Name: name, Schedule: schedule, SavedAt: savedAt, Metrics: RunMetrics(runs)}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadBaseline reads a baseline written by SaveBaseline.
-func LoadBaseline(path string) (Baseline, error) {
-	var b Baseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return b, err
-	}
-	err = json.Unmarshal(data, &b)
-	return b, err
-}
-
-// CompareRuns tests a current run set against a baseline across every
-// metric both sides have, in stable order.
-func CompareRuns(runs []Result, base Baseline, alpha float64) []Comparison {
-	cur := RunMetrics(runs)
-	keys := make([]string, 0, len(cur))
-	for k := range cur {
-		if len(base.Metrics[k]) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]Comparison, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Compare(k, cur[k], base.Metrics[k], alpha))
-	}
-	return out
-}
-
-// WriteRunCSV emits one row per run.
-func WriteRunCSV(w io.Writer, runs []Result) error {
-	if _, err := fmt.Fprintln(w, "run,offered,sent,ok,backpressured,dropped,timeouts,errors,inflight_hwm,elapsed_s,offered_qps,achieved_qps,mean_ms,p50_ms,p95_ms,p99_ms,p999_ms"); err != nil {
-		return err
-	}
+// WriteRunMarkdown renders the one load report: a row per run, the spread
+// across runs when there are several, and — for a soak — the windows of its
+// one run. It reports what was measured and judges none of it.
+func WriteRunMarkdown(w io.Writer, name, schedule string, runs []Result, windows []WindowStats) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "## Load report: %s\n\n", name)
+	fmt.Fprintf(&b, "Schedule `%s`, %d run(s); latency is charged from each request's intended start.\n\n", schedule, len(runs))
+	fmt.Fprintln(&b, "| run | offered | offered qps | ok | achieved qps | backpressured | dropped | err+timeout | p50 ms | p99 ms | p99.9 ms |")
+	fmt.Fprintln(&b, "|----:|--------:|------------:|---:|-------------:|--------------:|--------:|------------:|-------:|-------:|---------:|")
+	var series [4][]float64 // per run: p50, p99, p99.9 ms and achieved qps
 	for i, r := range runs {
 		s := SummarizeSnapshot(r.Hist)
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.1f,%.1f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			i, r.Offered, r.Sent, r.OK, r.Backpressured, r.Dropped, r.Timeouts, r.Errors, r.InflightHWM,
-			r.Elapsed.Seconds(), r.OfferedQPS, r.AchievedQPS,
-			s.Mean, s.P50, s.P95, s.P99, s.P999); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSoakCSV emits one row per soak window.
-func WriteSoakCSV(w io.Writer, s SoakResult) error {
-	if _, err := fmt.Fprintln(w, "window,start_s,offered,ok,backpressured,dropped,timeouts,errors,qps,p50_ms,p99_ms,heap_bytes,alloc_per_ok,event"); err != nil {
-		return err
-	}
-	for _, win := range s.Windows {
-		if _, err := fmt.Fprintf(w, "%d,%.1f,%d,%d,%d,%d,%d,%d,%.1f,%.3f,%.3f,%d,%.0f,%q\n",
-			win.Index, win.StartS, win.Offered, win.OK, win.Backpressured, win.Dropped,
-			win.Timeouts, win.Errors, win.QPS, win.P50MS, win.P99MS, win.HeapBytes,
-			win.AllocPerOK, win.Event); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "PASS"
-	}
-	return "FAIL"
-}
-
-// WriteRunMarkdown renders a run-set report: the per-run summary, the
-// aggregate dispersion, and — when a baseline is supplied — the
-// statistical comparison table.
-func WriteRunMarkdown(w io.Writer, name, schedule string, runs []Result, comps []Comparison) error {
-	fmt.Fprintf(w, "## Load report: %s\n\n", name)
-	fmt.Fprintf(w, "Schedule `%s`, %d run(s).\n\n", schedule, len(runs))
-	fmt.Fprintln(w, "| run | offered qps | achieved qps | ok | backpressured | dropped | err+timeout | p50 ms | p99 ms | p99.9 ms |")
-	fmt.Fprintln(w, "|----:|------------:|-------------:|---:|--------------:|--------:|------------:|-------:|-------:|---------:|")
-	for i, r := range runs {
-		s := SummarizeSnapshot(r.Hist)
-		fmt.Fprintf(w, "| %d | %.0f | %.0f | %d | %d | %d | %d | %.3f | %.3f | %.3f |\n",
-			i, r.OfferedQPS, r.AchievedQPS, r.OK, r.Backpressured, r.Dropped,
+		fmt.Fprintf(&b, "| %d | %d | %.0f | %d | %.0f | %d | %d | %d | %.3f | %.3f | %.3f |\n",
+			i, r.Offered, r.OfferedQPS, r.OK, r.AchievedQPS, r.Backpressured, r.Dropped,
 			r.Errors+r.Timeouts, s.P50, s.P99, s.P999)
+		for k, v := range []float64{s.P50, s.P99, s.P999, r.AchievedQPS} {
+			series[k] = append(series[k], v)
+		}
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(&b)
 
 	if len(runs) > 1 {
-		m := RunMetrics(runs)
-		fmt.Fprintln(w, "Across runs:")
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "| metric | mean | min | max | CV |")
-		fmt.Fprintln(w, "|--------|-----:|----:|----:|---:|")
-		for _, k := range []string{"p50_ms", "p99_ms", "p999_ms", "achieved_qps"} {
-			s := Summarize(m[k])
-			fmt.Fprintf(w, "| %s | %.3f | %.3f | %.3f | %.1f%% |\n", k, s.Mean, s.Min, s.Max, s.CV*100)
+		fmt.Fprintln(&b, "Across runs:")
+		fmt.Fprintln(&b)
+		fmt.Fprintln(&b, "| metric | mean | min | max | CV |")
+		fmt.Fprintln(&b, "|--------|-----:|----:|----:|---:|")
+		for k, metric := range []string{"p50_ms", "p99_ms", "p999_ms", "achieved_qps"} {
+			s := Summarize(series[k])
+			fmt.Fprintf(&b, "| %s | %.3f | %.3f | %.3f | %.1f%% |\n", metric, s.Mean, s.Min, s.Max, s.CV*100)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&b)
 	}
 
-	if len(comps) > 0 {
-		fmt.Fprintln(w, "Versus baseline (Mann-Whitney U, two-sided; significant = p < α and a non-negligible effect):")
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "| metric | current mean | baseline mean | Δ% | p | Cohen's d | effect | significant |")
-		fmt.Fprintln(w, "|--------|-------------:|--------------:|---:|--:|----------:|--------|-------------|")
-		for _, c := range comps {
-			fmt.Fprintf(w, "| %s | %.3f | %.3f | %+.1f%% | %.3f | %.2f | %s | %v |\n",
-				c.Metric, c.Current.Mean, c.Baseline.Mean, c.DeltaPct, c.MW.P, c.CohensD, c.Effect, c.Significant)
+	if len(windows) > 0 {
+		fmt.Fprintln(&b, "| w | start s | offered | ok | qps | p50 ms | p99 ms | bp | drop | err+timeout |")
+		fmt.Fprintln(&b, "|--:|--------:|--------:|---:|----:|-------:|-------:|---:|-----:|------------:|")
+		for _, win := range windows {
+			fmt.Fprintf(&b, "| %d | %.1f | %d | %d | %.0f | %.3f | %.3f | %d | %d | %d |\n",
+				win.Index, win.StartS, win.Offered, win.OK, win.QPS, win.P50MS, win.P99MS,
+				win.Backpressured, win.Dropped, win.Errors+win.Timeouts)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&b)
 	}
-	return nil
-}
-
-// WriteSoakMarkdown renders a soak report: the run totals, the gate
-// verdicts, the event timeline, and the windowed series.
-func WriteSoakMarkdown(w io.Writer, name string, s SoakResult) error {
-	fmt.Fprintf(w, "## Soak report: %s — %s\n\n", name, passFail(s.Passed))
-	r := s.Run
-	agg := SummarizeSnapshot(r.Hist)
-	fmt.Fprintf(w, "%.1fs, offered %d (%.0f qps), ok %d (%.0f qps), backpressured %d, dropped %d, timeouts %d, errors %d, in-flight HWM %d.\n",
-		r.Elapsed.Seconds(), r.Offered, r.OfferedQPS, r.OK, r.AchievedQPS,
-		r.Backpressured, r.Dropped, r.Timeouts, r.Errors, r.InflightHWM)
-	fmt.Fprintf(w, "Aggregate latency (intended-start→completion): p50 %.3fms, p99 %.3fms, p99.9 %.3fms. %d window(s), first %d excluded as warmup.\n\n",
-		agg.P50, agg.P99, agg.P999, len(s.Windows), s.WarmupCut)
-
-	fmt.Fprintln(w, "| gate | value | limit | verdict | detail |")
-	fmt.Fprintln(w, "|------|------:|------:|---------|--------|")
-	for _, g := range s.Gates {
-		fmt.Fprintf(w, "| %s | %.2f | %.2f | %s | %s |\n", g.Name, g.Value, g.Limit, passFail(g.Passed), g.Detail)
-	}
-	fmt.Fprintln(w)
-
-	var events []string
-	for _, win := range s.Windows {
-		if win.Event != "" {
-			events = append(events, fmt.Sprintf("- w%03d: %s", win.Index, win.Event))
-		}
-	}
-	if len(events) > 0 {
-		fmt.Fprintln(w, "Events:")
-		fmt.Fprintln(w)
-		for _, e := range events {
-			fmt.Fprintln(w, e)
-		}
-		fmt.Fprintln(w)
-	}
-
-	fmt.Fprintln(w, "| w | qps | p50 ms | p99 ms | heap MB | bp | drop | err | event |")
-	fmt.Fprintln(w, "|--:|----:|-------:|-------:|--------:|---:|-----:|----:|-------|")
-	for _, win := range s.Windows {
-		marker := ""
-		if win.Index < s.WarmupCut {
-			marker = " (warmup)"
-		}
-		fmt.Fprintf(w, "| %d%s | %.0f | %.3f | %.3f | %.1f | %d | %d | %d | %s |\n",
-			win.Index, marker, win.QPS, win.P50MS, win.P99MS, float64(win.HeapBytes)/(1<<20),
-			win.Backpressured, win.Dropped, win.Errors+win.Timeouts, win.Event)
-	}
-	fmt.Fprintln(w)
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // ZipfTenants builds a NewRequest wrapper that assigns each request a

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,104 +24,34 @@ func syntheticResult(n int, sec float64) Result {
 	}
 }
 
-func TestRunCSV(t *testing.T) {
+func TestRunMarkdown(t *testing.T) {
 	runs := []Result{syntheticResult(100, 0.010), syntheticResult(100, 0.012)}
-	var sb strings.Builder
-	if err := WriteRunCSV(&sb, runs); err != nil {
-		t.Fatal(err)
+	windows := []WindowStats{
+		{Index: 0, Offered: 60, OK: 60, QPS: 300},
+		{Index: 1, StartS: 0.2, Offered: 40, OK: 39, QPS: 195, Timeouts: 1},
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "run,offered,sent,ok,") {
-		t.Errorf("header: %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0,100,100,100,") {
-		t.Errorf("row 0: %s", lines[1])
-	}
-}
-
-func TestSoakCSVAndMarkdown(t *testing.T) {
-	res := SoakResult{
-		Run:     syntheticResult(500, 0.005),
-		Windows: fabricate(6, 5.0, 32<<20),
-		Gates: []GateResult{
-			{Name: "p99_ratio", Value: 1.2, Limit: 2, Passed: true, Detail: "ok"},
-			{Name: "heap_slope", Value: 10, Limit: 131072, Passed: true, Detail: "ok"},
-		},
-		WarmupCut: 2,
-		Passed:    true,
-	}
-	res.Windows[3].Event = "promotion"
-
-	var csv strings.Builder
-	if err := WriteSoakCSV(&csv, res); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 7 {
-		t.Errorf("soak CSV lines = %d, want 7 (header + 6 windows)", got)
-	}
-	if !strings.Contains(csv.String(), `"promotion"`) {
-		t.Error("soak CSV missing event annotation")
-	}
-
 	var md strings.Builder
-	if err := WriteSoakMarkdown(&md, "drift-soak", res); err != nil {
+	if err := WriteRunMarkdown(&md, "direct-serve", "const:200", runs, windows); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"drift-soak — PASS", "| p99_ratio | 1.20 |", "w003: promotion", "(warmup)"} {
+	for _, want := range []string{
+		"## Load report: direct-serve", "Schedule `const:200`, 2 run(s)",
+		"| 0 | 100 | 100 | 100 | 100 | 0 | 0 | 0 |", // offered, offered qps, ok, achieved qps, bp, drop, err+timeout
+		"Across runs:", "| p99_ms |",
+		"| 1 | 0.2 | 40 | 39 | 195 |", "| 0 | 0 | 1 |", // window 1: start, offered, ok, qps … bp, drop, err+timeout
+	} {
 		if !strings.Contains(md.String(), want) {
-			t.Errorf("soak Markdown missing %q:\n%s", want, md.String())
+			t.Errorf("Markdown missing %q:\n%s", want, md.String())
 		}
 	}
-}
 
-func TestBaselineRoundTripAndCompare(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	base := []Result{
-		syntheticResult(200, 0.010), syntheticResult(200, 0.0101),
-		syntheticResult(200, 0.0099), syntheticResult(200, 0.0102), syntheticResult(200, 0.0098),
-	}
-	if err := SaveBaseline(path, "direct-serve", "const:200", base, "2026-08-09"); err != nil {
+	// One run, no soak: neither the spread table nor the window table.
+	md.Reset()
+	if err := WriteRunMarkdown(&md, "direct-serve", "const:200", runs[:1], nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Name != "direct-serve" || len(loaded.Metrics["p99_ms"]) != 5 {
-		t.Fatalf("loaded baseline: %+v", loaded)
-	}
-
-	// A clean 3x latency regression must be flagged on the latency metrics.
-	regressed := []Result{
-		syntheticResult(200, 0.030), syntheticResult(200, 0.0301),
-		syntheticResult(200, 0.0299), syntheticResult(200, 0.0302), syntheticResult(200, 0.0298),
-	}
-	comps := CompareRuns(regressed, loaded, 0.05)
-	if len(comps) == 0 {
-		t.Fatal("no comparisons produced")
-	}
-	var p99Flagged bool
-	for _, c := range comps {
-		if c.Metric == "p99_ms" {
-			p99Flagged = c.Significant && c.DeltaPct > 100
-		}
-	}
-	if !p99Flagged {
-		t.Errorf("3x P99 regression not flagged: %+v", comps)
-	}
-
-	var md strings.Builder
-	if err := WriteRunMarkdown(&md, "direct-serve", "const:200", regressed, comps); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Load report: direct-serve", "Versus baseline", "| p99_ms |"} {
-		if !strings.Contains(md.String(), want) {
-			t.Errorf("run Markdown missing %q", want)
-		}
+	if s := md.String(); strings.Contains(s, "Across runs") || strings.Contains(s, "| w |") {
+		t.Errorf("single-run report has a spread or window table:\n%s", s)
 	}
 }
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -20,9 +21,6 @@ import (
 type Schedule interface {
 	// At returns the intended start offset of request i (i >= 0).
 	At(i int64) time.Duration
-	// Rate returns the nominal average arrival rate in requests/second,
-	// for reporting.
-	Rate() float64
 }
 
 // Constant arrives at a fixed rate: At(i) = i/QPS.
@@ -33,8 +31,6 @@ type Constant struct {
 func (c Constant) At(i int64) time.Duration {
 	return time.Duration(float64(i) / c.QPS * float64(time.Second))
 }
-func (c Constant) Rate() float64  { return c.QPS }
-func (c Constant) String() string { return fmt.Sprintf("const:%g", c.QPS) }
 
 // Ramp sweeps linearly from From to To QPS over Duration. Arrivals are the
 // inverse of the cumulative rate N(t) = From·t + (To−From)·t²/(2·D): the
@@ -55,10 +51,6 @@ func (r Ramp) At(i int64) time.Duration {
 	// Solve slope/2·t² + From·t − n = 0 for the positive root.
 	t := (-r.From + math.Sqrt(r.From*r.From+2*slope*n)) / slope
 	return time.Duration(t * float64(time.Second))
-}
-func (r Ramp) Rate() float64 { return (r.From + r.To) / 2 }
-func (r Ramp) String() string {
-	return fmt.Sprintf("ramp:%g-%g", r.From, r.To)
 }
 
 // Sine modulates the rate around Base with amplitude Amp and the given
@@ -96,41 +88,6 @@ func (s Sine) At(i int64) time.Duration {
 	}
 	return time.Duration(t * float64(time.Second))
 }
-func (s Sine) Rate() float64 { return s.Base }
-func (s Sine) String() string {
-	return fmt.Sprintf("sine:%g:%g:%s", s.Base, s.Amp, s.Period)
-}
-
-// Replay re-issues a recorded arrival trace. Offsets must be sorted
-// ascending; when the trace is exhausted it wraps, shifted by its span, so
-// any recorded burst pattern repeats indefinitely.
-type Replay struct {
-	Offsets []time.Duration
-	// Span is the trace length used for the wrap shift; 0 means the last
-	// offset (plus one mean gap, so the seam doesn't double-fire).
-	Span time.Duration
-}
-
-func (r Replay) span() time.Duration {
-	if r.Span > 0 {
-		return r.Span
-	}
-	last := r.Offsets[len(r.Offsets)-1]
-	return last + last/time.Duration(len(r.Offsets))
-}
-
-func (r Replay) At(i int64) time.Duration {
-	n := int64(len(r.Offsets))
-	return r.Offsets[i%n] + time.Duration(i/n)*r.span()
-}
-
-func (r Replay) Rate() float64 {
-	sp := r.span().Seconds()
-	if sp <= 0 {
-		return 0
-	}
-	return float64(len(r.Offsets)) / sp
-}
 
 // ParseSchedule builds a schedule from its CLI spec:
 //
@@ -138,8 +95,7 @@ func (r Replay) Rate() float64 {
 //	ramp:FROM-TO         linear sweep over the run duration
 //	sine:BASE:AMP:PERIOD rate oscillation (PERIOD is a Go duration)
 //
-// A bare number is shorthand for const:QPS. Replay schedules are built
-// directly from trace offsets, not from a spec.
+// A bare number is shorthand for const:QPS.
 func ParseSchedule(spec string, runDuration time.Duration) (Schedule, error) {
 	if q, err := strconv.ParseFloat(spec, 64); err == nil {
 		spec = "const:" + strconv.FormatFloat(q, 'g', -1, 64)
@@ -147,9 +103,9 @@ func ParseSchedule(spec string, runDuration time.Duration) (Schedule, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
 	switch kind {
 	case "const":
-		q, err := strconv.ParseFloat(rest, 64)
-		if err != nil || q <= 0 {
-			return nil, fmt.Errorf("loadgen: const schedule wants a positive QPS, got %q", rest)
+		q, err := parseRate(rest)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: const schedule: %w", err)
 		}
 		return Constant{QPS: q}, nil
 	case "ramp":
@@ -157,10 +113,10 @@ func ParseSchedule(spec string, runDuration time.Duration) (Schedule, error) {
 		if !ok {
 			return nil, fmt.Errorf("loadgen: ramp schedule is ramp:FROM-TO, got %q", spec)
 		}
-		f, err1 := strconv.ParseFloat(from, 64)
-		t, err2 := strconv.ParseFloat(to, 64)
-		if err1 != nil || err2 != nil || f <= 0 || t <= 0 {
-			return nil, fmt.Errorf("loadgen: ramp schedule wants positive QPS endpoints, got %q", spec)
+		f, err1 := parseRate(from)
+		t, err2 := parseRate(to)
+		if err := errors.Join(err1, err2); err != nil {
+			return nil, fmt.Errorf("loadgen: ramp schedule %q: %w", spec, err)
 		}
 		if runDuration <= 0 {
 			return nil, fmt.Errorf("loadgen: ramp schedule needs a positive run duration")
@@ -171,16 +127,32 @@ func ParseSchedule(spec string, runDuration time.Duration) (Schedule, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("loadgen: sine schedule is sine:BASE:AMP:PERIOD, got %q", spec)
 		}
-		base, err1 := strconv.ParseFloat(parts[0], 64)
+		base, err1 := parseRate(parts[0])
 		amp, err2 := strconv.ParseFloat(parts[1], 64)
 		period, err3 := time.ParseDuration(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("loadgen: bad sine schedule %q", spec)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return nil, fmt.Errorf("loadgen: bad sine schedule %q: %w", spec, err)
 		}
-		if base <= 0 || amp < 0 || amp >= base || period <= 0 {
-			return nil, fmt.Errorf("loadgen: sine schedule wants base > 0, 0 <= amp < base, period > 0, got %q", spec)
+		if !(amp >= 0 && amp < base) || period <= 0 {
+			return nil, fmt.Errorf("loadgen: sine schedule wants 0 <= amp < base, period > 0, got %q", spec)
 		}
 		return Sine{Base: base, Amp: amp, Period: period}, nil
 	}
 	return nil, fmt.Errorf("loadgen: unknown schedule %q (want const:QPS, ramp:FROM-TO, or sine:BASE:AMP:PERIOD)", spec)
+}
+
+// parseRate reads a QPS whose inter-arrival gap is a time.Duration of at
+// least a nanosecond. Any other rate — infinite, NaN, so small that the gap
+// overflows, so large that it rounds to zero — makes At stop growing, and a
+// run that waits for At to pass its duration would never end.
+func parseRate(s string) (float64, error) {
+	q, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if gap := float64(time.Second) / q; !(gap >= 1 && gap < math.MaxInt64) {
+		return 0, fmt.Errorf("QPS %q is outside (%.3g, %g]: its inter-arrival gap does not fit in a time.Duration",
+			s, float64(time.Second)/math.MaxInt64, float64(time.Second))
+	}
+	return q, nil
 }

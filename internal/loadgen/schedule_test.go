@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -74,23 +73,6 @@ func TestSineSchedule(t *testing.T) {
 	}
 }
 
-func TestReplaySchedule(t *testing.T) {
-	r := Replay{
-		Offsets: []time.Duration{0, 10 * time.Millisecond, 15 * time.Millisecond, 100 * time.Millisecond},
-		Span:    200 * time.Millisecond,
-	}
-	if got := r.At(1); got != 10*time.Millisecond {
-		t.Errorf("At(1) = %s", got)
-	}
-	// Wrap: arrival 5 is offsets[1] shifted by one span.
-	if got, want := r.At(5), 210*time.Millisecond; got != want {
-		t.Errorf("At(5) = %s, want %s", got, want)
-	}
-	if got := r.Rate(); math.Abs(got-20) > 1e-9 {
-		t.Errorf("Rate() = %g, want 20 (4 arrivals / 200ms span)", got)
-	}
-}
-
 func TestParseSchedule(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -111,10 +93,17 @@ func TestParseSchedule(t *testing.T) {
 			t.Errorf("ParseSchedule(%q) = %s, want %s", c.spec, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "const:-5", "const:x", "ramp:100", "ramp:0-100", "sine:100:200:1s", "sine:100:50", "burst:9"} {
+	for _, bad := range []string{"", "const:-5", "const:x", "ramp:100", "ramp:0-100", "sine:100:200:1s", "sine:100:50", "burst:9",
+		// At(i) of each of these stops growing (0s, or a time.Duration
+		// overflow), so a run over it would never end.
+		"const:inf", "const:nan", "const:1e-300", "ramp:1-inf", "sine:inf:1:1s", "sine:nan:0:1s"} {
 		if _, err := ParseSchedule(bad, time.Minute); err == nil {
 			t.Errorf("ParseSchedule(%q) succeeded, want error", bad)
 		}
+	}
+	// A slow rate whose gap is longer than the run is still a schedule.
+	if s, err := ParseSchedule("const:0.5", time.Second); err != nil || s.At(1) != 2*time.Second {
+		t.Errorf("ParseSchedule(const:0.5): %v, %v", s, err)
 	}
 	// Ramp without a run duration cannot define its sweep.
 	if _, err := ParseSchedule("ramp:10-20", 0); err == nil {
@@ -130,8 +119,6 @@ func typeName(v any) string {
 		return "loadgen.Ramp"
 	case Sine:
 		return "loadgen.Sine"
-	case Replay:
-		return "loadgen.Replay"
 	}
 	return "?"
 }

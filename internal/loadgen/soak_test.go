@@ -2,177 +2,37 @@ package loadgen
 
 import (
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
 
-// fabricate builds a stable window series for gate tests.
-func fabricate(n int, p99 float64, heap uint64) []WindowStats {
-	ws := make([]WindowStats, n)
-	for i := range ws {
-		ws[i] = WindowStats{
-			Index: i, StartS: float64(i), OK: 1000, QPS: 1000,
-			P50MS: p99 / 2, P99MS: p99, HeapBytes: heap,
-		}
-	}
-	return ws
-}
-
-func gateByName(gs []GateResult, name string) GateResult {
-	for _, g := range gs {
-		if g.Name == name {
-			return g
-		}
-	}
-	return GateResult{Name: "missing:" + name}
-}
-
-func TestSoakGatesPass(t *testing.T) {
-	cfg := SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10}
-	cut, gates := soakGates(fabricate(20, 5.0, 64<<20), cfg)
-	if cut != 3 {
-		t.Errorf("warmup cut = %d, want 3", cut)
-	}
-	for _, g := range gates {
-		if !g.Passed {
-			t.Errorf("stable series failed gate %s: %+v", g.Name, g)
-		}
-	}
-}
-
-func TestSoakGateCliff(t *testing.T) {
-	ws := fabricate(20, 5.0, 64<<20)
-	ws[12].P99MS = 25 // a 5x excursion in one window
-	ws[12].Event = "model swap"
-	_, gates := soakGates(ws, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	g := gateByName(gates, "p99_ratio")
-	if g.Passed {
-		t.Errorf("5x P99 cliff passed the no-cliff gate: %+v", g)
-	}
-	if g.Value < 4.9 || g.Value > 5.1 {
-		t.Errorf("cliff ratio = %g, want ~5", g.Value)
-	}
-	// Warmup windows are excluded: a cliff before the cut must not fail.
-	ws2 := fabricate(20, 5.0, 64<<20)
-	ws2[1].P99MS = 100
-	_, gates2 := soakGates(ws2, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	if g := gateByName(gates2, "p99_ratio"); !g.Passed {
-		t.Errorf("warmup-window cliff failed the gate: %+v", g)
-	}
-}
-
-func TestSoakGateAmbientOutlierExcused(t *testing.T) {
-	// One blown-out window far from any event is host noise, not a cliff:
-	// the gate excuses exactly one such outlier, spells it out in the
-	// detail, and judges the ratio on the next-worst window.
-	ws := fabricate(20, 5.0, 64<<20)
-	ws[6].Event = "model swap"
-	ws[15].P99MS = 80
-	_, gates := soakGates(ws, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	g := gateByName(gates, "p99_ratio")
-	if !g.Passed {
-		t.Errorf("lone ambient outlier failed the no-cliff gate: %+v", g)
-	}
-	if !strings.Contains(g.Detail, "excused as ambient") {
-		t.Errorf("excusal not surfaced in detail: %q", g.Detail)
-	}
-
-	// The same excursion adjacent to the event is a cliff, not noise.
-	ws2 := fabricate(20, 5.0, 64<<20)
-	ws2[6].Event = "model swap"
-	ws2[7].P99MS = 80
-	_, gates2 := soakGates(ws2, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	if g := gateByName(gates2, "p99_ratio"); g.Passed {
-		t.Errorf("event-adjacent excursion passed the no-cliff gate: %+v", g)
-	}
-
-	// Two outliers are a pattern, not a scheduling accident.
-	ws3 := fabricate(20, 5.0, 64<<20)
-	ws3[6].Event = "model swap"
-	ws3[12].P99MS = 80
-	ws3[16].P99MS = 40
-	_, gates3 := soakGates(ws3, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	if g := gateByName(gates3, "p99_ratio"); g.Passed {
-		t.Errorf("repeated outliers passed the no-cliff gate: %+v", g)
-	}
-}
-
-func TestSoakGateHeapCreep(t *testing.T) {
-	ws := fabricate(20, 5.0, 64<<20)
-	for i := range ws {
-		// 1 MiB/window leak — far above the 128 KiB/s limit.
-		ws[i].HeapBytes = 64<<20 + uint64(i)<<20
-	}
-	_, gates := soakGates(ws, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	g := gateByName(gates, "heap_slope")
-	if g.Passed {
-		t.Errorf("1 MiB/s heap creep passed the no-creep gate: %+v", g)
-	}
-	// A shrinking heap passes trivially.
-	for i := range ws {
-		ws[i].HeapBytes = 64<<20 - uint64(i)<<18
-	}
-	_, gates = soakGates(ws, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	if g := gateByName(gates, "heap_slope"); !g.Passed {
-		t.Errorf("shrinking heap failed the no-creep gate: %+v", g)
-	}
-}
-
-func TestSoakGateErrors(t *testing.T) {
-	ws := fabricate(20, 5.0, 64<<20)
-	ws[10].Errors = 2
-	_, gates := soakGates(ws, SoakConfig{WarmupWindows: 3, P99Ratio: 2, HeapSlope: 128 << 10})
-	if g := gateByName(gates, "errors"); g.Passed {
-		t.Errorf("transport errors passed the no-failure gate: %+v", g)
-	}
-}
-
 // TestSoakEndToEnd runs a real (short) soak against an in-process handler
-// with one mid-run event and checks the plumbing: windows accumulate,
-// the event is attributed, counters reconcile, gates evaluate.
+// and checks the plumbing: windows accumulate and their counters reconcile
+// with the run's.
 func TestSoakEndToEnd(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"cost":1}`))
 	})
-	fired := false
 	res := Soak(SoakConfig{
-		Target:     &HandlerTarget{Handler: h},
-		Schedule:   Constant{QPS: 400},
-		Duration:   1500 * time.Millisecond,
-		NewRequest: oneRequest,
-		Window:     200 * time.Millisecond,
-		Events: []SoakEvent{{
-			After: 700 * time.Millisecond,
-			Name:  "probe",
-			Do:    func() error { fired = true; return nil },
-		}},
-		WarmupWindows: 2,
+		Options: Options{
+			Target:     &HandlerTarget{Handler: h},
+			Schedule:   Constant{QPS: 400},
+			Duration:   1500 * time.Millisecond,
+			NewRequest: oneRequest,
+		},
+		Window: 200 * time.Millisecond,
 	})
 	if len(res.Windows) < 5 {
 		t.Fatalf("only %d windows for a 1.5s soak at 200ms windows", len(res.Windows))
 	}
-	if !fired {
-		t.Error("soak event did not fire")
-	}
-	var annotated bool
 	var okSum int64
 	for _, w := range res.Windows {
 		okSum += w.OK
-		if strings.Contains(w.Event, "probe") {
-			annotated = true
-		}
-	}
-	if !annotated {
-		t.Error("event not attributed to any window")
 	}
 	if okSum != res.Run.OK {
 		t.Errorf("windowed OK sum %d != run OK %d — snapshot subtraction lost requests", okSum, res.Run.OK)
 	}
-	if len(res.Gates) != 3 {
-		t.Errorf("want 3 gates, got %+v", res.Gates)
-	}
-	if g := gateByName(res.Gates, "errors"); !g.Passed {
-		t.Errorf("error-free soak failed the errors gate: %+v", g)
+	if res.Run.Errors+res.Run.Timeouts != 0 {
+		t.Errorf("error-free handler: %+v", res.Run.Counts)
 	}
 }

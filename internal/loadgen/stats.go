@@ -7,23 +7,16 @@ import (
 	"dace/internal/telemetry"
 )
 
-// The statistics engine: everything the Markdown/CSV reports and the
-// comparison gates compute. Modeled on the scientific-benchmark-suite
-// shape — warmup elimination, N measurement runs, dispersion (coefficient
-// of variation), and nonparametric significance (Mann-Whitney U) plus
-// effect sizes (Cohen's d, rank-biserial) for run-set comparisons, because
-// latency samples are anything but normal.
-
-// Summary describes one latency sample set. All quantile fields share the
-// unit of the inputs.
+// Summary describes one sample set. All quantile fields share the unit of
+// the inputs.
 type Summary struct {
-	N                   int     `json:"n"`
-	Mean                float64 `json:"mean"`
-	Min                 float64 `json:"min"`
-	Max                 float64 `json:"max"`
-	P50, P95, P99, P999 float64
-	Std                 float64 `json:"std"`
-	CV                  float64 `json:"cv"` // Std/Mean; dispersion, unitless
+	N              int
+	Mean           float64
+	Min            float64
+	Max            float64
+	P50, P99, P999 float64
+	Std            float64
+	CV             float64 // Std/Mean; dispersion, unitless
 }
 
 // Summarize computes a Summary over xs (unsorted; a copy is sorted). An
@@ -53,7 +46,7 @@ func Summarize(xs []float64) Summary {
 	q := func(p float64) float64 { return s[int(p*float64(len(s)-1))] }
 	return Summary{
 		N: len(s), Mean: mean, Min: s[0], Max: s[len(s)-1],
-		P50: q(0.50), P95: q(0.95), P99: q(0.99), P999: q(0.999),
+		P50: q(0.50), P99: q(0.99), P999: q(0.999),
 		Std: std, CV: cv,
 	}
 }
@@ -71,208 +64,7 @@ func SummarizeSnapshot(h telemetry.HistogramSnapshot) Summary {
 		N:    int(h.Count),
 		Mean: h.Mean() * ms,
 		P50:  h.Quantile(0.50) * ms,
-		P95:  h.Quantile(0.95) * ms,
 		P99:  h.Quantile(0.99) * ms,
 		P999: h.Quantile(0.999) * ms,
 	}
-}
-
-// MWResult is a two-sided Mann-Whitney U comparison of two sample sets.
-type MWResult struct {
-	U float64 `json:"u"` // U statistic of the first set
-	Z float64 `json:"z"` // normal approximation with tie correction
-	P float64 `json:"p"` // two-sided p-value
-	// RankBiserial is the rank-biserial correlation r = 2·U/(n₁n₂) − 1:
-	// −1 when every a-sample is below every b-sample, +1 the reverse,
-	// 0 when the sets interleave evenly.
-	RankBiserial float64 `json:"rank_biserial"`
-}
-
-// MannWhitney runs the two-sided Mann-Whitney U test on a vs b using the
-// tie-corrected normal approximation. The approximation is standard for
-// n ≥ 8 per side and conservative below; with the tiny run counts a bench
-// produces (n=5), treat P as a coarse signal and lean on the effect sizes.
-func MannWhitney(a, b []float64) MWResult {
-	n1, n2 := float64(len(a)), float64(len(b))
-	if n1 == 0 || n2 == 0 {
-		return MWResult{P: 1}
-	}
-	type tagged struct {
-		v    float64
-		from int
-	}
-	all := make([]tagged, 0, len(a)+len(b))
-	for _, v := range a {
-		all = append(all, tagged{v, 0})
-	}
-	for _, v := range b {
-		all = append(all, tagged{v, 1})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Midranks with tie groups; accumulate the tie correction term Σ(t³−t).
-	var r1, tieSum float64
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		rank := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		if t := float64(j - i); t > 1 {
-			tieSum += t*t*t - t
-		}
-		for k := i; k < j; k++ {
-			if all[k].from == 0 {
-				r1 += rank
-			}
-		}
-		i = j
-	}
-	u1 := r1 - n1*(n1+1)/2
-	mean := n1 * n2 / 2
-	n := n1 + n2
-	varU := n1 * n2 / 12 * ((n + 1) - tieSum/(n*(n-1)))
-	z := 0.0
-	if varU > 0 {
-		z = (u1 - mean) / math.Sqrt(varU)
-	}
-	p := math.Erfc(math.Abs(z) / math.Sqrt2) // two-sided
-	return MWResult{
-		U: u1, Z: z, P: p,
-		RankBiserial: 2*u1/(n1*n2) - 1,
-	}
-}
-
-// CohensD is the standardized mean difference (a−b)/s_pooled. Thresholds
-// follow the usual reading: |d| < 0.2 negligible, < 0.5 small, < 0.8
-// medium, otherwise large.
-func CohensD(a, b []float64) float64 {
-	sa, sb := Summarize(a), Summarize(b)
-	if sa.N < 2 || sb.N < 2 {
-		return 0
-	}
-	va, vb := sa.Std*sa.Std, sb.Std*sb.Std
-	pooled := math.Sqrt(((float64(sa.N)-1)*va + (float64(sb.N)-1)*vb) / float64(sa.N+sb.N-2))
-	if pooled == 0 {
-		if sa.Mean == sb.Mean {
-			return 0
-		}
-		return math.Inf(sign(sa.Mean - sb.Mean))
-	}
-	return (sa.Mean - sb.Mean) / pooled
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// EffectLabel names a Cohen's d magnitude.
-func EffectLabel(d float64) string {
-	switch ad := math.Abs(d); {
-	case ad < 0.2:
-		return "negligible"
-	case ad < 0.5:
-		return "small"
-	case ad < 0.8:
-		return "medium"
-	default:
-		return "large"
-	}
-}
-
-// Comparison is the verdict of comparing a current run set against a
-// baseline run set for one metric.
-type Comparison struct {
-	Metric   string  `json:"metric"`
-	Current  Summary `json:"current"`
-	Baseline Summary `json:"baseline"`
-	DeltaPct float64 `json:"delta_pct"` // (current.Mean − baseline.Mean)/baseline.Mean × 100
-	MW       MWResult
-	CohensD  float64 `json:"cohens_d"`
-	Effect   string  `json:"effect"`
-	// Significant reports p < alpha AND a non-negligible effect — both
-	// bars, so noise with a lucky ranking doesn't read as a regression.
-	Significant bool `json:"significant"`
-}
-
-// Compare runs the full comparison of current vs baseline samples of one
-// metric at significance level alpha (0 = 0.05).
-func Compare(metric string, current, baseline []float64, alpha float64) Comparison {
-	if alpha <= 0 {
-		alpha = 0.05
-	}
-	d := CohensD(current, baseline)
-	c := Comparison{
-		Metric:   metric,
-		Current:  Summarize(current),
-		Baseline: Summarize(baseline),
-		MW:       MannWhitney(current, baseline),
-		CohensD:  d,
-		Effect:   EffectLabel(d),
-	}
-	if c.Baseline.Mean != 0 {
-		c.DeltaPct = (c.Current.Mean - c.Baseline.Mean) / c.Baseline.Mean * 100
-	}
-	c.Significant = c.MW.P < alpha && c.Effect != "negligible"
-	return c
-}
-
-// WarmupCut locates the end of the warmup transient in a per-window metric
-// series (throughput or latency): the first index i where the coefficient
-// of variation of series[i:i+k] falls below tol AND the window's mean is
-// within tol of the rest-of-series mean. Returns len(series)/2 (capped) if
-// the series never stabilizes — a conservative cut, and a signal the
-// warmup phase was too short. k defaults to 5, tol to 0.10.
-func WarmupCut(series []float64, k int, tol float64) int {
-	if k <= 0 {
-		k = 5
-	}
-	if tol <= 0 {
-		tol = 0.10
-	}
-	if len(series) < 2*k {
-		return len(series) / 2
-	}
-	for i := 0; i+k <= len(series); i++ {
-		w := Summarize(series[i : i+k])
-		if w.CV > tol {
-			continue
-		}
-		rest := Summarize(series[i:])
-		if rest.Mean == 0 {
-			continue
-		}
-		if math.Abs(w.Mean-rest.Mean)/rest.Mean <= tol {
-			return i
-		}
-	}
-	return len(series) / 2
-}
-
-// Slope fits ordinary least squares y = a + b·x and returns b. Used by the
-// soak gates: x in seconds, y in bytes gives the heap growth rate in
-// bytes/second. Fewer than two points (or zero x-variance) returns 0.
-func Slope(xs, ys []float64) float64 {
-	n := len(xs)
-	if n < 2 || n != len(ys) {
-		return 0
-	}
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var num, den float64
-	for i := range xs {
-		num += (xs[i] - mx) * (ys[i] - my)
-		den += (xs[i] - mx) * (xs[i] - mx)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

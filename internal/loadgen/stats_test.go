@@ -17,110 +17,3 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("empty Summarize: %+v", z)
 	}
 }
-
-func TestMannWhitneySeparated(t *testing.T) {
-	a := []float64{1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.2, 1.1}
-	b := []float64{5.0, 5.1, 5.2, 5.3, 5.4, 5.0, 5.2, 5.1}
-	r := MannWhitney(a, b)
-	if r.P >= 0.01 {
-		t.Errorf("fully separated sets: p = %g, want < 0.01", r.P)
-	}
-	if r.RankBiserial != -1 {
-		t.Errorf("every a below every b: rank-biserial = %g, want -1", r.RankBiserial)
-	}
-	// Symmetric the other way.
-	if r2 := MannWhitney(b, a); r2.RankBiserial != 1 {
-		t.Errorf("reversed: rank-biserial = %g, want +1", r2.RankBiserial)
-	}
-}
-
-func TestMannWhitneyIdentical(t *testing.T) {
-	a := []float64{2, 3, 4, 5, 6, 7, 8, 9}
-	r := MannWhitney(a, a)
-	if r.P < 0.9 {
-		t.Errorf("identical sets: p = %g, want ~1", r.P)
-	}
-	if math.Abs(r.RankBiserial) > 1e-9 {
-		t.Errorf("identical sets: rank-biserial = %g, want 0", r.RankBiserial)
-	}
-}
-
-func TestMannWhitneyTies(t *testing.T) {
-	// Heavily tied data must not blow up the variance term.
-	a := []float64{1, 1, 1, 2, 2, 2}
-	b := []float64{1, 1, 2, 2, 2, 2}
-	r := MannWhitney(a, b)
-	if math.IsNaN(r.P) || r.P < 0 || r.P > 1 {
-		t.Errorf("tied data: p = %g", r.P)
-	}
-	if r.P < 0.3 {
-		t.Errorf("near-identical tied sets: p = %g, want large", r.P)
-	}
-}
-
-func TestCohensD(t *testing.T) {
-	a := []float64{10, 11, 12, 13, 14}
-	b := []float64{10, 11, 12, 13, 14}
-	if d := CohensD(a, b); d != 0 {
-		t.Errorf("identical sets: d = %g", d)
-	}
-	c := []float64{20, 21, 22, 23, 24}
-	d := CohensD(c, a)
-	// Means differ by 10, pooled std = sqrt(2.5) → d ≈ 6.32.
-	if math.Abs(d-10/math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("d = %g, want %g", d, 10/math.Sqrt(2.5))
-	}
-	if EffectLabel(d) != "large" || EffectLabel(0.05) != "negligible" ||
-		EffectLabel(0.3) != "small" || EffectLabel(-0.6) != "medium" {
-		t.Error("EffectLabel thresholds wrong")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	base := []float64{10.0, 10.2, 9.9, 10.1, 10.0, 10.1, 9.8, 10.2}
-	regressed := []float64{13.0, 13.2, 12.9, 13.1, 13.0, 13.1, 12.8, 13.2}
-	c := Compare("p99_ms", regressed, base, 0.05)
-	if !c.Significant {
-		t.Errorf("30%% regression not flagged: p=%g effect=%s", c.MW.P, c.Effect)
-	}
-	if c.DeltaPct < 25 || c.DeltaPct > 35 {
-		t.Errorf("DeltaPct = %g, want ~30", c.DeltaPct)
-	}
-	same := Compare("p99_ms", base, base, 0.05)
-	if same.Significant {
-		t.Errorf("identical sets flagged significant: p=%g effect=%s", same.MW.P, same.Effect)
-	}
-}
-
-func TestWarmupCut(t *testing.T) {
-	// 5 windows of cold-start throughput, then stable.
-	series := []float64{100, 300, 500, 700, 850, 1000, 1010, 990, 1000, 1005, 995, 1000, 1002, 998, 1000}
-	cut := WarmupCut(series, 5, 0.10)
-	if cut < 4 || cut > 6 {
-		t.Errorf("WarmupCut = %d, want ~5 (ramp ends at index 5)", cut)
-	}
-	// Already-stable series: no warmup to cut.
-	flat := []float64{1000, 1001, 999, 1000, 1002, 998, 1000, 1001, 999, 1000}
-	if cut := WarmupCut(flat, 5, 0.10); cut != 0 {
-		t.Errorf("flat series WarmupCut = %d, want 0", cut)
-	}
-	// Never-stable series: conservative half cut.
-	noisy := []float64{1, 1000, 2, 900, 3, 800, 4, 700, 5, 600, 6, 500}
-	if cut := WarmupCut(noisy, 5, 0.10); cut != len(noisy)/2 {
-		t.Errorf("unstable series WarmupCut = %d, want %d", cut, len(noisy)/2)
-	}
-}
-
-func TestSlope(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{10, 12, 14, 16, 18}
-	if s := Slope(xs, ys); math.Abs(s-2) > 1e-12 {
-		t.Errorf("Slope = %g, want 2", s)
-	}
-	if s := Slope(xs, []float64{7, 7, 7, 7, 7}); s != 0 {
-		t.Errorf("flat Slope = %g, want 0", s)
-	}
-	if s := Slope([]float64{1}, []float64{1}); s != 0 {
-		t.Errorf("single point Slope = %g, want 0", s)
-	}
-}

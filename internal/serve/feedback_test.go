@@ -528,19 +528,17 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestDriftSoakPromotion is the drift-soak with its non-timing gates:
-// open-loop traffic over the cached pipeline while M2 feedback arrives and
-// one adaptation attempt fine-tunes, gates and hot-swaps a candidate, all
-// unpaced and at the default GOGC. The swap must cost no failed request and
+// TestDriftSoakPromotion is the drift soak: open-loop traffic over the
+// cached pipeline while M2 feedback arrives and one adaptation attempt
+// fine-tunes, gates and hot-swaps a candidate, all unpaced and at the
+// default GOGC. The swap must cost no failed request and
 // must be atomic as clients see it — a response is the incumbent's bytes or
 // the promoted model's, and only the latter once the attempt has returned.
 // And the heap must come out flat: the live heap after the run may exceed
 // the live heap before it (caches already full) by the one-time step a
 // promotion costs — the feedback store, a second model and the retired
 // cache domain's entries until LRU turns them over, ≈ 230 KB here — and no
-// more, whenever the fine-tune happened to finish. The windowed gates
-// that do depend on when (the P99 ratio, the heap slope over nine windows)
-// are logged, not asserted.
+// more, whenever the fine-tune happened to finish.
 func TestDriftSoakPromotion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak runs for seconds of wall clock")
@@ -587,27 +585,21 @@ func TestDriftSoakPromotion(t *testing.T) {
 	var runErr error
 	attempted := make(chan struct{})
 	const duration = 3 * time.Second
-	res := loadgen.Soak(loadgen.SoakConfig{
+	time.AfterFunc(duration/2, func() {
+		defer close(attempted)
+		for _, smp := range m2Samples[:180] {
+			ctl.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
+		}
+		out, runErr = ctl.RunOnce()
+		probe.promoted.Store(runErr == nil && out.Promoted)
+	})
+	res := loadgen.Run(loadgen.Options{
 		Target:   &loadgen.HandlerTarget{Handler: probe},
 		Schedule: loadgen.Constant{QPS: 400},
 		Duration: duration,
-		Window:   250 * time.Millisecond,
 		NewRequest: func(i int64) *loadgen.Request {
 			return &loadgen.Request{Body: bodies[int(i)%len(bodies)], ContentType: "application/json"}
 		},
-		Events: []loadgen.SoakEvent{{
-			After: duration / 2,
-			Name:  "drift+promote",
-			Do: func() error {
-				defer close(attempted)
-				for _, smp := range m2Samples[:180] {
-					ctl.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
-				}
-				out, runErr = ctl.RunOnce()
-				probe.promoted.Store(runErr == nil && out.Promoted)
-				return runErr
-			},
-		}},
 	})
 	<-attempted
 	if runErr != nil || !out.Promoted {
@@ -619,24 +611,20 @@ func TestDriftSoakPromotion(t *testing.T) {
 		postPredict(t, probe, b)
 	}
 
-	for _, g := range res.Gates {
-		t.Logf("gate %s: %.3g (limit %.3g): %s", g.Name, g.Value, g.Limit, g.Detail)
-		if !g.Passed && g.Name == "errors" {
-			t.Errorf("soak gate %s failed: %s", g.Name, g.Detail)
-		}
+	if res.Errors+res.Timeouts != 0 {
+		t.Errorf("%d transport errors, %d timeouts under the promotion", res.Errors, res.Timeouts)
 	}
 	const stepBudget = 512 << 10
 	step := int64(liveHeap()) - int64(heapBefore)
-	t.Logf("live heap: %d B before the soak, %+d B after the promotion and %d requests", heapBefore, step, res.Run.Sent)
+	t.Logf("live heap: %d B before the soak, %+d B after the promotion and %d requests", heapBefore, step, res.Sent)
 	if step > stepBudget {
 		t.Errorf("live heap grew %d B across the soak, budget %d B", step, stepBudget)
 	}
 	// Both were live at the first reading and would be garbage at the second.
 	runtime.KeepAlive(ctl)
 	runtime.KeepAlive(m2Samples)
-	r := res.Run
-	if probe.non200 != 0 || r.OK != r.Sent || r.Sent == 0 {
-		t.Errorf("%d non-200 responses; run %+v", probe.non200, r.Counts)
+	if probe.non200 != 0 || res.OK != res.Sent || res.Sent == 0 {
+		t.Errorf("%d non-200 responses; run %+v", probe.non200, res.Counts)
 	}
 	promotedAnswers := answers(s.Model())
 	sawIncumbent := false
