@@ -61,6 +61,10 @@ build-arm64:
 # And the one-statistics-stack invariants: the load generator measures and
 # does not judge — no forced collection in the process doing the measuring,
 # and no second rank test, effect size or baseline store beside benchmark/'s.
+# And the lean-gateway invariants: the upstream client reads Content-Length
+# bodies only (no chunked or read-to-EOF decoder to come back), and the
+# rollout starts no goroutine — it is three cold handlers, with no shadow
+# traffic running beside the routed requests.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
@@ -79,7 +83,9 @@ check-paths:
 		grep -rn --include='*.go' --exclude='*_test.go' 'json\.Marshal' internal/feedback; \
 		grep -rnE --include='*.go' 'func (\([^)]*\) )?DecodeTree\(' internal cmd examples benchmark; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GC(' internal/loadgen; \
-		grep -rnE --include='*.go' '^func (\([^)]*\) )?(MannWhitney|CohensD|SaveBaseline|LoadBaseline|soakGates)\(' internal cmd)"; \
+		grep -rnE --include='*.go' '^func (\([^)]*\) )?(MannWhitney|CohensD|SaveBaseline|LoadBaseline|soakGates)\(' internal cmd; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^func (readChunked|readAll)\(' internal/gateway; \
+		grep -nHE '^[[:space:]]*go[[:space:]]' internal/gateway/rollout.go)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -45,11 +45,15 @@
 // Cluster mode (-gateway): instead of serving a model, daced fronts a
 // fleet of daced replicas and routes /predict and /predict/batch traffic
 // by consistent-hashing each plan's fingerprint, so every replica's caches
-// stay hot on a stable shard of the plan space:
+// stay hot on a stable shard of the plan space. A replica that fails a
+// request or two readiness probes leaves the ring until it passes two, and
+// /rollout moves the whole fleet to one model version, one replica first
+// (each replica loads the version from its own -model-dir):
 //
 //	daced -gateway localhost:8081,localhost:8082 -addr :8080
-//	curl localhost:8080/healthz                         # per-replica state
-//	curl -XPOST 'localhost:8080/rollout/start?version=3'  # canary a model
+//	curl localhost:8080/healthz                            # per-replica state
+//	curl -XPOST 'localhost:8080/rollout/start?version=3'   # v3 on one canary
+//	curl -XPOST localhost:8080/rollout/commit              # v3 everywhere
 package main
 
 import (
@@ -98,10 +102,8 @@ func main() {
 	tenantWorkers := flag.Int("tenant-workers", 1, "background fine-tunes that may run at once, the base model's and every tenant's together")
 	drainGrace := flag.Duration("drain-grace", 0, "delay between flipping /healthz/ready unready and closing the listener, so upstream gateways eject this replica first")
 	gatewayReplicas := flag.String("gateway", "", "run as a cluster gateway over this comma-separated replica list (host:port,...) instead of serving a model")
-	gwVnodes := flag.Int("gw-vnodes", 0, "gateway: virtual nodes per replica on the routing ring (0 = 128)")
 	gwMaxInflight := flag.Int("gw-max-inflight", 0, "gateway: max concurrent upstream requests per replica before 503 backpressure (0 = 256)")
 	gwHealthInterval := flag.Duration("gw-health-interval", 0, "gateway: replica readiness probe period (0 = 250ms)")
-	gwMirrorEvery := flag.Int("gw-mirror-every", 0, "gateway: mirror 1-in-N routed requests to an active rollout canary (0 = 8)")
 	flag.Parse()
 
 	if *showVersion {
@@ -129,10 +131,8 @@ func main() {
 		runGateway(logger, reg, gatewayConfig{
 			addr:           *addr,
 			replicas:       strings.Split(*gatewayReplicas, ","),
-			vnodes:         *gwVnodes,
 			maxInflight:    *gwMaxInflight,
 			healthInterval: *gwHealthInterval,
-			mirrorEvery:    *gwMirrorEvery,
 			drainGrace:     *drainGrace,
 		})
 		return
@@ -293,10 +293,8 @@ func serveUntilSignal(logger *slog.Logger, addr string, h http.Handler, drainGra
 type gatewayConfig struct {
 	addr           string
 	replicas       []string
-	vnodes         int
 	maxInflight    int
 	healthInterval time.Duration
-	mirrorEvery    int
 	drainGrace     time.Duration
 }
 
@@ -308,10 +306,8 @@ func runGateway(logger *slog.Logger, reg *telemetry.Registry, cfg gatewayConfig)
 	}
 	g, err := gateway.New(gateway.Config{
 		Replicas:       cfg.replicas,
-		Vnodes:         cfg.vnodes,
 		MaxInflight:    cfg.maxInflight,
 		HealthInterval: cfg.healthInterval,
-		MirrorEvery:    cfg.mirrorEvery,
 		Metrics:        reg,
 	})
 	if err != nil {

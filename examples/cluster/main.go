@@ -2,7 +2,8 @@
 // servers — in one process, on loopback, with no setup. Trains a small
 // model, starts three replicas and a gateway, and walks through what the
 // sharding buys: stable plan→replica affinity, zero failed requests while
-// a replica dies, and a canary rollout with shadow mirroring.
+// a replica dies, and a rollout that moves the live fleet to one model
+// version, one replica first.
 //
 //	go run ./examples/cluster
 package main
@@ -124,22 +125,28 @@ func main() {
 	}
 	printHealth(frontURL, "after kill")
 
-	// 6. Canary rollout: version 2 on one replica, shadow-mirrored, then
-	//    committed to the (healthy) fleet. The short sleep lets the
-	//    readiness probes finish ejecting the killed replica so the canary
-	//    pick and the commit only consider live ones.
+	// 6. Rollout: version 2 on one replica (the canary serves its own
+	//    shard on it while the others stay on v1), then committed to the
+	//    (healthy) fleet. The short sleep lets the readiness probes finish
+	//    ejecting the killed replica so the canary pick and the commit only
+	//    consider live ones.
 	time.Sleep(250 * time.Millisecond)
 	post(frontURL + "/rollout/start?version=2")
 	for _, b := range bodies {
-		predict(frontURL, b) // 1-in-8 of these mirror to the canary
+		predict(frontURL, b)
 	}
-	time.Sleep(200 * time.Millisecond) // let async shadow comparisons drain
 	var st gateway.RolloutStatus
 	getJSON(frontURL+"/rollout/status", &st)
-	fmt.Printf("\nrollout: canary %s on v%d, %d mirrored / %d compared / %d diverged\n",
-		st.Canary, st.Version, st.Mirrored, st.Compared, st.Diverged)
+	fmt.Printf("\nrollout: canary %s on v%d (was v%d)\n", st.Canary, st.Version, st.PrevVersion)
 	post(frontURL + "/rollout/commit")
-	fmt.Println("rollout committed: every live replica now serves v2")
+	fmt.Println("rollout committed; model version per live replica:")
+	for _, addr := range addrs[1:] { // addrs[0] was killed in step 5
+		var m struct {
+			Version int `json:"version"`
+		}
+		getJSON("http://"+addr+"/model", &m)
+		fmt.Printf("  %-21s v%d\n", addr, m.Version)
+	}
 }
 
 func predict(frontURL string, body []byte) float64 {

@@ -18,29 +18,13 @@ type Config struct {
 	// checks flip members in and out of the routing ring.
 	Replicas []string
 
-	// Vnodes is the virtual-node count per replica (default 128).
-	Vnodes int
 	// MaxInflight bounds concurrent upstream requests per replica; excess
 	// traffic gets 503 + Retry-After (default 256).
 	MaxInflight int
-	// ConnsPerReplica caps the idle upstream connection pool (default 64).
-	ConnsPerReplica int
 
-	// HealthInterval is the readiness probe period (default 250ms).
-	// FailAfter consecutive probe failures eject a replica; ReadmitAfter
-	// consecutive successes re-admit it (both default 2).
+	// HealthInterval is the readiness probe period (default 250ms). Two
+	// consecutive probe failures eject a replica; two successes re-admit it.
 	HealthInterval time.Duration
-	FailAfter      int
-	ReadmitAfter   int
-
-	// DialTimeout and Timeout bound upstream connection establishment and
-	// whole round trips (defaults 2s and 10s).
-	DialTimeout time.Duration
-	Timeout     time.Duration
-
-	// MirrorEvery samples 1-in-N routed /predict requests onto a rollout
-	// canary while a rollout is active (default 8; rollout.go).
-	MirrorEvery int
 
 	// Metrics, when non-nil, registers gateway metric families for the
 	// /metrics endpoint. Nil leaves the hot path uninstrumented.
@@ -60,28 +44,19 @@ type Gateway struct {
 // New builds a gateway over the configured replica fleet and starts its
 // health loop. Callers own the returned gateway and must Close it.
 func New(cfg Config) (*Gateway, error) {
-	pool, err := newPool(cfg.Replicas, cfg.Vnodes, cfg.MaxInflight, cfg.ConnsPerReplica,
-		cfg.HealthInterval, cfg.DialTimeout, cfg.Timeout, cfg.FailAfter, cfg.ReadmitAfter)
+	pool, err := newPool(cfg.Replicas, cfg.MaxInflight, cfg.HealthInterval)
 	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{pool: pool}
-	g.rollout.mirrorEvery = cfg.MirrorEvery
-	if g.rollout.mirrorEvery <= 0 {
-		g.rollout.mirrorEvery = 8
-	}
 	if cfg.Metrics != nil {
 		g.tel = newGatewayMetrics(g, cfg.Metrics)
 	}
 	return g, nil
 }
 
-// Close stops the health loop, any active rollout mirroring, and every
-// pooled upstream connection.
-func (g *Gateway) Close() {
-	g.rollout.stopMirror()
-	g.pool.close()
-}
+// Close stops the health loop and every pooled upstream connection.
+func (g *Gateway) Close() { g.pool.close() }
 
 // Handler returns the gateway's HTTP mux.
 func (g *Gateway) Handler() http.Handler {
@@ -153,7 +128,6 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, err)
 		return
 	}
-	g.rollout.maybeMirror(upBody)
 	writeProxied(w, status, ws.wire.ct, resp)
 }
 

@@ -67,11 +67,7 @@ func newFleetConfig(t *testing.T, m *core.Model, n int, cfg serve.Config, mut ..
 		f.backends = append(f.backends, b)
 		urls[i] = b.URL
 	}
-	gw, err := New(Config{
-		Replicas:       urls,
-		HealthInterval: 20 * time.Millisecond,
-		MirrorEvery:    1,
-	})
+	gw, err := New(Config{Replicas: urls, HealthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +523,7 @@ func TestGatewayBackpressure(t *testing.T) {
 // whether any replica is routable.
 func TestGatewayReadiness(t *testing.T) {
 	backend := httptest.NewServer(http.NotFoundHandler()) // never ready
-	gw, err := New(Config{Replicas: []string{backend.URL}, HealthInterval: 10 * time.Millisecond, FailAfter: 1})
+	gw, err := New(Config{Replicas: []string{backend.URL}, HealthInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

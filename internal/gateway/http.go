@@ -29,33 +29,22 @@ var gwPool = sync.Pool{New: func() any { return new(gwScratch) }}
 
 var (
 	jsonContentType = []string{"application/json"}
+	textContentType = []string{"text/plain; charset=utf-8"}
 	retryAfter1     = []string{"1"}
 )
 
-// contentTypeValue memoizes upstream Content-Type header values, so passing
-// one through costs a read-locked map probe instead of a string allocation;
-// the domain is tiny (application/json and text/plain variants).
-var (
-	contentTypeMu    sync.RWMutex
-	contentTypeCache = map[string][]string{}
-)
-
+// contentTypeValue is the header value for an upstream Content-Type. The two
+// values daced sends — JSON for predictions and documents, net/http's
+// text/plain for errors — are preallocated, so passing one through costs
+// nothing; any other value is allocated per response.
 func contentTypeValue(ct []byte) []string {
-	if len(ct) == 0 {
+	switch {
+	case len(ct) == 0 || string(ct) == jsonContentType[0]:
 		return jsonContentType
+	case string(ct) == textContentType[0]:
+		return textContentType
 	}
-	contentTypeMu.RLock()
-	v, ok := contentTypeCache[string(ct)]
-	contentTypeMu.RUnlock()
-	if ok {
-		return v
-	}
-	s := string(ct)
-	v = []string{s}
-	contentTypeMu.Lock()
-	contentTypeCache[s] = v
-	contentTypeMu.Unlock()
-	return v
+	return []string{string(ct)}
 }
 
 // writeProxied writes an upstream response through to the client: status

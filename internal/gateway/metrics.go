@@ -86,12 +86,6 @@ func newGatewayMetrics(g *Gateway, reg *telemetry.Registry) *gatewayMetrics {
 	reg.GaugeFunc("dace_gateway_replicas_healthy",
 		"Number of replicas currently in the routing ring.",
 		func() float64 { return float64(g.pool.healthyCount()) })
-	reg.CounterFunc("dace_gateway_rollout_mirrored_total",
-		"Requests mirrored to the rollout canary.",
-		func() uint64 { return g.rollout.stats.mirrored.Load() })
-	reg.CounterFunc("dace_gateway_rollout_diverged_total",
-		"Mirrored predictions diverging beyond the rollout threshold.",
-		func() uint64 { return g.rollout.stats.diverged.Load() })
 	return gm
 }
 

@@ -76,19 +76,17 @@ type ReplicaHealth struct {
 // snapshot under a mutex; routing reads it lock-free.
 type Pool struct {
 	replicas []*Replica
-	vnodes   int
-
-	ring ringHolder
-
-	mu sync.Mutex // serializes ring rebuilds
-
-	interval     time.Duration
-	failAfter    int
-	readmitAfter int
+	ring     ringHolder
+	mu       sync.Mutex // serializes ring rebuilds
+	interval time.Duration
 
 	stop chan struct{}
 	done chan struct{}
 }
+
+// failAfter consecutive probe failures eject a replica; readmitAfter
+// consecutive successes re-admit it.
+const failAfter, readmitAfter = 2, 2
 
 // parseReplicaURL extracts the dial address and Host header from a replica
 // base URL ("http://host:port" or bare "host:port").
@@ -116,7 +114,7 @@ func parseReplicaURL(raw string) (addr, host string, err error) {
 
 // newPool builds the replica set (all initially healthy) and starts the
 // health loop.
-func newPool(urls []string, vnodes, maxInflight, connsPerReplica int, interval, dialTO, ioTO time.Duration, failAfter, readmitAfter int) (*Pool, error) {
+func newPool(urls []string, maxInflight int, interval time.Duration) (*Pool, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("gateway: no replicas configured")
 	}
@@ -126,20 +124,7 @@ func newPool(urls []string, vnodes, maxInflight, connsPerReplica int, interval, 
 	if interval <= 0 {
 		interval = 250 * time.Millisecond
 	}
-	if failAfter <= 0 {
-		failAfter = 2
-	}
-	if readmitAfter <= 0 {
-		readmitAfter = 2
-	}
-	p := &Pool{
-		vnodes:       vnodes,
-		interval:     interval,
-		failAfter:    failAfter,
-		readmitAfter: readmitAfter,
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-	}
+	p := &Pool{interval: interval, stop: make(chan struct{}), done: make(chan struct{})}
 	seen := map[string]bool{}
 	for i, raw := range urls {
 		addr, host, err := parseReplicaURL(raw)
@@ -154,7 +139,7 @@ func newPool(urls []string, vnodes, maxInflight, connsPerReplica int, interval, 
 			Name:        addr,
 			idx:         i,
 			seed:        replicaSeed(addr),
-			up:          newUpstream(addr, host, connsPerReplica, dialTO, ioTO),
+			up:          newUpstream(addr, host),
 			maxInflight: int64(maxInflight),
 		}
 		rep.healthy.Store(true)
@@ -210,7 +195,7 @@ func (p *Pool) rebuild() {
 			healthy = append(healthy, rep)
 		}
 	}
-	p.ring.store(buildRing(healthy, p.vnodes))
+	p.ring.store(buildRing(healthy))
 }
 
 // healthLoop probes every replica's readiness endpoint on a fixed interval.
@@ -236,13 +221,13 @@ func (p *Pool) healthLoop() {
 			if rep.up.probe(&ws, "/healthz/ready") {
 				consecFail[i] = 0
 				consecOK[i]++
-				if !rep.Healthy() && consecOK[i] >= p.readmitAfter {
+				if !rep.Healthy() && consecOK[i] >= readmitAfter {
 					p.readmit(rep)
 				}
 			} else {
 				consecOK[i] = 0
 				consecFail[i]++
-				if rep.Healthy() && consecFail[i] >= p.failAfter {
+				if rep.Healthy() && consecFail[i] >= failAfter {
 					p.eject(rep)
 				}
 			}

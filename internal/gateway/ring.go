@@ -22,11 +22,11 @@ import (
 	"sync/atomic"
 )
 
-// vnodesDefault is the virtual-node count per replica. More vnodes smooth
+// vnodes is the virtual-node count per replica. More vnodes smooth
 // the load split (imbalance ~ 1/√vnodes per replica) at the cost of a
 // slightly deeper binary search; 128 keeps the worst-case imbalance under
 // ~10% for small fleets while the search stays ≤ 11 probes for 16 replicas.
-const vnodesDefault = 128
+const vnodes = 128
 
 // ringPoint is one virtual node: a point on the 64-bit hash circle owned by
 // a replica.
@@ -70,10 +70,7 @@ func replicaSeed(name string) uint64 {
 // buildRing constructs the circle over the given replicas (the pool passes
 // only healthy ones — an ejected replica is simply absent, so a lookup can
 // never return it).
-func buildRing(reps []*Replica, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = vnodesDefault
-	}
+func buildRing(reps []*Replica) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(reps)*vnodes)}
 	for _, rep := range reps {
 		h := rep.seed

@@ -21,7 +21,7 @@ func mkReplicas(n int) []*Replica {
 func TestRingBalance(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		reps := mkReplicas(n)
-		r := buildRing(reps, 0)
+		r := buildRing(reps)
 		counts := make([]int, n)
 		const keys = 200000
 		h := uint64(12345)
@@ -44,9 +44,9 @@ func TestRingBalance(t *testing.T) {
 // surviving replicas' caches hot through an ejection.
 func TestRingStability(t *testing.T) {
 	reps := mkReplicas(5)
-	full := buildRing(reps, 0)
+	full := buildRing(reps)
 	removed := reps[2]
-	smaller := buildRing(append(append([]*Replica{}, reps[:2]...), reps[3:]...), 0)
+	smaller := buildRing(append(append([]*Replica{}, reps[:2]...), reps[3:]...))
 
 	h := uint64(999)
 	moved, kept := 0, 0
@@ -76,8 +76,8 @@ func TestRingStability(t *testing.T) {
 // pre-ejection routing (points depend only on names).
 func TestRingReaddStability(t *testing.T) {
 	reps := mkReplicas(4)
-	before := buildRing(reps, 0)
-	after := buildRing(reps, 0)
+	before := buildRing(reps)
+	after := buildRing(reps)
 	h := uint64(7)
 	for i := 0; i < 10000; i++ {
 		h = fmix64(h + 3)
@@ -91,7 +91,7 @@ func TestRingEmpty(t *testing.T) {
 	if (&ring{}).lookup(42) != nil {
 		t.Fatal("empty ring must route nowhere")
 	}
-	if buildRing(nil, 0).lookup(42) != nil {
+	if buildRing(nil).lookup(42) != nil {
 		t.Fatal("nil membership must route nowhere")
 	}
 }
@@ -106,7 +106,7 @@ func FuzzRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nReps, removeIdx uint8, key uint64) {
 		n := int(nReps)%8 + 1
 		reps := mkReplicas(n)
-		full := buildRing(reps, 0)
+		full := buildRing(reps)
 
 		owner := full.lookup(key)
 		if owner == nil {
@@ -130,7 +130,7 @@ func FuzzRing(f *testing.F) {
 				rest = append(rest, rep)
 			}
 		}
-		smaller := buildRing(rest, 0)
+		smaller := buildRing(rest)
 		after := smaller.lookup(key)
 		if n == 1 {
 			if after != nil {

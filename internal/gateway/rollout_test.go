@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dace/internal/core"
-	"dace/internal/plan"
 	"dace/internal/serve"
 )
 
@@ -60,11 +62,10 @@ func replicaVersion(t *testing.T, url string) int {
 }
 
 // TestGatewayRollout drives the full canary lifecycle: start loads the new
-// version on one replica only, mirrored traffic produces shadow scores,
-// commit rolls the rest of the fleet, and a later rollout can be aborted
-// back to the committed version.
+// version on one replica only, commit rolls the rest of the fleet, and a
+// later rollout can be aborted back to the committed version.
 func TestGatewayRollout(t *testing.T) {
-	m, samples := trainedModel(t)
+	m, _ := trainedModel(t)
 	f := newFleet(t, m, 2, func(i int, s *serve.Server) {
 		s.Base = anyVersion{s: s, m: m, max: 10}
 	})
@@ -92,33 +93,6 @@ func TestGatewayRollout(t *testing.T) {
 	// A second start while one is active must 409.
 	if st, _ := postJSON(t, f.front.URL+"/rollout/start?version=4"); st != http.StatusConflict {
 		t.Fatalf("concurrent rollout start: %d, want 409", st)
-	}
-
-	// Mirrored traffic produces shadow comparisons (MirrorEvery=1 in
-	// newFleet, so every routed predict mirrors).
-	for i := 0; i < 8; i++ {
-		b, err := plan.AppendBinary(nil, samples[i].Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st, _, resp := post(t, f.front.URL+"/predict", plan.BinaryContentType, b); st != http.StatusOK {
-			t.Fatalf("predict during rollout: %d %s", st, resp)
-		}
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if st := f.gw.rollout.status(); st.Compared > 0 {
-			if st.Diverged != 0 {
-				// Canary and baseline share one model here; divergence
-				// would mean the mirror compared different plans.
-				t.Fatalf("identical models diverged: %+v", st)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no shadow comparisons recorded: %+v", f.gw.rollout.status())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Commit: the whole fleet lands on version 3 and the rollout ends.
@@ -201,22 +175,108 @@ func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 	}
 }
 
-func TestParseRootMS(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{`{"root_ms":12.5,"subplans":[]}`, 12.5, true},
-		{`{"root_ms":3}`, 3, true},
-		{`{"other":1}`, 0, false},
-		{`[]`, 0, false},
-		{``, 0, false},
+// TestGatewayRolloutKeepsShardAffinity: an active rollout changes which
+// model one shard runs, not where plans go. K distinct plans sent R times
+// to a cached fleet mid-rollout miss each body cache once per plan and hit
+// on every repeat, exactly as without a rollout.
+func TestGatewayRolloutKeepsShardAffinity(t *testing.T) {
+	m, samples := trainedModel(t)
+	f := newFleetConfig(t, m, 3, serve.Config{CacheSize: 256}, func(i int, s *serve.Server) {
+		s.Base = anyVersion{s: s, m: m, max: 10}
+	})
+	if st, body := postJSON(t, f.front.URL+"/rollout/start?version=2"); st != http.StatusOK {
+		t.Fatalf("rollout start: %d %s", st, body)
 	}
-	for _, c := range cases {
-		got, ok := parseRootMS([]byte(c.in))
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("parseRootMS(%q) = %v,%v want %v,%v", c.in, got, ok, c.want, c.ok)
+	const repeats = 3
+	distinct := map[string]bool{}
+	for r := 0; r < repeats; r++ {
+		for i := 0; i < 40; i++ {
+			b := planJSON(t, samples[i].Plan)
+			distinct[string(b)] = true
+			if st, _, resp := post(t, f.front.URL+"/predict", "application/json", b); st != http.StatusOK {
+				t.Fatalf("plan %d: %d %s", i, st, resp)
+			}
 		}
+	}
+	var hits, misses uint64
+	for i, b := range f.backends {
+		resp, err := http.Get(b.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h serve.Health
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil || h.BodyCache == nil {
+			t.Fatalf("replica %d health: %v (body cache %v)", i, err, h.BodyCache)
+		}
+		hits, misses = hits+h.BodyCache.Hits, misses+h.BodyCache.Misses
+	}
+	if k := uint64(len(distinct)); misses != k || hits != k*(repeats-1) {
+		t.Errorf("fleet body caches mid-rollout: %d misses / %d hits for %d plans × %d sends, want %d / %d",
+			misses, hits, k, repeats, k, k*(repeats-1))
+	}
+}
+
+// TestGatewayRolloutOperationsSerialize: a start that arrives while another
+// start is still loading its canary is answered 409 and reaches no replica,
+// so the first rollout's record — what abort restores — stands.
+func TestGatewayRolloutOperationsSerialize(t *testing.T) {
+	var loads atomic.Int64
+	arrived := make(chan struct{}, 2)
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz/ready", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status":"ready"}`))
+	})
+	mux.HandleFunc("/model/load", func(w http.ResponseWriter, r *http.Request) {
+		loads.Add(1)
+		arrived <- struct{}{}
+		<-release
+		w.Write([]byte(`{"version":3,"previous":1}`))
+	})
+	backend := httptest.NewServer(mux)
+	defer backend.Close()
+	gw, err := New(Config{Replicas: []string{backend.URL}, HealthInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	front := httptest.NewServer(gw.Handler())
+	defer front.Close()
+
+	statuses := make(chan int, 2)
+	start := func() {
+		resp, err := http.Post(front.URL+"/rollout/start?version=3", "", nil)
+		if err != nil {
+			statuses <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go start()
+	<-arrived // the first start is loading its canary
+	go start()
+	got, answered := map[int]int{}, 0
+	select {
+	case st := <-statuses:
+		got[st]++
+		answered++
+	case <-arrived:
+		t.Error("a second start reached the replica while the first was loading")
+	case <-time.After(5 * time.Second):
+		t.Error("the second start neither answered nor reached the replica")
+	}
+	close(release)
+	for ; answered < 2; answered++ {
+		got[<-statuses]++
+	}
+	if got[http.StatusOK] != 1 || got[http.StatusConflict] != 1 || loads.Load() != 1 {
+		t.Fatalf("two racing starts: statuses %v, %d model loads; want one 200, one 409, one load", got, loads.Load())
+	}
+	if st := gw.rollout.status(); !st.Active || st.Version != 3 || st.PrevVersion != 1 {
+		t.Fatalf("rollout record after the race: %+v", st)
 	}
 }

@@ -16,16 +16,30 @@ import (
 // of that. Requests here are written as one preassembled byte slice over a
 // pooled persistent connection and responses are parsed with a borrowed
 // bufio.Reader straight into caller-owned buffers, so a steady-state round
-// trip performs zero heap allocations. The replicas are daced itself —
-// responses always carry Content-Length (chunked and close-delimited bodies
-// are still handled, as slow paths, for robustness).
+// trip performs zero heap allocations. The replicas are daced itself, and
+// every daced response carries Content-Length: a response framed any other
+// way is refused like a dropped connection.
 type upstream struct {
 	addr    string // dial target, host:port
 	hostHdr string // Host header value
 	idle    chan *uconn
-	dialTO  time.Duration
-	ioTO    time.Duration
 }
+
+const (
+	connsPerReplica = 64               // idle connections pooled per replica
+	dialTimeout     = 2 * time.Second  // upstream connection establishment
+	ioTimeout       = 10 * time.Second // one whole round trip
+
+	// maxResponseBody bounds the Content-Length the gateway accepts. The
+	// largest response a replica renders answers a wire.MaxBatchBody
+	// (64 MiB) binary batch of one-node plans: each costs at least 36
+	// request bytes (two one-byte uvarints and a 34-byte node) and renders
+	// at most 234 response bytes (`{"root_ms":` with a 25-byte float, one
+	// sub-plan object of six fields — three 25-byte floats, two 7-digit
+	// integers, a 19-byte operator name — and the separators), at most 6.5×
+	// the request: 416 MiB. Anything longer is a lie.
+	maxResponseBody = 512 << 20
+)
 
 // uconn is one persistent upstream connection with its read buffer.
 type uconn struct {
@@ -33,17 +47,8 @@ type uconn struct {
 	br *bufio.Reader
 }
 
-func newUpstream(addr, hostHdr string, poolSize int, dialTO, ioTO time.Duration) *upstream {
-	if poolSize <= 0 {
-		poolSize = 64
-	}
-	if dialTO <= 0 {
-		dialTO = 2 * time.Second
-	}
-	if ioTO <= 0 {
-		ioTO = 10 * time.Second
-	}
-	return &upstream{addr: addr, hostHdr: hostHdr, idle: make(chan *uconn, poolSize), dialTO: dialTO, ioTO: ioTO}
+func newUpstream(addr, hostHdr string) *upstream {
+	return &upstream{addr: addr, hostHdr: hostHdr, idle: make(chan *uconn, connsPerReplica)}
 }
 
 // get returns an idle connection or dials a fresh one. reused reports which.
@@ -53,7 +58,7 @@ func (u *upstream) get() (*uconn, bool, error) {
 		return c, true, nil
 	default:
 	}
-	nc, err := net.DialTimeout("tcp", u.addr, u.dialTO)
+	nc, err := net.DialTimeout("tcp", u.addr, dialTimeout)
 	if err != nil {
 		return nil, false, err
 	}
@@ -169,8 +174,7 @@ func (u *upstream) roundTrip(ws *wireBuf, method, path, contentType string, tena
 // once writes the prepared request on c and parses the response. keep
 // reports whether the connection may be pooled again.
 func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bool, err error) {
-	deadline := time.Now().Add(u.ioTO)
-	if err := c.c.SetDeadline(deadline); err != nil {
+	if err := c.c.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return 0, nil, false, err
 	}
 	if _, err := c.c.Write(ws.req); err != nil {
@@ -180,9 +184,14 @@ func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bo
 		// Leftover bytes from a previous exchange: the framing is broken.
 		return 0, nil, false, fmt.Errorf("gateway: upstream connection out of sync")
 	}
+	return readResponse(c.br, ws)
+}
 
+// readResponse parses one response from br: the status line, the headers the
+// gateway reads, and a body of exactly Content-Length bytes into ws.resp.
+func readResponse(br *bufio.Reader, ws *wireBuf) (status int, body []byte, keep bool, err error) {
 	// Status line: "HTTP/1.1 200 OK".
-	line, err := readLine(c.br)
+	line, err := readLine(br)
 	if err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, false, errStaleConn
@@ -193,7 +202,6 @@ func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bo
 	if sp < 0 || len(line) < sp+4 {
 		return 0, nil, false, fmt.Errorf("gateway: malformed status line %q", line)
 	}
-	status = 0
 	for _, d := range line[sp+1 : sp+4] {
 		if d < '0' || d > '9' {
 			return 0, nil, false, fmt.Errorf("gateway: malformed status line %q", line)
@@ -201,13 +209,13 @@ func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bo
 		status = status*10 + int(d-'0')
 	}
 
-	// Headers: framing-relevant ones plus Content-Type for pass-through.
-	contentLength := int64(-1)
-	chunked := false
+	// Headers: Content-Length and Connection for framing, Content-Type for
+	// pass-through.
+	contentLength := -1
 	keep = true
 	ws.ct = ws.ct[:0]
 	for {
-		line, err := readLine(c.br)
+		line, err := readLine(br)
 		if err != nil {
 			return 0, nil, false, err
 		}
@@ -223,21 +231,17 @@ func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bo
 		case eqFold(name, "content-length"):
 			// Parsed with a digit loop, not strconv over string(val): the
 			// conversion would allocate on every response.
-			n := int64(0)
-			if len(val) == 0 || len(val) > 18 {
-				return 0, nil, false, fmt.Errorf("gateway: bad Content-Length %q", val)
-			}
+			n := 0
 			for _, d := range val {
-				if d < '0' || d > '9' {
+				if d < '0' || d > '9' || n > maxResponseBody {
 					return 0, nil, false, fmt.Errorf("gateway: bad Content-Length %q", val)
 				}
-				n = n*10 + int64(d-'0')
+				n = n*10 + int(d-'0')
+			}
+			if len(val) == 0 || n > maxResponseBody {
+				return 0, nil, false, fmt.Errorf("gateway: bad Content-Length %q", val)
 			}
 			contentLength = n
-		case eqFold(name, "transfer-encoding"):
-			if eqFold(val, "chunked") {
-				chunked = true
-			}
 		case eqFold(name, "connection"):
 			if eqFold(val, "close") {
 				keep = false
@@ -246,28 +250,25 @@ func (u *upstream) once(c *uconn, ws *wireBuf) (status int, body []byte, keep bo
 			ws.ct = append(ws.ct[:0], val...)
 		}
 	}
+	if contentLength < 0 {
+		return 0, nil, false, errors.New("gateway: upstream response without Content-Length")
+	}
 
+	// Read the body. A buffer too small for it grows only as bytes arrive,
+	// so a replica that declares more than it sends costs the gateway what
+	// it sent, not what it declared.
 	ws.resp = ws.resp[:0]
-	switch {
-	case chunked:
-		if err := readChunked(c.br, &ws.resp); err != nil {
+	for len(ws.resp) < contentLength {
+		if len(ws.resp) == cap(ws.resp) {
+			grown := make([]byte, len(ws.resp), min(contentLength, 2*cap(ws.resp)+4096))
+			copy(grown, ws.resp)
+			ws.resp = grown
+		}
+		end := min(contentLength, cap(ws.resp))
+		if _, err := io.ReadFull(br, ws.resp[len(ws.resp):end]); err != nil {
 			return 0, nil, false, err
 		}
-	case contentLength >= 0:
-		if cap(ws.resp) < int(contentLength) {
-			ws.resp = make([]byte, 0, contentLength)
-		}
-		ws.resp = ws.resp[:contentLength]
-		if _, err := io.ReadFull(c.br, ws.resp); err != nil {
-			return 0, nil, false, err
-		}
-	default:
-		// No framing: body runs to EOF and the connection cannot be reused.
-		keep = false
-		var err error
-		if ws.resp, err = readAll(c.br, ws.resp); err != nil {
-			return 0, nil, false, err
-		}
+		ws.resp = ws.resp[:end]
 	}
 	return status, ws.resp, keep, nil
 }
@@ -290,58 +291,6 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 		return line[:n-2], nil
 	}
 	return line[:len(line)-1], nil
-}
-
-// readChunked decodes a chunked body into *dst.
-func readChunked(br *bufio.Reader, dst *[]byte) error {
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			return err
-		}
-		if i := indexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		size, err := strconv.ParseUint(string(line), 16, 32)
-		if err != nil {
-			return fmt.Errorf("gateway: bad chunk size %q", line)
-		}
-		if size == 0 {
-			// Trailers (if any) end with an empty line.
-			for {
-				line, err := readLine(br)
-				if err != nil {
-					return err
-				}
-				if len(line) == 0 {
-					return nil
-				}
-			}
-		}
-		off := len(*dst)
-		*dst = append(*dst, make([]byte, size)...)
-		if _, err := io.ReadFull(br, (*dst)[off:]); err != nil {
-			return err
-		}
-		if _, err := readLine(br); err != nil { // chunk-terminating CRLF
-			return err
-		}
-	}
-}
-
-// readAll appends the reader's remaining bytes to dst (EOF is success).
-func readAll(br *bufio.Reader, dst []byte) ([]byte, error) {
-	var tmp [4096]byte
-	for {
-		n, err := br.Read(tmp[:])
-		dst = append(dst, tmp[:n]...)
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
 }
 
 func indexByte(b []byte, c byte) int {
