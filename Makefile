@@ -65,6 +65,12 @@ build-arm64:
 # bodies only (no chunked or read-to-EOF decoder to come back), and the
 # rollout starts no goroutine — it is three cold handlers, with no shadow
 # traffic running beside the routed requests.
+# And the one-pipeline invariants: every serve.Server runs the admission
+# stage and telemetry (no nil check on either is left to switch one off),
+# the prediction cache has no TTL (a domain salt retires entries, a clock
+# never does), and no command grows back a flag for a removed switch —
+# -max-batch, -queue-depth, -cache-ttl, -metrics, or -lora (a model file
+# says whether it carries adapters).
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
@@ -85,7 +91,10 @@ check-paths:
 		grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.GC(' internal/loadgen; \
 		grep -rnE --include='*.go' '^func (\([^)]*\) )?(MannWhitney|CohensD|SaveBaseline|LoadBaseline|soakGates)\(' internal cmd; \
 		grep -rnE --include='*.go' --exclude='*_test.go' '^func (readChunked|readAll)\(' internal/gateway; \
-		grep -nHE '^[[:space:]]*go[[:space:]]' internal/gateway/rollout.go)"; \
+		grep -nHE '^[[:space:]]*go[[:space:]]' internal/gateway/rollout.go; \
+		grep -rnE --include='*.go' --exclude='*_test.go' 's\.(bat|tel) (==|!=) nil' internal/serve; \
+		grep -nHE 'expires|expiredEntry|expiryAt' internal/servecache/cache.go; \
+		grep -rnE --include='*.go' '[[:alnum:]]+\.[A-Z][A-Za-z0-9]*\("(max-batch|queue-depth|cache-ttl|metrics|lora)"' cmd)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -336,12 +336,8 @@ func cmdTrain(args []string) {
 	fmt.Printf("trained DACE on %d plans from %s; saved to %s\n", len(samples), *dbs, *model)
 }
 
-func loadModel(path string, lora bool) *core.Model {
-	cfg := core.DefaultConfig()
-	m := core.NewModel(cfg)
-	if lora {
-		m.EnableLoRA()
-	}
+func loadModel(path string) *core.Model {
+	m := core.NewModel(core.DefaultConfig())
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -359,11 +355,10 @@ func cmdEval(args []string) {
 	db := fs.String("db", "imdb", "evaluation database (unseen is the point)")
 	queries := fs.Int("queries", 200, "evaluation queries")
 	machineName := fs.String("machine", "M1", "machine profile")
-	lora := fs.Bool("lora", false, "model file contains LoRA adapters")
 	workers := fs.Int("workers", 0, "inference worker goroutines (0 = all CPUs)")
 	fs.Parse(args)
 
-	m := loadModel(*model, *lora)
+	m := loadModel(*model)
 	samples := collect(*db, *queries, *machineName)
 	preds := m.PredictBatch(dataset.Plans(samples), *workers)
 	qs := make([]float64, len(samples))
@@ -385,7 +380,7 @@ func cmdFinetune(args []string) {
 	workers := fs.Int("workers", 0, "training worker goroutines (0 = all CPUs)")
 	fs.Parse(args)
 
-	m := loadModel(*model, false)
+	m := loadModel(*model)
 	m.Cfg.Workers = *workers
 	samples := collect(*dbs, *queries, *machineName)
 	m.FineTuneLoRA(dataset.Plans(samples), 2e-3, *epochs)
@@ -413,10 +408,9 @@ func cmdPredict(args []string) {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	model := fs.String("model", "dace.json", "model path")
 	planPath := fs.String("plan", "", "plan JSON (as written by plan.WriteJSON); - for stdin")
-	lora := fs.Bool("lora", false, "model file contains LoRA adapters")
 	fs.Parse(args)
 
-	m := loadModel(*model, *lora)
+	m := loadModel(*model)
 	in := os.Stdin
 	if *planPath != "" && *planPath != "-" {
 		f, err := os.Open(*planPath)

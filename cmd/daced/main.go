@@ -1,11 +1,13 @@
 // Command daced serves a trained DACE model over HTTP for query
-// performance prediction, with the full serving pipeline on by default:
-// plan-fingerprint caching, request coalescing, bounded forward concurrency
-// with backpressure, and Prometheus metrics on GET /metrics.
+// performance prediction, through one serving pipeline: plan-fingerprint
+// caching, request coalescing, bounded forward concurrency with
+// backpressure, and Prometheus metrics on GET /metrics. The only switch is
+// the caches' (-cache-size 0). A model file says by itself whether it
+// carries LoRA adapters (dace finetune output does).
 //
 //	daced -model dace.json -addr :8080
-//	daced -model dace.json -cache-size 0 -max-batch 1   # raw per-request inference
-//	daced -version                                      # build info and exit
+//	daced -model dace.json -cache-size 0     # every request runs its own forward pass
+//	daced -version                           # build info and exit
 //	curl -XPOST localhost:8080/predict --data-binary @plan.json
 //	curl -XPOST 'localhost:8080/predict?format=pg' --data-binary @explain.json
 //	curl -XPOST -H 'Content-Type: application/x-dace-plan' \
@@ -83,14 +85,9 @@ import (
 func main() {
 	modelPath := flag.String("model", "dace.json", "trained model (dace train / dace finetune output)")
 	addr := flag.String("addr", ":8080", "listen address")
-	lora := flag.Bool("lora", false, "model file contains LoRA adapters")
 	workers := flag.Int("workers", 0, "inference workers: forward passes /predict runs at once, and the /predict/batch fan-out (0 = all CPUs)")
 	cacheSize := flag.Int("cache-size", 8192, "prediction cache entries (0 disables caching)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "prediction cache entry TTL (0 = no expiry)")
-	maxBatch := flag.Int("max-batch", 64, "> 1 bounds concurrent /predict forward passes to -workers, extra misses wait FIFO; <= 1 leaves them unbounded (legacy name: nothing is batched, only on/off is read)")
-	queueDepth := flag.Int("queue-depth", 4096, "most /predict misses that may wait for a forward slot (0 = 8*max-batch); one more answers 503")
 	pprofAddr := flag.String("pprof", "", "if set (e.g. localhost:6060), serve net/http/pprof on this address")
-	metricsOn := flag.Bool("metrics", true, "instrument the pipeline and serve Prometheus metrics on GET /metrics")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	showVersion := flag.Bool("version", false, "print build info and exit")
 	feedbackLog := flag.String("feedback-log", "", "append-only feedback log for crash-safe replay (empty disables durability)")
@@ -121,11 +118,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	var reg *telemetry.Registry
-	if *metricsOn {
-		reg = telemetry.NewRegistry()
-		version.Register(reg)
-	}
+	reg := telemetry.NewRegistry()
+	version.Register(reg)
 
 	if *gatewayReplicas != "" {
 		runGateway(logger, reg, gatewayConfig{
@@ -139,9 +133,6 @@ func main() {
 	}
 
 	m := core.NewModel(core.DefaultConfig())
-	if *lora {
-		m.EnableLoRA()
-	}
 	f, err := os.Open(*modelPath)
 	if err != nil {
 		fatal("open model", "err", err)
@@ -162,13 +153,7 @@ func main() {
 		}()
 	}
 
-	s := serve.NewWithConfig(nil, serve.Config{
-		CacheSize:  *cacheSize,
-		CacheTTL:   *cacheTTL,
-		MaxBatch:   *maxBatch,
-		QueueDepth: *queueDepth,
-		Metrics:    reg,
-	})
+	s := serve.NewWithConfig(nil, serve.Config{CacheSize: *cacheSize, Metrics: reg})
 	s.Workers = *workers
 	s.Publish(m, 0)
 
@@ -224,12 +209,11 @@ func main() {
 	// adaptation domain of its own from here on.
 	if *tenantsDir != "" {
 		tenants := tenant.New(s.Model(), tenant.Config{
-			Dir:        *tenantsDir,
-			MinSamples: *adaptMinSamples,
-			Gate:       *adaptGate,
-			Pool:       pool,
-			Metrics:    reg,
-			Logger:     logger.With("component", "tenant"),
+			Dir:     *tenantsDir,
+			Adapt:   adapt.Config{MinSamples: *adaptMinSamples, Gate: *adaptGate},
+			Pool:    pool,
+			Metrics: reg,
+			Logger:  logger.With("component", "tenant"),
 		})
 		adapted, err := tenants.LoadDir()
 		if err != nil {
@@ -241,8 +225,7 @@ func main() {
 
 	logger.Info("serving",
 		"model", *modelPath, "addr", *addr, "version", version.Get().Version,
-		"cache", *cacheSize, "batch", *maxBatch,
-		"queue", *queueDepth, "adapt", adaptOn, "metrics", *metricsOn)
+		"cache", *cacheSize, "adapt", adaptOn)
 	// Flip readiness off first and give upstream gateways the grace period
 	// to observe it and eject this replica — new traffic stops arriving
 	// before the listener closes, so nothing gets refused. After Shutdown,
@@ -316,7 +299,7 @@ func runGateway(logger *slog.Logger, reg *telemetry.Registry, cfg gatewayConfig)
 	}
 	logger.Info("gateway serving",
 		"addr", cfg.addr, "replicas", len(cfg.replicas), "version", version.Get().Version)
-	serveUntilSignal(logger, cfg.addr, g.Handler(), cfg.drainGrace, func() {}, g.Close)
+	serveUntilSignal(logger, cfg.addr, g.Handler(), cfg.drainGrace, g.BeginDrain, g.Close)
 }
 
 // newLogger builds the process logger: human-oriented text (default) or

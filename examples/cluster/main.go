@@ -56,7 +56,7 @@ func main() {
 	servers := make([]*serve.Server, replicas)
 	httpSrvs := make([]*http.Server, replicas)
 	for i := range addrs {
-		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096, MaxBatch: 64})
+		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096})
 		dir := filepath.Join(modelDirs, fmt.Sprint(i))
 		for _, note := range []string{"v1", "v2"} {
 			if _, err := adapt.SaveVersion(dir, model, note); err != nil {

@@ -64,11 +64,8 @@ type Config struct {
 	// DriftWindow is the number of recent observations the rolling median
 	// is computed over (default 128).
 	DriftWindow int
-	// HoldoutFrac is the fraction of the snapshot held out for gating
-	// (default 0.2, at least one sample).
-	HoldoutFrac float64
-	// LR and Epochs drive FineTuneLoRA (defaults 2e-3, 12).
-	LR     float64
+	// Epochs drives FineTuneLoRA (default 12, at a fixed learning rate of
+	// 2e-3).
 	Epochs int
 	// ModelDir, when set, persists every promotion as a versioned artifact.
 	ModelDir string
@@ -79,6 +76,13 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// The gate holds out holdoutFrac of the snapshot (at least one sample), and
+// the candidate fine-tunes at fineTuneLR.
+const (
+	holdoutFrac = 0.2
+	fineTuneLR  = 2e-3
+)
+
 func (c Config) withDefaults() Config {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 256
@@ -88,12 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftWindow <= 0 {
 		c.DriftWindow = 128
-	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.2
-	}
-	if c.LR <= 0 {
-		c.LR = 2e-3
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 12
@@ -182,6 +180,10 @@ func New(host Host, store *feedback.Store, log *feedback.Log, cfg Config) *Contr
 	seed, _ := host.Served()
 	return &Controller{host: host, store: store, log: log, cfg: cfg.withDefaults(), seed: seed}
 }
+
+// MinSamples is the replay-buffer floor RunOnce holds attempts to:
+// Config.MinSamples, defaulted.
+func (c *Controller) MinSamples() int { return c.cfg.MinSamples }
 
 // Observe ingests one feedback sample: it lands in the replay store (and
 // the durable log when accepted), and its q-error advances the drift
@@ -276,7 +278,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	// Deterministic shuffle, then carve off the holdout from the tail.
 	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(c.runsSoFar())))
 	rng.Shuffle(len(snap), func(i, j int) { snap[i], snap[j] = snap[j], snap[i] })
-	nHold := int(float64(len(snap)) * c.cfg.HoldoutFrac)
+	nHold := int(float64(len(snap)) * holdoutFrac)
 	if nHold < 1 {
 		nHold = 1
 	}
@@ -298,7 +300,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	}
 	candidate.Hooks = c.Hooks
 	t0 := time.Now()
-	candidate.FineTuneLoRAFlat(trainPlans, c.cfg.LR, c.cfg.Epochs)
+	candidate.FineTuneLoRAFlat(trainPlans, fineTuneLR, c.cfg.Epochs)
 	trainMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
 	before := holdoutSummary(incumbent, hold)

@@ -261,7 +261,6 @@ func TestGateRejectsNonImprovingCandidate(t *testing.T) {
 	c := New(host, store, nil, Config{
 		MinSamples: 20,
 		Gate:       0.99, // nothing improves 99%
-		LR:         2e-3,
 		Epochs:     2,
 		ModelDir:   dir,
 		Seed:       7,
@@ -307,7 +306,6 @@ func TestControllerAdaptsAcrossMore(t *testing.T) {
 	c := New(host, store, nil, Config{
 		MinSamples: 50,
 		Gate:       0.02,
-		LR:         2e-3,
 		Epochs:     16,
 		ModelDir:   dir,
 		Seed:       7,

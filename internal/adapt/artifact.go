@@ -149,9 +149,6 @@ func loadVersion(dir string, v int) (*core.Model, error) {
 		return nil, fmt.Errorf("adapt: artifact %s checksum %08x, manifest says %08x (corrupted)", entry.File, got, entry.CRC32)
 	}
 	m := core.NewModel(entry.Config)
-	if entry.LoRA {
-		m.EnableLoRA()
-	}
 	if err := m.Load(bytes.NewReader(data)); err != nil {
 		return nil, fmt.Errorf("adapt: load %s: %w", entry.File, err)
 	}

@@ -32,7 +32,6 @@ func TestEnableMetricsExportsControllerAndTraining(t *testing.T) {
 	c := New(host, store, nil, Config{
 		MinSamples: 50,
 		Gate:       0.02,
-		LR:         2e-3,
 		Epochs:     epochs,
 		Seed:       7,
 		Logger:     slog.New(slog.NewJSONHandler(&logBuf, nil)),

@@ -648,12 +648,5 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load restores parameters and encoder written by Save into a model built
-// with the same Config (and LoRA state).
-func (m *Model) Load(r io.Reader) error {
-	enc, err := loadModel(r, m.Params())
-	if err != nil {
-		return err
-	}
-	m.Enc = enc
-	return nil
-}
+// with the same Config, attaching LoRA adapters when the file carries them.
+func (m *Model) Load(r io.Reader) error { return loadModel(r, m) }

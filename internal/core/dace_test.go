@@ -306,6 +306,48 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadAttachesLoRA: a model file says whether it carries adapters. A
+// fine-tuned model loads into a plain NewModel with its adapters attached
+// and predicts bit for bit what it did when saved; a pre-trained file still
+// loads with adapters off.
+func TestLoadAttachesLoRA(t *testing.T) {
+	plans := workloadPlans(t, schema.IMDB(), 40, executor.M1())
+	m := Train(plans[:30], smallConfig())
+	var plain bytes.Buffer
+	if err := m.Save(&plain); err != nil {
+		t.Fatal(err)
+	}
+	m.FineTuneLoRA(plans[30:36], 2e-3, 3)
+	var tuned bytes.Buffer
+	if err := m.Save(&tuned); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := NewModel(smallConfig())
+	if err := m2.Load(&tuned); err != nil {
+		t.Fatalf("load a fine-tuned file into a plain model: %v", err)
+	}
+	if !m2.LoRAEnabled() {
+		t.Fatal("loaded fine-tuned model has no adapters attached")
+	}
+	for _, p := range plans[30:] {
+		a, b := m.PredictSubPlans(p), m2.PredictSubPlans(p)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("sub-plan %d: loaded model predicts %v, saved %v", i, b[i], a[i])
+			}
+		}
+	}
+
+	m3 := NewModel(smallConfig())
+	if err := m3.Load(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if m3.LoRAEnabled() {
+		t.Fatal("a pre-trained file attached adapters")
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	m := NewModel(smallConfig())
 	if err := m.Load(bytes.NewBufferString("{bad")); err == nil {

@@ -28,16 +28,27 @@ func saveModel(w io.Writer, enc *featurize.Encoder, params []*nn.Param) error {
 	return json.NewEncoder(w).Encode(modelFile{Encoder: enc, Params: buf.Bytes()})
 }
 
-func loadModel(r io.Reader, params []*nn.Param) (*featurize.Encoder, error) {
+// loraTag is in the name of every adapter parameter a dump holds:
+// nn.NewLoRADense names them <layer>.lora.down and <layer>.lora.up.
+var loraTag = []byte(".lora.")
+
+// loadModel reads a file saveModel wrote into m. A dump that names adapter
+// parameters attaches m's adapters first, so a fine-tuned model's file says
+// by itself that it carries them.
+func loadModel(r io.Reader, m *Model) error {
 	var mf modelFile
 	if err := json.NewDecoder(r).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("core: decode model: %w", err)
+		return fmt.Errorf("core: decode model: %w", err)
 	}
 	if mf.Encoder == nil {
-		return nil, fmt.Errorf("core: model file lacks encoder")
+		return fmt.Errorf("core: model file lacks encoder")
 	}
-	if err := nn.LoadParams(bytes.NewReader(mf.Params), params); err != nil {
-		return nil, err
+	if bytes.Contains(mf.Params, loraTag) {
+		m.EnableLoRA()
 	}
-	return mf.Encoder, nil
+	if err := nn.LoadParams(bytes.NewReader(mf.Params), m.Params()); err != nil {
+		return err
+	}
+	m.Enc = mf.Encoder
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"dace/internal/plan"
@@ -39,6 +40,9 @@ type Gateway struct {
 	pool    *Pool
 	tel     *gatewayMetrics
 	rollout rolloutState
+
+	// draining pins /healthz/ready to 503 from BeginDrain onward.
+	draining atomic.Bool
 }
 
 // New builds a gateway over the configured replica fleet and starts its
@@ -57,6 +61,12 @@ func New(cfg Config) (*Gateway, error) {
 
 // Close stops the health loop and every pooled upstream connection.
 func (g *Gateway) Close() { g.pool.close() }
+
+// BeginDrain pins /healthz/ready to 503 for the rest of the gateway's life,
+// as a replica's BeginDrain does, so the load balancer in front ejects the
+// gateway before its listener closes. /predict keeps routing and
+// /healthz/live stays 200 meanwhile. Idempotent.
+func (g *Gateway) BeginDrain() { g.draining.Store(true) }
 
 // Handler returns the gateway's HTTP mux.
 func (g *Gateway) Handler() http.Handler {
@@ -195,23 +205,29 @@ func handleLive(w http.ResponseWriter, r *http.Request) {
 	w.Write(liveBody)
 }
 
-// handleReady: the gateway can do useful work — at least one replica is in
-// the ring. Load balancers in front of a gateway tier probe this.
+// handleReady: the gateway can do useful work — it is not draining and at
+// least one replica is in the ring. Load balancers in front of a gateway
+// tier probe this.
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header()["Content-Type"] = jsonContentType
-	if g.pool.healthyCount() == 0 {
-		w.Header()["Retry-After"] = retryAfter1
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(notReadyBody)
+	body := notReadyBody
+	switch {
+	case g.draining.Load():
+		body = drainingBody
+	case g.pool.healthyCount() > 0:
+		w.Write(readyBody)
 		return
 	}
-	w.Write(readyBody)
+	w.Header()["Retry-After"] = retryAfter1
+	w.WriteHeader(http.StatusServiceUnavailable)
+	w.Write(body)
 }
 
 var (
 	liveBody     = []byte(`{"status":"live"}` + "\n")
 	readyBody    = []byte(`{"status":"ready"}` + "\n")
 	notReadyBody = []byte(`{"status":"not ready"}` + "\n")
+	drainingBody = []byte(`{"status":"draining"}` + "\n")
 )
 
 // handleMetrics renders the Prometheus exposition (cold path).

@@ -567,6 +567,42 @@ func TestGatewayReadiness(t *testing.T) {
 	}
 }
 
+// TestGatewayBeginDrain: draining pins readiness to 503 + Retry-After with a
+// draining body while the fleet is healthy, so a load balancer ejects the
+// gateway before its listener closes — and routing and liveness go on.
+func TestGatewayBeginDrain(t *testing.T) {
+	m, samples := trainedModel(t)
+	f := newFleet(t, m, 2)
+	get := func(path string) (int, http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Get(f.front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, b
+	}
+	if st, _, _ := get("/healthz/ready"); st != http.StatusOK {
+		t.Fatalf("ready before the drain: status %d", st)
+	}
+
+	f.gw.BeginDrain()
+	st, hdr, body := get("/healthz/ready")
+	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != "1" || string(body) != `{"status":"draining"}`+"\n" {
+		t.Fatalf("ready while draining: %d Retry-After=%q %q, want 503, 1 and the draining body", st, hdr.Get("Retry-After"), body)
+	}
+	if st, _, resp := post(t, f.front.URL+"/predict", "application/json", planJSON(t, samples[0].Plan)); st != http.StatusOK {
+		t.Fatalf("predict while draining: status %d: %s", st, resp)
+	}
+	if st, _, _ := get("/healthz/live"); st != http.StatusOK {
+		t.Fatalf("live while draining: status %d", st)
+	}
+}
+
 // TestGatewayHealthReport: /healthz aggregates per-replica state.
 func TestGatewayHealthReport(t *testing.T) {
 	m, _ := trainedModel(t)

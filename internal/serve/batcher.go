@@ -26,13 +26,12 @@ import (
 // stage replaced; a "batch" was only ever independent per-plan forwards, so
 // collecting one could add delay but never save work.
 type batcher struct {
-	srv      *Server
-	maxBatch int // Config.MaxBatch, echoed in stats
-	depth    int // most requests allowed to wait for a slot
+	srv   *Server
+	depth int // most requests allowed to wait for a slot
 
-	// predict runs one forward pass. A field so tests can count, block or
-	// panic in it; production never reassigns it.
-	predict func(m *core.Model, f *plan.FlatPlan) []float64
+	// predict runs one forward pass, appending to dst. A field so tests can
+	// count, block or panic in it; production never reassigns it.
+	predict func(dst []float64, m *core.Model, f *plan.FlatPlan) []float64
 
 	mu         sync.Mutex
 	idle       *sync.Cond // signalled when a closed stage releases its last slot
@@ -44,9 +43,9 @@ type batcher struct {
 	requests   uint64 // forwards finished
 	rejected   uint64
 
-	// waitHist is wired by newServerMetrics before the Server is handed out;
-	// nil when telemetry is off. Only requests that wait for a slot observe
-	// it — the uncontended path takes no timestamp.
+	// waitHist is wired by newServerMetrics before the Server is handed out.
+	// Only requests that wait for a slot observe it — the uncontended path
+	// takes no timestamp.
 	waitHist *telemetry.Histogram
 }
 
@@ -59,21 +58,22 @@ type waiter struct {
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan struct{}, 1)} }}
 
-func newBatcher(srv *Server, maxBatch, depth int) *batcher {
-	b := &batcher{srv: srv, maxBatch: maxBatch, depth: depth, predict: predictFlat}
+func newBatcher(srv *Server, depth int) *batcher {
+	b := &batcher{srv: srv, depth: depth, predict: predictFlat}
 	b.idle = sync.NewCond(&b.mu)
 	return b
 }
 
-func predictFlat(m *core.Model, f *plan.FlatPlan) []float64 {
-	return m.AppendPredictSubPlansFlat(nil, f)
+func predictFlat(dst []float64, m *core.Model, f *plan.FlatPlan) []float64 {
+	return m.AppendPredictSubPlansFlat(dst, f)
 }
 
 // submit runs f's forward pass on m once a slot is free and returns its
-// predictions. The slot count is read per call because Server.Workers is
-// assigned after construction. f stays the caller's; submit is done with it
-// on return.
-func (b *batcher) submit(f *plan.FlatPlan, m *core.Model) ([]float64, error) {
+// predictions appended to dst: a caller's buffer when the predictions are
+// not kept, nil when they are (they go into a cache). The slot count is
+// read per call because Server.Workers is assigned after construction. f
+// stays the caller's; submit is done with it on return.
+func (b *batcher) submit(dst []float64, f *plan.FlatPlan, m *core.Model) ([]float64, error) {
 	slots := nn.Workers(b.srv.Workers)
 	b.mu.Lock()
 	switch {
@@ -91,7 +91,7 @@ func (b *batcher) submit(f *plan.FlatPlan, m *core.Model) ([]float64, error) {
 	default:
 		b.park()
 	}
-	return b.forward(f, m)
+	return b.forward(dst, f, m)
 }
 
 // park queues the caller behind the busy slots and returns, with mu released,
@@ -126,14 +126,14 @@ func (b *batcher) park() {
 // forward runs one forward pass on a held slot and gives the slot up. A
 // panicking forward fails its own request and still releases the slot, so
 // one bad plan cannot wedge the stage or strand the waiters behind it.
-func (b *batcher) forward(f *plan.FlatPlan, m *core.Model) (preds []float64, err error) {
+func (b *batcher) forward(dst []float64, f *plan.FlatPlan, m *core.Model) (preds []float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			preds, err = nil, fmt.Errorf("%w: %v", errPanicked, p)
 		}
 		b.release()
 	}()
-	return b.predict(m, f), nil
+	return b.predict(dst, m, f), nil
 }
 
 // release counts the finished forward and hands the caller's slot to the
@@ -173,7 +173,6 @@ func (b *batcher) stats() QueueStats {
 		Depth:    b.waiting,
 		DepthHWM: b.depthHWM,
 		Capacity: b.depth,
-		MaxBatch: b.maxBatch,
 		Batches:  b.requests,
 		Requests: b.requests,
 		Rejected: b.rejected,

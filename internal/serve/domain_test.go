@@ -80,7 +80,7 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 	v1 := fineTuned(seed, m2Samples[200:])
 	probe := planBody(t, m2Samples[190].Plan)
 	_, wantV1 := postPredict(t, New(v1).Handler(), probe)
-	cfg := adapt.Config{MinSamples: 50, Gate: 0.02, LR: 2e-3, Epochs: 16, Seed: 7}
+	cfg := adapt.Config{MinSamples: 50, Gate: 0.02, Epochs: 16, Seed: 7}
 
 	// race runs trigger, parks it inside the fine-tune, sends load, and lets
 	// the fine-tune go once load has answered or has clearly been made to wait.
@@ -164,7 +164,7 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewWithConfig(seed, Config{CacheSize: 256})
-		reg := tenant.New(seed, tenant.Config{Dir: dir, MinSamples: cfg.MinSamples, Gate: cfg.Gate, Epochs: cfg.Epochs, Seed: cfg.Seed})
+		reg := tenant.New(seed, tenant.Config{Dir: dir, Adapt: cfg})
 		s.Tenants = reg
 		h := s.Handler()
 		tn, _, err := reg.Register("m2")
@@ -296,7 +296,7 @@ func TestOnePoolBoundsEveryDomain(t *testing.T) {
 		MinSamples: 50, Epochs: 3, DriftThreshold: 1.01, DriftWindow: 32, Seed: 7,
 	})
 	pool.Attach(base)
-	reg := tenant.New(seed, tenant.Config{Pool: pool, MinSamples: 50, Epochs: 3, Seed: 7})
+	reg := tenant.New(seed, tenant.Config{Pool: pool, Adapt: adapt.Config{MinSamples: 50, Epochs: 3, Seed: 7}})
 	domains := map[string]interface{ StatusNow() adapt.Status }{"base": base}
 	observe := []func(smp dataset.Sample){func(smp dataset.Sample) {
 		base.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))

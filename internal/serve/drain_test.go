@@ -25,14 +25,11 @@ import (
 // draining/ready/stage-close interplay.
 func TestBeginDrainUnderLoad(t *testing.T) {
 	base, samples := trainedServer(t)
-	// Admission stage on, caches off: every request must cross the stage, so
+	// Caches off: every request must cross the admission stage, so
 	// the post-close 503 path is actually exercised (a body-cache hit would
 	// answer 200 without touching it). Two slots for eight clients, so Close
 	// lands with requests both holding and waiting for one.
-	s := NewWithConfig(base.Model(), Config{
-		MaxBatch:   8,
-		QueueDepth: 256,
-	})
+	s := NewWithConfig(base.Model(), Config{QueueDepth: 256})
 	s.Workers = 2
 	h := s.Handler()
 
@@ -197,7 +194,7 @@ func TestCloseDrainsAdmittedAndWaiting(t *testing.T) {
 		defer b.mu.Unlock()
 		return b.closed
 	})
-	if _, err := b.submit(plans[3], b.srv.Model()); err != errClosed {
+	if _, err := b.submit(nil, plans[3], b.srv.Model()); err != errClosed {
 		t.Fatalf("submit after Close began: err = %v, want errClosed", err)
 	}
 	select {

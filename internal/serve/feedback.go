@@ -108,16 +108,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// free for plans seen before (the plan shares its fingerprint cache entry
 	// with /predict traffic for the same plan).
 	if req.PredictedMS == 0 {
-		if preds, err := s.predsForFlat(f, tc); err == nil && len(preds) > 0 {
+		if preds, err := s.predsForFlat(ws, f, tc); err == nil && len(preds) > 0 {
 			req.PredictedMS = preds[0]
 		}
 	}
 	// A resolved tenant owns its feedback stream; everything else is the
 	// base domain's.
 	d.Observe(f, req.ActualMS, req.PredictedMS)
-	if s.tel != nil {
-		s.tel.feedback.Inc()
-	}
+	s.tel.feedback.Inc()
 
 	resp := feedbackResponse{Accepted: true, PredictedMS: req.PredictedMS}
 	if req.PredictedMS > 0 {

@@ -297,7 +297,6 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	ctl := adapt.New(s, store, log, adapt.Config{
 		MinSamples: 50,
 		Gate:       0.02,
-		LR:         2e-3,
 		Epochs:     16,
 		ModelDir:   filepath.Join(dir, "models"),
 		Seed:       7,
@@ -415,7 +414,6 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	ctl2 := adapt.New(s, store, nil, adapt.Config{
 		MinSamples: 50,
 		Gate:       0.99,
-		LR:         2e-3,
 		Epochs:     2,
 		Seed:       11,
 	})
@@ -549,7 +547,6 @@ func TestDriftSoakPromotion(t *testing.T) {
 	ctl := adapt.New(s, feedback.NewStore(512, 1), nil, adapt.Config{
 		MinSamples: 50,
 		Gate:       0.02,
-		LR:         2e-3,
 		Epochs:     4,
 		Seed:       7,
 	})

@@ -9,10 +9,9 @@ import (
 	"dace/internal/wire"
 )
 
-// Telemetry for the serving pipeline. Config.Metrics switches it on; a nil
-// registry leaves every hot path exactly as it was — the instrument
-// pointers below are captured at construction, so instrumented handlers do
-// no lookups, and subsystems that already keep atomic counters (the
+// Telemetry for the serving pipeline, always on: the instrument pointers
+// below are captured at construction, so instrumented handlers do no
+// lookups, and subsystems that already keep atomic counters (the
 // prediction caches, the admission stage) are exported through scrape-time
 // CounterFunc/GaugeFunc collectors that cost serving nothing.
 
@@ -109,8 +108,6 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 				counter(func(st servecache.Stats) uint64 { return st.Misses }), lbl)
 			reg.CounterFunc("dace_cache_evictions_total", "Prediction-cache LRU evictions.",
 				counter(func(st servecache.Stats) uint64 { return st.Evictions }), lbl)
-			reg.CounterFunc("dace_cache_expired_total", "Prediction-cache TTL expirations.",
-				counter(func(st servecache.Stats) uint64 { return st.Expired }), lbl)
 			reg.CounterFunc("dace_cache_coalesced_total", "Misses coalesced onto an in-flight compute.",
 				counter(func(st servecache.Stats) uint64 { return st.Coalesced }), lbl)
 			reg.GaugeFunc("dace_cache_entries", "Resident prediction-cache entries.",
@@ -123,36 +120,30 @@ func newServerMetrics(s *Server, reg *telemetry.Registry) *serverMetrics {
 		func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc("dace_inflight_requests_hwm", "Highest prediction-request concurrency absorbed.",
 		func() float64 { return float64(s.inflightHWM.Load()) })
-	if s.bat != nil {
-		// The dace_batch_* names are the micro-batcher's, kept for dashboards;
-		// what they count now is the admission stage (batcher.go).
-		b := s.bat
-		reg.GaugeFunc("dace_batch_queue_depth", "Requests waiting for a forward slot right now.",
-			func() float64 { return float64(b.stats().Depth) })
-		reg.GaugeFunc("dace_batch_queue_depth_hwm", "Most requests that have ever waited for a forward slot at once.",
-			func() float64 { return float64(b.stats().DepthHWM) })
-		reg.GaugeFunc("dace_batch_queue_capacity", "Bound on requests waiting for a forward slot (QueueDepth).",
-			func() float64 { return float64(b.depth) })
-		reg.CounterFunc("dace_batches_total", "Forward passes run behind the admission stage; equals dace_batched_requests_total.",
-			func() uint64 { return b.stats().Batches })
-		reg.CounterFunc("dace_batched_requests_total", "Requests served through the admission stage.",
-			func() uint64 { return b.stats().Requests })
-		reg.CounterFunc("dace_batch_rejected_total", "Submissions rejected by a full wait queue or shutdown.",
-			func() uint64 { return b.stats().Rejected })
-		b.waitHist = reg.Histogram("dace_batch_wait_seconds",
-			"Time spent waiting for a forward slot; requests admitted at once are not observed.",
-			telemetry.LatencyBounds())
-	}
+	// The dace_batch_* names are the micro-batcher's, kept for dashboards;
+	// what they count now is the admission stage (batcher.go).
+	b := s.bat
+	reg.GaugeFunc("dace_batch_queue_depth", "Requests waiting for a forward slot right now.",
+		func() float64 { return float64(b.stats().Depth) })
+	reg.GaugeFunc("dace_batch_queue_depth_hwm", "Most requests that have ever waited for a forward slot at once.",
+		func() float64 { return float64(b.stats().DepthHWM) })
+	reg.GaugeFunc("dace_batch_queue_capacity", "Bound on requests waiting for a forward slot (QueueDepth).",
+		func() float64 { return float64(b.depth) })
+	reg.CounterFunc("dace_batches_total", "Forward passes run behind the admission stage; equals dace_batched_requests_total.",
+		func() uint64 { return b.stats().Batches })
+	reg.CounterFunc("dace_batched_requests_total", "Requests served through the admission stage.",
+		func() uint64 { return b.stats().Requests })
+	reg.CounterFunc("dace_batch_rejected_total", "Submissions rejected by a full wait queue or shutdown.",
+		func() uint64 { return b.stats().Rejected })
+	b.waitHist = reg.Histogram("dace_batch_wait_seconds",
+		"Time spent waiting for a forward slot; requests admitted at once are not observed.",
+		telemetry.LatencyBounds())
 	return sm
 }
 
 // instrument wraps a handler with request counting and latency observation
-// for one endpoint. With telemetry disabled it returns h untouched — the
-// uninstrumented server has zero wrapper frames.
+// for one endpoint.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	if s.tel == nil {
-		return h
-	}
 	return wire.Instrument(h, s.tel.endpoints[endpoint].observe)
 }
 

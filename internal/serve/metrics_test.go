@@ -30,9 +30,9 @@ func metricsServer(t *testing.T) (*httptest.Server, []dataset.Sample) {
 	t.Helper()
 	s, samples := trainedServer(t)
 	s2 := NewWithConfig(s.Model(), Config{
-		CacheSize: 64,
-		MaxBatch:  4,
-		Metrics:   telemetry.NewRegistry(),
+		CacheSize:  64,
+		QueueDepth: 32,
+		Metrics:    telemetry.NewRegistry(),
 	})
 	s2.Base = nopDomain{}
 	t.Cleanup(s2.Close)
@@ -79,6 +79,22 @@ func TestMethodNotAllowed(t *testing.T) {
 				t.Fatalf("%s %s: Allow %q, want %q", wrong, tc.path, got, tc.allow)
 			}
 		})
+	}
+}
+
+// TestMetricsOnPlainServer: telemetry has no off switch — a server built
+// with New answers GET /metrics from a registry of its own.
+func TestMetricsOnPlainServer(t *testing.T) {
+	base, _ := trainedServer(t)
+	s := New(base.Model())
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics on New's server: status %d, want 200", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "dace_batch_queue_capacity 4096") {
+		t.Fatal("exposition lacks the admission stage's capacity gauge")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 func pipelineConfig() Config {
 	return Config{
 		CacheSize:  1024,
-		MaxBatch:   8,
 		QueueDepth: 256,
 	}
 }
@@ -67,7 +66,7 @@ func postPredict(t *testing.T, h http.Handler, body []byte) (int, []byte) {
 // TestPipelineBitwiseEqualUnderConcurrency is the determinism contract:
 // with caching, coalescing, and the admission stage all enabled, 64 concurrent
 // clients posting a mix of repeated and distinct plans must receive
-// byte-for-byte the responses an uncached, unbatched server produces.
+// byte-for-byte the responses an uncached server produces.
 func TestPipelineBitwiseEqualUnderConcurrency(t *testing.T) {
 	m, samples := trainedModel(t)
 	plain := New(m)
@@ -173,13 +172,18 @@ type stageProbe struct {
 	order    []*plan.FlatPlan // plans in the order their forwards started
 }
 
-// probeStage builds a cache-less server with the stage on, sets Workers after
-// construction (as daced does) and installs a probe.
+// probeStage builds a cache-less server, sets Workers after construction (as
+// daced does) and installs a probe.
 func probeStage(m *core.Model, workers, depth int) (*Server, *stageProbe) {
-	s := NewWithConfig(m, Config{MaxBatch: 8, QueueDepth: depth})
+	s := NewWithConfig(m, Config{QueueDepth: depth})
 	s.Workers = workers
+	return s, installProbe(s)
+}
+
+// installProbe puts a stageProbe in s's admission stage.
+func installProbe(s *Server) *stageProbe {
 	p := &stageProbe{gate: make(chan struct{})}
-	s.bat.predict = func(m *core.Model, f *plan.FlatPlan) []float64 {
+	s.bat.predict = func(dst []float64, m *core.Model, f *plan.FlatPlan) []float64 {
 		p.mu.Lock()
 		p.cur++
 		if p.cur > p.max {
@@ -191,9 +195,9 @@ func probeStage(m *core.Model, workers, depth int) (*Server, *stageProbe) {
 		p.mu.Lock()
 		p.cur--
 		p.mu.Unlock()
-		return predictFlat(m, f)
+		return predictFlat(dst, m, f)
 	}
-	return s, p
+	return p
 }
 
 func (p *stageProbe) running() int {
@@ -207,7 +211,7 @@ func (p *stageProbe) running() int {
 func submitAsync(b *batcher, f *plan.FlatPlan) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.submit(f, b.srv.Model())
+		_, err := b.submit(nil, f, b.srv.Model())
 		done <- err
 	}()
 	return done
@@ -223,7 +227,7 @@ func flatPlans(samples []dataset.Sample, n int) []*plan.FlatPlan {
 }
 
 // TestAdmissionBoundsForwardsToWorkers drives concurrent distinct plans
-// through a cache-less server with the stage on: never more than Workers
+// through a cache-less server: never more than Workers
 // forwards may run at once, the rest wait, and every response must match the
 // plain server byte for byte.
 func TestAdmissionBoundsForwardsToWorkers(t *testing.T) {
@@ -265,6 +269,48 @@ func TestAdmissionBoundsForwardsToWorkers(t *testing.T) {
 	}
 	if qs.Depth != 0 || qs.DepthHWM != n-workers || qs.Rejected != 0 {
 		t.Fatalf("after the run: %+v, want depth 0, hwm %d, rejected 0", qs, n-workers)
+	}
+}
+
+// TestZeroConfigRunsTheAdmissionStage: there is one pipeline, and the zero
+// Config is it without the caches — concurrent misses on New's server cross
+// the admission stage, never more than Workers forwards at once, behind the
+// default wait bound of 4096.
+func TestZeroConfigRunsTheAdmissionStage(t *testing.T) {
+	m, samples := trainedModel(t)
+	const workers, n = 2, 16
+	s := New(m)
+	defer s.Close()
+	s.Workers = workers
+	probe := installProbe(s)
+	h := s.Handler()
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, _ := postPredict(t, h, planBody(t, samples[i].Plan)); code != http.StatusOK {
+				t.Errorf("req %d: status %d", i, code)
+			}
+		}(i)
+	}
+	waitFor(t, func() bool { return probe.running() == workers && s.bat.stats().Depth == n-workers })
+	close(probe.gate)
+	wg.Wait()
+	if probe.max > workers {
+		t.Fatalf("%d forwards ran at once, want at most Workers = %d", probe.max, workers)
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var health Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Queue == nil || health.Queue.Capacity != 4096 || health.Queue.Requests != n {
+		t.Fatalf("healthz queue %+v, want capacity 4096 and %d requests", health.Queue, n)
 	}
 }
 
@@ -325,7 +371,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		waitFor(t, func() bool { return probe.running() == 1 && b.stats().Depth == i })
 	}
 
-	if _, err := b.submit(plans[depth+1], b.srv.Model()); err != errQueueFull {
+	if _, err := b.submit(nil, plans[depth+1], b.srv.Model()); err != errQueueFull {
 		t.Fatalf("overflow submit: err = %v, want errQueueFull", err)
 	}
 	if qs := b.stats(); qs.Rejected != 1 || qs.Depth != depth || qs.Capacity != depth {
@@ -341,7 +387,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 	}
 	b.close()
-	if _, err := b.submit(plans[0], b.srv.Model()); err != errClosed {
+	if _, err := b.submit(nil, plans[0], b.srv.Model()); err != errClosed {
 		t.Fatalf("post-close submit: err = %v, want errClosed", err)
 	}
 	if got := b.stats().Rejected; got != 2 {
@@ -359,8 +405,8 @@ func TestAdmissionPanicFailsOneRequest(t *testing.T) {
 	b := s.bat
 	plans := flatPlans(samples, 3)
 	gated := b.predict
-	b.predict = func(m *core.Model, f *plan.FlatPlan) []float64 {
-		preds := gated(m, f)
+	b.predict = func(dst []float64, m *core.Model, f *plan.FlatPlan) []float64 {
+		preds := gated(dst, m, f)
 		if f == plans[0] {
 			panic("bad forward")
 		}
@@ -381,11 +427,11 @@ func TestAdmissionPanicFailsOneRequest(t *testing.T) {
 	}
 	// The slot came back: with one slot and nobody waiting, this would park
 	// forever had the panic leaked it.
-	got, err := b.submit(plans[2], b.srv.Model())
+	got, err := b.submit(nil, plans[2], b.srv.Model())
 	if err != nil {
 		t.Fatalf("submit after the panic: %v", err)
 	}
-	if want := predictFlat(m, plans[2]); len(got) != len(want) || got[0] != want[0] {
+	if want := predictFlat(nil, m, plans[2]); len(got) != len(want) || got[0] != want[0] {
 		t.Fatal("prediction after the panic diverged from direct inference")
 	}
 	b.mu.Lock()
@@ -460,11 +506,11 @@ func TestSubmitIdleAllocs(t *testing.T) {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	m, samples := trainedModel(t)
-	s := NewWithConfig(m, Config{MaxBatch: 64, Metrics: telemetry.NewRegistry()})
+	s := NewWithConfig(m, Config{Metrics: telemetry.NewRegistry()})
 	defer s.Close()
 	f := new(plan.FlatPlan).FromTree(samples[0].Plan)
 	submit := func() {
-		if _, err := s.bat.submit(f, m); err != nil {
+		if _, err := s.bat.submit(nil, f, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,7 +528,7 @@ func TestSubmitIdleAllocs(t *testing.T) {
 // rejection trigger).
 func TestQueueFullHTTP503(t *testing.T) {
 	m, samples := trainedModel(t)
-	s := NewWithConfig(m, Config{MaxBatch: 4, QueueDepth: 4})
+	s := NewWithConfig(m, Config{QueueDepth: 4})
 	h := s.Handler()
 	body := planBody(t, samples[0].Plan)
 	if code, _ := postPredict(t, h, body); code != http.StatusOK {
@@ -668,7 +714,8 @@ func TestBatchEndpointDedupes(t *testing.T) {
 }
 
 // TestHealthReportsPipelineStats checks that /healthz surfaces cache and
-// queue counters when the pipeline is on, and omits them when off.
+// queue counters, and that a server without caches omits the cache sections
+// but still reports the admission stage every server runs.
 func TestHealthReportsPipelineStats(t *testing.T) {
 	m, samples := trainedModel(t)
 	s := NewWithConfig(m, pipelineConfig())
@@ -690,17 +737,20 @@ func TestHealthReportsPipelineStats(t *testing.T) {
 	if health.BodyCache.Hits == 0 {
 		t.Fatal("repeated request did not register a body-cache hit")
 	}
-	if health.Queue.Capacity != 256 || health.Queue.MaxBatch != 8 {
+	if health.Queue.Capacity != 256 {
 		t.Fatalf("queue stats %+v do not reflect the config", *health.Queue)
 	}
 
-	// The pipeline-off server must omit the optional sections.
+	// The cache-less server must omit the cache sections, not the queue.
 	plain := New(m)
 	rec2 := httptest.NewRecorder()
 	plain.Handler().ServeHTTP(rec2, req)
 	if bytes.Contains(rec2.Body.Bytes(), []byte("plan_cache")) ||
-		bytes.Contains(rec2.Body.Bytes(), []byte("queue")) {
-		t.Fatal("pipeline-off health must omit cache/queue sections")
+		bytes.Contains(rec2.Body.Bytes(), []byte("body_cache")) {
+		t.Fatal("cache-less health must omit the cache sections")
+	}
+	if !bytes.Contains(rec2.Body.Bytes(), []byte(`"queue"`)) {
+		t.Fatal("cache-less health must still report the admission stage")
 	}
 }
 

@@ -3,9 +3,9 @@
 // or workload manager POSTs a plan and gets back predicted latencies for
 // the plan and every sub-plan, in well under a millisecond of model time.
 //
-// Endpoints (the bracketed ones exist only when the named Server field or
-// Config.Metrics is set before Handler is called; Base is the base model's
-// adaptation domain, Tenants the per-tenant registry):
+// Endpoints (the bracketed ones exist only when the named Server field is
+// set before Handler is called; Base is the base model's adaptation domain,
+// Tenants the per-tenant registry):
 //
 //	POST /predict                body: plan JSON (plan.WriteJSON format)
 //	POST /predict?format=pg      body: PostgreSQL EXPLAIN (FORMAT JSON) output
@@ -20,7 +20,7 @@
 //	GET  /adapt/status           adaptation controller state        [Base]
 //	POST /adapt/trigger          one synchronous adaptation attempt [Base]
 //	     /tenants, /tenants/...  the per-tenant tree (tenants.go) [Tenants]
-//	GET  /metrics                Prometheus text exposition [Config.Metrics]
+//	GET  /metrics                Prometheus text exposition
 //
 // How the bytes of a /predict, /predict/batch or /feedback request become a
 // validated plan — format and Content-Type negotiation, the body cap, the
@@ -28,8 +28,9 @@
 // failure — is not decided here: it is internal/wire, shared with the
 // gateway so a request is rejected identically direct and routed.
 //
-// The serving pipeline (all stages optional, enabled via Config) answers from
-// the cheapest stage that can, and bounds what reaches the model:
+// The serving pipeline — one pipeline, the one daced runs; Config.CacheSize 0
+// takes the two caches out and nothing else is optional — answers from the
+// cheapest stage that can, and bounds what reaches the model:
 //
 //	request body ── body cache ── plan fingerprint cache ── admission ── model
 //	                (exact wire     (canonical 128-bit        (Workers slots;
@@ -85,34 +86,31 @@ import (
 // use the fingerprint cache.
 const maxCachedBody = 256 << 10
 
-// Config tunes the serving pipeline. The zero value disables every stage:
-// each request runs its own forward pass, exactly the pre-cache behaviour.
+// defaultQueueDepth is the wait bound of a zero Config.QueueDepth: what
+// daced and benchmark/ run with.
+const defaultQueueDepth = 4096
+
+// Config tunes the serving pipeline. Every server runs the admission stage
+// and telemetry; the zero value is daced's pipeline without the caches —
+// the uncached reference that cached servers must match bit for bit.
 type Config struct {
 	// CacheSize is the per-cache entry capacity of the prediction caches
 	// (fingerprint → sub-plan predictions, and body bytes → response
 	// bytes); <= 0 disables both.
 	CacheSize int
-	// CacheTTL expires cache entries this long after insertion; <= 0 means
-	// entries live until evicted.
-	CacheTTL time.Duration
-	// MaxBatch > 1 turns the admission stage on: at most Server.Workers
-	// /predict misses run their forward pass at once, the rest wait FIFO.
-	// <= 1 leaves misses unbounded. Only the on/off reading is used; the
-	// value is echoed on /healthz. A legacy name from the micro-batcher the
-	// stage replaced, kept because benchmark/ sets it.
+	// MaxBatch and MaxWait are accepted and ignored: the admission stage
+	// is always on and nothing lingers. They remain fields only because
+	// benchmark/ sets them; the benchmark PR that stops setting them
+	// deletes both.
 	MaxBatch int
-	// MaxWait is accepted and ignored — nothing lingers any more. It remains
-	// a field only because benchmark/ compiles against it; the benchmark PR
-	// that stops setting it deletes it together with the MaxBatch name.
-	MaxWait time.Duration
+	MaxWait  time.Duration
 	// QueueDepth bounds how many requests may wait for a forward slot (0 =
-	// 8× MaxBatch). One more fails fast: 503 with Retry-After.
+	// 4096). One more fails fast: 503 with Retry-After.
 	QueueDepth int
-	// Metrics, when non-nil, instruments the pipeline into the registry
+	// Metrics is the registry the pipeline is instrumented into
 	// (per-endpoint request counts and latency histograms, cache and
-	// admission-stage collectors) and enables GET /metrics with the Prometheus
-	// text exposition. Nil leaves every hot path uninstrumented — not even
-	// a wrapper frame is added.
+	// admission-stage collectors) and that GET /metrics renders. Nil gives
+	// the server a registry of its own.
 	Metrics *telemetry.Registry
 }
 
@@ -164,48 +162,44 @@ type Server struct {
 	inflight    atomic.Int64
 	inflightHWM atomic.Int64
 
-	cfg    Config
 	preds  *servecache.Cache[[]float64] // plan fingerprint → DFS predictions
 	bodies *servecache.Cache[[]byte]    // request bytes → response bytes
 	bat    *batcher
-	tel    *serverMetrics // nil when Config.Metrics is nil
+	tel    *serverMetrics
 }
 
-// New builds a server with the pipeline disabled — every request runs its
-// own forward pass. Use NewWithConfig to enable caching and admission.
+// New builds a server without the prediction caches: every request runs
+// its own forward pass, behind the admission stage.
 func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
 
 // NewWithConfig builds a server with the given pipeline configuration. Call
 // Close to drain the admission stage on shutdown.
 func NewWithConfig(m *core.Model, cfg Config) *Server {
-	s := &Server{cfg: cfg}
+	s := &Server{}
 	s.cur.Store(&served{})
 	s.Publish(m, 0)
 	if cfg.CacheSize > 0 {
-		s.preds = servecache.New[[]float64](cfg.CacheSize, cfg.CacheTTL)
-		s.bodies = servecache.New[[]byte](cfg.CacheSize, cfg.CacheTTL)
+		s.preds = servecache.New[[]float64](cfg.CacheSize, 0)
+		s.bodies = servecache.New[[]byte](cfg.CacheSize, 0)
 	}
-	if cfg.MaxBatch > 1 {
-		depth := cfg.QueueDepth
-		if depth <= 0 {
-			depth = 8 * cfg.MaxBatch
-		}
-		s.bat = newBatcher(s, cfg.MaxBatch, depth)
+	depth := cfg.QueueDepth
+	if depth <= 0 {
+		depth = defaultQueueDepth
 	}
-	if cfg.Metrics != nil {
-		s.tel = newServerMetrics(s, cfg.Metrics)
+	s.bat = newBatcher(s, depth)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	s.tel = newServerMetrics(s, reg)
 	return s
 }
 
 // Close drains the admission stage: requests holding or waiting for a slot
-// complete, later ones are rejected with 503. Safe to call on a server
-// without the stage and idempotent.
+// complete, later ones are rejected with 503. Idempotent.
 func (s *Server) Close() {
 	s.BeginDrain()
-	if s.bat != nil {
-		s.bat.close()
-	}
+	s.bat.close()
 }
 
 // BeginDrain pins readiness false for the rest of the server's life:
@@ -269,9 +263,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/tenants", h)
 		mux.HandleFunc("/tenants/", h)
 	}
-	if s.tel != nil {
-		mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	}
+	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	return mux
 }
 
@@ -491,8 +483,8 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) (_ [][]float64,
 	return out, nil
 }
 
-// Health is the /healthz response. PlanCache/BodyCache/Queue are present
-// only when the corresponding pipeline stage is enabled.
+// Health is the /healthz response. PlanCache/BodyCache are present only
+// when the caches are on.
 type Health struct {
 	Status       string       `json:"status"`
 	Ready        bool         `json:"ready"`
@@ -523,7 +515,6 @@ type QueueStats struct {
 	Depth    int    `json:"depth"`            // requests waiting for a slot right now
 	DepthHWM int64  `json:"depth_hwm"`        // most that have ever waited at once
 	Capacity int    `json:"capacity"`         // wait bound (QueueDepth)
-	MaxBatch int    `json:"max_batch"`        // Config.MaxBatch as configured
 	Batches  uint64 `json:"batches"`          // forward passes run
 	Requests uint64 `json:"batched_requests"` // requests served through them (== Batches)
 	Rejected uint64 `json:"rejected"`         // 503s from a full wait queue or shutdown
@@ -550,10 +541,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		pc, bc := s.preds.Stats(), s.bodies.Stats()
 		h.PlanCache, h.BodyCache = &pc, &bc
 	}
-	if s.bat != nil {
-		qs := s.bat.stats()
-		h.Queue = &qs
-	}
+	qs := s.bat.stats()
+	h.Queue = &qs
 	if s.Tenants != nil {
 		h.TenantVersions = s.Tenants.Versions()
 		h.Tenants = len(h.TenantVersions)

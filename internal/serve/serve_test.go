@@ -341,8 +341,9 @@ func binaryMissDriver(t *testing.T, target string, plans []*plan.Plan) *missDriv
 
 // TestPredictHandlerAllocs guards per-request allocations of uncached
 // predictions with reusable requests (nothing the harness does is counted).
-// A pipeline-less server decodes, featurizes, runs the forward pass and
-// renders without allocating at all. With daced's pipeline on, a miss pays
+// A server without caches decodes, featurizes, waits for a forward slot,
+// runs the forward pass and renders without allocating at all. With the
+// caches on, as daced runs, a miss pays
 // for what outlives the request — the cached prediction and response, two
 // cache entries and the coalescing calls; the admission stage adds nothing
 // (TestSubmitIdleAllocs) — and a 32-plan batch for its per-plan predictions
@@ -354,7 +355,7 @@ func TestPredictHandlerAllocs(t *testing.T) {
 	}
 	m, samples := trainedModel(t)
 	plans := dataset.Plans(samples)
-	daced := Config{CacheSize: 64, MaxBatch: 64, QueueDepth: 4096}
+	daced := Config{CacheSize: 64, QueueDepth: 4096}
 
 	for _, tc := range []struct {
 		name   string

@@ -363,7 +363,7 @@ func TestBatcherMixedTenants(t *testing.T) {
 			m = v
 		}
 		preds := make([][]float64, 6)
-		plain := New(m).Handler() // serve.New around the tenant's view: no stage, no cache
+		plain := New(m).Handler() // serve.New around the tenant's view: no cache
 		for i := range preds {
 			preds[i] = m.PredictSubPlans(samples[i].Plan)
 			_, resp := postPredict(t, plain, planBody(t, samples[i].Plan))

@@ -182,30 +182,28 @@ func appendPrediction(b []byte, f *plan.FlatPlan, preds []float64) ([]byte, erro
 }
 
 // predsForFlat resolves a flat plan's predictions through the fingerprint
-// cache, within the request's tenant cache domain. The probe goes through
-// Lookup first so a steady-state hit builds no compute closure; only an
-// absent key pays for GetOrCompute's coalescing.
-func (s *Server) predsForFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
-	if s.preds != nil && !f.Fingerprint.IsZero() {
-		key := tc.key(servecache.Key(f.Fingerprint))
-		if v, ok := s.preds.Lookup(key); ok {
-			return v, nil
+// cache, within the request's tenant cache domain, and through the admission
+// stage on a miss. Predictions nothing will keep — no plan cache, or a plan
+// without a fingerprint — land in the pooled ws.preds; a cached compute gets
+// a fresh slice. The probe goes through Lookup first so a steady-state hit
+// builds no compute closure; only an absent key pays for GetOrCompute's
+// coalescing.
+func (s *Server) predsForFlat(ws *wireScratch, f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
+	if s.preds == nil || f.Fingerprint.IsZero() {
+		preds, err := s.bat.submit(ws.preds[:0], f, tc.model)
+		if err != nil {
+			return nil, err
 		}
-		return s.preds.GetOrCompute(key, func() ([]float64, error) {
-			return s.inferFlat(f, tc)
-		})
+		ws.preds = preds
+		return preds, nil
 	}
-	return s.inferFlat(f, tc)
-}
-
-// inferFlat runs one uncached forward pass for a flat plan, behind the
-// admission stage when enabled. f stays the caller's: both branches are done
-// with it when they return.
-func (s *Server) inferFlat(f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
-	if s.bat != nil {
-		return s.bat.submit(f, tc.model)
+	key := tc.key(servecache.Key(f.Fingerprint))
+	if v, ok := s.preds.Lookup(key); ok {
+		return v, nil
 	}
-	return tc.model.AppendPredictSubPlansFlat(nil, f), nil
+	return s.preds.GetOrCompute(key, func() ([]float64, error) {
+		return s.bat.submit(nil, f, tc.model)
+	})
 }
 
 // renderPredict produces the /predict response bytes for one body-cache
@@ -217,11 +215,8 @@ func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, p wire.Params,
 	if err != nil {
 		return nil, err
 	}
-	var preds []float64
-	if s.preds == nil && s.bat == nil {
-		ws.preds = tc.model.AppendPredictSubPlansFlat(ws.preds[:0], f)
-		preds = ws.preds
-	} else if preds, err = s.predsForFlat(f, tc); err != nil {
+	preds, err := s.predsForFlat(ws, f, tc)
+	if err != nil {
 		return nil, err
 	}
 	out, err := appendPrediction(dst, f, preds)

@@ -1,6 +1,5 @@
 // Package servecache is the serving layer's prediction cache: a sharded LRU
-// keyed by 128-bit fingerprints with per-entry TTL and singleflight request
-// coalescing. Cost-estimation traffic is highly repetitive — an optimizer
+// keyed by 128-bit fingerprints with singleflight request coalescing. Cost-estimation traffic is highly repetitive — an optimizer
 // re-costs the same sub-plans across candidate joins — so the cache converts
 // the model's per-plan forward pass into a hash-and-lookup for the hot tail.
 //
@@ -15,8 +14,8 @@
 //   - There is no invalidation: a caller whose values go stale together (one
 //     served model) folds a DomainSalt into every key and moves to a new
 //     salt when they do. The old domain's entries are never asked for again
-//     and leave by LRU.
-//   - Counters (hits/misses/evictions/expirations/coalesced waits) are
+//     and leave by LRU, so an entry never goes stale and needs no TTL.
+//   - Counters (hits/misses/evictions/coalesced waits) are
 //     atomics, readable at any time via Stats.
 //   - KeyOf hashes raw bytes (a request body) to a Key. On a hit it is most
 //     of the request's cost, so long parts are hashed in 32-byte stripes
@@ -51,7 +50,6 @@ const numShards = 16
 type entry[V any] struct {
 	key        Key
 	val        V
-	expires    int64 // unix nanoseconds; 0 = never
 	prev, next *entry[V]
 }
 
@@ -76,34 +74,33 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Expired   uint64 `json:"expired"`
 	Coalesced uint64 `json:"coalesced"`
 	Inflight  uint64 `json:"inflight"`
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
 }
 
-// Cache is a sharded LRU with TTL and singleflight coalescing. The zero
-// value is not usable; construct with New.
+// Cache is a sharded LRU with singleflight coalescing. The zero value is not
+// usable; construct with New.
 type Cache[V any] struct {
 	shards [numShards]shard[V]
-	ttl    time.Duration
 
-	hits, misses, evictions, expired, coalesced, inflight atomic.Uint64
-
-	// now is stubbed by tests to exercise TTL expiry deterministically.
-	now func() time.Time
+	hits, misses, evictions, coalesced, inflight atomic.Uint64
 }
 
 // New builds a cache holding up to capacity entries (rounded up so every
-// shard holds at least one) that expire ttl after insertion; ttl <= 0 means
-// entries never expire.
+// shard holds at least one). ttl must be 0 — entries never expire, since a
+// domain salt, not a clock, retires them — and anything else panics. The
+// parameter remains only because benchmark/ passes it.
 func New[V any](capacity int, ttl time.Duration) *Cache[V] {
+	if ttl != 0 {
+		panic("servecache: entries do not expire; ttl must be 0")
+	}
 	perShard := (capacity + numShards - 1) / numShards
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &Cache[V]{ttl: ttl, now: time.Now}
+	c := &Cache[V]{}
 	for i := range c.shards {
 		c.shards[i].items = make(map[Key]*entry[V])
 		c.shards[i].inflight = make(map[Key]*flight[V])
@@ -114,17 +111,11 @@ func New[V any](capacity int, ttl time.Duration) *Cache[V] {
 
 func (c *Cache[V]) shardOf(k Key) *shard[V] { return &c.shards[k.Lo&(numShards-1)] }
 
-// Get returns the cached value for k, refreshing its LRU position. An
-// expired entry is removed and reported as a miss.
+// Get returns the cached value for k, refreshing its LRU position.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
-	if ok && c.expiredEntry(e) {
-		s.remove(e)
-		c.expired.Add(1)
-		ok = false
-	}
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
@@ -148,11 +139,6 @@ func (c *Cache[V]) Lookup(k Key) (V, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
-	if ok && c.expiredEntry(e) {
-		s.remove(e)
-		c.expired.Add(1)
-		ok = false
-	}
 	if !ok {
 		s.mu.Unlock()
 		var zero V
@@ -185,7 +171,7 @@ var ErrComputePanicked = errors.New("servecache: compute panicked")
 func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	s := c.shardOf(k)
 	s.mu.Lock()
-	if e, ok := s.items[k]; ok && !c.expiredEntry(e) {
+	if e, ok := s.items[k]; ok {
 		s.moveToFront(e)
 		v := e.val
 		s.mu.Unlock()
@@ -223,7 +209,7 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (V, error) {
 	return fl.val, fl.err
 }
 
-// Len returns the live entry count (expired-but-unswept entries included).
+// Len returns the live entry count.
 func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -241,7 +227,6 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
 		Coalesced: c.coalesced.Load(),
 		Inflight:  c.inflight.Load(),
 		Entries:   c.Len(),
@@ -249,20 +234,15 @@ func (c *Cache[V]) Stats() Stats {
 	}
 }
 
-func (c *Cache[V]) expiredEntry(e *entry[V]) bool {
-	return e.expires != 0 && c.now().UnixNano() >= e.expires
-}
-
 // insertLocked adds or refreshes k → v in s (s.mu held), evicting the LRU
 // tail when the shard is over capacity.
 func (c *Cache[V]) insertLocked(s *shard[V], k Key, v V) {
 	if e, ok := s.items[k]; ok {
 		e.val = v
-		e.expires = c.expiryAt()
 		s.moveToFront(e)
 		return
 	}
-	e := &entry[V]{key: k, val: v, expires: c.expiryAt()}
+	e := &entry[V]{key: k, val: v}
 	s.items[k] = e
 	s.pushFront(e)
 	for len(s.items) > s.capacity {
@@ -270,13 +250,6 @@ func (c *Cache[V]) insertLocked(s *shard[V], k Key, v V) {
 		s.remove(victim)
 		c.evictions.Add(1)
 	}
-}
-
-func (c *Cache[V]) expiryAt() int64 {
-	if c.ttl <= 0 {
-		return 0
-	}
-	return c.now().Add(c.ttl).UnixNano()
 }
 
 func (s *shard[V]) pushFront(e *entry[V]) {

@@ -77,39 +77,15 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New[int](64, time.Second)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	c.Put(key(1), 1)
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("entry expired immediately")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("entry survived past its TTL")
-	}
-	if st := c.Stats(); st.Expired != 1 || st.Entries != 0 {
-		t.Fatalf("stats %+v, want 1 expired / 0 entries", st)
-	}
-
-	// A refresh restarts the clock.
-	c.Put(key(2), 2)
-	now = now.Add(800 * time.Millisecond)
-	c.Put(key(2), 2)
-	now = now.Add(800 * time.Millisecond)
-	if _, ok := c.Get(key(2)); !ok {
-		t.Fatal("Put refresh did not extend the TTL")
-	}
-
-	// GetOrCompute must also treat an expired entry as a miss.
-	c.Put(key(3), 3)
-	now = now.Add(2 * time.Second)
-	v, err := c.GetOrCompute(key(3), func() (int, error) { return 33, nil })
-	if err != nil || v != 33 {
-		t.Fatalf("GetOrCompute over expired entry = (%d, %v), want recompute to 33", v, err)
-	}
+// TestNewRejectsTTL: entries never expire (a domain salt retires them), so
+// the one ttl New accepts is 0 and any other value panics.
+func TestNewRejectsTTL(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with a non-zero ttl did not panic")
+		}
+	}()
+	New[int](64, time.Second)
 }
 
 func TestGetOrComputeCoalesces(t *testing.T) {
@@ -473,7 +449,7 @@ func TestKeyOfAllocs(t *testing.T) {
 // TestConcurrentMixed hammers every entry point from many goroutines; run
 // with -race this is the memory-safety check for the sharded lock scheme.
 func TestConcurrentMixed(t *testing.T) {
-	c := New[int](128, 50*time.Millisecond)
+	c := New[int](128, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

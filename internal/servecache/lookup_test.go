@@ -1,9 +1,6 @@
 package servecache
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestLookupCountsNoMiss pins the two-phase probe contract: Lookup behaves
 // exactly like Get on a hit (hit counter, LRU refresh) but an absent key
@@ -43,21 +40,5 @@ func TestLookupRefreshesLRU(t *testing.T) {
 	}
 	if _, ok := c.Lookup(b); ok {
 		t.Fatal("eviction removed the wrong entry: b should be gone")
-	}
-}
-
-// TestLookupExpiry: an expired entry is swept and counted as expired — but
-// still not as a miss.
-func TestLookupExpiry(t *testing.T) {
-	c := New[int](64, time.Second)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Put(key(1), 1)
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Lookup(key(1)); ok {
-		t.Fatal("entry survived past its TTL")
-	}
-	if st := c.Stats(); st.Expired != 1 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("stats %+v, want 1 expired / 0 misses / 0 entries", st)
 	}
 }

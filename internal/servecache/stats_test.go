@@ -7,8 +7,8 @@ import (
 
 // TestStatsConcurrentAccuracy hammers the cache from concurrent readers
 // and writers and checks the counter invariants afterwards: every
-// Get is accounted as exactly one hit or one miss (expiry is off, so there
-// is no third outcome), and the entry gauge never exceeds capacity. Run
+// Get is accounted as exactly one hit or one miss (nothing expires, so
+// there is no third outcome), and the entry gauge never exceeds capacity. Run
 // under -race this also proves the stats path introduces no data race.
 func TestStatsConcurrentAccuracy(t *testing.T) {
 	const (
@@ -51,9 +51,6 @@ func TestStatsConcurrentAccuracy(t *testing.T) {
 	}
 	if st.Misses == 0 || st.Hits == 0 {
 		t.Fatalf("degenerate workload: hits=%d misses=%d", st.Hits, st.Misses)
-	}
-	if st.Expired != 0 {
-		t.Fatalf("expired %d with TTL disabled", st.Expired)
 	}
 	if st.Entries > st.Capacity {
 		t.Fatalf("entries %d exceeds capacity %d", st.Entries, st.Capacity)

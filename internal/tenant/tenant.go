@@ -59,12 +59,13 @@ type Config struct {
 	// Empty disables persistence: promotions serve but do not survive.
 	Dir string
 
-	// Fine-tune gating, passed through to each tenant's adapt.Controller.
-	MinSamples int     // samples before a fine-tune may run (default 256)
-	Gate       float64 // relative median+P90 improvement to promote (default 0.02)
-	LR         float64 // fine-tune learning rate (default 2e-3)
-	Epochs     int     // fine-tune epochs (default 12)
-	StoreCap   int     // per-tenant replay store capacity (default 4096)
+	// Adapt configures every tenant's adapt.Controller — fine-tune gating,
+	// epochs, seed — with the controller's own defaults. ModelDir and Logger
+	// are set per tenant. Adapt.Seed also seeds the tenant's replay store
+	// (default 1).
+	Adapt adapt.Config
+
+	StoreCap int // per-tenant replay store capacity (default 4096)
 
 	// Pool runs the tenants' background fine-tunes — the process's one pool,
 	// shared with the base model's controller, so a thousand drifting
@@ -72,29 +73,16 @@ type Config struct {
 	// runs. Nil leaves tenants adapting only on an explicit RunOnce.
 	Pool *adapt.Pool
 
-	Seed    int64
 	Metrics *telemetry.Registry // optional; per-tenant label sets
 	Logger  *slog.Logger        // optional
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 256
-	}
-	if c.Gate <= 0 {
-		c.Gate = 0.02
-	}
-	if c.LR <= 0 {
-		c.LR = 2e-3
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 12
-	}
 	if c.StoreCap <= 0 {
 		c.StoreCap = 4096
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.Adapt.Seed == 0 {
+		c.Adapt.Seed = 1
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -161,7 +149,7 @@ func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 func (t *Tenant) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
 	t.feedback.Add(1)
 	t.Controller.Observe(f, actualMS, predictedMS)
-	need := t.r.cfg.MinSamples
+	need := t.MinSamples()
 	if t.fresh.Add(1) >= int64(max(need/4, 1)) && t.store.Len() >= need && t.Enqueue() {
 		t.fresh.Store(0)
 	}
@@ -252,17 +240,11 @@ func (r *Registry) register(id string, start func(*Tenant) error) (*Tenant, bool
 	if t, ok := old[id]; ok {
 		return t, false, nil
 	}
-	t := &Tenant{id: id, r: r, store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Seed)}
+	t := &Tenant{id: id, r: r, store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Adapt.Seed)}
 	t.state.Store(&State{View: r.base, Gen: 1, Salt: servecache.DomainSalt(id, 1)})
-	t.Controller = adapt.New(tenantHost{t}, t.store, nil, adapt.Config{
-		MinSamples: r.cfg.MinSamples,
-		Gate:       r.cfg.Gate,
-		LR:         r.cfg.LR,
-		Epochs:     r.cfg.Epochs,
-		ModelDir:   r.tenantDir(id),
-		Seed:       r.cfg.Seed,
-		Logger:     r.log.With("tenant", id),
-	})
+	acfg := r.cfg.Adapt
+	acfg.ModelDir, acfg.Logger = r.tenantDir(id), r.log.With("tenant", id)
+	t.Controller = adapt.New(tenantHost{t}, t.store, nil, acfg)
 	if r.cfg.Pool != nil {
 		r.cfg.Pool.Attach(t.Controller)
 	}

@@ -265,7 +265,7 @@ func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	m2Plans := workloadPlans(t, db, 160, executor.M2())
 	base := trainedBase(t, m1Plans[:100])
 	dir := t.TempDir()
-	r := New(base, Config{Dir: dir, MinSamples: 64, Gate: 0.01, Epochs: 6})
+	r := New(base, Config{Dir: dir, Adapt: adapt.Config{MinSamples: 64, Gate: 0.01, Epochs: 6}})
 
 	tn, _, err := r.Register("m2")
 	if err != nil {
