@@ -7,7 +7,7 @@ GO ?= go
 # registry) and must stay clean under the race detector.
 RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/wire ./internal/pgexplain ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
-.PHONY: all fmt vet build build-arm64 check-paths test race bench-kernels bench-test benchmark bench-gate ci
+.PHONY: all fmt vet build build-arm64 check-paths test race example bench-kernels bench-test benchmark bench-gate ci
 
 all: ci
 
@@ -94,7 +94,8 @@ check-paths:
 		grep -nHE '^[[:space:]]*go[[:space:]]' internal/gateway/rollout.go; \
 		grep -rnE --include='*.go' --exclude='*_test.go' 's\.(bat|tel) (==|!=) nil' internal/serve; \
 		grep -nHE 'expires|expiredEntry|expiryAt' internal/servecache/cache.go; \
-		grep -rnE --include='*.go' '[[:alnum:]]+\.[A-Z][A-Za-z0-9]*\("(max-batch|queue-depth|cache-ttl|metrics|lora)"' cmd)"; \
+		grep -rnE --include='*.go' '[[:alnum:]]+\.[A-Z][A-Za-z0-9]*\("(max-batch|queue-depth|cache-ttl|metrics|lora)"' cmd; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^type (Domain|served) ' internal/serve)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:
@@ -102,6 +103,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 45m $(RACE_PKGS)
+
+# The executable walk-through of a fleet: three replicas, a gateway, a
+# replica killed mid-traffic and a tenant-zero rollout (~2 s).
+example:
+	$(GO) run ./examples/cluster
 
 # The repository's performance instrument (BENCHMARK.json, benchmark/README.md):
 # each of the five workloads once, 15 s, untraced, one result JSON line per
@@ -146,4 +152,4 @@ bench-test:
 # Everything CI's `test` job runs bar the fuzz smokes. The perf gate is not
 # here: it needs a BASE to measure against (`make bench-gate BASE=<rev>`),
 # which CI supplies from the pull request in an advisory job of its own.
-ci: fmt vet build build-arm64 check-paths test race
+ci: fmt vet build build-arm64 check-paths test race example

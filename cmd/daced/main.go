@@ -15,7 +15,8 @@
 //	curl localhost:8080/healthz
 //	curl localhost:8080/metrics
 //
-// Online adaptation (off unless -feedback-log or -model-dir is set):
+// Online adaptation (always on; -feedback-log and -model-dir make it
+// durable):
 //
 //	daced -model dace.json -feedback-log feedback.log -model-dir models \
 //	      -adapt-interval 10m -adapt-min-samples 256 -adapt-gate 0.02
@@ -25,18 +26,19 @@
 //
 // Feedback samples land in a bounded replay buffer (mirrored to the
 // -feedback-log for crash recovery) and a background controller fine-tunes
-// a LoRA clone off the serving path, promoting it only when it beats the
+// a LoRA clone off the serving path — on drift, on enough fresh samples, or
+// on the -adapt-interval timer — promoting it only when it beats the
 // incumbent on a held-out split; promotions are persisted as versioned
 // artifacts under -model-dir, and a restart resumes the version that was
 // being served — the last promotion, or whatever /model/load put there since.
 //
 // Multi-tenant serving (-tenants-dir): one frozen encoder, N databases.
-// Each tenant is a LoRA adapter set over the shared base model, selected
-// per request by the X-DACE-Tenant header or the database query param;
-// feedback flows into per-tenant replay stores and gated fine-tunes that
-// persist versioned adapter artifacts under <tenants-dir>/<tenant>/. Every
-// background fine-tune, the base model's and each tenant's, runs on one pool
-// of -tenant-workers goroutines:
+// The loaded model is tenant zero; each named tenant is a LoRA adapter set
+// over it, selected per request by the X-DACE-Tenant header or the database
+// query param; feedback flows into per-tenant replay stores and gated
+// fine-tunes that persist versioned adapter artifacts under
+// <tenants-dir>/<tenant>/. Every background fine-tune, tenant zero's and
+// each named tenant's, runs on one pool of -tenant-workers goroutines:
 //
 //	daced -model dace.json -tenants-dir tenants
 //	curl -XPOST localhost:8080/tenants/airline                # register
@@ -96,7 +98,7 @@ func main() {
 	adaptGate := flag.Float64("adapt-gate", 0.02, "fractional holdout q-error improvement (median AND p90) required to promote")
 	modelDir := flag.String("model-dir", "", "directory for versioned promoted-model artifacts (empty keeps promotions in memory only)")
 	tenantsDir := flag.String("tenants-dir", "", "serve per-tenant LoRA adapters over one shared frozen encoder, persisting each tenant's artifacts under this directory")
-	tenantWorkers := flag.Int("tenant-workers", 1, "background fine-tunes that may run at once, the base model's and every tenant's together")
+	tenantWorkers := flag.Int("tenant-workers", 1, "background fine-tunes that may run at once, the loaded model's and every tenant's together")
 	drainGrace := flag.Duration("drain-grace", 0, "delay between flipping /healthz/ready unready and closing the listener, so upstream gateways eject this replica first")
 	gatewayReplicas := flag.String("gateway", "", "run as a cluster gateway over this comma-separated replica list (host:port,...) instead of serving a model")
 	gwMaxInflight := flag.Int("gw-max-inflight", 0, "gateway: max concurrent upstream requests per replica before 503 backpressure (0 = 256)")
@@ -153,79 +155,69 @@ func main() {
 		}()
 	}
 
-	s := serve.NewWithConfig(nil, serve.Config{CacheSize: *cacheSize, Metrics: reg})
-	s.Workers = *workers
-	s.Publish(m, 0)
-
 	// One pool runs every background fine-tune in the process.
 	pool := adapt.NewPool(*tenantWorkers)
 
-	// Online adaptation: any adaptation-related flag switches the base
-	// model's controller on.
-	adaptOn := *feedbackLog != "" || *modelDir != "" || *adaptInterval > 0
-	if adaptOn {
-		store := feedback.NewStore(8192, 1)
-		var flog *feedback.Log
-		if *feedbackLog != "" {
-			flog, err = feedback.Open(*feedbackLog)
-			if err != nil {
-				fatal("feedback log", "err", err)
-			}
-			defer flog.Close()
-			n, err := flog.Replay(func(smp feedback.Sample) error {
-				store.Add(smp)
-				return nil
-			})
-			if err != nil {
-				fatal("feedback replay", "err", err)
-			}
-			if n > 0 {
-				logger.Info("replayed feedback log", "samples", n, "resident", store.Len())
-			}
+	// Tenant zero — the loaded model — adapts from the one durable feedback
+	// log, into -model-dir.
+	store := feedback.NewStore(8192, 1)
+	var flog *feedback.Log
+	if *feedbackLog != "" {
+		flog, err = feedback.Open(*feedbackLog)
+		if err != nil {
+			fatal("feedback log", "err", err)
 		}
-		feedback.RegisterMetrics(reg, store, flog)
-		ctl := adapt.New(s, store, flog, adapt.Config{
+		defer flog.Close()
+		n, err := flog.Replay(func(smp feedback.Sample) error {
+			store.Add(smp)
+			return nil
+		})
+		if err != nil {
+			fatal("feedback replay", "err", err)
+		}
+		if n > 0 {
+			logger.Info("replayed feedback log", "samples", n, "resident", store.Len())
+		}
+	}
+	feedback.RegisterMetrics(reg, store, flog)
+	domains := tenant.New(m, store, flog, tenant.Config{
+		Dir: *tenantsDir,
+		Adapt: adapt.Config{
 			Interval:       *adaptInterval,
 			MinSamples:     *adaptMinSamples,
 			Gate:           *adaptGate,
 			DriftThreshold: 2.0,
 			ModelDir:       *modelDir,
 			Logger:         logger.With("component", "adapt"),
-		})
-		ctl.EnableMetrics(reg)
-		pool.Attach(ctl)
-		// A model directory's current version outranks the seed model just
-		// published (which stays loadable as version 0).
-		if v, err := ctl.Resume(); err != nil {
-			fatal("model dir", "err", err)
-		} else if v > 0 {
-			logger.Info("resuming from promoted model", "version", v, "dir", *modelDir)
-		}
-		s.Base = ctl
+		},
+		Pool:    pool,
+		Metrics: reg,
+		Logger:  logger.With("component", "tenant"),
+	})
+	// A model directory's current version outranks the loaded model (which
+	// stays loadable as version 0).
+	if v, err := domains.Zero().Resume(); err != nil {
+		fatal("model dir", "err", err)
+	} else if v > 0 {
+		logger.Info("resuming from promoted model", "version", v, "dir", *modelDir)
 	}
 
-	// Multi-tenant serving: freeze the served model as the shared base and
-	// load every tenant's current adapter artifact. Each tenant is an
-	// adaptation domain of its own from here on.
+	// Multi-tenant serving: freeze what tenant zero serves now as the shared
+	// base and load every tenant's current adapter artifact.
 	if *tenantsDir != "" {
-		tenants := tenant.New(s.Model(), tenant.Config{
-			Dir:     *tenantsDir,
-			Adapt:   adapt.Config{MinSamples: *adaptMinSamples, Gate: *adaptGate},
-			Pool:    pool,
-			Metrics: reg,
-			Logger:  logger.With("component", "tenant"),
-		})
-		adapted, err := tenants.LoadDir()
+		adapted, err := domains.EnableTenants()
 		if err != nil {
 			fatal("tenants dir", "err", err)
 		}
-		s.Tenants = tenants
-		logger.Info("tenants loaded", "dir", *tenantsDir, "tenants", tenants.Len(), "adapted", adapted)
+		logger.Info("tenants loaded", "dir", *tenantsDir, "tenants", domains.Len(), "adapted", adapted)
 	}
+
+	s := serve.NewWithRegistry(domains, serve.Config{CacheSize: *cacheSize, Metrics: reg})
+	s.Workers = *workers
 
 	logger.Info("serving",
 		"model", *modelPath, "addr", *addr, "version", version.Get().Version,
-		"cache", *cacheSize, "adapt", adaptOn)
+		"cache", *cacheSize)
 	// Flip readiness off first and give upstream gateways the grace period
 	// to observe it and eject this replica — new traffic stops arriving
 	// before the listener closes, so nothing gets refused. After Shutdown,

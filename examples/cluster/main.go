@@ -24,10 +24,10 @@ import (
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/executor"
-	"dace/internal/feedback"
 	"dace/internal/gateway"
 	"dace/internal/schema"
 	"dace/internal/serve"
+	"dace/internal/tenant"
 )
 
 func main() {
@@ -42,8 +42,8 @@ func main() {
 	model := core.Train(dataset.Plans(samples), cfg)
 
 	// 2. Three replicas on real loopback listeners, each running the full
-	//    serving pipeline (cache + coalescing + admission), plus what daced
-	//    -model-dir wires: an adaptation controller over the replica's own
+	//    serving pipeline (cache + coalescing + admission) over what daced
+	//    -model-dir wires: a tenant zero adapting into the replica's own
 	//    artifact directory, so the rollout below can load v<N>.dace
 	//    remotely. Both versions hold the one model here.
 	const replicas = 3
@@ -56,18 +56,17 @@ func main() {
 	servers := make([]*serve.Server, replicas)
 	httpSrvs := make([]*http.Server, replicas)
 	for i := range addrs {
-		s := serve.NewWithConfig(model, serve.Config{CacheSize: 4096})
 		dir := filepath.Join(modelDirs, fmt.Sprint(i))
 		for _, note := range []string{"v1", "v2"} {
 			if _, err := adapt.SaveVersion(dir, model, note); err != nil {
 				log.Fatal(err)
 			}
 		}
-		ctl := adapt.New(s, feedback.NewStore(64, 1), nil, adapt.Config{ModelDir: dir})
-		if _, err := ctl.Load(1); err != nil {
+		domains := tenant.New(model, nil, nil, tenant.Config{Adapt: adapt.Config{ModelDir: dir}})
+		if _, err := domains.Zero().Load(1); err != nil {
 			log.Fatal(err)
 		}
-		s.Base = ctl
+		s := serve.NewWithRegistry(domains, serve.Config{CacheSize: 4096})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

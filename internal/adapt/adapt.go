@@ -6,8 +6,8 @@
 // split. Promotions are persisted as versioned, checksummed artifacts so
 // the daemon can restart into its adapted state and roll back a regression.
 //
-// A Controller is one adaptation domain — the base model's, or one tenant's
-// (internal/tenant builds a Controller per tenant over its adapter view).
+// A Controller is one adaptation domain: internal/tenant builds one per
+// tenant, tenant zero — the base model — included.
 // Whatever changes what a domain serves goes through its controller and is
 // serialized there: a fine-tune attempt (RunOnce), an operator or gateway
 // loading a version (Load), a rollback, the start-up resume. Background
@@ -36,7 +36,7 @@ import (
 // lives only there — Status reads it back. Admit is asked before an artifact
 // read from disk is published and says why the host cannot serve it (a
 // tenant's adapters must fit the shared base); nil admits it.
-// *serve.Server satisfies Host.
+// *tenant.Tenant satisfies Host.
 type Host interface {
 	Served() (m *core.Model, version int)
 	Admit(m *core.Model) error
@@ -159,8 +159,9 @@ type Controller struct {
 	// replaces, the model that is being served when it is published.
 	runMu sync.Mutex
 
-	pool   *Pool       // background attempts run here; nil = synchronous only
-	queued atomic.Bool // an attempt is waiting on the pool or running there
+	pool   *Pool        // background attempts run here; nil = synchronous only
+	queued atomic.Bool  // an attempt is waiting on the pool or running there
+	fresh  atomic.Int64 // samples observed since an attempt was last enqueued or started
 
 	mu      sync.Mutex // guards everything below
 	window  []float64  // drift ring of recent served q-errors
@@ -181,21 +182,22 @@ func New(host Host, store *feedback.Store, log *feedback.Log, cfg Config) *Contr
 	return &Controller{host: host, store: store, log: log, cfg: cfg.withDefaults(), seed: seed}
 }
 
-// MinSamples is the replay-buffer floor RunOnce holds attempts to:
-// Config.MinSamples, defaulted.
-func (c *Controller) MinSamples() int { return c.cfg.MinSamples }
-
 // Observe ingests one feedback sample: it lands in the replay store (and
 // the durable log when accepted), and its q-error advances the drift
-// window. When the rolling median crosses the threshold, an attempt is
-// enqueued on the pool. f is read only during the call. Safe for concurrent
-// use; never blocks on a fine-tune.
+// window. An attempt is enqueued on the pool when the rolling median crosses
+// the drift threshold, or when the store holds MinSamples and a quarter of
+// that arrived since the last attempt — so a rejected candidate is not
+// retrained on an almost identical snapshot. f is read only during the call.
+// Safe for concurrent use; never blocks on a fine-tune.
 func (c *Controller) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
 	smp := feedback.Sample{Plan: f, ActualMS: actualMS, PredictedMS: predictedMS}
 	if c.store.Add(smp) && c.log != nil {
 		// Log failures must not fail serving; the sample is still resident
 		// in memory, only durability degrades.
 		_ = c.log.Append(smp)
+	}
+	if need := c.cfg.MinSamples; c.fresh.Add(1) >= int64(max(need/4, 1)) && c.store.Len() >= need && c.Enqueue() {
+		c.fresh.Store(0)
 	}
 	if predictedMS <= 0 || actualMS <= 0 {
 		return
@@ -259,6 +261,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 		return nil, ErrBusy
 	}
 	defer c.runMu.Unlock()
+	c.fresh.Store(0)
 
 	snap := c.store.Snapshot()
 	if len(snap) < c.cfg.MinSamples {
@@ -268,6 +271,7 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	c.mu.Lock()
 	c.running = true
 	c.runs++
+	runs := c.runs
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
@@ -276,12 +280,9 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 	}()
 
 	// Deterministic shuffle, then carve off the holdout from the tail.
-	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(c.runsSoFar())))
+	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(runs)))
 	rng.Shuffle(len(snap), func(i, j int) { snap[i], snap[j] = snap[j], snap[i] })
-	nHold := int(float64(len(snap)) * holdoutFrac)
-	if nHold < 1 {
-		nHold = 1
-	}
+	nHold := max(int(float64(len(snap))*holdoutFrac), 1)
 	train, hold := snap[:len(snap)-nHold], snap[len(snap)-nHold:]
 
 	// The store labelled each root with its observed latency (featurize masks
@@ -366,12 +367,6 @@ func (c *Controller) RunOnce() (*Outcome, error) {
 			"before_p90", before.P90, "after_p90", after.P90)
 	}
 	return out, nil
-}
-
-func (c *Controller) runsSoFar() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
 }
 
 // resetDrift empties the drift window: it measured the model just replaced.

@@ -403,6 +403,38 @@ func TestObserveTracksDriftAndKicks(t *testing.T) {
 	}
 }
 
+// TestObserveFreshSamplesKick: with drift detection off, a controller on a
+// pool enqueues once its store holds MinSamples, and again only after a
+// quarter of MinSamples fresh samples — the one trigger policy of every
+// domain.
+func TestObserveFreshSamplesKick(t *testing.T) {
+	c := New(&fakeHost{m: core.NewModel(smallConfig())}, feedback.NewStore(64, 1), nil, Config{MinSamples: 8})
+	pool := &Pool{jobs: make(chan *Controller, 8)} // nobody drains it
+	pool.Attach(c)
+	observe := func(i int) {
+		c.Observe(flat(&plan.Plan{Database: "t", Root: &plan.Node{Type: plan.SeqScan, EstRows: float64(10 + i), EstCost: 100}}), 5, 5)
+	}
+	for i := 0; i < 7; i++ {
+		observe(i)
+	}
+	if len(pool.jobs) != 0 {
+		t.Fatal("enqueued below MinSamples")
+	}
+	observe(7)
+	if len(pool.jobs) != 1 {
+		t.Fatalf("MinSamples reached: %d jobs, want 1", len(pool.jobs))
+	}
+	(<-pool.jobs).queued.Store(false) // as a worker does once the attempt ran
+	observe(8)
+	if len(pool.jobs) != 0 {
+		t.Fatal("enqueued again after one fresh sample; want MinSamples/4 = 2")
+	}
+	observe(9)
+	if len(pool.jobs) != 1 {
+		t.Fatalf("two fresh samples: %d jobs, want 1", len(pool.jobs))
+	}
+}
+
 // TestStartStopDrainsCleanly is the pool's: a 1 ms timer and a stream of
 // drift crossings drive skip-only attempts through it; Stop waits for its
 // goroutines and is idempotent.

@@ -47,10 +47,13 @@ func (p *Pool) worker() {
 }
 
 // Attach makes p the pool c's background attempts run on: from here on a
-// drift crossing in Observe, an Enqueue call and — when c's Config.Interval
-// is set — a timer all queue c here. Call it before c is used; a controller
-// attached to no pool adapts only when RunOnce is called.
+// trigger in Observe, an Enqueue call and — when c's Config.Interval is set —
+// a timer all queue c here. Call it before c is used; a controller attached
+// to no pool (or to a nil one) adapts only when RunOnce is called.
 func (p *Pool) Attach(c *Controller) {
+	if p == nil {
+		return
+	}
 	c.pool = p
 	if c.cfg.Interval <= 0 {
 		return

@@ -19,6 +19,7 @@ import (
 	"dace/internal/plan"
 	"dace/internal/schema"
 	"dace/internal/serve"
+	"dace/internal/tenant"
 	"dace/internal/wire"
 )
 
@@ -46,22 +47,26 @@ type fleet struct {
 	front    *httptest.Server
 }
 
-func newFleet(t *testing.T, m *core.Model, n int, mut ...func(int, *serve.Server)) *fleet {
+// newFleet starts n replicas serving m, plus the gateway. domains[0], when
+// given, builds replica i's tenant registry in place of a plain tenant zero
+// over m.
+func newFleet(t *testing.T, m *core.Model, n int, domains ...func(int) *tenant.Registry) *fleet {
 	t.Helper()
-	return newFleetConfig(t, m, n, serve.Config{}, mut...)
+	return newFleetConfig(t, m, n, serve.Config{}, domains...)
 }
 
 // newFleetConfig is newFleet with the replicas' pipeline configured, for
 // tests that read the replicas' cache counters.
-func newFleetConfig(t *testing.T, m *core.Model, n int, cfg serve.Config, mut ...func(int, *serve.Server)) *fleet {
+func newFleetConfig(t *testing.T, m *core.Model, n int, cfg serve.Config, domains ...func(int) *tenant.Registry) *fleet {
 	t.Helper()
 	f := &fleet{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		s := serve.NewWithConfig(m, cfg)
-		for _, fn := range mut {
-			fn(i, s)
+		reg := tenant.New(m, nil, nil, tenant.Config{})
+		if len(domains) > 0 {
+			reg = domains[0](i)
 		}
+		s := serve.NewWithRegistry(reg, cfg)
 		b := httptest.NewServer(s.Handler())
 		f.servers = append(f.servers, s)
 		f.backends = append(f.backends, b)

@@ -11,26 +11,24 @@ import (
 	"testing"
 	"time"
 
+	"dace/internal/adapt"
 	"dace/internal/core"
 	"dace/internal/serve"
+	"dace/internal/tenant"
 )
 
-// anyVersion is a replica's base domain in the rollout tests: every version
-// up to max loads, as the one model.
-type anyVersion struct {
-	serve.Domain
-	s   *serve.Server
-	m   *core.Model
-	max int
-}
-
-func (d anyVersion) Load(v int) (int, error) {
-	if v > d.max {
-		return 0, fmt.Errorf("no artifact v%d", v)
+// versioned builds each rollout-test replica: a tenant zero over m whose
+// own model dir holds versions 1 through 5, every one of them m.
+func versioned(t *testing.T, m *core.Model) func(int) *tenant.Registry {
+	return func(int) *tenant.Registry {
+		dir := t.TempDir()
+		for v := 1; v <= 5; v++ {
+			if _, err := adapt.SaveVersion(dir, m, fmt.Sprint("v", v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tenant.New(m, nil, nil, tenant.Config{Adapt: adapt.Config{ModelDir: dir}})
 	}
-	_, prev := d.s.Served()
-	d.s.Publish(d.m, v)
-	return prev, nil
 }
 
 func postJSON(t *testing.T, url string) (int, []byte) {
@@ -66,9 +64,7 @@ func replicaVersion(t *testing.T, url string) int {
 // later rollout can be aborted back to the committed version.
 func TestGatewayRollout(t *testing.T) {
 	m, _ := trainedModel(t)
-	f := newFleet(t, m, 2, func(i int, s *serve.Server) {
-		s.Base = anyVersion{s: s, m: m, max: 10}
-	})
+	f := newFleet(t, m, 2, versioned(t, m))
 
 	// Start: version 3 lands on exactly one replica.
 	st, body := postJSON(t, f.front.URL+"/rollout/start?version=3")
@@ -135,9 +131,7 @@ func TestGatewayRollout(t *testing.T) {
 // succeeds, leaving the ejected one to reconcile when it returns.
 func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 	m, _ := trainedModel(t)
-	f := newFleet(t, m, 3, func(i int, s *serve.Server) {
-		s.Base = anyVersion{s: s, m: m, max: 10}
-	})
+	f := newFleet(t, m, 3, versioned(t, m))
 
 	if st, body := postJSON(t, f.front.URL+"/rollout/start?version=2"); st != http.StatusOK {
 		t.Fatalf("rollout start: %d %s", st, body)
@@ -181,9 +175,7 @@ func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 // on every repeat, exactly as without a rollout.
 func TestGatewayRolloutKeepsShardAffinity(t *testing.T) {
 	m, samples := trainedModel(t)
-	f := newFleetConfig(t, m, 3, serve.Config{CacheSize: 256}, func(i int, s *serve.Server) {
-		s.Base = anyVersion{s: s, m: m, max: 10}
-	})
+	f := newFleetConfig(t, m, 3, serve.Config{CacheSize: 256}, versioned(t, m))
 	if st, body := postJSON(t, f.front.URL+"/rollout/start?version=2"); st != http.StatusOK {
 		t.Fatalf("rollout start: %d %s", st, body)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"dace/internal/core"
 	"dace/internal/plan"
-	"dace/internal/serve"
 	"dace/internal/tenant"
 )
 
@@ -58,12 +57,15 @@ func postTenant(t *testing.T, url, tenantID string, body []byte) (int, []byte) {
 // doesn't, and routed tenant responses are byte-identical to direct ones.
 func TestGatewayTenantForwarding(t *testing.T) {
 	m, samples := trainedModel(t)
-	f := newFleet(t, m, 3, func(i int, s *serve.Server) {
-		reg := tenant.New(m, tenant.Config{})
+	f := newFleet(t, m, 3, func(int) *tenant.Registry {
+		reg := tenant.New(m, nil, nil, tenant.Config{})
+		if _, err := reg.EnableTenants(); err != nil {
+			t.Fatal(err)
+		}
 		if err := reg.ServeAdapters("alpha", gwPerturbedAdapters(m.Cfg, 1)); err != nil {
 			t.Fatal(err)
 		}
-		s.Tenants = reg
+		return reg
 	})
 	body := planJSON(t, samples[0].Plan)
 	direct := f.backends[0].URL

@@ -45,14 +45,16 @@ func Soak(cfg SoakConfig) SoakResult {
 		cfg.Window = time.Second
 	}
 	runner := NewRunner(cfg.Options)
+	// The window loop: snapshot-subtract counters and histogram from a
+	// baseline taken before Run starts, so the first window holds every
+	// request from the first on. It runs until the runner finishes (arrival
+	// window closed and stragglers drained), so the last window holds the
+	// drain and the windows sum to the run.
+	prevCounts, prevSnap := runner.Snapshot()
 	done := make(chan Result, 1)
 	go func() { done <- runner.Run() }()
 
-	// The window loop: snapshot-subtract counters and histogram. Runs until
-	// the runner finishes (arrival window closed and stragglers drained), so
-	// the last window holds the drain and the windows sum to the run.
 	var windows []WindowStats
-	prevCounts, prevSnap := runner.Snapshot()
 	tick := time.NewTicker(cfg.Window)
 	defer tick.Stop()
 

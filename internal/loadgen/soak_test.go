@@ -36,3 +36,29 @@ func TestSoakEndToEnd(t *testing.T) {
 		t.Errorf("error-free handler: %+v", res.Run.Counts)
 	}
 }
+
+// TestSoakWindowsSumToRun: many very short soaks against an instant target,
+// so a request often completes before the window loop's first tick — and
+// every one of them must be in some window.
+func TestSoakWindowsSumToRun(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	for i := 0; i < 300; i++ {
+		res := Soak(SoakConfig{
+			Options: Options{
+				Target:     &HandlerTarget{Handler: h},
+				Schedule:   Constant{QPS: 2000},
+				Duration:   5 * time.Millisecond,
+				NewRequest: oneRequest,
+			},
+			Window: 2 * time.Millisecond,
+		})
+		var ok, offered int64
+		for _, w := range res.Windows {
+			ok += w.OK
+			offered += w.Offered
+		}
+		if ok != res.Run.OK || offered != res.Run.Offered {
+			t.Fatalf("soak %d: windows hold %d OK of %d offered, the run %d of %d", i, ok, offered, res.Run.OK, res.Run.Offered)
+		}
+	}
+}

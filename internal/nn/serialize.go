@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // paramJSON is the wire form of a single parameter.
@@ -111,29 +110,6 @@ func LoadParams(r io.Reader, params []*Param) error {
 		copy(p.Value.Data, src.Data)
 	}
 	return nil
-}
-
-// SaveParamsFile writes params to path, creating or truncating it.
-func SaveParamsFile(path string, params []*Param) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveParams(f, params); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadParamsFile reads params from path.
-func LoadParamsFile(path string, params []*Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, params)
 }
 
 // CopyParams copies values from src into dst, matched positionally. Shapes

@@ -124,13 +124,13 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 		if _, err := adapt.SaveVersion(dir, v1, "v1"); err != nil {
 			t.Fatal(err)
 		}
-		s := NewWithConfig(seed, Config{CacheSize: 256})
 		cfg := cfg
 		cfg.ModelDir = dir
-		ctl := adapt.New(s, feedback.NewStore(512, 1), nil, cfg)
+		reg := tenant.New(seed, feedback.NewStore(512, 1), nil, tenant.Config{Adapt: cfg})
+		s := NewWithRegistry(reg, Config{CacheSize: 256})
+		ctl := reg.Zero()
 		gate := newGateHooks()
 		ctl.Hooks = gate
-		s.Base = ctl
 		h := s.Handler()
 		for _, smp := range m2Samples[:180] {
 			ctl.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
@@ -163,9 +163,11 @@ func TestLoadDuringFineTuneWins(t *testing.T) {
 		if _, err := adapt.SaveVersion(filepath.Join(dir, "m2"), v1, "v1"); err != nil {
 			t.Fatal(err)
 		}
-		s := NewWithConfig(seed, Config{CacheSize: 256})
-		reg := tenant.New(seed, tenant.Config{Dir: dir, Adapt: cfg})
-		s.Tenants = reg
+		reg := tenant.New(seed, nil, nil, tenant.Config{Dir: dir, Adapt: cfg})
+		if _, err := reg.EnableTenants(); err != nil {
+			t.Fatal(err)
+		}
+		s := NewWithRegistry(reg, Config{CacheSize: 256})
 		h := s.Handler()
 		tn, _, err := reg.Register("m2")
 		if err != nil {
@@ -222,12 +224,11 @@ func TestTenantArtifactRule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := tenant.New(m, tenant.Config{Dir: dir})
-	if n, err := reg.LoadDir(); err != nil || n != 2 {
-		t.Fatalf("LoadDir = %d, %v; want plain and misfit at their v2, onlybad skipped", n, err)
+	reg := tenant.New(m, nil, nil, tenant.Config{Dir: dir})
+	if n, err := reg.EnableTenants(); err != nil || n != 2 {
+		t.Fatalf("EnableTenants = %d, %v; want plain and misfit at their v2, onlybad skipped", n, err)
 	}
-	s := NewWithConfig(m, pipelineConfig())
-	s.Tenants = reg
+	s := NewWithRegistry(reg, pipelineConfig())
 	t.Cleanup(s.Close)
 	h := s.Handler()
 	body := planBody(t, samples[50].Plan)
@@ -262,7 +263,7 @@ func TestTenantArtifactRule(t *testing.T) {
 	}
 
 	if _, ok := reg.Get("onlybad"); ok {
-		t.Fatal("LoadDir registered a tenant whose only artifact carries no adapters")
+		t.Fatal("EnableTenants registered a tenant whose only artifact carries no adapters")
 	}
 	if code, msg := doReq(h, http.MethodPost, "/tenants/onlybad/adapter/load?version=1", "", nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("onlybad adapter/load: %d %s, want 422", code, msg)
@@ -291,12 +292,15 @@ func TestOnePoolBoundsEveryDomain(t *testing.T) {
 	pool := adapt.NewPool(1)
 	defer pool.Stop()
 
-	s := NewWithConfig(seed, Config{})
-	base := adapt.New(s, feedback.NewStore(512, 1), nil, adapt.Config{
+	// Tenant zero with a drift threshold; the named tenants get the same
+	// settings without it.
+	reg := tenant.New(seed, feedback.NewStore(512, 1), nil, tenant.Config{Pool: pool, Adapt: adapt.Config{
 		MinSamples: 50, Epochs: 3, DriftThreshold: 1.01, DriftWindow: 32, Seed: 7,
-	})
-	pool.Attach(base)
-	reg := tenant.New(seed, tenant.Config{Pool: pool, Adapt: adapt.Config{MinSamples: 50, Epochs: 3, Seed: 7}})
+	}})
+	if _, err := reg.EnableTenants(); err != nil {
+		t.Fatal(err)
+	}
+	base := reg.Zero()
 	domains := map[string]interface{ StatusNow() adapt.Status }{"base": base}
 	observe := []func(smp dataset.Sample){func(smp dataset.Sample) {
 		base.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))

@@ -9,27 +9,9 @@ import (
 	"net/http"
 
 	"dace/internal/adapt"
-	"dace/internal/plan"
+	"dace/internal/tenant"
 	"dace/internal/wire"
 )
-
-// Domain is one adaptation domain as the HTTP surface drives it: the base
-// model's (Server.Base; *adapt.Controller) or a tenant's (*tenant.Tenant,
-// which embeds its controller). /feedback, /adapt/*, /model/load and the
-// /tenants/{id}/... arms each resolve the request's Domain once and run the
-// same bodies on it. It is an interface only so tests can substitute a fake.
-//
-// Observe sits on the serving path: it must be safe for concurrent use and
-// must not block on model training.
-type Domain interface {
-	// Observe's plan aliases the request's decode scratch: valid only during
-	// the call.
-	Observe(f *plan.FlatPlan, actualMS, predictedMS float64)
-	StatusNow() adapt.Status
-	RunOnce() (*adapt.Outcome, error)
-	Load(version int) (previous int, err error)
-	Rollback() (version int, err error)
-}
 
 // MaxFeedbackBody caps one POST /feedback document; overflow returns 413.
 var MaxFeedbackBody int64 = 4 << 20
@@ -60,14 +42,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	tc, d, handled := s.resolveTenant(w, p)
+	t, st, handled := s.resolve(w, p)
 	if handled {
-		return
-	}
-	if d == nil {
-		// Registered because Tenants is set; without a resolved tenant there
-		// is no base domain to deliver to.
-		http.Error(w, "feedback requires a registered tenant (X-DACE-Tenant or database param)", http.StatusUnprocessableEntity)
 		return
 	}
 	ws := wirePool.Get().(*wireScratch)
@@ -103,18 +79,17 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fill in the serving model's answer when the client didn't record one —
-	// through the tenant's own adapter view, so drift is measured against
-	// what that tenant is actually served. The pipeline makes this nearly
+	// through the tenant's own view, so drift is measured against what that
+	// tenant is actually served. The pipeline makes this nearly
 	// free for plans seen before (the plan shares its fingerprint cache entry
 	// with /predict traffic for the same plan).
 	if req.PredictedMS == 0 {
-		if preds, err := s.predsForFlat(ws, f, tc); err == nil && len(preds) > 0 {
+		if preds, err := s.predsForFlat(ws, f, st); err == nil && len(preds) > 0 {
 			req.PredictedMS = preds[0]
 		}
 	}
-	// A resolved tenant owns its feedback stream; everything else is the
-	// base domain's.
-	d.Observe(f, req.ActualMS, req.PredictedMS)
+	// The plan aliases ws's decode scratch; Observe copies what it keeps.
+	t.Observe(f, req.ActualMS, req.PredictedMS)
 	s.tel.feedback.Inc()
 
 	resp := feedbackResponse{Accepted: true, PredictedMS: req.PredictedMS}
@@ -129,30 +104,22 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (s *Server) handleAdaptStatus(w http.ResponseWriter, r *http.Request) {
-	serveAdaptStatus(w, r, s.Base)
-}
-
-func (s *Server) handleAdaptTrigger(w http.ResponseWriter, r *http.Request) {
-	serveAdaptTrigger(w, r, s.Base)
-}
-
-// serveAdaptStatus answers GET .../adapt/status: d's introspection document.
-func serveAdaptStatus(w http.ResponseWriter, r *http.Request, d Domain) {
+// serveAdaptStatus answers GET .../adapt/status: t's introspection document.
+func serveAdaptStatus(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	if !wire.AllowOnly(w, r, http.MethodGet) {
 		return
 	}
-	st := d.StatusNow()
+	st := t.StatusNow()
 	writeJSON(w, &st)
 }
 
 // serveAdaptTrigger answers POST .../adapt/trigger: one synchronous
-// adaptation attempt on d, success returning the gate's outcome document.
-func serveAdaptTrigger(w http.ResponseWriter, r *http.Request, d Domain) {
+// adaptation attempt on t, success returning the gate's outcome document.
+func serveAdaptTrigger(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	if !wire.AllowOnly(w, r, http.MethodPost) {
 		return
 	}
-	out, err := d.RunOnce()
+	out, err := t.RunOnce()
 	if err != nil {
 		writeDomainError(w, err)
 		return
@@ -160,9 +127,9 @@ func serveAdaptTrigger(w http.ResponseWriter, r *http.Request, d Domain) {
 	writeJSON(w, out)
 }
 
-// writeDomainError maps a domain's refusal: an attempt already in flight is
+// writeDomainError maps a tenant's refusal: an attempt already in flight is
 // 409, a missing artifact 404, anything else — too few samples, an artifact
-// the domain cannot serve, nothing older to roll back to — is the request's
+// the tenant cannot serve, nothing older to roll back to — is the request's
 // fault but well-formed: 422.
 func writeDomainError(w http.ResponseWriter, err error) {
 	switch {

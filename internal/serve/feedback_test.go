@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,31 +23,17 @@ import (
 	"dace/internal/metrics"
 	"dace/internal/plan"
 	"dace/internal/schema"
+	"dace/internal/tenant"
 )
 
-// recordingSink is a Domain that captures Observe calls; the embedded nil
-// interface supplies the methods /feedback never reaches.
-type recordingSink struct {
-	Domain
-	mu  sync.Mutex
-	obs []feedback.Sample
-}
-
-// Observe copies the plan, as every Domain must: it aliases the request's
-// decode scratch.
-func (r *recordingSink) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.obs = append(r.obs, feedback.Sample{Plan: f.Clone(), ActualMS: actualMS, PredictedMS: predictedMS})
-}
-
-// flat is p as the request edge hands it to a Domain.
+// flat is p as the request edge hands it to Observe.
 func flat(p *plan.Plan) *plan.FlatPlan { return new(plan.FlatPlan).FromTree(p) }
 
-func (r *recordingSink) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.obs)
+// zeroServer is a server over m whose tenant zero adapts from store under
+// cfg, with no tenants part.
+func zeroServer(m *core.Model, store *feedback.Store, cfg adapt.Config, pc Config) (*Server, *tenant.Tenant) {
+	reg := tenant.New(m, store, nil, tenant.Config{Adapt: cfg})
+	return NewWithRegistry(reg, pc), reg.Zero()
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -77,7 +62,9 @@ func feedbackBody(t *testing.T, p *plan.Plan, actualMS float64) []byte {
 	return raw
 }
 
-func TestFeedbackEndpointAbsentWithoutSink(t *testing.T) {
+// TestFeedbackLandsInTenantZero: a plain server — no tenants, no adaptation
+// settings — accepts feedback into tenant zero's replay store.
+func TestFeedbackLandsInTenantZero(t *testing.T) {
 	s, samples := trainedServer(t)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -87,15 +74,18 @@ func TestFeedbackEndpointAbsentWithoutSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("feedback without a sink: status %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("feedback on a plain server: status %d, want 202", resp.StatusCode)
+	}
+	if st := s.reg.Zero().StatusNow(); st.Store.Size != 1 {
+		t.Fatalf("tenant zero's store holds %d samples, want 1", st.Store.Size)
 	}
 }
 
 func TestFeedbackEndpointValidation(t *testing.T) {
-	s, samples := trainedServer(t)
-	sink := &recordingSink{}
-	s.Base = sink
+	m, samples := trainedModel(t)
+	store := feedback.NewStore(64, 1)
+	s, _ := zeroServer(m, store, adapt.Config{}, Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	p := samples[0].Plan
@@ -147,8 +137,8 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 			t.Errorf("%s: /feedback answered %d %q, /predict %d %q", name, status, body, wantStatus, wantBody)
 		}
 	}
-	if sink.count() != 0 {
-		t.Fatalf("invalid feedback reached the sink %d times", sink.count())
+	if store.Len() != 0 {
+		t.Fatalf("invalid feedback reached the store %d times", store.Len())
 	}
 
 	// Today's accepted requests stay accepted: the envelope is JSON even
@@ -163,12 +153,10 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 			t.Fatalf("%s: %d %s, want 202", name, status, body)
 		}
 	}
-	sink.mu.Lock()
-	if len(sink.obs) != 2 || sink.obs[0].Plan.Fingerprint != sink.obs[1].Plan.Fingerprint || sink.obs[1].Plan.Database() != "d" {
-		t.Fatalf("plan JSON and pg EXPLAIN of one plan reached the sink as %+v", sink.obs)
+	// One plan twice: a refresh of one resident sample.
+	if snap := store.Snapshot(); len(snap) != 1 || store.Stats().Updated != 1 || snap[0].Plan.Database() != "d" {
+		t.Fatalf("plan JSON and pg EXPLAIN of one plan reached the store as %+v (%+v)", snap, store.Stats())
 	}
-	sink.obs = nil
-	sink.mu.Unlock()
 
 	// A valid observation is accepted, and the server fills predicted_ms
 	// from the serving model when the client omits it.
@@ -184,23 +172,21 @@ func TestFeedbackEndpointValidation(t *testing.T) {
 	if !ack.Accepted || ack.PredictedMS <= 0 || ack.QError < 1 {
 		t.Fatalf("ack %+v", ack)
 	}
-	if sink.count() != 1 {
-		t.Fatalf("sink saw %d observations, want 1", sink.count())
+	snap := store.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("store holds %d samples, want 2", len(snap))
 	}
-	sink.mu.Lock()
-	got := sink.obs[0]
-	sink.mu.Unlock()
+	got := snap[1]
 	if got.ActualMS != 7.5 || got.PredictedMS != ack.PredictedMS {
-		t.Fatalf("sink observation %+v vs ack %+v", got, ack)
+		t.Fatalf("stored observation %+v vs ack %+v", got, ack)
 	}
 	if got.Plan.Fingerprint != p.Fingerprint() {
-		t.Fatal("plan identity lost on the way to the sink")
+		t.Fatal("plan identity lost on the way to the store")
 	}
 }
 
 func TestFeedbackBodyCap(t *testing.T) {
 	s, samples := trainedServer(t)
-	s.Base = &recordingSink{}
 	old := MaxFeedbackBody
 	MaxFeedbackBody = 64
 	defer func() { MaxFeedbackBody = old }()
@@ -218,62 +204,44 @@ func TestFeedbackBodyCap(t *testing.T) {
 	}
 }
 
-// stubAdapter is a Domain with scripted StatusNow/RunOnce responses.
-type stubAdapter struct {
-	Domain
-	status adapt.Status
-	out    *adapt.Outcome
-	err    error
-}
-
-func (a *stubAdapter) StatusNow() adapt.Status          { return a.status }
-func (a *stubAdapter) RunOnce() (*adapt.Outcome, error) { return a.out, a.err }
-
+// TestAdaptEndpoints: /adapt/status and /adapt/trigger drive tenant zero's
+// controller — too few samples is 422, a trigger while an attempt is in
+// flight 409, and an attempt that runs answers its outcome and shows in the
+// status document.
 func TestAdaptEndpoints(t *testing.T) {
-	s, _ := trainedServer(t)
-	ad := &stubAdapter{status: adapt.Status{Runs: 3}, out: &adapt.Outcome{Promoted: true}}
-	s.Base = ad
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	m, samples := trainedModel(t)
+	s, zero := zeroServer(m, nil, adapt.Config{MinSamples: 20, Epochs: 2}, Config{})
+	gate := newGateHooks()
+	zero.Hooks = gate
+	h := s.Handler()
 
-	resp, err := http.Get(srv.URL + "/adapt/status")
-	if err != nil {
-		t.Fatal(err)
+	if code, body := doReq(h, http.MethodPost, "/adapt/trigger", "", nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("trigger with too few samples: %d %s, want 422", code, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"runs":3`) {
-		t.Fatalf("status endpoint: %d %s", resp.StatusCode, body)
+	for _, smp := range samples[:30] {
+		zero.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, m.Predict(smp.Plan))
 	}
-
-	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	type answer struct {
+		code int
+		body []byte
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"promoted":true`) {
-		t.Fatalf("trigger: %d %s", resp.StatusCode, body)
+	first := make(chan answer, 1)
+	go func() {
+		code, body := doReq(h, http.MethodPost, "/adapt/trigger", "", nil)
+		first <- answer{code, body}
+	}()
+	<-gate.entered
+	if code, body := doReq(h, http.MethodPost, "/adapt/trigger", "", nil); code != http.StatusConflict {
+		t.Fatalf("trigger during an attempt: %d %s, want 409", code, body)
 	}
-
-	ad.err = adapt.ErrBusy
-	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	close(gate.release)
+	if a := <-first; a.code != http.StatusOK || !strings.Contains(string(a.body), `"reason"`) {
+		t.Fatalf("trigger: %d %s", a.code, a.body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("busy trigger: status %d, want 409", resp.StatusCode)
-	}
-
-	ad.err = errors.New("not enough samples")
-	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("refused trigger: status %d, want 422", resp.StatusCode)
+	var st adapt.Status
+	getDoc(t, h, "/adapt/status", &st)
+	if st.Runs != 1 || st.Promotions+st.Rejections != 1 || st.Store.Size == 0 {
+		t.Fatalf("status after one attempt: %+v", st)
 	}
 }
 
@@ -286,7 +254,6 @@ func TestAdaptEndpoints(t *testing.T) {
 func TestAdaptationEndToEnd(t *testing.T) {
 	seed, m2Samples := driftFixture(t)
 
-	s := NewWithConfig(seed, Config{CacheSize: 256})
 	dir := t.TempDir()
 	log, err := feedback.Open(filepath.Join(dir, "feedback.log"))
 	if err != nil {
@@ -294,14 +261,13 @@ func TestAdaptationEndToEnd(t *testing.T) {
 	}
 	defer log.Close()
 	store := feedback.NewStore(512, 1)
-	ctl := adapt.New(s, store, log, adapt.Config{
+	s := NewWithRegistry(tenant.New(seed, store, log, tenant.Config{Adapt: adapt.Config{
 		MinSamples: 50,
 		Gate:       0.02,
 		Epochs:     16,
 		ModelDir:   filepath.Join(dir, "models"),
 		Seed:       7,
-	})
-	s.Base = ctl
+	}}), Config{CacheSize: 256})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -409,27 +375,18 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		t.Fatalf("log replayed %d records, want 180", n)
 	}
 
-	// Rejection path: a gate nothing can pass. The serving model pointer
-	// and the cached /predict bytes must be untouched by the failed attempt.
+	// Rejection path: a second controller over the server, with a gate
+	// nothing can pass. The serving model pointer and the cached /predict
+	// bytes must be untouched by the failed attempt.
 	ctl2 := adapt.New(s, store, nil, adapt.Config{
 		MinSamples: 50,
 		Gate:       0.99,
 		Epochs:     2,
 		Seed:       11,
 	})
-	s.Base = ctl2
 	preAttempt := cacheBytes(t, srv.URL, pb.Bytes())
-	resp, err = http.Post(srv.URL+"/adapt/trigger", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Promoted {
-		t.Fatalf("99%% gate passed: %s", body)
+	if rejected, err := ctl2.RunOnce(); err != nil || rejected.Promoted {
+		t.Fatalf("99%% gate passed: %+v (%v)", rejected, err)
 	}
 	if s.Model() != served {
 		t.Fatal("rejected candidate replaced the serving model")
@@ -440,7 +397,6 @@ func TestAdaptationEndToEnd(t *testing.T) {
 
 	// A rollout abort reloads what /model reported: loading the seed back
 	// replaces the promoted version, not the start-up one, everywhere at once.
-	s.Base = ctl
 	resp, err = http.Post(srv.URL+"/model/load?version=0", "", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -71,23 +72,32 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ModelStatus{Version: v, Ready: s.Ready()})
 }
 
-// handleModelLoad swaps the served model to a versioned artifact through the
-// base domain's Load — the replica half of a gateway-coordinated rollout —
-// which also yields the version it replaced.
+// handleModelLoad swaps tenant zero to a versioned artifact — the replica
+// half of a gateway-coordinated rollout — through the load the
+// /tenants/{id}/adapter/load arm runs, and reports the version it replaced.
 func (s *Server) handleModelLoad(w http.ResponseWriter, r *http.Request) {
-	if !wire.AllowOnly(w, r, http.MethodPost) {
+	v, ok := versionParam(w, r, 0)
+	if !ok {
 		return
 	}
-	vs := wire.QueryParam(r.URL.RawQuery, "version")
-	v, err := strconv.Atoi(vs)
-	if err != nil || v < 0 {
-		http.Error(w, "version query parameter must be a non-negative integer", http.StatusBadRequest)
-		return
-	}
-	prev, err := s.Base.Load(v)
+	prev, err := s.reg.Zero().Load(v)
 	if err != nil {
-		http.Error(w, "load model version "+vs+": "+err.Error(), http.StatusBadGateway)
+		writeDomainError(w, err)
 		return
 	}
 	writeJSON(w, ModelStatus{Version: v, Previous: &prev, Ready: s.Ready()})
+}
+
+// versionParam reads the ?version=N of a load arm's POST, refusing N below
+// least. ok=false means the response (405 or 400) was written.
+func versionParam(w http.ResponseWriter, r *http.Request, least int) (v int, ok bool) {
+	if !wire.AllowOnly(w, r, http.MethodPost) {
+		return 0, false
+	}
+	v, err := strconv.Atoi(wire.QueryParam(r.URL.RawQuery, "version"))
+	if err != nil || v < least {
+		http.Error(w, fmt.Sprintf("version query parameter required (an integer ≥ %d)", least), http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
 }

@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dace/internal/adapt"
 	"dace/internal/core"
+	"dace/internal/tenant"
 )
 
 func get(t *testing.T, url string) *http.Response {
@@ -80,31 +82,19 @@ func TestHealthReportsReadiness(t *testing.T) {
 	}
 }
 
-// freshLoader is a base Domain whose Load publishes a new model for any
-// version below 100 and remembers it.
-type freshLoader struct {
-	Domain
-	s      *Server
-	loaded map[int]*core.Model
-}
-
-func (f freshLoader) Load(v int) (int, error) {
-	if v >= 100 {
-		return 0, fmt.Errorf("no artifact v%d", v)
-	}
-	f.loaded[v] = core.NewModel(core.DefaultConfig())
-	_, prev := f.s.Served()
-	f.s.Publish(f.loaded[v], v)
-	return prev, nil
-}
-
-// TestModelLoadEndpoint: POST /model/load swaps the served model through
-// the base domain's Load and reports old and new versions; GET /model reads
-// them.
+// TestModelLoadEndpoint: POST /model/load swaps tenant zero to a versioned
+// artifact through its controller's Load and reports old and new versions;
+// GET /model reads them. A version the model dir does not hold is refused
+// the way adapter/load refuses it.
 func TestModelLoadEndpoint(t *testing.T) {
-	s, _ := trainedServer(t)
-	loaded := map[int]*core.Model{}
-	s.Base = freshLoader{s: s, loaded: loaded}
+	m, _ := trainedModel(t)
+	dir := t.TempDir()
+	for v := 1; v <= 4; v++ {
+		if _, err := adapt.SaveVersion(dir, m, fmt.Sprint("v", v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewWithRegistry(tenant.New(m, nil, nil, tenant.Config{Adapt: adapt.Config{ModelDir: dir}}), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -123,20 +113,21 @@ func TestModelLoadEndpoint(t *testing.T) {
 	if st.Version != 4 || st.Previous == nil || *st.Previous != 0 || !st.Ready {
 		t.Fatalf("model status %+v", st)
 	}
-	if m, v := s.Served(); m != loaded[4] || v != 4 {
-		t.Fatalf("served (%p, v%d), want the loaded artifact at v4", m, v)
+	loaded, v := s.Served()
+	if loaded == m || v != 4 {
+		t.Fatalf("served (%p, v%d), want the loaded artifact at v4", loaded, v)
 	}
 
-	// Load failure: 502, serving state untouched.
+	// Load failure: 422, serving state untouched.
 	resp2, err := http.Post(srv.URL+"/model/load?version=100", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadGateway {
-		t.Fatalf("unloadable version: %d, want 502", resp2.StatusCode)
+	if resp2.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("unloadable version: %d, want 422", resp2.StatusCode)
 	}
-	if m, v := s.Served(); m != loaded[4] || v != 4 {
+	if got, v := s.Served(); got != loaded || v != 4 {
 		t.Fatal("failed load must not change the served model")
 	}
 
@@ -161,10 +152,12 @@ func TestModelLoadEndpoint(t *testing.T) {
 	}
 }
 
-// TestModelEndpointsAbsentWithoutLoader: a server with no base domain does
-// not expose remote model management at all.
-func TestModelEndpointsAbsentWithoutLoader(t *testing.T) {
+// TestModelLoadWithoutModelDir: a plain server routes /model/load too, and
+// refuses any version but its seed with 422 — there is no artifact
+// directory to read one from.
+func TestModelLoadWithoutModelDir(t *testing.T) {
 	s, _ := trainedServer(t)
+	m := s.Model()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/model/load?version=1", "", nil)
@@ -172,7 +165,7 @@ func TestModelEndpointsAbsentWithoutLoader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("model load without a base domain: %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusUnprocessableEntity || s.Model() != m {
+		t.Fatalf("model load without a model dir: %d, want 422 and the model untouched", resp.StatusCode)
 	}
 }

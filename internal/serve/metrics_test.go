@@ -8,24 +8,12 @@ import (
 	"strings"
 	"testing"
 
-	"dace/internal/adapt"
 	"dace/internal/dataset"
-	"dace/internal/plan"
 	"dace/internal/telemetry"
 )
 
-// nopDomain is a stub base domain, so the feedback, adapt and model
-// endpoints register.
-type nopDomain struct{}
-
-func (nopDomain) Observe(*plan.FlatPlan, float64, float64) {}
-func (nopDomain) StatusNow() adapt.Status                  { return adapt.Status{} }
-func (nopDomain) RunOnce() (*adapt.Outcome, error)         { return &adapt.Outcome{}, nil }
-func (nopDomain) Load(int) (int, error)                    { return 0, nil }
-func (nopDomain) Rollback() (int, error)                   { return 0, nil }
-
-// metricsServer is a fully-wired server: caching, admission, telemetry, and
-// the feedback/adapt endpoints, so every route is registered.
+// metricsServer is a fully-wired server: caching, admission and telemetry
+// over every route a server without tenants registers.
 func metricsServer(t *testing.T) (*httptest.Server, []dataset.Sample) {
 	t.Helper()
 	s, samples := trainedServer(t)
@@ -34,7 +22,6 @@ func metricsServer(t *testing.T) (*httptest.Server, []dataset.Sample) {
 		QueueDepth: 32,
 		Metrics:    telemetry.NewRegistry(),
 	})
-	s2.Base = nopDomain{}
 	t.Cleanup(s2.Close)
 	srv := httptest.NewServer(s2.Handler())
 	t.Cleanup(srv.Close)

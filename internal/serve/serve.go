@@ -3,9 +3,7 @@
 // or workload manager POSTs a plan and gets back predicted latencies for
 // the plan and every sub-plan, in well under a millisecond of model time.
 //
-// Endpoints (the bracketed ones exist only when the named Server field is
-// set before Handler is called; Base is the base model's adaptation domain,
-// Tenants the per-tenant registry):
+// Endpoints:
 //
 //	POST /predict                body: plan JSON (plan.WriteJSON format)
 //	POST /predict?format=pg      body: PostgreSQL EXPLAIN (FORMAT JSON) output
@@ -14,12 +12,13 @@
 //	GET  /healthz/live           liveness: 200 while the process can answer
 //	GET  /healthz/ready          readiness: 503+Retry-After while draining
 //	                             or before the first model load
-//	POST /model/load?version=N   swap to a versioned artifact       [Base]
-//	GET  /model                  currently served model version     [Base]
-//	POST /feedback               one observed execution  [Base or Tenants]
-//	GET  /adapt/status           adaptation controller state        [Base]
-//	POST /adapt/trigger          one synchronous adaptation attempt [Base]
-//	     /tenants, /tenants/...  the per-tenant tree (tenants.go) [Tenants]
+//	POST /model/load?version=N   swap to a versioned artifact
+//	GET  /model                  currently served model version
+//	POST /feedback               one observed execution
+//	GET  /adapt/status           adaptation controller state
+//	POST /adapt/trigger          one synchronous adaptation attempt
+//	     /tenants, /tenants/...  the per-tenant tree (tenants.go), on a
+//	                             server whose registry has tenants enabled
 //	GET  /metrics                Prometheus text exposition
 //
 // How the bytes of a /predict, /predict/batch or /feedback request become a
@@ -52,13 +51,17 @@
 // Cached predictions are bitwise-identical to uncached ones: equal
 // fingerprints imply equal model inputs.
 //
-// What a request answers from — the model, the artifact version it was
-// loaded as, and the salt of the cache domain its predictions live in — is
-// one immutable snapshot behind one pointer. A request loads it once and
-// folds its salt into every cache key it forms; Publish installs a new
-// snapshot with a new salt and touches neither cache, so a prediction made
-// by one model is never served for another and the replaced model's entries
-// leave by LRU. Tenants (tenants.go) are further domains of the same kind.
+// Every request resolves to exactly one tenant of the server's registry
+// (internal/tenant): the one it names when that one is registered, else
+// tenant zero — the model the server was handed. What it answers from — the
+// model, the artifact version it was loaded as, and the salt of the cache
+// domain its predictions live in — is that tenant's immutable snapshot
+// behind one pointer. A request loads it once and folds its salt into every
+// cache key it forms; a publish installs a new snapshot with a new salt and
+// touches neither cache, so a prediction made by one model is never served
+// for another and the replaced model's entries leave by LRU. /feedback,
+// /adapt/* and /model/load drive the resolved or zero tenant with the code
+// the /tenants/{id}/... arms run.
 package serve
 
 import (
@@ -114,42 +117,17 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// served is one immutable serving snapshot: the request context of the base
-// domain (model and cache salt) plus the artifact version the model was
-// loaded as and the generation the salt was derived from.
-type served struct {
-	tenantCtx
-	version int // 0 = unversioned seed
-	gen     uint64
-}
-
-// Server wraps a model with HTTP handlers. The model can be swapped at
-// runtime (Publish) for zero-downtime updates after fine-tuning; requests
-// that loaded the old snapshot finish against it, later ones never see its
-// cache entries.
+// Server wraps a registry of tenants with HTTP handlers. What a tenant
+// serves can be swapped at runtime for zero-downtime updates after
+// fine-tuning; requests that loaded the old snapshot finish against it,
+// later ones never see its cache entries.
 type Server struct {
-	cur atomic.Pointer[served]
+	reg *tenant.Registry // the tenants requests resolve to; tenant zero always
 
 	// Workers sizes the inference pool: the /predict/batch fan-out and the
 	// admission stage's forward slots. <= 0 means one worker per CPU. Set
 	// before serving starts.
 	Workers int
-
-	// Base, when set before Handler is called, is the base model's
-	// adaptation domain (daced wires an *adapt.Controller over this server):
-	// it enables POST /feedback, GET /adapt/status, POST /adapt/trigger, GET
-	// /model and POST /model/load — the last is what a gateway rollout asks a
-	// replica for. Nil by default: the endpoints 404 and serving behaves
-	// exactly as without it.
-	Base Domain
-
-	// Tenants, when set before Handler is called, enables multi-tenant
-	// serving: /predict and /predict/batch resolve the tenant from the
-	// X-DACE-Tenant header or the database query param and answer through
-	// that tenant's adapter view, with both caches domain-separated by
-	// (tenant, adapter generation); /feedback routes to the tenant's own
-	// adaptation domain; the /tenants endpoint tree is registered.
-	Tenants *tenant.Registry
 
 	// draining pins /healthz/ready false from BeginDrain/Close onward. A
 	// gateway health-checks readiness, so flipping it is what removes a
@@ -172,12 +150,18 @@ type Server struct {
 // its own forward pass, behind the admission stage.
 func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
 
-// NewWithConfig builds a server with the given pipeline configuration. Call
-// Close to drain the admission stage on shutdown.
+// NewWithConfig builds a server whose tenant zero serves m under the
+// registry's defaults, with no tenants part.
 func NewWithConfig(m *core.Model, cfg Config) *Server {
-	s := &Server{}
-	s.cur.Store(&served{})
-	s.Publish(m, 0)
+	return NewWithRegistry(tenant.New(m, nil, nil, tenant.Config{}), cfg)
+}
+
+// NewWithRegistry builds a server answering through reg's tenants with the
+// given pipeline configuration; it routes /tenants when reg's tenants part
+// is built (tenant.Registry.EnableTenants) before Handler is called. Call
+// Close to drain the admission stage on shutdown.
+func NewWithRegistry(reg *tenant.Registry, cfg Config) *Server {
+	s := &Server{reg: reg}
 	if cfg.CacheSize > 0 {
 		s.preds = servecache.New[[]float64](cfg.CacheSize, 0)
 		s.bodies = servecache.New[[]byte](cfg.CacheSize, 0)
@@ -187,11 +171,11 @@ func NewWithConfig(m *core.Model, cfg Config) *Server {
 		depth = defaultQueueDepth
 	}
 	s.bat = newBatcher(s, depth)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	metrics := cfg.Metrics
+	if metrics == nil {
+		metrics = telemetry.NewRegistry()
 	}
-	s.tel = newServerMetrics(s, reg)
+	s.tel = newServerMetrics(s, metrics)
 	return s
 }
 
@@ -211,54 +195,35 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Ready reports whether the server would answer /healthz/ready with 200:
 // a model is loaded and draining has not begun.
-func (s *Server) Ready() bool { return !s.draining.Load() && s.cur.Load().model != nil }
+func (s *Server) Ready() bool { return !s.draining.Load() && s.Model() != nil }
 
-// Publish atomically replaces the served model, its artifact version (what
-// GET /model and the health endpoints report) and the base cache domain.
-// Fine-tuning mutates a model in place, so publish again — even the same
-// pointer — after it. The first non-nil model turns readiness on.
-func (s *Server) Publish(m *core.Model, version int) {
-	for {
-		old := s.cur.Load()
-		gen := old.gen + 1
-		next := &served{tenantCtx{m, servecache.DomainSalt("", gen)}, version, gen}
-		if s.cur.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+// Publish, Admit and Served make the server an adapt.Host: tenant zero's.
+func (s *Server) Publish(m *core.Model, version int) { s.reg.Zero().Publish(m, version) }
+func (s *Server) Admit(m *core.Model) error          { return s.reg.Zero().Admit(m) }
+func (s *Server) Served() (*core.Model, int)         { return s.reg.Zero().Served() }
 
-// Admit satisfies adapt.Host: the base domain serves any model it is handed.
-func (s *Server) Admit(*core.Model) error { return nil }
-
-// Served returns the served model and its artifact version, read from one
-// snapshot: never one publish's model with another's version.
-func (s *Server) Served() (m *core.Model, version int) {
-	cur := s.cur.Load()
-	return cur.model, cur.version
-}
-
-// Model returns the currently served model.
-func (s *Server) Model() *core.Model { return s.cur.Load().model }
+// Model returns the model tenant zero serves.
+func (s *Server) Model() *core.Model { return s.reg.Zero().State().View }
 
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
+	zero := s.reg.Zero()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", s.instrument("/predict", s.handlePredict))
 	mux.HandleFunc("/predict/batch", s.instrument("/predict/batch", s.handlePredictBatch))
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("/healthz/live", s.handleLive)
 	mux.HandleFunc("/healthz/ready", s.handleReady)
-	if s.Base != nil {
-		mux.HandleFunc("/model/load", s.instrument("/model/load", s.handleModelLoad))
-		mux.HandleFunc("/model", s.instrument("/model", s.handleModel))
-		mux.HandleFunc("/adapt/status", s.instrument("/adapt/status", s.handleAdaptStatus))
-		mux.HandleFunc("/adapt/trigger", s.instrument("/adapt/trigger", s.handleAdaptTrigger))
-	}
-	if s.Base != nil || s.Tenants != nil {
-		mux.HandleFunc("/feedback", s.instrument("/feedback", s.handleFeedback))
-	}
-	if s.Tenants != nil {
+	mux.HandleFunc("/model/load", s.instrument("/model/load", s.handleModelLoad))
+	mux.HandleFunc("/model", s.instrument("/model", s.handleModel))
+	mux.HandleFunc("/adapt/status", s.instrument("/adapt/status", func(w http.ResponseWriter, r *http.Request) {
+		serveAdaptStatus(w, r, zero)
+	}))
+	mux.HandleFunc("/adapt/trigger", s.instrument("/adapt/trigger", func(w http.ResponseWriter, r *http.Request) {
+		serveAdaptTrigger(w, r, zero)
+	}))
+	mux.HandleFunc("/feedback", s.instrument("/feedback", s.handleFeedback))
+	if s.reg.Base() != nil {
 		h := s.instrument("/tenants", s.handleTenants)
 		mux.HandleFunc("/tenants", h)
 		mux.HandleFunc("/tenants/", h)
@@ -322,7 +287,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	tc, _, handled := s.resolveTenant(w, p)
+	_, st, handled := s.resolve(w, p)
 	if handled {
 		return
 	}
@@ -342,9 +307,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// domain's entries without touching anyone else's.
 		var key servecache.Key
 		if p.Binary {
-			key = tc.key(servecache.KeyOf(body, binaryBodyTag, []byte(p.Database)))
+			key = st.Key(servecache.KeyOf(body, binaryBodyTag, []byte(p.Database)))
 		} else {
-			key = tc.key(servecache.KeyOf(body, []byte(p.Format), []byte(p.Database)))
+			key = st.Key(servecache.KeyOf(body, []byte(p.Format), []byte(p.Database)))
 		}
 		if resp, ok := s.bodies.Lookup(key); ok {
 			writeResponseBytes(w, resp)
@@ -353,7 +318,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// Miss: render into a fresh cacheable buffer; identical in-flight
 		// bodies coalesce here too.
 		resp, err := s.bodies.GetOrCompute(key, func() ([]byte, error) {
-			return s.renderPredict(ws, nil, body, p, tc)
+			return s.renderPredict(ws, nil, body, p, st)
 		})
 		if err != nil {
 			writeError(w, err)
@@ -362,7 +327,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeResponseBytes(w, resp)
 		return
 	}
-	ws.resp, err = s.renderPredict(ws, ws.resp[:0], body, p, tc)
+	ws.resp, err = s.renderPredict(ws, ws.resp[:0], body, p, st)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -387,7 +352,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	tc, _, handled := s.resolveTenant(w, p)
+	_, st, handled := s.resolve(w, p)
 	if handled {
 		return
 	}
@@ -413,7 +378,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	preds, err := s.batchPreds(batch, tc)
+	preds, err := s.batchPreds(batch, st)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -441,7 +406,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 // already computed — nothing is hashed twice. A forward that panics fails
 // the batch it belongs to (nn.ParallelFor re-raises a worker's panic here, on
 // the handler's goroutine) and caches nothing.
-func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) (_ [][]float64, err error) {
+func (s *Server) batchPreds(batch *plan.FlatBatch, st *tenant.State) (_ [][]float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v", errPanicked, p)
@@ -450,7 +415,7 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) (_ [][]float64,
 	out := make([][]float64, batch.Len())
 	predict := func(i int) {
 		f := batch.At(i)
-		out[i] = tc.model.AppendPredictSubPlansFlat(nil, &f)
+		out[i] = st.View.AppendPredictSubPlansFlat(nil, &f)
 	}
 	if s.preds == nil {
 		nn.ParallelFor(len(out), s.Workers, predict)
@@ -460,7 +425,7 @@ func (s *Server) batchPreds(batch *plan.FlatBatch, tc tenantCtx) (_ [][]float64,
 	firstOf := make(map[servecache.Key]int, len(out))
 	var missIdx []int
 	for i := range out {
-		keys[i] = tc.key(servecache.Key(batch.At(i).Fingerprint))
+		keys[i] = st.Key(servecache.Key(batch.At(i).Fingerprint))
 		if v, ok := s.preds.Get(keys[i]); ok {
 			out[i] = v
 			continue
@@ -500,10 +465,9 @@ type Health struct {
 	PlanCache   *servecache.Stats `json:"plan_cache,omitempty"`
 	BodyCache   *servecache.Stats `json:"body_cache,omitempty"`
 	Queue       *QueueStats       `json:"queue,omitempty"`
-	// Tenant state (present only in multi-tenant mode): how many tenants
-	// are registered and which adapter artifact version each one serves —
-	// so an operator can confirm a promotion landed without scraping
-	// /metrics.
+	// Tenant state (absent with no named tenant): how many are registered
+	// and which adapter artifact version each one serves — so an operator
+	// can confirm a promotion landed without scraping /metrics.
 	Tenants        int            `json:"tenants,omitempty"`
 	TenantVersions map[string]int `json:"tenant_versions,omitempty"`
 }
@@ -543,10 +507,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := s.bat.stats()
 	h.Queue = &qs
-	if s.Tenants != nil {
-		h.TenantVersions = s.Tenants.Versions()
-		h.Tenants = len(h.TenantVersions)
-	}
+	h.TenantVersions = s.reg.Versions()
+	h.Tenants = len(h.TenantVersions)
 	writeJSON(w, h)
 }
 

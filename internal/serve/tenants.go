@@ -2,45 +2,31 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 
-	"dace/internal/core"
-	"dace/internal/servecache"
+	"dace/internal/tenant"
 	"dace/internal/wire"
 )
 
-// tenantCtx is one request's serving context, resolved once at the top of
-// the request: which model answers and which cache domain the answer lives
-// in — a tenant's adapter view, or the base model's snapshot.
-type tenantCtx struct {
-	model *core.Model
-	salt  servecache.Key
-}
-
-// key folds the domain's cache salt into a content key.
-func (tc tenantCtx) key(k servecache.Key) servecache.Key {
-	return servecache.Key{Hi: k.Hi ^ tc.salt.Hi, Lo: k.Lo ^ tc.salt.Lo}
-}
-
-// resolveTenant maps the request's tenant identity (wire.Params: the
-// X-DACE-Tenant header wins over the database query param) to its serving
-// context and its adaptation domain: a registered tenant's, else the base
-// model's (nil when Server.Base is unset). handled=true means the response
-// was already written (404 for an explicitly named unknown tenant; an
-// implicit one falls back to the base model).
-func (s *Server) resolveTenant(w http.ResponseWriter, p wire.Params) (tc tenantCtx, d Domain, handled bool) {
-	if s.Tenants != nil && p.Tenant != "" {
-		if t, ok := s.Tenants.Get(p.Tenant); ok {
-			m, salt := t.Resolve()
-			return tenantCtx{model: m, salt: salt}, t, false
+// resolve maps the request's tenant identity (wire.Params: the
+// X-DACE-Tenant header wins over the database query param) to the tenant
+// that answers it and that tenant's snapshot: the named tenant when it is
+// registered, else tenant zero. handled=true means the response was already
+// written: 404 for an explicitly named tenant a server with tenants enabled
+// does not know (an implicit one, or any name on a server without tenants,
+// gets tenant zero).
+func (s *Server) resolve(w http.ResponseWriter, p wire.Params) (t *tenant.Tenant, st *tenant.State, handled bool) {
+	if p.Tenant != "" {
+		if t, ok := s.reg.Get(p.Tenant); ok {
+			return t, t.Resolve(), false
 		}
-		if p.TenantExplicit {
+		if p.TenantExplicit && s.reg.Base() != nil {
 			http.Error(w, "unknown tenant: "+p.Tenant, http.StatusNotFound)
-			return tenantCtx{}, nil, true
+			return nil, nil, true
 		}
 	}
-	return s.cur.Load().tenantCtx, s.Base, false
+	t = s.reg.Zero()
+	return t, t.State(), false
 }
 
 // handleTenants routes the /tenants tree:
@@ -55,21 +41,21 @@ func (s *Server) resolveTenant(w http.ResponseWriter, p wire.Params) (tc tenantC
 //
 // The two POSTs that may create the tenant are answered first; every other
 // arm needs a registered one, which is looked up — and refused — once, and
-// then drives that tenant's Domain exactly as /adapt/* drives the base's.
+// then driven exactly as /adapt/* drives tenant zero.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/tenants"), "/")
 	if path == "" {
 		if !wire.AllowOnly(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, s.Tenants.List())
+		writeJSON(w, s.reg.List())
 		return
 	}
 	id, rest, _ := strings.Cut(path, "/")
 
 	switch {
 	case rest == "" && r.Method == http.MethodPost:
-		t, created, err := s.Tenants.Register(id)
+		t, created, err := s.reg.Register(id)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -84,15 +70,11 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)
 		return
 	case rest == "adapter/load":
-		if !wire.AllowOnly(w, r, http.MethodPost) {
+		v, ok := versionParam(w, r, 1)
+		if !ok {
 			return
 		}
-		v, err := strconv.Atoi(wire.QueryParam(r.URL.RawQuery, "version"))
-		if err != nil || v < 1 {
-			http.Error(w, "version query parameter required (a positive integer)", http.StatusBadRequest)
-			return
-		}
-		t, err := s.Tenants.Load(id, v)
+		t, err := s.reg.Load(id, v)
 		if err != nil {
 			writeDomainError(w, err)
 			return
@@ -101,7 +83,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t, ok := s.Tenants.Get(id)
+	t, ok := s.reg.Get(id)
 	if !ok {
 		http.Error(w, "unknown tenant: "+id, http.StatusNotFound)
 		return

@@ -11,6 +11,7 @@ import (
 	"dace/internal/core"
 	"dace/internal/dataset"
 	"dace/internal/plan"
+	"dace/internal/telemetry"
 	"dace/internal/tenant"
 )
 
@@ -33,14 +34,16 @@ func perturbedAdapters(cfg core.Config, seed int64) *core.AdapterSet {
 func tenantServer(t *testing.T) (*Server, *tenant.Registry, []dataset.Sample) {
 	t.Helper()
 	m, samples := trainedModel(t)
-	reg := tenant.New(m, tenant.Config{})
+	reg := tenant.New(m, nil, nil, tenant.Config{})
+	if _, err := reg.EnableTenants(); err != nil {
+		t.Fatal(err)
+	}
 	for i, id := range []string{"alpha", "beta"} {
 		if err := reg.ServeAdapters(id, perturbedAdapters(m.Cfg, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := NewWithConfig(m, pipelineConfig())
-	s.Tenants = reg
+	s := NewWithRegistry(reg, pipelineConfig())
 	t.Cleanup(s.Close)
 	return s, reg, samples
 }
@@ -211,7 +214,7 @@ func TestTenantCacheHitZeroAlloc(t *testing.T) {
 }
 
 // TestTenantFeedbackRouting checks that /feedback with a tenant identity
-// lands in that tenant's replay store, not a global sink.
+// lands in that tenant's replay store, and without one in tenant zero's.
 func TestTenantFeedbackRouting(t *testing.T) {
 	s, reg, samples := tenantServer(t)
 	h := s.Handler()
@@ -239,12 +242,15 @@ func TestTenantFeedbackRouting(t *testing.T) {
 		t.Fatal("beta's feedback leaked into alpha's stream")
 	}
 
-	// No tenant and no global sink: the server must refuse, not drop.
+	// No tenant: tenant zero's stream, nobody else's.
 	req = httptest.NewRequest(http.MethodPost, "/feedback", strings.NewReader(string(doc)))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("sinkless feedback status %d, want 422", rec.Code)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("tenantless feedback status %d, want 202", rec.Code)
+	}
+	if zero := reg.Zero().Info(); zero.Feedback != 1 || beta.Info().Feedback != 1 {
+		t.Fatalf("tenantless feedback: zero saw %d, beta %d; want 1 each", zero.Feedback, beta.Info().Feedback)
 	}
 }
 
@@ -492,5 +498,38 @@ func TestPredictBatchTenantScoped(t *testing.T) {
 		if got[i].RootMS != want[0] {
 			t.Fatalf("batch result %d: root %v != alpha's %v (bitwise)", i, got[i].RootMS, want[0])
 		}
+	}
+}
+
+// TestTenantZeroIsNeverListed: tenant zero answers every request that
+// names no tenant, yet no outside view lists it as a tenant — not GET
+// /tenants, not /healthz, not a dace_tenant_* series.
+func TestTenantZeroIsNeverListed(t *testing.T) {
+	m, samples := trainedModel(t)
+	metrics := telemetry.NewRegistry()
+	reg := tenant.New(m, nil, nil, tenant.Config{Metrics: metrics})
+	if _, err := reg.EnableTenants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := reg.Register("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithRegistry(reg, Config{Metrics: metrics})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	if code, _ := doReq(h, http.MethodPost, "/predict", "", planBody(t, samples[0].Plan)); code != http.StatusOK {
+		t.Fatalf("tenant zero predict: %d", code)
+	}
+
+	var list []tenant.Info
+	getDoc(t, h, "/tenants", &list)
+	var health Health
+	getDoc(t, h, "/healthz", &health)
+	if len(list) != 1 || list[0].ID != "alpha" || health.Tenants != 1 || len(health.TenantVersions) != 1 {
+		t.Fatalf("/tenants %+v, /healthz tenants=%d %v; want alpha alone", list, health.Tenants, health.TenantVersions)
+	}
+	_, body := doReq(h, http.MethodGet, "/metrics", "", nil)
+	if !strings.Contains(string(body), `dace_tenant_requests_total{tenant="alpha"}`) || strings.Contains(string(body), `tenant=""`) {
+		t.Fatalf("/metrics should carry alpha's series and none for tenant zero:\n%s", body)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"dace/internal/plan"
 	"dace/internal/servecache"
+	"dace/internal/tenant"
 	"dace/internal/wire"
 )
 
@@ -188,21 +189,21 @@ func appendPrediction(b []byte, f *plan.FlatPlan, preds []float64) ([]byte, erro
 // a fresh slice. The probe goes through Lookup first so a steady-state hit
 // builds no compute closure; only an absent key pays for GetOrCompute's
 // coalescing.
-func (s *Server) predsForFlat(ws *wireScratch, f *plan.FlatPlan, tc tenantCtx) ([]float64, error) {
+func (s *Server) predsForFlat(ws *wireScratch, f *plan.FlatPlan, st *tenant.State) ([]float64, error) {
 	if s.preds == nil || f.Fingerprint.IsZero() {
-		preds, err := s.bat.submit(ws.preds[:0], f, tc.model)
+		preds, err := s.bat.submit(ws.preds[:0], f, st.View)
 		if err != nil {
 			return nil, err
 		}
 		ws.preds = preds
 		return preds, nil
 	}
-	key := tc.key(servecache.Key(f.Fingerprint))
+	key := st.Key(servecache.Key(f.Fingerprint))
 	if v, ok := s.preds.Lookup(key); ok {
 		return v, nil
 	}
 	return s.preds.GetOrCompute(key, func() ([]float64, error) {
-		return s.bat.submit(nil, f, tc.model)
+		return s.bat.submit(nil, f, st.View)
 	})
 }
 
@@ -210,12 +211,12 @@ func (s *Server) predsForFlat(ws *wireScratch, f *plan.FlatPlan, tc tenantCtx) (
 // miss: decode → predict → encode. The output may be inserted into the body
 // cache, so it is appended to dst — pass nil for a fresh cacheable slice,
 // or a pooled buffer when the response will not be retained.
-func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, p wire.Params, tc tenantCtx) ([]byte, error) {
+func (s *Server) renderPredict(ws *wireScratch, dst, body []byte, p wire.Params, st *tenant.State) ([]byte, error) {
 	f, err := ws.Decode(body, p)
 	if err != nil {
 		return nil, err
 	}
-	preds, err := s.predsForFlat(ws, f, tc)
+	preds, err := s.predsForFlat(ws, f, st)
 	if err != nil {
 		return nil, err
 	}

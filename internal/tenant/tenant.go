@@ -1,35 +1,27 @@
-// Package tenant serves one shared frozen encoder to N databases: a
-// registry of per-tenant LoRA adapter sets over a single base model.
+// Package tenant is the table of adaptation domains a server answers
+// through: tenant zero, ID "" (which wire.ValidateTenantID refuses), is the
+// model the server was handed — DACE's base model is the database with no
+// adapters (Eq. 8) — and, once the tenants part is built, each named tenant
+// is a LoRA adapter set over that model, frozen as the shared encoder.
 //
-// DACE's across-databases story (Eq. 8) fine-tunes only the MLP head per
-// database, so the per-database serving state is an AdapterSet — a few
-// low-rank factor pairs, not a model. The registry keeps ONE base model
-// (frozen at construction) and, per tenant, an immutable State snapshot in
-// an atomic.Pointer: {adapter view, generation, cache salt, artifact
-// version}. Resolve on the predict hot path is a lock-free map load plus a
-// pointer load — 0 allocs — and adapter hot-swaps publish a fresh State
-// without ever stalling in-flight predictions.
-//
-// Domain separation: every State carries a cache salt derived from
-// (tenant ID, generation) by servecache.DomainSalt — the function the
-// serving layer uses for the base model's own domain, under the empty ID no
-// tenant can register. The serving layer XORs the salt into its body- and
-// fingerprint-cache keys, so tenant A's entries can never answer tenant B,
-// and a hot-swap (generation bump) — a tenant's or the base model's —
-// orphans exactly the swapped domain's stale entries: no cache is ever
+// Every tenant keeps an immutable State snapshot in an atomic.Pointer:
+// {view, generation, cache salt, artifact version}. Reading it on the
+// predict hot path is one pointer load, 0 allocs, and a publish installs a
+// fresh State without stalling in-flight predictions. The salt is
+// servecache.DomainSalt(id, generation); the serving layer folds it into
+// every cache key (State.Key), so one tenant's entries never answer another
+// and a publish orphans exactly the swapped domain's entries — no cache is
 // flushed, no other tenant disturbed.
 //
-// Adaptation is internal/adapt's, per tenant: a Tenant embeds an
-// adapt.Controller over its own replay store and artifact dir <dir>/<id>, so
-// a tenant is observed, fine-tuned, loaded and rolled back by the code that
-// does those things for the base model, and this package schedules nothing —
-// background attempts run on the process's one adapt.Pool (Config.Pool),
-// enqueued once a tenant has enough fresh samples. What is a tenant's own is
-// the host the controller publishes to: it admits only artifacts whose
-// adapters fit the shared base and serves their adapter set over it.
-// Candidates are clones of the tenant's view, so they train only their
-// adapter copies (the base is frozen) — yet artifacts remain full models,
-// loadable stand-alone.
+// A Tenant embeds the adapt.Controller that observes, fine-tunes, loads and
+// rolls it back, and is the adapt.Host that controller publishes to;
+// background attempts run on the process's one adapt.Pool. What differs
+// between tenant zero and a named tenant is data fixed at construction: zero
+// admits any model and serves it as it is, under Config.Adapt verbatim; a
+// named tenant admits only adapters that fit the shared base, from
+// <Dir>/<id>, with no timer and no drift threshold. Its candidates clone its
+// view, so they train only adapter copies — yet artifacts remain full
+// models, loadable stand-alone.
 package tenant
 
 import (
@@ -37,6 +29,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,7 +39,6 @@ import (
 	"dace/internal/adapt"
 	"dace/internal/core"
 	"dace/internal/feedback"
-	"dace/internal/plan"
 	"dace/internal/servecache"
 	"dace/internal/telemetry"
 	"dace/internal/wire"
@@ -54,27 +46,27 @@ import (
 
 // Config tunes the registry. Zero values get sensible defaults.
 type Config struct {
-	// Dir is the tenants root: each tenant's versioned artifacts live in
-	// Dir/<id>/ (manifest.json + v<N>.dace), the internal/adapt layout.
-	// Empty disables persistence: promotions serve but do not survive.
+	// Dir is the tenants root: each named tenant's versioned artifacts live
+	// in Dir/<id>/ (manifest.json + v<N>.dace), the internal/adapt layout.
+	// Empty keeps named tenants' promotions in memory only.
 	Dir string
 
-	// Adapt configures every tenant's adapt.Controller — fine-tune gating,
-	// epochs, seed — with the controller's own defaults. ModelDir and Logger
-	// are set per tenant. Adapt.Seed also seeds the tenant's replay store
-	// (default 1).
+	// Adapt configures tenant zero's adapt.Controller as given. A named
+	// tenant's is the same without Interval and DriftThreshold — a timer per
+	// tenant would be a goroutine per tenant — with ModelDir Dir/<id> and a
+	// logger derived from Logger. Adapt.Seed also seeds named tenants'
+	// replay stores (default 1).
 	Adapt adapt.Config
 
-	StoreCap int // per-tenant replay store capacity (default 4096)
+	StoreCap int // replay store capacity of a named tenant, and of a nil-store zero (default 4096)
 
-	// Pool runs the tenants' background fine-tunes — the process's one pool,
-	// shared with the base model's controller, so a thousand drifting
-	// tenants queue instead of forking a thousand simultaneous training
-	// runs. Nil leaves tenants adapting only on an explicit RunOnce.
+	// Pool runs every tenant's background fine-tunes, so a thousand drifting
+	// tenants queue instead of training at once. Nil leaves tenants adapting
+	// only on an explicit RunOnce.
 	Pool *adapt.Pool
 
-	Metrics *telemetry.Registry // optional; per-tenant label sets
-	Logger  *slog.Logger        // optional
+	Metrics *telemetry.Registry // optional; zero's adaptation series, named tenants' label sets
+	Logger  *slog.Logger        // optional; named tenants' controllers log here
 }
 
 func (c Config) withDefaults() Config {
@@ -90,50 +82,92 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is one tenant's immutable serving snapshot. A hot-swap publishes a
-// new State; readers that loaded the old one keep predicting against the
-// old view untouched.
+// State is one tenant's immutable serving snapshot. A publish installs a new
+// State; readers that loaded the old one keep predicting against the old
+// view untouched.
 type State struct {
-	View     *core.Model      // base.WithAdapters(Adapters), or the raw base at generation 0
-	Adapters *core.AdapterSet // nil until an adapter is loaded or promoted
-	Gen      uint64           // bumped on every adapter swap
-	Version  int              // artifact version being served (0 = none)
+	View     *core.Model      // the model that answers: a named tenant's base.WithAdapters(Adapters)
+	Adapters *core.AdapterSet // a named tenant's adapter set; nil until one is loaded or promoted, and for zero
+	Gen      uint64           // bumped on every publish
+	Version  int              // artifact version being served (0 = none, or zero's seed)
 	Salt     servecache.Key   // cache-domain salt for (tenant, Gen)
 }
 
-// Tenant is one database's serving and adaptation state. The embedded
-// controller is its adaptation domain — StatusNow, RunOnce, Load, Rollback
-// are the controller's — publishing to this tenant's snapshot.
+// Key folds the snapshot's cache-domain salt into a content key.
+func (s *State) Key(k servecache.Key) servecache.Key {
+	return servecache.Key{Hi: k.Hi ^ s.Salt.Hi, Lo: k.Lo ^ s.Salt.Lo}
+}
+
+// Tenant is one domain's serving and adaptation state. The embedded
+// controller — Observe, StatusNow, RunOnce, Load, Rollback, Resume — adapts
+// the tenant, and the tenant is the adapt.Host it publishes to.
 type Tenant struct {
 	*adapt.Controller
 	id    string
-	r     *Registry
+	base  *core.Model // the shared frozen base a named tenant's adapters run over; nil for zero
 	state atomic.Pointer[State]
 	store *feedback.Store
 
 	pubMu sync.Mutex // serializes publishes; readers never take it
 
-	fresh    atomic.Int64  // samples since a background fine-tune was last enqueued
-	requests atomic.Uint64 // hot-path resolves, sampled by telemetry
-	feedback atomic.Uint64
+	requests atomic.Uint64 // named-tenant resolves, sampled by telemetry
 }
 
-// ID returns the tenant identifier.
+// newTenant builds a tenant serving view at generation 1 and its controller.
+func newTenant(id string, base, view *core.Model, store *feedback.Store, log *feedback.Log, cfg adapt.Config) *Tenant {
+	t := &Tenant{id: id, base: base, store: store}
+	t.state.Store(&State{View: view, Gen: 1, Salt: servecache.DomainSalt(id, 1)})
+	t.Controller = adapt.New(t, store, log, cfg)
+	return t
+}
+
+// ID returns the tenant identifier ("" for tenant zero).
 func (t *Tenant) ID() string { return t.id }
 
 // State returns the current immutable serving snapshot.
 func (t *Tenant) State() *State { return t.state.Load() }
 
-// Resolve is the hot-path read: the tenant's current adapter view and cache
-// salt. Lock-free, 0 allocs.
-func (t *Tenant) Resolve() (*core.Model, servecache.Key) {
+// Resolve is State counted as one of the tenant's requests: the read a
+// request that named the tenant makes. Lock-free, 0 allocs.
+func (t *Tenant) Resolve() *State {
 	t.requests.Add(1)
-	s := t.state.Load()
-	return s.View, s.Salt
+	return t.state.Load()
 }
 
-// publish installs a new snapshot with a bumped generation (and therefore
-// a fresh cache salt).
+// Served satisfies adapt.Host: the view and its artifact version, read from
+// one snapshot.
+func (t *Tenant) Served() (*core.Model, int) {
+	s := t.state.Load()
+	return s.View, s.Version
+}
+
+// Admit satisfies adapt.Host. It is the one artifact rule: tenant zero
+// serves any model it is handed; a named tenant serves adapters that fit the
+// shared base, never a model of its own.
+func (t *Tenant) Admit(m *core.Model) error {
+	if t.base == nil {
+		return nil
+	}
+	as := m.Adapters()
+	if as == nil {
+		return fmt.Errorf("tenant %s: artifact carries no adapters", t.id)
+	}
+	return as.CompatibleWith(t.base)
+}
+
+// Publish satisfies adapt.Host: m is served at artifact version v under a
+// new generation and cache salt — by tenant zero as it is, by a named tenant
+// as m's adapter set over the shared base (m's own encoder copy is dropped).
+// Fine-tuning mutates a model in place, so publish it again after.
+func (t *Tenant) Publish(m *core.Model, v int) {
+	if t.base == nil {
+		t.publish(m, nil, v)
+		return
+	}
+	as := m.Adapters()
+	t.publish(t.base.WithAdapters(as), as, v)
+}
+
 func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 	t.pubMu.Lock()
 	defer t.pubMu.Unlock()
@@ -141,25 +175,11 @@ func (t *Tenant) publish(view *core.Model, as *core.AdapterSet, version int) {
 	t.state.Store(&State{View: view, Adapters: as, Gen: gen, Version: version, Salt: servecache.DomainSalt(t.id, gen)})
 }
 
-// Observe is the controller's — the sample lands in the tenant's replay
-// store and drift window — plus the tenant's counters and its trigger
-// policy: a background fine-tune is enqueued once the tenant has both enough
-// resident samples and enough fresh ones since the last was, so a rejected
-// candidate doesn't retrain on an almost identical snapshot every request.
-func (t *Tenant) Observe(f *plan.FlatPlan, actualMS, predictedMS float64) {
-	t.feedback.Add(1)
-	t.Controller.Observe(f, actualMS, predictedMS)
-	need := t.MinSamples()
-	if t.fresh.Add(1) >= int64(max(need/4, 1)) && t.store.Len() >= need && t.Enqueue() {
-		t.fresh.Store(0)
-	}
-}
-
-// RunOnce is the controller's synchronous attempt; it counts as the
-// tenant's latest, so the fresh-sample floor starts over.
-func (t *Tenant) RunOnce() (*adapt.Outcome, error) {
-	t.fresh.Store(0)
-	return t.Controller.RunOnce()
+// feedback counts the samples observed: each valid one is a new plan to the
+// store (offered) or a refresh of a resident one.
+func (t *Tenant) feedback() uint64 {
+	st := t.store.Stats()
+	return uint64(st.Offered) + st.Updated
 }
 
 // Info is one tenant's row in GET /tenants and `dace tenants`.
@@ -176,121 +196,70 @@ type Info struct {
 	Promotions int            `json:"promotions"`
 }
 
-// Registry serves all tenants from one frozen base model.
+// Info snapshots the tenant's row (GET /tenants/{id}).
+func (t *Tenant) Info() Info {
+	s := t.state.Load()
+	st := t.StatusNow()
+	return Info{
+		ID:         t.id,
+		Version:    s.Version,
+		Gen:        s.Gen,
+		Adapted:    s.Adapters != nil,
+		Backlog:    t.store.Len(),
+		Store:      t.store.Stats(),
+		Requests:   t.requests.Load(),
+		Feedback:   t.feedback(),
+		Runs:       st.Runs,
+		Promotions: st.Promotions,
+	}
+}
+
+// Registry is the table of tenants: zero, always resident, and the named
+// tenants over one frozen base.
 type Registry struct {
-	base *core.Model
+	zero *Tenant
+	base *core.Model // the shared frozen base; nil until EnableTenants
 	cfg  Config
-	log  *slog.Logger
 
 	mu      sync.Mutex // guards map writes (copy-on-write)
 	tenants atomic.Pointer[map[string]*Tenant]
 }
 
-// New builds a registry over base. The base is frozen in place — from here
-// on it is the shared read-only encoder; fine-tune candidates clone views
-// of it and train only adapters.
-func New(base *core.Model, cfg Config) *Registry {
-	base.Freeze()
-	r := &Registry{base: base, cfg: cfg.withDefaults()}
-	r.log = r.cfg.Logger
+// New builds a registry holding tenant zero alone, serving m and adapting
+// from store (nil: one of cfg.StoreCap), mirrored to log when log is not nil.
+// m is not modified until EnableTenants.
+func New(m *core.Model, store *feedback.Store, log *feedback.Log, cfg Config) *Registry {
+	r := &Registry{cfg: cfg.withDefaults()}
+	if store == nil {
+		store = feedback.NewStore(r.cfg.StoreCap, r.cfg.Adapt.Seed)
+	}
+	r.zero = newTenant("", nil, m, store, log, cfg.Adapt)
+	r.zero.EnableMetrics(cfg.Metrics) // before the pool can run an attempt
+	cfg.Pool.Attach(r.zero.Controller)
 	empty := make(map[string]*Tenant)
 	r.tenants.Store(&empty)
 	return r
 }
 
-// Base returns the shared frozen model.
-func (r *Registry) Base() *core.Model { return r.base }
+// Zero returns tenant zero, which answers every request naming no tenant.
+func (r *Registry) Zero() *Tenant { return r.zero }
 
-// Len returns the number of registered tenants.
-func (r *Registry) Len() int { return len(*r.tenants.Load()) }
-
-// Get returns the tenant by ID without touching its request counter.
-func (r *Registry) Get(id string) (*Tenant, bool) {
-	t, ok := (*r.tenants.Load())[id]
-	return t, ok
-}
-
-// Resolve is Get plus the tenant's hot-path read. ok is false for unknown
-// tenants.
-func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bool) {
-	t, ok := r.Get(id)
-	if !ok {
-		return nil, servecache.Key{}, false
+// EnableTenants builds the tenants part, once, before serving: what tenant
+// zero serves now is frozen in place as the shared read-only base, and every
+// directory under Config.Dir holding an artifact manifest is registered at
+// its current version and counted. A directory whose name or artifact is
+// refused is skipped with a log line: one corrupt tenant must not stop the
+// fleet.
+func (r *Registry) EnableTenants() (int, error) {
+	base, _ := r.zero.Served()
+	if base == nil {
+		return 0, errors.New("tenant: no model to share")
 	}
-	m, salt = t.Resolve()
-	return m, salt, true
-}
-
-// Register creates a tenant (idempotently) serving the raw base model at
-// generation 1. Returns the tenant and whether it was newly created.
-func (r *Registry) Register(id string) (*Tenant, bool, error) {
-	return r.register(id, nil)
-}
-
-// register is Register with a start step: a new tenant joins the registry
-// only if start, run on it first, succeeds. An existing tenant is returned
-// as it is.
-func (r *Registry) register(id string, start func(*Tenant) error) (*Tenant, bool, error) {
-	if err := wire.ValidateTenantID(id); err != nil {
-		return nil, false, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := *r.tenants.Load()
-	if t, ok := old[id]; ok {
-		return t, false, nil
-	}
-	t := &Tenant{id: id, r: r, store: feedback.NewStore(r.cfg.StoreCap, r.cfg.Adapt.Seed)}
-	t.state.Store(&State{View: r.base, Gen: 1, Salt: servecache.DomainSalt(id, 1)})
-	acfg := r.cfg.Adapt
-	acfg.ModelDir, acfg.Logger = r.tenantDir(id), r.log.With("tenant", id)
-	t.Controller = adapt.New(tenantHost{t}, t.store, nil, acfg)
-	if r.cfg.Pool != nil {
-		r.cfg.Pool.Attach(t.Controller)
-	}
-	if start != nil {
-		if err := start(t); err != nil {
-			return nil, false, err
-		}
-	}
-	r.registerMetrics(t)
-
-	next := make(map[string]*Tenant, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[id] = t
-	r.tenants.Store(&next)
-	return t, true, nil
-}
-
-// tenantDir is the tenant's artifact directory ("" when persistence is
-// off). wire.ValidateTenantID has already rejected every path-traversal
-// shape, so the join cannot escape Dir.
-func (r *Registry) tenantDir(id string) string {
-	if r.cfg.Dir == "" {
-		return ""
-	}
-	return filepath.Join(r.cfg.Dir, id)
-}
-
-// errNoArtifacts marks a directory under the tenants root that holds no
-// artifact to resume: not a tenant's.
-var errNoArtifacts = errors.New("tenant: no artifact version to resume")
-
-// LoadDir scans the tenants root and registers every subdirectory holding
-// an artifact manifest, serving each tenant's current version. Dirs that
-// fail tenant-ID validation or whose artifact cannot be loaded — unreadable,
-// or refused because its adapters do not fit the base — are skipped with a
-// log line, not registered and not fatal: one corrupt tenant must not stop
-// the fleet.
-func (r *Registry) LoadDir() (int, error) {
-	if r.cfg.Dir == "" {
-		return 0, nil
-	}
+	base.Freeze()
+	r.base = base
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
+		if errors.Is(err, fs.ErrNotExist) { // an empty Dir included
 			return 0, nil
 		}
 		return 0, err
@@ -310,7 +279,7 @@ func (r *Registry) LoadDir() (int, error) {
 		switch {
 		case errors.Is(err, errNoArtifacts):
 		case err != nil:
-			r.log.Warn("tenant dir skipped", "dir", e.Name(), "err", err)
+			r.cfg.Logger.Warn("tenant dir skipped", "dir", e.Name(), "err", err)
 		case created:
 			loaded++
 		}
@@ -318,9 +287,80 @@ func (r *Registry) LoadDir() (int, error) {
 	return loaded, nil
 }
 
-// Load serves artifact version v for tenant id and returns the tenant: its
-// own Load, which a new id must pass to be registered at all — a failed
-// load leaves no tenant behind.
+// errNoArtifacts marks a directory under the tenants root that holds no
+// artifact to resume: not a tenant's.
+var errNoArtifacts = errors.New("tenant: no artifact version to resume")
+
+// Base returns the shared frozen model, nil until EnableTenants.
+func (r *Registry) Base() *core.Model { return r.base }
+
+// Len returns the number of named tenants.
+func (r *Registry) Len() int { return len(*r.tenants.Load()) }
+
+// Get returns the named tenant without touching its request counter.
+func (r *Registry) Get(id string) (*Tenant, bool) {
+	t, ok := (*r.tenants.Load())[id]
+	return t, ok
+}
+
+// Resolve is Get plus the tenant's hot-path read. ok is false for unknown
+// tenants.
+func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bool) {
+	t, ok := r.Get(id)
+	if !ok {
+		return nil, servecache.Key{}, false
+	}
+	s := t.Resolve()
+	return s.View, s.Salt, true
+}
+
+// Register creates a named tenant (idempotently) serving the raw base model
+// at generation 1. Returns the tenant and whether it was newly created.
+func (r *Registry) Register(id string) (*Tenant, bool, error) {
+	return r.register(id, nil)
+}
+
+// register is Register with a start step: a new tenant joins the registry
+// only if start, run on it first, succeeds. An existing tenant is returned
+// as it is.
+func (r *Registry) register(id string, start func(*Tenant) error) (*Tenant, bool, error) {
+	if err := wire.ValidateTenantID(id); err != nil {
+		return nil, false, err
+	}
+	if r.base == nil {
+		return nil, false, errors.New("tenant: tenants are not enabled")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := *r.tenants.Load()
+	if t, ok := old[id]; ok {
+		return t, false, nil
+	}
+	acfg := r.cfg.Adapt
+	acfg.Interval, acfg.DriftThreshold = 0, 0
+	acfg.ModelDir, acfg.Logger = "", r.cfg.Logger.With("tenant", id)
+	if r.cfg.Dir != "" {
+		// wire.ValidateTenantID has rejected every path-traversal shape.
+		acfg.ModelDir = filepath.Join(r.cfg.Dir, id)
+	}
+	t := newTenant(id, r.base, r.base, feedback.NewStore(r.cfg.StoreCap, r.cfg.Adapt.Seed), nil, acfg)
+	r.cfg.Pool.Attach(t.Controller)
+	if start != nil {
+		if err := start(t); err != nil {
+			return nil, false, err
+		}
+	}
+	r.registerMetrics(t)
+
+	next := maps.Clone(old)
+	next[id] = t
+	r.tenants.Store(&next)
+	return t, true, nil
+}
+
+// Load serves artifact version v for named tenant id and returns the
+// tenant: its own Load, which a new id must pass to be registered at all — a
+// failed load leaves no tenant behind.
 func (r *Registry) Load(id string, v int) (*Tenant, error) {
 	load := func(t *Tenant) error {
 		_, err := t.Load(v)
@@ -348,8 +388,8 @@ func (r *Registry) ServeAdapters(id string, as *core.AdapterSet) error {
 	return nil
 }
 
-// Versions reports each tenant's serving artifact version — the /healthz
-// per-tenant map.
+// Versions reports each named tenant's serving artifact version — the
+// /healthz per-tenant map.
 func (r *Registry) Versions() map[string]int {
 	ts := *r.tenants.Load()
 	out := make(map[string]int, len(ts))
@@ -359,7 +399,7 @@ func (r *Registry) Versions() map[string]int {
 	return out
 }
 
-// List returns every tenant's Info, sorted by ID (GET /tenants).
+// List returns every named tenant's Info, sorted by ID (GET /tenants).
 func (r *Registry) List() []Info {
 	ts := *r.tenants.Load()
 	out := make([]Info, 0, len(ts))
@@ -370,25 +410,7 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// Info snapshots the tenant's row (GET /tenants/{id}).
-func (t *Tenant) Info() Info {
-	s := t.state.Load()
-	st := t.StatusNow()
-	return Info{
-		ID:         t.id,
-		Version:    s.Version,
-		Gen:        s.Gen,
-		Adapted:    s.Adapters != nil,
-		Backlog:    t.store.Len(),
-		Store:      t.store.Stats(),
-		Requests:   t.requests.Load(),
-		Feedback:   t.feedback.Load(),
-		Runs:       st.Runs,
-		Promotions: st.Promotions,
-	}
-}
-
-// registerMetrics installs the tenant's fixed-label series: scrape-time
+// registerMetrics installs a named tenant's fixed-label series: scrape-time
 // sampled, so the hot path pays only its own atomic increments.
 func (r *Registry) registerMetrics(t *Tenant) {
 	reg := r.cfg.Metrics
@@ -401,7 +423,7 @@ func (r *Registry) registerMetrics(t *Tenant) {
 		t.requests.Load, l)
 	reg.CounterFunc("dace_tenant_feedback_total",
 		"Feedback samples routed to this tenant.",
-		t.feedback.Load, l)
+		t.feedback, l)
 	reg.GaugeFunc("dace_tenant_feedback_backlog",
 		"Resident replay-store samples awaiting fine-tune.",
 		func() float64 { return float64(t.store.Len()) }, l)
@@ -411,31 +433,4 @@ func (r *Registry) registerMetrics(t *Tenant) {
 	reg.GaugeFunc("dace_tenant_adapter_generation",
 		"Adapter hot-swap generation for this tenant.",
 		func() float64 { return float64(t.state.Load().Gen) }, l)
-}
-
-// tenantHost adapts one tenant to adapt.Host. Served hands the controller
-// the tenant's current adapter view (its Clone trains adapters only, since
-// the base is frozen) and artifact version. Admit is the one artifact rule:
-// a tenant serves adapters that fit the shared base, never a model of its
-// own. Publish detaches the model's adapter set and publishes it over the
-// shared base — a promoted candidate's own encoder copy becomes garbage
-// immediately.
-type tenantHost struct{ t *Tenant }
-
-func (h tenantHost) Served() (*core.Model, int) {
-	s := h.t.state.Load()
-	return s.View, s.Version
-}
-
-func (h tenantHost) Admit(m *core.Model) error {
-	as := m.Adapters()
-	if as == nil {
-		return fmt.Errorf("tenant %s: artifact carries no adapters", h.t.id)
-	}
-	return as.CompatibleWith(h.t.r.base)
-}
-
-func (h tenantHost) Publish(m *core.Model, version int) {
-	as := m.Adapters()
-	h.t.publish(h.t.r.base.WithAdapters(as), as, version)
 }

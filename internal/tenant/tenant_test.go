@@ -39,6 +39,16 @@ func trainedBase(t *testing.T, plans []*plan.Plan) *core.Model {
 	return core.Train(plans, smallConfig())
 }
 
+// enabled is New with the tenants part built over base.
+func enabled(t *testing.T, base *core.Model, cfg Config) *Registry {
+	t.Helper()
+	r := New(base, nil, nil, cfg)
+	if _, err := r.EnableTenants(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestValidateID(t *testing.T) {
 	good := []string{"a", "airline", "tenant-1", "db_7", "A.B-c_9", strings.Repeat("x", 128)}
 	for _, id := range good {
@@ -62,7 +72,7 @@ func TestResolveServesAdapterViewBitwise(t *testing.T) {
 	m1Plans := workloadPlans(t, db, 120, executor.M1())
 	m2Plans := workloadPlans(t, db, 120, executor.M2())
 	base := trainedBase(t, m1Plans[:100])
-	r := New(base, Config{})
+	r := enabled(t, base, Config{})
 
 	// Dedicated model: a full clone fine-tuned on this tenant's workload.
 	dedicated := base.Clone()
@@ -103,7 +113,7 @@ func TestHotSwapGenerationGuard(t *testing.T) {
 	plans := workloadPlans(t, db, 80, executor.M1())
 	cfg := smallConfig()
 	base := trainedBase(t, plans[:60])
-	r := New(base, Config{})
+	r := enabled(t, base, Config{})
 
 	ta, _, _ := r.Register("a")
 	tb, _, _ := r.Register("b")
@@ -150,7 +160,7 @@ func TestConcurrentResolveDuringHotSwap(t *testing.T) {
 	plans := workloadPlans(t, db, 70, executor.M1())
 	cfg := smallConfig()
 	base := trainedBase(t, plans[:60])
-	r := New(base, Config{})
+	r := enabled(t, base, Config{})
 
 	tn, _, _ := r.Register("hot")
 	probe := plans[60]
@@ -208,7 +218,7 @@ func TestSixtyFourTenantsShareOneEncoder(t *testing.T) {
 	// fixed preallocation doesn't drown the adapter-vs-model comparison.
 	cfg := core.DefaultConfig()
 	base := core.NewModel(cfg)
-	r := New(base, Config{StoreCap: 64})
+	r := enabled(t, base, Config{StoreCap: 64})
 
 	// Resident bytes per parameter = value + eagerly allocated gradient.
 	adapterBytes := float64(core.NewAdapterSet(cfg, 0).NumParams()) * 16
@@ -265,13 +275,13 @@ func TestFeedbackDrivesGatedPromotion(t *testing.T) {
 	m2Plans := workloadPlans(t, db, 160, executor.M2())
 	base := trainedBase(t, m1Plans[:100])
 	dir := t.TempDir()
-	r := New(base, Config{Dir: dir, Adapt: adapt.Config{MinSamples: 64, Gate: 0.01, Epochs: 6}})
+	r := enabled(t, base, Config{Dir: dir, Adapt: adapt.Config{MinSamples: 64, Gate: 0.01, Epochs: 6}})
 
 	tn, _, err := r.Register("m2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, _ := tn.Resolve()
+	view := tn.Resolve().View
 	for _, p := range m2Plans[:120] {
 		tn.Observe(new(plan.FlatPlan).FromTree(p), p.Root.ActualMS, view.Predict(p))
 	}
@@ -339,7 +349,7 @@ func TestLoadDirRoundTrip(t *testing.T) {
 		}
 	}
 
-	r1 := New(base, Config{Dir: dir})
+	r1 := enabled(t, base, Config{Dir: dir})
 	if _, err := r1.Load("m2", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +378,13 @@ func TestLoadDirRoundTrip(t *testing.T) {
 	}
 
 	// A fresh registry over the same base + dir serves the same bits.
-	r2 := New(base, Config{Dir: dir})
-	n, err := r2.LoadDir()
+	r2 := New(base, nil, nil, Config{Dir: dir})
+	n, err := r2.EnableTenants()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 || r2.Len() != 1 {
-		t.Fatalf("LoadDir loaded %d tenants (%d registered), want only m2: %v", n, r2.Len(), refusals)
+		t.Fatalf("EnableTenants loaded %d tenants (%d registered), want only m2: %v", n, r2.Len(), refusals)
 	}
 	view, _, ok := r2.Resolve("m2")
 	if !ok {
