@@ -167,7 +167,11 @@ func main() {
 		if err != nil {
 			fatal("feedback log", "err", err)
 		}
-		defer flog.Close()
+		defer func() {
+			if err := flog.Close(); err != nil {
+				logger.Error("feedback log close", "err", err)
+			}
+		}()
 		n, err := flog.Replay(func(smp feedback.Sample) error {
 			store.Add(smp)
 			return nil
@@ -224,9 +228,9 @@ func main() {
 	// drain the admission stage so every waiting prediction is answered.
 	serveUntilSignal(logger, *addr, s.Handler(), *drainGrace, s.BeginDrain, func() {
 		s.Close()
-		// Wait out any in-flight fine-tune — it persists its artifact and
-		// its feedback is flushed — before the deferred Close tears the
-		// feedback log down.
+		// Wait out any in-flight fine-tune — it persists its artifact —
+		// before the deferred Close syncs the feedback log to disk and
+		// closes it.
 		pool.Stop()
 	})
 }

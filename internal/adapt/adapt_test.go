@@ -148,6 +148,55 @@ func TestArtifactChecksumCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesCorruptManifestConfig: the per-version checksum covers the
+// model file, not the manifest entry's config, so Load must refuse a config
+// no model can be built from — with an error, leaving the host alone —
+// rather than panic (or, for a width just short of the allocation limit,
+// exhaust memory).
+func TestLoadRefusesCorruptManifestConfig(t *testing.T) {
+	plans := workloadPlans(t, schema.BenchmarkDB("airline"), 30, executor.M1())
+	cfg := smallConfig()
+	cfg.Epochs = 1
+	trained := core.Train(plans, cfg)
+	for _, tc := range []struct {
+		name string
+		lora bool
+		edit func(*core.Config)
+	}{
+		{"negative DK", false, func(c *core.Config) { c.DK = -5 }},
+		{"one LoRA rank for three layers", true, func(c *core.Config) { c.LoRARanks = []int{1} }},
+		{"DK past any allocation", false, func(c *core.Config) { c.DK = 1 << 60 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := trained.Clone()
+			if tc.lora {
+				m.EnableLoRA()
+			}
+			if _, err := SaveVersion(dir, m, ""); err != nil {
+				t.Fatal(err)
+			}
+			man, err := ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&man.Versions[0].Config)
+			if err := writeManifest(dir, man); err != nil {
+				t.Fatal(err)
+			}
+			seed := core.NewModel(smallConfig())
+			host := &fakeHost{m: seed}
+			c := New(host, feedback.NewStore(16, 1), nil, Config{ModelDir: dir})
+			if _, err := c.Load(1); err == nil {
+				t.Fatal("Load installed an artifact whose config builds no model")
+			}
+			if m, v := host.Served(); m != seed || v != 0 {
+				t.Fatalf("failed load changed the host: v%d", v)
+			}
+		})
+	}
+}
+
 // currentVersion reads the on-disk pointer a restart resumes.
 func currentVersion(t *testing.T, dir string) int {
 	t.Helper()

@@ -148,7 +148,9 @@ func loadVersion(dir string, v int) (*core.Model, error) {
 	if got := crc32.ChecksumIEEE(data); got != entry.CRC32 {
 		return nil, fmt.Errorf("adapt: artifact %s checksum %08x, manifest says %08x (corrupted)", entry.File, got, entry.CRC32)
 	}
-	m := core.NewModel(entry.Config)
+	// The checksum does not cover entry.Config: Load checks it before it
+	// builds anything.
+	m := &core.Model{Cfg: entry.Config}
 	if err := m.Load(bytes.NewReader(data)); err != nil {
 		return nil, fmt.Errorf("adapt: load %s: %w", entry.File, err)
 	}

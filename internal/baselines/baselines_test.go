@@ -170,6 +170,17 @@ func TestQPPNetPredictsEverySubPlanDuringTraining(t *testing.T) {
 	}
 }
 
+// PredictCardinality returns the multi-task head's cardinality estimate:
+// the tests' view of the auxiliary head TPool trains beside the cost head.
+func (tp *TPool) PredictCardinality(s dataset.Sample) float64 {
+	t := nn.GetTape()
+	feats := tp.nodeFeatures(tp.enc.Encode(s.Plan), s.Plan)
+	_, card := tp.forward(t, feats, s.Plan)
+	v := card.Value.At(0, 0)
+	nn.PutTape(t)
+	return math.Exp(tp.card.Inverse(v))
+}
+
 func TestTPoolMultiTaskCardinality(t *testing.T) {
 	env, samples := testEnv(t, 80)
 	tp := fast(NewTPool(env)).(*TPool)

@@ -185,13 +185,3 @@ func (tp *TPool) Predict(s dataset.Sample) float64 {
 	nn.PutTape(t)
 	return math.Exp(tp.enc.Label.Inverse(v))
 }
-
-// PredictCardinality returns the multi-task head's cardinality estimate.
-func (tp *TPool) PredictCardinality(s dataset.Sample) float64 {
-	t := nn.GetTape()
-	feats := tp.nodeFeatures(tp.enc.Encode(s.Plan), s.Plan)
-	_, card := tp.forward(t, feats, s.Plan)
-	v := card.Value.At(0, 0)
-	nn.PutTape(t)
-	return math.Exp(tp.card.Inverse(v))
-}

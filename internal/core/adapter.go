@@ -26,9 +26,9 @@ type AdapterLayer struct {
 
 // AdapterSet is the complete per-tenant adaptation state: one low-rank
 // delta per MLP layer. It is a plain value — attach it with
-// Model.WithAdapters, detach a trained one with Model.Adapters, deep-copy
-// it with Clone. An AdapterSet is only meaningful against the base model
-// whose layer shapes it was built for (CompatibleWith checks).
+// Model.WithAdapters, detach a trained one with Model.Adapters. An
+// AdapterSet is only meaningful against the base model whose layer shapes
+// it was built for (CompatibleWith checks).
 type AdapterSet struct {
 	Layers []AdapterLayer
 }
@@ -62,31 +62,6 @@ func NewAdapterSet(cfg Config, seed int64) *AdapterSet {
 	}
 	return as
 }
-
-// Clone returns a deep copy with independent parameter storage, so the
-// original can keep serving while the copy is mutated or published
-// elsewhere.
-func (as *AdapterSet) Clone() *AdapterSet {
-	c := &AdapterSet{Layers: make([]AdapterLayer, len(as.Layers))}
-	for i, l := range as.Layers {
-		c.Layers[i] = AdapterLayer{Down: l.Down.Clone(), Up: l.Up.Clone(), Rank: l.Rank, Scale: l.Scale}
-	}
-	return c
-}
-
-// Params returns the adapter parameters in layer order (down, up per
-// layer) — the serialization and accounting order.
-func (as *AdapterSet) Params() []*nn.Param {
-	ps := make([]*nn.Param, 0, 2*len(as.Layers))
-	for _, l := range as.Layers {
-		ps = append(ps, l.Down, l.Up)
-	}
-	return ps
-}
-
-// NumParams counts the adapter's scalar parameters — what one tenant costs
-// in resident memory beyond the shared encoder.
-func (as *AdapterSet) NumParams() int { return nn.NumParams(as.Params()) }
 
 // CompatibleWith reports whether the adapter set matches m's MLP shape.
 func (as *AdapterSet) CompatibleWith(m *Model) error {

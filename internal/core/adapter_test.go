@@ -10,6 +10,16 @@ import (
 	"dace/internal/schema"
 )
 
+// Params returns the adapter parameters in layer order (down, up per
+// layer).
+func (as *AdapterSet) Params() []*nn.Param {
+	ps := make([]*nn.Param, 0, 2*len(as.Layers))
+	for _, l := range as.Layers {
+		ps = append(ps, l.Down, l.Up)
+	}
+	return ps
+}
+
 // TestAdapterViewBitwiseEqualToClone is the multi-tenant serving contract:
 // attaching a fine-tuned candidate's AdapterSet to the shared base via
 // WithAdapters must predict bitwise-identically to the fully cloned
@@ -66,39 +76,6 @@ func TestFreshAdapterSetIsNoOp(t *testing.T) {
 			t.Fatalf("fresh adapter set perturbs prediction %d: %v → %v", i, want, got)
 		}
 	}
-}
-
-// TestAdapterSetCloneDetaches: mutating a cloned adapter set must not leak
-// into the set (or view) it was cloned from.
-func TestAdapterSetCloneDetaches(t *testing.T) {
-	db := schema.BenchmarkDB("airline")
-	m1Plans := workloadPlans(t, db, 100, executor.M1())
-	m2Plans := workloadPlans(t, db, 100, executor.M2())
-	base := Train(m1Plans[:80], smallConfig())
-
-	candidate := base.Clone()
-	candidate.FineTuneLoRA(m2Plans[:80], 2e-3, 4)
-	as := candidate.Adapters()
-	view := base.WithAdapters(as)
-
-	test := m1Plans[80:]
-	var before []float64
-	for _, p := range test {
-		before = append(before, view.Predict(p))
-	}
-
-	detached := as.Clone()
-	for _, l := range detached.Layers {
-		for i := range l.Up.Value.Data {
-			l.Up.Value.Data[i] += 1
-		}
-	}
-	for i, p := range test {
-		if got := view.Predict(p); got != before[i] {
-			t.Fatalf("mutating a cloned adapter set leaked into the view (plan %d)", i)
-		}
-	}
-
 }
 
 // TestFrozenBaseCloneTrainsAdaptersOnly is the shared-encoder training
@@ -181,7 +158,7 @@ func TestAdapterSetMemoryFootprint(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewModel(cfg)
 	as := NewAdapterSet(cfg, 1)
-	adapterParams := as.NumParams()
+	adapterParams := nn.NumParams(as.Params())
 	modelParams := nn.NumParams(m.Params())
 	if adapterParams*2 >= modelParams {
 		t.Fatalf("adapter set (%d params) is not small next to the model (%d params)", adapterParams, modelParams)

@@ -613,23 +613,6 @@ func fineTune[P any](m *Model, plans []P, encode func(*featurize.Encoder, P) *fe
 	m.fit(encodeAll(m, plans, encode), lr, epochs)
 }
 
-// MergeLoRA folds the trained adapters into the base MLP weights
-// (W += scale·Down·Up) and detaches them, so serving pays no adapter
-// matmuls. Predictions are unchanged; the model can no longer be
-// fine-tuned incrementally afterwards.
-func (m *Model) MergeLoRA() {
-	if m.lora == nil {
-		return
-	}
-	for _, ad := range m.lora {
-		ad.Merge()
-	}
-	m.lora = nil
-	for _, p := range m.Params() {
-		p.Frozen = false
-	}
-}
-
 // TrainableParams counts parameters the optimizer would currently update —
 // the LoRA efficiency story in Table II.
 func (m *Model) TrainableParams() int {
@@ -647,6 +630,9 @@ func (m *Model) Save(w io.Writer) error {
 	return saveModel(w, m.Enc, m.Params())
 }
 
-// Load restores parameters and encoder written by Save into a model built
-// with the same Config, attaching LoRA adapters when the file carries them.
+// Load restores parameters and encoder written by Save into m, attaching
+// LoRA adapters when the file carries them. Load reads only m.Cfg and builds
+// every parameter from it, so m may be a bare &Model{Cfg: cfg}. A config no
+// model can be built from, or a file that does not fit it, is an error and
+// leaves m as it was.
 func (m *Model) Load(r io.Reader) error { return loadModel(r, m) }

@@ -237,34 +237,6 @@ func equalSnapshots(a, b []*nn.Matrix) bool {
 	return true
 }
 
-func TestMergeLoRAPreservesPredictions(t *testing.T) {
-	db := schema.BenchmarkDB("airline")
-	m1Plans := workloadPlans(t, db, 100, executor.M1())
-	m2Plans := workloadPlans(t, db, 100, executor.M2())
-	m := Train(m1Plans, smallConfig())
-	m.FineTuneLoRA(m2Plans[:80], 2e-3, 8)
-	var before []float64
-	for _, p := range m2Plans[80:] {
-		before = append(before, m.Predict(p))
-	}
-	m.MergeLoRA()
-	if m.LoRAEnabled() {
-		t.Fatal("MergeLoRA left adapters attached")
-	}
-	for i, p := range m2Plans[80:] {
-		after := m.Predict(p)
-		if math.Abs(after-before[i]) > 1e-6*(1+math.Abs(before[i])) {
-			t.Fatalf("merge changed prediction %v → %v", before[i], after)
-		}
-	}
-	// The merged model is fully trainable again.
-	for _, p := range m.Params() {
-		if p.Frozen {
-			t.Fatalf("parameter %s still frozen after merge", p.Name)
-		}
-	}
-}
-
 func TestEmbedIsDeterministicAndSized(t *testing.T) {
 	plans := workloadPlans(t, schema.IMDB(), 40, executor.M1())
 	m := Train(plans[:30], smallConfig())

@@ -139,7 +139,7 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 				for i, v := range want.Value.Data {
 					wantMS[i] = m.Enc.InverseLabel(v)
 				}
-				sameBits(t, "scorer", sc.ScoreCandidates(p.DFS()), wantMS)
+				sameBits(t, "scorer", sc.AppendScoreCandidates(nil, p.DFS()), wantMS)
 
 				// Training's side of the same hazard: the tape takes the
 				// values of copies, gathers and concatenations without a
@@ -165,7 +165,7 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 // loss followed by every parameter's gradient.
 func lossGrads(m *Model, t *nn.Tape, enc *featurize.Encoded, cachedH *nn.Matrix) []float64 {
 	for _, p := range m.Params() {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	loss := m.loss(t, enc, cachedH)
 	t.Backward(loss)

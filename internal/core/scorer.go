@@ -117,18 +117,6 @@ func NewScorer(m *Model) *Scorer {
 	return &Scorer{m: m, memo: make(map[plan.Fingerprint]scoreEntry)}
 }
 
-// Model returns the model the scorer prices candidates with.
-func (s *Scorer) Model() *Model { return s.m }
-
-// ScoreCandidates returns one predicted latency (ms) per candidate
-// sub-plan root — DACE's estimate for executing that sub-plan, the
-// quantity a DP join search compares. Results are bitwise-identical to
-// m.AppendPredictSubPlans(nil, &plan.Plan{Root: cand})[0] per candidate.
-// A nil candidate scores NaN.
-func (s *Scorer) ScoreCandidates(cands []*plan.Node) []float64 {
-	return s.AppendScoreCandidates(make([]float64, 0, len(cands)), cands)
-}
-
 // AppendScoreCandidates appends one score per candidate to buf and returns
 // the extended slice — the allocation-free variant for planners that
 // recycle a score buffer. Candidates are looked up and assembled in order,

@@ -43,7 +43,7 @@ func TestScorerBitwiseIdentity(t *testing.T) {
 	cands := dpCandidates(plans)
 	var buf []float64
 	for pass := 0; pass < 2; pass++ { // pass 0 mixes hits+misses, pass 1 is all hits
-		got := sc.ScoreCandidates(cands)
+		got := sc.AppendScoreCandidates(nil, cands)
 		for i, c := range cands {
 			buf = m.AppendPredictSubPlans(buf[:0], &plan.Plan{Root: c})
 			if math.Float64bits(got[i]) != math.Float64bits(buf[0]) {
@@ -82,7 +82,7 @@ func TestScorerSplicedAssembly(t *testing.T) {
 			bottomUp = append(bottomUp, nodes[i])
 		}
 	}
-	got := sc.ScoreCandidates(bottomUp)
+	got := sc.AppendScoreCandidates(nil, bottomUp)
 	var buf []float64
 	for i, c := range bottomUp {
 		buf = m.AppendPredictSubPlans(buf[:0], &plan.Plan{Root: c})
@@ -120,7 +120,7 @@ func TestScorerBatchedHead(t *testing.T) {
 	call := func(t *testing.T, cands []*plan.Node) ScorerStats {
 		t.Helper()
 		batched, single := NewScorer(m), NewScorer(m)
-		got := batched.ScoreCandidates(cands)
+		got := batched.AppendScoreCandidates(nil, cands)
 		if len(got) != len(cands) {
 			t.Fatalf("%d scores for %d candidates", len(got), len(cands))
 		}
@@ -141,7 +141,7 @@ func TestScorerBatchedHead(t *testing.T) {
 			t.Fatalf("one call counted %+v, one call per candidate %+v", b, s)
 		}
 		// Nothing is left half-scored: a second call is all hits, same bits.
-		again := batched.ScoreCandidates(cands)
+		again := batched.AppendScoreCandidates(nil, cands)
 		for i := range got {
 			if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("candidate %d: %v on the first call, %v on the second", i, got[i], again[i])
@@ -191,7 +191,7 @@ func TestScorerPanicLeavesNoHalfScoredEntry(t *testing.T) {
 				t.Fatal("an out-of-range node type was featurized")
 			}
 		}()
-		sc.ScoreCandidates([]*plan.Node{plans[0].Root, bad})
+		sc.AppendScoreCandidates(nil, []*plan.Node{plans[0].Root, bad})
 	}()
 	want := m.AppendPredictSubPlansFlat(nil, new(plan.FlatPlan).FromTree(plans[0]))[0]
 	if got := sc.Score(plans[0].Root); math.Float64bits(got) != math.Float64bits(want) {
@@ -249,7 +249,7 @@ func TestScorerResetAndNil(t *testing.T) {
 	if v := sc.Score(nil); !math.IsNaN(v) {
 		t.Fatalf("nil candidate scored %v, want NaN", v)
 	}
-	first := sc.ScoreCandidates(dpCandidates(plans))
+	first := sc.AppendScoreCandidates(nil, dpCandidates(plans))
 	before := sc.Stats()
 	if before.Entries == 0 {
 		t.Fatal("no memo entries after scoring")
@@ -258,7 +258,7 @@ func TestScorerResetAndNil(t *testing.T) {
 	if st := sc.Stats(); st.Entries != 0 {
 		t.Fatalf("Reset left %d memo entries", st.Entries)
 	}
-	second := sc.ScoreCandidates(dpCandidates(plans))
+	second := sc.AppendScoreCandidates(nil, dpCandidates(plans))
 	after := sc.Stats()
 	if after.Misses <= before.Misses {
 		t.Fatal("post-Reset scoring should miss again")
@@ -289,7 +289,7 @@ func TestScorerConcurrent(t *testing.T) {
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			results[w] = sc.ScoreCandidates(cands)
+			results[w] = sc.AppendScoreCandidates(nil, cands)
 			done <- w
 		}(w)
 	}
@@ -322,7 +322,7 @@ func TestScorerSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() {
 		buf = sc.AppendScoreCandidates(buf[:0], cands)
 	}); avg != 0 {
-		t.Fatalf("all-hit ScoreCandidates allocates %.2f/op at steady state, want 0", avg)
+		t.Fatalf("all-hit AppendScoreCandidates allocates %.2f/op at steady state, want 0", avg)
 	}
 	sc.Reset()
 	buf = sc.AppendScoreCandidates(buf[:0], cands) // re-grow after first Reset

@@ -161,13 +161,6 @@ func (l *Log) Stats() LogStats {
 	return LogStats{Bytes: l.bytes, Appended: l.appended, Truncated: l.truncated}
 }
 
-// Sync flushes appended records to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Sync()
-}
-
 // Replay reads every record from the start of the log in append order and
 // hands it to fn; fn returning an error stops the replay. The sample's plan
 // has passed Check and aliases the replay's decoder: fn copies what it keeps
@@ -225,9 +218,14 @@ func decodeRecord(dec *plan.Decoder, payload []byte) (smp Sample, err error) {
 	return smp, err
 }
 
-// Close closes the underlying file.
+// Close flushes appended records to stable storage, then closes the
+// underlying file, and returns the first error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	err := l.f.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -362,11 +362,10 @@ func TestLogOpenCreatesEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	if got := replayAll(t, l); len(got) != 0 {
 		t.Fatalf("fresh log replayed %d records", len(got))
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -86,9 +86,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// Replicas exposes the replica set for health reporting and tests.
-func (g *Gateway) Replicas() []ReplicaHealth { return g.pool.health() }
-
 // routing errors — both answered with 503 + Retry-After.
 var (
 	errNoReplicas   = errors.New("gateway: no healthy replicas")

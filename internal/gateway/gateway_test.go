@@ -463,7 +463,7 @@ func TestGatewayKillReplicaZeroFailures(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		healthy := 0
-		for _, rh := range f.gw.Replicas() {
+		for _, rh := range f.gw.pool.health() {
 			if rh.Healthy {
 				healthy++
 			}
@@ -693,7 +693,7 @@ func TestGatewayShardDistribution(t *testing.T) {
 			}
 		}
 	}
-	for _, rh := range f.gw.Replicas() {
+	for _, rh := range f.gw.pool.health() {
 		if rh.Requests == 0 {
 			t.Errorf("replica %s served no traffic across %d distinct plans", rh.Name, len(bodies))
 		}

@@ -140,7 +140,7 @@ func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 
 	// Kill a non-canary replica and wait for the probes to eject it.
 	var victim int
-	for i, rep := range f.gw.Replicas() {
+	for i, rep := range f.gw.pool.health() {
 		if rep.Name != canary {
 			victim = i
 			break
@@ -149,7 +149,7 @@ func TestGatewayRolloutCommitSkipsDeadReplica(t *testing.T) {
 	f.backends[victim].CloseClientConnections()
 	f.backends[victim].Close()
 	deadline := time.Now().Add(3 * time.Second)
-	for f.gw.Replicas()[victim].Healthy {
+	for f.gw.pool.health()[victim].Healthy {
 		if time.Now().After(deadline) {
 			t.Fatal("dead replica never ejected")
 		}

@@ -62,9 +62,11 @@ func TestGatewayTenantForwarding(t *testing.T) {
 		if _, err := reg.EnableTenants(); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.ServeAdapters("alpha", gwPerturbedAdapters(m.Cfg, 1)); err != nil {
+		alpha, _, err := reg.Register("alpha")
+		if err != nil {
 			t.Fatal(err)
 		}
+		alpha.Publish(reg.Base().WithAdapters(gwPerturbedAdapters(m.Cfg, 1)), 0)
 		return reg
 	})
 	body := planJSON(t, samples[0].Plan)

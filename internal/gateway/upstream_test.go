@@ -222,7 +222,7 @@ func TestGatewaySurvivesLyingReplica(t *testing.T) {
 	defer front.Close()
 
 	deadline := time.Now().Add(3 * time.Second)
-	for gw.Replicas()[0].Healthy {
+	for gw.pool.health()[0].Healthy {
 		if time.Now().After(deadline) {
 			t.Fatal("lying replica never ejected")
 		}

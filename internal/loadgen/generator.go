@@ -172,33 +172,3 @@ func (r *Runner) result(elapsed time.Duration) Result {
 
 // Run is the one-shot convenience wrapper around NewRunner(...).Run().
 func Run(opt Options) Result { return NewRunner(opt).Run() }
-
-// ClosedLoop measures the same target the way benchmark/'s serve workloads
-// do: `clients` goroutines in a tight request/response loop, `total`
-// requests, latency measured from each request's *send* (not from a
-// schedule). It exists as the comparison arm for coordinated-omission
-// sensitivity: at saturation its percentiles stay flattering — every stall
-// suppresses exactly the requests that would have recorded it — while the
-// open-loop runner's percentiles absorb the queueing delay.
-func ClosedLoop(target Target, newRequest func(i int64) *Request, clients int, total int64) Result {
-	r := NewRunner(Options{})
-	r.offered.Store(total)
-	r.sent.Store(total)
-	r.hwm.Store(int64(clients))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < total; i = next.Add(1) - 1 {
-				t0 := time.Now()
-				resp, err := target.Do(newRequest(i))
-				r.record(resp, err, t0)
-			}
-		}()
-	}
-	wg.Wait()
-	return r.result(time.Since(start))
-}

@@ -61,13 +61,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad clears all gradients without stepping.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.Grad.Zero()
-	}
-}
-
 // ClipGradNorm rescales all gradients so their global L2 norm is at most c.
 func ClipGradNorm(params []*Param, c float64) {
 	var sq float64

@@ -24,7 +24,7 @@ import (
 // Data) becomes invalid at Reset — the same memory is handed out again, and
 // Floats zeroes it on reuse (UninitMatrix does not). Copy anything that must
 // outlive the arena's cycle. An Arena is not safe for concurrent use; use one
-// per goroutine (GetArena/PutArena make that cheap).
+// per goroutine.
 type Arena struct {
 	chunks [][]float64 // bump chunks, chunks[:ci] full, chunks[ci][off:] free
 	ci     int
@@ -46,20 +46,6 @@ const (
 // interface as it is, where a slice header would be copied to the heap on
 // every Put.
 var chunkPools [arenaMaxClass + 1]sync.Pool
-
-// arenaPool recycles whole arenas (with their chunks and header slabs
-// attached) across GetArena/PutArena.
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
-// GetArena returns a reset arena from the global pool.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
-
-// PutArena resets a and returns it (chunks included) to the global pool.
-// The caller must not use a, or any matrix allocated from it, afterwards.
-func PutArena(a *Arena) {
-	a.Reset()
-	arenaPool.Put(a)
-}
 
 // classFor returns the smallest pooled size class holding n floats, or -1
 // when n exceeds the largest class (the chunk is then sized exactly and not

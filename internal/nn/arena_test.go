@@ -178,7 +178,7 @@ func TestFusedMatchesComposed(t *testing.T) {
 		if fused {
 			out = att.ApplySpans(tp, tp.Const(x), spans)
 		} else {
-			out = att.Apply(tp, tp.Const(x), mask, nil)
+			out = att.Apply(tp, tp.Const(x), mask)
 		}
 		loss := tp.Sum(out)
 		tp.Backward(loss)
@@ -327,7 +327,7 @@ func TestProjectOneHotMatchesDense(t *testing.T) {
 		if sparse {
 			out = att.ApplyOneHot(tp, x, types, hot, spans)
 		} else {
-			out = att.Apply(tp, tp.Const(x), mask, nil)
+			out = att.Apply(tp, tp.Const(x), mask)
 		}
 		tp.Backward(tp.Sum(out))
 		val := out.Value.Clone()

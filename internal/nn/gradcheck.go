@@ -9,7 +9,7 @@ import "math"
 func GradCheck(params []*Param, f func(t *Tape) *Node) float64 {
 	// Analytic pass.
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	tape := NewTape()
 	out := f(tape)
@@ -17,7 +17,7 @@ func GradCheck(params []*Param, f func(t *Tape) *Node) float64 {
 	analytic := make([][]float64, len(params))
 	for i, p := range params {
 		analytic[i] = append([]float64(nil), p.Grad.Data...)
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 
 	const h = 1e-5

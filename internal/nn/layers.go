@@ -108,16 +108,6 @@ func (l *LoRADense) FreezeBase() {
 	l.Up.Frozen = false
 }
 
-// Merge folds the adapter into the base weights (W += Down·Up·scale) and
-// resets the adapter, so inference needs no extra matmul.
-func (l *LoRADense) Merge() {
-	delta := MatMul(l.Down.Value, l.Up.Value)
-	ScaleInPlace(delta, l.Scale)
-	AddInPlace(l.Base.W.Value, delta)
-	l.Down.Value.Zero()
-	l.Up.Value.Zero()
-}
-
 // Attention is a single-head scaled dot-product attention block with a
 // per-call constant mask, as used by DACE's tree-structured attention.
 type Attention struct {
@@ -140,40 +130,14 @@ func NewAttention(name string, d, dk, dv int, rng *rand.Rand) *Attention {
 	return a
 }
 
-// Apply records softmax(Q·Kᵀ/√dk ⊙ mask)·V. mask is an n×n constant whose
-// zero entries are excluded from each row's softmax; bias, if non-nil, is an
-// n×n constant added to the scores before the softmax (QueryFormer's tree
-// bias uses it; DACE's hot path uses ApplySpans instead).
-func (a *Attention) Apply(t *Tape, s *Node, mask *Matrix, bias *Matrix) *Node {
-	q := t.MatMul(s, t.Leaf(a.WQ))
-	k := t.MatMul(s, t.Leaf(a.WK))
-	v := t.MatMul(s, t.Leaf(a.WV))
-	scores := t.Scale(t.MatMulNodesTransB(q, k), 1/math.Sqrt(float64(a.DK)))
-	if bias != nil {
-		scores = t.AddConst(scores, bias)
-	}
-	attn := t.SoftmaxRowsMasked(scores, mask)
-	return t.MatMul(attn, v)
-}
-
-// ApplySpans records the same masked attention as Apply(t, s, mask, nil)
-// through the fused span kernels: row i's softmax participates only inside
-// spans[i] and masked (i,j) pairs are never computed, in either the forward
-// pass or the adjoints. Outputs and gradients are bitwise identical to the
-// unfused path (see kernels.go).
-func (a *Attention) ApplySpans(t *Tape, s *Node, spans []Span) *Node {
-	q := t.MatMul(s, t.Leaf(a.WQ))
-	k := t.MatMul(s, t.Leaf(a.WK))
-	v := t.MatMul(s, t.Leaf(a.WV))
-	attn := t.MaskedSoftmaxQKT(q, k, 1/math.Sqrt(float64(a.DK)), spans)
-	return t.MatMulSpans(attn, v, spans)
-}
-
-// ApplyOneHot is ApplySpans for a constant input whose rows are DACE plan
-// features (one-hot node type + cost + cardinality, see ProjectOneHotInto):
-// the Q/K/V projections touch only the three weight rows each input row
-// selects, in both the forward pass and the weight adjoints. Outputs and
-// gradients are bitwise identical to Apply with the equivalent dense mask.
+// ApplyOneHot records masked attention softmax(Q·Kᵀ/√dk ⊙ mask)·V over a
+// constant input whose rows are DACE plan features (one-hot node type + cost
+// + cardinality, see ProjectOneHotInto). The Q/K/V projections touch only the
+// three weight rows each input row selects, in both the forward pass and the
+// weight adjoints, and row i's softmax runs only inside spans[i] through the
+// fused span kernels, so masked (i,j) pairs are never computed. Outputs and
+// gradients are bitwise identical to the dense, composed chain the tests
+// compare against (Apply in layers_test.go).
 func (a *Attention) ApplyOneHot(t *Tape, x *Matrix, types []int, hot int, spans []Span) *Node {
 	q := t.ProjectOneHot(x, types, hot, t.Leaf(a.WQ))
 	k := t.ProjectOneHot(x, types, hot, t.Leaf(a.WK))

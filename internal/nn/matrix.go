@@ -40,9 +40,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
-// RowVector builds a 1×n matrix from data.
-func RowVector(data ...float64) *Matrix { return FromSlice(1, len(data), data) }
-
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -111,13 +108,6 @@ func MatMulInto(dst, a, b *Matrix) {
 	}
 }
 
-// MatMul computes a·b into a new matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulTransAInto accumulates aᵀ·b into dst (pre-zero dst for a plain
 // product). dst must not alias a or b. Row i of dst is one panel call that
 // walks column i of a, so every dst element accumulates its k-terms in
@@ -138,13 +128,6 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulTransA computes aᵀ·b into a new matrix.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	MatMulTransAInto(out, a, b)
-	return out
-}
-
 // MatMulTransBInto accumulates a·bᵀ into dst (pre-zero dst for a plain
 // product). dst must not alias a or b. Each dst element receives exactly one
 // add of a fully formed dot product (dotRows: summed from +0, k ascending),
@@ -158,13 +141,6 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMulTransBInto dst %s for %s · %sᵀ", dst.shape(), a.shape(), b.shape()))
 	}
 	dotRows(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Rows)
-}
-
-// MatMulTransB computes a·bᵀ into a new matrix.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MatMulTransBInto(out, a, b)
-	return out
 }
 
 // AddInPlace accumulates src into dst element-wise.
@@ -188,15 +164,4 @@ func XavierInit(m *Matrix, fanIn, fanOut int, rng *rand.Rand) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// NormInf returns the maximum absolute element of m (0 for empty matrices).
-func (m *Matrix) NormInf() float64 {
-	var max float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }

@@ -9,10 +9,26 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// normInf returns the maximum absolute element of m (0 for an empty matrix).
+func normInf(m *Matrix) float64 {
+	var max float64
+	for _, v := range m.Data {
+		max = math.Max(max, math.Abs(v))
+	}
+	return max
+}
+
+// matMul returns a·b in a new matrix.
+func matMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
 func TestMatMulBasic(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -27,7 +43,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	matMul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestMatMulTransVariantsAgree(t *testing.T) {
@@ -47,8 +63,9 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
-	got := MatMulTransA(a, b)
-	want := MatMul(at, b)
+	got := NewMatrix(5, 6)
+	MatMulTransAInto(got, a, b)
+	want := matMul(at, b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-12) {
 			t.Fatalf("MatMulTransA[%d] = %v, want %v", i, got.Data[i], want.Data[i])
@@ -65,8 +82,9 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 			ct.Set(j, i, c.At(i, j))
 		}
 	}
-	got2 := MatMulTransB(a, c)
-	want2 := MatMul(a, ct)
+	got2 := NewMatrix(4, 6)
+	MatMulTransBInto(got2, a, c)
+	want2 := matMul(a, ct)
 	for i := range want2.Data {
 		if !almostEqual(got2.Data[i], want2.Data[i], 1e-12) {
 			t.Fatalf("MatMulTransB[%d] = %v, want %v", i, got2.Data[i], want2.Data[i])
@@ -84,9 +102,9 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestRowVectorAndAt(t *testing.T) {
-	v := RowVector(3, 1, 4)
+	v := FromSlice(1, 3, []float64{3, 1, 4})
 	if v.Rows != 1 || v.Cols != 3 || v.At(0, 2) != 4 {
-		t.Fatalf("RowVector wrong: %+v", v)
+		t.Fatalf("row vector wrong: %+v", v)
 	}
 	v.Set(0, 1, 7)
 	if v.At(0, 1) != 7 {
@@ -115,9 +133,9 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 		}
 		bc := b.Clone()
 		AddInPlace(bc, c)
-		left := MatMul(a, bc)
-		right := MatMul(a, b)
-		AddInPlace(right, MatMul(a, c))
+		left := matMul(a, bc)
+		right := matMul(a, b)
+		AddInPlace(right, matMul(a, c))
 		for i := range left.Data {
 			if !almostEqual(left.Data[i], right.Data[i], 1e-9) {
 				return false
@@ -140,7 +158,7 @@ func TestXavierInitBounded(t *testing.T) {
 			t.Fatalf("Xavier value %v exceeds limit %v", v, limit)
 		}
 	}
-	if m.NormInf() == 0 {
+	if normInf(m) == 0 {
 		t.Fatal("Xavier left matrix zero")
 	}
 }

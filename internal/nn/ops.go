@@ -137,32 +137,6 @@ func backAddRow(t *Tape, n *Node) {
 	}
 }
 
-// Mul records the element-wise (Hadamard) product of same-shape operands.
-func (t *Tape) Mul(a, b *Node) *Node {
-	if !a.Value.SameShape(b.Value) {
-		panic(fmt.Sprintf("nn: Mul shape mismatch %s vs %s", a.Value.shape(), b.Value.shape()))
-	}
-	n := t.unary(a, backMul)
-	n.b = b
-	for i, x := range b.Value.Data {
-		n.Value.Data[i] *= x
-	}
-	return n
-}
-
-func backMul(t *Tape, n *Node) {
-	if n.a.NeedsGrad {
-		for i, g := range n.Grad.Data {
-			n.a.Grad.Data[i] += g * n.b.Value.Data[i]
-		}
-	}
-	if n.b.NeedsGrad {
-		for i, g := range n.Grad.Data {
-			n.b.Grad.Data[i] += g * n.a.Value.Data[i]
-		}
-	}
-}
-
 // Scale records c = k·a for a compile-time constant k.
 func (t *Tape) Scale(a *Node, k float64) *Node {
 	n := t.unary(a, backScale)
@@ -194,69 +168,6 @@ func backReLU(t *Tape, n *Node) {
 	}
 }
 
-// LeakyReLU records max(x, slope·x).
-func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	n := t.unary(a, backLeakyReLU)
-	n.k = slope
-	for i, x := range n.Value.Data {
-		if x < 0 {
-			n.Value.Data[i] = slope * x
-		}
-	}
-	return n
-}
-
-func backLeakyReLU(t *Tape, n *Node) {
-	if !n.a.NeedsGrad {
-		return
-	}
-	for i, g := range n.Grad.Data {
-		if n.a.Value.Data[i] > 0 {
-			n.a.Grad.Data[i] += g
-		} else {
-			n.a.Grad.Data[i] += g * n.k
-		}
-	}
-}
-
-// Sigmoid records the logistic function 1/(1+e^−x).
-func (t *Tape) Sigmoid(a *Node) *Node {
-	n := t.unary(a, backSigmoid)
-	for i, x := range n.Value.Data {
-		n.Value.Data[i] = 1 / (1 + math.Exp(-x))
-	}
-	return n
-}
-
-func backSigmoid(t *Tape, n *Node) {
-	if !n.a.NeedsGrad {
-		return
-	}
-	for i, g := range n.Grad.Data {
-		s := n.Value.Data[i]
-		n.a.Grad.Data[i] += g * s * (1 - s)
-	}
-}
-
-// Tanh records the hyperbolic tangent.
-func (t *Tape) Tanh(a *Node) *Node {
-	n := t.unary(a, backTanh)
-	for i, x := range n.Value.Data {
-		n.Value.Data[i] = math.Tanh(x)
-	}
-	return n
-}
-
-func backTanh(t *Tape, n *Node) {
-	if !n.a.NeedsGrad {
-		return
-	}
-	for i, g := range n.Grad.Data {
-		y := n.Value.Data[i]
-		n.a.Grad.Data[i] += g * (1 - y*y)
-	}
-}
-
 // Abs records the element-wise absolute value, with subgradient 0 at 0.
 func (t *Tape) Abs(a *Node) *Node {
 	n := t.unary(a, backAbs)
@@ -277,24 +188,6 @@ func backAbs(t *Tape, n *Node) {
 		case x < 0:
 			n.a.Grad.Data[i] -= g
 		}
-	}
-}
-
-// Square records the element-wise square.
-func (t *Tape) Square(a *Node) *Node {
-	n := t.unary(a, backSquare)
-	for i, x := range n.Value.Data {
-		n.Value.Data[i] = x * x
-	}
-	return n
-}
-
-func backSquare(t *Tape, n *Node) {
-	if !n.a.NeedsGrad {
-		return
-	}
-	for i, g := range n.Grad.Data {
-		n.a.Grad.Data[i] += 2 * g * n.a.Value.Data[i]
 	}
 }
 
@@ -507,23 +400,6 @@ func backSoftmaxRowsMasked(t *Tape, n *Node) {
 			s := n.Value.Data[i*cols+j]
 			n.a.Grad.Data[i*cols+j] += s * (n.Grad.Data[i*cols+j] - dot)
 		}
-	}
-}
-
-// AddConst records c = a + constant matrix k (no gradient into k). It is
-// used for additive attention biases such as QueryFormer's tree bias.
-func (t *Tape) AddConst(a *Node, k *Matrix) *Node {
-	if !a.Value.SameShape(k) {
-		panic(fmt.Sprintf("nn: AddConst shape mismatch %s vs %s", a.Value.shape(), k.shape()))
-	}
-	n := t.unary(a, backAddConst)
-	AddInPlace(n.Value, k)
-	return n
-}
-
-func backAddConst(t *Tape, n *Node) {
-	if n.a.NeedsGrad {
-		AddInPlace(n.a.Grad, n.Grad)
 	}
 }
 

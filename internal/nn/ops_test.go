@@ -23,6 +23,25 @@ func checkOp(t *testing.T, name string, params []*Param, f func(t *Tape) *Node) 
 	}
 }
 
+// Square records the element-wise square: the tests' loss. No model uses
+// it, so it lives here.
+func (t *Tape) Square(a *Node) *Node {
+	n := t.unary(a, backSquare)
+	for i, x := range n.Value.Data {
+		n.Value.Data[i] = x * x
+	}
+	return n
+}
+
+func backSquare(t *Tape, n *Node) {
+	if !n.a.NeedsGrad {
+		return
+	}
+	for i, g := range n.Grad.Data {
+		n.a.Grad.Data[i] += 2 * g * n.a.Value.Data[i]
+	}
+}
+
 func TestGradMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randParam("a", 3, 4, rng)
@@ -51,9 +70,6 @@ func TestGradAddSubMul(t *testing.T) {
 	checkOp(t, "Sub", []*Param{a, b}, func(tp *Tape) *Node {
 		return tp.Sum(tp.Square(tp.Sub(tp.Leaf(a), tp.Leaf(b))))
 	})
-	checkOp(t, "Mul", []*Param{a, b}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.Leaf(a), tp.Leaf(b)))
-	})
 }
 
 func TestGradAddRow(t *testing.T) {
@@ -70,15 +86,6 @@ func TestGradActivations(t *testing.T) {
 	a := randParam("a", 3, 3, rng)
 	checkOp(t, "ReLU", []*Param{a}, func(tp *Tape) *Node {
 		return tp.Sum(tp.ReLU(tp.Leaf(a)))
-	})
-	checkOp(t, "LeakyReLU", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.LeakyReLU(tp.Leaf(a), 0.01))
-	})
-	checkOp(t, "Sigmoid", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Sigmoid(tp.Leaf(a)))
-	})
-	checkOp(t, "Tanh", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Tanh(tp.Leaf(a)))
 	})
 	checkOp(t, "Abs", []*Param{a}, func(tp *Tape) *Node {
 		return tp.Sum(tp.Abs(tp.Leaf(a)))
@@ -165,9 +172,6 @@ func TestGradConstOps(t *testing.T) {
 	checkOp(t, "MulConst", []*Param{a}, func(tp *Tape) *Node {
 		return tp.Sum(tp.MulConst(tp.Leaf(a), k))
 	})
-	checkOp(t, "AddConst", []*Param{a}, func(tp *Tape) *Node {
-		return tp.Sum(tp.Square(tp.AddConst(tp.Leaf(a), k)))
-	})
 }
 
 func TestGradLayerNorm(t *testing.T) {
@@ -198,7 +202,7 @@ func TestConstReceivesNoUsefulGradient(t *testing.T) {
 	a.Value.Data[0] = 2
 	tp := NewTape()
 	c := tp.Const(FromSlice(1, 1, []float64{3}))
-	out := tp.Sum(tp.Mul(tp.Leaf(a), c))
+	out := tp.Sum(tp.MatMul(tp.Leaf(a), c))
 	tp.Backward(out)
 	if a.Grad.Data[0] != 3 {
 		t.Fatalf("dL/da = %v, want 3", a.Grad.Data[0])
@@ -216,9 +220,9 @@ func TestGradientsAccumulateAcrossBackward(t *testing.T) {
 	if a.Grad.Data[0] != 4 {
 		t.Fatalf("accumulated grad = %v, want 4", a.Grad.Data[0])
 	}
-	a.ZeroGrad()
+	a.Grad.Zero()
 	if a.Grad.Data[0] != 0 {
-		t.Fatal("ZeroGrad did not clear")
+		t.Fatal("Grad.Zero did not clear")
 	}
 }
 
@@ -271,12 +275,8 @@ func TestEveryAdjointSkipsConstOperands(t *testing.T) {
 		{"Add", func(tp *Tape) *Node { return tp.Add(tp.Const(a), tp.Const(a)) }},
 		{"Sub", func(tp *Tape) *Node { return tp.Sub(tp.Const(a), tp.Const(a)) }},
 		{"AddRow", func(tp *Tape) *Node { return tp.AddRow(tp.Const(a), tp.Const(row)) }},
-		{"Mul", func(tp *Tape) *Node { return tp.Mul(tp.Const(a), tp.Const(a)) }},
 		{"Scale", func(tp *Tape) *Node { return tp.Scale(tp.Const(a), 0.5) }},
 		{"ReLU", func(tp *Tape) *Node { return tp.ReLU(tp.Const(a)) }},
-		{"LeakyReLU", func(tp *Tape) *Node { return tp.LeakyReLU(tp.Const(a), 0.01) }},
-		{"Sigmoid", func(tp *Tape) *Node { return tp.Sigmoid(tp.Const(a)) }},
-		{"Tanh", func(tp *Tape) *Node { return tp.Tanh(tp.Const(a)) }},
 		{"Abs", func(tp *Tape) *Node { return tp.Abs(tp.Const(a)) }},
 		{"Square", func(tp *Tape) *Node { return tp.Square(tp.Const(a)) }},
 		{"Sum", func(tp *Tape) *Node { return tp.Sum(tp.Const(a)) }},
@@ -286,7 +286,6 @@ func TestEveryAdjointSkipsConstOperands(t *testing.T) {
 		{"ConcatRows", func(tp *Tape) *Node { return tp.ConcatRows(tp.Const(a), tp.Const(row), tp.Const(a)) }},
 		{"SelectRows", func(tp *Tape) *Node { return tp.SelectRows(tp.Const(a), []int{4, 0, 0, 2}) }},
 		{"SoftmaxRowsMasked", func(tp *Tape) *Node { return tp.SoftmaxRowsMasked(tp.Const(sq), mask) }},
-		{"AddConst", func(tp *Tape) *Node { return tp.AddConst(tp.Const(a), a) }},
 		{"MulConst", func(tp *Tape) *Node { return tp.MulConst(tp.Const(a), a) }},
 		{"ScaleConst", func(tp *Tape) *Node { return tp.ScaleConst(tp.Const(scalar), a) }},
 		{"LayerNorm", func(tp *Tape) *Node { return tp.LayerNorm(tp.Const(a), tp.Const(row), tp.Const(row)) }},

@@ -131,7 +131,7 @@ func TestGradPoolMatchesSerialGradient(t *testing.T) {
 	// Reference: direct serial accumulation into Param.Grad, the pre-pool
 	// training-loop behavior.
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	for i := range xs {
 		tape := NewTape()
@@ -141,7 +141,7 @@ func TestGradPoolMatchesSerialGradient(t *testing.T) {
 
 	// Sharded reduction, single worker.
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	pool := NewGradPool(params, 1)
 	pool.Accumulate(len(xs), lossFn)
@@ -178,13 +178,13 @@ func TestGradPoolWorkerCountInvariance(t *testing.T) {
 	var want [][]float64
 	for _, workers := range []int{1, 2, 3, 8, len(xs) + 5} {
 		for _, p := range params {
-			p.ZeroGrad()
+			p.Grad.Zero()
 		}
 		pool := NewGradPool(params, workers)
 		// Run twice to exercise shard reuse (buffers must be re-zeroed).
 		pool.Accumulate(len(xs), lossFn)
 		for _, p := range params {
-			p.ZeroGrad()
+			p.Grad.Zero()
 		}
 		pool.Accumulate(len(xs), lossFn)
 		got := grads(params)
@@ -223,13 +223,13 @@ func TestGradPoolAgainstGradCheck(t *testing.T) {
 	// GradCheck validated tape gradients of the summed loss; now confirm the
 	// pool's per-item sharding reproduces them.
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	tape := NewTape()
 	tape.Backward(sumLoss(tape))
 	want := grads(params)
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	pool := NewGradPool(append(mlp.Params(), gamma), 4)
 	pool.Accumulate(len(xs), func(tp *Tape, i int) *Node {
@@ -311,7 +311,7 @@ func TestGradPoolReleaseExactlyOnce(t *testing.T) {
 	lossFn := func(tp *Tape, i int) *Node { return fixtureLoss(tp, mlp, gamma, xs, ys, i) }
 	zero := func() {
 		for _, p := range params {
-			p.ZeroGrad()
+			p.Grad.Zero()
 		}
 	}
 	held := func(g *GradPool) (slabs map[*float64]bool, tapes map[*Tape]bool) {

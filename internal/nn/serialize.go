@@ -111,18 +111,3 @@ func LoadParams(r io.Reader, params []*Param) error {
 	}
 	return nil
 }
-
-// CopyParams copies values from src into dst, matched positionally. Shapes
-// must agree; it is used to snapshot and restore models during experiments.
-func CopyParams(dst, src []*Param) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: CopyParams count mismatch %d vs %d", len(dst), len(src))
-	}
-	for i := range dst {
-		if !dst[i].Value.SameShape(src[i].Value) {
-			return fmt.Errorf("nn: CopyParams shape mismatch at %d (%q)", i, dst[i].Name)
-		}
-		copy(dst[i].Value.Data, src[i].Value.Data)
-	}
-	return nil
-}

@@ -7,7 +7,7 @@ import (
 
 // Param is a trainable parameter: a value matrix plus a gradient accumulator
 // of the same shape. Gradients accumulate across Backward calls until an
-// optimizer (or ZeroGrad) clears them.
+// optimizer clears them.
 type Param struct {
 	Name   string
 	Value  *Matrix
@@ -19,9 +19,6 @@ type Param struct {
 func NewParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, Value: NewMatrix(rows, cols), Grad: NewMatrix(rows, cols)}
 }
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Clone returns an independent copy of p: same name, frozen flag, and a
 // deep-copied value, with a fresh zero gradient. Training the clone never
@@ -58,7 +55,7 @@ type Node struct {
 	back    func(t *Tape, n *Node)
 	a, b, c *Node     // operands (c: LayerNorm bias)
 	k       float64   // scalar attribute (Scale factor, softmax inverse scale, …)
-	cm      *Matrix   // constant matrix attribute (mask, AddConst/MulConst operand)
+	cm      *Matrix   // constant matrix attribute (mask, MulConst operand)
 	aux     *Matrix   // op-private forward scratch kept for the adjoint
 	auxF    []float64 // op-private float scratch (e.g. LayerNorm inverse stddevs)
 	idx     []int     // SelectRows indices / ProjectOneHot row types

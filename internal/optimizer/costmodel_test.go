@@ -177,9 +177,8 @@ func TestPruneFactorBoundsScoring(t *testing.T) {
 	}
 }
 
-// daceScorer trains a small DACE model on the database's own workload and
-// wraps it in the memoized candidate scorer.
-func daceScorer(t *testing.T, db *schema.Database) *core.Scorer {
+// daceModel trains a small DACE model on the database's own workload.
+func daceModel(t *testing.T, db *schema.Database) *core.Model {
 	t.Helper()
 	samples, err := dataset.ComplexWorkload(db, 60, executor.M1())
 	if err != nil {
@@ -190,7 +189,7 @@ func daceScorer(t *testing.T, db *schema.Database) *core.Scorer {
 	cfg.Hidden = []int{32, 16, 1}
 	cfg.LoRARanks = []int{8, 4, 2}
 	cfg.Epochs = 2
-	return core.NewScorer(core.Train(dataset.Plans(samples), cfg))
+	return core.Train(dataset.Plans(samples), cfg)
 }
 
 // checkedScorer is a core.Scorer as the planner sees it, with every score
@@ -198,6 +197,7 @@ func daceScorer(t *testing.T, db *schema.Database) *core.Scorer {
 // bitwise against the unmemoized root prediction for that candidate.
 type checkedScorer struct {
 	t       *testing.T
+	m       *core.Model
 	sc      *core.Scorer
 	ref     []float64
 	checked int
@@ -207,7 +207,7 @@ func (c *checkedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node)
 	base := len(buf)
 	buf = c.sc.AppendScoreCandidates(buf, cands)
 	for i, cand := range cands {
-		c.ref = c.sc.Model().AppendPredictSubPlans(c.ref[:0], &plan.Plan{Root: cand})
+		c.ref = c.m.AppendPredictSubPlans(c.ref[:0], &plan.Plan{Root: cand})
 		if got := buf[base+i]; math.Float64bits(got) != math.Float64bits(c.ref[0]) {
 			c.t.Fatalf("DP candidate %d: memoized score %v != unmemoized root prediction %v",
 				c.checked+i, got, c.ref[0])
@@ -224,10 +224,11 @@ func (c *checkedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node)
 // actually prices, so cache state cannot steer the DP).
 func TestDACEGuidedPlanningDeterministic(t *testing.T) {
 	db := schema.IMDB()
-	sc := daceScorer(t, db)
+	m := daceModel(t, db)
+	sc := core.NewScorer(m)
 	qs := workload.Complex(db, 25, 19)
 	pl := optimizer.New(db)
-	checked := &checkedScorer{t: t, sc: sc}
+	checked := &checkedScorer{t: t, m: m, sc: sc}
 	pl.CostModel = checked
 	first := fingerprints(t, pl, qs)
 	sc.Reset()
@@ -267,8 +268,8 @@ func (p *pairedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node) 
 // and encoded rows are what one call per candidate produces.
 func TestDPCellScoringCountsLikeOneAtATime(t *testing.T) {
 	db := schema.IMDB()
-	cell := daceScorer(t, db)
-	single := core.NewScorer(cell.Model())
+	m := daceModel(t, db)
+	cell, single := core.NewScorer(m), core.NewScorer(m)
 	pl := optimizer.New(db)
 	pl.CostModel = &pairedScorer{t: t, cell: cell, single: single}
 	fingerprints(t, pl, workload.Complex(db, 25, 19))
@@ -286,7 +287,7 @@ func TestDPCellScoringCountsLikeOneAtATime(t *testing.T) {
 // state and must serialize correctly without changing any plan.
 func TestDACEGuidedPlanningConcurrent(t *testing.T) {
 	db := schema.IMDB()
-	sc := daceScorer(t, db)
+	sc := core.NewScorer(daceModel(t, db))
 	qs := workload.Complex(db, 15, 23)
 	ref := optimizer.New(db)
 	ref.CostModel = sc

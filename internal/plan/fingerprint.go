@@ -149,12 +149,6 @@ func (p *Plan) AppendSubtreeFingerprints(buf []Fingerprint) []Fingerprint {
 	return p.Root.AppendSubtreeFingerprints(buf)
 }
 
-// SubtreeFingerprints returns the per-node subtree fingerprints of the plan
-// in DFS pre-order.
-func (p *Plan) SubtreeFingerprints() []Fingerprint {
-	return p.AppendSubtreeFingerprints(nil)
-}
-
 func (s *fpScratch) walk(n *Node, buf []Fingerprint) []Fingerprint {
 	pos := len(buf)
 	buf = append(buf, Fingerprint{}) // reserve this node's DFS slot

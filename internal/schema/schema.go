@@ -121,46 +121,6 @@ func (d *Database) FKBetween(a, b string) (ForeignKey, bool) {
 	return ForeignKey{}, false
 }
 
-// Validate checks referential integrity of the catalog.
-func (d *Database) Validate() error {
-	if d.Name == "" {
-		return fmt.Errorf("schema: database has no name")
-	}
-	seen := map[string]bool{}
-	for _, t := range d.Tables {
-		if seen[t.Name] {
-			return fmt.Errorf("schema: duplicate table %q", t.Name)
-		}
-		seen[t.Name] = true
-		if t.Rows <= 0 {
-			return fmt.Errorf("schema: table %q has %d rows", t.Name, t.Rows)
-		}
-		if len(t.Columns) == 0 {
-			return fmt.Errorf("schema: table %q has no columns", t.Name)
-		}
-		for _, c := range t.Columns {
-			if c.NDV <= 0 || c.Max < c.Min {
-				return fmt.Errorf("schema: column %s.%s has invalid domain", t.Name, c.Name)
-			}
-			if c.NullFrac < 0 || c.NullFrac >= 1 {
-				return fmt.Errorf("schema: column %s.%s has null fraction %g", t.Name, c.Name, c.NullFrac)
-			}
-		}
-	}
-	for _, fk := range d.FKs {
-		ct, pt := d.Table(fk.ChildTable), d.Table(fk.ParentTable)
-		if ct == nil || pt == nil {
-			return fmt.Errorf("schema: fk %s.%s→%s.%s references missing table",
-				fk.ChildTable, fk.ChildColumn, fk.ParentTable, fk.ParentColumn)
-		}
-		if ct.Column(fk.ChildColumn) == nil || pt.Column(fk.ParentColumn) == nil {
-			return fmt.Errorf("schema: fk %s.%s→%s.%s references missing column",
-				fk.ChildTable, fk.ChildColumn, fk.ParentTable, fk.ParentColumn)
-		}
-	}
-	return nil
-}
-
 // Hash64 produces a stable 64-bit hash of the given strings. The simulator
 // uses it wherever a quantity must be *deterministic per entity* but
 // unpredictable from model-visible features (e.g. filter/join-key

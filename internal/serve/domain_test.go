@@ -310,7 +310,7 @@ func TestOnePoolBoundsEveryDomain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		domains[tn.ID()] = tn
+		domains[tn.Info().ID] = tn
 		observe = append(observe, func(smp dataset.Sample) {
 			tn.Observe(flat(smp.Plan), smp.Plan.Root.ActualMS, seed.Predict(smp.Plan))
 		})

@@ -146,10 +146,6 @@ type Server struct {
 	tel    *serverMetrics
 }
 
-// New builds a server without the prediction caches: every request runs
-// its own forward pass, behind the admission stage.
-func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
-
 // NewWithConfig builds a server whose tenant zero serves m under the
 // registry's defaults, with no tenants part.
 func NewWithConfig(m *core.Model, cfg Config) *Server {

@@ -17,6 +17,11 @@ import (
 	"dace/internal/schema"
 )
 
+// New builds a server without the prediction caches: every request runs
+// its own forward pass, behind the admission stage. It is the uncached
+// reference the tests compare cached and tenant-routed answers against.
+func New(m *core.Model) *Server { return NewWithConfig(m, Config{}) }
+
 func trainedServer(t *testing.T) (*Server, []dataset.Sample) {
 	t.Helper()
 	samples, err := dataset.ComplexWorkload(schema.BenchmarkDB("airline"), 80, executor.M1())

@@ -29,6 +29,17 @@ func perturbedAdapters(cfg core.Config, seed int64) *core.AdapterSet {
 	return as
 }
 
+// serveAdapters registers tenant id on reg (if needed) and serves as over
+// the shared base at artifact version 0.
+func serveAdapters(t *testing.T, reg *tenant.Registry, id string, as *core.AdapterSet) {
+	t.Helper()
+	tn, _, err := reg.Register(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.Publish(reg.Base().WithAdapters(as), 0)
+}
+
 // tenantServer wires a pipeline server over a frozen base shared by two
 // adapted tenants, "alpha" and "beta".
 func tenantServer(t *testing.T) (*Server, *tenant.Registry, []dataset.Sample) {
@@ -39,9 +50,7 @@ func tenantServer(t *testing.T) (*Server, *tenant.Registry, []dataset.Sample) {
 		t.Fatal(err)
 	}
 	for i, id := range []string{"alpha", "beta"} {
-		if err := reg.ServeAdapters(id, perturbedAdapters(m.Cfg, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
+		serveAdapters(t, reg, id, perturbedAdapters(m.Cfg, int64(i+1)))
 	}
 	s := NewWithRegistry(reg, pipelineConfig())
 	t.Cleanup(s.Close)
@@ -123,9 +132,7 @@ func TestTenantHotSwapIsolation(t *testing.T) {
 	get("beta")
 
 	m := reg.Base()
-	if err := reg.ServeAdapters("alpha", perturbedAdapters(m.Cfg, 99)); err != nil {
-		t.Fatal(err)
-	}
+	serveAdapters(t, reg, "alpha", perturbedAdapters(m.Cfg, 99))
 
 	if alpha2 := get("alpha"); string(alpha2) == string(alpha1) {
 		t.Fatal("alpha still serves pre-swap predictions: stale cache entry crossed the generation bump")
@@ -362,11 +369,11 @@ func TestBatcherMixedTenants(t *testing.T) {
 	for _, id := range ids {
 		m := base
 		if id != "" {
-			v, _, ok := reg.Resolve(id)
+			tn, ok := reg.Get(id)
 			if !ok {
 				t.Fatalf("tenant %q missing", id)
 			}
-			m = v
+			m = tn.State().View
 		}
 		preds := make([][]float64, 6)
 		plain := New(m).Handler() // serve.New around the tenant's view: no cache
@@ -448,8 +455,8 @@ func TestPlanCacheSaltedPerTenant(t *testing.T) {
 	if code, _ := postPredictTenant(t, h, body, "/predict", "alpha"); code != http.StatusOK {
 		t.Fatalf("alpha warm status %d", code)
 	}
-	vb, _, _ := reg.Resolve("beta")
-	wantPreds := vb.PredictSubPlans(samples[3].Plan)
+	vb, _ := reg.Get("beta")
+	wantPreds := vb.State().View.PredictSubPlans(samples[3].Plan)
 	code, resp := postPredictTenant(t, h, body, "/predict", "beta")
 	if code != http.StatusOK {
 		t.Fatalf("beta status %d", code)
@@ -492,9 +499,9 @@ func TestPredictBatchTenantScoped(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("%d results, want 4", len(got))
 	}
-	va, _, _ := reg.Resolve("alpha")
+	va, _ := reg.Get("alpha")
 	for i := range got {
-		want := va.PredictSubPlans(samples[i].Plan)
+		want := va.State().View.PredictSubPlans(samples[i].Plan)
 		if got[i].RootMS != want[0] {
 			t.Fatalf("batch result %d: root %v != alpha's %v (bitwise)", i, got[i].RootMS, want[0])
 		}

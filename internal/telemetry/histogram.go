@@ -128,15 +128,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return out
 }
 
-// Merge adds o into s.
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
-	for b := range s.Counts {
-		s.Counts[b] += o.Counts[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Sub subtracts an earlier snapshot of the same histogram from s, leaving
 // the observations made between the two snapshot instants. This is how a
 // windowed view (per-second P99 during a soak run) is extracted from one

@@ -9,7 +9,7 @@
 // lightweight-estimator story collapses if observing it is expensive.
 // Concretely:
 //
-//   - Counter.Add and Gauge.Set are single atomic operations on a direct
+//   - Counter.Inc and Gauge.Set are single atomic operations on a direct
 //     pointer the instrumented code captured at wiring time — no map
 //     lookups, no label hashing, no interface dispatch on the hot path.
 //   - Histogram.Observe computes its bucket from the raw float64 bit
@@ -40,9 +40,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
@@ -54,17 +51,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (a CAS loop; gauges are not hot-path instruments for
-// high-contention adds — use a Counter for those).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -1,12 +1,20 @@
 package tenant
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dace/internal/adapt"
+	"dace/internal/core"
+	"dace/internal/dataset"
+	"dace/internal/executor"
+	"dace/internal/feedback"
+	"dace/internal/plan"
+	"dace/internal/schema"
 	"dace/internal/wire"
 )
 
@@ -48,11 +56,48 @@ func FuzzValidateID(f *testing.F) {
 	})
 }
 
-// FuzzManifest feeds arbitrary bytes through the artifact-manifest loader
-// the registry uses for LoadDir and per-tenant version listings. The
-// loader must never panic, and an accepted manifest must be structurally
-// safe to iterate.
+// FuzzManifest feeds arbitrary bytes through the artifact manifest, next to
+// one real saved LoRA artifact, and on through the load that puts a version
+// into service: ReadManifest, then Controller.Load(current) on tenant zero.
+// Neither may panic; an accepted manifest must be safe to iterate, and a
+// model Load puts into service must predict a finite latency. The seeds
+// include the artifact's own manifest and two entries whose config (which no
+// checksum covers) builds no model: a negative DK, and one LoRA rank for
+// three MLP layers.
 func FuzzManifest(f *testing.F) {
+	samples, err := dataset.ComplexWorkload(schema.BenchmarkDB("airline"), 20, executor.M1())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.DK, cfg.DV, cfg.Hidden, cfg.LoRARanks, cfg.Epochs = 8, 8, []int{8, 4, 1}, []int{2, 2, 1}, 1
+	seed := core.Train(dataset.Plans(samples), cfg)
+	tuned := seed.Clone()
+	tuned.EnableLoRA()
+	saved := f.TempDir()
+	if _, err := adapt.SaveVersion(saved, tuned, ""); err != nil {
+		f.Fatal(err)
+	}
+	artifact, err := os.ReadFile(filepath.Join(saved, "v1.dace"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, edit := range []func(*core.Config){
+		func(*core.Config) {},
+		func(c *core.Config) { c.DK = -5 },
+		func(c *core.Config) { c.LoRARanks = []int{1} },
+	} {
+		man, err := adapt.ReadManifest(saved)
+		if err != nil {
+			f.Fatal(err)
+		}
+		edit(&man.Versions[0].Config)
+		data, err := json.Marshal(man)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	for _, seed := range []string{
 		``,
 		`{}`,
@@ -66,9 +111,13 @@ func FuzzManifest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	probe := &plan.Plan{Root: &plan.Node{Type: plan.SeqScan, EstRows: 1000, EstCost: 100}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "v1.dace"), artifact, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m, err := adapt.ReadManifest(dir)
@@ -78,11 +127,17 @@ func FuzzManifest(f *testing.F) {
 		if m == nil {
 			t.Fatal("nil manifest with nil error")
 		}
-		// Everything the registry does with a loaded manifest must be safe:
-		// scanning versions for the current pointer and formatting listings.
 		for _, v := range m.Versions {
 			_ = v.Version == m.Current
 			_ = v.Created.IsZero()
+		}
+		zero := New(seed, feedback.NewStore(1, 1), nil, Config{Adapt: adapt.Config{ModelDir: dir}}).Zero()
+		if _, err := zero.Load(m.Current); err != nil {
+			return
+		}
+		served, _ := zero.Served()
+		if v := served.Predict(probe); math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("version %d went into service predicting %v", m.Current, v)
 		}
 	})
 }

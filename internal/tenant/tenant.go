@@ -121,9 +121,6 @@ func newTenant(id string, base, view *core.Model, store *feedback.Store, log *fe
 	return t
 }
 
-// ID returns the tenant identifier ("" for tenant zero).
-func (t *Tenant) ID() string { return t.id }
-
 // State returns the current immutable serving snapshot.
 func (t *Tenant) State() *State { return t.state.Load() }
 
@@ -303,17 +300,6 @@ func (r *Registry) Get(id string) (*Tenant, bool) {
 	return t, ok
 }
 
-// Resolve is Get plus the tenant's hot-path read. ok is false for unknown
-// tenants.
-func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bool) {
-	t, ok := r.Get(id)
-	if !ok {
-		return nil, servecache.Key{}, false
-	}
-	s := t.Resolve()
-	return s.View, s.Salt, true
-}
-
 // Register creates a named tenant (idempotently) serving the raw base model
 // at generation 1. Returns the tenant and whether it was newly created.
 func (r *Registry) Register(id string) (*Tenant, bool, error) {
@@ -371,21 +357,6 @@ func (r *Registry) Load(id string, v int) (*Tenant, error) {
 		err = load(t)
 	}
 	return t, err
-}
-
-// ServeAdapters publishes as over the shared base for tenant id,
-// registering the tenant first if needed — for callers that hold an adapter
-// set in memory rather than an artifact version to Load.
-func (r *Registry) ServeAdapters(id string, as *core.AdapterSet) error {
-	t, _, err := r.Register(id)
-	if err != nil {
-		return err
-	}
-	if err := as.CompatibleWith(r.base); err != nil {
-		return err
-	}
-	t.publish(r.base.WithAdapters(as), as, t.state.Load().Version)
-	return nil
 }
 
 // Versions reports each named tenant's serving artifact version — the

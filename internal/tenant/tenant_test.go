@@ -13,8 +13,20 @@ import (
 	"dace/internal/nn"
 	"dace/internal/plan"
 	"dace/internal/schema"
+	"dace/internal/servecache"
 	"dace/internal/wire"
 )
+
+// Resolve is Get plus the tenant's hot-path read, as serve makes it. ok is
+// false for unknown tenants.
+func (r *Registry) Resolve(id string) (m *core.Model, salt servecache.Key, ok bool) {
+	t, ok := r.Get(id)
+	if !ok {
+		return nil, servecache.Key{}, false
+	}
+	s := t.Resolve()
+	return s.View, s.Salt, true
+}
 
 func smallConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -221,7 +233,11 @@ func TestSixtyFourTenantsShareOneEncoder(t *testing.T) {
 	r := enabled(t, base, Config{StoreCap: 64})
 
 	// Resident bytes per parameter = value + eagerly allocated gradient.
-	adapterBytes := float64(core.NewAdapterSet(cfg, 0).NumParams()) * 16
+	var adapterParams int
+	for _, l := range core.NewAdapterSet(cfg, 0).Layers {
+		adapterParams += nn.NumParams([]*nn.Param{l.Down, l.Up})
+	}
+	adapterBytes := float64(adapterParams) * 16
 	modelBytes := float64(nn.NumParams(base.Params())) * 16
 
 	runtime.GC()

@@ -29,19 +29,6 @@ type Query struct {
 	ID        string // stable identifier, seeds execution noise
 }
 
-// FilteredColumns returns the qualified names of all filtered columns,
-// sorted — the oracle keys filter/join-key correlation off this set.
-func (q *Query) FilteredColumns() []string {
-	var out []string
-	for t, preds := range q.Filters {
-		for _, p := range preds {
-			out = append(out, t+"."+p.Column)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NumPredicates counts filter predicates across all tables.
 func (q *Query) NumPredicates() int {
 	n := 0

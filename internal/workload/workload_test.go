@@ -3,7 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"dace/internal/schema"
 )
@@ -127,27 +126,6 @@ func TestMSCNSplitsDisjointFromTraining(t *testing.T) {
 	}
 	if overlap > 3 {
 		t.Fatalf("test split overlaps training pool on %d/70 queries", overlap)
-	}
-}
-
-func TestFilteredColumnsSortedAndQualified(t *testing.T) {
-	db := schema.IMDB()
-	f := func(seed int64) bool {
-		g := NewGenerator(db, seed)
-		q := g.One("x")
-		cols := q.FilteredColumns()
-		for i, c := range cols {
-			if !strings.Contains(c, ".") {
-				return false
-			}
-			if i > 0 && cols[i-1] > c {
-				return false
-			}
-		}
-		return len(cols) == q.NumPredicates()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
