@@ -68,6 +68,10 @@ build-arm64:
 # never does), and no command grows back a flag for a removed switch —
 # -max-batch, -queue-depth, -cache-ttl, -metrics, or -lora (a model file
 # says whether it carries adapters).
+# And the probe-only hashing invariant: the candidate scorer hashes a subtree
+# when it looks it up (plan.Node.SubtreeFingerprint), never every subtree of
+# a candidate up front — non-test internal/core does not call
+# AppendSubtreeFingerprints.
 check-paths:
 	@bad="$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Tree()' internal/serve; \
 		grep -rn --include='*.go' --exclude='*_test.go' 'nn\.GetTape' internal/core; \
@@ -88,7 +92,8 @@ check-paths:
 		grep -rnE --include='*.go' --exclude='*_test.go' 's\.(bat|tel) (==|!=) nil' internal/serve; \
 		grep -nHE 'expires|expiredEntry|expiryAt' internal/servecache/cache.go; \
 		grep -rnE --include='*.go' '[[:alnum:]]+\.[A-Z][A-Za-z0-9]*\("(max-batch|queue-depth|cache-ttl|metrics|lora)"' cmd; \
-		grep -rnE --include='*.go' --exclude='*_test.go' '^type (Domain|served) ' internal/serve)"; \
+		grep -rnE --include='*.go' --exclude='*_test.go' '^type (Domain|served) ' internal/serve; \
+		grep -rn --include='*.go' --exclude='*_test.go' 'AppendSubtreeFingerprints' internal/core)"; \
 	if [ -n "$$bad" ]; then echo "check-paths violated:"; echo "$$bad"; exit 1; fi
 
 test:

@@ -339,10 +339,11 @@ const attentionOnly = -2
 
 // forwardRaw is the inference forward pass: masked attention, the MLP head
 // (+ LoRA adapters when attached) and the γ·cost residual in raw matrix
-// arithmetic — no autodiff tape, every temporary drawn from a. Keys and
-// values are projected for all n rows; queries, softmax, MLP and residual
-// run for the first queryRows rows only: 1 prices the root (whose span is
-// the whole plan), n prices every sub-plan at once (Eq. 6). It returns the
+// arithmetic — no autodiff tape, every temporary drawn from a. Values (and,
+// for queryRows ≠ 1, keys) are projected for all n rows; queries, softmax,
+// MLP and residual run for the first queryRows rows only: 1 prices the root
+// (whose span is the whole plan, scored by nn.OneHotRootSoftmaxInto without
+// building K), n prices every sub-plan at once (Eq. 6). It returns the
 // queryRows×1 scaled-log predictions and, for hiddenLayer ≥ 0, that MLP
 // layer's post-ReLU activation (Eq. 9 reads h₂); with attentionOnly it
 // returns (nil, attention output) without running the head. Row for row
@@ -367,17 +368,22 @@ func (m *Model) attendRaw(a *nn.Arena, enc *featurize.Encoded, queryRows int) *n
 	// three projections skip the arena's clear.
 	q := a.UninitMatrix(queryRows, m.Att.WQ.Value.Cols)
 	nn.ProjectOneHotInto(q, &xq, m.Att.WQ.Value, enc.Types, plan.NumNodeTypes)
-	k := a.UninitMatrix(n, m.Att.WK.Value.Cols)
-	nn.ProjectOneHotInto(k, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes)
 	v := a.UninitMatrix(n, m.Att.WV.Value.Cols)
 	nn.ProjectOneHotInto(v, x, m.Att.WV.Value, enc.Types, plan.NumNodeTypes)
+	invScale := 1 / math.Sqrt(float64(m.Cfg.DK))
 	rootSpan := [1]nn.Span{{Lo: 0, Hi: int32(n)}}
 	spans := rootSpan[:]
-	if queryRows != 1 {
-		spans = m.spansFor(enc)[:queryRows]
-	}
 	probs := a.Matrix(queryRows, n)
-	nn.MaskedSoftmaxQKTInto(probs, q, k, 1/math.Sqrt(float64(m.Cfg.DK)), spans)
+	if queryRows == 1 {
+		// The root's span is the whole plan: its n scores come straight
+		// from WK's one-hot rows, and K is never built.
+		nn.OneHotRootSoftmaxInto(probs, q, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes, invScale)
+	} else {
+		spans = m.spansFor(enc)[:queryRows]
+		k := a.UninitMatrix(n, m.Att.WK.Value.Cols)
+		nn.ProjectOneHotInto(k, x, m.Att.WK.Value, enc.Types, plan.NumNodeTypes)
+		nn.MaskedSoftmaxQKTInto(probs, q, k, invScale, spans)
+	}
 	h := a.Matrix(queryRows, v.Cols)
 	nn.MatMulSpansInto(h, probs, v, spans)
 	return h

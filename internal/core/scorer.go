@@ -17,23 +17,26 @@ import (
 // (encoded feature block, root prediction) pairs:
 //
 //   - A candidate whose root fingerprint is memoized is a pure cache hit:
-//     its stored prediction is returned without touching the model.
+//     its stored prediction is returned without touching the model. The
+//     root is hashed in one walk over its subtree.
 //   - On a miss, the candidate's encoding is assembled by splicing the
 //     memoized feature blocks of its already-seen subtrees (descendants are
 //     contiguous in DFS pre-order, so a cached subtree is one memcpy) and
-//     featurizing only the genuinely new nodes; the prediction is the one
+//     featurizing only the genuinely new nodes; a subtree is hashed only
+//     when the assembly walk reaches it, so a spliced operand's own
+//     descendants are never hashed. The prediction is the one
 //     inference forward with a single query row (forwardRaw's two halves) —
 //     the same arithmetic as row 0 of the full pass. Attention runs per
 //     miss; the MLP head, which is row-local, runs once per call over the
-//     attention outputs of all of the call's misses, so a DP cell's
+//     attention outputs of all of the call's misses, so a DP level's
 //     candidates reach the row-blocked matrix kernels together.
 //
 // Correctness rests on two invariants, both enforced by tests: equal
 // subtree fingerprints imply bitwise-equal model inputs (plan.Fingerprint's
-// contract, extended per node by AppendSubtreeFingerprints), and a node's
-// prediction depends only on its own subtree (the tree-structured attention
-// mask restricts row i to i's descendants, and every other stage is
-// row-local). Scores are therefore bitwise-identical to running the
+// contract, which Node.SubtreeFingerprint extends to every subtree), and a
+// node's prediction depends only on its own subtree (the tree-structured
+// attention mask restricts row i to i's descendants, and every other stage
+// is row-local). Scores are therefore bitwise-identical to running the
 // unmemoized per-candidate AppendPredictSubPlans and taking the root entry
 // — regardless of hit pattern, candidate order, or interleaving.
 //
@@ -55,7 +58,6 @@ type Scorer struct {
 
 	// Per-candidate scratch, reset/reused every miss.
 	arena nn.Arena
-	fps   []plan.Fingerprint
 	types []int
 	enc   featurize.Encoded
 
@@ -197,8 +199,8 @@ func (s *Scorer) lookup(c *plan.Node, slot int) float64 {
 	if c == nil {
 		return math.NaN()
 	}
-	s.fps = c.AppendSubtreeFingerprints(s.fps[:0])
-	if e, ok := s.memo[s.fps[0]]; ok {
+	fp, n := c.SubtreeFingerprint()
+	if e, ok := s.memo[fp]; ok {
 		s.stats.Hits++
 		if e.row > 0 {
 			s.pending = append(s.pending, pendingScore{slot: slot, row: int(e.row) - 1})
@@ -206,7 +208,6 @@ func (s *Scorer) lookup(c *plan.Node, slot int) float64 {
 		return e.ms
 	}
 	s.stats.Misses++
-	n := len(s.fps)
 	s.arena.Reset()
 	x := s.arena.Matrix(n, featurize.FeatureDim)
 	costCol := s.arena.Matrix(n, 1)
@@ -227,22 +228,35 @@ func (s *Scorer) lookup(c *plan.Node, slot int) float64 {
 	row := len(s.costs)
 	s.heads = append(s.heads, s.m.attendRaw(&s.arena, &s.enc, 1).Data...)
 	s.costs = append(s.costs, costCol.Data[0])
-	s.pending = append(s.pending, pendingScore{slot: slot, row: row, fp: s.fps[0], miss: true})
+	s.pending = append(s.pending, pendingScore{slot: slot, row: row, fp: fp, miss: true})
 	ex := s.memoFloats.Floats(n * featurize.FeatureDim)
 	copy(ex, x.Data)
 	et := s.memoInts.take(n)
 	copy(et, types)
-	s.memo[s.fps[0]] = scoreEntry{n: int32(n), row: int32(row) + 1, x: ex, types: et}
+	s.memo[fp] = scoreEntry{n: int32(n), row: int32(row) + 1, x: ex, types: et}
 	return 0
 }
 
-// assemble writes the subtree rooted at node into rows [i, …) of the
-// candidate encoding, splicing memoized blocks where a subtree fingerprint
-// hits (descendants are the contiguous DFS block, so a hit is a straight
-// copy covering the whole subtree) and featurizing only memo-miss nodes.
-// Returns the cursor past the subtree.
+// assemble featurizes node — whose subtree the memo does not hold — into
+// row i of the candidate encoding and writes its children's subtrees after
+// it, returning the cursor past node's subtree. A child is hashed only
+// here, when the walk reaches it: where its subtree fingerprint hits the
+// memo, the whole subtree is one spliced block (descendants are the
+// contiguous DFS block, so a hit is a straight copy); otherwise it is
+// featurized the same way.
 func (s *Scorer) assemble(node *plan.Node, i int, x, costCol *nn.Matrix, types []int) int {
-	if e, ok := s.memo[s.fps[i]]; ok {
+	types[i] = int(node.Type)
+	cost := s.m.Enc.EncodeNodeRow(x.Data[i*featurize.FeatureDim:(i+1)*featurize.FeatureDim], node)
+	costCol.Data[i] = cost
+	s.stats.NodesEncoded++
+	i++
+	for _, c := range node.Children {
+		fp, _ := c.SubtreeFingerprint()
+		e, ok := s.memo[fp]
+		if !ok {
+			i = s.assemble(c, i, x, costCol, types)
+			continue
+		}
 		sz := int(e.n)
 		copy(x.Data[i*featurize.FeatureDim:(i+sz)*featurize.FeatureDim], e.x)
 		copy(types[i:i+sz], e.types)
@@ -250,15 +264,7 @@ func (s *Scorer) assemble(node *plan.Node, i int, x, costCol *nn.Matrix, types [
 			costCol.Data[i+j] = e.x[j*featurize.FeatureDim+plan.NumNodeTypes]
 		}
 		s.stats.NodesCopied += uint64(sz)
-		return i + sz
-	}
-	types[i] = int(node.Type)
-	cost := s.m.Enc.EncodeNodeRow(x.Data[i*featurize.FeatureDim:(i+1)*featurize.FeatureDim], node)
-	costCol.Data[i] = cost
-	s.stats.NodesEncoded++
-	i++
-	for _, c := range node.Children {
-		i = s.assemble(c, i, x, costCol, types)
+		i += sz
 	}
 	return i
 }

@@ -97,16 +97,72 @@ func MaskedSoftmaxQKTInto(dst, q, k *Matrix, invScale float64, spans []Span) {
 				max = s
 			}
 		}
-		var z float64
-		for j := sp.Lo; j < sp.Hi; j++ {
-			e := math.Exp(drow[j] - max)
-			drow[j] = e
-			z += e
+		expNormalize(drow[sp.Lo:sp.Hi], max)
+	}
+}
+
+// expNormalize turns a row of scores whose maximum is max into softmax
+// probabilities: shifted exps summed in ascending order, then one division
+// each.
+func expNormalize(row []float64, max float64) {
+	var z float64
+	for j, s := range row {
+		e := math.Exp(s - max)
+		row[j] = e
+		z += e
+	}
+	for j := range row {
+		row[j] /= z
+	}
+}
+
+// OneHotRootSoftmaxInto writes into dst (1×n) the attention probabilities
+// of the single query row q over all n rows of x, whose keys are the
+// one-hot projection x·w — without materializing them. It is bitwise
+// identical to ProjectOneHotInto(k, x, w, types, hot) followed by
+// MaskedSoftmaxQKTInto(dst, q, k, invScale, [{0, n}]): key j's element c
+// is (w[types[j],c] + cost_j·w[hot,c]) + card_j·w[hot+1,c] as oneHotRow
+// forms it, score j sums q[c]·k_j[c] from +0 in ascending c and is then
+// scaled, and the max, the exp-sum and the division follow in ascending j.
+// The scores come from rootScores eight keys at a time, each key's one-hot
+// row of w addressed by its offset: every offset is sliced here, in Go, so
+// an out-of-range type panics before any kernel sees an address, and the
+// lanes past the last key of a group are padded with row 0 and zero
+// features and never stored.
+func OneHotRootSoftmaxInto(dst, q, x, w *Matrix, types []int, hot int, invScale float64) {
+	if x.Cols != w.Rows || x.Cols != hot+2 || q.Rows != 1 || q.Cols != w.Cols {
+		panic(fmt.Sprintf("nn: OneHotRootSoftmax q %s over %s · %s with %d one-hot cols", q.shape(), x.shape(), w.shape(), hot))
+	}
+	n := x.Rows
+	if dst.Rows != 1 || dst.Cols != n || len(types) < n {
+		panic(fmt.Sprintf("nn: OneHotRootSoftmaxInto dst %s, %d types for %s", dst.shape(), len(types), x.shape()))
+	}
+	if n == 0 {
+		panic("nn: OneHotRootSoftmax row 0 fully masked")
+	}
+	wc := w.Cols
+	w0 := w.Data[hot*wc : hot*wc+wc]
+	w1 := w.Data[(hot+1)*wc : (hot+1)*wc+wc]
+	for j0 := 0; j0 < n; j0 += 8 {
+		var g keyGroup
+		out := dst.Data[j0:min(j0+8, n)]
+		for l := range out {
+			j := j0 + l
+			ty := types[j]
+			_ = w.Data[ty*wc : ty*wc+wc]
+			g.off[l] = ty * wc
+			g.c0[l] = x.Data[j*x.Cols+hot]
+			g.c1[l] = x.Data[j*x.Cols+hot+1]
 		}
-		for j := sp.Lo; j < sp.Hi; j++ {
-			drow[j] /= z
+		rootScores(out, &g, q.Data, w.Data, w0, w1, invScale)
+	}
+	max := math.Inf(-1)
+	for _, s := range dst.Data {
+		if s > max {
+			max = s
 		}
 	}
+	expNormalize(dst.Data, max)
 }
 
 // MatMulSpansInto accumulates a·b into dst where row i of a is nonzero only

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 )
@@ -250,6 +251,14 @@ func TestGradPoolAgainstGradCheck(t *testing.T) {
 // 64-item batch on 2 workers builds 2 — and a warm pool's Accumulate builds
 // nothing: no tape, no arena chunk, no shard.
 func TestGradPoolHoldsOneTapePerWorker(t *testing.T) {
+	// The byte count below is exact only when every chunk slab the first
+	// Accumulate releases is where the second looks for it: a collection
+	// empties the pools, and the one item a P keeps in its private slot is
+	// out of reach of a borrower running on another P. No collections and
+	// one P, from the first Accumulate on, make it exact (the workers still
+	// run as two goroutines).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mlp, gamma, xs, ys := poolFixture(19)
 	params := append(mlp.Params(), gamma)
 	const n = 64

@@ -28,6 +28,16 @@ package nn
 // forward untouched, and a gradient element whose input was not positive
 // keeps its bits (adding a masked +0 would turn a -0 into +0).
 //
+// The one dot-form primitive with lanes across keys scores a single query
+// row against up to eight one-hot keys whose rows it addresses by offset,
+// so the keys are never materialized:
+//
+//	rootScores: dst[l] = (Σ_c q[c]·((w[off_l+c] + c0_l·w0[c]) + c1_l·w1[c]))·s
+//	                                                 (c ascending from +0)
+//
+// Each lane forms its key's element exactly as oneHotRow does and keeps its
+// own running sum, so per lane the sequence is the scalar one.
+//
 // On amd64 with AVX2 the dispatchers in simd_amd64.go hand the
 // multiple-of-four body of a row to assembly and the tail to the Go bodies
 // below; everywhere else the Go bodies are the only path. They are also the
@@ -146,5 +156,33 @@ func reluGradGeneric(dst, g, x []float64) {
 		if x[i] > 0 {
 			dst[i] += g[i]
 		}
+	}
+}
+
+// keyGroup is one rootScores call's keys: per lane the element offset of
+// the key's one-hot row in w and its two dense features (scaled cost and
+// cardinality). Lanes past the group's last key stay zero: row 0 of w, no
+// features.
+type keyGroup struct {
+	off    [8]int
+	c0, c1 [8]float64
+}
+
+// rootScoresGeneric is the portable body of rootScores: lanes [0, len(dst))
+// of g, len(dst) ≤ 8. w holds every lane's row w[off:off+len(q)]; w0 and w1
+// hold at least len(q) elements.
+func rootScoresGeneric(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale float64) {
+	w0, w1 = w0[:len(q)], w1[:len(q)]
+	for l := range dst {
+		wt := w[g.off[l]:][:len(q)]
+		c0, c1 := g.c0[l], g.c1[l]
+		var s float64
+		for c, qv := range q {
+			k := wt[c]
+			k += c0 * w0[c]
+			k += c1 * w1[c]
+			s += qv * k
+		}
+		dst[l] = s * invScale
 	}
 }

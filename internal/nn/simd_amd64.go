@@ -63,6 +63,12 @@ func oneHotRowAVX2(dst, wt, w0, w1 *float64, c0, c1 float64, n int)
 //go:noescape
 func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
 
+// rootScoresAVX512 runs rootScores over all eight lanes of grp into dst[0:8)
+// for d ≥ 1 key columns. It checks nothing.
+//
+//go:noescape
+func rootScoresAVX512(dst *float64, grp *keyGroup, q, w, w0, w1 *float64, d int, invScale float64)
+
 // dotRowsAVX2 runs dotRows for 1 ≤ rows ≤ 4, k ≥ 1 and n a positive
 // multiple of 4. It checks nothing.
 //
@@ -127,6 +133,24 @@ func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
 		dst, wt, w0, w1 = dst[n:], wt[n:], w0[n:], w1[n:]
 	}
 	oneHotRowGeneric(dst, wt, w0, w1, c0, c1)
+}
+
+// rootScores writes dst[l] = (Σ_c q[c]·k_l[c])·invScale for the first
+// len(dst) ≤ 8 lanes of g, where k_l[c] = (w[g.off[l]+c] + g.c0[l]·w0[c]) +
+// g.c1[l]·w1[c]; every lane's row of w, and w0 and w1, hold at least len(q)
+// elements — the caller has proven it for the lanes it set, and an unset
+// lane reads row 0. The AVX-512 body computes all eight lanes (eight key
+// columns at a time, transposed in registers from the lanes' rows) into a
+// scratch vector and the first len(dst) are kept.
+func rootScores(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale float64) {
+	if d := len(q); useAVX512 && d > 0 && len(dst) > 0 {
+		_, _, _ = w[d-1], w0[d-1], w1[d-1]
+		var out [8]float64
+		rootScoresAVX512(&out[0], g, &q[0], &w[0], &w0[0], &w1[0], d, invScale)
+		copy(dst, out[:])
+		return
+	}
+	rootScoresGeneric(dst, g, q, w, w0, w1, invScale)
 }
 
 // dotRows accumulates dst[r·ds+j] += Σ_k a[r·as+k]·b[j·bc+k] for r < rows

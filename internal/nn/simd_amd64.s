@@ -462,3 +462,126 @@ grad4:
 	JLT  grad4
 	VZEROUPPER
 	RET
+
+// LOADROW loads elements c..c+7 of lane i's key row — at element offset
+// off[i] (grp at SI) from w's column c (BX) — into zr.
+#define LOADROW(i, zr) \
+	MOVQ (i*8)(SI), R9; \
+	VMOVUPD (BX)(R9*8), zr
+
+// COLUMN finishes key column c+i, whose one-hot elements sit in zc across
+// the lanes: each lane forms its key element as oneHotRow does, (wt +
+// c0·w0[c+i]) + c1·w1[c+i], then adds q[c+i]·k to its sum in Z0.
+#define COLUMN(i, zc) \
+	VBROADCASTSD (i*8)(DX), Z4; \
+	VMULPD Z4, Z2, Z4; \
+	VADDPD Z4, zc, zc; \
+	VBROADCASTSD (i*8)(R8), Z5; \
+	VMULPD Z5, Z3, Z5; \
+	VADDPD Z5, zc, zc; \
+	VBROADCASTSD (i*8)(AX), Z6; \
+	VMULPD zc, Z6, Z6; \
+	VADDPD Z6, Z0, Z0
+
+// func rootScoresAVX512(dst *float64, grp *keyGroup, q, w, w0, w1 *float64, d int, invScale float64)
+//
+// Lanes run across the eight keys of grp, each with its own sum, which
+// starts at +0 and takes one q[c]·k term per key column c, c ascending; the
+// sums are scaled once at the end. Columns go eight at a time: the eight
+// keys' rows are loaded c..c+7 and transposed in registers (unpack pairs,
+// then two rounds of 128-bit shuffles), which yields one vector per column
+// with the lanes across keys. The d mod 8 trailing columns gather each
+// lane's element instead; the gather clears its mask as it completes, so
+// the mask is set again every column.
+TEXT ·rootScoresAVX512(SB), NOSPLIT, $0-64
+	MOVQ grp+8(FP), SI
+	MOVQ q+16(FP), AX
+	MOVQ w+24(FP), BX
+	MOVQ w0+32(FP), DX
+	MOVQ w1+40(FP), R8
+	MOVQ d+48(FP), CX
+	VMOVDQU64 0(SI), Z1   // off, in elements
+	VMOVUPD 64(SI), Z2    // c0
+	VMOVUPD 128(SI), Z3   // c1
+	VPXORQ Z0, Z0, Z0     // the eight sums, +0
+
+	CMPQ CX, $8
+	JLT  tail
+
+	PCALIGN $64
+block8:
+	LOADROW(0, Z8)
+	LOADROW(1, Z9)
+	LOADROW(2, Z10)
+	LOADROW(3, Z11)
+	LOADROW(4, Z12)
+	LOADROW(5, Z13)
+	LOADROW(6, Z14)
+	LOADROW(7, Z15)
+	// Row r, column j is rj. Pairs of rows, per 128-bit chunk:
+	// Z16 = [00 10|02 12|04 14|06 16], Z17 = [01 11|03 13|05 15|07 17], …
+	VUNPCKLPD Z9, Z8, Z16
+	VUNPCKHPD Z9, Z8, Z17
+	VUNPCKLPD Z11, Z10, Z18
+	VUNPCKHPD Z11, Z10, Z19
+	VUNPCKLPD Z13, Z12, Z20
+	VUNPCKHPD Z13, Z12, Z21
+	VUNPCKLPD Z15, Z14, Z22
+	VUNPCKHPD Z15, Z14, Z23
+	// Rows 0–3 and 4–7 by chunk: Z8 = [00 10|04 14|20 30|24 34], …
+	VSHUFF64X2 $0x88, Z18, Z16, Z8
+	VSHUFF64X2 $0xDD, Z18, Z16, Z9
+	VSHUFF64X2 $0x88, Z19, Z17, Z10
+	VSHUFF64X2 $0xDD, Z19, Z17, Z11
+	VSHUFF64X2 $0x88, Z22, Z20, Z12
+	VSHUFF64X2 $0xDD, Z22, Z20, Z13
+	VSHUFF64X2 $0x88, Z23, Z21, Z14
+	VSHUFF64X2 $0xDD, Z23, Z21, Z15
+	// One column per register: Z16 = [00 10 20 30 40 50 60 70], …, Z23.
+	VSHUFF64X2 $0x88, Z12, Z8, Z16
+	VSHUFF64X2 $0x88, Z14, Z10, Z17
+	VSHUFF64X2 $0x88, Z13, Z9, Z18
+	VSHUFF64X2 $0x88, Z15, Z11, Z19
+	VSHUFF64X2 $0xDD, Z12, Z8, Z20
+	VSHUFF64X2 $0xDD, Z14, Z10, Z21
+	VSHUFF64X2 $0xDD, Z13, Z9, Z22
+	VSHUFF64X2 $0xDD, Z15, Z11, Z23
+	COLUMN(0, Z16)
+	COLUMN(1, Z17)
+	COLUMN(2, Z18)
+	COLUMN(3, Z19)
+	COLUMN(4, Z20)
+	COLUMN(5, Z21)
+	COLUMN(6, Z22)
+	COLUMN(7, Z23)
+	ADDQ $64, AX
+	ADDQ $64, BX
+	ADDQ $64, DX
+	ADDQ $64, R8
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  block8
+
+tail:
+	TESTQ CX, CX
+	JZ    done
+
+	PCALIGN $64
+col:
+	KXNORW K0, K0, K1
+	VGATHERQPD (BX)(Z1*8), K1, Z16
+	COLUMN(0, Z16)
+	ADDQ $8, AX
+	ADDQ $8, BX
+	ADDQ $8, DX
+	ADDQ $8, R8
+	DECQ CX
+	JNZ  col
+
+done:
+	MOVQ dst+0(FP), DI
+	VBROADCASTSD invScale+56(FP), Z5
+	VMULPD Z5, Z0, Z0
+	VMOVUPD Z0, (DI)
+	VZEROUPPER
+	RET

@@ -22,6 +22,10 @@ func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n in
 	panic("nn: panel4 without an assembly body")
 }
 
+func rootScores(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale float64) {
+	rootScoresGeneric(dst, g, q, w, w0, w1, invScale)
+}
+
 func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
 	dotRowsGeneric(dst, ds, a, as, b, bc, rows, k, n)
 }

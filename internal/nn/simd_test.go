@@ -193,6 +193,20 @@ func compareReLU(t *testing.T, src, g, dinit []float64, off int) {
 	checkGuards(t, what, buf, off, len(src))
 }
 
+// compareRootScores runs rootScores and rootScoresGeneric over the first
+// lanes lanes of g on identical poisoned destinations.
+func compareRootScores(t *testing.T, g *keyGroup, lanes int, q, w, w0, w1 []float64, invScale float64, off int) {
+	t.Helper()
+	what := fmt.Sprintf("rootScores d=%d lanes=%d off=%d", len(q), lanes, off)
+	init := make([]float64, lanes)
+	want, _ := poisoned(init, off)
+	rootScoresGeneric(want, g, q, w, w0, w1, invScale)
+	got, buf := poisoned(init, off)
+	rootScores(got, g, q, w, w0, w1, invScale)
+	checkSame(t, what, got, want)
+	checkGuards(t, what, buf, off, lanes)
+}
+
 // TestKernelDispatch logs which bodies this CPU runs, so that a reader of a
 // green run knows what it exercised.
 func TestKernelDispatch(t *testing.T) {
@@ -206,8 +220,10 @@ func TestKernelDispatch(t *testing.T) {
 	}
 	if useAVX512 {
 		t.Log("MatMulInto, full blocks of 4 rows × 32 columns: panel4, AVX-512 assembly")
+		t.Log("rootScores (OneHotRootSoftmaxInto), keys in eights, their rows of w transposed in registers eight columns at a time: AVX-512 assembly")
 	} else {
 		t.Log("MatMulInto: one panel call per row (no AVX-512F, or the OS does not save ZMM state)")
+		t.Log("rootScores (OneHotRootSoftmaxInto): generic Go")
 	}
 }
 
@@ -352,6 +368,28 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 					checkSame(t, what, got, want)
 					checkGuards(t, what, buf, 1, len(init))
 				}
+			}
+		}
+	})
+
+	t.Run("rootScores", func(t *testing.T) {
+		if !useAVX512 {
+			t.Skip("no AVX-512F (or no OS support for ZMM state): rootScores runs its Go body on this host")
+		}
+		rng := rand.New(rand.NewSource(34))
+		for _, d := range kernelSizes[1:] {
+			for lanes := 1; lanes <= 8; lanes++ {
+				const rows = 7
+				var g keyGroup
+				for l := 0; l < lanes; l++ {
+					g.off[l] = rng.Intn(rows) * d
+				}
+				cs := unaligned(rng, 16, 0)
+				copy(g.c0[:lanes], cs[:lanes])
+				copy(g.c1[:lanes], cs[8:8+lanes])
+				off := 1 + 2*rng.Intn(2)
+				w := unaligned(rng, rows*d, off)
+				compareRootScores(t, &g, lanes, unaligned(rng, d, 4-off), w, unaligned(rng, d, 1), unaligned(rng, d, 3), unaligned(rng, 1, 0)[0], off)
 			}
 		}
 	})
@@ -523,6 +561,15 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 	mustPanic(t, "reluTo short dst", func() { reluTo(full(7), full(8)) })
 	mustPanic(t, "reluGrad short g", func() { reluGrad(full(8), full(7), full(8)) })
 	mustPanic(t, "reluGrad short x", func() { reluGrad(full(8), full(8), full(7)) })
+	for _, ty := range []int{-1, 7, 1 << 40} {
+		mustPanic(t, fmt.Sprintf("OneHotRootSoftmaxInto type %d", ty), func() {
+			OneHotRootSoftmaxInto(NewMatrix(1, 9), NewMatrix(1, 8), NewMatrix(9, 7), NewMatrix(7, 8), []int{0, 1, 2, 3, 4, 0, 1, 2, ty}, 5, 1)
+		})
+	}
+	var g keyGroup
+	mustPanic(t, "rootScores short w", func() { rootScores(full(8), &g, full(8), full(7), full(8), full(8), 1) })
+	mustPanic(t, "rootScores short w0", func() { rootScores(full(8), &g, full(8), full(8), full(7), full(8), 1) })
+	mustPanic(t, "rootScores short w1", func() { rootScores(full(8), &g, full(8), full(8), full(8), full(7), 1) })
 	mustPanic(t, "MatMulTransBInto short b", func() {
 		MatMulTransBInto(NewMatrix(5, 8), NewMatrix(5, 4), &Matrix{Rows: 8, Cols: 4, Data: full(31)})
 	})
@@ -579,6 +626,20 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 			rows, ds, ars, brs := 1+int(off8)%9, cols+int(as8)%3, k+int(off8)%3, k+int(as8)%2
 			compareDotRows(t, rand.New(rand.NewSource(int64(k8)<<8|int64(cols8))), ds, next((rows-1)*ars+k), ars, next((cols-1)*brs+k), brs, rows, k, cols, off)
 		}
+		if k > 0 {
+			// rootScores: up to eight keys, each at a fuzzer-chosen row of
+			// a small w, every operand from the fuzzer's bits.
+			const rows = 5
+			var g keyGroup
+			lanes := 1 + cols%8
+			for l, v := range next(lanes) {
+				g.off[l] = int(math.Float64bits(v)%rows) * k
+			}
+			cs := next(16)
+			copy(g.c0[:lanes], cs[:lanes])
+			copy(g.c1[:lanes], cs[8:8+lanes])
+			compareRootScores(t, &g, lanes, next(k), next(rows*k), next(k), next(k), next(1)[0], off)
+		}
 		if useAVX512 && k > 0 {
 			n := 32 * (1 + cols%4)
 			ds, ars, bc := n+int(as8)%3, k+int(off8)%3, n+int(as8)%2
@@ -592,7 +653,8 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 // BenchmarkKernels times the primitives, Go body against assembly, on the
 // shapes one forward pass runs: the MLP layers for one root row and for a
 // ten-node plan, the LoRA down/up projections at the default ranks, the
-// Q/K/V one-hot projection and the tree-span probabilities·V product.
+// Q/K/V one-hot projection, the tree-span probabilities·V product and the
+// root row's scores.
 func BenchmarkKernels(b *testing.B) {
 	type impl struct {
 		name      string
@@ -676,6 +738,33 @@ func BenchmarkKernels(b *testing.B) {
 				im.body(dst, src)
 			}
 		})
+	}
+	// The root row's scores against n one-hot keys at the default DK, as the
+	// optimizer's candidate scorer runs them once per miss: six flops per
+	// key element (forming it, then the dot).
+	for _, n := range []int{3, 8, 13, 31} {
+		const hot, d = 16, 128
+		w, q := dense((hot+2)*d), dense(d)
+		groups := make([]keyGroup, (n+7)/8)
+		for j := 0; j < n; j++ {
+			g := &groups[j/8]
+			g.off[j%8] = rng.Intn(hot) * d
+			g.c0[j%8], g.c1[j%8] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		dst := make([]float64, n)
+		for _, im := range []struct {
+			name string
+			body func(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale float64)
+		}{{"generic", rootScoresGeneric}, {"dispatched", rootScores}} {
+			b.Run(fmt.Sprintf("rootScores/%d/%s", n, im.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for gi := range groups {
+						im.body(dst[gi*8:min(gi*8+8, n)], &groups[gi], q, w, w[hot*d:], w[(hot+1)*d:], 0.125)
+					}
+				}
+				b.ReportMetric(float64(6*n*d)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+			})
+		}
 	}
 	// The rest of a training step: aᵀ·b under MatMul's dW adjoint (a plan's
 	// rows are the summed axis; one strided panel call per output row), the

@@ -1,6 +1,9 @@
 package optimizer_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -244,41 +247,106 @@ func TestDACEGuidedPlanningDeterministic(t *testing.T) {
 	}
 }
 
-// pairedScorer hands each DP cell to one scorer in one call, as the planner
-// does, and the same candidates to a second scorer one call each.
+// pairedScorer hands each DP level to one scorer in one call, as the
+// planner does, and the same candidates to a second scorer one call each.
 type pairedScorer struct {
-	t            *testing.T
-	cell, single *core.Scorer
+	t             *testing.T
+	level, single *core.Scorer
 }
 
 func (p *pairedScorer) AppendScoreCandidates(buf []float64, cands []*plan.Node) []float64 {
 	base := len(buf)
-	buf = p.cell.AppendScoreCandidates(buf, cands)
+	buf = p.level.AppendScoreCandidates(buf, cands)
 	for i, c := range cands {
 		if one := p.single.Score(c); math.Float64bits(one) != math.Float64bits(buf[base+i]) {
-			p.t.Fatalf("cell of %d, candidate %d: %v scored with its cell, %v alone", len(cands), i, buf[base+i], one)
+			p.t.Fatalf("level of %d, candidate %d: %v scored with its level, %v alone", len(cands), i, buf[base+i], one)
 		}
 	}
 	return buf
 }
 
-// TestDPCellScoringCountsLikeOneAtATime: the Scorer runs the MLP head once
-// per call, over all of a DP cell's misses. On the candidate stream the DP
-// really emits that changes no score and no counter — hits, misses, spliced
-// and encoded rows are what one call per candidate produces.
-func TestDPCellScoringCountsLikeOneAtATime(t *testing.T) {
+// TestDPLevelScoringCountsLikeOneAtATime: the planner prices a whole DP
+// level in one call, and the Scorer runs the MLP head once per call, over
+// all of the level's misses. On the candidate stream the DP really emits
+// that changes no score and no counter — hits, misses, spliced and encoded
+// rows are what one call per candidate produces.
+func TestDPLevelScoringCountsLikeOneAtATime(t *testing.T) {
 	db := schema.IMDB()
 	m := daceModel(t, db)
-	cell, single := core.NewScorer(m), core.NewScorer(m)
+	level, single := core.NewScorer(m), core.NewScorer(m)
 	pl := optimizer.New(db)
-	pl.CostModel = &pairedScorer{t: t, cell: cell, single: single}
+	pl.CostModel = &pairedScorer{t: t, level: level, single: single}
 	fingerprints(t, pl, workload.Complex(db, 25, 19))
-	c, s := cell.Stats(), single.Stats()
-	if c != s {
-		t.Fatalf("cell calls counted %+v, single calls %+v", c, s)
+	l, s := level.Stats(), single.Stats()
+	if l != s {
+		t.Fatalf("level calls counted %+v, single calls %+v", l, s)
 	}
-	if c.Misses == 0 || c.Hits == 0 || c.NodesCopied == 0 {
-		t.Fatalf("degenerate DP traffic: %+v", c)
+	if l.Misses == 0 || l.Hits == 0 || l.NodesCopied == 0 {
+		t.Fatalf("degenerate DP traffic: %+v", l)
+	}
+}
+
+// streamModel scores by sign·EstCost and digests every candidate it is
+// asked about, in order, by subtree fingerprint.
+type streamModel struct {
+	sign         float64
+	calls, cands int
+	stream       []byte
+}
+
+func (s *streamModel) AppendScoreCandidates(buf []float64, cands []*plan.Node) []float64 {
+	s.calls++
+	s.cands += len(cands)
+	for _, c := range cands {
+		fp, _ := c.SubtreeFingerprint()
+		s.stream = binary.LittleEndian.AppendUint64(s.stream, fp.Hi)
+		s.stream = binary.LittleEndian.AppendUint64(s.stream, fp.Lo)
+		buf = append(buf, s.sign*c.EstCost)
+	}
+	return buf
+}
+
+// TestDPScoresOneCallPerLevel: the DP makes one CostModel call per level —
+// n−1 for an n-table connected query — and the calls, concatenated, ask
+// about the candidates the cell-at-a-time DP asked about, in the same
+// order. The digests and counts were recorded from that DP (one call per
+// cell, 1,064 calls over this workload) under a model that keeps the
+// classic choice and under one that inverts it, so a level that scored a
+// cell's candidates against another cell's scores would change the plans
+// and the later levels' streams.
+func TestDPScoresOneCallPerLevel(t *testing.T) {
+	for _, tc := range []struct {
+		sign          float64
+		cands         int
+		stream, plans string
+	}{
+		{1, 11159, "882668f5fc0930c77cc9fc6794057fdb5f72b6b1ed6bb3224575fa3ed8de316d", "70f7ea0fde382cb8be711efd3fa75fb79791098426b0555e49e84e74c16d3d2a"},
+		{-1, 11208, "a08c9c28bf009f4a9829842fde8be5fa30f542d6d846d37c39b96619c20b208e", "223438f809c98ae5b1c1cfa994be1fcb8da5c6ed5e099ffcbe6970e4a2da7e95"},
+	} {
+		m := &streamModel{sign: tc.sign}
+		var plans []byte
+		for _, db := range schema.Benchmark20()[:4] {
+			pl := optimizer.New(db)
+			pl.CostModel = m
+			for i, q := range workload.Complex(db, 30, 11) {
+				calls := m.calls
+				p, err := pl.Plan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := m.calls-calls, len(q.Tables)-1; got != want {
+					t.Fatalf("%s query %d: %d tables planned in %d CostModel calls, want %d", db.Name, i, len(q.Tables), got, want)
+				}
+				fp := p.Fingerprint()
+				plans = binary.LittleEndian.AppendUint64(plans, fp.Hi)
+				plans = binary.LittleEndian.AppendUint64(plans, fp.Lo)
+			}
+		}
+		stream, planned := fmt.Sprintf("%x", sha256.Sum256(m.stream)), fmt.Sprintf("%x", sha256.Sum256(plans))
+		if m.cands != tc.cands || stream != tc.stream || planned != tc.plans {
+			t.Fatalf("sign %v: %d candidates, stream %s, plans %s; the cell-at-a-time DP asked about %d, stream %s, plans %s",
+				tc.sign, m.cands, stream, planned, tc.cands, tc.stream, tc.plans)
+		}
 	}
 }
 

@@ -168,23 +168,41 @@ func (pl *Planner) scan(tableName string, preds []plan.Predicate) candidate {
 	return candidate{node: node, rows: outRows, cost: node.EstCost}
 }
 
-// dpScratch holds joinDP's per-query choose buffers, reused across DP
-// cells so candidate gathering and scoring allocate once per Plan call.
+// dpScratch holds joinDP's per-query buffers, reused across DP levels so
+// candidate gathering and scoring allocate once per Plan call.
 type dpScratch struct {
 	cands  []candidate
-	keep   []int
+	cells  []dpCell
 	nodes  []*plan.Node
 	scores []float64
 }
 
+// dpCell is one DP cell of the level being priced: its table subset, its
+// candidates cands[lo:hi], the cheapest of them by classic cost, and the
+// classic cost up to which a CostModel scores them.
+type dpCell struct {
+	mask          uint32
+	lo, hi, cheap int
+	limit         float64
+}
+
+// joinFacts is what every split joining via one foreign key shares: the
+// join's selectivity and the Meta its join operators carry.
+type joinFacts struct {
+	ci, pi int
+	sel    float64
+	meta   *plan.Meta
+}
+
 // joinDP runs subset dynamic programming over left-deep and right-deep join
-// orders, choosing the best physical operator per cell. All candidates for
-// a cell are gathered first (in the fixed enumeration order of q.Joins ×
-// split × operator), then one is chosen — by classic cost, or by
-// pl.CostModel score when the learned cost model is plugged in. Ties break
-// toward the earlier candidate in enumeration order, so planning is
-// deterministic run-to-run in either mode. base[i] is the access path for
-// q.Tables[i].
+// orders, choosing the best physical operator per cell. A cell's candidates
+// are gathered in the fixed enumeration order of q.Joins × split ×
+// operator, and the cells of one subset size — a DP level, which reads only
+// the winners of smaller levels — are priced together: by classic cost, or
+// by pl.CostModel score in one call per level when the learned cost model
+// is plugged in. Ties break toward the earlier candidate in enumeration
+// order, so planning is deterministic run-to-run in either mode. base[i] is
+// the access path for q.Tables[i].
 func (pl *Planner) joinDP(q *workload.Query, base []candidate) candidate {
 	n := len(q.Tables)
 	idx := make(map[string]int, n)
@@ -198,17 +216,29 @@ func (pl *Planner) joinDP(q *workload.Query, base []candidate) candidate {
 	if n == 1 {
 		return dp[1]
 	}
+	joins := make([]joinFacts, len(q.Joins))
+	for i, fk := range q.Joins {
+		joins[i] = joinFacts{
+			ci: idx[fk.ChildTable], pi: idx[fk.ParentTable],
+			sel: pl.Stats.JoinSelectivity(fk),
+			meta: &plan.Meta{
+				JoinLeft:  fk.ChildTable + "." + fk.ChildColumn,
+				JoinRight: fk.ParentTable + "." + fk.ParentColumn,
+			},
+		}
+	}
 
-	var scratch dpScratch
+	var s dpScratch
 	// Grow subsets one table at a time along FK edges.
 	for size := 2; size <= n; size++ {
+		s.cands, s.cells = s.cands[:0], s.cells[:0]
 		for mask := uint32(1); mask < 1<<n; mask++ {
 			if popcount(mask) != size {
 				continue
 			}
-			scratch.cands = scratch.cands[:0]
-			for _, fk := range q.Joins {
-				ci, pi := idx[fk.ChildTable], idx[fk.ParentTable]
+			lo := len(s.cands)
+			for i, fk := range q.Joins {
+				ci, pi := joins[i].ci, joins[i].pi
 				if mask&(1<<ci) == 0 || mask&(1<<pi) == 0 {
 					continue
 				}
@@ -228,13 +258,14 @@ func (pl *Planner) joinDP(q *workload.Query, base []candidate) candidate {
 					if rest&(1<<other) == 0 {
 						continue
 					}
-					scratch.cands = pl.appendJoinCandidates(scratch.cands, fk, left, right)
+					s.cands = pl.appendJoinCandidates(s.cands, fk, &joins[i], left, right)
 				}
 			}
-			if len(scratch.cands) > 0 {
-				dp[mask] = pl.choose(&scratch)
+			if len(s.cands) > lo {
+				s.cells = append(s.cells, dpCell{mask: mask, lo: lo, hi: len(s.cands)})
 			}
 		}
+		pl.chooseLevel(&s, dp)
 	}
 	full := uint32(1<<n) - 1
 	c, ok := dp[full]
@@ -244,58 +275,69 @@ func (pl *Planner) joinDP(q *workload.Query, base []candidate) candidate {
 	return c
 }
 
-// choose picks one DP-cell winner from scratch.cands. Classic mode takes
-// the strictly cheapest candidate (first in enumeration order on ties).
-// With a CostModel, candidates within PruneFactor× of the cheapest classic
-// cost are scored and the lowest score wins — score ties break to lower
-// classic cost, then to enumeration order. The winner keeps its classic
+// chooseLevel enters the winner of every cell of s into dp. Classic mode
+// takes a cell's strictly cheapest candidate (first in enumeration order on
+// ties). With a CostModel, each cell's candidates within PruneFactor× of its
+// cheapest classic cost are scored — the whole level in one call, cells in
+// order — and the lowest score wins; score ties break to lower classic
+// cost, then to enumeration order. The winner keeps its classic
 // cost/EstCost either way: learned scores select plans, they never
 // overwrite cost features.
-func (pl *Planner) choose(s *dpScratch) candidate {
-	bi := 0
-	for i := 1; i < len(s.cands); i++ {
-		if s.cands[i].cost < s.cands[bi].cost {
-			bi = i
+func (pl *Planner) chooseLevel(s *dpScratch, dp map[uint32]candidate) {
+	s.nodes = s.nodes[:0]
+	for ci := range s.cells {
+		cell := &s.cells[ci]
+		cell.cheap = cell.lo
+		for i := cell.lo + 1; i < cell.hi; i++ {
+			if s.cands[i].cost < s.cands[cell.cheap].cost {
+				cell.cheap = i
+			}
+		}
+		if pl.CostModel == nil {
+			dp[cell.mask] = s.cands[cell.cheap]
+			continue
+		}
+		cell.limit = math.Inf(1)
+		if pl.PruneFactor > 0 {
+			cell.limit = s.cands[cell.cheap].cost * pl.PruneFactor
+		}
+		for i := cell.lo; i < cell.hi; i++ {
+			if s.cands[i].cost <= cell.limit {
+				s.nodes = append(s.nodes, s.cands[i].node)
+			}
 		}
 	}
 	if pl.CostModel == nil {
-		return s.cands[bi]
-	}
-	s.keep = s.keep[:0]
-	limit := math.Inf(1)
-	if pl.PruneFactor > 0 {
-		limit = s.cands[bi].cost * pl.PruneFactor
-	}
-	for i := range s.cands {
-		if s.cands[i].cost <= limit {
-			s.keep = append(s.keep, i)
-		}
-	}
-	s.nodes = s.nodes[:0]
-	for _, i := range s.keep {
-		s.nodes = append(s.nodes, s.cands[i].node)
+		return
 	}
 	s.scores = pl.CostModel.AppendScoreCandidates(s.scores[:0], s.nodes)
-	best, bestScore := s.keep[0], s.scores[0]
-	for j := 1; j < len(s.keep); j++ {
-		i, sc := s.keep[j], s.scores[j]
-		if sc < bestScore || (sc == bestScore && s.cands[i].cost < s.cands[best].cost) {
-			best, bestScore = i, sc
+	j := 0
+	for _, cell := range s.cells {
+		best, bestScore := -1, 0.0
+		for i := cell.lo; i < cell.hi; i++ {
+			if s.cands[i].cost > cell.limit {
+				continue
+			}
+			sc := s.scores[j]
+			j++
+			if best < 0 || sc < bestScore || (sc == bestScore && s.cands[i].cost < s.cands[best].cost) {
+				best, bestScore = i, sc
+			}
 		}
+		if best < 0 {
+			// A PruneFactor below 1 can leave a cell nothing to score;
+			// its classic winner stands.
+			best = cell.cheap
+		}
+		dp[cell.mask] = s.cands[best]
 	}
-	return s.cands[best]
 }
 
 // appendJoinCandidates appends every physical join of left and right via fk
 // — hash and nested-loop in both operand orders, merge — to dst, in fixed
-// enumeration order.
-func (pl *Planner) appendJoinCandidates(dst []candidate, fk schema.ForeignKey, left, right candidate) []candidate {
-	sel := pl.Stats.JoinSelectivity(fk)
-	outRows := math.Max(1, left.rows*right.rows*sel)
-	meta := &plan.Meta{
-		JoinLeft:  fk.ChildTable + "." + fk.ChildColumn,
-		JoinRight: fk.ParentTable + "." + fk.ParentColumn,
-	}
+// enumeration order. jf holds fk's selectivity and join Meta.
+func (pl *Planner) appendJoinCandidates(dst []candidate, fk schema.ForeignKey, jf *joinFacts, left, right candidate) []candidate {
+	outRows := math.Max(1, left.rows*right.rows*jf.sel)
 
 	consider := func(c candidate) {
 		dst = append(dst, c)
@@ -309,7 +351,7 @@ func (pl *Planner) appendJoinCandidates(dst []candidate, fk schema.ForeignKey, l
 		hashNode := &plan.Node{Type: plan.Hash, EstRows: inner.rows, EstCost: inner.cost + hashCost, Children: []*plan.Node{inner.node}}
 		hjCost := outer.cost + hashNode.EstCost + pl.Params.JoinCost(plan.HashJoin, outer.rows, inner.rows, outRows)
 		consider(candidate{
-			node: &plan.Node{Type: plan.HashJoin, EstRows: outRows, EstCost: hjCost, Meta: meta,
+			node: &plan.Node{Type: plan.HashJoin, EstRows: outRows, EstCost: hjCost, Meta: jf.meta,
 				Children: []*plan.Node{outer.node, hashNode}},
 			rows: outRows, cost: hjCost,
 		})
@@ -324,7 +366,7 @@ func (pl *Planner) appendJoinCandidates(dst []candidate, fk schema.ForeignKey, l
 		}
 		nlCost := outer.cost + innerCost + pl.Params.JoinCost(plan.NestedLoop, outer.rows, inner.rows, outRows)
 		consider(candidate{
-			node: &plan.Node{Type: plan.NestedLoop, EstRows: outRows, EstCost: nlCost, Meta: meta,
+			node: &plan.Node{Type: plan.NestedLoop, EstRows: outRows, EstCost: nlCost, Meta: jf.meta,
 				Children: []*plan.Node{outer.node, innerNode}},
 			rows: outRows, cost: nlCost,
 		})
@@ -339,7 +381,7 @@ func (pl *Planner) appendJoinCandidates(dst []candidate, fk schema.ForeignKey, l
 		Meta: &plan.Meta{SortCols: []string{fk.ParentColumn}}, Children: []*plan.Node{right.node}}
 	mjCost := lNode.EstCost + rNode.EstCost + pl.Params.JoinCost(plan.MergeJoin, left.rows, right.rows, outRows)
 	consider(candidate{
-		node: &plan.Node{Type: plan.MergeJoin, EstRows: outRows, EstCost: mjCost, Meta: meta,
+		node: &plan.Node{Type: plan.MergeJoin, EstRows: outRows, EstCost: mjCost, Meta: jf.meta,
 			Children: []*plan.Node{lNode, rNode}},
 		rows: outRows, cost: mjCost,
 	})

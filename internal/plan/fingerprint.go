@@ -85,24 +85,41 @@ func canonBits(v float64) uint64 {
 // node contributes its model-visible features in a fixed order. A nil root
 // hashes to the zero Fingerprint.
 func (p *Plan) Fingerprint() Fingerprint {
-	if p == nil || p.Root == nil {
+	if p == nil {
 		return Fingerprint{}
 	}
-	st := fpState{hi: fpSeedHi, lo: fpSeedLo}
-	fingerprintNode(&st, p.Root)
-	return st.sum()
+	fp, _ := p.Root.SubtreeFingerprint()
+	return fp
 }
 
-func fingerprintNode(st *fpState, n *Node) {
+// SubtreeFingerprint returns the Fingerprint of the sub-plan rooted at n —
+// (&Plan{Root: n}).Fingerprint() — and its node count, in one O(size) walk
+// over the subtree's word stream. A nil n hashes to the zero Fingerprint
+// and counts 0. It is how the optimizer's candidate scorer keys a subtree
+// it is about to probe: one walk per probe, where AppendSubtreeFingerprints
+// hashes every subtree of the tree at once.
+func (n *Node) SubtreeFingerprint() (Fingerprint, int) {
+	if n == nil {
+		return Fingerprint{}, 0
+	}
+	st := fpState{hi: fpSeedHi, lo: fpSeedLo}
+	size := fingerprintNode(&st, n)
+	return st.sum(), size
+}
+
+// fingerprintNode feeds n's subtree stream to st and returns its node count.
+func fingerprintNode(st *fpState, n *Node) int {
 	st.word(uint64(uint32(n.Type))<<32 | uint64(uint32(len(n.Children))))
 	st.word(canonBits(n.EstRows))
 	st.word(canonBits(n.EstCost))
 	// ActualRows is hashed because the DACE-A ablation (Config.ActualCardInput)
 	// feeds it to the model; for ordinary serving traffic it is simply 0.
 	st.word(canonBits(n.ActualRows))
+	size := 1
 	for _, c := range n.Children {
-		fingerprintNode(st, c)
+		size += fingerprintNode(st, c)
 	}
+	return size
 }
 
 // fpScratch is the pooled per-walk state of AppendSubtreeFingerprints: one

@@ -19,10 +19,16 @@ func TestSubtreeFingerprintsDifferential(t *testing.T) {
 	if fps[0] != p.Fingerprint() {
 		t.Fatalf("root subtree fingerprint %s != plan fingerprint %s", fps[0], p.Fingerprint())
 	}
+	sizes := p.AppendSubtreeSizes(nil)
 	for i, n := range nodes {
 		want := (&Plan{Root: n}).Fingerprint()
 		if fps[i] != want {
 			t.Fatalf("node %d (%s): subtree fingerprint %s, standalone %s", i, n.Type, fps[i], want)
+		}
+		// The one-walk probe the scorer uses hashes the same stream and
+		// counts the subtree it walked.
+		if fp, size := n.SubtreeFingerprint(); fp != fps[i] || size != sizes[i] {
+			t.Fatalf("node %d (%s): SubtreeFingerprint %s over %d nodes, want %s over %d", i, n.Type, fp, size, fps[i], sizes[i])
 		}
 	}
 }
@@ -84,6 +90,9 @@ func TestSubtreeFingerprintsNil(t *testing.T) {
 	var n *Node
 	if got := n.AppendSubtreeFingerprints(nil); len(got) != 0 {
 		t.Fatalf("nil node appended %d fingerprints", len(got))
+	}
+	if fp, size := n.SubtreeFingerprint(); !fp.IsZero() || size != 0 {
+		t.Fatalf("nil node: SubtreeFingerprint %s over %d nodes, want zero over 0", fp, size)
 	}
 }
 
