@@ -126,12 +126,14 @@ func (p *PostgreSQL) Predict(s dataset.Sample) float64 {
 
 // trainLoop is the shared mini-batch Adam loop: each sample contributes a
 // scalar loss node built by lossFn on a per-worker tape. Minibatches fan
-// out across a worker pool (workers <= 0 selects GOMAXPROCS); every sample
-// accumulates into a private gradient shard and shards reduce in fixed
-// sample order, so the trained weights are bitwise identical for any worker
-// count. lossFn is called concurrently and must not mutate shared state.
+// out across a worker pool (workers <= 0 selects GOMAXPROCS), and the
+// gradient is formed sample by sample in minibatch order (nn.GradPool), so
+// the trained weights are bitwise identical for any worker count. lossFn is
+// called concurrently and must not mutate shared state.
 func trainLoop(params []*nn.Param, n int, lossFn func(t *nn.Tape, i int) *nn.Node, lr float64, epochs, batch, seed, workers int) {
 	opt := nn.NewAdam(params, lr)
+	defer opt.Release()
+	opt.Clip = 5
 	pool := nn.NewGradPool(params, workers)
 	defer pool.Release()
 	rng := newRng(seed)
@@ -147,11 +149,9 @@ func trainLoop(params []*nn.Param, n int, lossFn func(t *nn.Tape, i int) *nn.Nod
 				end = len(order)
 			}
 			idxs := order[b:end]
-			pool.Accumulate(len(idxs), func(t *nn.Tape, i int) *nn.Node {
+			pool.Step(opt, len(idxs), func(t *nn.Tape, i int) *nn.Node {
 				return lossFn(t, idxs[i])
 			})
-			nn.ClipGradNorm(params, 5)
-			opt.Step()
 		}
 	}
 }

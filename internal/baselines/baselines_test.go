@@ -248,8 +248,8 @@ func TestHashBucketStable(t *testing.T) {
 }
 
 // TestTrainLoopWorkerCountInvariance asserts the shared minibatch loop is
-// deterministic across worker counts: the sharded gradient reduction runs
-// in fixed sample order, so a fixed seed yields bitwise-identical weights
+// deterministic across worker counts: the gradient is formed sample by
+// sample in fixed order, so a fixed seed yields bitwise-identical weights
 // whether training used 1 worker or 4.
 func TestTrainLoopWorkerCountInvariance(t *testing.T) {
 	env, samples := testEnv(t, 60)

@@ -83,16 +83,14 @@ func TestAppendPredictSubPlansZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFitBytesIndependentOfBatchSize: what a fit allocates per minibatch
-// *item* is that item's gradient shard and nothing else — tapes (and their
-// arenas, the bulk of training's memory) are per worker. With one worker the
-// tape sees the same plans in the same order whatever the batch size, so a
-// fit at BatchSize 64 may allocate more than one at 16 by the 48 extra
-// shards and some slice growth, where a tape per item used to add 48 arenas.
-// A shard's slab is a chunk borrowed from nn's size-class pools, rounded up
-// to a power of two: at the default config (31.7k floats in a 2^15 chunk,
-// 3 %) that stays inside the allocator-rounding term below, at smallConfig
-// it would not. Each fit starts on empty pools — two collections drain a
+// TestFitBytesIndependentOfBatchSize: a fit allocates nothing the size of
+// the parameters per minibatch *item* — tapes (and their arenas, the bulk
+// of training's memory) are per worker, and a worker's tape holds each
+// item's activations, not its gradient. With one worker the tape sees the
+// same plans in the same order whatever the batch size, so a fit at
+// BatchSize 64 may allocate more than one at 16 by at most what 48
+// parameter-sized buffers would take — the bound from when every item had
+// one, kept. Each fit starts on empty pools — two collections drain a
 // sync.Pool — so what is compared is what a fit needs, not what the fit
 // before it happened to leave behind (TestFitReturnsItsMemory covers that).
 func TestFitBytesIndependentOfBatchSize(t *testing.T) {
@@ -115,14 +113,14 @@ func TestFitBytesIndependentOfBatchSize(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	shard := uint64(0) // one item's gradient slab plus its matrix headers
+	shard := uint64(0) // a parameter-sized buffer plus its matrix headers
 	for _, p := range seed.Params() {
 		shard += uint64(8*len(p.Value.Data)) + 64
 	}
 	shard += shard / 8 // the allocator's size-class rounding
 	small, large := fitBytes(16), fitBytes(64)
 	if extra, allowed := large-small, 48*shard+(4<<10); large < small || extra > allowed {
-		t.Fatalf("fit allocated %d bytes at BatchSize 16 and %d at 64: %d apart, want at most the 48 extra shards (%d)",
+		t.Fatalf("fit allocated %d bytes at BatchSize 16 and %d at 64: %d apart, want at most 48 parameter-sized buffers (%d)",
 			small, large, int64(large)-int64(small), allowed)
 	}
 }

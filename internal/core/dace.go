@@ -47,8 +47,8 @@ type Config struct {
 	// Workers sizes the data-parallel goroutine pool used for minibatch
 	// gradient computation and batch inference; <= 0 means one worker per
 	// available CPU (runtime.GOMAXPROCS(0)). Results are bitwise identical
-	// for any worker count: each minibatch plan accumulates into a private
-	// gradient shard and shards reduce in fixed plan order.
+	// for any worker count: each parameter's gradient is formed plan by
+	// plan in minibatch order (nn.GradPool).
 	Workers int
 }
 
@@ -159,7 +159,7 @@ func (m *Model) forward(t *nn.Tape, enc *featurize.Encoded, hiddenLayer int) (pr
 	// rows, which is bitwise identical to the dense X·W at a sixth of the
 	// work (see nn.ProjectOneHotInto).
 	h := m.Att.ApplyOneHot(t, enc.X, enc.Types, plan.NumNodeTypes, m.spansFor(enc))
-	return m.head(t, h, enc, hiddenLayer)
+	return m.head(t, h, enc, hiddenLayer, nil)
 }
 
 // spansFor returns the attention spans the configuration calls for: the
@@ -172,12 +172,17 @@ func (m *Model) spansFor(enc *featurize.Encoded) []nn.Span {
 }
 
 // head records the MLP (+ optional LoRA adapters) and the cost-correction
-// residual on top of the attention output h.
-func (m *Model) head(t *nn.Tape, h *nn.Node, enc *featurize.Encoded, hiddenLayer int) (pred, hidden *nn.Node) {
+// residual on top of the attention output h. base0, if non-nil, is the
+// first layer's frozen base output h·W₀ + b₀ (see prefix): only that
+// layer's adapter path is recorded.
+func (m *Model) head(t *nn.Tape, h *nn.Node, enc *featurize.Encoded, hiddenLayer int, base0 *nn.Matrix) (pred, hidden *nn.Node) {
 	for i := range m.MLP {
-		if m.lora != nil {
+		switch {
+		case i == 0 && base0 != nil:
+			h = t.Add(t.Const(base0), m.lora[0].Adapter(t, h))
+		case m.lora != nil:
 			h = m.lora[i].Apply(t, h)
-		} else {
+		default:
 			h = m.MLP[i].Apply(t, h)
 		}
 		if i != len(m.MLP)-1 {
@@ -192,14 +197,52 @@ func (m *Model) head(t *nn.Tape, h *nn.Node, enc *featurize.Encoded, hiddenLayer
 	return pred, hidden
 }
 
+// prefix is the frozen start of a plan's LoRA fine-tuning forward pass,
+// computed once per fit: the attention output h and the first layer's base
+// output h·W₀ + b₀.
+type prefix struct {
+	h, base0 *nn.Matrix
+}
+
+// prefixes computes the prefix of every encoded plan into memory drawn from
+// held, on m's workers.
+func (m *Model) prefixes(encoded []*featurize.Encoded, held *nn.Arena) []prefix {
+	out := make([]prefix, len(encoded))
+	l0 := m.MLP[0]
+	for i, enc := range encoded {
+		out[i] = prefix{
+			h:     held.UninitMatrix(enc.X.Rows, m.Att.WV.Value.Cols),
+			base0: held.Matrix(enc.X.Rows, l0.Out()),
+		}
+	}
+	nn.ParallelFor(len(encoded), m.Cfg.Workers, func(i int) {
+		pre := out[i]
+		s := scratchPool.Get().(*scratch)
+		s.arena.Reset()
+		_, h := m.forwardRaw(&s.arena, encoded[i], encoded[i].X.Rows, attentionOnly)
+		copy(pre.h.Data, h.Data)
+		scratchPool.Put(s)
+		// The tape's MatMul then AddRow in raw arithmetic: the same kernel
+		// and the same adds, so the same bits.
+		nn.MatMulInto(pre.base0, pre.h, l0.W.Value)
+		cols := pre.base0.Cols
+		for r := 0; r < pre.base0.Rows; r++ {
+			for j, b := range l0.B.Value.Data {
+				pre.base0.Data[r*cols+j] += b
+			}
+		}
+	})
+	return out
+}
+
 // loss records the Eq. (7) training loss for one plan: the per-node
 // absolute log-q-error weighted by the loss adjuster, normalized by the
-// total weight so plans of different sizes contribute comparably. cachedH,
-// if non-nil, is the precomputed (frozen) attention output.
-func (m *Model) loss(t *nn.Tape, enc *featurize.Encoded, cachedH *nn.Matrix) *nn.Node {
+// total weight so plans of different sizes contribute comparably. pre, if
+// non-nil, is the plan's frozen prefix.
+func (m *Model) loss(t *nn.Tape, enc *featurize.Encoded, pre *prefix) *nn.Node {
 	var pred *nn.Node
-	if cachedH != nil {
-		pred, _ = m.head(t, t.Const(cachedH), enc, -1)
+	if pre != nil {
+		pred, _ = m.head(t, t.Const(pre.h), enc, -1, pre.base0)
 	} else {
 		pred, _ = m.forward(t, enc, -1)
 	}
@@ -240,28 +283,25 @@ func encodeAll[P any](m *Model, plans []P, encode func(*featurize.Encoder, P) *f
 
 // fit runs the mini-batch Adam loop over plans. Each minibatch fans out to
 // a worker pool (Config.Workers): workers run forward+backward on private
-// tapes against the frozen parameter values, accumulating into per-plan
-// gradient shards that reduce in fixed plan order — so the trained weights
-// are bitwise identical for any worker count and any goroutine schedule.
+// tapes against the fixed parameter values, and the ordered pass forms each
+// parameter's gradient plan by plan in minibatch order — so the trained
+// weights are bitwise identical for any worker count and any goroutine
+// schedule.
 func (m *Model) fit(encoded []*featurize.Encoded, lr float64, epochs int) {
-	// LoRA fine-tuning: the attention block is frozen, so its per-plan
-	// output is a fixed feature matrix — compute it once and train only the
-	// (adapter-augmented) head over it.
-	var cached []*nn.Matrix
+	// LoRA fine-tuning: the attention block and every base weight are
+	// frozen, so each plan's prefix is fixed — compute it once and train
+	// only the adapters over it. Prefixes die with the fit, so they are
+	// borrowed from the arena chunk pools and handed back with it.
+	var prefixes []prefix
+	var held nn.Arena
+	defer held.Release()
 	if m.lora != nil {
-		cached = make([]*nn.Matrix, len(encoded))
-		// The cache outlives every per-batch arena cycle of the loop below,
-		// so each attention output is cloned out of the scratch arena.
-		nn.ParallelFor(len(encoded), m.Cfg.Workers, func(i int) {
-			s := scratchPool.Get().(*scratch)
-			s.arena.Reset()
-			_, h := m.forwardRaw(&s.arena, encoded[i], encoded[i].X.Rows, attentionOnly)
-			cached[i] = h.Clone()
-			scratchPool.Put(s)
-		})
+		prefixes = m.prefixes(encoded, &held)
 	}
 	params := m.Params()
 	opt := nn.NewAdam(params, lr)
+	defer opt.Release()
+	opt.Clip = 5
 	pool := nn.NewGradPool(params, m.Cfg.Workers)
 	defer pool.Release()
 	// Instrumentation is armed only when hooks are installed; the nil-hook
@@ -288,16 +328,13 @@ func (m *Model) fit(encoded []*featurize.Encoded, lr float64, epochs int) {
 				end = len(order)
 			}
 			idxs := order[b:end]
-			loss := pool.Accumulate(len(idxs), func(t *nn.Tape, i int) *nn.Node {
-				var h *nn.Matrix
-				if cached != nil {
-					h = cached[idxs[i]]
+			epochLoss += pool.Step(opt, len(idxs), func(t *nn.Tape, i int) *nn.Node {
+				var pre *prefix
+				if prefixes != nil {
+					pre = &prefixes[idxs[i]]
 				}
-				return m.loss(t, encoded[idxs[i]], h)
+				return m.loss(t, encoded[idxs[i]], pre)
 			})
-			epochLoss += loss
-			nn.ClipGradNorm(params, 5)
-			opt.Step()
 		}
 		if hooks != nil {
 			dur := time.Since(epochStart)

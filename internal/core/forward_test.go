@@ -146,16 +146,16 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 				// clear. One forward+backward on recycled NaNs must leave the
 				// loss and every gradient as a fresh tape does — an element
 				// read before it is assigned comes out as a NaN gradient. The
-				// adapter model runs fit's path: its cached attention output
-				// enters the head as a Const, which has no gradient matrix.
-				var cachedH *nn.Matrix
+				// adapter model runs fit's path: its cached prefix enters the
+				// head as Consts, which have no gradient matrix.
+				var pre *prefix
 				if name == "lora" {
-					_, h := m.forwardRaw(&a, enc, enc.X.Rows, attentionOnly)
-					cachedH = h.Clone()
+					var held nn.Arena
+					pre = &m.prefixes([]*featurize.Encoded{enc}, &held)[0]
 				}
-				wantGrads := lossGrads(m, nn.NewTape(), enc, cachedH)
+				wantGrads := lossGrads(m, nn.NewTape(), enc, pre)
 				poison(t, recycled.Arena())
-				sameBits(t, "loss and gradients", lossGrads(m, recycled, enc, cachedH), wantGrads)
+				sameBits(t, "loss and gradients", lossGrads(m, recycled, enc, pre), wantGrads)
 			}
 		})
 	}
@@ -163,11 +163,11 @@ func TestForwardOnPoisonedArena(t *testing.T) {
 
 // lossGrads runs one training forward+backward for enc on t and returns the
 // loss followed by every parameter's gradient.
-func lossGrads(m *Model, t *nn.Tape, enc *featurize.Encoded, cachedH *nn.Matrix) []float64 {
+func lossGrads(m *Model, t *nn.Tape, enc *featurize.Encoded, pre *prefix) []float64 {
 	for _, p := range m.Params() {
 		p.Grad.Zero()
 	}
-	loss := m.loss(t, enc, cachedH)
+	loss := m.loss(t, enc, pre)
 	t.Backward(loss)
 	out := []float64{loss.Value.Data[0]}
 	for _, p := range m.Params() {

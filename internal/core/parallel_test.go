@@ -31,9 +31,9 @@ var workerCounts = []int{1, 2, 3, 8, 21}
 
 // TestTrainDeterministicAcrossWorkerCounts: for a fixed seed, training with
 // any worker count must produce bitwise-identical parameters and identical
-// predictions, because per-plan gradient shards reduce in fixed plan order
-// regardless of goroutine scheduling, and nothing a plan contributes depends
-// on which worker's tape it ran on.
+// predictions, because each parameter's gradient is formed plan by plan in
+// fixed order regardless of goroutine scheduling, and nothing a plan
+// contributes depends on which worker's tape it ran on.
 func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 	plans := workloadPlans(t, schema.BenchmarkDB("airline"), 80, executor.M1())
 	train := func(workers int) *Model {

@@ -333,25 +333,41 @@ func ProjectOneHotInto(dst, x, w *Matrix, types []int, hot int) {
 	}
 }
 
-// projectOneHotGradInto accumulates xᵀ·dy into dw through the same sparsity:
-// row i contributes dy[i,:] to dw[types[i],:] and its two scaled copies to
-// the cost/card rows. Per dw element the i-terms arrive in ascending order,
+// formProjectOneHot forms rows [r0, r0+len(dst)/cols) of xᵀ·dy, the weight
+// gradient of ProjectOneHot, through the same sparsity: input row i
+// contributes dy[i,:] to weight row types[i] and its two scaled copies to
+// the cost/card rows hot and hot+1, and only the contributions to rows in
+// the block are made. Per element the i-terms arrive in ascending order,
 // exactly as MatMulTransAInto produces them.
-func projectOneHotGradInto(dw, x, dy *Matrix, types []int, hot int) {
-	wc := dw.Cols
-	g0 := dw.Data[hot*wc : hot*wc+wc]
-	g1 := dw.Data[(hot+1)*wc : (hot+1)*wc+wc][:len(g0)]
+func formProjectOneHot(n *Node, dst []float64, r0 int) {
+	x, dy, types, hot := n.cm, n.Grad, n.idx, int(n.k)
+	wc := dy.Cols
+	r1 := r0 + len(dst)/wc
+	row := func(r int) []float64 {
+		if r < r0 || r >= r1 {
+			return nil
+		}
+		return dst[(r-r0)*wc : (r-r0+1)*wc]
+	}
+	g0, g1 := row(hot), row(hot+1)
 	for i := 0; i < dy.Rows; i++ {
-		ty := types[i]
-		gt := dw.Data[ty*wc : ty*wc+wc][:len(g0)]
-		c0 := x.Data[i*x.Cols+hot]
-		c1 := x.Data[i*x.Cols+hot+1]
-		grow := dy.Data[i*wc : i*wc+wc][:len(g0)]
-		for j := range grow {
-			gv := grow[j]
-			gt[j] += gv
-			g0[j] += c0 * gv
-			g1[j] += c1 * gv
+		grow := dy.Data[i*wc : (i+1)*wc]
+		if gt := row(types[i]); gt != nil {
+			for j, gv := range grow[:len(gt)] {
+				gt[j] += gv
+			}
+		}
+		if g0 != nil {
+			c0 := x.Data[i*x.Cols+hot]
+			for j, gv := range grow[:len(g0)] {
+				g0[j] += c0 * gv
+			}
+		}
+		if g1 != nil {
+			c1 := x.Data[i*x.Cols+hot+1]
+			for j, gv := range grow[:len(g1)] {
+				g1[j] += c1 * gv
+			}
 		}
 	}
 }
@@ -366,6 +382,7 @@ func (t *Tape) ProjectOneHot(x *Matrix, types []int, hot int, w *Node) *Node {
 	n.cm = x
 	n.idx = types
 	n.k = float64(hot)
+	n.formB = formProjectOneHot
 	ProjectOneHotInto(n.Value, x, w.Value, types, hot)
 	return n
 }
@@ -375,6 +392,6 @@ func backProjectOneHot(t *Tape, n *Node) {
 		return
 	}
 	tmp := t.arena.Matrix(n.b.Grad.Rows, n.b.Grad.Cols)
-	projectOneHotGradInto(tmp, n.cm, n.Grad, n.idx, int(n.k))
+	formProjectOneHot(n, tmp.Data, 0)
 	AddInPlace(n.b.Grad, tmp)
 }

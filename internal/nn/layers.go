@@ -77,8 +77,12 @@ func NewLoRADense(base *Dense, rank int, rng *rand.Rand) *LoRADense {
 // Apply records base output plus the adapter path.
 func (l *LoRADense) Apply(t *Tape, x *Node) *Node {
 	y := l.Base.Apply(t, x)
-	adapter := t.Scale(t.MatMul(t.MatMul(x, t.Leaf(l.Down)), t.Leaf(l.Up)), l.Scale)
-	return t.Add(y, adapter)
+	return t.Add(y, l.Adapter(t, x))
+}
+
+// Adapter records the adapter path alone, x·(Bᵣ·Aᵣ)·scale.
+func (l *LoRADense) Adapter(t *Tape, x *Node) *Node {
+	return t.Scale(t.MatMul(t.MatMul(x, t.Leaf(l.Down)), t.Leaf(l.Up)), l.Scale)
 }
 
 // Params returns all parameters (base + adapter).

@@ -153,19 +153,27 @@ func TestAdamSkipsFrozen(t *testing.T) {
 	}
 }
 
+// TestClipGradNorm: Adam.Clip rescales the gradients to the clip norm before
+// the update — a step on clipped gradients is the step on the gradients
+// scaled by hand — and leaves gradients under the clip as they are.
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 1, 2)
 	p.Grad.Data = []float64{3, 4} // norm 5
-	ClipGradNorm([]*Param{p}, 1)
-	norm := math.Hypot(p.Grad.Data[0], p.Grad.Data[1])
-	if !almostEqual(norm, 1, 1e-12) {
+	s := clipScale([]*Param{p}, 1)
+	if norm := math.Hypot(3*s, 4*s); !almostEqual(norm, 1, 1e-12) {
 		t.Fatalf("clipped norm %v, want 1", norm)
 	}
+	clipped := NewAdam([]*Param{p}, 0.1)
+	clipped.Clip = 1
+	clipped.Step()
+	q := NewParam("w", 1, 2)
+	q.Grad.Data = []float64{3 * s, 4 * s}
+	NewAdam([]*Param{q}, 0.1).Step()
+	checkSame(t, "step on clipped gradients", p.Value.Data, q.Value.Data)
 	// Below threshold: untouched.
 	p.Grad.Data = []float64{0.3, 0.4}
-	ClipGradNorm([]*Param{p}, 1)
-	if p.Grad.Data[0] != 0.3 {
-		t.Fatal("clip modified small gradient")
+	if s := clipScale([]*Param{p}, 1); s != 1 {
+		t.Fatalf("clip scales a small gradient by %v", s)
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 // Every op below records a plain function pointer plus operand fields on the
 // node instead of a closure, and draws its output (and any adjoint
 // temporaries) from the tape's arena — so replaying a reused tape allocates
-// nothing. Adjoints that accumulate a matrix product into a leaf gradient
-// first materialize the product in an arena temporary and add it once,
-// preserving the summation order (and therefore the bitwise results) of the
-// original temp-then-AddInPlace formulation.
+// nothing. Adjoints that accumulate a matrix product into a gradient first
+// materialize the product from +0 and add it once, preserving the summation
+// order (and therefore the bitwise results) of the original
+// temp-then-AddInPlace formulation. No adjoint writes a parameter's
+// gradient: a Leaf has NeedsGrad false, and the ordered pass (pass.go)
+// forms that share — through formB where the op has one, by replaying the
+// adjoint otherwise.
 
 // MatMul records c = a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
@@ -20,6 +23,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	}
 	n := t.node(a.Value.Rows, b.Value.Cols, backMatMul)
 	n.a, n.b = a, b
+	n.formB = formMatMulB
 	MatMulInto(n.Value, a.Value, b.Value)
 	return n
 }
@@ -33,8 +37,22 @@ func backMatMul(t *Tape, n *Node) {
 	}
 	if n.b.NeedsGrad {
 		tmp := t.arena.Matrix(n.b.Grad.Rows, n.b.Grad.Cols)
-		MatMulTransAInto(tmp, n.a.Value, n.Grad)
+		formMatMulB(n, tmp.Data, 0)
 		AddInPlace(n.b.Grad, tmp)
+	}
+}
+
+// formMatMulB forms rows [r0, r0+len(dst)/cols) of aᵀ·dc into dst: row r is
+// the one panel call MatMulTransAInto makes for it, so the rows of any
+// block come out as they do in the whole product.
+func formMatMulB(n *Node, dst []float64, r0 int) {
+	a, dc := n.a.Value, n.Grad
+	if a.Rows == 0 {
+		return
+	}
+	cols := dc.Cols
+	for r := 0; r*cols < len(dst); r++ {
+		panel(dst[r*cols:(r+1)*cols], a.Data[r0+r:], a.Cols, dc.Data, cols, a.Rows)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -120,10 +121,9 @@ func grads(params []*Param) [][]float64 {
 	return out
 }
 
-// TestGradPoolMatchesSerialGradient is the gradcheck-style reduction test:
-// the sharded sum must equal the mathematically identical serial gradient —
-// bitwise when summed per item in the same order, and to tight floating-
-// point tolerance against direct tape accumulation.
+// TestGradPoolMatchesSerialGradient: a pooled minibatch is the serial one —
+// one Backward per item, each the one-item case of the same ordered pass —
+// bit for bit.
 func TestGradPoolMatchesSerialGradient(t *testing.T) {
 	mlp, gamma, xs, ys := poolFixture(11)
 	params := append(mlp.Params(), gamma)
@@ -140,27 +140,18 @@ func TestGradPoolMatchesSerialGradient(t *testing.T) {
 	}
 	serial := grads(params)
 
-	// Sharded reduction, single worker.
+	// The pool, single worker.
 	for _, p := range params {
 		p.Grad.Zero()
 	}
 	pool := NewGradPool(params, 1)
 	pool.Accumulate(len(xs), lossFn)
-	sharded := grads(params)
-
-	for pi := range params {
-		for j := range serial[pi] {
-			diff := math.Abs(serial[pi][j] - sharded[pi][j])
-			scale := math.Max(1, math.Abs(serial[pi][j]))
-			if diff/scale > 1e-12 {
-				t.Fatalf("param %s[%d]: serial %v vs sharded %v", params[pi].Name, j, serial[pi][j], sharded[pi][j])
-			}
-		}
+	for pi, g := range grads(params) {
+		checkSame(t, "pooled gradient of "+params[pi].Name, g, serial[pi])
 	}
-	// Frozen parameters take no gradient at all: NeedsGrad gates every
-	// adjoint, which is what lets the pool and Adam skip their buffers
-	// entirely, and what keeps ClipGradNorm's global norm trainable-only
-	// — identical between the serial and sharded paths.
+	// Frozen parameters take no gradient at all: their leaves are constants,
+	// which is what lets the pass and Adam skip them entirely, and what
+	// keeps the clip's global norm trainable-only.
 	if gamma.Grad.Data[0] != 0 {
 		t.Fatalf("frozen parameter accumulated a gradient: %v", gamma.Grad.Data[0])
 	}
@@ -168,8 +159,8 @@ func TestGradPoolMatchesSerialGradient(t *testing.T) {
 
 // TestGradPoolWorkerCountInvariance asserts the determinism guarantee at the
 // nn layer: any worker count — one, fewer than the batch, more than the batch
-// — produces bitwise-identical reduced gradients, because shards reduce in
-// fixed param-then-item order and nothing an item computes depends on which
+// — produces bitwise-identical gradients, because every row block walks the
+// items in fixed order and nothing an item computes depends on which
 // worker's tape (and what recycled arena memory) it ran on.
 func TestGradPoolWorkerCountInvariance(t *testing.T) {
 	mlp, gamma, xs, ys := poolFixture(13)
@@ -182,7 +173,7 @@ func TestGradPoolWorkerCountInvariance(t *testing.T) {
 			p.Grad.Zero()
 		}
 		pool := NewGradPool(params, workers)
-		// Run twice to exercise shard reuse (buffers must be re-zeroed).
+		// Run twice to exercise tape and scratch reuse.
 		pool.Accumulate(len(xs), lossFn)
 		for _, p := range params {
 			p.Grad.Zero()
@@ -204,7 +195,7 @@ func TestGradPoolWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestGradPoolAgainstGradCheck ties the sharded gradient to finite
+// TestGradPoolAgainstGradCheck ties the pooled gradient to finite
 // differences: the reduced gradient of a summed loss must match numeric
 // differentiation, proving the redirect changes where gradients land, not
 // what they are.
@@ -222,7 +213,7 @@ func TestGradPoolAgainstGradCheck(t *testing.T) {
 		t.Fatalf("analytic gradient fails finite differences: %v", worst)
 	}
 	// GradCheck validated tape gradients of the summed loss; now confirm the
-	// pool's per-item sharding reproduces them.
+	// pool's per-item ordered pass reproduces them.
 	for _, p := range params {
 		p.Grad.Zero()
 	}
@@ -248,8 +239,9 @@ func TestGradPoolAgainstGradCheck(t *testing.T) {
 }
 
 // TestGradPoolHoldsOneTapePerWorker: tapes are per worker, not per item — a
-// 64-item batch on 2 workers builds 2 — and a warm pool's Accumulate builds
-// nothing: no tape, no arena chunk, no shard.
+// 64-item batch on 2 workers builds 2 — no buffer the size of the
+// parameters exists per item, and a warm pool's Accumulate builds nothing:
+// no tape, no arena chunk, no pass scratch.
 func TestGradPoolHoldsOneTapePerWorker(t *testing.T) {
 	// The byte count below is exact only when every chunk slab the first
 	// Accumulate releases is where the second looks for it: a collection
@@ -278,8 +270,18 @@ func TestGradPoolHoldsOneTapePerWorker(t *testing.T) {
 	}
 	pool := NewGradPool(params, 2)
 	pool.Accumulate(n, lossFn)
-	if len(pool.tapes) != 2 || len(pool.shards) != n {
-		t.Fatalf("after Accumulate(%d) on 2 workers: %d tapes, %d shards; want 2 and %d", n, len(pool.tapes), len(pool.shards), n)
+	if len(pool.tapes) != 2 {
+		t.Fatalf("after Accumulate(%d) on 2 workers: %d tapes, want 2", n, len(pool.tapes))
+	}
+	// No per-item gradient buffer: besides the tapes, all the pool holds is
+	// the pass's block scratch, a sum and a temporary per worker.
+	if len(pool.passers) > 2 {
+		t.Fatalf("%d pass workers for a 2-worker pool", len(pool.passers))
+	}
+	for w, ps := range pool.passers {
+		if len(ps.sum) > blockFloats || len(ps.tmp) > blockFloats {
+			t.Fatalf("pass worker %d holds %d+%d floats, want at most a block (%d) each", w, len(ps.sum), len(ps.tmp), blockFloats)
+		}
 	}
 	tapes := append([]*Tape(nil), pool.tapes...)
 	chunks := []int{len(tapes[0].arena.chunks), len(tapes[1].arena.chunks)}
@@ -325,9 +327,11 @@ func TestGradPoolReleaseExactlyOnce(t *testing.T) {
 	}
 	held := func(g *GradPool) (slabs map[*float64]bool, tapes map[*Tape]bool) {
 		slabs, tapes = map[*float64]bool{}, map[*Tape]bool{}
-		for _, sh := range g.shards {
-			if sh != nil {
-				slabs[&sh.slab[0]] = true
+		for _, ps := range g.passers {
+			slabs[&ps.sum[0]] = true
+			slabs[&ps.tmp[0]] = true
+			if ps.tape != nil {
+				tapes[ps.tape] = true
 			}
 		}
 		for _, tp := range g.tapes {
@@ -337,12 +341,12 @@ func TestGradPoolReleaseExactlyOnce(t *testing.T) {
 	}
 	empty := func(what string, g *GradPool) {
 		t.Helper()
-		if len(g.shards) != 0 || len(g.tapes) != 0 {
-			t.Fatalf("%s: the pool still names %d shards and %d tapes", what, len(g.shards), len(g.tapes))
+		if len(g.passers) != 0 || len(g.tapes) != 0 {
+			t.Fatalf("%s: the pool still names %d pass workers and %d tapes", what, len(g.passers), len(g.tapes))
 		}
-		for _, sh := range g.shards[:cap(g.shards)] {
-			if sh != nil {
-				t.Fatalf("%s: a returned shard is still reachable from the pool", what)
+		for _, ps := range g.passers[:cap(g.passers)] {
+			if ps != nil {
+				t.Fatalf("%s: returned pass scratch is still reachable from the pool", what)
 			}
 		}
 		for _, tp := range g.tapes[:cap(g.tapes)] {
@@ -356,9 +360,9 @@ func TestGradPoolReleaseExactlyOnce(t *testing.T) {
 	pool := NewGradPool(params, 3)
 	wantLoss := pool.Accumulate(len(xs), lossFn)
 	want := grads(params)
-	slabs, tapes := held(pool)
-	if len(slabs) != len(xs) || len(tapes) != 3 {
-		t.Fatalf("a %d-item batch on 3 workers holds %d slabs and %d tapes", len(xs), len(slabs), len(tapes))
+	slabs, _ := held(pool)
+	if len(slabs) != 2*len(pool.passers) || len(pool.tapes) != 3 {
+		t.Fatalf("a %d-item batch on 3 workers holds %d slabs for %d pass workers and %d tapes", len(xs), len(slabs), len(pool.passers), len(pool.tapes))
 	}
 	pool.Release()
 	empty("Release", pool)
@@ -420,5 +424,72 @@ func TestGradPoolReleaseExactlyOnce(t *testing.T) {
 	pool.Accumulate(len(xs), lossFn)
 	for pi, g := range grads(params) {
 		checkSame(t, "gradient of "+params[pi].Name+" after a panicked fit", g, want[pi])
+	}
+}
+
+// TestOrderedPassRowBlocks: parameters of many row blocks, reached through
+// every kind of record the pass handles — ProjectOneHot's and MatMul's
+// row-restricted forms, first in an item and repeated (one Dense applied
+// twice), and replays over a multi-block parameter (SelectRows on an
+// embedding, MatMul with the parameter in slot a) and over one-row ones
+// (AddRow's bias, LayerNorm's gain and bias). Cut into blocks and spread
+// over workers, the gradient is bit for bit what one Backward per item
+// forms with each parameter a single block.
+func TestOrderedPassRowBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const hot, n = 100, 7
+	wq := randParam("wq", hot+2, 64, rng)  // 4 blocks
+	dense := NewDense("d", 64, 96, rng)    // W: 4 blocks
+	emb := randParam("emb", 300, 16, rng)  // 3 blocks
+	left := randParam("left", 600, 4, rng) // 2 blocks
+	gain, bias := randParam("gain", 1, 96, rng), randParam("bias", 1, 96, rng)
+	params := []*Param{wq, dense.W, dense.B, emb, left, gain, bias}
+	for _, p := range params {
+		if len(rowBlocks([]*Param{p})) < 2 && p.Value.Rows > 1 {
+			t.Fatalf("%s is one block: the test needs it cut", p.Name)
+		}
+	}
+	type input struct {
+		x     *Matrix
+		types []int
+		idx   []int
+		c     *Matrix
+	}
+	var inputs []input
+	for i := 0; i < 11; i++ {
+		x, types := oneHotInput(n, hot, rng)
+		idx := make([]int, n)
+		for j := range idx {
+			idx[j] = rng.Intn(300)
+		}
+		inputs = append(inputs, input{x, types, idx, randParam("", 4, 1, rng).Value})
+	}
+	lossFn := func(tp *Tape, i int) *Node {
+		in := inputs[i]
+		q := tp.ProjectOneHot(in.x, in.types, hot, tp.Leaf(wq))
+		h := tp.Add(dense.Apply(tp, q), dense.Apply(tp, tp.Scale(q, 0.5)))
+		loss := tp.Sum(tp.Square(tp.LayerNorm(h, tp.Leaf(gain), tp.Leaf(bias))))
+		loss = tp.Add(loss, tp.Sum(tp.Square(tp.SelectRows(tp.Leaf(emb), in.idx))))
+		return tp.Add(loss, tp.Sum(tp.Square(tp.MatMul(tp.Leaf(left), tp.Const(in.c)))))
+	}
+	zero := func() {
+		for _, p := range params {
+			p.Grad.Zero()
+		}
+	}
+	zero()
+	for i := range inputs {
+		tp := NewTape()
+		tp.Backward(lossFn(tp, i))
+	}
+	want := grads(params)
+	for _, workers := range []int{1, 3} {
+		zero()
+		pool := NewGradPool(params, workers)
+		pool.Accumulate(len(inputs), lossFn)
+		pool.Release()
+		for pi, g := range grads(params) {
+			checkSame(t, fmt.Sprintf("workers=%d: gradient of %s", workers, params[pi].Name), g, want[pi])
+		}
 	}
 }

@@ -708,7 +708,7 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 	// The a·bᵀ product under MatMul's dA adjoint, and the accumulate under
-	// every adjoint and the shard reduction; SetBytes counts each operand
+	// every adjoint and the ordered pass; SetBytes counts each operand
 	// and the destination once.
 	for _, rows := range []int{3, 10, 32} {
 		const k, n = 128, 128
