@@ -413,25 +413,42 @@ func cmdPredict(args []string) {
 	m := loadModel(*model)
 	in := os.Stdin
 	if *planPath != "" && *planPath != "-" {
-		f, err := os.Open(*planPath)
+		file, err := os.Open(*planPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		in = f
+		defer file.Close()
+		in = file
 	}
-	p, err := plan.ReadJSON(in)
+	f, err := readPlan(in)
 	if err != nil {
 		fatal(err)
 	}
-	preds := m.PredictSubPlans(p)
-	nodes := p.DFS()
-	heights := p.Heights()
+	preds := m.AppendPredictSubPlansFlat(nil, f)
 	fmt.Printf("predicted root latency: %.3f ms\n", preds[0])
-	for i, n := range nodes {
+	for i, ty := range f.Types {
 		fmt.Printf("%s%-20s est_cost=%.1f est_rows=%.0f → %.3f ms\n",
-			strings.Repeat("  ", heights[i]), n.Type, n.EstCost, n.EstRows, preds[i])
+			strings.Repeat("  ", int(f.Heights[i])), ty, f.EstCost[i], f.EstRows[i], preds[i])
 	}
+}
+
+// readPlan decodes one plan document the way /predict does, and refuses
+// what /predict refuses: a plan with no root, an unknown operator type or a
+// non-finite feature.
+func readPlan(r io.Reader) (*plan.FlatPlan, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	var d plan.Decoder
+	f, err := d.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Check(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 func fatal(err error) {

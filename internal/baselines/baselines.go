@@ -133,7 +133,6 @@ func (p *PostgreSQL) Predict(s dataset.Sample) float64 {
 func trainLoop(params []*nn.Param, n int, lossFn func(t *nn.Tape, i int) *nn.Node, lr float64, epochs, batch, seed, workers int) {
 	opt := nn.NewAdam(params, lr)
 	defer opt.Release()
-	opt.Clip = 5
 	pool := nn.NewGradPool(params, workers)
 	defer pool.Release()
 	rng := newRng(seed)

@@ -301,7 +301,6 @@ func (m *Model) fit(encoded []*featurize.Encoded, lr float64, epochs int) {
 	params := m.Params()
 	opt := nn.NewAdam(params, lr)
 	defer opt.Release()
-	opt.Clip = 5
 	pool := nn.NewGradPool(params, m.Cfg.Workers)
 	defer pool.Release()
 	// Instrumentation is armed only when hooks are installed; the nil-hook

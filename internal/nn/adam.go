@@ -2,19 +2,22 @@ package nn
 
 import "math"
 
+// Adam's settings: the default betas and epsilon, and the global L2 norm
+// Step clips the gradients to. They are typed so that 1-beta1 and 1-beta2
+// are the float64 differences, not the exact constants 0.1 and 0.001.
+const (
+	beta1    float64 = 0.9
+	beta2    float64 = 0.999
+	eps      float64 = 1e-8
+	clipNorm float64 = 5
+)
+
 // Adam implements the Adam optimizer (Kingma & Ba, 2015) over a fixed set
 // of parameters. Parameters frozen when the optimizer is built are skipped
 // entirely — no moments, no update, no clearing of a gradient nothing writes
 // — which is how LoRA fine-tuning trains only the adapters.
 type Adam struct {
-	LR     float64
-	Beta1  float64
-	Beta2  float64
-	Eps    float64
-	WDecay float64 // decoupled weight decay (AdamW); 0 disables
-	// Clip, when positive, makes Step first rescale the gradients so their
-	// global L2 norm is at most Clip.
-	Clip   float64
+	lr     float64
 	params []*Param
 	m, v   [][]float64 // per parameter, nil when frozen
 	slab   []float64   // m's and v's storage, borrowed from the chunk pools
@@ -25,12 +28,11 @@ type Adam struct {
 	workers int
 }
 
-// NewAdam builds an optimizer over params with the given learning rate and
-// default betas (0.9, 0.999). The moments live only as long as the
-// optimizer, so they are borrowed, cleared, from the arena chunk pools;
-// Release hands them back.
+// NewAdam builds an optimizer over params with the given learning rate. The
+// moments live only as long as the optimizer, so they are borrowed, cleared,
+// from the arena chunk pools; Release hands them back.
 func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params,
+	a := &Adam{lr: lr, params: params,
 		m: make([][]float64, len(params)), v: make([][]float64, len(params)), blocks: rowBlocks(params)}
 	total := 0
 	for _, p := range params {
@@ -68,18 +70,15 @@ func (a *Adam) Release() {
 	clear(a.v)
 }
 
-// Step applies one update from the accumulated gradients, then clears them.
-// The clip's norm is one serial sum in parameter order; the update of each
-// row block is independent of every other, so the blocks run on the
-// optimizer's workers.
+// Step applies one update from the accumulated gradients, first rescaled so
+// their global L2 norm is at most clipNorm, then clears them. The clip's
+// norm is one serial sum in parameter order; the update of each row block is
+// independent of every other, so the blocks run on the optimizer's workers.
 func (a *Adam) Step() {
-	scale := 1.0
-	if a.Clip > 0 {
-		scale = clipScale(a.params, a.Clip)
-	}
+	scale := clipScale(a.params, clipNorm)
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	bc1 := 1 - math.Pow(beta1, float64(a.step))
+	bc2 := 1 - math.Pow(beta2, float64(a.step))
 	if a.workers <= 1 {
 		for _, b := range a.blocks {
 			a.update(b, scale, bc1, bc2)
@@ -100,15 +99,11 @@ func (a *Adam) update(b rowBlock, scale, bc1, bc2 float64) {
 		if scale != 1 {
 			g *= scale
 		}
-		m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-		v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
+		m[j] = beta1*m[j] + (1-beta1)*g
+		v[j] = beta2*v[j] + (1-beta2)*g*g
 		mh := m[j] / bc1
 		vh := v[j] / bc2
-		upd := a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		if a.WDecay != 0 {
-			upd += a.LR * a.WDecay * value[j]
-		}
-		value[j] -= upd
+		value[j] -= a.lr * mh / (math.Sqrt(vh) + eps)
 	}
 	clear(grad)
 }

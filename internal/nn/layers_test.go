@@ -153,27 +153,28 @@ func TestAdamSkipsFrozen(t *testing.T) {
 	}
 }
 
-// TestClipGradNorm: Adam.Clip rescales the gradients to the clip norm before
-// the update — a step on clipped gradients is the step on the gradients
-// scaled by hand — and leaves gradients under the clip as they are.
+// TestClipGradNorm: Step rescales the gradients to clipNorm before the
+// update — a step on clipped gradients is the step on the gradients scaled
+// by hand — and leaves gradients under the clip as they are.
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", 1, 2)
-	p.Grad.Data = []float64{3, 4} // norm 5
-	s := clipScale([]*Param{p}, 1)
-	if norm := math.Hypot(3*s, 4*s); !almostEqual(norm, 1, 1e-12) {
-		t.Fatalf("clipped norm %v, want 1", norm)
+	p.Grad.Data = []float64{30, 40} // norm 50
+	s := clipScale([]*Param{p}, clipNorm)
+	if norm := math.Hypot(30*s, 40*s); !almostEqual(norm, clipNorm, 1e-12) {
+		t.Fatalf("clipped norm %v, want %v", norm, clipNorm)
 	}
-	clipped := NewAdam([]*Param{p}, 0.1)
-	clipped.Clip = 1
-	clipped.Step()
+	NewAdam([]*Param{p}, 0.1).Step()
 	q := NewParam("w", 1, 2)
-	q.Grad.Data = []float64{3 * s, 4 * s}
+	q.Grad.Data = []float64{30 * s, 40 * s}
+	if clipScale([]*Param{q}, clipNorm) != 1 {
+		t.Fatal("the hand-scaled gradients are clipped again")
+	}
 	NewAdam([]*Param{q}, 0.1).Step()
 	checkSame(t, "step on clipped gradients", p.Value.Data, q.Value.Data)
 	// Below threshold: untouched.
-	p.Grad.Data = []float64{0.3, 0.4}
-	if s := clipScale([]*Param{p}, 1); s != 1 {
-		t.Fatalf("clip scales a small gradient by %v", s)
+	p.Grad.Data = []float64{3, 4}
+	if s := clipScale([]*Param{p}, clipNorm); s != 1 {
+		t.Fatalf("clip scales a gradient of norm 5 by %v", s)
 	}
 }
 

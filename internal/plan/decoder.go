@@ -25,7 +25,8 @@ import (
 // encoding/json would corrupt or crash the flat representation: a repeated
 // "children"/"root" key and a null element inside a children array are
 // errors rather than silent tree surgery. Every document the decoder
-// accepts parses to the same tree, fingerprint, and features as ReadJSON.
+// accepts parses to the same tree, fingerprint, and features as
+// encoding/json (the tests' ReadJSON, their reference).
 //
 // A Decoder is not safe for concurrent use; pool instances instead.
 type Decoder struct {

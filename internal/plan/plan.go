@@ -272,12 +272,3 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(p)
 }
-
-// ReadJSON decodes a plan previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Plan, error) {
-	var p Plan
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("plan: decode: %w", err)
-	}
-	return &p, nil
-}

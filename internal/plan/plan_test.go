@@ -2,10 +2,23 @@ package plan
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// ReadJSON decodes a plan previously written by WriteJSON through
+// encoding/json: the reference the streaming Decoder is checked against.
+func ReadJSON(r io.Reader) (*Plan, error) {
+	var p Plan
+	if err := json.NewDecoder(r).Decode(&p); err != nil {
+		return nil, fmt.Errorf("plan: decode: %w", err)
+	}
+	return &p, nil
+}
 
 // samplePlan builds:
 //

@@ -24,3 +24,10 @@ func Uncalled() int { return 1 }
 
 // CalledByTestOnly has a caller only in lib_test.go.
 func CalledByTestOnly() int { return 2 }
+
+// Forbidden is live, but the fixture's rule table forbids package user to
+// call it.
+func Forbidden() int { return 3 }
+
+// BenchOnly has a caller only in the benchmark main.
+func BenchOnly() int { return 4 }

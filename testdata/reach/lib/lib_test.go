@@ -7,3 +7,6 @@ func TestCalledByTestOnly(t *testing.T) {
 		t.Fatal("CalledByTestOnly")
 	}
 }
+
+// A rule that reads tests sees this declaration's type.
+var _ interface{ Busy() bool }
