@@ -215,32 +215,8 @@ func cmdEncode(args []string) {
 			fatal(err)
 		}
 		io.WriteString(w, "\n")
-	case *batch:
-		var raw []json.RawMessage
-		if err := json.Unmarshal(data, &raw); err != nil {
-			fatal(err)
-		}
-		plans := make([]*plan.Plan, len(raw))
-		for i, msg := range raw {
-			f, err := dec.Decode(msg)
-			if err != nil {
-				fatal(fmt.Errorf("plan[%d]: %w", i, err))
-			}
-			plans[i] = f.Tree()
-		}
-		enc, err := plan.AppendBinaryBatch(nil, plans)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := w.Write(enc); err != nil {
-			fatal(err)
-		}
 	default:
-		f, err := dec.Decode(data)
-		if err != nil {
-			fatal(err)
-		}
-		enc, err := plan.AppendBinary(nil, f.Tree())
+		enc, err := encodeJSON(data, *batch)
 		if err != nil {
 			fatal(err)
 		}
@@ -248,6 +224,33 @@ func cmdEncode(args []string) {
 			fatal(err)
 		}
 	}
+}
+
+// encodeJSON converts one JSON plan document — with batch, a JSON array of
+// them — to the binary wire encoding, refusing every plan /predict refuses
+// (decodePlan), so no frame is written for one the server would turn away.
+func encodeJSON(data []byte, batch bool) ([]byte, error) {
+	var dec plan.Decoder
+	if !batch {
+		f, err := decodePlan(&dec, data)
+		if err != nil {
+			return nil, err
+		}
+		return plan.AppendBinary(nil, f.Tree())
+	}
+	var raw []json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, err
+	}
+	plans := make([]*plan.Plan, len(raw))
+	for i, msg := range raw {
+		f, err := decodePlan(&dec, msg)
+		if err != nil {
+			return nil, fmt.Errorf("plan[%d]: %w", i, err)
+		}
+		plans[i] = f.Tree()
+	}
+	return plan.AppendBinaryBatch(nil, plans)
 }
 
 func readAll(path string) ([]byte, error) {
@@ -432,15 +435,20 @@ func cmdPredict(args []string) {
 	}
 }
 
-// readPlan decodes one plan document the way /predict does, and refuses
-// what /predict refuses: a plan with no root, an unknown operator type or a
-// non-finite feature.
+// readPlan reads one plan document and decodes it with decodePlan.
 func readPlan(r io.Reader) (*plan.FlatPlan, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var d plan.Decoder
+	return decodePlan(&d, data)
+}
+
+// decodePlan decodes one plan document the way /predict does, and refuses
+// what /predict refuses: a plan with no root, an unknown operator type or a
+// non-finite feature.
+func decodePlan(d *plan.Decoder, data []byte) (*plan.FlatPlan, error) {
 	f, err := d.Decode(data)
 	if err != nil {
 		return nil, err

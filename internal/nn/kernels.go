@@ -192,36 +192,19 @@ func MatMulSpansInto(dst, a, b *Matrix, spans []Span) {
 // matMulTransASpansInto accumulates aᵀ·b restricted to a's spans:
 // dst[j,:] += Σ_i a[i,j]·b[i,:] for j ∈ span_i. It is the shared adjoint
 // kernel for both span products (dV of probabilities·V and dK of scoresᵀ·Q).
+// Row i's terms are one MatMulInto with k = 1 over the span's rows of dst —
+// a[i, span] as a column times b[i,:], four rows per panel4 call — so every
+// element takes one multiply, then one add, per i, in ascending i.
 func matMulTransASpansInto(dst, a, b *Matrix, spans []Span) {
 	dc := dst.Cols
 	for i := 0; i < a.Rows; i++ {
-		sp := spans[i]
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		brow := b.Data[i*b.Cols : (i+1)*b.Cols]
-		// Four dst rows per pass, sharing each brow load. Distinct j values
-		// touch distinct dst rows and each element still accumulates its
-		// i-terms in the outer loop's order, so this is bitwise identical.
-		j := sp.Lo
-		for ; j+4 <= sp.Hi; j += 4 {
-			a0, a1, a2, a3 := arow[j], arow[j+1], arow[j+2], arow[j+3]
-			o0 := dst.Data[int(j)*dc : int(j)*dc+dc][:len(brow)]
-			o1 := dst.Data[int(j+1)*dc : int(j+1)*dc+dc][:len(brow)]
-			o2 := dst.Data[int(j+2)*dc : int(j+2)*dc+dc][:len(brow)]
-			o3 := dst.Data[int(j+3)*dc : int(j+3)*dc+dc][:len(brow)]
-			for x, bv := range brow {
-				o0[x] += a0 * bv
-				o1[x] += a1 * bv
-				o2[x] += a2 * bv
-				o3[x] += a3 * bv
-			}
+		lo, hi := int(spans[i].Lo), int(spans[i].Hi)
+		if lo >= hi {
+			continue
 		}
-		for ; j < sp.Hi; j++ {
-			av := arow[j]
-			orow := dst.Data[int(j)*dc : int(j)*dc+dc][:len(brow)]
-			for x, bv := range brow {
-				orow[x] += av * bv
-			}
-		}
+		MatMulInto(&Matrix{Rows: hi - lo, Cols: dc, Data: dst.Data[lo*dc : hi*dc]},
+			&Matrix{Rows: hi - lo, Cols: 1, Data: a.Data[i*a.Cols+lo : i*a.Cols+hi]},
+			&Matrix{Rows: 1, Cols: b.Cols, Data: b.Data[i*b.Cols : (i+1)*b.Cols]})
 	}
 }
 
@@ -244,7 +227,7 @@ func backMaskedSoftmaxQKT(t *Tape, n *Node) {
 	rows, cols := n.Value.Rows, n.Value.Cols
 	// dScores through the softmax (s ⊙ (dg − ⟨dg, s⟩) per row) and the
 	// score scale, materialized sparsely: masked positions are exact zeros.
-	dc := t.arena.Matrix(rows, cols)
+	dc := t.tmp.Matrix(rows, cols)
 	for i := 0; i < rows; i++ {
 		sp := n.spans[i]
 		srow := n.Value.Data[i*cols : (i+1)*cols]
@@ -261,12 +244,12 @@ func backMaskedSoftmaxQKT(t *Tape, n *Node) {
 	// scores = q·kᵀ ⇒ dq = dScores·k ; dk = dScoresᵀ·q, both restricted to
 	// the spans where dScores is nonzero.
 	if q.NeedsGrad {
-		tmp := t.arena.Matrix(q.Grad.Rows, q.Grad.Cols)
+		tmp := t.tmp.Matrix(q.Grad.Rows, q.Grad.Cols)
 		MatMulSpansInto(tmp, dc, k.Value, n.spans)
 		AddInPlace(q.Grad, tmp)
 	}
 	if k.NeedsGrad {
-		tmp := t.arena.Matrix(k.Grad.Rows, k.Grad.Cols)
+		tmp := t.tmp.Matrix(k.Grad.Rows, k.Grad.Cols)
 		matMulTransASpansInto(tmp, dc, q.Value, n.spans)
 		AddInPlace(k.Grad, tmp)
 	}
@@ -298,7 +281,7 @@ func backMatMulSpans(t *Tape, n *Node) {
 		}
 	}
 	if b.NeedsGrad {
-		tmp := t.arena.Matrix(b.Grad.Rows, b.Grad.Cols)
+		tmp := t.tmp.Matrix(b.Grad.Rows, b.Grad.Cols)
 		matMulTransASpansInto(tmp, a.Value, n.Grad, n.spans)
 		AddInPlace(b.Grad, tmp)
 	}
@@ -353,21 +336,15 @@ func formProjectOneHot(n *Node, dst []float64, r0 int) {
 	for i := 0; i < dy.Rows; i++ {
 		grow := dy.Data[i*wc : (i+1)*wc]
 		if gt := row(types[i]); gt != nil {
-			for j, gv := range grow[:len(gt)] {
-				gt[j] += gv
-			}
+			addTo(gt, grow)
 		}
+		// The scaled copies are panel calls with k = 1: c·dy[i,j], then
+		// one add.
 		if g0 != nil {
-			c0 := x.Data[i*x.Cols+hot]
-			for j, gv := range grow[:len(g0)] {
-				g0[j] += c0 * gv
-			}
+			panel(g0, x.Data[i*x.Cols+hot:], 1, grow, 0, 1)
 		}
 		if g1 != nil {
-			c1 := x.Data[i*x.Cols+hot+1]
-			for j, gv := range grow[:len(g1)] {
-				g1[j] += c1 * gv
-			}
+			panel(g1, x.Data[i*x.Cols+hot+1:], 1, grow, 0, 1)
 		}
 	}
 }
@@ -391,7 +368,7 @@ func backProjectOneHot(t *Tape, n *Node) {
 	if !n.b.NeedsGrad {
 		return
 	}
-	tmp := t.arena.Matrix(n.b.Grad.Rows, n.b.Grad.Cols)
+	tmp := t.tmp.Matrix(n.b.Grad.Rows, n.b.Grad.Cols)
 	formProjectOneHot(n, tmp.Data, 0)
 	AddInPlace(n.b.Grad, tmp)
 }

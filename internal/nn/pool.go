@@ -178,6 +178,7 @@ func (g *GradPool) Release() {
 		// single-plan passes, so the chunks go back to the class pools and
 		// the tape goes back thin.
 		t.Arena().Release()
+		t.tmp.Release()
 		PutTape(t)
 	}
 	for _, ps := range g.passers {

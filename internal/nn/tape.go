@@ -56,6 +56,15 @@ type Node struct {
 
 	// param is set on a trainable parameter's Leaf.
 	param *Param
+	// live is set once the walk has cleared Grad, just before the first
+	// adjoint that adds into it; fresh, only while n's own adjoint runs,
+	// when operand a's gradient was cleared for it — still +0, so a sum
+	// formed from +0 may go straight in.
+	live, fresh bool
+	// leaf is set on every parameter's Leaf, frozen or not: its value stays
+	// as it is until the tape's next Reset, so its transpose is formed once
+	// per cycle (transposeOf).
+	leaf bool
 	// formB, set by the ops whose operand b is usually a weight, forms rows
 	// [r0, r0+len(dst)/cols) of b's share of this node's adjoint from +0 into
 	// dst: the row-restricted adjoint the ordered pass runs for a parameter
@@ -85,6 +94,9 @@ type Tape struct {
 	n     int
 	used  int // nodes[:used] may hold references from before the last Reset
 	arena *Arena
+	// tmp holds an adjoint's temporaries — products before their one add,
+	// an operand's transpose — and is rewound as each adjoint returns.
+	tmp Arena
 	// pending are the parameter adjoints the backward walks since the last
 	// Reset recorded, in the order they would have run.
 	pending []deferred
@@ -132,6 +144,7 @@ func (t *Tape) Reset() {
 	t.n = 0
 	t.pending = t.pending[:0]
 	t.arena.Reset()
+	t.tmp.Reset()
 }
 
 // alloc returns a cleared Node, recycling one recorded before the last
@@ -160,12 +173,12 @@ func (t *Tape) node(rows, cols int, back func(*Tape, *Node)) *Node {
 // assigned is node for an op that assigns every element of the value before
 // anything reads one (a copy, a gather, a concatenation): the value skips
 // the arena's clear and holds whatever the last cycle left there until the
-// op has filled it. The gradient is accumulated into, so it is always
-// zeroed.
+// op has filled it. The gradient is cleared by the backward walk, just
+// before the first adjoint that adds into it (liven).
 func (t *Tape) assigned(rows, cols int, back func(*Tape, *Node)) *Node {
 	nd := t.alloc()
 	nd.Value = t.arena.UninitMatrix(rows, cols)
-	nd.Grad = t.arena.Matrix(rows, cols)
+	nd.Grad = t.arena.UninitMatrix(rows, cols)
 	nd.NeedsGrad = true
 	nd.back = back
 	return nd
@@ -202,10 +215,21 @@ func (t *Tape) Const(m *Matrix) *Node {
 func (t *Tape) Leaf(p *Param) *Node {
 	nd := t.alloc()
 	nd.Value = p.Value
+	nd.leaf = true
 	if !p.Frozen {
 		nd.param = p
 	}
 	return nd
+}
+
+// transposeOf returns x's value transposed: a parameter's into the tape's
+// arena once per cycle, shared by every node that reads it, any other
+// operand's afresh, as a temporary of the running adjoint.
+func (t *Tape) transposeOf(x *Node) *Matrix {
+	if x.leaf {
+		return t.arena.weightT(x.Value)
+	}
+	return t.tmp.transpose(x.Value)
 }
 
 // Backward seeds the gradient of the scalar output node with 1, propagates
@@ -241,13 +265,37 @@ func (t *Tape) backward(out *Node, from int) {
 	if out.Value.Rows != 1 || out.Value.Cols != 1 {
 		panic(fmt.Sprintf("nn: Backward requires a scalar output, got %s", out.Value.shape()))
 	}
+	liven(out)
 	out.Grad.Data[0] += 1
 	for i := t.n - 1; i >= from; i-- {
-		if n := t.nodes[i]; n.back != nil {
-			n.back(t, n)
-			t.deferParams(n)
+		n := t.nodes[i]
+		if n.back == nil {
+			continue
 		}
+		liven(n) // no adjoint reached n: its gradient is zeros, as ever
+		n.fresh = liven(n.a)
+		liven(n.b)
+		liven(n.c)
+		for _, x := range n.parts {
+			liven(x)
+		}
+		n.back(t, n)
+		n.fresh = false
+		t.tmp.Reset()
+		t.deferParams(n)
 	}
+}
+
+// liven clears x's gradient if x takes one and no adjoint has written it
+// yet, and reports whether it did: interior gradients are cleared at their
+// first write, not when the op records them.
+func liven(x *Node) bool {
+	if x == nil || !x.NeedsGrad || x.live {
+		return false
+	}
+	clear(x.Grad.Data)
+	x.live = true
+	return true
 }
 
 // deferParams records one pending adjoint per distinct trainable parameter
