@@ -91,7 +91,8 @@ bench-gate:
 	done; \
 	bash benchmark/run.sh -compare .bench_build/base.jsonl .bench_build/head.jsonl
 
-# The SIMD primitives against their Go bodies on the shapes one forward runs.
+# The SIMD primitives against their Go bodies on the shapes one forward runs,
+# and training's adjoints against the routes they replaced.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkKernels ./internal/nn
 

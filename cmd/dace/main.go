@@ -229,6 +229,8 @@ func cmdEncode(args []string) {
 // encodeJSON converts one JSON plan document — with batch, a JSON array of
 // them — to the binary wire encoding, refusing every plan /predict refuses
 // (decodePlan), so no frame is written for one the server would turn away.
+// Each frame body is written from the flat plan that was checked, before
+// the next plan is decoded over it.
 func encodeJSON(data []byte, batch bool) ([]byte, error) {
 	var dec plan.Decoder
 	if !batch {
@@ -236,21 +238,23 @@ func encodeJSON(data []byte, batch bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return plan.AppendBinary(nil, f.Tree())
+		return f.AppendBinaryFrame(nil)
 	}
 	var raw []json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, err
 	}
-	plans := make([]*plan.Plan, len(raw))
+	out := plan.AppendBinaryBatchCount(plan.AppendBinaryFrameHeader(nil), len(raw))
 	for i, msg := range raw {
 		f, err := decodePlan(&dec, msg)
+		if err == nil {
+			out, err = f.AppendBinaryBody(out)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("plan[%d]: %w", i, err)
 		}
-		plans[i] = f.Tree()
 	}
-	return plan.AppendBinaryBatch(nil, plans)
+	return out, nil
 }
 
 func readAll(path string) ([]byte, error) {

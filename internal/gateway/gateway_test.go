@@ -248,6 +248,21 @@ func mustBinary(t *testing.T, p *plan.Plan) []byte {
 	return b
 }
 
+// binaryBatch assembles one binary /predict/batch frame from plan trees:
+// the frame header and plan count, then each plan's body off its flat form.
+func binaryBatch(t *testing.T, plans []*plan.Plan) []byte {
+	t.Helper()
+	b := plan.AppendBinaryBatchCount(plan.AppendBinaryFrameHeader(nil), len(plans))
+	var f plan.FlatPlan
+	for _, p := range plans {
+		var err error
+		if b, err = f.FromTree(p).AppendBinaryBody(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
 // TestGatewayPredictPG: the pg explain format routes through re-encoding.
 func TestGatewayPredictPG(t *testing.T) {
 	m, _ := trainedModel(t)
@@ -288,10 +303,7 @@ func TestGatewayBatchMatchesDirect(t *testing.T) {
 		}
 	}
 	jsonBody.WriteByte(']')
-	binBody, err := plan.AppendBinaryBatch(nil, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
+	binBody := binaryBatch(t, plans)
 
 	for _, n := range []int{1, 3} {
 		f := newFleet(t, m, n)
@@ -324,19 +336,12 @@ func TestGatewayBatchMatchesDirect(t *testing.T) {
 		ps[17] = entry17
 		return ps
 	}
-	binBatch := func(ps []*plan.Plan) []byte {
-		b, err := plan.AppendBinaryBatch(nil, ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	var docs [][]byte
 	for _, p := range with17(wideType) {
 		docs = append(docs, planJSON(t, p))
 	}
 	wideJSON := append(append([]byte{'['}, bytes.Join(docs, []byte{','})...), ']')
-	wideBin, nanBin := binBatch(with17(wideType)), binBatch(with17(nan))
+	wideBin, nanBin := binaryBatch(t, with17(wideType)), binaryBatch(t, with17(nan))
 	pgDocs := make([]string, 20)
 	for i := range pgDocs {
 		pgDocs[i] = pgGoodDoc

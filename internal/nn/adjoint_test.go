@@ -9,14 +9,32 @@ import (
 
 // The MatMul adjoints run on MatMulInto's panel kernels over a transpose:
 // dA = dC·Bᵀ as MatMulInto(tmp, dC, Bᵀ) added once, dB's rows as
-// MatMulInto over rows of Aᵀ. The references below are the routes they
-// replaced, kept here as the specification of their bits.
+// MatMulInto over rows of Aᵀ. So do the other a·bᵀ products, MatMulSpans'
+// dA and MatMulNodesTransB's forward. The references below are the routes
+// they replaced, kept here as the specification of their bits.
 
-// refMatMulDA adds dc·bᵀ into da the way the dot-form route did: each
-// element's dot product summed from +0 in ascending k (dotRows), then
-// added to da once.
+// dotRowsGeneric is the dot-form product every a·bᵀ once ran on:
+// dst[r·ds+j] += Σ_k a[r·as+k]·b[j·bc+k] for r < rows and j < n, each dot
+// product summed from +0 in ascending k and added to dst once. dst must not
+// alias a or b.
+func dotRowsGeneric(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
+	for r := 0; r < rows; r++ {
+		arow := a[r*as:][:k]
+		orow := dst[r*ds : r*ds+n]
+		for j := range orow {
+			brow := b[j*bc:][:len(arow)]
+			var s float64
+			for x, av := range arow {
+				s += av * brow[x]
+			}
+			orow[j] += s
+		}
+	}
+}
+
+// refMatMulDA adds dc·bᵀ into da the way the dot-form route did.
 func refMatMulDA(da, dc, b *Matrix) {
-	dotRows(da.Data, da.Cols, dc.Data, dc.Cols, b.Data, b.Cols, dc.Rows, dc.Cols, b.Rows)
+	dotRowsGeneric(da.Data, da.Cols, dc.Data, dc.Cols, b.Data, b.Cols, dc.Rows, dc.Cols, b.Rows)
 }
 
 // refMatMulDB forms rows [r0, r0+len(dst)/cols) of aᵀ·dc into dst the way
@@ -223,4 +241,65 @@ func TestReplayWithParamInSlotA(t *testing.T) {
 	ref := NewMatrix(p.Value.Rows, p.Value.Cols)
 	refMatMulDA(ref, dc, bs[0])
 	checkSame(t, "one item's dP", p.Grad.Data, ref.Data)
+}
+
+// compareSpansDA checks MatMulSpans' dA for c = p·v and the upstream
+// gradient dc against the dot-form reference, span by span: gP is what p's
+// gradient holds before the adjoint adds into it, and positions outside the
+// spans must keep it.
+func compareSpansDA(t *testing.T, what string, v, dc, gP *Matrix, spans []Span) {
+	t.Helper()
+	rows, k := v.Rows, v.Cols
+	want := gP.Clone()
+	for i, sp := range spans {
+		lo, hi := int(sp.Lo), int(sp.Hi)
+		if lo < hi {
+			dotRowsGeneric(want.Data[i*rows+lo:i*rows+hi], 0, dc.Data[i*k:], 0, v.Data[lo*k:], k, 1, k, hi-lo)
+		}
+	}
+	tp := NewTape()
+	p := interior(NewMatrix(rows, rows), gP)
+	n := tp.MatMulSpans(p, &Node{Value: v}, spans)
+	copy(n.Grad.Data, dc.Data)
+	backMatMulSpans(tp, n)
+	checkSame(t, what+" MatMulSpans dA", p.Grad.Data, want.Data)
+}
+
+// compareTransB checks MatMulNodesTransB's forward a·bᵀ against the
+// dot-form reference from +0, with b an activation and a frozen weight.
+func compareTransB(t *testing.T, what string, a, b *Matrix) {
+	t.Helper()
+	want := make([]float64, a.Rows*b.Rows)
+	dotRowsGeneric(want, b.Rows, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Rows)
+	tp := NewTape()
+	for _, bn := range []*Node{{Value: b}, tp.Leaf(&Param{Name: "w", Value: b, Frozen: true})} {
+		checkSame(t, what+" MatMulNodesTransB", tp.MatMulNodesTransB(&Node{Value: a}, bn).Value.Data, want)
+	}
+}
+
+// TestTransposedProductsMatchDotRows: MatMulSpans' dA and
+// MatMulNodesTransB's forward, both panel over a transpose, equal the
+// dot-form reference bit for bit (any NaN matching any NaN) for plans of 1
+// to 40 rows, spans of 1 to 9 columns (and some empty ones, which must
+// leave their row alone), k either side of the kernels' four-column step and
+// their 128-column model shape, and ±0, subnormals, ±Inf and NaN among the
+// operands.
+func TestTransposedProductsMatchDotRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for rows := 1; rows <= 40; rows++ {
+		for _, k := range []int{0, 1, 3, 64, 128} {
+			what := fmt.Sprintf("%d rows, k=%d", rows, k)
+			spans := make([]Span, rows)
+			for i := range spans {
+				lo := rng.Intn(rows)
+				hi := min(rows, lo+1+rng.Intn(9))
+				if rng.Intn(8) == 0 {
+					hi = lo
+				}
+				spans[i] = Span{int32(lo), int32(hi)}
+			}
+			compareSpansDA(t, what, mixedMatrix(rng, rows, k), mixedMatrix(rng, rows, k), mixedMatrix(rng, rows, rows), spans)
+			compareTransB(t, what, mixedMatrix(rng, rows, k), mixedMatrix(rng, 1+rng.Intn(40), k))
+		}
+	}
 }

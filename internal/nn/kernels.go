@@ -270,14 +270,23 @@ func backMatMulSpans(t *Tape, n *Node) {
 	a, b := n.a, n.b
 	// da = dc·bᵀ, needed only inside the spans (everything downstream of a
 	// masked position is an exact zero); db = aᵀ·dc, skipping a's zeros.
+	// Row i's span of da is one panel call over bᵀ into a cleared row
+	// temporary, then added once: each element is its dot product summed
+	// from +0 in ascending k, added whole.
 	if a.NeedsGrad {
-		cols, bc, gc := a.Value.Cols, b.Value.Cols, n.Grad.Cols
+		cols, gc := a.Value.Cols, n.Grad.Cols
+		bT, row := t.transposeOf(b), t.tmp.Floats(cols)
 		for i := 0; i < a.Value.Rows; i++ {
 			lo, hi := int(n.spans[i].Lo), int(n.spans[i].Hi)
 			if lo >= hi {
 				continue
 			}
-			dotRows(a.Grad.Data[i*cols+lo:i*cols+hi], 0, n.Grad.Data[i*gc:(i+1)*gc], 0, b.Value.Data[lo*bc:], bc, 1, gc, hi-lo)
+			s := row[:hi-lo]
+			clear(s)
+			if gc > 0 { // with no columns in b, bᵀ is empty and the sums are +0
+				panel(s, n.Grad.Data[i*gc:(i+1)*gc], 1, bT.Data[lo:], bT.Cols, gc)
+			}
+			addTo(a.Grad.Data[i*cols+lo:i*cols+hi], s)
 		}
 	}
 	if b.NeedsGrad {

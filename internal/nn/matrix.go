@@ -128,21 +128,6 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulTransBInto accumulates a·bᵀ into dst (pre-zero dst for a plain
-// product). dst must not alias a or b. Each dst element receives exactly one
-// add of a fully formed dot product (dotRows: summed from +0, k ascending),
-// so accumulating into a live gradient matrix is bitwise identical to
-// materializing the product first and adding it once.
-func MatMulTransBInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulTransB shape mismatch %s · %sᵀ", a.shape(), b.shape()))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulTransBInto dst %s for %s · %sᵀ", dst.shape(), a.shape(), b.shape()))
-	}
-	dotRows(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Rows)
-}
-
 // AddInPlace accumulates src into dst element-wise.
 func AddInPlace(dst, src *Matrix) {
 	if !dst.SameShape(src) {

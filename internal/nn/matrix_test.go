@@ -82,12 +82,11 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 			ct.Set(j, i, c.At(i, j))
 		}
 	}
-	got2 := NewMatrix(4, 6)
-	MatMulTransBInto(got2, a, c)
+	got2 := NewTape().MatMulNodesTransB(&Node{Value: a}, &Node{Value: c}).Value
 	want2 := matMul(a, ct)
 	for i := range want2.Data {
 		if !almostEqual(got2.Data[i], want2.Data[i], 1e-12) {
-			t.Fatalf("MatMulTransB[%d] = %v, want %v", i, got2.Data[i], want2.Data[i])
+			t.Fatalf("MatMulNodesTransB[%d] = %v, want %v", i, got2.Data[i], want2.Data[i])
 		}
 	}
 }

@@ -102,7 +102,11 @@ func (t *Tape) MatMulNodesTransB(a, b *Node) *Node {
 	}
 	n := t.node(a.Value.Rows, b.Value.Rows, backMatMulNodesTransB)
 	n.a, n.b = a, b
-	MatMulTransBInto(n.Value, a.Value, b.Value)
+	// MatMulInto over bᵀ sums each element from the value's +0 in ascending
+	// k. No adjoint is running, so the transpose is the forward's own
+	// temporary, rewound as the op returns.
+	MatMulInto(n.Value, a.Value, t.transposeOf(b))
+	t.tmp.Reset()
 	return n
 }
 

@@ -1,6 +1,6 @@
 package nn
 
-// The axpy-form products — MatMulInto, MatMulSpansInto, MatMulTransAInto and
+// The products — MatMulInto, MatMulSpansInto, MatMulTransAInto and
 // ProjectOneHotInto — all reduce, per output row, to one of two primitives:
 //
 //	panel:     dst[j] += Σ_k a[k·as]·b[k·bc+j]      (k ascending)
@@ -8,29 +8,22 @@ package nn
 //
 // Both index the output along j and never add across j, so a vector unit
 // whose lanes run across j performs, in every lane, exactly the scalar
-// sequence of one multiply then one add per term (DESIGN §7). The dot-form
-// product a·bᵀ (MatMulTransBInto and the dA adjoint of MatMulSpans) and the
-// element-wise accumulate under every adjoint are two more:
+// sequence of one multiply then one add per term (DESIGN §7). A product
+// a·bᵀ is panel over bᵀ, summed from +0 and added once where it
+// accumulates. The element-wise accumulate under every adjoint is one more
+// primitive, and the two halves of ReLU are two more:
 //
-//	dotRows: dst[r·ds+j] += Σ_k a[r·as+k]·b[j·bc+k]  (k ascending from +0,
-//	                                                  the sum added once)
-//	addTo:   dst[i] += src[i]
-//
-// dotRows sums along k, the contiguous axis of both operands, so its lanes
-// still run across j: four rows of b are transposed in registers, four k at
-// a time, and each lane keeps its own output's running sum. Two more are
-// element-wise, the two halves of ReLU:
-//
+//	addTo:    dst[i] += src[i]
 //	reluTo:   dst[i]  = src[i] < 0 ? +0 : src[i]
 //	reluGrad: dst[i]  = x[i] > 0 ? dst[i] + g[i] : dst[i]
 //
-// They select, they do not mask: a NaN or -0 input passes through the
-// forward untouched, and a gradient element whose input was not positive
-// keeps its bits (adding a masked +0 would turn a -0 into +0).
+// The ReLU halves select, they do not mask: a NaN or -0 input passes
+// through the forward untouched, and a gradient element whose input was not
+// positive keeps its bits (adding a masked +0 would turn a -0 into +0).
 //
-// The one dot-form primitive with lanes across keys scores a single query
-// row against up to eight one-hot keys whose rows it addresses by offset,
-// so the keys are never materialized:
+// The one primitive that sums along its operands' contiguous axis scores a
+// single query row against up to eight one-hot keys whose rows it addresses
+// by offset, so the keys are never materialized:
 //
 //	rootScores: dst[l] = (Σ_c q[c]·((w[off_l+c] + c0_l·w0[c]) + c1_l·w1[c]))·s
 //	                                                 (c ascending from +0)
@@ -84,46 +77,6 @@ func oneHotRowGeneric(dst, wt, w0, w1 []float64, c0, c1 float64) {
 		s += c0 * w0[j]
 		s += c1 * w1[j]
 		dst[j] = s
-	}
-}
-
-// dotRowsGeneric is the portable body of dotRows: rows rows of a (stride as,
-// k contiguous terms each) against n rows of b (stride bc), into rows rows
-// of dst (stride ds). dst must not alias a or b.
-func dotRowsGeneric(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
-	for r := 0; r < rows; r++ {
-		arow := a[r*as:][:k]
-		orow := dst[r*ds : r*ds+n]
-		// Four independent dot products per pass: each accumulator still
-		// sums its terms in ascending k order (bitwise identical to the
-		// simple loop), but the four add chains pipeline instead of
-		// serializing on one accumulator's latency.
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*bc:][:len(arow)]
-			b1 := b[(j+1)*bc:][:len(arow)]
-			b2 := b[(j+2)*bc:][:len(arow)]
-			b3 := b[(j+3)*bc:][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for x, av := range arow {
-				s0 += av * b0[x]
-				s1 += av * b1[x]
-				s2 += av * b2[x]
-				s3 += av * b3[x]
-			}
-			orow[j] += s0
-			orow[j+1] += s1
-			orow[j+2] += s2
-			orow[j+3] += s3
-		}
-		for ; j < n; j++ {
-			brow := b[j*bc:][:len(arow)]
-			var s float64
-			for x, av := range arow {
-				s += av * brow[x]
-			}
-			orow[j] += s
-		}
 	}
 }
 

@@ -69,12 +69,6 @@ func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n
 //go:noescape
 func rootScoresAVX512(dst *float64, grp *keyGroup, q, w, w0, w1 *float64, d int, invScale float64)
 
-// dotRowsAVX2 runs dotRows for 1 ≤ rows ≤ 4, k ≥ 1 and n a positive
-// multiple of 4. It checks nothing.
-//
-//go:noescape
-func dotRowsAVX2(dst *float64, ds int, a *float64, as int, b *float64, bc, rows, k, n int)
-
 // addToAVX2 adds src[0:n) into dst[0:n) for n a positive multiple of 4. It
 // checks nothing.
 //
@@ -151,30 +145,6 @@ func rootScores(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale flo
 		return
 	}
 	rootScoresGeneric(dst, g, q, w, w0, w1, invScale)
-}
-
-// dotRows accumulates dst[r·ds+j] += Σ_k a[r·as+k]·b[j·bc+k] for r < rows
-// and j < n: each dot product is summed from +0 in ascending k order and
-// added to dst once. dst must not alias a or b. The assembly takes the
-// output columns in fours and the rows of a in blocks of up to four (a
-// block shares each transposed tile of b); the column tail goes to the Go
-// body. As in panel, the furthest element the assembly will touch of each
-// operand is indexed here first.
-func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
-	if n4 := n &^ 3; useAVX2 && n4 > 0 && k > 0 && rows > 0 {
-		if ds < 0 || as < 0 || bc < 0 {
-			panic("nn: negative kernel stride")
-		}
-		_, _, _ = dst[(rows-1)*ds+n-1], a[(rows-1)*as+k-1], b[(n-1)*bc+k-1]
-		for r := 0; r < rows; r += 4 {
-			dotRowsAVX2(&dst[r*ds], ds, &a[r*as], as, &b[0], bc, min(4, rows-r), k, n4)
-		}
-		if n4 == n {
-			return
-		}
-		dst, b, n = dst[n4:], b[n4*bc:], n-n4
-	}
-	dotRowsGeneric(dst, ds, a, as, b, bc, rows, k, n)
 }
 
 // addTo accumulates dst[i] += src[i] over len(src) elements; dst holds at

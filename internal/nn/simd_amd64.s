@@ -238,136 +238,6 @@ loop4x32:
 	VZEROUPPER
 	RET
 
-// DOT adds one k term to the four row accumulators: tile holds b[j..j+4, k]
-// across its lanes, off is k's byte offset from element AX of each row of a.
-#define DOT(off, tile) \
-	VBROADCASTSD off(SI)(AX*8), Y4; \
-	VBROADCASTSD off(R8)(AX*8), Y5; \
-	VBROADCASTSD off(R9)(AX*8), Y6; \
-	VBROADCASTSD off(R10)(AX*8), Y7; \
-	VMULPD tile, Y4, Y4; \
-	VMULPD tile, Y5, Y5; \
-	VMULPD tile, Y6, Y6; \
-	VMULPD tile, Y7, Y7; \
-	VADDPD Y4, Y8, Y8; \
-	VADDPD Y5, Y9, Y9; \
-	VADDPD Y6, Y10, Y10; \
-	VADDPD Y7, Y11, Y11
-
-// func dotRowsAVX2(dst *float64, ds int, a *float64, as int, b *float64, bc, rows, k, n int)
-//
-// Up to four rows of a (SI, R8, R9, R10; rows past the last repeat it and
-// are never stored) against four rows of b at a time (BX, R11, R12, R13).
-// Both operands are contiguous along k, the summed axis, so four k of each
-// of the four rows of b are loaded and transposed in registers: Y0–Y3 then
-// each hold one k across the four output columns, lanes run across j as in
-// panelAVX2, and Y8–Y11 keep one row's four running sums, k ascending from
-// +0. A k tail of one to three terms gathers its tile element by element.
-// The finished sums are added to dst once.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ a+16(FP), SI
-	MOVQ as+24(FP), AX
-	MOVQ b+32(FP), BX
-	MOVQ rows+48(FP), CX
-	MOVQ n+64(FP), DX
-	SHLQ $3, AX
-	MOVQ SI, R8
-	MOVQ SI, R9
-	MOVQ SI, R10
-	CMPQ CX, $2
-	JLT  tile
-	ADDQ AX, R8
-	MOVQ R8, R9
-	MOVQ R8, R10
-	CMPQ CX, $3
-	JLT  tile
-	ADDQ AX, R9
-	MOVQ R9, R10
-	CMPQ CX, $4
-	JLT  tile
-	ADDQ AX, R10
-
-tile:
-	MOVQ bc+40(FP), AX
-	LEAQ (BX)(AX*8), R11
-	LEAQ (R11)(AX*8), R12
-	LEAQ (R12)(AX*8), R13
-	MOVQ k+56(FP), CX
-	ANDQ $-4, CX
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	XORQ AX, AX
-	CMPQ AX, CX
-	JGE  ktail
-
-	PCALIGN $64
-k4:
-	VMOVUPD (BX)(AX*8), Y0
-	VMOVUPD (R11)(AX*8), Y1
-	VMOVUPD (R12)(AX*8), Y2
-	VMOVUPD (R13)(AX*8), Y3
-	VUNPCKLPD Y1, Y0, Y4
-	VUNPCKHPD Y1, Y0, Y5
-	VUNPCKLPD Y3, Y2, Y6
-	VUNPCKHPD Y3, Y2, Y7
-	VPERM2F128 $0x20, Y6, Y4, Y0
-	VPERM2F128 $0x20, Y7, Y5, Y1
-	VPERM2F128 $0x31, Y6, Y4, Y2
-	VPERM2F128 $0x31, Y7, Y5, Y3
-	DOT(0, Y0)
-	DOT(8, Y1)
-	DOT(16, Y2)
-	DOT(24, Y3)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  k4
-
-ktail:
-	CMPQ AX, k+56(FP)
-	JGE  sums
-	VMOVSD (BX)(AX*8), X0
-	VMOVHPD (R11)(AX*8), X0, X0
-	VMOVSD (R12)(AX*8), X1
-	VMOVHPD (R13)(AX*8), X1, X1
-	VINSERTF128 $1, X1, Y0, Y0
-	DOT(0, Y0)
-	INCQ AX
-	JMP  ktail
-
-sums:
-	MOVQ ds+8(FP), AX
-	MOVQ rows+48(FP), CX
-	MOVQ DI, BX
-	VADDPD (BX), Y8, Y8
-	VMOVUPD Y8, (BX)
-	CMPQ CX, $2
-	JLT  next
-	LEAQ (BX)(AX*8), BX
-	VADDPD (BX), Y9, Y9
-	VMOVUPD Y9, (BX)
-	CMPQ CX, $3
-	JLT  next
-	LEAQ (BX)(AX*8), BX
-	VADDPD (BX), Y10, Y10
-	VMOVUPD Y10, (BX)
-	CMPQ CX, $4
-	JLT  next
-	LEAQ (BX)(AX*8), BX
-	VADDPD (BX), Y11, Y11
-	VMOVUPD Y11, (BX)
-
-next:
-	ADDQ $32, DI
-	MOVQ bc+40(FP), AX
-	LEAQ (R13)(AX*8), BX
-	SUBQ $4, DX
-	JNZ  tile
-	VZEROUPPER
-	RET
-
 // func addToAVX2(dst, src *float64, n int)
 TEXT ·addToAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI

@@ -26,10 +26,6 @@ func rootScores(dst []float64, g *keyGroup, q, w, w0, w1 []float64, invScale flo
 	rootScoresGeneric(dst, g, q, w, w0, w1, invScale)
 }
 
-func dotRows(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int) {
-	dotRowsGeneric(dst, ds, a, as, b, bc, rows, k, n)
-}
-
 func addTo(dst, src []float64) { addToGeneric(dst, src) }
 
 func reluTo(dst, src []float64) { reluToGeneric(dst, src) }

@@ -135,34 +135,6 @@ func comparePanel4(t *testing.T, rng *rand.Rand, ds int, a []float64, as int, b 
 	checkGuards(t, what, buf, off, len(init))
 }
 
-// compareDotRows runs dotRows and dotRowsGeneric on identical poisoned
-// copies of a rows-row destination of stride ds whose inter-row gaps hold
-// sentinels too.
-func compareDotRows(t *testing.T, rng *rand.Rand, ds int, a []float64, as int, b []float64, bc, rows, k, n, off int) {
-	t.Helper()
-	what := fmt.Sprintf("dotRows rows=%d k=%d n=%d ds=%d as=%d bc=%d off=%d", rows, k, n, ds, as, bc, off)
-	init := make([]float64, (rows-1)*ds+n)
-	for i := range init {
-		init[i] = sentinel
-	}
-	for r := 0; r < rows; r++ {
-		fillMixed(rng, init[r*ds:r*ds+n])
-	}
-	want, _ := poisoned(init, off)
-	dotRowsGeneric(want, ds, a, as, b, bc, rows, k, n)
-	got, buf := poisoned(init, off)
-	dotRows(got, ds, a, as, b, bc, rows, k, n)
-	checkSame(t, what, got, want)
-	for r := 0; r < rows-1; r++ {
-		for i := r*ds + n; i < (r+1)*ds; i++ {
-			if math.Float64bits(got[i]) != math.Float64bits(sentinel) {
-				t.Fatalf("%s: wrote between rows %d and %d, at element %d", what, r, r+1, i)
-			}
-		}
-	}
-	checkGuards(t, what, buf, off, len(init))
-}
-
 func compareAddTo(t *testing.T, init, src []float64, off int) {
 	t.Helper()
 	what := fmt.Sprintf("addTo len=%d off=%d", len(src), off)
@@ -212,11 +184,10 @@ func compareRootScores(t *testing.T, g *keyGroup, lanes int, q, w, w0, w1 []floa
 func TestKernelDispatch(t *testing.T) {
 	if useAVX2 {
 		t.Log("panel, oneHotRow: AVX2 assembly")
-		t.Log("dotRows (MatMulTransBInto, MatMulSpans' dA), output columns in fours: AVX2 assembly")
 		t.Log("addTo (AddInPlace): AVX2 assembly")
 		t.Log("reluTo, reluGrad (Tape.ReLU and its adjoint): AVX2 assembly")
 	} else {
-		t.Log("panel, oneHotRow, dotRows, addTo, reluTo, reluGrad: generic Go")
+		t.Log("panel, oneHotRow, addTo, reluTo, reluGrad: generic Go")
 	}
 	if useAVX512 {
 		t.Log("MatMulInto, full blocks of 4 rows × 32 columns: panel4, AVX-512 assembly")
@@ -254,37 +225,6 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 				c := unaligned(rng, 2, 0)
 				compareOneHotRow(t, wt, w0, w1, c[0], c[1], off)
 			}
-		}
-	})
-
-	t.Run("dotRows", func(t *testing.T) {
-		if !useAVX2 {
-			t.Skip("no AVX2: the generic bodies are the only kernels on this host")
-		}
-		// Every row-block remainder (1–9 rows), every column count through
-		// two tiles past 128, and k on both sides of the four-term step.
-		rng := rand.New(rand.NewSource(23))
-		for rows := 1; rows <= 9; rows++ {
-			for n := 1; n <= 130; n++ {
-				for _, k := range []int{0, 1, 3, 4, 37, 64, 128} {
-					pad := rng.Intn(3)
-					ds, as, bc, off := n+pad, k+2*pad, k+3-pad, 1+2*rng.Intn(2)
-					a := unaligned(rng, (rows-1)*as+k, off)
-					b := unaligned(rng, (n-1)*bc+k, 4-off)
-					compareDotRows(t, rng, ds, a, as, b, bc, rows, k, n, off)
-				}
-			}
-		}
-		// A destination of exact zeros of either sign: a k = 0 product adds
-		// +0 and must turn -0 into +0 exactly as the Go loop does.
-		negZero := math.Copysign(0, -1)
-		for _, k := range []int{0, 1, 5} {
-			a, b := make([]float64, k), make([]float64, 8*k)
-			init := []float64{0, negZero, 0, negZero, 1, negZero, 0, math.Inf(-1)}
-			want, got := append([]float64(nil), init...), append([]float64(nil), init...)
-			dotRowsGeneric(want, 0, a, 0, b, k, 1, k, 8)
-			dotRows(got, 0, a, 0, b, k, 1, k, 8)
-			checkSame(t, fmt.Sprintf("dotRows signed zeros k=%d", k), got, want)
 		}
 	})
 
@@ -443,20 +383,17 @@ func TestKernelsSIMDMatchGeneric(t *testing.T) {
 					guards(t, "MatMulTransAInto "+what, dst, buf)
 
 					bt, _ := mat(rng, cols, k)
-					copy(want, init)
 					for i := 0; i < rows; i++ {
 						for j := 0; j < cols; j++ {
 							var dot float64
 							for x := 0; x < k; x++ {
 								dot += a.Data[i*k+x] * bt.Data[j*k+x]
 							}
-							want[i*cols+j] += dot
+							want[i*cols+j] = dot
 						}
 					}
-					copy(dst.Data, init)
-					MatMulTransBInto(dst, a, bt)
-					checkSame(t, "MatMulTransBInto "+what, dst.Data, want)
-					guards(t, "MatMulTransBInto "+what, dst, buf)
+					got := NewTape().MatMulNodesTransB(&Node{Value: a}, &Node{Value: bt}).Value
+					checkSame(t, "MatMulNodesTransB "+what, got.Data, want)
 
 					src, _ := mat(rng, rows, cols)
 					for i := range want {
@@ -549,14 +486,7 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 	mustPanic(t, "panel short a", func() { panel(dst, make([]float64, 3), 1, make([]float64, 32), 8, 4) })
 	mustPanic(t, "panel short b", func() { panel(dst, make([]float64, 4), 1, make([]float64, 31), 8, 4) })
 	mustPanic(t, "panel short strided a", func() { panel(dst, make([]float64, 9), 3, make([]float64, 32), 8, 4) })
-	// dotRows, 5 rows × 8 columns, k = 4: dst needs 40 elements, a 20, b 32.
 	full := func(n int) []float64 { return make([]float64, n) }
-	mustPanic(t, "dotRows short dst", func() { dotRows(full(39), 8, full(20), 4, full(32), 4, 5, 4, 8) })
-	mustPanic(t, "dotRows short strided dst", func() { dotRows(full(40), 9, full(20), 4, full(32), 4, 5, 4, 8) })
-	mustPanic(t, "dotRows short a", func() { dotRows(full(40), 8, full(19), 4, full(32), 4, 5, 4, 8) })
-	mustPanic(t, "dotRows short b", func() { dotRows(full(40), 8, full(20), 4, full(31), 4, 5, 4, 8) })
-	mustPanic(t, "dotRows short strided b", func() { dotRows(full(40), 8, full(20), 4, full(32), 5, 5, 4, 8) })
-	mustPanic(t, "dotRows negative stride", func() { dotRows(full(40), 8, full(20), -4, full(32), 4, 5, 4, 8) })
 	mustPanic(t, "addTo short dst", func() { addTo(full(7), full(8)) })
 	mustPanic(t, "reluTo short dst", func() { reluTo(full(7), full(8)) })
 	mustPanic(t, "reluGrad short g", func() { reluGrad(full(8), full(7), full(8)) })
@@ -570,8 +500,8 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 	mustPanic(t, "rootScores short w", func() { rootScores(full(8), &g, full(8), full(7), full(8), full(8), 1) })
 	mustPanic(t, "rootScores short w0", func() { rootScores(full(8), &g, full(8), full(8), full(7), full(8), 1) })
 	mustPanic(t, "rootScores short w1", func() { rootScores(full(8), &g, full(8), full(8), full(8), full(7), 1) })
-	mustPanic(t, "MatMulTransBInto short b", func() {
-		MatMulTransBInto(NewMatrix(5, 8), NewMatrix(5, 4), &Matrix{Rows: 8, Cols: 4, Data: full(31)})
+	mustPanic(t, "MatMulNodesTransB short b", func() {
+		NewTape().MatMulNodesTransB(&Node{Value: NewMatrix(5, 4)}, &Node{Value: &Matrix{Rows: 8, Cols: 4, Data: full(31)}})
 	})
 	if !useAVX512 {
 		return
@@ -588,8 +518,8 @@ func TestKernelBoundsPanicInGo(t *testing.T) {
 
 // FuzzKernelsMatchGeneric feeds the primitives arbitrary bit patterns —
 // signalling NaNs and denormals included — at fuzzer-chosen shapes, strides
-// and misalignments, and the MatMul adjoints, which run on them, against
-// the routes they replaced.
+// and misalignments, and the products that run on them — the MatMul
+// adjoints, the span adjoint and q·kᵀ — against the routes they replaced.
 func FuzzKernelsMatchGeneric(f *testing.F) {
 	if !useAVX2 {
 		f.Skip("no AVX2: the generic bodies are the only kernels on this host")
@@ -621,11 +551,21 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		compareOneHotRow(t, next(cols), next(cols), next(cols), c[0], c[1], off)
 		compareAddTo(t, next(cols), next(cols), off)
 		compareReLU(t, next(cols), next(cols), next(cols), off)
-		if cols > 0 {
-			// dotRows' destination comes from a seeded generator, like
-			// panel4's below: the fuzzer's bits go into a and b.
-			rows, ds, ars, brs := 1+int(off8)%9, cols+int(as8)%3, k+int(off8)%3, k+int(as8)%2
-			compareDotRows(t, rand.New(rand.NewSource(int64(k8)<<8|int64(cols8))), ds, next((rows-1)*ars+k), ars, next((cols-1)*brs+k), brs, rows, k, cols, off)
+		{
+			// The a·bᵀ products on panel over a transpose against the
+			// dot-form route they replaced: v, dc, a and b from the
+			// fuzzer's bits, the spans and the gradient dA adds into
+			// seeded.
+			rows := 1 + cols%40
+			g := rand.New(rand.NewSource(int64(k8)<<8 | int64(cols8)))
+			spans := make([]Span, rows)
+			for i := range spans {
+				lo := g.Intn(rows)
+				spans[i] = Span{int32(lo), int32(min(rows, lo+g.Intn(10)))}
+			}
+			mat := func(r, c int) *Matrix { return &Matrix{Rows: r, Cols: c, Data: next(r * c)} }
+			compareSpansDA(t, "fuzz", mat(rows, k), mat(rows, k), mixedMatrix(g, rows, rows), spans)
+			compareTransB(t, "fuzz", mat(rows, k), mat(1+int(as8)%40, k))
 		}
 		if k > 0 {
 			// rootScores: up to eight keys, each at a fuzzer-chosen row of
@@ -717,25 +657,46 @@ func BenchmarkKernels(b *testing.B) {
 			b.ReportMetric(float64(2*s.rows*s.k*s.cols)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
 		})
 	}
-	// The a·bᵀ product under MatMul's dA adjoint, and the accumulate under
-	// every adjoint and the ordered pass; SetBytes counts each operand
-	// and the destination once.
+	// MatMulSpans' dA, dc·vᵀ inside the pre-order spans of a left-deep
+	// tree (row i attends to [i, rows)): the adjoint as training runs it —
+	// v transposed, one panel call per row, each added once — against the
+	// dot-form reference it replaced, one Go dot product per element.
 	for _, rows := range []int{3, 10, 32} {
-		const k, n = 128, 128
-		a, w, dst := dense(rows*k), dense(n*k), make([]float64, rows*n)
+		const k = 128
+		spans := make([]Span, rows)
+		for i := range spans {
+			spans[i] = Span{int32(i), int32(rows)}
+		}
+		tp := NewTape()
+		p := &Node{Value: NewMatrix(rows, rows), Grad: NewMatrix(rows, rows), NeedsGrad: true}
+		v := &Node{Value: NewMatrix(rows, k)}
+		copy(v.Value.Data, dense(rows*k))
+		n := tp.MatMulSpans(p, v, spans)
+		copy(n.Grad.Data, dense(rows*k))
+		flops := float64(2 * k * rows * (rows + 1) / 2)
 		for _, im := range []struct {
 			name string
-			body func(dst []float64, ds int, a []float64, as int, b []float64, bc, rows, k, n int)
-		}{{"generic", dotRowsGeneric}, {"dispatched", dotRows}} {
-			b.Run(fmt.Sprintf("MatMulTransBInto/%dx%dx%d/%s", rows, k, n, im.name), func(b *testing.B) {
-				b.SetBytes(int64(8 * (rows*k + n*k + rows*n)))
-				for i := 0; i < b.N; i++ {
-					im.body(dst, n, a, k, w, k, rows, k, n)
+			body func()
+		}{
+			{"reference", func() {
+				for i := 0; i < rows; i++ {
+					dotRowsGeneric(p.Grad.Data[i*rows+i:(i+1)*rows], 0, n.Grad.Data[i*k:], 0, v.Value.Data[i*k:], k, 1, k, rows-i)
 				}
-				b.ReportMetric(float64(2*rows*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
+			}},
+			{"dispatched", func() {
+				backMatMulSpans(tp, n)
+				tp.tmp.Reset()
+			}},
+		} {
+			b.Run(fmt.Sprintf("MatMulSpans/dA/%dx%d/%s", rows, k, im.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					im.body()
+				}
+				b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "flop/ns")
 			})
 		}
 	}
+	// The accumulate under every adjoint and the ordered pass.
 	for _, im := range []struct {
 		name string
 		body func(dst, src []float64)
@@ -808,8 +769,7 @@ func BenchmarkKernels(b *testing.B) {
 	// weight's transpose (formed once per tape cycle, so outside the loop)
 	// into a cleared temporary, then added; dB into the ordered pass's
 	// 16-row blocks, each four rows gathered from the activation's columns
-	// into a tile. MatMulTransBInto and MatMulTransAInto above are the
-	// routes they replaced.
+	// into a tile. MatMulTransAInto above is the route dB replaced.
 	for _, rows := range []int{3, 10, 32} {
 		const in, out = 128, 128
 		tp := NewTape()

@@ -95,7 +95,8 @@ type Tape struct {
 	used  int // nodes[:used] may hold references from before the last Reset
 	arena *Arena
 	// tmp holds an adjoint's temporaries — products before their one add,
-	// an operand's transpose — and is rewound as each adjoint returns.
+	// an operand's transpose — and is rewound as each adjoint returns; the
+	// one forward op that uses it (MatMulNodesTransB) rewinds it too.
 	tmp Arena
 	// pending are the parameter adjoints the backward walks since the last
 	// Reset recorded, in the order they would have run.
@@ -224,7 +225,7 @@ func (t *Tape) Leaf(p *Param) *Node {
 
 // transposeOf returns x's value transposed: a parameter's into the tape's
 // arena once per cycle, shared by every node that reads it, any other
-// operand's afresh, as a temporary of the running adjoint.
+// operand's afresh, as a temporary of the running adjoint or op.
 func (t *Tape) transposeOf(x *Node) *Matrix {
 	if x.leaf {
 		return t.arena.weightT(x.Value)

@@ -52,20 +52,6 @@ func AppendBinary(dst []byte, p *Plan) ([]byte, error) {
 	return appendBinaryPlan(dst, p)
 }
 
-// AppendBinaryBatch appends one framed batch of plans to dst — the
-// /predict/batch wire body.
-func AppendBinaryBatch(dst []byte, plans []*Plan) ([]byte, error) {
-	dst = append(dst, binMagic0, binMagic1, BinaryVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(plans)))
-	var err error
-	for i, p := range plans {
-		if dst, err = appendBinaryPlan(dst, p); err != nil {
-			return nil, fmt.Errorf("plan[%d]: %w", i, err)
-		}
-	}
-	return dst, nil
-}
-
 func appendBinaryPlan(dst []byte, p *Plan) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(p.Database)))
 	dst = append(dst, p.Database...)

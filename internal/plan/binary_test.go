@@ -2,9 +2,27 @@ package plan
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// AppendBinaryBatch appends one framed batch of plan trees to dst — the
+// /predict/batch wire body — through the tree encoder: the reference the
+// flat batch assembly (header, count, AppendBinaryBody per plan) is checked
+// against.
+func AppendBinaryBatch(dst []byte, plans []*Plan) ([]byte, error) {
+	dst = append(dst, binMagic0, binMagic1, BinaryVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(plans)))
+	var err error
+	for i, p := range plans {
+		if dst, err = appendBinaryPlan(dst, p); err != nil {
+			return nil, fmt.Errorf("plan[%d]: %w", i, err)
+		}
+	}
+	return dst, nil
+}
 
 func binaryDocs(t *testing.T) []*Plan {
 	t.Helper()

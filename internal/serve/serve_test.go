@@ -317,14 +317,13 @@ func binaryMissDriver(t *testing.T, target string, plans []*plan.Plan) *missDriv
 		marked[i] = withRootCost(p, 1e6+float64(i))
 	}
 	var data []byte
-	var err error
 	if target == "/predict" {
-		data, err = plan.AppendBinary(nil, marked[0])
+		var err error
+		if data, err = plan.AppendBinary(nil, marked[0]); err != nil {
+			t.Fatal(err)
+		}
 	} else {
-		data, err = plan.AppendBinaryBatch(nil, marked)
-	}
-	if err != nil {
-		t.Fatal(err)
+		data = binaryBatch(t, marked)
 	}
 	offs := make([]int, len(marked))
 	from := 0

@@ -184,10 +184,7 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 		}
 	}
 	jsonBody.WriteString("]")
-	binBody, err := plan.AppendBinaryBatch(nil, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
+	binBody := binaryBatch(t, plans)
 	code, want := postWire(t, h, "/predict/batch", "application/json", jsonBody.Bytes())
 	if code != http.StatusOK {
 		t.Fatalf("json batch status %d", code)
@@ -219,10 +216,7 @@ func TestBatchErrorsCarryIndex(t *testing.T) {
 
 	// Binary: corrupt the third plan's type byte to an unknown operator.
 	plans := []*plan.Plan{samples[0].Plan, samples[1].Plan, {Database: "d", Root: &plan.Node{Type: plan.NumNodeTypes - 1}}}
-	bin, err := plan.AppendBinaryBatch(nil, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := binaryBatch(t, plans)
 	bin[len(bin)-34] = 0xEE // third plan's single node: type byte → 238
 	code, resp = postWire(t, h, "/predict/batch", plan.BinaryContentType, bin)
 	if code != http.StatusBadRequest {
@@ -391,4 +385,19 @@ func TestPredictCacheHitZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// binaryBatch assembles one binary /predict/batch frame from plan trees:
+// the frame header and plan count, then each plan's body off its flat form.
+func binaryBatch(t *testing.T, plans []*plan.Plan) []byte {
+	t.Helper()
+	b := plan.AppendBinaryBatchCount(plan.AppendBinaryFrameHeader(nil), len(plans))
+	var f plan.FlatPlan
+	for _, p := range plans {
+		var err error
+		if b, err = f.FromTree(p).AppendBinaryBody(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
 }
