@@ -7,7 +7,7 @@ GO ?= go
 # registry) and must stay clean under the race detector.
 RACE_PKGS := ./internal/nn ./internal/core ./internal/plan ./internal/wire ./internal/pgexplain ./internal/serve ./internal/servecache ./internal/gateway ./internal/baselines ./internal/feedback ./internal/adapt ./internal/telemetry ./internal/optimizer ./internal/tenant ./internal/loadgen
 
-.PHONY: all fmt vet build build-arm64 check-paths test race train-workers example bench-kernels bench-test benchmark bench-gate ci
+.PHONY: all fmt vet build build-arm64 check-paths test test-dispatch race train-workers example bench-kernels bench-test benchmark bench-gate ci
 
 all: ci
 
@@ -42,6 +42,18 @@ check-paths:
 
 test:
 	$(GO) test ./...
+
+# The packages whose tests run the kernels end to end (training, serving,
+# the optimizer's scorer), once per dispatch level below the host's: the
+# test-only tag nn_avx2 caps internal/nn at its AVX2 bodies and nn_generic at
+# its Go bodies, so an AVX-512 host also runs the Go branches an AVX2-only or
+# arm64 host takes (simd_amd64.go). No product build names either tag
+# (reach_test.go).
+DISPATCH_PKGS := ./internal/nn ./internal/core ./internal/baselines ./internal/serve ./internal/optimizer
+
+test-dispatch:
+	$(GO) test -tags nn_avx2 $(DISPATCH_PKGS)
+	$(GO) test -tags nn_generic $(DISPATCH_PKGS)
 
 race:
 	$(GO) test -race -timeout 45m $(RACE_PKGS)
@@ -105,4 +117,4 @@ bench-test:
 # smokes. The perf gate is not here: it needs a BASE to measure against
 # (`make bench-gate BASE=<rev>`), which CI supplies from the pull request in
 # an advisory job of its own.
-ci: fmt vet build build-arm64 check-paths test train-workers race example
+ci: fmt vet build build-arm64 check-paths test test-dispatch train-workers race example

@@ -436,16 +436,16 @@ func (m *Model) headRaw(a *nn.Arena, h *nn.Matrix, costs []float64, hiddenLayer 
 	for i, l := range m.MLP {
 		next := a.Matrix(rows, l.Out())
 		nn.MatMulInto(next, h, l.W.Value)
-		var ad []float64
+		var ad *nn.Matrix
 		if m.lora != nil {
 			down := a.Matrix(rows, m.lora[i].Rank)
 			nn.MatMulInto(down, h, m.lora[i].Down.Value)
 			up := a.Matrix(rows, l.Out())
 			nn.MatMulInto(up, down, m.lora[i].Up.Value)
 			nn.ScaleInPlace(up, m.lora[i].Scale)
-			ad = up.Data
+			ad = up
 		}
-		finishLayer(next.Data, l.B.Value.Data, ad, i != last)
+		nn.FinishDense(next, l.B.Value, ad, i != last)
 		h = next
 		if i == hiddenLayer && i != last {
 			hidden = h
@@ -457,33 +457,6 @@ func (m *Model) headRaw(a *nn.Arena, h *nn.Matrix, costs []float64, hiddenLayer 
 		h.Data[r] += gamma * costs[r]
 	}
 	return h, hidden
-}
-
-// finishLayer completes one MLP layer in a single pass over its rows: per
-// element the bias add, then the scaled adapter term when ad is non-nil,
-// then ReLU when relu is set — the operations, and the order, of the tape's
-// Dense, LoRA and ReLU ops. The clamp is a select on the value's bits
-// rather than a branch on its sign, which is a coin flip per element;
-// v < -Inf is never true, so layers without ReLU run the same loop.
-func finishLayer(out, bias, ad []float64, relu bool) {
-	floor := math.Inf(-1)
-	if relu {
-		floor = 0
-	}
-	for r := 0; r < len(out); r += len(bias) {
-		row := out[r : r+len(bias)]
-		for j, b := range bias {
-			v := row[j] + b
-			if ad != nil {
-				v += ad[r+j]
-			}
-			bits := math.Float64bits(v)
-			if v < floor {
-				bits = 0
-			}
-			row[j] = math.Float64frombits(bits)
-		}
-	}
 }
 
 // Predict returns the estimated execution time (ms) of the plan's root —

@@ -42,62 +42,57 @@ func MaskedSoftmaxQKTInto(dst, q, k *Matrix, invScale float64, spans []Span) {
 	if dst.Rows != q.Rows || dst.Cols != k.Rows || len(spans) != q.Rows {
 		panic(fmt.Sprintf("nn: MaskedSoftmaxQKT dst %s, %d spans for %s · %sᵀ", dst.shape(), len(spans), q.shape(), k.shape()))
 	}
-	d := q.Cols
+	d, dc := q.Cols, dst.Cols
+	// The scores first, four (row, key) pairs per pass taken in row-major
+	// order across rows, so short spans still fill four independent
+	// chains: each score sums q[i,x]·k[j,x] from +0 in ascending x, then is
+	// scaled, exactly as the simple loop forms it.
+	var qs, ks [4][]float64
+	var at [4]int
+	np := 0
 	for i := 0; i < q.Rows; i++ {
 		sp := spans[i]
 		if sp.Lo >= sp.Hi {
 			panic(fmt.Sprintf("nn: MaskedSoftmaxQKT row %d fully masked", i))
 		}
 		qrow := q.Data[i*d : (i+1)*d]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		max := math.Inf(-1)
-		// Four independent score dots per pass; each accumulates in
-		// ascending feature order and the max scan compares in ascending j
-		// order, so the result is bitwise identical to the simple loop.
-		j := sp.Lo
-		for ; j+4 <= sp.Hi; j += 4 {
-			k0 := k.Data[int(j)*d : int(j)*d+d][:len(qrow)]
-			k1 := k.Data[int(j+1)*d : int(j+1)*d+d][:len(qrow)]
-			k2 := k.Data[int(j+2)*d : int(j+2)*d+d][:len(qrow)]
-			k3 := k.Data[int(j+3)*d : int(j+3)*d+d][:len(qrow)]
+		for j := int(sp.Lo); j < int(sp.Hi); j++ {
+			qs[np], ks[np], at[np] = qrow, k.Data[j*d:(j+1)*d], i*dc+j
+			if np++; np < 4 {
+				continue
+			}
+			np = 0
+			q0, q1, q2, q3 := qs[0], qs[1][:len(qs[0])], qs[2][:len(qs[0])], qs[3][:len(qs[0])]
+			k0, k1, k2, k3 := ks[0][:len(q0)], ks[1][:len(q0)], ks[2][:len(q0)], ks[3][:len(q0)]
 			var s0, s1, s2, s3 float64
-			for x, qv := range qrow {
-				s0 += qv * k0[x]
-				s1 += qv * k1[x]
-				s2 += qv * k2[x]
-				s3 += qv * k3[x]
+			for x := range q0 {
+				s0 += q0[x] * k0[x]
+				s1 += q1[x] * k1[x]
+				s2 += q2[x] * k2[x]
+				s3 += q3[x] * k3[x]
 			}
-			s0 *= invScale
-			s1 *= invScale
-			s2 *= invScale
-			s3 *= invScale
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			if s0 > max {
-				max = s0
-			}
-			if s1 > max {
-				max = s1
-			}
-			if s2 > max {
-				max = s2
-			}
-			if s3 > max {
-				max = s3
-			}
+			dst.Data[at[0]], dst.Data[at[1]], dst.Data[at[2]], dst.Data[at[3]] = s0*invScale, s1*invScale, s2*invScale, s3*invScale
 		}
-		for ; j < sp.Hi; j++ {
-			krow := k.Data[int(j)*d : (int(j)+1)*d][:len(qrow)]
-			var s float64
-			for x, qv := range qrow {
-				s += qv * krow[x]
-			}
-			s *= invScale
-			drow[j] = s
+	}
+	for p := 0; p < np; p++ {
+		krow := ks[p][:len(qs[p])]
+		var s float64
+		for x, qv := range qs[p] {
+			s += qv * krow[x]
+		}
+		dst.Data[at[p]] = s * invScale
+	}
+	// Then each row's max, compared in ascending key order, and its
+	// normalization.
+	for i := 0; i < q.Rows; i++ {
+		row := dst.Data[i*dc+int(spans[i].Lo) : i*dc+int(spans[i].Hi)]
+		max := math.Inf(-1)
+		for _, s := range row {
 			if s > max {
 				max = s
 			}
 		}
-		expNormalize(drow[sp.Lo:sp.Hi], max)
+		expNormalize(row, max)
 	}
 }
 

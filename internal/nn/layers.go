@@ -39,6 +39,30 @@ func (d *Dense) In() int { return d.W.Value.Rows }
 // Out returns the layer's output width.
 func (d *Dense) Out() int { return d.W.Value.Cols }
 
+// FinishDense completes a Dense layer's forward in place outside the tape:
+// the 1×out.Cols bias added to every row of out, then the scaled adapter
+// term ad (out's shape) when ad is non-nil, then ReLU when relu is set — the
+// tape's AddRow, Add and ReLU ops in their order, each element taking the
+// same two adds and the same select, so every bit is the tape's. Each step
+// runs once over its rows on the vector kernels.
+func FinishDense(out, bias, ad *Matrix, relu bool) {
+	if bias.Rows != 1 || bias.Cols != out.Cols {
+		panic(fmt.Sprintf("nn: FinishDense wants a 1×%d bias, got %s", out.Cols, bias.shape()))
+	}
+	if ad != nil && !ad.SameShape(out) {
+		panic(fmt.Sprintf("nn: FinishDense adapter term %s for %s", ad.shape(), out.shape()))
+	}
+	for r := 0; r < len(out.Data); r += out.Cols {
+		addTo(out.Data[r:r+out.Cols], bias.Data)
+	}
+	if ad != nil {
+		addTo(out.Data, ad.Data)
+	}
+	if relu {
+		reluTo(out.Data, out.Data)
+	}
+}
+
 // LoRADense is a Dense layer with an optional low-rank adapter:
 //
 //	y = x·W + b + x·(Bᵣ·Aᵣ)·scale

@@ -83,9 +83,10 @@ func (m *Matrix) shape() string { return fmt.Sprintf("%d×%d", m.Rows, m.Cols) }
 
 // MatMulInto accumulates a·b into dst (dst must be pre-zeroed for a plain
 // product). dst must not alias a or b. Every dst element receives its terms
-// in ascending k order: full blocks of four rows go to panel4 where the CPU
-// has it (32 columns at a time, each row of b read once per block instead
-// of once per row), row remainders and column tails to panel.
+// in ascending k order: where the CPU has panel4, rows go to it four at a
+// time at full width (the last group one to three rows, the last columns
+// masked), each row of b read once per group instead of once per row;
+// elsewhere each row is one panel call.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %s · %s", a.shape(), b.shape()))
@@ -94,16 +95,15 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMulInto dst %s for %s · %s", dst.shape(), a.shape(), b.shape()))
 	}
 	k, cols := a.Cols, dst.Cols
-	i := 0
-	if wide := cols &^ 31; useAVX512 && wide > 0 && k > 0 {
-		for ; i+4 <= a.Rows; i += 4 {
-			panel4(dst.Data[i*cols:(i+4)*cols], cols, a.Data[i*k:(i+4)*k], k, b.Data, cols, k, wide)
+	if useAVX512 {
+		if k > 0 && cols > 0 {
+			for i := 0; i < a.Rows; i += 4 {
+				panel4(dst.Data[i*cols:], cols, a.Data[i*k:], k, b.Data, cols, k, cols, min(4, a.Rows-i))
+			}
 		}
-		for r := 0; wide < cols && r < i; r++ {
-			panel(dst.Data[r*cols+wide:(r+1)*cols], a.Data[r*k:(r+1)*k], 1, b.Data[wide:], cols, k)
-		}
+		return
 	}
-	for ; i < a.Rows; i++ {
+	for i := 0; i < a.Rows; i++ {
 		panel(dst.Data[i*cols:(i+1)*cols], a.Data[i*k:(i+1)*k], 1, b.Data, cols, k)
 	}
 }

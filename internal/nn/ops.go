@@ -54,44 +54,39 @@ func backMatMul(t *Tape, n *Node) {
 const formTile = 64
 
 // formMatMulB forms rows [r0, r0+len(dst)/cols) of aᵀ·dc into dst; row r
-// of aᵀ is column r0+r of a. Where the CPU has panel4, four such columns
-// are gathered at a time, formTile rows of a per tile, into a tile on the
-// stack, and run through panel4 (the column tail through panel, from the
-// same tile): the transpose never outlives the block's four rows, and
-// nothing of it is kept on the tape. Other rows, and every row on other
-// CPUs, are one strided panel call each. Every element is summed from
-// dst's +0 over a's rows in ascending order, whatever the tiling, so the
-// rows of any block come out as they do in the whole product.
+// of aᵀ is column r0+r of a. Where the CPU has panel4, up to four such
+// columns are gathered at a time, formTile rows of a per tile, into a tile
+// on the stack, and run through panel4 at full width: the transpose never
+// outlives the block's rows, and nothing of it is kept on the tape. On
+// other CPUs every row is one strided panel call. Every element is summed
+// from dst's +0 over a's rows in ascending order, whatever the tiling, so
+// the rows of any block come out as they do in the whole product.
 func formMatMulB(n *Node, dst []float64, r0 int) {
 	a, dc := n.a.Value, n.Grad
 	cols := dc.Cols
 	if cols == 0 || a.Rows == 0 {
 		return
 	}
-	rows, r := len(dst)/cols, 0
-	if wide := cols &^ 31; useAVX512 && wide > 0 {
-		var tile [4 * formTile]float64
-		for ; r+4 <= rows; r += 4 {
-			out := dst[r*cols : (r+4)*cols]
-			for k0 := 0; k0 < a.Rows; k0 += formTile {
-				kc := min(formTile, a.Rows-k0)
-				t0, t1 := tile[:kc], tile[formTile:][:kc]
-				t2, t3 := tile[2*formTile:][:kc], tile[3*formTile:][:kc]
-				src := a.Data[k0*a.Cols+r0+r:]
-				for k := range t0 {
-					c := src[k*a.Cols:][:4]
-					t0[k], t1[k], t2[k], t3[k] = c[0], c[1], c[2], c[3]
-				}
-				b := dc.Data[k0*cols:]
-				panel4(out, cols, tile[:], formTile, b, cols, kc, wide)
-				for i := 0; wide < cols && i < 4; i++ {
-					panel(out[i*cols+wide:(i+1)*cols], tile[i*formTile:], 1, b[wide:], cols, kc)
+	rows := len(dst) / cols
+	if !useAVX512 {
+		for r := 0; r < rows; r++ {
+			panel(dst[r*cols:(r+1)*cols], a.Data[r0+r:], a.Cols, dc.Data, cols, a.Rows)
+		}
+		return
+	}
+	var tile [4 * formTile]float64
+	for r := 0; r < rows; r += 4 {
+		nr := min(4, rows-r)
+		for k0 := 0; k0 < a.Rows; k0 += formTile {
+			kc := min(formTile, a.Rows-k0)
+			src := a.Data[k0*a.Cols+r0+r:]
+			for k := 0; k < kc; k++ {
+				for i, v := range src[k*a.Cols:][:nr] {
+					tile[i*formTile+k] = v
 				}
 			}
+			panel4(dst[r*cols:], cols, tile[:], formTile, dc.Data[k0*cols:], cols, kc, cols, nr)
 		}
-	}
-	for ; r < rows; r++ {
-		panel(dst[r*cols:(r+1)*cols], a.Data[r0+r:], a.Cols, dc.Data, cols, a.Rows)
 	}
 }
 

@@ -1,3 +1,5 @@
+//go:build !nn_generic
+
 package nn
 
 // useAVX2 is the one dispatch point of the kernel layer: set once at package
@@ -26,9 +28,10 @@ func detectAVX2() bool {
 	return b&avx2 != 0
 }
 
-// useAVX512 is the dispatch point of the one kernel with a 512-bit body,
-// panel4; like useAVX2 it is set once, here, from the CPU and the OS.
-var useAVX512 = useAVX2 && detectAVX512()
+// useAVX512 is the dispatch point of the kernels with a 512-bit body,
+// panel4 and rootScores; like useAVX2 it is set once, here, from the CPU and
+// the OS, unless a test build caps dispatch at AVX2 (capAVX2).
+var useAVX512 = !capAVX2 && useAVX2 && detectAVX512()
 
 // detectAVX512 reports, on a CPU that passed detectAVX2, whether it
 // implements AVX-512F (CPUID.7:EBX bit 16) and the OS saves the opmask
@@ -57,11 +60,11 @@ func panelAVX2(dst, a *float64, as int, b *float64, bc, k, n int)
 //go:noescape
 func oneHotRowAVX2(dst, wt, w0, w1 *float64, c0, c1 float64, n int)
 
-// panel4AVX512 runs panel4 for n a positive multiple of 32 and k ≥ 1. It
-// checks nothing.
+// panel4AVX512 runs panel4 for 1–4 rows, n ≥ 1 and k ≥ 1. It checks
+// nothing.
 //
 //go:noescape
-func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
+func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n, rows int)
 
 // rootScoresAVX512 runs rootScores over all eight lanes of grp into dst[0:8)
 // for d ≥ 1 key columns. It checks nothing.
@@ -84,21 +87,22 @@ func reluToAVX2(dst, src *float64, n int)
 //go:noescape
 func reluGradAVX2(dst, grad, x *float64, n int)
 
-// panel4 is panel over four rows at once: dst[r·ds+j] += Σ_k a[r·as+k]·
-// b[k·bc+j] for r < 4 and j < n, k ascending, where n is a positive
-// multiple of 32 and k ≥ 1. Each vector of b is loaded once for the four
-// rows. It exists only where useAVX512 is set; the rows of dst must not
-// alias each other, a or b. As in panel, the furthest element the assembly
-// will touch of each operand is indexed in Go first.
-func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n int) {
+// panel4 is panel over up to four rows at once: dst[r·ds+j] +=
+// Σ_k a[r·as+k]·b[k·bc+j] for r < rows and j < n, k ascending, where
+// 1 ≤ rows ≤ 4, n ≥ 1 and k ≥ 1. Each vector of b is loaded once for all
+// the rows; columns go 32 at a time, then 8, then one masked vector for the
+// last n mod 8. It exists only where useAVX512 is set; the rows of dst must
+// not alias each other, a or b. As in panel, the furthest element the
+// assembly will touch of each operand is indexed in Go first.
+func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n, rows int) {
 	if ds < 0 || as < 0 || bc < 0 {
 		panic("nn: negative kernel stride")
 	}
-	if k < 1 || n < 32 || n&31 != 0 {
-		panic("nn: panel4 needs k ≥ 1 and a positive multiple of 32 columns")
+	if k < 1 || n < 1 || rows < 1 || rows > 4 {
+		panic("nn: panel4 needs k ≥ 1, n ≥ 1 and 1–4 rows")
 	}
-	_, _, _ = dst[3*ds+n-1], a[3*as+k-1], b[(k-1)*bc+n-1]
-	panel4AVX512(&dst[0], ds, &a[0], as, &b[0], bc, k, n)
+	_, _, _ = dst[(rows-1)*ds+n-1], a[(rows-1)*as+k-1], b[(k-1)*bc+n-1]
+	panel4AVX512(&dst[0], ds, &a[0], as, &b[0], bc, k, n, rows)
 }
 
 // panel accumulates dst[j] += Σ_k a[k·as]·b[k·bc+j] for k = 0..k-1 in

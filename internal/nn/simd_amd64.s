@@ -1,3 +1,5 @@
+//go:build !nn_generic
+
 #include "textflag.h"
 
 // Lanes run across the output column j. Every lane multiplies (VMULPD) and
@@ -152,6 +154,41 @@ row4:
 	VZEROUPPER
 	RET
 
+// panel4AVX512 keeps row r's accumulators in Z(4r)..Z(4r+3), the current
+// vectors of b in Z16–Z19, row r's broadcast a[k] in Z(20+r) and the
+// products in Z24–Z27. The macros below are its pieces for 1 to 4 rows:
+// a row count's loops are built from them, so no phantom row is ever
+// multiplied.
+
+// DSTROWS points AX, BX and R11 at dst's rows 1, 2 and 3 (DI is row 0);
+// the addresses of rows a call does not have are formed, never used.
+#define DSTROWS \
+	LEAQ (DI)(R12*1), AX; \
+	LEAQ (DI)(R12*2), BX; \
+	LEAQ (BX)(R12*1), R11
+
+// KLOOP4 walks a's rows (AX, k contiguous, rows R8 bytes apart) and b (BX,
+// stride R9 bytes) over all k terms, k ascending, running body once per
+// term.
+#define KLOOP4(label, body) \
+	MOVQ SI, AX; \
+	MOVQ DX, BX; \
+	MOVQ R10, R11; \
+	PCALIGN $64; \
+label: \
+	body; \
+	ADDQ $8, AX; \
+	ADDQ R9, BX; \
+	DECQ R11; \
+	JNZ  label
+
+// BCASTn broadcasts the k-th term of a's first n rows into Z20..Z(19+n);
+// R13 holds the byte offset of the fourth row.
+#define BCAST1 VBROADCASTSD (AX), Z20
+#define BCAST2 BCAST1; VBROADCASTSD (AX)(R8*1), Z21
+#define BCAST3 BCAST2; VBROADCASTSD (AX)(R8*2), Z22
+#define BCAST4 BCAST3; VBROADCASTSD (AX)(R13*1), Z23
+
 // ROW4 adds the k-th term to one row's four accumulators: the row's a[k] is
 // broadcast in av, b[k, 0..32) sits in Z16–Z19.
 #define ROW4(av, c0, c1, c2, c3) \
@@ -163,6 +200,11 @@ row4:
 	VADDPD Z25, c1, c1; \
 	VADDPD Z26, c2, c2; \
 	VADDPD Z27, c3, c3
+
+#define TERMS32_1 ROW4(Z20, Z0, Z1, Z2, Z3)
+#define TERMS32_2 TERMS32_1; ROW4(Z21, Z4, Z5, Z6, Z7)
+#define TERMS32_3 TERMS32_2; ROW4(Z22, Z8, Z9, Z10, Z11)
+#define TERMS32_4 TERMS32_3; ROW4(Z23, Z12, Z13, Z14, Z15)
 
 // LOAD4 and STORE4 move one row's 32 columns between memory and registers.
 #define LOAD4(ptr, c0, c1, c2, c3) \
@@ -177,14 +219,105 @@ row4:
 	VMOVUPD c2, 128(ptr); \
 	VMOVUPD c3, 192(ptr)
 
-// func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n int)
+#define LOAD32_1 LOAD4(DI, Z0, Z1, Z2, Z3)
+#define LOAD32_2 LOAD32_1; LOAD4(AX, Z4, Z5, Z6, Z7)
+#define LOAD32_3 LOAD32_2; LOAD4(BX, Z8, Z9, Z10, Z11)
+#define LOAD32_4 LOAD32_3; LOAD4(R11, Z12, Z13, Z14, Z15)
+
+#define STORE32_1 STORE4(DI, Z0, Z1, Z2, Z3)
+#define STORE32_2 STORE32_1; STORE4(AX, Z4, Z5, Z6, Z7)
+#define STORE32_3 STORE32_2; STORE4(BX, Z8, Z9, Z10, Z11)
+#define STORE32_4 STORE32_3; STORE4(R11, Z12, Z13, Z14, Z15)
+
+// TERM8 adds the k-th term to one row's 8-column accumulator c: a[k] in av,
+// b[k, 0..8) in Z16, the product in t.
+#define TERM8(av, c, t) \
+	VMULPD Z16, av, t; \
+	VADDPD t, c, c
+
+#define TERMS8_1 TERM8(Z20, Z0, Z24)
+#define TERMS8_2 TERMS8_1; TERM8(Z21, Z4, Z25)
+#define TERMS8_3 TERMS8_2; TERM8(Z22, Z8, Z26)
+#define TERMS8_4 TERMS8_3; TERM8(Z23, Z12, Z27)
+
+// LOAD8_n and STORE8_n move the first n rows' 8 columns; LOADM_n and
+// STOREM_n the lanes K1 selects of them. A masked load zeroes the other
+// lanes and touches no memory for them, and a masked store leaves theirs
+// as it is.
+#define LOAD8_1 VMOVUPD (DI), Z0
+#define LOAD8_2 LOAD8_1; VMOVUPD (AX), Z4
+#define LOAD8_3 LOAD8_2; VMOVUPD (BX), Z8
+#define LOAD8_4 LOAD8_3; VMOVUPD (R11), Z12
+
+#define STORE8_1 VMOVUPD Z0, (DI)
+#define STORE8_2 STORE8_1; VMOVUPD Z4, (AX)
+#define STORE8_3 STORE8_2; VMOVUPD Z8, (BX)
+#define STORE8_4 STORE8_3; VMOVUPD Z12, (R11)
+
+#define LOADM_1 VMOVUPD.Z (DI), K1, Z0
+#define LOADM_2 LOADM_1; VMOVUPD.Z (AX), K1, Z4
+#define LOADM_3 LOADM_2; VMOVUPD.Z (BX), K1, Z8
+#define LOADM_4 LOADM_3; VMOVUPD.Z (R11), K1, Z12
+
+#define STOREM_1 VMOVUPD Z0, K1, (DI)
+#define STOREM_2 STOREM_1; VMOVUPD Z4, K1, (AX)
+#define STOREM_3 STOREM_2; VMOVUPD Z8, K1, (BX)
+#define STOREM_4 STOREM_3; VMOVUPD Z12, K1, (R11)
+
+// B32, B8 and BM load b's k-th vectors for a block into Z16 (–Z19).
+#define B32 LOAD4(BX, Z16, Z17, Z18, Z19)
+#define B8 VMOVUPD (BX), Z16
+#define BM VMOVUPD.Z (BX), K1, Z16
+
+// ROWS is panel4AVX512's body for one row count: blocks of 32 columns while
+// 32 remain, then blocks of 8 while 8 remain, then one block over the last
+// n mod 8 columns under the mask K1 = (1 << (n mod 8)) − 1. The labels are
+// the caller's, one set per row count.
+#define ROWS(c32, k32, c8, k8, cm, km, bcast, terms32, load32, store32, terms8, load8, store8, loadm, storem) \
+	CMPQ CX, $32; \
+	JLT  c8; \
+c32: \
+	DSTROWS; \
+	load32; \
+	KLOOP4(k32, B32; bcast; terms32); \
+	DSTROWS; \
+	store32; \
+	NEXT(32); \
+	CMPQ CX, $32; \
+	JGE  c32; \
+c8: \
+	CMPQ CX, $8; \
+	JLT  cm; \
+	DSTROWS; \
+	load8; \
+	KLOOP4(k8, B8; bcast; terms8); \
+	DSTROWS; \
+	store8; \
+	NEXT(8); \
+	JMP  c8; \
+cm: \
+	TESTQ CX, CX; \
+	JZ   done; \
+	MOVQ $1, AX; \
+	SHLQ CX, AX; \
+	DECQ AX; \
+	KMOVW AX, K1; \
+	DSTROWS; \
+	loadm; \
+	KLOOP4(km, BM; bcast; terms8); \
+	DSTROWS; \
+	storem; \
+	JMP  done
+
+// func panel4AVX512(dst *float64, ds int, a *float64, as int, b *float64, bc, k, n, rows int)
 //
-// Four rows of dst (stride ds) against four rows of a (stride as, k
-// contiguous) in column blocks of 32: the block's 16 accumulators stay in
-// Z0–Z15 across all k terms (k ascending), and each vector of b is loaded
-// once for the four rows that use it — a quarter of panelAVX2's traffic on
-// b, which is what bounds it. Per element the arithmetic is panelAVX2's.
-TEXT ·panel4AVX512(SB), NOSPLIT, $0-64
+// rows (1–4) rows of dst (stride ds) against as many rows of a (stride as,
+// k contiguous): a block's accumulators stay in registers across all k
+// terms (k ascending), and each vector of b is loaded once for the rows
+// that use it — with four rows a quarter of panelAVX2's traffic on b, which
+// is what bounds it. Per element the arithmetic is panelAVX2's; a masked
+// lane is never loaded or stored.
+TEXT ·panel4AVX512(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ ds+8(FP), R12
 	MOVQ a+16(FP), SI
@@ -193,48 +326,24 @@ TEXT ·panel4AVX512(SB), NOSPLIT, $0-64
 	MOVQ bc+40(FP), R9
 	MOVQ k+48(FP), R10
 	MOVQ n+56(FP), CX
+	MOVQ rows+64(FP), AX
 	SHLQ $3, R12
 	SHLQ $3, R8
 	SHLQ $3, R9
 	LEAQ (R8)(R8*2), R13 // byte offset of a's fourth row
-
-cols32:
-	LEAQ (DI)(R12*1), AX
-	LEAQ (DI)(R12*2), BX
-	LEAQ (BX)(R12*1), R11
-	LOAD4(DI, Z0, Z1, Z2, Z3)
-	LOAD4(AX, Z4, Z5, Z6, Z7)
-	LOAD4(BX, Z8, Z9, Z10, Z11)
-	LOAD4(R11, Z12, Z13, Z14, Z15)
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ R10, R11
-	PCALIGN $64
-loop4x32:
-	LOAD4(BX, Z16, Z17, Z18, Z19)
-	VBROADCASTSD (AX), Z20
-	VBROADCASTSD (AX)(R8*1), Z21
-	VBROADCASTSD (AX)(R8*2), Z22
-	VBROADCASTSD (AX)(R13*1), Z23
-	ROW4(Z20, Z0, Z1, Z2, Z3)
-	ROW4(Z21, Z4, Z5, Z6, Z7)
-	ROW4(Z22, Z8, Z9, Z10, Z11)
-	ROW4(Z23, Z12, Z13, Z14, Z15)
-	ADDQ $8, AX
-	ADDQ R9, BX
-	DECQ R11
-	JNZ  loop4x32
-	LEAQ (DI)(R12*1), AX
-	LEAQ (DI)(R12*2), BX
-	LEAQ (BX)(R12*1), R11
-	STORE4(DI, Z0, Z1, Z2, Z3)
-	STORE4(AX, Z4, Z5, Z6, Z7)
-	STORE4(BX, Z8, Z9, Z10, Z11)
-	STORE4(R11, Z12, Z13, Z14, Z15)
-	ADDQ $256, DI
-	ADDQ $256, DX
-	SUBQ $32, CX
-	JNZ  cols32
+	CMPQ AX, $2
+	JLT  rows1
+	JEQ  rows2
+	CMPQ AX, $4
+	JLT  rows3
+	ROWS(r4c32, r4k32, r4c8, r4k8, r4cm, r4km, BCAST4, TERMS32_4, LOAD32_4, STORE32_4, TERMS8_4, LOAD8_4, STORE8_4, LOADM_4, STOREM_4)
+rows3:
+	ROWS(r3c32, r3k32, r3c8, r3k8, r3cm, r3km, BCAST3, TERMS32_3, LOAD32_3, STORE32_3, TERMS8_3, LOAD8_3, STORE8_3, LOADM_3, STOREM_3)
+rows2:
+	ROWS(r2c32, r2k32, r2c8, r2k8, r2cm, r2km, BCAST2, TERMS32_2, LOAD32_2, STORE32_2, TERMS8_2, LOAD8_2, STORE8_2, LOADM_2, STOREM_2)
+rows1:
+	ROWS(r1c32, r1k32, r1c8, r1k8, r1cm, r1km, BCAST1, TERMS32_1, LOAD32_1, STORE32_1, TERMS8_1, LOAD8_1, STORE8_1, LOADM_1, STOREM_1)
+done:
 	VZEROUPPER
 	RET
 

@@ -1,8 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || nn_generic
 
 package nn
 
-// Without an assembly body the Go loops in simd.go are the whole kernel.
+// Without an assembly body the Go loops in simd.go are the whole kernel:
+// off amd64, and on amd64 in a test build tagged nn_generic, which runs
+// there every Go branch the other architectures take (make test-dispatch).
 const (
 	useAVX2   = false
 	useAVX512 = false
@@ -18,7 +20,7 @@ func oneHotRow(dst, wt, w0, w1 []float64, c0, c1 float64) {
 
 // panel4 has only an assembly body; with useAVX512 constant false no caller
 // reaches it.
-func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n int) {
+func panel4(dst []float64, ds int, a []float64, as int, b []float64, bc, k, n, rows int) {
 	panic("nn: panel4 without an assembly body")
 }
 

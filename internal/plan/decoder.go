@@ -34,8 +34,9 @@ type Decoder struct {
 	data []byte
 	pos  int
 
-	key []byte // scratch for unescaped object keys
-	str []byte // scratch for unescaped string values
+	key  []byte // scratch for unescaped object keys
+	fold []byte // scratch for a key folded to its field name
+	str  []byte // scratch for unescaped string values
 }
 
 // maxDecodeDepth mirrors encoding/json's nesting limit, so deeply nested
@@ -78,8 +79,8 @@ func (d *Decoder) Decode(data []byte) (*FlatPlan, error) {
 			return nil, d.errf("expected ':' after object key")
 		}
 		d.skipWS()
-		switch {
-		case keyIs(key, "database"):
+		switch string(d.fieldName(key, planFields)) {
+		case "database":
 			if d.lit("null") {
 				break
 			}
@@ -88,14 +89,14 @@ func (d *Decoder) Decode(data []byte) (*FlatPlan, error) {
 				return nil, err
 			}
 			d.f.database = append(d.f.database[:0], s...)
-		case keyIs(key, "sql"):
+		case "sql":
 			if d.lit("null") {
 				break
 			}
 			if err := d.skipString(); err != nil {
 				return nil, err
 			}
-		case keyIs(key, "root"):
+		case "root":
 			if rootSeen {
 				return nil, d.errf("duplicate root field")
 			}
@@ -150,8 +151,8 @@ func (d *Decoder) parseNode(depth int) error {
 			return d.errf("expected ':' after object key")
 		}
 		d.skipWS()
-		switch {
-		case keyIs(key, "type"):
+		switch string(d.fieldName(key, nodeFields)) {
+		case "type":
 			if d.lit("null") {
 				break
 			}
@@ -164,23 +165,23 @@ func (d *Decoder) parseNode(depth int) error {
 				return d.errf("invalid node type %q", string(span))
 			}
 			d.f.Types[idx] = NodeType(v)
-		case keyIs(key, "est_rows"):
+		case "est_rows":
 			if err := d.parseFloatField(&d.f.EstRows[idx]); err != nil {
 				return err
 			}
-		case keyIs(key, "est_cost"):
+		case "est_cost":
 			if err := d.parseFloatField(&d.f.EstCost[idx]); err != nil {
 				return err
 			}
-		case keyIs(key, "actual_rows"):
+		case "actual_rows":
 			if err := d.parseFloatField(&d.f.ActualRows[idx]); err != nil {
 				return err
 			}
-		case keyIs(key, "actual_ms"):
+		case "actual_ms":
 			if err := d.parseFloatField(&d.f.ActualMS[idx]); err != nil {
 				return err
 			}
-		case keyIs(key, "children"):
+		case "children":
 			if childrenSeen {
 				return d.errf("duplicate children field")
 			}
@@ -253,30 +254,39 @@ func unsafeString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// keyIs reports whether key equals name under encoding/json's field
-// matching (bytes.EqualFold, Unicode simple folding). name must be
-// lowercase ASCII (the struct tags all are); the fast path folds ASCII
-// in place and only a key with high bytes pays for the full Unicode fold
-// (U+212A and U+017F fold to ASCII 'k' and 's').
-func keyIs(key []byte, name string) bool {
-	for i := 0; i < len(key); i++ {
-		if key[i] >= utf8.RuneSelf {
-			return bytes.EqualFold(key, []byte(name))
+// planFields and nodeFields are the keys Decode and parseNode read: the
+// JSON names of plan.Plan's and plan.Node's fields, lowercase ASCII as the
+// struct tags all are.
+var (
+	planFields = []string{"database", "sql", "root"}
+	nodeFields = []string{"type", "est_rows", "est_cost", "actual_rows", "actual_ms", "children"}
+)
+
+// fieldName returns the name key matches under encoding/json's field
+// matching (bytes.EqualFold, Unicode simple folding), for one switch over
+// the lowercase names. An ASCII key is folded once, into d.fold, and is its
+// own answer. Only a key with high bytes pays for the full Unicode fold
+// against each of names (U+212A and U+017F fold to ASCII 'k' and 's'); one
+// that matches none comes back as it is, and no name has a high byte.
+func (d *Decoder) fieldName(key []byte, names []string) []byte {
+	for _, c := range key {
+		if c >= utf8.RuneSelf {
+			for _, name := range names {
+				if bytes.EqualFold(key, []byte(name)) {
+					d.fold = append(d.fold[:0], name...)
+					return d.fold
+				}
+			}
+			return key
 		}
 	}
-	if len(key) != len(name) {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := key[i]
+	d.fold = append(d.fold[:0], key...)
+	for i, c := range d.fold {
 		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
+			d.fold[i] = c + 'a' - 'A'
 		}
 	}
-	return true
+	return d.fold
 }
 
 func (d *Decoder) skipWS() {

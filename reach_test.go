@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -95,6 +96,7 @@ type archRule struct {
 	types  *regexp.Regexp                          // the type of an expression in the files
 	goStmt bool                                    // a go statement
 	node   func(n ast.Node, info *types.Info) bool // a shape none of the above names
+	build  *regexp.Regexp                          // a //go:build line, read also in the files the default build leaves out
 	allow  string                                  // the one object uses and defs may name after all
 	reason string
 }
@@ -188,6 +190,11 @@ var archRules = []archRule{{
 	defs:   re(`^type dace/internal/serve\.(Domain|served)$`),
 	reason: "every request resolves to one *tenant.Tenant: serve keeps no domain interface or snapshot of its own",
 }, {
+	where:  []string{".", "benchmark/...", "cmd/...", "examples/...", "internal/..."},
+	not:    []string{"internal/nn"},
+	build:  re(`\bnn_(avx2|generic)\b`),
+	reason: "the dispatch caps nn_avx2 and nn_generic are test-only tags of internal/nn: no product file is built with or without them",
+}, {
 	where:  []string{"internal/core"},
 	uses:   re(`\.AppendSubtreeFingerprints$`),
 	defs:   re(`\.AppendSubtreeFingerprints$`),
@@ -265,7 +272,8 @@ func checkAllowlist(t *testing.T, flagged []*reachDecl, list map[string]string, 
 // The gate flags an uncalled function, one that only a test calls and one
 // that only the fixture's benchmark main calls, keeps a method that live
 // code reaches only through an interface, and reports the fixture's rules
-// where a renamed import or a test file breaks them — not in a comment.
+// where a renamed import, a test file or the build line of a file the
+// default build leaves out breaks them — not in a comment.
 func TestReachGateSelfTest(t *testing.T) {
 	t.Parallel()
 	rules := []archRule{{
@@ -277,6 +285,10 @@ func TestReachGateSelfTest(t *testing.T) {
 		tests:  true,
 		types:  re(`^interface\{Busy\(\) bool\}$`),
 		reason: "no duck-typed Busy",
+	}, {
+		where:  []string{"user"},
+		build:  re(`\bdemo_cap\b`),
+		reason: "no build tag demo_cap",
 	}}
 	r, err := runGate(filepath.Join("testdata", "reach"), rules)
 	if err != nil {
@@ -297,6 +309,7 @@ func TestReachGateSelfTest(t *testing.T) {
 	}
 	want := []string{
 		"user/user.go:11: user never calls lib.Forbidden (uses func reachdemo/lib.Forbidden)",
+		"user/capped.go:1: no build tag demo_cap (build constraint //go:build demo_cap)",
 		"lib/lib_test.go:12: no duck-typed Busy (expression of type interface{Busy() bool})",
 	}
 	if strings.Join(r.findings, "\n") != strings.Join(want, "\n") {
@@ -314,17 +327,18 @@ type gateReport struct {
 
 // listedPackage is the part of `go list -json` output the gate reads.
 type listedPackage struct {
-	ImportPath   string
-	Name         string
-	Dir          string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	TestImports  []string
-	XTestImports []string
-	Export       string
-	Standard     bool
-	Deps         []string
+	ImportPath     string
+	Name           string
+	Dir            string
+	GoFiles        []string
+	TestGoFiles    []string
+	XTestGoFiles   []string
+	IgnoredGoFiles []string
+	TestImports    []string
+	XTestImports   []string
+	Export         string
+	Standard       bool
+	Deps           []string
 }
 
 // reachDecl is one package-level declaration of a non-test file: node is
@@ -494,6 +508,9 @@ func runGate(dir string, rules []archRule) (*gateReport, error) {
 				g.declare(p, c.info, d, aux)
 			}
 			rc.file(g, f, c.info, rules, false)
+		}
+		if err := rc.buildLines(g, p, rules); err != nil {
+			return nil, err
 		}
 	}
 
@@ -718,6 +735,51 @@ type ruleCheck struct {
 	seen     map[string]bool
 }
 
+// report records that r is broken at line of the module-relative file name.
+func (rc *ruleCheck) report(name string, line int, r *archRule, what string) {
+	key := fmt.Sprintf("%s:%d: %s", name, line, r.reason)
+	if !rc.seen[key] {
+		rc.seen[key] = true
+		rc.findings = append(rc.findings, key+" ("+what+")")
+	}
+}
+
+// buildLines checks the //go:build line of each of p's files against the
+// rules that read build constraints. The files the default build leaves out
+// are read too: the type-checked pass never sees them, and a tag that
+// switches a file on is named only there.
+func (rc *ruleCheck) buildLines(g *reachGraph, p *listedPackage, rules []archRule) error {
+	for _, name := range slices.Concat(p.GoFiles, p.IgnoredGoFiles, p.TestGoFiles, p.XTestGoFiles) {
+		file, test := g.rel(filepath.Join(p.Dir, name)), strings.HasSuffix(name, "_test.go")
+		var covering []*archRule
+		for i := range rules {
+			if rules[i].build != nil && rules[i].covers(file, test) {
+				covering = append(covering, &rules[i])
+			}
+		}
+		if len(covering) == 0 {
+			continue
+		}
+		f, err := parser.ParseFile(g.fset, filepath.Join(p.Dir, name), nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if c.Pos() > f.Package || !constraint.IsGoBuild(c.Text) {
+					continue
+				}
+				for _, r := range covering {
+					if r.build.MatchString(c.Text) {
+						rc.report(file, g.fset.Position(c.Pos()).Line, r, "build constraint "+c.Text)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // file checks f, type-checked into info, against every rule that covers it.
 func (rc *ruleCheck) file(g *reachGraph, f *ast.File, info *types.Info, rules []archRule, test bool) {
 	name := g.rel(g.fset.Position(f.Package).Filename)
@@ -731,12 +793,7 @@ func (rc *ruleCheck) file(g *reachGraph, f *ast.File, info *types.Info, rules []
 		return
 	}
 	report := func(n ast.Node, r *archRule, what string) {
-		pos := g.fset.Position(n.Pos())
-		key := fmt.Sprintf("%s:%d: %s", name, pos.Line, r.reason)
-		if !rc.seen[key] {
-			rc.seen[key] = true
-			rc.findings = append(rc.findings, key+" ("+what+")")
-		}
+		rc.report(name, g.fset.Position(n.Pos()).Line, r, what)
 	}
 	object := func(n ast.Node, r *archRule, pattern *regexp.Regexp, obj types.Object, verb string) {
 		if pattern == nil || obj == nil {
